@@ -5,9 +5,11 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"dmv/internal/cluster"
 	"dmv/internal/obs"
 	"dmv/internal/obs/flight"
 )
@@ -147,5 +149,57 @@ func TestLoadRejectsBadDumps(t *testing.T) {
 		if _, err := load(path); err == nil {
 			t.Errorf("%s: load succeeded, want error", name)
 		}
+	}
+}
+
+// TestFailStopPostMortemNamesTruePriorState runs the real pipeline end to
+// end — shared detector, flight recorder, dump, render — for a node that
+// fail-stops without ever being suspected. The post-mortem must say the
+// node went healthy -> dead: the detector used to record every death as
+// suspect -> dead, sending the reader looking for a suspicion phase that
+// never happened.
+func TestFailStopPostMortemNamesTruePriorState(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.New()
+	rec := flight.New(flight.Options{Node: "sched", Reg: reg, Dir: dir})
+	defer rec.Close()
+	c, err := cluster.New(cluster.Config{
+		Slaves:    2,
+		SchemaDDL: []string{`CREATE TABLE acct (id INT PRIMARY KEY, bal INT)`},
+		Obs:       reg,
+		Flight:    rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Kill("slave1"); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Health("slave1") != "dead" {
+		if time.Now().After(deadline) {
+			t.Fatalf("slave1 never declared dead; events: %+v", c.Events())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	rec.Close() // drains the trigger queue: the dump is on disk
+
+	matches, err := filepath.Glob(filepath.Join(dir, "flight-*-"+flight.CauseFailover+".json"))
+	if err != nil || len(matches) != 1 {
+		t.Fatalf("fail-over dumps = %v, err = %v", matches, err)
+	}
+	d, err := load(matches[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	Render(&buf, matches[0], d)
+	out := buf.String()
+	if !strings.Contains(out, "slave1: healthy -> dead") {
+		t.Fatalf("report does not show the fail-stop as healthy -> dead:\n%s", out)
+	}
+	if strings.Contains(out, "-> suspect") || strings.Contains(out, "suspect ->") {
+		t.Fatalf("report invents a suspicion phase for a fail-stop:\n%s", out)
 	}
 }

@@ -1,8 +1,10 @@
 // Command dmv-scheduler runs the version-aware scheduler against a set of
-// dmv-node processes: it assigns the master role, wires the replication
-// subscriptions, monitors heartbeats, performs master/slave fail-over, and
-// (optionally) drives the TPC-W workload against the tier so a complete
-// multi-process demonstration needs only this binary plus N dmv-nodes.
+// dmv-node processes. Role assignment, replication wiring, heartbeat
+// failure detection, master/slave fail-over and the scrub loop are the
+// shared control plane (cluster.Plane) over RemoteNode peers — the same
+// code the in-process cluster and every chaos test run. The binary can also
+// drive the TPC-W workload against the tier, so a complete multi-process
+// demonstration needs only it plus N dmv-nodes.
 //
 // Example (three shells):
 //
@@ -22,14 +24,13 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
+	"dmv/internal/cluster"
 	"dmv/internal/harness"
 	"dmv/internal/obs"
 	"dmv/internal/obs/flight"
 	"dmv/internal/persist"
-	"dmv/internal/replica"
 	"dmv/internal/scheduler"
 	"dmv/internal/tpcw"
 	"dmv/internal/transport"
@@ -92,9 +93,6 @@ func run() error {
 	if *masterSpec == "" || len(slaveSpecs) == 0 {
 		return errors.New("need -master and at least one -slave")
 	}
-	if *deadAt <= *suspectAt {
-		*deadAt = *suspectAt + 2
-	}
 
 	var reg *obs.Registry
 	var rec *flight.Recorder
@@ -128,7 +126,6 @@ func run() error {
 		Seed:          *seed,
 		Obs:           reg,
 	}
-	addrs := map[string]string{}
 	mID, mAddr, err := parseNode(*masterSpec)
 	if err != nil {
 		return err
@@ -137,7 +134,6 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("master %s: %w", mID, err)
 	}
-	addrs[mID] = mAddr
 	var slaves []*transport.RemoteNode
 	for _, spec := range slaveSpecs {
 		id, addr, err := parseNode(spec)
@@ -148,7 +144,6 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("slave %s: %w", id, err)
 		}
-		addrs[id] = addr
 		slaves = append(slaves, s)
 	}
 	if rec != nil {
@@ -204,12 +199,24 @@ func run() error {
 		defer tier.Close()
 		onCommit = tier.OnCommit
 	}
+	var scrubIDs []int
+	if *scrubTabs != "" {
+		for _, name := range strings.Split(*scrubTabs, ",") {
+			id, ok := tableID(strings.TrimSpace(name))
+			if !ok {
+				return fmt.Errorf("-scrub-tables: unknown table %q", name)
+			}
+			scrubIDs = append(scrubIDs, id)
+		}
+	}
+	var plane *cluster.Plane
 	sched, err := scheduler.New(scheduler.Options{
 		VersionAffinity: true,
 		MaxRetries:      30,
 		Seed:            *seed,
 		Obs:             reg,
 		OnCommit:        onCommit,
+		OnPeerFailure:   func(id string) { go plane.ReportFailure(id) },
 		Flight:          rec,
 		Admission: scheduler.AdmissionOptions{
 			Slots:         *admitQ,
@@ -220,123 +227,33 @@ func run() error {
 		return err
 	}
 
-	// Topology: promote the master, subscribe the slaves.
-	classTables := make([]int, len(names))
-	for i := range names {
-		classTables[i] = i
-	}
-	if err := master.Promote(classTables); err != nil {
+	// The control plane: it promotes the master, wires the replication
+	// subscriptions, and from then on owns failure detection (suspicion
+	// ladder with RTT accrual, quarantine, commit-fenced master fail-over,
+	// dead-slave removal) and the anti-entropy scrub loop (DESIGN.md §10,
+	// §15). Its timeline events are this daemon's log lines.
+	plane = cluster.NewPlane(cluster.Config{
+		HeartbeatInterval: *heartbeat,
+		PingTimeout:       *pingTO,
+		SuspectAfter:      *suspectAt,
+		DeadAfter:         *deadAt,
+		ScrubInterval:     *scrubEvery,
+		ScrubTables:       scrubIDs,
+		Obs:               reg,
+		Flight:            rec,
+	}, []*scheduler.Scheduler{sched}, transport.Rewire, nil)
+	plane.OnEvent(func(ev obs.Event) {
+		log.Printf("%s node=%q detail=%q took=%s", ev.Kind, ev.Node, ev.Detail, ev.Duration)
+	})
+	if err := plane.AddMaster(0, master); err != nil {
 		return fmt.Errorf("promote %s: %w", mID, err)
 	}
-	subs := map[string]string{}
-	for id, addr := range addrs {
-		if id != mID {
-			subs[id] = addr
-		}
-	}
-	if err := master.SetSubscribers(subs); err != nil {
-		return fmt.Errorf("wire subscribers: %w", err)
-	}
-	sched.SetMaster(0, master)
 	for _, s := range slaves {
-		sched.AddSlave(s)
+		plane.AddSlave(s)
 	}
+	plane.Start()
+	defer plane.Close()
 	log.Printf("tier up: master=%s slaves=%v", mID, sched.Slaves())
-
-	// Suspicion-based heartbeat monitor: every probe carries a deadline, a
-	// missed deadline walks the node down the healthy -> suspect -> dead
-	// ladder (hard "node down" answers kill immediately), suspects are
-	// quarantined out of read placement, recovered suspects rejoin, and a
-	// dead master triggers the commit-fenced fail-over.
-	ht := newHealthTracker(reg, *suspectAt, *deadAt)
-	ht.flight = rec
-	stopMon := make(chan struct{})
-	go func() {
-		ticker := time.NewTicker(*heartbeat)
-		defer ticker.Stop()
-		curMaster := master
-		for {
-			select {
-			case <-stopMon:
-				return
-			case <-ticker.C:
-				switch ht.probe(curMaster) {
-				case transitionSuspect:
-					log.Printf("master %s suspect (probe deadline); holding fail-over", curMaster.ID())
-				case transitionDead:
-					log.Printf("master %s declared dead; electing new master", curMaster.ID())
-					if nm := failoverMaster(sched, slaves, ht, curMaster.ID(), addrs, classTables); nm != nil {
-						curMaster = nm
-					}
-				case transitionClear:
-					log.Printf("master %s recovered (false suspicion)", curMaster.ID())
-				}
-				for _, s := range slaves {
-					if s.ID() == curMaster.ID() || ht.dead(s.ID()) {
-						continue
-					}
-					switch ht.probe(s) {
-					case transitionSuspect:
-						log.Printf("slave %s suspect; quarantined from read placement", s.ID())
-						sched.SetQuarantined(s.ID(), true)
-					case transitionDead:
-						log.Printf("slave %s declared dead; removed", s.ID())
-						sched.Remove(s.ID())
-					case transitionClear:
-						log.Printf("slave %s recovered; quarantine lifted", s.ID())
-						sched.SetQuarantined(s.ID(), false)
-					}
-				}
-			}
-		}
-	}()
-	defer close(stopMon)
-
-	// Anti-entropy scrub: periodically digest every table on every slave
-	// against the master at a pinned frontier; a diverged slave is
-	// quarantined, repaired with the master's current pages, and verified
-	// before rejoining read placement (DESIGN.md §15).
-	if *scrubEvery > 0 {
-		var scrubIDs []int
-		if *scrubTabs != "" {
-			for _, name := range strings.Split(*scrubTabs, ",") {
-				id, ok := tableID(strings.TrimSpace(name))
-				if !ok {
-					return fmt.Errorf("-scrub-tables: unknown table %q", name)
-				}
-				scrubIDs = append(scrubIDs, id)
-			}
-		}
-		sc := sched.NewScrubber(scheduler.ScrubOptions{
-			Tables: scrubIDs,
-			OnDiverged: func(node string, mms []scheduler.ScrubMismatch) {
-				pages := 0
-				for _, mm := range mms {
-					pages += len(mm.Pages)
-				}
-				log.Printf("scrub: %s diverged (%d tables, %d pages); quarantined for repair", node, len(mms), pages)
-			},
-			OnRepaired: func(node string, pages int, took time.Duration, ok bool) {
-				if ok {
-					log.Printf("scrub: %s repaired (%d pages shipped in %s); quarantine lifted", node, pages, took.Round(time.Millisecond))
-				} else {
-					log.Printf("scrub: %s repair FAILED after %d pages; node stays quarantined", node, pages)
-				}
-			},
-		})
-		go func() {
-			ticker := time.NewTicker(*scrubEvery)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stopMon:
-					return
-				case <-ticker.C:
-					sc.Sweep()
-				}
-			}
-		}()
-	}
 
 	// Aggregation plane: scrape every node's registry over the ObsSnapshot
 	// RPC and merge into one labeled cluster snapshot served at /cluster.
@@ -344,13 +261,15 @@ func run() error {
 	// a freshly acknowledged commit shows as lag even before any node
 	// reports the new version back.
 	if reg != nil {
+		stopScrape := make(chan struct{})
+		defer close(stopScrape)
 		go func() {
 			all := append([]*transport.RemoteNode{master}, slaves...)
 			ticker := time.NewTicker(*scrape)
 			defer ticker.Stop()
 			for {
 				select {
-				case <-stopMon:
+				case <-stopScrape:
 					return
 				case <-ticker.C:
 					var nss []obs.NodeSnapshot
@@ -363,7 +282,7 @@ func run() error {
 					}
 					cs := obs.MergeSnapshots(nss, sched.Latest())
 					for i := range cs.Nodes {
-						cs.Nodes[i].Health = ht.healthOf(cs.Nodes[i].Node)
+						cs.Nodes[i].Health = plane.Health(cs.Nodes[i].Node)
 					}
 					agg.Update(cs)
 				}
@@ -424,138 +343,6 @@ func run() error {
 	return nil
 }
 
-// failoverMaster runs the commit-fenced remote master fail-over (Section
-// 4.2) through scheduler.FailoverMaster: the rollback point is read under
-// the commit fence, every reachable survivor discards above it, and the
-// survivor with the highest versions is promoted. The old path here read
-// Latest() without fencing, so a commit acknowledged between the read and
-// the discard could be rolled back.
-func failoverMaster(sched *scheduler.Scheduler, slaves []*transport.RemoteNode, ht *healthTracker, failedID string, addrs map[string]string, classTables []int) *transport.RemoteNode {
-	_ = classTables // the scheduler derives the class tables itself
-	var survivors []replica.Peer
-	for _, s := range slaves {
-		if s.ID() != failedID && !ht.dead(s.ID()) {
-			survivors = append(survivors, s)
-		}
-	}
-	nm, err := sched.FailoverMaster(0, survivors)
-	if err != nil {
-		log.Printf("fail-over: %v", err)
-		return nil
-	}
-	candidate := nm.(*transport.RemoteNode)
-	subs := map[string]string{}
-	for _, s := range slaves {
-		if s.ID() != candidate.ID() && s.ID() != failedID && !ht.dead(s.ID()) {
-			subs[s.ID()] = addrs[s.ID()]
-		}
-	}
-	if err := candidate.SetSubscribers(subs); err != nil {
-		log.Printf("rewire %s: %v", candidate.ID(), err)
-	}
-	sched.Remove(candidate.ID()) // masters do not serve scheduled reads
-	log.Printf("new master: %s; slaves: %v", candidate.ID(), sched.Slaves())
-	return candidate
-}
-
-// Detector transitions returned by healthTracker.probe.
-type transition int
-
-const (
-	transitionNone transition = iota
-	transitionSuspect
-	transitionClear
-	transitionDead
-)
-
-// healthTracker is the scheduler-side suspicion ladder: consecutive probe
-// deadline misses raise suspicion, a hard "node down" answer skips the
-// ladder, and each state change is exported on the node-health gauge.
-type healthTracker struct {
-	reg          *obs.Registry
-	flight       *flight.Recorder // nil-safe; records transitions + suspicion triggers
-	suspectAfter int
-	deadAfter    int
-
-	mu     sync.Mutex
-	misses map[string]int    // guarded by mu
-	state  map[string]string // guarded by mu; "" healthy, "suspect", "dead"
-}
-
-func newHealthTracker(reg *obs.Registry, suspectAfter, deadAfter int) *healthTracker {
-	return &healthTracker{
-		reg:          reg,
-		suspectAfter: suspectAfter,
-		deadAfter:    deadAfter,
-		misses:       make(map[string]int, 8),
-		state:        make(map[string]string, 8),
-	}
-}
-
-func (h *healthTracker) probe(p replica.Peer) transition {
-	err := p.Ping()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	id := p.ID()
-	if h.state[id] == "dead" {
-		return transitionNone
-	}
-	switch {
-	case err == nil:
-		h.misses[id] = 0
-		if h.state[id] == "suspect" {
-			h.state[id] = ""
-			h.setGauge(id, "")
-			h.flight.RecordHealth(id, "suspect", "healthy")
-			return transitionClear
-		}
-		return transitionNone
-	case errors.Is(err, replica.ErrPeerTimeout):
-		h.misses[id]++
-		if h.misses[id] >= h.deadAfter {
-			from := h.state[id]
-			h.state[id] = "dead"
-			h.setGauge(id, "dead")
-			h.flight.RecordHealth(id, from, "dead")
-			return transitionDead
-		}
-		if h.misses[id] >= h.suspectAfter && h.state[id] == "" {
-			h.state[id] = "suspect"
-			h.setGauge(id, "suspect")
-			h.flight.RecordHealth(id, "healthy", "suspect")
-			h.flight.Trigger(flight.CauseSuspicion, id, "probe misses reached suspect threshold")
-			return transitionSuspect
-		}
-		return transitionNone
-	default:
-		// The node itself answered that it is down: fail-stop, no ladder.
-		from := h.state[id]
-		h.state[id] = "dead"
-		h.setGauge(id, "dead")
-		h.flight.RecordHealth(id, from, "dead")
-		return transitionDead
-	}
-}
-
-func (h *healthTracker) setGauge(id, state string) {
-	h.reg.Gauge(obs.Labeled(obs.ClusterNodeHealth, "node", id)).Set(obs.HealthValue(state))
-}
-
-func (h *healthTracker) dead(id string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.state[id] == "dead"
-}
-
-func (h *healthTracker) healthOf(id string) string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if s := h.state[id]; s != "" {
-		return s
-	}
-	return "healthy"
-}
-
 // schedStore adapts the scheduler to the TPC-W workload interface.
 type schedStore struct {
 	sched    *scheduler.Scheduler
@@ -572,5 +359,3 @@ func (s schedStore) Run(readOnly bool, tables []string, fn func(tpcw.Querier) er
 		return fn(tx)
 	})
 }
-
-var _ replica.Peer = (*transport.RemoteNode)(nil)

@@ -28,6 +28,7 @@ const (
 	levelReplica   = 30 // per-node replica state (sessions, subscribers)
 	levelTransport = 35 // RPC client/server bookkeeping
 	levelFaultnet  = 36 // fault-injection net wrappers (under transport conns)
+	levelExec      = 38 // process-wide prepared-statement cache (leaf)
 	levelEngine    = 40 // heap engine catalog
 	levelTable     = 44 // per-table directory / row-location / allocator
 	levelIndex     = 48 // versioned secondary indexes
@@ -49,18 +50,19 @@ const (
 // cycle detector), so new locks fail open until declared here.
 var DefaultConfig = &Config{
 	Levels: map[string]int{
-		// cluster (the former evMu event log now lives in obs.Timeline)
-		"dmv/internal/cluster.Cluster.mu": levelCluster,
+		// cluster: the control plane's membership/detector state, and the
+		// in-process cluster's per-node resources (checkpointers, disks).
+		// Neither is ever taken under the other.
+		"dmv/internal/cluster.Plane.mu":       levelCluster,
+		"dmv/internal/cluster.Cluster.nodeMu": levelCluster,
 
 		// persistence tier. OnCommit appends to the WAL under Tier.mu, so
 		// Tier.mu sits outside WAL.mu; the applier takes Backend.applyMu
 		// (quiescing the engine for complete fuzzy checkpoints) and under it
-		// the prepared-statement cache (stmtMu) and the progress-mark lock
-		// (Backend.mu).
+		// the progress-mark lock (Backend.mu).
 		"dmv/internal/persist.Tier.mu":         levelPersist,
 		"dmv/internal/persist.Backend.applyMu": levelPersist + 1,
 		"dmv/internal/persist.Backend.mu":      levelPersist + 2,
-		"dmv/internal/persist.Tier.stmtMu":     levelPersist + 3,
 
 		// WAL and the seeded fault-injection disk beneath it: segment file
 		// operations run against faultdisk files whose durability model is
@@ -74,7 +76,6 @@ var DefaultConfig = &Config{
 		"dmv/internal/scheduler.classState.mu":         levelScheduler + 1,
 		"dmv/internal/scheduler.replicaState.verMu":    levelScheduler + 2,
 		"dmv/internal/scheduler.Scheduler.rngMu":       levelScheduler + 3,
-		"dmv/internal/scheduler.Scheduler.stmtMu":      levelScheduler + 3,
 		// Admission queue: entered before any routing state on the begin
 		// path and never held across a replica call; waiter wakeups, gauge
 		// writes, timeline events, and flight triggers all fire after
@@ -95,21 +96,29 @@ var DefaultConfig = &Config{
 		"dmv/internal/replica.Node.commitMu": levelReplica + 3,
 		"dmv/internal/replica.Node.subsMu":   levelReplica + 4,
 		"dmv/internal/replica.Node.roleMu":   levelReplica + 4,
-		"dmv/internal/replica.Node.stmtMu":   levelReplica + 4,
 		"dmv/internal/replica.Node.cpMu":     levelReplica + 4,
 		"dmv/internal/replica.Node.stallMu":  levelReplica + 4,
 
-		// transport
-		"dmv/internal/transport.Server.connMu":    levelTransport,
-		"dmv/internal/transport.RemoteNode.mu":    levelTransport,
-		"dmv/internal/transport.RemoteNode.trMu":  levelTransport,
-		"dmv/internal/transport.RemoteNode.rngMu": levelTransport,
+		// transport. NodeService.subMu serializes rewires: an RPC handler
+		// enters it with nothing held and, under it, dials subscriber clients
+		// (RemoteNode.mu) and installs them on the node (replica subsMu), so it
+		// sits outside the replica band.
+		"dmv/internal/transport.NodeService.subMu": levelReplica - 1,
+		"dmv/internal/transport.Server.connMu":     levelTransport,
+		"dmv/internal/transport.RemoteNode.mu":     levelTransport,
+		"dmv/internal/transport.RemoteNode.trMu":   levelTransport,
+		"dmv/internal/transport.RemoteNode.rngMu":  levelTransport,
 
 		// faultnet: Network.mu is taken outer to Conn.mu (reset sweeps walk
 		// the conn table under the network lock), and transport writes land
 		// in these conns with transport locks already held.
 		"dmv/internal/faultnet.Network.mu": levelFaultnet,
 		"dmv/internal/faultnet.Conn.mu":    levelFaultnet + 1,
+
+		// shared prepared-statement cache: a leaf taken by the scheduler,
+		// the persistence applier (under Backend.applyMu) and node sessions;
+		// parsing happens outside it.
+		"dmv/internal/exec.stmtCache.mu": levelExec,
 
 		// heap storage engine
 		"dmv/internal/heap.Engine.mu":      levelEngine,
@@ -176,7 +185,7 @@ var DefaultConfig = &Config{
 		// obs entry points: metric registration and hot-path recording take
 		// only obs locks, so they are safe under anything. Snapshot is the
 		// exception — it invokes gauge callbacks (outside the registry lock)
-		// that may take Cluster.mu, so it carries the cluster level.
+		// that may take Cluster.nodeMu, so it carries the cluster level.
 		"dmv/internal/obs.Registry.Counter":   levelObs,
 		"dmv/internal/obs.Registry.Gauge":     levelObs,
 		"dmv/internal/obs.Registry.Histogram": levelObs,

@@ -1,17 +1,17 @@
-// Package cluster orchestrates a DMV in-memory database tier: node
-// construction and initial load, heartbeat failure detection, master
-// election, the three-stage fail-over pipeline (recovery -> data migration
-// -> cache warm-up), spare-backup management with the paper's two warm-up
-// schemes (1%-of-reads query execution and page-id transfer), periodic fuzzy
-// checkpoints, and reintegration of recovered nodes.
+// Package cluster orchestrates a DMV in-memory database tier. Plane is the
+// Peer-driven control plane shared by every deployment: heartbeat failure
+// detection, master election, the three-stage fail-over pipeline (recovery
+// -> data migration -> cache warm-up), reintegration and the scrub loop.
+// Cluster is its in-process constructor, adding what only a process that
+// owns its nodes can do: node construction and initial load, kill/restart,
+// periodic fuzzy checkpoints, and spare-backup upkeep with the paper's two
+// warm-up schemes (1%-of-reads query execution and page-id transfer).
 package cluster
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dmv/internal/exec"
@@ -185,6 +185,9 @@ const (
 	EventNodeCleared     EventKind = "node-cleared"
 	EventScrubDiverged   EventKind = "scrub-divergence"
 	EventScrubRepaired   EventKind = "scrub-repaired"
+	// EventRewireFailed reports a master that could not install (all of) its
+	// subscriber set; only a remote tier can produce it.
+	EventRewireFailed EventKind = "rewire-failed"
 )
 
 // Event is one reconfiguration event with its duration where applicable.
@@ -192,64 +195,8 @@ const (
 // observability subsystem share one storage and one schema.
 type Event = obs.Event
 
-// Node health states tracked by the suspicion detector. The zero value
-// (healthy) is the empty string so fresh nodeStates need no initialization.
-const (
-	healthSuspect = "suspect"
-	healthDead    = "dead"
-)
-
-type nodeState struct {
-	node    *replica.Node
-	cp      *replica.Checkpointer
-	isSpare bool
-	classID int // >= 0 when master of that class
-
-	// Suspicion-detector state; Cluster.mu protects every field below
-	// (the guardedfield annotation cannot name a lock on another struct).
-	health     string  // "" healthy, healthSuspect, healthDead
-	misses     int     // consecutive missed or badly-late probes
-	rttMean    float64 // EWMA of probe RTT, microseconds
-	rttVar     float64 // EWMA of squared RTT deviation
-	rttSamples int     // probes folded into the EWMA
-	// fenced marks a node declared dead while still running (gray
-	// failure): it is excluded from every topology computation even
-	// though Alive() still reports true.
-	fenced bool
-}
-
-// usable reports whether the node may participate in cluster topology:
-// alive and not fenced off as a gray failure.
-func (st *nodeState) usable() bool { return st.node.Alive() && !st.fenced }
-
-// Cluster is a running in-memory tier.
-type Cluster struct {
-	cfg     Config
-	scheds  []*scheduler.Scheduler
-	primary atomic.Int32
-
-	mu      sync.Mutex
-	nodes   map[string]*nodeState // guarded by mu
-	order   []string              // guarded by mu
-	handled map[string]bool       // guarded by mu; failure handling is idempotent per node
-	disks   []*simdisk.Disk       // guarded by mu; every node buffer cache, for gauge export
-
-	// tl is the lifecycle event timeline (cfg.Obs's timeline when a
-	// registry is configured, a private one otherwise). Never nil.
-	tl *obs.Timeline
-
-	// Suspicion-detector counters (nil-safe when no registry is set).
-	metSuspicions      *obs.Counter
-	metFalseSuspicions *obs.Counter
-
-	stop chan struct{}
-	done chan struct{}
-	wg   sync.WaitGroup
-}
-
-// New builds and starts a cluster: NumClasses master nodes plus cfg.Slaves
-// slaves plus cfg.Spares spares, all loaded with the same initial image.
-func New(cfg Config) (*Cluster, error) {
+// withDefaults fills the detector and spare defaults New and NewPlane share.
+func (cfg Config) withDefaults() Config {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 10 * time.Millisecond
 	}
@@ -265,21 +212,24 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.SpareMode == 0 {
 		cfg.SpareMode = SpareHot
 	}
-	tl := cfg.Obs.Timeline()
-	if tl == nil {
-		tl = obs.NewTimeline()
-	}
-	c := &Cluster{
-		cfg:                cfg,
-		nodes:              make(map[string]*nodeState, 16),
-		handled:            make(map[string]bool, 4),
-		tl:                 tl,
-		metSuspicions:      cfg.Obs.Counter(obs.ClusterSuspicions),
-		metFalseSuspicions: cfg.Obs.Counter(obs.ClusterFalseSuspicions),
-		stop:               make(chan struct{}),
-		done:               make(chan struct{}),
-	}
-	c.registerMetrics()
+	return cfg
+}
+
+// Cluster is a running in-memory tier: the control plane over in-process
+// nodes, plus the per-node resources only their owning process can manage.
+type Cluster struct {
+	*Plane
+
+	nodeMu sync.Mutex
+	cps    map[string]*replica.Checkpointer // guarded by nodeMu
+	disks  []*simdisk.Disk                  // guarded by nodeMu; every node buffer cache, for gauge export
+}
+
+// New builds and starts a cluster: NumClasses master nodes plus cfg.Slaves
+// slaves plus cfg.Spares spares, all loaded with the same initial image.
+func New(cfg Config) (*Cluster, error) {
+	cfg = cfg.withDefaults()
+	c := &Cluster{cps: make(map[string]*replica.Checkpointer, 8)}
 
 	numClasses := len(cfg.Classes)
 	if numClasses == 0 {
@@ -299,7 +249,7 @@ func New(cfg Config) (*Cluster, error) {
 		default:
 			id = fmt.Sprintf("spare%d", i-numClasses-cfg.Slaves)
 		}
-		n, err := c.buildNode(id)
+		n, err := c.buildNode(cfg, id)
 		if err != nil {
 			return nil, err
 		}
@@ -309,6 +259,7 @@ func New(cfg Config) (*Cluster, error) {
 	// Scheduler(s) over the schema of the first engine: one primary plus
 	// cfg.PeerSchedulers standbys sharing the same topology.
 	ref := nodes[0].Engine()
+	var scheds []*scheduler.Scheduler
 	for si := 0; si <= cfg.PeerSchedulers; si++ {
 		opts := scheduler.Options{
 			Classes:         cfg.Classes,
@@ -316,7 +267,7 @@ func New(cfg Config) (*Cluster, error) {
 			MaxRetries:      cfg.MaxRetries,
 			WarmupShare:     cfg.WarmupShare,
 			OnCommit:        cfg.OnCommit,
-			OnPeerFailure:   func(id string) { go c.handleFailure(id) },
+			OnPeerFailure:   func(id string) { go c.ReportFailure(id) },
 			Seed:            cfg.Seed + int64(si),
 			Obs:             cfg.Obs,
 			Flight:          cfg.Flight,
@@ -331,14 +282,14 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.scheds = append(c.scheds, sched)
+		scheds = append(scheds, sched)
 	}
 	// Committed versions fan out to the standby schedulers: a standby's
 	// merged vector must cover every acknowledged commit, or a take-over
 	// followed by a master fail-over would roll acknowledged state back.
-	for si, s := range c.scheds {
-		peers := make([]*scheduler.Scheduler, 0, len(c.scheds)-1)
-		for pi, p := range c.scheds {
+	for si, s := range scheds {
+		peers := make([]*scheduler.Scheduler, 0, len(scheds)-1)
+		for pi, p := range scheds {
 			if pi != si {
 				peers = append(peers, p)
 			}
@@ -351,43 +302,38 @@ func New(cfg Config) (*Cluster, error) {
 			})
 		}
 	}
-	sched := c.scheds[0]
-	_ = sched
+
+	// The shared control plane over in-process nodes: subscriber sets are
+	// installed by direct call, and a killed node is known dead at once.
+	c.Plane = NewPlane(cfg, scheds,
+		func(master replica.Peer, subs []replica.Peer) error {
+			master.(*replica.Node).SetSubscribers(subs)
+			return nil
+		},
+		func(p replica.Peer) bool { return p.(*replica.Node).Alive() })
+	c.registerMetrics()
 
 	// Roles and topology (mirrored on every peer scheduler).
 	for i, n := range nodes {
-		st := c.nodes[n.ID()]
+		var err error
 		switch {
 		case i < numClasses:
-			st.classID = i
-			if err := n.Promote(sched.ClassTables(i)); err != nil {
-				return nil, err
-			}
-			c.eachSched(func(s *scheduler.Scheduler) { s.SetMaster(st.classID, n) })
+			err = c.AddMaster(i, n)
 		case i < numClasses+cfg.Slaves:
-			st.classID = -1
-			c.eachSched(func(s *scheduler.Scheduler) { s.AddSlave(n) })
+			c.AddSlave(n)
 		default:
-			st.classID = -1
-			st.isSpare = true
-			n.SetRole(replica.RoleSpare)
-			c.eachSched(func(s *scheduler.Scheduler) { s.AddSpare(n) })
+			err = c.AddSpare(n)
 		}
-	}
-	c.rewireSubscribers()
-
-	// Checkpoint threads.
-	if cfg.CheckpointPeriod > 0 {
-		c.mu.Lock()
-		for _, st := range c.nodes {
-			st.cp = st.node.StartCheckpointer(cfg.CheckpointPeriod)
+		if err != nil {
+			return nil, err
 		}
-		c.mu.Unlock()
+		c.registerLagGauges(n.ID(), n.Engine())
+		c.startCheckpointer(n)
 	}
 
-	// Background loops.
-	c.wg.Add(1)
-	go c.monitor()
+	// Background loops: the plane's detector and scrubber, then the
+	// in-process-only upkeep loops on the same stop channel and wait group.
+	c.Start()
 	if cfg.PageIDTransfer > 0 {
 		c.wg.Add(1)
 		go c.pageIDWarmupLoop()
@@ -404,64 +350,66 @@ func New(cfg Config) (*Cluster, error) {
 		c.wg.Add(1)
 		go c.overloadLoop()
 	}
-	if cfg.ScrubInterval > 0 {
-		c.wg.Add(1)
-		go c.scrubLoop()
-	}
-	go func() {
-		c.wg.Wait()
-		close(c.done)
-	}()
 	return c, nil
 }
 
-func (c *Cluster) buildNode(id string) (*replica.Node, error) {
+// startCheckpointer starts the node's fuzzy-checkpoint thread when
+// checkpointing is configured.
+func (c *Cluster) startCheckpointer(n *replica.Node) {
+	if c.cfg.CheckpointPeriod <= 0 {
+		return
+	}
+	c.nodeMu.Lock()
+	c.cps[n.ID()] = n.StartCheckpointer(c.cfg.CheckpointPeriod)
+	c.nodeMu.Unlock()
+}
+
+// buildNode constructs and loads one node. It runs before the plane
+// exists, so it takes the configuration explicitly.
+func (c *Cluster) buildNode(cfg Config, id string) (*replica.Node, error) {
 	var opts heap.Options
-	if c.cfg.EngineOptions != nil {
-		opts = c.cfg.EngineOptions(id)
+	if cfg.EngineOptions != nil {
+		opts = cfg.EngineOptions(id)
 	}
 	if opts.Obs == nil {
-		opts.Obs = c.cfg.Obs
+		opts.Obs = cfg.Obs
 	}
 	if opts.NodeID == "" {
 		opts.NodeID = id
 	}
 	eng := heap.NewEngine(opts)
-	for _, ddl := range c.cfg.SchemaDDL {
+	for _, ddl := range cfg.SchemaDDL {
 		if err := exec.ExecDDL(eng, ddl); err != nil {
 			return nil, fmt.Errorf("node %s: %w", id, err)
 		}
 	}
-	if c.cfg.Load != nil {
-		if err := c.cfg.Load(eng); err != nil {
+	if cfg.Load != nil {
+		if err := cfg.Load(eng); err != nil {
 			return nil, fmt.Errorf("load node %s: %w", id, err)
 		}
 	}
 	var disk *simdisk.Disk
-	if c.cfg.DiskFor != nil {
-		disk = c.cfg.DiskFor(id)
+	if cfg.DiskFor != nil {
+		disk = cfg.DiskFor(id)
 	}
 	n := replica.NewNode(replica.Options{
 		ID:                   id,
 		Engine:               eng,
 		Disk:                 disk,
-		OnPeerFailure:        func(peer string) { go c.handleFailure(peer) },
-		OnPeerSuspect:        func(peer string) { go c.notePeerSuspect(peer) },
-		AckTimeout:           c.cfg.AckTimeout,
-		ServicePerStmt:       c.cfg.StatementService,
-		ServiceWidth:         c.cfg.ServiceWidth,
-		UpdateServicePerStmt: c.cfg.UpdateStatementService,
-		DefaultDeadline:      c.cfg.DefaultDeadline,
-		Obs:                  c.cfg.Obs,
+		OnPeerFailure:        func(peer string) { go c.ReportFailure(peer) },
+		OnPeerSuspect:        func(peer string) { go c.ReportSuspect(peer) },
+		AckTimeout:           cfg.AckTimeout,
+		ServicePerStmt:       cfg.StatementService,
+		ServiceWidth:         cfg.ServiceWidth,
+		UpdateServicePerStmt: cfg.UpdateStatementService,
+		DefaultDeadline:      cfg.DefaultDeadline,
+		Obs:                  cfg.Obs,
 	})
-	c.mu.Lock()
-	c.nodes[id] = &nodeState{node: n, classID: -1}
-	c.order = append(c.order, id)
 	if disk != nil {
+		c.nodeMu.Lock()
 		c.disks = append(c.disks, disk)
+		c.nodeMu.Unlock()
 	}
-	c.mu.Unlock()
-	c.registerLagGauges(id, eng)
 	return n, nil
 }
 
@@ -493,15 +441,8 @@ func (c *Cluster) registerLagGauges(id string, eng *heap.Engine) {
 }
 
 // frontier is the cluster commit frontier: the primary scheduler's merged
-// version vector, which covers every acknowledged commit. Nil before the
-// schedulers exist (gauge callbacks cannot fire that early, but snapshots
-// taken from tests might).
-func (c *Cluster) frontier() vclock.Vector {
-	if len(c.scheds) == 0 {
-		return nil
-	}
-	return c.Scheduler().Latest()
-}
+// version vector, which covers every acknowledged commit.
+func (c *Cluster) frontier() vclock.Vector { return c.Scheduler().Latest() }
 
 // ClusterSnapshot builds the aggregation-plane view of the in-process
 // cluster: the commit frontier, every node's per-table version lag and
@@ -510,24 +451,11 @@ func (c *Cluster) frontier() vclock.Vector {
 // snapshots (the multiprocess path in obs.MergeSnapshots) would multiply
 // every counter by the node count.
 func (c *Cluster) ClusterSnapshot() obs.ClusterSnapshot {
-	c.mu.Lock()
-	ids := append([]string(nil), c.order...)
-	nodes := make([]*replica.Node, 0, len(ids))
-	healths := make([]string, 0, len(ids))
-	for _, id := range ids {
-		nodes = append(nodes, c.nodes[id].node)
-		h := c.nodes[id].health
-		if h == "" {
-			h = "healthy"
-		}
-		healths = append(healths, h)
-	}
-	c.mu.Unlock()
-
 	frontier := c.frontier()
 	cs := obs.ClusterSnapshot{TakenUnix: time.Now().Unix(), Frontier: frontier}
-	for i, n := range nodes {
-		nl := obs.NodeLag{Node: ids[i], Role: "down", Health: healths[i], StartUnix: n.StartTime().Unix()}
+	for _, id := range c.NodeIDs() {
+		n, _ := c.Node(id)
+		nl := obs.NodeLag{Node: id, Role: "down", Health: c.Health(id), StartUnix: n.StartTime().Unix()}
 		if r, err := n.Role(); err == nil {
 			nl.Role = r.String()
 			applied := n.Engine().AppliedVersions()
@@ -546,51 +474,6 @@ func (c *Cluster) ClusterSnapshot() obs.ClusterSnapshot {
 		cs.Spans = reg.Tracer().Dump()
 	}
 	return cs
-}
-
-// rewireSubscribers points every master's replication stream at every other
-// live, subscribed node. Stale spares are intentionally left out.
-func (c *Cluster) rewireSubscribers() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var masters []*replica.Node
-	var receivers []replica.Peer
-	for _, id := range c.order {
-		st := c.nodes[id]
-		if st == nil || !st.usable() {
-			continue
-		}
-		if st.classID >= 0 {
-			masters = append(masters, st.node)
-		}
-		if st.isSpare && c.cfg.SpareMode == SpareStale {
-			continue
-		}
-		receivers = append(receivers, st.node)
-	}
-	for _, m := range masters {
-		subs := make([]replica.Peer, 0, len(receivers))
-		for _, r := range receivers {
-			if r.ID() != m.ID() {
-				subs = append(subs, r)
-			}
-		}
-		m.SetSubscribers(subs)
-	}
-}
-
-// Scheduler returns the cluster's current primary scheduler (the
-// transaction entry point).
-func (c *Cluster) Scheduler() *scheduler.Scheduler {
-	return c.scheds[c.primary.Load()]
-}
-
-// eachSched applies a topology mutation to every peer scheduler so a
-// standby can take over with a current view.
-func (c *Cluster) eachSched(fn func(*scheduler.Scheduler)) {
-	for _, s := range c.scheds {
-		fn(s)
-	}
 }
 
 // KillScheduler fails the primary scheduler and promotes the next peer: the
@@ -618,44 +501,15 @@ func (c *Cluster) Run(spec scheduler.TxnSpec, fn func(*scheduler.Txn) error) err
 
 // Node returns the named node (tests, fault injection).
 func (c *Cluster) Node(id string) (*replica.Node, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st, ok := c.nodes[id]
+	p, ok := c.Peer(id)
 	if !ok {
 		return nil, false
 	}
-	return st.node, true
+	return p.(*replica.Node), true
 }
-
-// NodeIDs lists the nodes in creation order.
-func (c *Cluster) NodeIDs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.order...)
-}
-
-// MasterID returns the current master of conflict class ci.
-func (c *Cluster) MasterID(ci int) string {
-	m := c.Scheduler().Master(ci)
-	if m == nil {
-		return ""
-	}
-	return m.ID()
-}
-
-// Events returns a copy of the reconfiguration event log.
-func (c *Cluster) Events() []Event { return c.tl.Events() }
-
-// OnEvent installs a hook invoked for every event (harness timelines).
-func (c *Cluster) OnEvent(fn func(Event)) { c.tl.OnEvent(fn) }
-
-// Timeline exposes the lifecycle event timeline (never nil).
-func (c *Cluster) Timeline() *obs.Timeline { return c.tl }
 
 // Obs returns the configured metrics registry (nil when disabled).
 func (c *Cluster) Obs() *obs.Registry { return c.cfg.Obs }
-
-func (c *Cluster) emit(ev Event) { c.tl.Record(ev) }
 
 // registerMetrics wires the timeline and node buffer caches into the
 // configured registry: every lifecycle event counts, stage-completion
@@ -681,7 +535,7 @@ func (c *Cluster) registerMetrics() {
 		}
 	})
 	// Gauge callbacks run at snapshot time with no registry lock held, so
-	// taking c.mu here is safe and keeps the disk list race-free.
+	// taking c.nodeMu here is safe and keeps the disk list race-free.
 	reg.GaugeFunc(obs.CacheHits, func() float64 {
 		h, _, _ := c.cacheTotals()
 		return float64(h)
@@ -705,8 +559,8 @@ func (c *Cluster) registerMetrics() {
 
 // cacheTotals sums buffer-cache stats over every node disk.
 func (c *Cluster) cacheTotals() (hits, misses, fsyncs int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.nodeMu.Lock()
+	defer c.nodeMu.Unlock()
 	for _, d := range c.disks {
 		st := d.Stats()
 		hits += st.Hits.Load()
@@ -718,20 +572,12 @@ func (c *Cluster) cacheTotals() (hits, misses, fsyncs int64) {
 
 // Close stops background loops and checkpoint threads.
 func (c *Cluster) Close() {
-	select {
-	case <-c.stop:
-		return // already closed
-	default:
-	}
-	close(c.stop)
-	<-c.done
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, st := range c.nodes {
-		if st.cp != nil {
-			st.cp.Stop()
-			st.cp = nil
-		}
+	c.Plane.Close()
+	c.nodeMu.Lock()
+	defer c.nodeMu.Unlock()
+	for id, cp := range c.cps {
+		cp.Stop()
+		delete(c.cps, id)
 	}
 }
 
@@ -739,13 +585,11 @@ func (c *Cluster) Close() {
 
 // Kill fail-stops a node; the heartbeat monitor detects it and reconfigures.
 func (c *Cluster) Kill(id string) error {
-	c.mu.Lock()
-	st, ok := c.nodes[id]
-	c.mu.Unlock()
+	n, ok := c.Node(id)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, id)
 	}
-	st.node.Kill()
+	n.Kill()
 	return nil
 }
 
@@ -753,226 +597,6 @@ func (c *Cluster) Kill(id string) error {
 func (c *Cluster) KillMaster() error { return c.Kill(c.MasterID(0)) }
 
 // --- background loops ---------------------------------------------------------
-
-// monitor is the suspicion-based failure detector. Each tick probes every
-// unhandled node concurrently with a bounded ping, then classifies the
-// results on a consecutive-miss ladder with an RTT-accrual band:
-//
-//	healthy --SuspectAfter misses--> suspect --DeadAfter misses--> dead
-//
-// A miss is a probe that hit its PingTimeout deadline, or one whose RTT
-// fell far outside the node's EWMA band (a gray slowdown). Suspects are
-// quarantined out of the version-aware read placement but stay in the
-// replication topology; a recovered suspect is cleared (a false
-// suspicion), unquarantined, and caught up with an incremental page-delta
-// migration rather than a full state transfer. Hard probe errors
-// (fail-stop: the node answered "down") skip the ladder entirely so
-// crash detection keeps its two-interval latency.
-func (c *Cluster) monitor() {
-	defer c.wg.Done()
-	ticker := time.NewTicker(c.cfg.HeartbeatInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-ticker.C:
-			c.probeAll()
-		}
-	}
-}
-
-// probeAll runs one detector round: probe outside the cluster lock,
-// classify under it, act outside it again.
-func (c *Cluster) probeAll() {
-	type probe struct {
-		id  string
-		n   *replica.Node
-		rtt time.Duration
-		err error
-	}
-	c.mu.Lock()
-	var targets []*probe
-	for _, id := range c.order {
-		st := c.nodes[id]
-		if st == nil || c.handled[id] {
-			continue
-		}
-		targets = append(targets, &probe{id: id, n: st.node})
-	}
-	c.mu.Unlock()
-
-	var wg sync.WaitGroup
-	for _, p := range targets {
-		wg.Add(1)
-		go func(p *probe) {
-			defer wg.Done()
-			start := time.Now()
-			p.err = c.pingBounded(p.n, c.cfg.PingTimeout)
-			p.rtt = time.Since(start)
-		}(p)
-	}
-	wg.Wait()
-
-	for _, p := range targets {
-		var act healthAction
-		switch {
-		case p.err == nil:
-			act = c.noteSuccess(p.id, p.rtt)
-		case errors.Is(p.err, replica.ErrPeerTimeout):
-			act = c.noteMiss(p.id)
-		default:
-			// A hard error means the node itself answered that it is down
-			// (fail-stop). No suspicion ladder: reconfigure immediately.
-			act = actDead
-		}
-		c.applyHealth(p.id, act)
-	}
-}
-
-// pingBounded probes a peer with a deadline so a stalled (gray) node
-// cannot wedge the caller. The probe goroutine blocks until the peer
-// unstalls or dies — bounded by the number of outstanding probes and
-// released on heal, the standard cost of bounding an uncancellable call.
-func (c *Cluster) pingBounded(p replica.Peer, d time.Duration) error {
-	if d <= 0 {
-		return p.Ping()
-	}
-	done := make(chan error, 1)
-	go func() { done <- p.Ping() }()
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case err := <-done:
-		return err
-	case <-t.C:
-		return fmt.Errorf("%w: ping %s after %v", replica.ErrPeerTimeout, p.ID(), d)
-	}
-}
-
-// healthAction is a detector state transition computed under c.mu and
-// applied outside it.
-type healthAction int
-
-const (
-	actNone healthAction = iota
-	actSuspect
-	actClear
-	actDead
-)
-
-// rttAlpha and rttWarmup parameterize the RTT accrual band: an EWMA of
-// mean and squared deviation, consulted only after enough samples.
-const (
-	rttAlpha      = 0.2
-	rttWarmup     = 8
-	rttFloorUS    = 1000 // 1ms: never suspect inside this absolute slack
-	rttDeviations = 4.0
-)
-
-// noteSuccess folds a successful probe into the node's RTT accrual state.
-// An RTT far outside the band counts as a soft miss (it can raise
-// suspicion but never kills on its own); a normal RTT resets the ladder
-// and clears a standing suspicion.
-func (c *Cluster) noteSuccess(id string, rtt time.Duration) healthAction {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.nodes[id]
-	if st == nil || c.handled[id] || st.health == healthDead {
-		return actNone
-	}
-	x := float64(rtt.Microseconds())
-	slow := st.rttSamples >= rttWarmup &&
-		x > st.rttMean+rttDeviations*math.Sqrt(st.rttVar)+rttFloorUS
-	d := x - st.rttMean
-	st.rttMean += rttAlpha * d
-	st.rttVar = (1 - rttAlpha) * (st.rttVar + rttAlpha*d*d)
-	st.rttSamples++
-	if slow {
-		st.misses++
-		if st.misses >= c.cfg.SuspectAfter && st.health == "" {
-			st.health = healthSuspect
-			return actSuspect
-		}
-		return actNone
-	}
-	st.misses = 0
-	if st.health == healthSuspect {
-		st.health = ""
-		return actClear
-	}
-	return actNone
-}
-
-// noteMiss records one missed probe (deadline hit) and walks the ladder.
-func (c *Cluster) noteMiss(id string) healthAction {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.nodes[id]
-	if st == nil || c.handled[id] || st.health == healthDead {
-		return actNone
-	}
-	st.misses++
-	if st.misses >= c.cfg.DeadAfter {
-		return actDead
-	}
-	if st.misses >= c.cfg.SuspectAfter && st.health == "" {
-		st.health = healthSuspect
-		return actSuspect
-	}
-	return actNone
-}
-
-// notePeerSuspect is the replica-layer evidence path: a master abandoned
-// a subscriber's write-set ack at its deadline. That is one miss worth of
-// suspicion, never an instant death.
-func (c *Cluster) notePeerSuspect(id string) {
-	act := c.noteMiss(id)
-	if act == actDead {
-		c.confirmDead(id)
-		return
-	}
-	c.applyHealth(id, act)
-}
-
-// applyHealth runs the side effects of a detector transition with no
-// cluster lock held.
-func (c *Cluster) applyHealth(id string, act healthAction) {
-	switch act {
-	case actSuspect:
-		c.metSuspicions.Inc()
-		c.setHealthGauge(id, healthSuspect)
-		c.eachSched(func(s *scheduler.Scheduler) { s.SetQuarantined(id, true) })
-		c.emit(Event{Kind: EventNodeSuspect, Node: id})
-		c.cfg.Flight.RecordHealth(id, "healthy", healthSuspect)
-		c.cfg.Flight.Trigger(flight.CauseSuspicion, id, "probe misses reached SuspectAfter")
-	case actClear:
-		c.metFalseSuspicions.Inc()
-		c.setHealthGauge(id, "")
-		c.eachSched(func(s *scheduler.Scheduler) { s.SetQuarantined(id, false) })
-		c.emit(Event{Kind: EventNodeCleared, Node: id})
-		c.cfg.Flight.RecordHealth(id, healthSuspect, "healthy")
-		// While suspect the node may have missed write-sets (a master
-		// abandons acks at the deadline); close the gap with the
-		// incremental page-delta path — no full state transfer.
-		c.mu.Lock()
-		st := c.nodes[id]
-		c.mu.Unlock()
-		if st != nil && st.usable() {
-			go func() { _, _ = c.refreshStale(st.node) }()
-		}
-	case actDead:
-		c.confirmDead(id)
-	}
-}
-
-// setHealthGauge exports the node's suspicion state as a labeled gauge.
-func (c *Cluster) setHealthGauge(id, state string) {
-	if c.cfg.Obs == nil {
-		return
-	}
-	c.cfg.Obs.Gauge(obs.Labeled(obs.ClusterNodeHealth, "node", id)).Set(obs.HealthValue(state))
-}
 
 func (c *Cluster) pageIDWarmupLoop() {
 	defer c.wg.Done()
@@ -1009,13 +633,9 @@ func (c *Cluster) staleRefreshLoop() {
 			return
 		case <-ticker.C:
 			for _, sp := range c.Scheduler().SpareList() {
-				c.mu.Lock()
-				st := c.nodes[sp.ID()]
-				c.mu.Unlock()
-				if st == nil || !st.node.Alive() {
-					continue
+				if n, ok := c.Node(sp.ID()); ok && n.Alive() {
+					_, _ = c.migrate(n)
 				}
-				_, _ = c.refreshStale(st.node)
 			}
 		}
 	}
@@ -1075,80 +695,12 @@ func (c *Cluster) indexGCLoop() {
 			return
 		case <-ticker.C:
 			lw := c.Scheduler().LowWater()
-			c.mu.Lock()
-			nodes := make([]*replica.Node, 0, len(c.nodes))
-			for _, st := range c.nodes {
-				if st.node.Alive() {
-					nodes = append(nodes, st.node)
+			for _, id := range c.NodeIDs() {
+				if n, _ := c.Node(id); n.Alive() {
+					n.Engine().GCIndexes(lw)
+					_, _ = n.Engine().GCRowLocations(lw)
 				}
 			}
-			c.mu.Unlock()
-			for _, n := range nodes {
-				n.Engine().GCIndexes(lw)
-				_, _ = n.Engine().GCRowLocations(lw)
-			}
 		}
 	}
-}
-
-// refreshStale migrates the latest pages onto an unsubscribed spare without
-// subscribing it (it goes right back to being stale, as the paper's
-// periodically-updated backup does).
-func (c *Cluster) refreshStale(n *replica.Node) (time.Duration, error) {
-	start := time.Now()
-	support := c.pickSupportSlave(n.ID())
-	if support == nil {
-		return 0, ErrNoSupportSlave
-	}
-	target, err := support.MaxVersions()
-	if err != nil {
-		return 0, err
-	}
-	have, err := n.PageVersions()
-	if err != nil {
-		return 0, err
-	}
-	delta, err := support.DeltaSince(have, target)
-	if err != nil {
-		return 0, err
-	}
-	if err := n.InstallDelta(delta); err != nil {
-		return 0, err
-	}
-	return time.Since(start), nil
-}
-
-// pickSupportSlave chooses a migration donor: a healthy, promptly-answering
-// slave, or a master as fallback. Probes are bounded so a gray donor
-// candidate cannot stall the reconfiguration that is trying to route
-// around it, and suspects are skipped — a donor behind on write-sets
-// would ship a stale delta.
-func (c *Cluster) pickSupportSlave(exclude string) replica.Peer {
-	sched := c.Scheduler()
-	for _, p := range sched.SlaveList() {
-		if p.ID() != exclude && c.healthyFor(p.ID()) && c.pingBounded(p, c.cfg.PingTimeout) == nil {
-			return p
-		}
-	}
-	// Fall back to a master (it has the full state too).
-	for ci := 0; ci < sched.NumClasses(); ci++ {
-		m := sched.Master(ci)
-		if m != nil && m.ID() != exclude && c.healthyFor(m.ID()) && c.pingBounded(m, c.cfg.PingTimeout) == nil {
-			return m
-		}
-	}
-	return nil
-}
-
-// healthyFor reports whether the detector considers the node healthy
-// (unknown nodes pass: remote peers outside c.nodes are vouched for by
-// the bounded ping alone).
-func (c *Cluster) healthyFor(id string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.nodes[id]
-	if st == nil {
-		return true
-	}
-	return st.health == "" && !st.fenced
 }

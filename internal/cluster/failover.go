@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 
 	"dmv/internal/exec"
@@ -9,188 +8,124 @@ import (
 	"dmv/internal/obs/flight"
 	"dmv/internal/replica"
 	"dmv/internal/scheduler"
-	"dmv/internal/vclock"
 )
 
-// handleFailure is the entry point for failure reports from the
-// scheduler and replica layers. The report is confirmed with a bounded
-// probe: a healthy answer dismisses it, a hard error (fail-stop) kills
-// the node immediately, and a probe deadline is gray evidence that feeds
-// the suspicion ladder rather than triggering an instant fail-over.
-func (c *Cluster) handleFailure(id string) {
-	c.mu.Lock()
-	st, ok := c.nodes[id]
-	if !ok || c.handled[id] {
-		c.mu.Unlock()
-		return
-	}
-	n := st.node
-	c.mu.Unlock()
-
-	// Confirm outside the lock (a scheduler may report a transient error;
-	// the probe may block up to the deadline).
-	err := c.pingBounded(n, c.cfg.PingTimeout)
-	if err == nil {
-		return
-	}
-	if errors.Is(err, replica.ErrPeerTimeout) {
-		c.applyHealth(id, c.noteMiss(id))
-		return
-	}
-	c.confirmDead(id)
-}
-
 // confirmDead declares a node dead and reconfigures around it. It is
-// idempotent and serialized per node via the handled map. A node that is
-// still running when declared dead (a gray failure) is fenced: excluded
-// from every topology computation and, best-effort, stripped of its
-// subscribers and master role so it cannot keep mutating acknowledged
-// state. A fenced node never rejoins on its own: reintegration requires
-// killing it and running Restart.
-func (c *Cluster) confirmDead(id string) {
-	c.mu.Lock()
-	st, ok := c.nodes[id]
-	if !ok || c.handled[id] {
-		c.mu.Unlock()
+// idempotent and serialized per node via the dead state. A node that may
+// still be running when declared dead (a gray failure; without local
+// liveness knowledge that is every node) is fenced: excluded from every
+// topology computation and, best-effort, stripped of its subscribers and
+// master role so it cannot keep mutating acknowledged state. A fenced node
+// never rejoins on its own: reintegration requires killing it and running
+// Restart.
+func (p *Plane) confirmDead(id string) {
+	p.mu.Lock()
+	m := p.members[id]
+	if m == nil || m.state == healthDead {
+		p.mu.Unlock()
 		return
 	}
-	c.handled[id] = true
-	st.health = healthDead
-	gray := st.node.Alive()
-	if gray {
-		st.fenced = true
-	}
-	classID := st.classID
-	isSpare := st.isSpare
-	c.mu.Unlock()
+	from := m.state
+	m.state = healthDead
+	m.fenced = p.usable(m)
+	gray, peer, classID, isSpare := m.fenced, m.peer, m.classID, m.isSpare
+	p.mu.Unlock()
 
-	c.setHealthGauge(id, healthDead)
-	c.emit(Event{Kind: EventNodeFailed, Node: id})
-	c.cfg.Flight.RecordHealth(id, healthSuspect, healthDead)
-	c.cfg.Flight.Trigger(flight.CauseFailover, id, "node confirmed dead, reconfiguring")
+	p.setHealthGauge(id, healthDead)
+	p.emit(Event{Kind: EventNodeFailed, Node: id})
+	p.cfg.Flight.RecordHealth(id, healthName(from), healthDead)
 	if gray {
 		// The fence proper is the fenced flag; the node-side cleanup runs
 		// asynchronously because a stalled node may sit on these calls.
-		go func(n *replica.Node) {
-			n.SetSubscribers(nil)
-			_ = n.Demote(replica.RoleSpare)
-		}(st.node)
+		go func() {
+			_ = p.rewire(peer, nil)
+			_ = peer.Demote(replica.RoleSpare)
+		}()
 	}
 
-	switch {
-	case classID >= 0:
-		c.masterFailover(id, classID)
-	case isSpare:
-		c.eachSched(func(s *scheduler.Scheduler) { s.Remove(id) })
-		c.rewireSubscribers()
-	default:
-		c.slaveFailover(id)
+	if classID >= 0 {
+		// scheduler.FailoverMaster fires the fail-over flight trigger itself.
+		p.masterFailover(id, classID)
+		return
 	}
+	p.cfg.Flight.Trigger(flight.CauseFailover, id, "node confirmed dead, reconfiguring")
+	if isSpare {
+		p.eachSched(func(s *scheduler.Scheduler) { s.Remove(id) })
+		p.rewireSubscribers()
+		return
+	}
+	p.slaveFailover(id)
 }
 
 // masterFailover handles the most complex case (Section 4.2): roll the tier
 // back to the last version the scheduler acknowledged, elect a new master
 // from the slaves, and backfill read capacity from a spare.
-func (c *Cluster) masterFailover(failed string, classID int) {
-	rec := c.tl.Start(EventRecoveryDone, failed)
+func (p *Plane) masterFailover(failed string, classID int) {
+	rec := p.tl.Start(EventRecoveryDone, failed)
 
-	// Stage 1 — Recovery: discard partially propagated pre-commits beyond
-	// the last version the scheduler has seen, then elect a new master.
-	// The commit fence makes the rollback atomic against in-flight
-	// commits: a commit either reports its version before the fence
-	// closes (so lastSeen covers it and its write-sets survive the
-	// discard) or runs entirely after and fails against the dead master.
-	c.eachSched(func(s *scheduler.Scheduler) { s.BlockCommits() })
-	lastSeen := c.Scheduler().Latest()
-	for _, p := range c.livePeers(failed) {
-		_ = p.DiscardAbove(lastSeen)
+	// Stage 1 — Recovery: every survivor discards partially propagated
+	// pre-commits beyond the last acknowledged version; only plain slaves
+	// stand for election (spares and other classes' masters are rolled back
+	// but keep their roles).
+	p.mu.Lock()
+	var slaves, others []replica.Peer
+	for _, id := range p.order {
+		switch m := p.members[id]; {
+		case !p.usable(m):
+		case m.classID < 0 && !m.isSpare:
+			slaves = append(slaves, m.peer)
+		default:
+			others = append(others, m.peer)
+		}
 	}
-	c.eachSched(func(s *scheduler.Scheduler) { s.ResetVersion(lastSeen) })
-	c.eachSched(func(s *scheduler.Scheduler) { s.UnblockCommits() })
-
-	newMaster := c.electMaster(failed)
-	if newMaster == nil {
-		rec.End("no candidate master")
+	p.mu.Unlock()
+	newMaster, err := p.Scheduler().FailoverMaster(classID, slaves, others, p.scheds)
+	if err != nil {
+		rec.End(err.Error())
 		return
 	}
-	if err := newMaster.Promote(c.Scheduler().ClassTables(classID)); err != nil {
-		rec.SetNode(newMaster.ID())
-		rec.End("promote failed: " + err.Error())
-		return
-	}
-	c.mu.Lock()
-	if st := c.nodes[newMaster.ID()]; st != nil {
-		st.classID = classID
-		st.isSpare = false
-	}
-	c.mu.Unlock()
-	c.eachSched(func(s *scheduler.Scheduler) {
-		s.Remove(newMaster.ID()) // masters do not serve scheduled reads
-		s.SetMaster(classID, newMaster)
-	})
-	c.rewireSubscribers()
-	c.emit(Event{Kind: EventMasterElected, Node: newMaster.ID(), Duration: rec.Elapsed()})
+	p.mu.Lock()
+	p.members[newMaster.ID()].classID = classID
+	p.mu.Unlock()
+	p.rewireSubscribers()
+	p.emit(Event{Kind: EventMasterElected, Node: newMaster.ID(), Duration: rec.Elapsed()})
 	rec.End("")
 
 	// Stage 2 — Data migration: activate a spare to replace the promoted
 	// slave's read capacity.
-	c.activateSpare()
+	p.activateSpare()
 }
 
 // slaveFailover removes the failed slave and activates a spare in its place.
-func (c *Cluster) slaveFailover(failed string) {
-	rec := c.tl.Start(EventRecoveryDone, failed)
-	c.eachSched(func(s *scheduler.Scheduler) { s.Remove(failed) })
-	c.rewireSubscribers()
+func (p *Plane) slaveFailover(failed string) {
+	rec := p.tl.Start(EventRecoveryDone, failed)
+	p.eachSched(func(s *scheduler.Scheduler) { s.Remove(failed) })
+	p.rewireSubscribers()
 	rec.End("")
-	c.activateSpare()
-}
-
-// electMaster picks the live slave with the highest versions (after the
-// discard they are all equal, so this is effectively the first live slave).
-func (c *Cluster) electMaster(failed string) *replica.Node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var best *replica.Node
-	var bestVer vclock.Vector
-	for _, id := range c.order {
-		st := c.nodes[id]
-		if id == failed || st == nil || !st.usable() || st.classID >= 0 || st.isSpare {
-			continue
-		}
-		v, err := st.node.MaxVersions()
-		if err != nil {
-			continue
-		}
-		if best == nil || !bestVer.DominatesOrEqual(v) {
-			best, bestVer = st.node, v
-		}
-	}
-	return best
+	p.activateSpare()
 }
 
 // activateSpare integrates one spare backup into the active slave set: data
 // migration first (instant for hot spares, a page-delta transfer for stale
 // ones), then the spare serves reads while its buffer cache warms up.
-func (c *Cluster) activateSpare() {
-	c.mu.Lock()
-	var spare *replica.Node
-	for _, id := range c.order {
-		st := c.nodes[id]
-		if st != nil && st.isSpare && st.usable() {
-			spare = st.node
+func (p *Plane) activateSpare() {
+	p.mu.Lock()
+	var spare replica.Peer
+	for _, id := range p.order {
+		if m := p.members[id]; m.isSpare && p.usable(m) {
+			spare = m.peer
 			break
 		}
 	}
-	c.mu.Unlock()
+	p.mu.Unlock()
 	if spare == nil {
 		return
 	}
 
-	act := c.tl.Start(EventSpareActivated, spare.ID())
-	mig := c.tl.Start(EventMigrationDone, spare.ID())
-	if c.cfg.SpareMode == SpareStale {
-		if err := c.reintegrate(spare); err != nil {
+	act := p.tl.Start(EventSpareActivated, spare.ID())
+	mig := p.tl.Start(EventMigrationDone, spare.ID())
+	if p.cfg.SpareMode == SpareStale {
+		if err := p.reintegrate(spare); err != nil {
 			mig.End("failed: " + err.Error())
 			return
 		}
@@ -202,62 +137,93 @@ func (c *Cluster) activateSpare() {
 	migDur := mig.Elapsed()
 	_ = spare.Demote(replica.RoleSlave)
 
-	c.mu.Lock()
-	if st := c.nodes[spare.ID()]; st != nil {
-		st.isSpare = false
-	}
-	c.mu.Unlock()
-	c.eachSched(func(s *scheduler.Scheduler) {
+	p.mu.Lock()
+	p.members[spare.ID()].isSpare = false
+	p.mu.Unlock()
+	p.eachSched(func(s *scheduler.Scheduler) {
 		if !s.PromoteSpare(spare.ID()) {
 			s.AddSlave(spare)
 		}
 	})
-	c.rewireSubscribers()
-	c.emit(Event{Kind: EventMigrationDone, Node: spare.ID(), Duration: migDur})
+	p.rewireSubscribers()
+	p.emit(Event{Kind: EventMigrationDone, Node: spare.ID(), Duration: migDur})
 	act.End("")
 }
 
 // reintegrate runs the data-migration protocol of Section 4.4 on a stale or
-// recovered node: subscribe (buffering), fetch the page delta from a support
-// slave, install it, then drain the buffer.
-func (c *Cluster) reintegrate(n *replica.Node) error {
-	join := c.tl.Start(EventReintegrated, n.ID())
+// recovered member: subscribe (buffering), fetch the page delta from a
+// support slave, install it, then drain the buffer.
+func (p *Plane) reintegrate(n replica.Peer) error {
+	join := p.tl.Start(EventReintegrated, n.ID())
 	if err := n.StartJoin(); err != nil {
 		return err
 	}
 	// Subscribe to every master so new write-sets are buffered.
-	c.mu.Lock()
-	for _, id := range c.order {
-		st := c.nodes[id]
-		if st != nil && st.classID >= 0 && st.usable() {
-			st.node.AddSubscriber(n)
-		}
-	}
-	c.mu.Unlock()
+	p.setJoining(n.ID(), true)
+	defer p.setJoining(n.ID(), false)
+	p.rewireSubscribers()
 
-	support := c.pickSupportSlave(n.ID())
-	if support == nil {
-		return ErrNoSupportSlave
-	}
-	target, err := support.MaxVersions()
+	pages, err := p.migrate(n)
 	if err != nil {
 		return fmt.Errorf("reintegrate %s: %w", n.ID(), err)
-	}
-	have, err := n.PageVersions()
-	if err != nil {
-		return fmt.Errorf("reintegrate %s: %w", n.ID(), err)
-	}
-	delta, err := support.DeltaSince(have, target)
-	if err != nil {
-		return fmt.Errorf("reintegrate %s: delta from %s: %w", n.ID(), support.ID(), err)
-	}
-	if err := n.InstallDelta(delta); err != nil {
-		return fmt.Errorf("reintegrate %s: install: %w", n.ID(), err)
 	}
 	if err := n.FinishJoin(); err != nil {
 		return fmt.Errorf("reintegrate %s: %w", n.ID(), err)
 	}
-	join.End(fmt.Sprintf("%d pages", len(delta)))
+	join.End(fmt.Sprintf("%d pages", pages))
+	return nil
+}
+
+func (p *Plane) setJoining(id string, joining bool) {
+	p.mu.Lock()
+	p.members[id].joining = joining
+	p.mu.Unlock()
+}
+
+// migrate brings n's pages up to a support slave's versions with one
+// changed-page delta and reports how many pages it shipped. On its own it
+// refreshes a node without subscribing it: a stale spare goes right back to
+// being stale (the paper's periodically-updated backup), a cleared suspect
+// closes the gap its abandoned acks left.
+func (p *Plane) migrate(n replica.Peer) (int, error) {
+	support := p.pickSupportSlave(n.ID())
+	if support == nil {
+		return 0, ErrNoSupportSlave
+	}
+	target, err := support.MaxVersions()
+	if err != nil {
+		return 0, err
+	}
+	have, err := n.PageVersions()
+	if err != nil {
+		return 0, err
+	}
+	delta, err := support.DeltaSince(have, target)
+	if err != nil {
+		return 0, fmt.Errorf("delta from %s: %w", support.ID(), err)
+	}
+	return len(delta), n.InstallDelta(delta)
+}
+
+// pickSupportSlave chooses a migration donor: a healthy, promptly-answering
+// slave, or a master as fallback. Probes are bounded so a gray donor
+// candidate cannot stall the reconfiguration that is trying to route
+// around it, and suspects are skipped — a donor behind on write-sets
+// would ship a stale delta.
+func (p *Plane) pickSupportSlave(exclude string) replica.Peer {
+	sched := p.Scheduler()
+	donors := sched.SlaveList()
+	// Fall back to a master (it has the full state too).
+	for ci := 0; ci < sched.NumClasses(); ci++ {
+		if m := sched.Master(ci); m != nil {
+			donors = append(donors, m)
+		}
+	}
+	for _, d := range donors {
+		if d.ID() != exclude && p.Health(d.ID()) == healthy && p.pingBounded(d) == nil {
+			return d
+		}
+	}
 	return nil
 }
 
@@ -266,16 +232,14 @@ func (c *Cluster) reintegrate(n *replica.Node) error {
 // stable storage (or the initial image if none), and the node reintegrated
 // into the workload as a slave.
 func (c *Cluster) Restart(id string) error {
-	c.mu.Lock()
-	old, ok := c.nodes[id]
-	c.mu.Unlock()
+	old, ok := c.Node(id)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, id)
 	}
-	if old.node.Alive() {
+	if old.Alive() {
 		return fmt.Errorf("cluster: node %s still alive", id)
 	}
-	cpBlob := old.node.LastCheckpoint()
+	cpBlob := old.LastCheckpoint()
 
 	restart := c.tl.Start(EventNodeRestarted, id)
 	var opts heap.Options
@@ -304,7 +268,7 @@ func (c *Cluster) Restart(id string) error {
 			return fmt.Errorf("restart %s: %w", id, err)
 		}
 	}
-	var disk = old.node.Disk()
+	disk := old.Disk()
 	if disk != nil {
 		disk.Drop() // the reboot loses the buffer cache
 	}
@@ -312,8 +276,8 @@ func (c *Cluster) Restart(id string) error {
 		ID:                   id,
 		Engine:               eng,
 		Disk:                 disk,
-		OnPeerFailure:        func(peer string) { go c.handleFailure(peer) },
-		OnPeerSuspect:        func(peer string) { go c.notePeerSuspect(peer) },
+		OnPeerFailure:        func(peer string) { go c.ReportFailure(peer) },
+		OnPeerSuspect:        func(peer string) { go c.ReportSuspect(peer) },
 		AckTimeout:           c.cfg.AckTimeout,
 		ServicePerStmt:       c.cfg.StatementService,
 		ServiceWidth:         c.cfg.ServiceWidth,
@@ -321,35 +285,17 @@ func (c *Cluster) Restart(id string) error {
 		CheckpointDir:        c.cfg.CheckpointDir,
 		Obs:                  c.cfg.Obs,
 	})
-	c.mu.Lock()
-	c.nodes[id] = &nodeState{node: n, classID: -1}
-	c.handled[id] = false
-	if c.cfg.CheckpointPeriod > 0 {
-		c.nodes[id].cp = n.StartCheckpointer(c.cfg.CheckpointPeriod)
-	}
-	c.mu.Unlock()
+	// The fresh member (healthy, not a spare, no master role) already
+	// receives the replication stream while reintegrate runs; it joins read
+	// placement only once it is current.
+	c.setMember(n, &member{peer: n, classID: -1})
+	c.startCheckpointer(n)
 	c.setHealthGauge(id, "")
 
 	if err := c.reintegrate(n); err != nil {
 		return err
 	}
 	c.eachSched(func(s *scheduler.Scheduler) { s.AddSlave(n) })
-	c.rewireSubscribers()
 	restart.End("")
 	return nil
-}
-
-// livePeers returns every live node except the excluded one.
-func (c *Cluster) livePeers(exclude string) []replica.Peer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []replica.Peer
-	for _, id := range c.order {
-		st := c.nodes[id]
-		if id == exclude || st == nil || !st.usable() {
-			continue
-		}
-		out = append(out, st.node)
-	}
-	return out
 }

@@ -1,4 +1,4 @@
-// Anti-entropy scrub loop (DESIGN.md §15): the cluster periodically runs a
+// Anti-entropy scrub loop (DESIGN.md §15): the plane periodically runs a
 // scheduler-driven digest sweep over every replica and turns the scrubber's
 // callbacks into timeline events plus topology updates fanned out to every
 // standby scheduler (the scrubber itself only touches the scheduler it was
@@ -12,9 +12,9 @@ import (
 	"dmv/internal/scheduler"
 )
 
-func (c *Cluster) scrubLoop() {
-	defer c.wg.Done()
-	ticker := time.NewTicker(c.cfg.ScrubInterval)
+func (p *Plane) scrubLoop() {
+	defer p.wg.Done()
+	ticker := time.NewTicker(p.cfg.ScrubInterval)
 	defer ticker.Stop()
 	// One scrubber per primary scheduler, cached across ticks: the
 	// scrubber's own mutex is what serializes sweeps, so rebuilding it
@@ -24,11 +24,11 @@ func (c *Cluster) scrubLoop() {
 	var builtFor *scheduler.Scheduler
 	for {
 		select {
-		case <-c.stop:
+		case <-p.stop:
 			return
 		case <-ticker.C:
-			if cur := c.Scheduler(); sc == nil || cur != builtFor {
-				sc = c.newScrubber(cur)
+			if cur := p.Scheduler(); sc == nil || cur != builtFor {
+				sc = p.newScrubber(cur)
 				builtFor = cur
 			}
 			sc.Sweep()
@@ -38,16 +38,16 @@ func (c *Cluster) scrubLoop() {
 
 // newScrubber wires a scrubber over the given scheduler, translating its
 // callbacks into timeline events and standby-scheduler topology updates.
-func (c *Cluster) newScrubber(sched *scheduler.Scheduler) *scheduler.Scrubber {
+func (p *Plane) newScrubber(sched *scheduler.Scheduler) *scheduler.Scrubber {
 	return sched.NewScrubber(scheduler.ScrubOptions{
-		Tables:        c.cfg.ScrubTables,
-		IncludeSpares: c.cfg.SpareMode == SpareHot,
+		Tables:        p.cfg.ScrubTables,
+		IncludeSpares: p.cfg.SpareMode == SpareHot,
 		OnDiverged: func(node string, mms []scheduler.ScrubMismatch) {
 			pages := 0
 			for _, mm := range mms {
 				pages += len(mm.Pages)
 			}
-			c.emit(Event{
+			p.emit(Event{
 				Kind:   EventScrubDiverged,
 				Node:   node,
 				Detail: fmt.Sprintf("tables=%d pages=%d", len(mms), pages),
@@ -55,13 +55,13 @@ func (c *Cluster) newScrubber(sched *scheduler.Scheduler) *scheduler.Scrubber {
 			// The scrubber quarantined its own scheduler; cover the
 			// standbys too so a scheduler fail-over cannot resurrect the
 			// diverged node into read placement mid-repair.
-			c.eachSched(func(s *scheduler.Scheduler) { s.SetQuarantined(node, true) })
+			p.eachSched(func(s *scheduler.Scheduler) { s.SetQuarantined(node, true) })
 		},
 		OnRepaired: func(node string, pages int, took time.Duration, ok bool) {
 			detail := fmt.Sprintf("pages=%d ok=%t", pages, ok)
-			c.emit(Event{Kind: EventScrubRepaired, Node: node, Detail: detail, Duration: took})
+			p.emit(Event{Kind: EventScrubRepaired, Node: node, Detail: detail, Duration: took})
 			if ok {
-				c.eachSched(func(s *scheduler.Scheduler) { s.SetQuarantined(node, false) })
+				p.eachSched(func(s *scheduler.Scheduler) { s.SetQuarantined(node, false) })
 			}
 		},
 	})

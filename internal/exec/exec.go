@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"dmv/internal/heap"
 	"dmv/internal/page"
@@ -18,20 +19,63 @@ type Result struct {
 	Affected int         // rows changed (INSERT/UPDATE/DELETE)
 }
 
-// Prepared is a parsed, reusable statement. Clients cache these keyed by
-// statement text; execution binds positional parameters.
+// Prepared is a parsed, reusable statement; execution binds positional
+// parameters. It holds only the text and its AST and Exec never mutates
+// either, so one Prepared is safe to share between goroutines, engines and
+// in-process nodes, and schema changes (DDL) never invalidate it: tables
+// and columns are resolved against the engine at execution time.
 type Prepared struct {
 	text string
 	stmt sql.Statement
 }
 
-// Prepare parses a statement for repeated execution.
+// Prepare parses a statement for repeated execution, bypassing the cache.
 func Prepare(text string) (*Prepared, error) {
 	stmt, err := sql.Parse(text)
 	if err != nil {
 		return nil, err
 	}
 	return &Prepared{text: text, stmt: stmt}, nil
+}
+
+// maxCachedStmts bounds the statement cache. Statement text arrives from
+// callers of the public API, so an unbounded map is a leak; a workload's
+// distinct statements number in the tens, so the bound is only ever hit by
+// callers that splice literals into the text, and dropping the whole map
+// then costs the steady ones a single re-parse each.
+const maxCachedStmts = 4096
+
+// stmtCache is the process-wide prepared-statement cache behind Cached: the
+// scheduler's update classification, every node's session layer and the
+// persistence tier's replay all resolve statement text through it.
+type stmtCache struct {
+	mu sync.RWMutex
+	m  map[string]*Prepared // guarded by mu
+}
+
+var stmts = stmtCache{m: make(map[string]*Prepared, 64)}
+
+// Cached returns the shared Prepared for text, parsing it on first use. A
+// hit is one read lock and one map lookup with no allocation; parse errors
+// are not cached.
+func Cached(text string) (*Prepared, error) {
+	stmts.mu.RLock()
+	p, ok := stmts.m[text]
+	stmts.mu.RUnlock()
+	if ok {
+		return p, nil
+	}
+	p, err := Prepare(text)
+	if err != nil {
+		return nil, err
+	}
+	stmts.mu.Lock()
+	if len(stmts.m) >= maxCachedStmts {
+		stmts.m = make(map[string]*Prepared, 64)
+	}
+	stmts.m[text] = p
+	stmts.mu.Unlock()
+	return p, nil
 }
 
 // Text returns the original statement text.

@@ -15,7 +15,6 @@ package innodb
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -70,9 +69,6 @@ type DB struct {
 	svcPer    time.Duration
 	svcPerUpd time.Duration
 	svcSem    chan struct{}
-
-	stmtMu sync.RWMutex
-	stmts  map[string]*exec.Prepared
 }
 
 // Open builds an on-disk database, creates the schema, and loads the
@@ -95,7 +91,7 @@ func Open(id string, cfg Config, ddl []string, load func(*heap.Engine) error) (*
 			return nil, fmt.Errorf("innodb %s load: %w", id, err)
 		}
 	}
-	db := &DB{ID: id, Eng: eng, Disk: disk, stmts: make(map[string]*exec.Prepared, 64)}
+	db := &DB{ID: id, Eng: eng, Disk: disk}
 	if cfg.ServicePerStmt > 0 {
 		width := cfg.ServiceWidth
 		if width <= 0 {
@@ -118,27 +114,10 @@ func (db *DB) Alive() bool { return db.alive.Load() }
 // Kill fail-stops the node.
 func (db *DB) Kill() { db.alive.Store(false) }
 
-func (db *DB) prepared(text string) (*exec.Prepared, error) {
-	db.stmtMu.RLock()
-	p, ok := db.stmts[text]
-	db.stmtMu.RUnlock()
-	if ok {
-		return p, nil
-	}
-	p, err := exec.Prepare(text)
-	if err != nil {
-		return nil, err
-	}
-	db.stmtMu.Lock()
-	db.stmts[text] = p
-	db.stmtMu.Unlock()
-	return p, nil
-}
-
-// Exec runs one statement in the given transaction with the node's prepared
-// cache.
+// Exec runs one statement in the given transaction, resolving its text
+// through the shared statement cache.
 func (db *DB) Exec(tx heap.Txn, text string, params ...value.Value) (*exec.Result, error) {
-	p, err := db.prepared(text)
+	p, err := exec.Cached(text)
 	if err != nil {
 		return nil, err
 	}

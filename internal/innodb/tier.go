@@ -219,7 +219,7 @@ func (q *recordingQuerier) Exec(stmt string, params ...value.Value) (*exec.Resul
 	if err != nil {
 		return nil, err
 	}
-	p, perr := q.db.prepared(stmt)
+	p, perr := exec.Cached(stmt)
 	if perr == nil && !p.ReadOnly() {
 		q.logged = append(q.logged, loggedStmt{text: stmt, params: params})
 	}

@@ -237,20 +237,14 @@ func RestoreBackend(id string, costs simdisk.CostModel, cacheCap int, ddl []stri
 // engine (crash-restart of the in-memory cluster replays the same records
 // the persistence tier recovered).
 func ReplayInto(e *heap.Engine, recs []scheduler.CommitRecord) error {
-	stmts := make(map[string]*exec.Prepared, 64)
 	for i, rec := range recs {
 		tx := e.BeginUpdate()
 		for _, s := range rec.Stmts {
-			p, ok := stmts[s.Text]
-			if !ok {
-				var err error
-				if p, err = exec.Prepare(s.Text); err != nil {
-					_ = tx.Rollback()
-					return fmt.Errorf("persist: replay record %d: %w", i, err)
-				}
-				stmts[s.Text] = p
+			p, err := exec.Cached(s.Text)
+			if err == nil {
+				_, err = p.Exec(tx, s.Params)
 			}
-			if _, err := p.Exec(tx, s.Params); err != nil {
+			if err != nil {
 				_ = tx.Rollback()
 				return fmt.Errorf("persist: replay record %d: %w", i, err)
 			}

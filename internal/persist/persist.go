@@ -81,11 +81,6 @@ type Tier struct {
 	base   int                      // guarded by mu; global index of log[0]
 	closed bool                     // guarded by mu
 
-	// stmtMu guards only the prepared-statement cache; it is ordered below
-	// Backend.applyMu because applyOne parses under the apply lock.
-	stmtMu sync.Mutex
-	stmts  map[string]*exec.Prepared // guarded by stmtMu
-
 	backs   []*Backend
 	done    chan struct{}
 	onError func(error)
@@ -133,7 +128,6 @@ type Options struct {
 // NewTier starts the tier's applier.
 func NewTier(opts Options) *Tier {
 	t := &Tier{
-		stmts:     make(map[string]*exec.Prepared, 64),
 		backs:     opts.Backends,
 		done:      make(chan struct{}),
 		onError:   opts.OnError,
@@ -382,29 +376,12 @@ func (t *Tier) maybeCheckpoint() {
 	}
 }
 
-func (t *Tier) prepared(text string) (*exec.Prepared, error) {
-	t.stmtMu.Lock()
-	p, ok := t.stmts[text]
-	t.stmtMu.Unlock()
-	if ok {
-		return p, nil
-	}
-	p, err := exec.Prepare(text)
-	if err != nil {
-		return nil, err
-	}
-	t.stmtMu.Lock()
-	t.stmts[text] = p
-	t.stmtMu.Unlock()
-	return p, nil
-}
-
 // applyOne executes one commit record on a backend. Callers hold
 // b.applyMu.
 func (t *Tier) applyOne(b *Backend, rec scheduler.CommitRecord) error {
 	tx := b.Eng.BeginUpdate()
 	for _, s := range rec.Stmts {
-		p, err := t.prepared(s.Text)
+		p, err := exec.Cached(s.Text)
 		if err != nil {
 			_ = tx.Rollback()
 			return err

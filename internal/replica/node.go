@@ -226,9 +226,6 @@ type Node struct {
 	sessions map[uint64]*session // guarded by sessMu
 	sessSeq  uint64              // guarded by sessMu
 
-	stmtMu sync.RWMutex
-	stmts  map[string]*exec.Prepared // guarded by stmtMu
-
 	joinMu  sync.Mutex
 	joining bool             // guarded by joinMu
 	joinBuf []*heap.WriteSet // guarded by joinMu
@@ -315,7 +312,6 @@ func NewNode(opts Options) *Node {
 		onPeerSuspect: opts.OnPeerSuspect,
 		ackTimeout:    opts.AckTimeout,
 		sessions:      make(map[uint64]*session, 16),
-		stmts:         make(map[string]*exec.Prepared, 64),
 
 		defaultDeadline: opts.DefaultDeadline,
 	}
@@ -434,14 +430,6 @@ func (n *Node) Role() (Role, error) {
 	return n.role, nil
 }
 
-// SetRole forces the role (cluster setup).
-func (n *Node) SetRole(r Role) {
-	n.roleMu.Lock()
-	n.role = r
-	n.roleMu.Unlock()
-	n.noteRole(r)
-}
-
 // noteRole publishes the role transition on the labeled role gauge.
 func (n *Node) noteRole(r Role) {
 	n.roleGauge.Set(obs.RoleValue(r.String()))
@@ -454,31 +442,6 @@ func (n *Node) SetSubscribers(peers []Peer) {
 	n.subs = make([]Peer, len(peers))
 	copy(n.subs, peers)
 	n.subsMu.Unlock()
-}
-
-// AddSubscriber appends one subscriber (a joining node).
-func (n *Node) AddSubscriber(p Peer) {
-	n.subsMu.Lock()
-	defer n.subsMu.Unlock()
-	for _, s := range n.subs {
-		if s.ID() == p.ID() {
-			return
-		}
-	}
-	n.subs = append(n.subs, p)
-}
-
-// RemoveSubscriber drops a subscriber by id.
-func (n *Node) RemoveSubscriber(id string) {
-	n.subsMu.Lock()
-	defer n.subsMu.Unlock()
-	kept := n.subs[:0]
-	for _, s := range n.subs {
-		if s.ID() != id {
-			kept = append(kept, s)
-		}
-	}
-	n.subs = kept
 }
 
 // Subscribers returns a copy of the current subscriber list.
@@ -735,23 +698,6 @@ func (n *Node) dropSession(id uint64) {
 	n.sessMu.Unlock()
 }
 
-func (n *Node) prepared(stmt string) (*exec.Prepared, error) {
-	n.stmtMu.RLock()
-	p, ok := n.stmts[stmt]
-	n.stmtMu.RUnlock()
-	if ok {
-		return p, nil
-	}
-	p, err := exec.Prepare(stmt)
-	if err != nil {
-		return nil, err
-	}
-	n.stmtMu.Lock()
-	n.stmts[stmt] = p
-	n.stmtMu.Unlock()
-	return p, nil
-}
-
 // TxExec implements Peer: runs one statement inside the session.
 func (n *Node) TxExec(txID uint64, stmt string, params []value.Value) (*exec.Result, error) {
 	if err := n.check(); err != nil {
@@ -761,7 +707,7 @@ func (n *Node) TxExec(txID uint64, stmt string, params []value.Value) (*exec.Res
 	if err != nil {
 		return nil, err
 	}
-	p, err := n.prepared(stmt)
+	p, err := exec.Cached(stmt)
 	if err != nil {
 		return nil, err
 	}

@@ -99,7 +99,7 @@ func TestJoinBuffering(t *testing.T) {
 	if err := joiner.StartJoin(); err != nil {
 		t.Fatalf("start join: %v", err)
 	}
-	master.AddSubscriber(joiner)
+	master.SetSubscribers([]Peer{support, joiner})
 	commitKV(t, master, 2, 200)
 	if got := joiner.Engine().PendingMods(); got != 0 {
 		t.Fatalf("joiner applied while joining: %d pending mods", got)
@@ -223,13 +223,13 @@ func TestSubscriberManagement(t *testing.T) {
 	n := newNodeWithData(t, "n", nil)
 	a := newNodeWithData(t, "a", nil)
 	b := newNodeWithData(t, "b", nil)
-	n.SetSubscribers([]Peer{a})
-	n.AddSubscriber(b)
-	n.AddSubscriber(b) // idempotent
-	if len(n.Subscribers()) != 2 {
-		t.Fatalf("subs = %d", len(n.Subscribers()))
+	set := []Peer{a, b}
+	n.SetSubscribers(set)
+	set[0] = nil // the node keeps its own copy
+	if subs := n.Subscribers(); len(subs) != 2 || subs[0].ID() != "a" || subs[1].ID() != "b" {
+		t.Fatalf("subs = %v", subs)
 	}
-	n.RemoveSubscriber("a")
+	n.SetSubscribers([]Peer{b})
 	subs := n.Subscribers()
 	if len(subs) != 1 || subs[0].ID() != "b" {
 		t.Fatalf("subs = %v", subs)

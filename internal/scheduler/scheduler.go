@@ -152,11 +152,11 @@ type Scheduler struct {
 
 	// commitFence orders update-commit acknowledgments against master
 	// fail-over rollback. A commit holds it shared across [master
-	// TxCommit; merged.Report]; the fail-over holds it exclusive across
-	// [read Latest; DiscardAbove; ResetVersion]. Without the fence a
-	// commit can broadcast its write-set, have the rollback discard it
-	// from every replica, and still acknowledge success to the client —
-	// a lost update.
+	// TxCommit; merged.Report]; FailoverMaster holds it exclusive across
+	// [read Latest; DiscardAbove; ResetVersion; elect; Promote]. Without
+	// the fence a commit can broadcast its write-set, have the rollback
+	// discard it from every replica, and still acknowledge success to the
+	// client — a lost update.
 	commitFence sync.RWMutex
 
 	// fanout forwards committed version vectors to peer schedulers so a
@@ -170,9 +170,6 @@ type Scheduler struct {
 
 	rngMu sync.Mutex
 	rng   *rand.Rand // guarded by rngMu
-
-	stmtMu    sync.RWMutex
-	stmtIsUpd map[string]bool // guarded by stmtMu
 
 	rrSeq atomic.Int64 // rotates tie-breaking across equally-loaded replicas
 
@@ -214,11 +211,10 @@ func New(opts Options, numTables int, tableID func(string) (int, bool)) (*Schedu
 		reg = obs.New() // private registry: Stats keep working, no exposition
 	}
 	s := &Scheduler{
-		opts:      opts,
-		merged:    vclock.NewMerged(numTables),
-		classOf:   make(map[string]int, 16),
-		rng:       rand.New(rand.NewSource(seed)),
-		stmtIsUpd: make(map[string]bool, 64),
+		opts:    opts,
+		merged:  vclock.NewMerged(numTables),
+		classOf: make(map[string]int, 16),
+		rng:     rand.New(rand.NewSource(seed)),
 		stats: &Stats{
 			ReadTxns:      reg.Counter(obs.SchedReadTxns),
 			UpdateTxns:    reg.Counter(obs.SchedUpdateTxns),
@@ -295,18 +291,6 @@ func (s *Scheduler) ReportVersion(v vclock.Vector) { s.merged.Report(v) }
 
 // ResetVersion overwrites the merged vector (master fail-over rollback).
 func (s *Scheduler) ResetVersion(v vclock.Vector) { s.merged.Reset(v) }
-
-// BlockCommits pauses update-commit acknowledgments: it waits for every
-// in-flight commit to finish reporting its version and holds off new ones.
-// Master fail-over brackets its rollback (Latest / DiscardAbove /
-// ResetVersion) with BlockCommits/UnblockCommits on every peer scheduler so
-// a commit is ordered entirely before the rollback (its version is part of
-// the rollback point and survives) or entirely after (it fails against the
-// dead master and is retried).
-func (s *Scheduler) BlockCommits() { s.commitFence.Lock() }
-
-// UnblockCommits releases BlockCommits.
-func (s *Scheduler) UnblockCommits() { s.commitFence.Unlock() }
 
 // SetVersionFanout installs a hook receiving every committed version vector
 // (after it is merged locally). The cluster wires it to ReportVersion on
@@ -684,35 +668,55 @@ func (s *Scheduler) reportFailure(id string) {
 	}
 }
 
-// FailoverMaster executes the commit-fenced master fail-over rollback of
-// Section 4.2 for conflict class ci against the surviving peers, electing
-// the survivor with the highest produced version as the new master. This
-// is the remote-tier sibling of the in-process cluster's masterFailover:
-// cmd/dmv-scheduler and the faultnet partition tests drive fail-over
-// through it so the rollback is fenced against in-flight commit
-// acknowledgments exactly like the in-process path. Callers running peer
-// schedulers must bracket the call with BlockCommits/UnblockCommits on the
-// peers themselves.
+// FailoverMaster is the one implementation of the commit-fenced master
+// fail-over rollback of Section 4.2 for conflict class ci: under the fence
+// it reads the rollback point, has every survivor discard above it, resets
+// the merged vector, elects the candidate with the highest produced
+// version, promotes it and installs it as the class master. The control
+// plane (cluster.Plane) calls it for in-process and remote tiers alike.
+//
+// candidates may win the election; rollbackOnly peers (spares, other
+// classes' masters) are rolled back but never elected. group lists every
+// scheduler sharing this topology, s included, and nil means s alone: all
+// are fenced, reset and given the new master, so a standby that takes over
+// later cannot resurrect discarded versions. The slice order is the lock
+// order; every caller must pass the same one.
 //
 // Survivors that fail their discard are skipped (they are reconciled by
-// reintegration when they return); a survivor that cannot be probed for
-// its versions simply cannot win the election. With no electable survivor
+// reintegration when they return); a candidate that cannot be probed for
+// its versions simply cannot win the election. With no electable candidate
 // the class is left masterless and ErrNoReplicas returned.
-func (s *Scheduler) FailoverMaster(ci int, survivors []replica.Peer) (replica.Peer, error) {
-	s.BlockCommits()
-	defer s.UnblockCommits()
+func (s *Scheduler) FailoverMaster(ci int, candidates, rollbackOnly []replica.Peer, group []*Scheduler) (replica.Peer, error) {
+	if len(group) == 0 {
+		group = []*Scheduler{s}
+	}
+	// The fence makes the rollback atomic against in-flight commits: a
+	// commit either reports its version before the fence closes (so the
+	// rollback point covers it and its write-sets survive the discard) or
+	// runs entirely after and fails against the dead master.
+	for _, g := range group {
+		g.commitFence.Lock()
+	}
+	defer func() {
+		for _, g := range group {
+			g.commitFence.Unlock()
+		}
+	}()
 
 	// Anomaly: fail-over is starting. The flight trigger only touches the
 	// recorder's innermost-band state, so firing it under the commit fence
 	// is safe; the dump itself is assembled asynchronously.
-	s.flight.Trigger(flight.CauseFailover, "", fmt.Sprintf("master fail-over, class %d, %d survivors", ci, len(survivors)))
+	s.flight.Trigger(flight.CauseFailover, "", fmt.Sprintf("master fail-over, class %d, %d survivors", ci, len(candidates)+len(rollbackOnly)))
 
 	// Rollback point: the highest version any client has seen acknowledged.
 	lastSeen := s.Latest()
 
+	for _, p := range rollbackOnly {
+		_ = p.DiscardAbove(lastSeen) // unreachable: rejoins via migration
+	}
 	var newMaster replica.Peer
 	var bestVer vclock.Vector
-	for _, p := range survivors {
+	for _, p := range candidates {
 		if err := p.DiscardAbove(lastSeen); err != nil {
 			continue // unreachable: excluded from election, rejoins via migration
 		}
@@ -724,15 +728,21 @@ func (s *Scheduler) FailoverMaster(ci int, survivors []replica.Peer) (replica.Pe
 			newMaster, bestVer = p, v
 		}
 	}
-	s.ResetVersion(lastSeen)
-	if newMaster == nil {
-		s.SetMaster(ci, nil)
-		return nil, ErrNoReplicas
+	for _, g := range group {
+		g.ResetVersion(lastSeen)
 	}
-	if err := newMaster.Promote(s.ClassTables(ci)); err != nil {
-		s.SetMaster(ci, nil)
-		return nil, fmt.Errorf("failover: promote %s: %w", newMaster.ID(), err)
+	err := ErrNoReplicas
+	if newMaster != nil {
+		if err = newMaster.Promote(s.ClassTables(ci)); err != nil {
+			err = fmt.Errorf("failover: promote %s: %w", newMaster.ID(), err)
+			newMaster = nil
+		}
 	}
-	s.SetMaster(ci, newMaster)
-	return newMaster, nil
+	for _, g := range group {
+		if newMaster != nil {
+			g.Remove(newMaster.ID()) // masters do not serve scheduled reads
+		}
+		g.SetMaster(ci, newMaster)
+	}
+	return newMaster, err
 }

@@ -62,7 +62,7 @@ func (t *Txn) Exec(stmt string, params ...value.Value) (*exec.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !t.readOnly && t.sched.isUpdateStmt(stmt) {
+	if !t.readOnly && isUpdateStmt(stmt) {
 		t.logged = append(t.logged, LoggedStmt{Text: stmt, Params: params})
 	}
 	return res, nil
@@ -81,22 +81,12 @@ func (t *Txn) QueryInt(stmt string, params ...value.Value) (int64, error) {
 	return res.Rows[0][0].AsInt(), nil
 }
 
-// isUpdateStmt classifies a statement as a write (cached per text) so the
-// scheduler logs exactly the update queries of each committed transaction
-// for the persistence tier.
-func (s *Scheduler) isUpdateStmt(stmt string) bool {
-	s.stmtMu.RLock()
-	isUpd, ok := s.stmtIsUpd[stmt]
-	s.stmtMu.RUnlock()
-	if ok {
-		return isUpd
-	}
-	p, err := exec.Prepare(stmt)
-	isUpd = err == nil && !p.ReadOnly()
-	s.stmtMu.Lock()
-	s.stmtIsUpd[stmt] = isUpd
-	s.stmtMu.Unlock()
-	return isUpd
+// isUpdateStmt classifies a statement as a write so the scheduler logs
+// exactly the update queries of each committed transaction for the
+// persistence tier.
+func isUpdateStmt(stmt string) bool {
+	p, err := exec.Cached(stmt)
+	return err == nil && !p.ReadOnly()
 }
 
 // retryable classifies errors the scheduler handles by re-running the

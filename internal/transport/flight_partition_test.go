@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dmv/internal/cluster"
 	"dmv/internal/exec"
 	"dmv/internal/faultnet"
 	"dmv/internal/heap"
@@ -35,11 +35,11 @@ func flightDumpDir(t *testing.T, run string) string {
 // runFlightScenario is the partition acceptance scenario of
 // partition_test.go with the flight recorder wired end to end: every node
 // keeps its own ring served over the FlightDump RPC, the scheduler's
-// recorder coordinates anomaly dumps, and the suspicion ladder and
-// commit-fenced fail-over fire the triggers. Returns the causal chain the
-// dump must reproduce (health transitions + admitted suspicion/fail-over
-// triggers, in ring order), the acked/applied audit, and the fail-over
-// dump path.
+// recorder coordinates anomaly dumps, and the shared control plane's
+// suspicion ladder and commit-fenced fail-over fire the triggers. Returns
+// the causal chain the dump must reproduce (health transitions + admitted
+// suspicion/fail-over triggers, in ring order), the acked/applied audit,
+// and the fail-over dump path.
 func runFlightScenario(t *testing.T, seed int64, dir string) (chain []string, acked, final int64, dumpPath string) {
 	t.Helper()
 	nw := faultnet.New(seed)
@@ -66,30 +66,17 @@ func runFlightScenario(t *testing.T, seed int64, dir string) (chain []string, ac
 			t.Fatalf("serve %s: %v", id, err)
 		}
 		t.Cleanup(srv.Close)
+		srv.DialSubscribersWith(ClientOptions{
+			Dial:        nw.Dialer(id),
+			DialTimeout: 200 * time.Millisecond,
+			CallTimeout: 300 * time.Millisecond,
+			Seed:        seed,
+		})
 		return n, srv.Addr()
 	}
 	mNode, mAddr := mk("m")
 	_, s1Addr := mk("s1")
 	_, s2Addr := mk("s2")
-
-	if err := mNode.Promote([]int{0}); err != nil {
-		t.Fatalf("promote: %v", err)
-	}
-	subOpts := ClientOptions{
-		Dial:        nw.Dialer("m"),
-		DialTimeout: 200 * time.Millisecond,
-		CallTimeout: 300 * time.Millisecond,
-		Seed:        seed,
-	}
-	ms1, err := DialNodeOpts("s1", s1Addr, subOpts)
-	if err != nil {
-		t.Fatalf("master dial s1: %v", err)
-	}
-	ms2, err := DialNodeOpts("s2", s2Addr, subOpts)
-	if err != nil {
-		t.Fatalf("master dial s2: %v", err)
-	}
-	mNode.SetSubscribers([]replica.Peer{ms1, ms2})
 
 	cOpts := ClientOptions{
 		Dial:        nw.Dialer("sched"),
@@ -110,16 +97,6 @@ func runFlightScenario(t *testing.T, seed int64, dir string) (chain []string, ac
 	if err != nil {
 		t.Fatalf("dial s2: %v", err)
 	}
-	probe, err := DialNodeOpts("m", mAddr, ClientOptions{
-		Dial:          nw.Dialer("sched"),
-		DialTimeout:   80 * time.Millisecond,
-		PingTimeout:   80 * time.Millisecond,
-		RetryAttempts: -1,
-	})
-	if err != nil {
-		t.Fatalf("dial probe: %v", err)
-	}
-
 	// The scheduler's recorder is the dump coordinator: at trigger time it
 	// gathers every peer's ring (the isolated master's gather must fail and
 	// be recorded, not wedge the dump).
@@ -133,9 +110,19 @@ func runFlightScenario(t *testing.T, seed int64, dir string) (chain []string, ac
 	if err != nil {
 		t.Fatalf("scheduler: %v", err)
 	}
-	sched.SetMaster(0, rm)
-	sched.AddSlave(rs1)
-	sched.AddSlave(rs2)
+	plane := cluster.NewPlane(cluster.Config{
+		HeartbeatInterval: 25 * time.Millisecond,
+		PingTimeout:       80 * time.Millisecond,
+		Obs:               reg,
+		Flight:            rec,
+	}, []*scheduler.Scheduler{sched}, Rewire, nil)
+	if err := plane.AddMaster(0, rm); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	plane.AddSlave(rs1)
+	plane.AddSlave(rs2)
+	plane.Start()
+	defer plane.Close()
 
 	increment := func() error {
 		return sched.Run(scheduler.TxnSpec{Tables: []string{"acct"}}, func(tx *scheduler.Txn) error {
@@ -172,35 +159,7 @@ func runFlightScenario(t *testing.T, seed int64, dir string) (chain []string, ac
 	}
 	nw.Isolate("m")
 
-	var newMaster replica.Peer
-	misses := 0
-	failDeadline := time.Now().Add(10 * time.Second)
-	for newMaster == nil {
-		if time.Now().After(failDeadline) {
-			t.Fatal("fail-over never triggered")
-		}
-		time.Sleep(25 * time.Millisecond)
-		if err := probe.Ping(); err == nil {
-			misses = 0
-			continue
-		} else if !errors.Is(err, replica.ErrPeerTimeout) && !errors.Is(err, replica.ErrNodeDown) {
-			t.Fatalf("probe: unexpected error %v", err)
-		}
-		misses++
-		if misses == 2 {
-			rec.RecordHealth("m", "healthy", "suspect")
-			rec.Trigger(flight.CauseSuspicion, "m", "probe misses reached suspect threshold")
-		}
-		if misses >= 4 {
-			rec.RecordHealth("m", "suspect", "dead")
-			nm, ferr := sched.FailoverMaster(0, []replica.Peer{rs1, rs2})
-			if ferr != nil {
-				t.Fatalf("FailoverMaster: %v", ferr)
-			}
-			newMaster = nm
-			sched.Remove(nm.ID())
-		}
-	}
+	newMaster := awaitNewMaster(t, plane)
 
 	close(stop)
 	wg.Wait()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dmv/internal/cluster"
 	"dmv/internal/exec"
 	"dmv/internal/faultnet"
 	"dmv/internal/heap"
@@ -49,30 +50,17 @@ func TestOverloadDuringPartitionedFailover(t *testing.T) {
 			t.Fatalf("serve %s: %v", id, err)
 		}
 		t.Cleanup(srv.Close)
+		srv.DialSubscribersWith(ClientOptions{
+			Dial:        nw.Dialer(id),
+			DialTimeout: 200 * time.Millisecond,
+			CallTimeout: 300 * time.Millisecond,
+			Seed:        seed,
+		})
 		return n, srv.Addr()
 	}
 	mNode, mAddr := mk("m")
 	_, s1Addr := mk("s1")
 	_, s2Addr := mk("s2")
-
-	if err := mNode.Promote([]int{0}); err != nil {
-		t.Fatalf("promote: %v", err)
-	}
-	subOpts := ClientOptions{
-		Dial:        nw.Dialer("m"),
-		DialTimeout: 200 * time.Millisecond,
-		CallTimeout: 300 * time.Millisecond,
-		Seed:        seed,
-	}
-	ms1, err := DialNodeOpts("s1", s1Addr, subOpts)
-	if err != nil {
-		t.Fatalf("master dial s1: %v", err)
-	}
-	ms2, err := DialNodeOpts("s2", s2Addr, subOpts)
-	if err != nil {
-		t.Fatalf("master dial s2: %v", err)
-	}
-	mNode.SetSubscribers([]replica.Peer{ms1, ms2})
 
 	cOpts := ClientOptions{
 		Dial:        nw.Dialer("sched"),
@@ -93,16 +81,6 @@ func TestOverloadDuringPartitionedFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial s2: %v", err)
 	}
-	probe, err := DialNodeOpts("m", mAddr, ClientOptions{
-		Dial:          nw.Dialer("sched"),
-		DialTimeout:   80 * time.Millisecond,
-		PingTimeout:   80 * time.Millisecond,
-		RetryAttempts: -1,
-	})
-	if err != nil {
-		t.Fatalf("dial probe: %v", err)
-	}
-
 	// Admission sized far below the worker count: 2 slots + 2 queued, 12
 	// stampeding workers. Most arrivals must shed; the queue must stay at
 	// or under its cap throughout the partition.
@@ -118,9 +96,18 @@ func TestOverloadDuringPartitionedFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("scheduler: %v", err)
 	}
-	sched.SetMaster(0, rm)
-	sched.AddSlave(rs1)
-	sched.AddSlave(rs2)
+	plane := cluster.NewPlane(cluster.Config{
+		HeartbeatInterval: 25 * time.Millisecond,
+		PingTimeout:       80 * time.Millisecond,
+		Obs:               reg,
+	}, []*scheduler.Scheduler{sched}, Rewire, nil)
+	if err := plane.AddMaster(0, rm); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	plane.AddSlave(rs1)
+	plane.AddSlave(rs2)
+	plane.Start()
+	defer plane.Close()
 
 	increment := func() error {
 		return sched.Run(scheduler.TxnSpec{
@@ -194,30 +181,7 @@ func TestOverloadDuringPartitionedFailover(t *testing.T) {
 	}
 	nw.Isolate("m")
 
-	var newMaster replica.Peer
-	misses := 0
-	failDeadline := time.Now().Add(10 * time.Second)
-	for newMaster == nil {
-		if time.Now().After(failDeadline) {
-			t.Fatal("fail-over never triggered")
-		}
-		time.Sleep(25 * time.Millisecond)
-		if err := probe.Ping(); err == nil {
-			misses = 0
-			continue
-		} else if !errors.Is(err, replica.ErrPeerTimeout) && !errors.Is(err, replica.ErrNodeDown) {
-			t.Fatalf("probe: unexpected error %v", err)
-		}
-		misses++
-		if misses >= 4 {
-			nm, ferr := sched.FailoverMaster(0, []replica.Peer{rs1, rs2})
-			if ferr != nil {
-				t.Fatalf("FailoverMaster: %v", ferr)
-			}
-			newMaster = nm
-			sched.Remove(nm.ID())
-		}
-	}
+	newMaster := awaitNewMaster(t, plane)
 
 	// Keep the stampede on the new master long enough to prove it admits
 	// again, then stop.

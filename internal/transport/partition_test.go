@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -9,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dmv/internal/cluster"
 	"dmv/internal/exec"
 	"dmv/internal/faultnet"
 	"dmv/internal/heap"
@@ -37,8 +37,9 @@ func newAcctNode(t *testing.T, id string, ackTimeout time.Duration) *replica.Nod
 // a master and two slaves on real TCP links policed by faultnet, a
 // scheduler committing increments through the master, a symmetric
 // partition isolating the master mid-workload (the node keeps running —
-// this is a partition, not a crash), a probe loop walking the master
-// through suspect to dead, and the commit-fenced FailoverMaster rollback.
+// this is a partition, not a crash), and the shared control plane
+// (cluster.Plane, exactly what dmv-scheduler runs) walking the master
+// through suspect to dead and into the commit-fenced fail-over rollback.
 // It returns the (kind:node) event timeline, the number of commits
 // acknowledged to the client, and the balance the new master serves.
 func runPartitionScenario(t *testing.T, seed int64) (timeline []string, acked int64, final int64) {
@@ -56,33 +57,19 @@ func runPartitionScenario(t *testing.T, seed int64) (timeline []string, acked in
 			t.Fatalf("serve %s: %v", id, err)
 		}
 		t.Cleanup(srv.Close)
+		// The master's eager write-set broadcast crosses the fault net too:
+		// the partition lands mid-broadcast, not just on the client plane.
+		srv.DialSubscribersWith(ClientOptions{
+			Dial:        nw.Dialer(id),
+			DialTimeout: 200 * time.Millisecond,
+			CallTimeout: 300 * time.Millisecond,
+			Seed:        seed,
+		})
 		return n, srv.Addr()
 	}
 	mNode, mAddr := mk("m")
 	_, s1Addr := mk("s1")
 	_, s2Addr := mk("s2")
-
-	if err := mNode.Promote([]int{0}); err != nil {
-		t.Fatalf("promote: %v", err)
-	}
-
-	// The master's eager write-set broadcast crosses the fault net too:
-	// the partition lands mid-broadcast, not just on the client plane.
-	subOpts := ClientOptions{
-		Dial:        nw.Dialer("m"),
-		DialTimeout: 200 * time.Millisecond,
-		CallTimeout: 300 * time.Millisecond,
-		Seed:        seed,
-	}
-	ms1, err := DialNodeOpts("s1", s1Addr, subOpts)
-	if err != nil {
-		t.Fatalf("master dial s1: %v", err)
-	}
-	ms2, err := DialNodeOpts("s2", s2Addr, subOpts)
-	if err != nil {
-		t.Fatalf("master dial s2: %v", err)
-	}
-	mNode.SetSubscribers([]replica.Peer{ms1, ms2})
 
 	// Scheduler plane: every peer call carries a deadline.
 	cOpts := ClientOptions{
@@ -104,27 +91,22 @@ func runPartitionScenario(t *testing.T, seed int64) (timeline []string, acked in
 	if err != nil {
 		t.Fatalf("dial s2: %v", err)
 	}
-	// Single-attempt probe client so each miss costs exactly one deadline.
-	probe, err := DialNodeOpts("m", mAddr, ClientOptions{
-		Dial:          nw.Dialer("sched"),
-		DialTimeout:   80 * time.Millisecond,
-		PingTimeout:   80 * time.Millisecond,
-		RetryAttempts: -1,
-	})
-	if err != nil {
-		t.Fatalf("dial probe: %v", err)
-	}
-
 	ref := mNode.Engine()
 	sched, err := scheduler.New(scheduler.Options{Seed: seed, MaxRetries: 2}, ref.NumTables(), ref.TableID)
 	if err != nil {
 		t.Fatalf("scheduler: %v", err)
 	}
-	sched.SetMaster(0, rm)
-	sched.AddSlave(rs1)
-	sched.AddSlave(rs2)
-
-	record := func(kind, node string) { timeline = append(timeline, kind+":"+node) }
+	plane := cluster.NewPlane(cluster.Config{
+		HeartbeatInterval: 25 * time.Millisecond,
+		PingTimeout:       80 * time.Millisecond,
+	}, []*scheduler.Scheduler{sched}, Rewire, nil)
+	if err := plane.AddMaster(0, rm); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	plane.AddSlave(rs1)
+	plane.AddSlave(rs2)
+	plane.Start()
+	defer plane.Close()
 
 	increment := func() error {
 		return sched.Run(scheduler.TxnSpec{Tables: []string{"acct"}}, func(tx *scheduler.Txn) error {
@@ -163,37 +145,11 @@ func runPartitionScenario(t *testing.T, seed int64) (timeline []string, acked in
 	}
 	nw.Isolate("m")
 
-	// Probe loop: consecutive deadline misses walk the master down the
-	// suspicion ladder, then the commit-fenced fail-over elects a slave.
-	var newMaster replica.Peer
-	misses := 0
-	failDeadline := time.Now().Add(10 * time.Second)
-	for newMaster == nil {
-		if time.Now().After(failDeadline) {
-			t.Fatal("fail-over never triggered")
-		}
-		time.Sleep(25 * time.Millisecond)
-		if err := probe.Ping(); err == nil {
-			misses = 0
-			continue
-		} else if !errors.Is(err, replica.ErrPeerTimeout) && !errors.Is(err, replica.ErrNodeDown) {
-			t.Fatalf("probe: unexpected error %v", err)
-		}
-		misses++
-		if misses == 2 {
-			record("suspect", "m")
-		}
-		if misses >= 4 {
-			record("failed", "m")
-			nm, err := sched.FailoverMaster(0, []replica.Peer{rs1, rs2})
-			if err != nil {
-				t.Fatalf("FailoverMaster: %v", err)
-			}
-			newMaster = nm
-			record("elected", nm.ID())
-			sched.Remove(nm.ID()) // masters do not serve scheduled reads
-		}
-	}
+	// The plane's detector walks the master down the suspicion ladder on
+	// consecutive probe deadline misses, then its commit-fenced fail-over
+	// elects a slave.
+	newMaster := awaitNewMaster(t, plane)
+	timeline = masterTimeline(plane, "m")
 
 	close(stop)
 	wg.Wait()
@@ -246,6 +202,51 @@ func TestPartitionedMasterFailover(t *testing.T) {
 	if !reflect.DeepEqual(tl1, tl2) {
 		t.Fatalf("same seed, different timelines:\n run 1: %v\n run 2: %v", tl1, tl2)
 	}
+}
+
+// awaitNewMaster waits for the control plane to finish a master fail-over
+// (the master-elected event closes it) and returns the elected peer.
+func awaitNewMaster(t *testing.T, plane *cluster.Plane) replica.Peer {
+	t.Helper()
+	awaitEvent(t, plane, cluster.EventMasterElected, "")
+	return plane.Scheduler().Master(0)
+}
+
+// awaitEvent waits for a plane event of the given kind about the given
+// node ("" = any node).
+func awaitEvent(t *testing.T, plane *cluster.Plane, kind, node string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		for _, ev := range plane.Events() {
+			if ev.Kind == kind && (node == "" || ev.Node == node) {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s event for %q; events: %+v", kind, node, plane.Events())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// masterTimeline renders the plane's detector and election events about
+// the failed master as kind:node strings. Events about other nodes are left
+// out: a loaded CI host may falsely suspect (and clear) a healthy slave,
+// which is the detector working, not part of the scenario's timeline.
+func masterTimeline(plane *cluster.Plane, failed string) []string {
+	short := map[string]string{
+		cluster.EventNodeSuspect:   "suspect",
+		cluster.EventNodeFailed:    "failed",
+		cluster.EventMasterElected: "elected",
+	}
+	var out []string
+	for _, ev := range plane.Events() {
+		if k, ok := short[ev.Kind]; ok && (ev.Node == failed || ev.Kind == cluster.EventMasterElected) {
+			out = append(out, k+":"+ev.Node)
+		}
+	}
+	return out
 }
 
 func diffSign(acked, applied int64) string {

@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"net"
 	"net/rpc"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -225,6 +226,12 @@ type ImagesReply struct {
 // "Node".
 type NodeService struct {
 	node *replica.Node
+
+	// subs are the clients behind the node's subscriber set, keyed by id, so
+	// a rewire reuses the connections it keeps and closes the ones it drops.
+	subMu   sync.Mutex
+	subs    map[string]*RemoteNode // guarded by subMu
+	subOpts ClientOptions          // guarded by subMu; how subscribers are dialed
 }
 
 // Ping implements the heartbeat probe.
@@ -432,25 +439,46 @@ func (s *NodeService) FlightDump(_ struct{}, reply *FlightDumpReply) error {
 }
 
 // SetSubscribers re-points the node's replication stream at the given peer
-// addresses (id -> address). A master node dials each subscriber itself.
+// addresses (id -> address). A master node dials each subscriber itself:
+// a subscriber whose id and address are unchanged keeps its client, dropped
+// ones are closed, and the reachable subset is installed even when some
+// dials fail — the reply then names the unreachable ones.
 func (s *NodeService) SetSubscribers(addrs map[string]string, reply *Status) error {
+	s.subMu.Lock()
+	defer s.subMu.Unlock()
+	next := make(map[string]*RemoteNode, len(addrs))
 	peers := make([]replica.Peer, 0, len(addrs))
+	var failed []string
 	for id, addr := range addrs {
-		p, err := DialNode(id, addr)
-		if err != nil {
-			reply.set(fmt.Errorf("dial subscriber %s at %s: %w", id, addr, err))
-			return nil
+		p := s.subs[id]
+		if p == nil || p.Addr() != addr {
+			var err error
+			if p, err = DialNodeOpts(id, addr, s.subOpts); err != nil {
+				failed = append(failed, fmt.Sprintf("%s at %s: %v", id, addr, err))
+				continue
+			}
 		}
+		next[id] = p
 		peers = append(peers, p)
 	}
 	s.node.SetSubscribers(peers)
-	reply.set(nil)
+	for id, old := range s.subs {
+		if next[id] != old {
+			old.Close()
+		}
+	}
+	s.subs = next
+	if len(failed) > 0 {
+		sort.Strings(failed)
+		reply.set(fmt.Errorf("dial subscribers: %s", strings.Join(failed, "; ")))
+	}
 	return nil
 }
 
 // Server is a listening RPC endpoint for one node.
 type Server struct {
 	lis  net.Listener
+	svc  *NodeService
 	done chan struct{}
 
 	connMu sync.Mutex
@@ -481,7 +509,8 @@ func ServeNodeObs(n *replica.Node, addr string, reg *obs.Registry) (*Server, err
 // partitioned, delayed, or reset under script control.
 func ServeNodeListener(n *replica.Node, lis net.Listener, reg *obs.Registry) (*Server, error) {
 	srv := rpc.NewServer()
-	if err := srv.RegisterName("Node", &NodeService{node: n}); err != nil {
+	svc := &NodeService{node: n}
+	if err := srv.RegisterName("Node", svc); err != nil {
 		_ = lis.Close()
 		return nil, err
 	}
@@ -491,7 +520,7 @@ func ServeNodeListener(n *replica.Node, lis net.Listener, reg *obs.Registry) (*S
 		bytesIn = reg.Counter(obs.TransportBytesIn)
 		bytesOut = reg.Counter(obs.TransportBytesOut)
 	}
-	s := &Server{lis: lis, done: make(chan struct{}), conns: make(map[net.Conn]struct{}, 8)}
+	s := &Server{lis: lis, svc: svc, done: make(chan struct{}), conns: make(map[net.Conn]struct{}, 8)}
 	go func() {
 		defer close(s.done)
 		for {
@@ -538,6 +567,16 @@ func (c *countingConn) Write(p []byte) (int, error) {
 
 // Addr returns the bound address.
 func (s *Server) Addr() string { return s.lis.Addr().String() }
+
+// DialSubscribersWith sets how the served node dials the subscribers a
+// SetSubscribers call names (default: ClientOptions{}). It is the
+// server-side twin of ClientOptions.Dial: fault-injection tests route the
+// master's write-set broadcast through faultnet with it.
+func (s *Server) DialSubscribersWith(o ClientOptions) {
+	s.svc.subMu.Lock()
+	s.svc.subOpts = o
+	s.svc.subMu.Unlock()
+}
 
 // Close stops accepting connections and severs the established ones — a
 // fail-stopped or shut-down node must look dead to its peers immediately,
@@ -668,6 +707,7 @@ type RemoteNode struct {
 	mu     sync.Mutex
 	client *rpc.Client // guarded by mu
 	dialed bool        // guarded by mu; a later dial is a re-dial
+	closed bool        // guarded by mu; Close was called, no re-dial
 
 	// rng drives the decorrelated-jitter retry backoff.
 	rngMu sync.Mutex
@@ -724,6 +764,9 @@ func (n *RemoteNode) conn() (*rpc.Client, error) {
 	if n.client != nil {
 		return n.client, nil
 	}
+	if n.closed {
+		return nil, fmt.Errorf("%w: %s: client closed", replica.ErrNodeDown, n.id)
+	}
 	dial := n.opts.Dial
 	if dial == nil {
 		dial = func(network, addr string) (net.Conn, error) {
@@ -752,6 +795,16 @@ func (n *RemoteNode) drop() {
 		n.client = nil
 	}
 	n.mu.Unlock()
+}
+
+// Close releases the connection for good: unlike a dropped client, a
+// closed one never re-dials, so a call still in flight on a replaced
+// subscriber handle fails instead of leaking a fresh connection.
+func (n *RemoteNode) Close() {
+	n.mu.Lock()
+	n.closed = true
+	n.mu.Unlock()
+	n.drop()
 }
 
 // call performs one deadline-bounded RPC attempt (the default path for
@@ -1179,4 +1232,15 @@ func (n *RemoteNode) SetSubscribers(addrs map[string]string) error {
 		return err
 	}
 	return st.Err()
+}
+
+// Rewire installs subs as master's replication subscriber set over RPC. It
+// is cluster.Plane's rewire input for a remote tier, where every member is
+// a *RemoteNode.
+func Rewire(master replica.Peer, subs []replica.Peer) error {
+	addrs := make(map[string]string, len(subs))
+	for _, s := range subs {
+		addrs[s.ID()] = s.(*RemoteNode).Addr()
+	}
+	return master.(*RemoteNode).SetSubscribers(addrs)
 }

@@ -34,7 +34,7 @@ echo "==> faultnet chaos leg (seeded partitions, RPC deadlines, gray-failure det
 # byte-for-byte: rerun the named test with the same seed from the source.
 go test -race -count=1 ./internal/faultnet/
 go test -tags dmvdebug -race -count=1 \
-	-run 'TestPartitionedMasterFailover|TestStalledPeerDeadline|TestReconnectAfterConnDrop|TestRetryBudgetExhausted|TestOverloadDuringPartitionedFailover' \
+	-run 'TestPartitionedMasterFailover|TestStalledPeerDeadline|TestReconnectAfterConnDrop|TestRetryBudgetExhausted|TestOverloadDuringPartitionedFailover|TestRemotePlane|TestSetSubscribersReusesAndClosesClients' \
 	./internal/transport/
 go test -tags dmvdebug -race -count=1 \
 	-run 'TestSuspectQuarantineAndClear|TestGrayMasterFailover|TestFailStopStillFast' \
@@ -100,5 +100,8 @@ go run ./cmd/dmv-bench -mode smoke -seed 7 >/dev/null
 
 echo "==> chaos under -tags dmvdebug (sealed-vector and write-set assertions active)"
 go test -tags dmvdebug -race -count=1 -run 'TestChaos|TestSealed|TestUnsealed' . ./internal/vclock/
+
+echo "==> production Go lines (scripts/loc.sh; refactor PRs quote the delta in CHANGES.md)"
+sh scripts/loc.sh
 
 echo "==> all checks passed"
