@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet dmv-vet check bench bench-json bench-diff bench-smoke
+.PHONY: build test race vet dmv-vet check bench
 
 build:
 	$(GO) build ./...
@@ -24,27 +24,9 @@ dmv-vet:
 check:
 	sh scripts/check.sh
 
-# Go micro-benchmarks across every package (the old target only covered the
-# root package, which has none).
+# One iteration of every Go benchmark in every package: the heap, SQL and
+# TPC-W micro-benchmarks at the root and the per-package ones. The paper's
+# figures are shape tests (go test ./internal/experiments/) and print with
+# go run ./cmd/dmv-bench; benchmark/run.sh judges performance.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
-
-# Perf-trajectory knobs: the report ordinal (BENCH_<PR>.json at the repo
-# root), the duration envelope, and the root seed.
-BENCH_PR   ?= 0007
-BENCH_MODE ?= quick
-BENCH_SEED ?= 7
-
-# Record a BENCH_<PR>.json reference run and, when an earlier BENCH_*.json
-# exists, gate it against the latest one.
-bench-json:
-	$(GO) run ./cmd/dmv-bench -mode $(BENCH_MODE) -seed $(BENCH_SEED) \
-		-json BENCH_$(BENCH_PR).json -baseline-dir .
-
-# Diff two recorded reports: make bench-diff OLD=BENCH_0007.json NEW=new.json
-bench-diff:
-	$(GO) run ./cmd/dmv-bench -diff $(OLD) $(NEW)
-
-# Seconds-scale pipeline self-check (plan/schema/comparator); no perf claims.
-bench-smoke:
-	$(GO) run ./cmd/dmv-bench -mode smoke -seed $(BENCH_SEED)

@@ -1,174 +1,145 @@
-// Benchmarks that regenerate every table and figure of the paper's
-// evaluation (see DESIGN.md for the experiment index), plus the design-
-// choice ablations and micro-benchmarks of the core mechanisms.
-//
-// Figure benches report custom metrics (wips, speedup, recovery_sec, ...)
-// via b.ReportMetric; absolute host-time metrics (ns/op) are meaningless for
-// them since each iteration is one compressed-time experiment.
+// Micro-benchmarks of the core mechanisms (make bench), plus the two
+// page-shipping count claims of EXPERIMENTS.md's ablation table as tests.
+// The paper's figures are asserted by the shape tests in
+// internal/experiments and printed by cmd/dmv-bench.
 //
 // Run: go test -bench=. -benchmem
 package dmv_test
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
 	"dmv/internal/exec"
-	"dmv/internal/experiments"
 	"dmv/internal/heap"
 	"dmv/internal/tpcw"
 	"dmv/internal/value"
 )
 
-func quick() experiments.Durations { return experiments.QuickDurations() }
+// newKVEngine builds an engine with one table t(id INT, v INT), a unique
+// index on id, and rows (i, 0) for i < rows.
+func newKVEngine(tb testing.TB, rows int) (*heap.Engine, int) {
+	tb.Helper()
+	e := heap.NewEngine(heap.Options{})
+	tid, err := e.CreateTable(heap.TableDef{
+		Name: "t",
+		Cols: []heap.Column{{Name: "id", Type: value.TInt}, {Name: "v", Type: value.TInt}},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := e.CreateIndex(tid, heap.IndexDef{Name: "pk", Cols: []int{0}, Unique: true}); err != nil {
+		tb.Fatal(err)
+	}
+	data := make([]value.Row, rows)
+	for i := range data {
+		data[i] = value.Row{value.NewInt(int64(i)), value.NewInt(0)}
+	}
+	if err := e.Load(tid, data); err != nil {
+		tb.Fatal(err)
+	}
+	return e, tid
+}
 
-// --- Figure 3: throughput scaling vs. stand-alone InnoDB ---------------------
+// setV runs one update transaction setting row id's v, handing the
+// write-set to apply (nil: none).
+func setV(tb testing.TB, e *heap.Engine, tid int, id, v int64, apply func(*heap.WriteSet) error) {
+	tb.Helper()
+	tx := e.BeginUpdate()
+	rids, err := tx.LookupEq(tid, 0, value.Row{value.NewInt(id)})
+	if err != nil || len(rids) != 1 {
+		tb.Fatalf("lookup %d: %v (%d rids)", id, err, len(rids))
+	}
+	row, _, err := tx.Fetch(tid, rids[0])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	row[1] = value.NewInt(v)
+	if err := tx.Update(tid, rids[0], row); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := tx.Commit(apply); err != nil {
+		tb.Fatal(err)
+	}
+}
 
-func benchFigure3(b *testing.B, mix tpcw.Mix) {
-	for i := 0; i < b.N; i++ {
-		opts := experiments.DefaultFig3Opts(quick())
-		opts.Mixes = []tpcw.Mix{mix}
-		opts.SlaveCounts = []int{1, 8}
-		rows, err := experiments.Figure3(opts)
-		if err != nil {
-			b.Fatal(err)
+// shipDelta catches a freshly loaded replica up to master by page shipping
+// and returns it with the number of pages shipped.
+func shipDelta(t *testing.T, master *heap.Engine, rows int) (*heap.Engine, int) {
+	t.Helper()
+	stale, _ := newKVEngine(t, rows)
+	delta, err := master.DeltaSince(stale.PageVersions(), master.MaxVersions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stale.InstallDelta(delta); err != nil {
+		t.Fatal(err)
+	}
+	return stale, len(delta)
+}
+
+// TestPageShipCollapsesLogReplay: 2 000 updates over 50 hot rows reach a
+// stale replica as at most one shipped page, because page shipping
+// collapses each page's modification chain, where log replay applies all
+// 2 000 records. Both catch-up paths end at the master's state.
+func TestPageShipCollapsesLogReplay(t *testing.T) {
+	const hotRows, updates = 50, 2000
+	master, tid := newKVEngine(t, hotRows)
+	var log []*heap.WriteSet
+	for i := 0; i < updates; i++ {
+		setV(t, master, tid, int64(i%hotRows), int64(i), func(ws *heap.WriteSet) error {
+			log = append(log, ws)
+			return nil
+		})
+	}
+	shipped, pages := shipDelta(t, master, hotRows)
+	if pages > 1 {
+		t.Errorf("page shipping sent %d pages for %d hot rows, want <= 1", pages, hotRows)
+	}
+	replayed, _ := newKVEngine(t, hotRows)
+	for _, ws := range log {
+		if err := replayed.ApplyWriteSet(ws); err != nil {
+			t.Fatal(err)
 		}
-		for _, r := range rows {
-			b.ReportMetric(r.WIPS, "wips_"+r.Config)
-			if r.Config == "dmv-8" {
-				b.ReportMetric(r.Speedup, "speedup_dmv8")
-				b.ReportMetric(r.AbortPct, "aborts_pct")
-			}
+	}
+	if len(log) != updates {
+		t.Fatalf("log replay applied %d records, want %d", len(log), updates)
+	}
+	v := master.MaxVersions()[tid]
+	want, err := master.TableDigestAt(tid, v, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, e := range map[string]*heap.Engine{"page-shipped": shipped, "log-replayed": replayed} {
+		got, err := e.TableDigestAt(tid, v, false)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Root != want.Root {
+			t.Errorf("%s replica diverges from the master at version %d", name, v)
 		}
 	}
 }
 
-func BenchmarkFigure3_Browsing(b *testing.B) { benchFigure3(b, tpcw.BrowsingMix) }
-func BenchmarkFigure3_Shopping(b *testing.B) { benchFigure3(b, tpcw.ShoppingMix) }
-func BenchmarkFigure3_Ordering(b *testing.B) { benchFigure3(b, tpcw.OrderingMix) }
-
-// --- Figures 4-9: fail-over experiments --------------------------------------
-
-func reportFailover(b *testing.B, r *experiments.FailoverResult) {
-	b.ReportMetric(r.Baseline, "baseline_wips")
-	b.ReportMetric(r.DipMin, "dip_wips")
-	b.ReportMetric(r.PostMean, "postfault_wips")
-	b.ReportMetric(r.Recovery.Seconds(), "recovery_sec")
-}
-
-func BenchmarkFigure4_Reintegration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure4(tpcw.FailoverScale(), quick(), 400*time.Millisecond)
-		if err != nil {
-			b.Fatal(err)
+// TestCheckpointAgeShipsFewerPagesThanCommits: a replica 100, 1 000 and
+// 4 000 commits behind ships a non-decreasing number of pages, each far
+// below the commits it missed, since repeated updates to a page collapse.
+func TestCheckpointAgeShipsFewerPagesThanCommits(t *testing.T) {
+	const rows = 2000
+	prev := 0
+	for _, behind := range []int{100, 1000, 4000} {
+		master, tid := newKVEngine(t, rows)
+		for j := 0; j < behind; j++ {
+			setV(t, master, tid, int64(j%rows), int64(j), nil)
 		}
-		reportFailover(b, r)
-	}
-}
-
-func BenchmarkFigure5_InnoDBStale(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure5InnoDB(tpcw.FailoverScale(), quick())
-		if err != nil {
-			b.Fatal(err)
+		_, pages := shipDelta(t, master, rows)
+		t.Logf("%d commits behind: %d pages shipped", behind, pages)
+		if pages < prev {
+			t.Errorf("%d commits behind shipped %d pages, fewer than the %d of a fresher replica", behind, pages, prev)
 		}
-		reportFailover(b, r)
-		if replay, ok := r.Stages["DB Update (log replay)"]; ok {
-			b.ReportMetric(replay.Seconds(), "replay_sec")
+		if pages*10 > behind {
+			t.Errorf("%d commits behind shipped %d pages, want <= 1/10 of the commits", behind, pages)
 		}
-	}
-}
-
-func BenchmarkFigure5_DMVStale(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure5DMV(tpcw.FailoverScale(), quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportFailover(b, r)
-	}
-}
-
-func BenchmarkFigure6_StageBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, dmv, inno, err := experiments.Figure6(tpcw.FailoverScale(), quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range rows {
-			name := fmt.Sprintf("%s_%s_sec", row.System, row.Stage)
-			b.ReportMetric(row.Seconds, sanitizeMetric(name))
-		}
-		b.ReportMetric(dmv.Recovery.Seconds(), "recovery_dmv_sec")
-		b.ReportMetric(inno.Recovery.Seconds(), "recovery_innodb_sec")
-	}
-}
-
-func sanitizeMetric(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			out = append(out, r)
-		case r == ' ', r == '(', r == ')':
-			out = append(out, '_')
-		}
-	}
-	return string(out)
-}
-
-func BenchmarkFigure7_ColdBackup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure7(tpcw.FailoverScale(), quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportFailover(b, r)
-	}
-}
-
-func BenchmarkFigure8_WarmQueryShare(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure8(tpcw.FailoverScale(), quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportFailover(b, r)
-	}
-}
-
-func BenchmarkFigure9_WarmPageIDs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure9(tpcw.FailoverScale(), quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportFailover(b, r)
-	}
-}
-
-// --- ablations (DESIGN.md section 5) ------------------------------------------
-
-func BenchmarkAblation_VersionAffinity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		withPct, withoutPct, err := experiments.AblationVersionAffinity(tpcw.BenchScale(), quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(withPct, "aborts_affinity_pct")
-		b.ReportMetric(withoutPct, "aborts_noaffinity_pct")
-	}
-}
-
-func BenchmarkAblation_ConflictClasses(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		single, multi, err := experiments.AblationConflictClasses(tpcw.BenchScale(), quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(single, "wips_single_master")
-		b.ReportMetric(multi, "wips_two_classes")
+		prev = pages
 	}
 }
 
@@ -177,28 +148,8 @@ func BenchmarkAblation_ConflictClasses(b *testing.B) {
 // enqueue-only path plus one lazy materialization.
 func BenchmarkAblation_LazyVsEagerApply(b *testing.B) {
 	mkEngines := func() (*heap.Engine, *heap.Engine, int) {
-		master := heap.NewEngine(heap.Options{})
-		slave := heap.NewEngine(heap.Options{})
-		for _, e := range []*heap.Engine{master, slave} {
-			tid, err := e.CreateTable(heap.TableDef{
-				Name: "t",
-				Cols: []heap.Column{{Name: "id", Type: value.TInt}, {Name: "v", Type: value.TInt}},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := e.CreateIndex(tid, heap.IndexDef{Name: "pk", Cols: []int{0}, Unique: true}); err != nil {
-				b.Fatal(err)
-			}
-			rows := make([]value.Row, 1000)
-			for i := range rows {
-				rows[i] = value.Row{value.NewInt(int64(i)), value.NewInt(0)}
-			}
-			if err := e.Load(tid, rows); err != nil {
-				b.Fatal(err)
-			}
-		}
-		tid, _ := master.TableID("t")
+		master, tid := newKVEngine(b, 1000)
+		slave, _ := newKVEngine(b, 1000)
 		return master, slave, tid
 	}
 	b.Run("lazy", func(b *testing.B) {
@@ -239,160 +190,6 @@ func BenchmarkAblation_LazyVsEagerApply(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblation_PageShipVsLogReplay compares catching a stale node up by
-// page-delta shipping (the paper's data migration, which collapses long
-// modification chains) against replaying the equivalent statement log.
-func BenchmarkAblation_PageShipVsLogReplay(b *testing.B) {
-	const hotRows = 50
-	build := func() (*heap.Engine, *heap.Engine, *heap.Engine, int, []*heap.WriteSet) {
-		master := heap.NewEngine(heap.Options{})
-		support := heap.NewEngine(heap.Options{})
-		stale := heap.NewEngine(heap.Options{})
-		var tid int
-		for _, e := range []*heap.Engine{master, support, stale} {
-			id, err := e.CreateTable(heap.TableDef{
-				Name: "t",
-				Cols: []heap.Column{{Name: "id", Type: value.TInt}, {Name: "v", Type: value.TInt}},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			tid = id
-			if _, err := e.CreateIndex(tid, heap.IndexDef{Name: "pk", Cols: []int{0}, Unique: true}); err != nil {
-				b.Fatal(err)
-			}
-			rows := make([]value.Row, hotRows)
-			for i := range rows {
-				rows[i] = value.Row{value.NewInt(int64(i)), value.NewInt(0)}
-			}
-			if err := e.Load(tid, rows); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// 2000 updates hammering the same hot rows: long modification
-		// chains that page shipping collapses.
-		var log []*heap.WriteSet
-		for i := 0; i < 2000; i++ {
-			tx := master.BeginUpdate()
-			rids, _ := tx.LookupEq(tid, 0, value.Row{value.NewInt(int64(i % hotRows))})
-			row, _, _ := tx.Fetch(tid, rids[0])
-			row[1] = value.NewInt(int64(i))
-			if err := tx.Update(tid, rids[0], row); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := tx.Commit(func(ws *heap.WriteSet) error {
-				log = append(log, ws)
-				return support.ApplyWriteSet(ws)
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return master, support, stale, tid, log
-	}
-	// Build the committed history once; each iteration only needs a fresh
-	// stale replica (cheap) — rebuilding the 2000-commit history inside the
-	// b.N loop would make the unmeasured setup dominate wall time.
-	master, support, _, tid, log := build()
-	target := master.MaxVersions()
-	freshStale := func() *heap.Engine {
-		e := heap.NewEngine(heap.Options{})
-		id, _ := e.CreateTable(heap.TableDef{
-			Name: "t",
-			Cols: []heap.Column{{Name: "id", Type: value.TInt}, {Name: "v", Type: value.TInt}},
-		})
-		_, _ = e.CreateIndex(id, heap.IndexDef{Name: "pk", Cols: []int{0}, Unique: true})
-		rows := make([]value.Row, hotRows)
-		for i := range rows {
-			rows[i] = value.Row{value.NewInt(int64(i)), value.NewInt(0)}
-		}
-		_ = e.Load(id, rows)
-		return e
-	}
-	_ = tid
-	b.Run("page-ship", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			stale := freshStale()
-			b.StartTimer()
-			have := stale.PageVersions()
-			delta, err := support.DeltaSince(have, target)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := stale.InstallDelta(delta); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(len(delta)), "pages_shipped")
-		}
-	})
-	b.Run("log-replay", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			stale := freshStale()
-			b.StartTimer()
-			for _, ws := range log {
-				if err := stale.ApplyWriteSet(ws); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := stale.MaterializeAll(log[len(log)-1].Version); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(len(log)), "records_replayed")
-		}
-	})
-}
-
-// BenchmarkAblation_CheckpointPeriod relates checkpoint age to the
-// reintegration delta size (older checkpoints -> more pages to ship).
-func BenchmarkAblation_CheckpointPeriod(b *testing.B) {
-	// One master per staleness level, built once; iterations reuse it and
-	// only rebuild the cheap stale replica.
-	mkEngine := func() (*heap.Engine, int) {
-		e := heap.NewEngine(heap.Options{})
-		tid, _ := e.CreateTable(heap.TableDef{
-			Name: "t",
-			Cols: []heap.Column{{Name: "id", Type: value.TInt}, {Name: "v", Type: value.TInt}},
-		})
-		_, _ = e.CreateIndex(tid, heap.IndexDef{Name: "pk", Cols: []int{0}, Unique: true})
-		rows := make([]value.Row, 2000)
-		for j := range rows {
-			rows[j] = value.Row{value.NewInt(int64(j)), value.NewInt(0)}
-		}
-		_ = e.Load(tid, rows)
-		return e, tid
-	}
-	for _, commitsBehind := range []int{100, 1000, 4000} {
-		master, tid := mkEngine()
-		for j := 0; j < commitsBehind; j++ {
-			tx := master.BeginUpdate()
-			rids, _ := tx.LookupEq(tid, 0, value.Row{value.NewInt(int64(j % 2000))})
-			row, _, _ := tx.Fetch(tid, rids[0])
-			row[1] = value.NewInt(int64(j))
-			_ = tx.Update(tid, rids[0], row)
-			if _, err := tx.Commit(nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.Run(fmt.Sprintf("behind-%d", commitsBehind), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				stale, _ := mkEngine()
-				b.StartTimer()
-				have := stale.PageVersions()
-				delta, err := master.DeltaSince(have, master.MaxVersions())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := stale.InstallDelta(delta); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(len(delta)), "pages_shipped")
-			}
-		})
-	}
 }
 
 // --- micro-benchmarks of the core mechanisms ----------------------------------

@@ -1,14 +1,13 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 6). Each Figure* function is self-contained: it builds
 // the tiers, drives the TPC-W workload, injects the faults, and returns the
-// measured series/summary. The cmd/tpcw-bench and cmd/failover-bench
-// binaries and the repository's bench_test.go all call into this package so
-// the numbers in EXPERIMENTS.md are regenerable from one code path.
+// measured summary. cmd/dmv-bench prints these results and the package's
+// shape tests assert each figure's shape on them, so the numbers in
+// EXPERIMENTS.md and the guarded shapes come from one code path.
 package experiments
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,7 +16,6 @@ import (
 	"dmv/internal/harness"
 	"dmv/internal/heap"
 	"dmv/internal/innodb"
-	"dmv/internal/obs"
 	"dmv/internal/scheduler"
 	"dmv/internal/simdisk"
 	"dmv/internal/tpcw"
@@ -34,24 +32,11 @@ type Durations struct {
 	FaultAt time.Duration // offset into the measured period
 	Clients int
 	// Seed drives every per-client random stream of the run (0 = the
-	// harness default). The bench subsystem derives one per scenario so a
-	// recorded BENCH_*.json names the exact seed that produced it.
+	// harness default).
 	Seed int64
-	// Clock paces warmups, measurement windows, and fault timing
-	// (nil = harness.RealClock). Injecting a test clock keeps experiment
-	// pacing out of chaos-schedule entropy.
-	Clock harness.Clock
 }
 
-// clock returns the configured pacing clock, defaulting to wall time.
-func (d Durations) clock() harness.Clock {
-	if d.Clock != nil {
-		return d.Clock
-	}
-	return harness.RealClock{}
-}
-
-// QuickDurations is used by `go test -bench` (seconds per figure).
+// QuickDurations is dmv-bench's -quick envelope (seconds per figure).
 func QuickDurations() Durations {
 	return Durations{
 		Warmup:  time.Second,
@@ -62,8 +47,8 @@ func QuickDurations() Durations {
 	}
 }
 
-// FullDurations is used by the cmd binaries (tens of seconds per figure,
-// with cleaner timelines).
+// FullDurations is dmv-bench's default envelope (tens of seconds per
+// figure, with cleaner timelines).
 func FullDurations() Durations {
 	return Durations{
 		Warmup:  time.Second,
@@ -110,12 +95,6 @@ type Fig3Row struct {
 	WIPS     float64
 	AbortPct float64 // read-only aborts due to version inconsistency
 	Speedup  float64 // vs. the innodb row of the same mix
-	// Aborts breaks committed-transaction failures down by cause, read
-	// from the run's obs registry (nil for the innodb baseline rows).
-	Aborts map[string]int64
-	// TxnLatency summarizes per-attempt transaction latency (us) from the
-	// scheduler's obs histogram (zero for the innodb baseline rows).
-	TxnLatency obs.HistSummary
 }
 
 // Fig3Opts parameterize the scaling experiment.
@@ -124,17 +103,14 @@ type Fig3Opts struct {
 	Dur         Durations
 	SlaveCounts []int
 	Mixes       []tpcw.Mix
-	// RampSteps, when non-empty, runs every configuration under a client
-	// step function (the paper ramps 100..1000 emulated browsers) and
-	// reports the peak instead of a single fixed client count.
-	RampSteps []int
 }
 
 // DefaultFig3Opts mirrors the paper's configurations: 1, 2, 4 and 8 slaves
-// against a stand-alone InnoDB, for all three mixes.
+// against a stand-alone InnoDB, for all three mixes, at the database size
+// EXPERIMENTS.md's Figure 3 table was recorded at.
 func DefaultFig3Opts(d Durations) Fig3Opts {
 	return Fig3Opts{
-		Scale:       tpcw.BenchScale(),
+		Scale:       tpcw.Scale{Items: 2000, Customers: 1000},
 		Dur:         d,
 		SlaveCounts: []int{1, 2, 4, 8},
 		Mixes:       []tpcw.Mix{tpcw.BrowsingMix, tpcw.ShoppingMix, tpcw.OrderingMix},
@@ -159,7 +135,7 @@ func Figure3(opts Fig3Opts) ([]Fig3Row, error) {
 			return nil, err
 		}
 		w := tpcw.NewWorkload(harness.InnoDBStore{DB: db}, opts.Scale)
-		baseCfg := harness.RunConfig{
+		base := harness.Run(harness.RunConfig{
 			Workload: w,
 			Mix:      mix,
 			Clients:  opts.Dur.Clients,
@@ -167,19 +143,10 @@ func Figure3(opts Fig3Opts) ([]Fig3Row, error) {
 			Warmup:   opts.Dur.Warmup,
 			Window:   opts.Dur.Window,
 			Seed:     opts.Dur.Seed,
-			Clock:    opts.Dur.Clock,
-		}
-		base := &harness.RunResult{}
-		if len(opts.RampSteps) > 0 {
-			peak, _, _ := harness.StepRamp(baseCfg, opts.RampSteps)
-			base.WIPS = peak
-		} else {
-			base = harness.Run(baseCfg)
-		}
+		})
 		rows = append(rows, Fig3Row{Mix: mix.Name, Config: "innodb", WIPS: base.WIPS, Speedup: 1})
 
 		for _, n := range opts.SlaveCounts {
-			reg := obs.New()
 			c, err := cluster.New(cluster.Config{
 				Slaves:                 n,
 				SchemaDDL:              tpcw.SchemaDDL(),
@@ -188,7 +155,6 @@ func Figure3(opts Fig3Opts) ([]Fig3Row, error) {
 				StatementService:       serviceTime,
 				ServiceWidth:           serviceWidth,
 				UpdateStatementService: updateServiceTime,
-				Obs:                    reg,
 				EngineOptions: func(string) heap.Options {
 					return heap.Options{PageCap: benchPageCap, LockTimeout: lockTimeout}
 				},
@@ -201,24 +167,15 @@ func Figure3(opts Fig3Opts) ([]Fig3Row, error) {
 			// are offered enough load without queueing so deep that version
 			// drains stall (the paper ramps 100..1000 clients and reports
 			// the peak).
-			clients := 6 * (n + 1)
-			cfg := harness.RunConfig{
+			res := harness.Run(harness.RunConfig{
 				Workload: w,
 				Mix:      mix,
-				Clients:  clients,
+				Clients:  6 * (n + 1),
 				Duration: opts.Dur.Measure,
 				Warmup:   opts.Dur.Warmup,
 				Window:   opts.Dur.Window,
 				Seed:     opts.Dur.Seed,
-				Clock:    opts.Dur.Clock,
-			}
-			res := &harness.RunResult{}
-			if len(opts.RampSteps) > 0 {
-				peak, _, _ := harness.StepRamp(cfg, opts.RampSteps)
-				res.WIPS = peak
-			} else {
-				res = harness.Run(cfg)
-			}
+			})
 			st := c.Scheduler().Stats()
 			abortPct := 0.0
 			if reads := st.ReadTxns.Load(); reads > 0 {
@@ -230,13 +187,6 @@ func Figure3(opts Fig3Opts) ([]Fig3Row, error) {
 				WIPS:     res.WIPS,
 				AbortPct: abortPct,
 				Speedup:  harness.Speedup(res.WIPS, base.WIPS),
-				Aborts: map[string]int64{
-					"version-conflict":  reg.Counter(obs.SchedAbortVersion).Load(),
-					"lock-timeout":      reg.Counter(obs.SchedAbortLockTimeout).Load(),
-					"node-down":         reg.Counter(obs.SchedAbortNodeDown).Load(),
-					"retries-exhausted": reg.Counter(obs.SchedRetriesExhausted).Load(),
-				},
-				TxnLatency: reg.Histogram(obs.SchedTxnUS).Snapshot().Summary(),
 			})
 			c.Close()
 		}
@@ -249,65 +199,23 @@ func Figure3(opts Fig3Opts) ([]Fig3Row, error) {
 // FailoverResult is the outcome of one fault-injection run.
 type FailoverResult struct {
 	Name     string
-	Series   []harness.Point
-	Window   time.Duration
-	FaultAt  time.Duration
 	Baseline float64 // mean WIPS before the fault
 	DipMin   float64 // lowest bucket after the fault
 	PostMean float64 // mean WIPS in the second after the fault
 	Recovery time.Duration
 	Events   []cluster.Event
 	Stages   map[string]time.Duration // fig 6 breakdown
-	Errors   int64
-	// TxnLatency summarizes per-attempt transaction latency (us) over the
-	// whole run, fault window included.
-	TxnLatency obs.HistSummary
-}
-
-// Summary renders a one-line report.
-func (r *FailoverResult) Summary() string {
-	s := fmt.Sprintf("%s: baseline %.1f WIPS, dip to %.1f, post-fault mean %.1f, recovery %s",
-		r.Name, r.Baseline, r.DipMin, r.PostMean, harness.FmtDur(r.Recovery))
-	if r.TxnLatency.Count > 0 {
-		s += fmt.Sprintf(", txn us p50=%d p95=%d p99=%d",
-			r.TxnLatency.P50, r.TxnLatency.P95, r.TxnLatency.P99)
-	}
-	return s
-}
-
-// Median aggregates repeated runs of one fail-over experiment into a single
-// result carrying the median baseline/dip/post-mean/recovery and the series
-// of the run whose post-fault mean is the median — run-to-run variance on
-// compressed timelines makes single runs unreliable.
-func Median(runs []*FailoverResult) *FailoverResult {
-	if len(runs) == 0 {
-		return nil
-	}
-	byPost := append([]*FailoverResult(nil), runs...)
-	sort.Slice(byPost, func(i, j int) bool { return byPost[i].PostMean < byPost[j].PostMean })
-	rep := byPost[len(byPost)/2]
-	out := *rep
-	med := func(get func(*FailoverResult) float64) float64 {
-		vals := make([]float64, len(runs))
-		for i, r := range runs {
-			vals[i] = get(r)
-		}
-		sort.Float64s(vals)
-		return vals[len(vals)/2]
-	}
-	out.Baseline = med(func(r *FailoverResult) float64 { return r.Baseline })
-	out.DipMin = med(func(r *FailoverResult) float64 { return r.DipMin })
-	out.PostMean = med(func(r *FailoverResult) float64 { return r.PostMean })
-	out.Recovery = time.Duration(med(func(r *FailoverResult) float64 { return float64(r.Recovery) }))
-	return &out
+	// SpareResident is the number of pages resident in spare0's buffer
+	// cache just before the fault (0 without a spare): the cache the spare
+	// takes over with in Figures 7-9.
+	SpareResident int
 }
 
 // StageBreakdown folds a cluster's obs event timeline into the paper's
 // fail-over stage durations (Figure 6 naming). Stage-completion events carry
 // the duration measured by the cluster's fail-over pipeline; repeated stages
 // (e.g. two reintegrations) accumulate. This is the single place the event
-// kinds are mapped to stage labels — the bench binaries report from it
-// instead of timing stages themselves.
+// kinds are mapped to stage labels; nothing times stages itself.
 func StageBreakdown(events []cluster.Event) map[string]time.Duration {
 	label := map[cluster.EventKind]string{
 		cluster.EventRecoveryDone:   "Recovery",
@@ -347,16 +255,12 @@ func analyze(name string, res *harness.RunResult, window, faultAt time.Duration,
 	}
 	return &FailoverResult{
 		Name:     name,
-		Series:   series,
-		Window:   window,
-		FaultAt:  faultAt,
 		Baseline: baseline,
 		DipMin:   dip,
 		PostMean: harness.Mean(series, window, faultAt, faultAt+time.Second),
 		Recovery: harness.RecoveryTime(series, window, faultAt, baseline, 0.75),
 		Events:   events,
 		Stages:   StageBreakdown(events),
-		Errors:   res.Errors,
 	}
 }
 
@@ -408,7 +312,6 @@ func buildDMV(scale tpcw.Scale, fc dmvFailoverConfig) (*cluster.Cluster, map[str
 		SchemaDDL:              tpcw.SchemaDDL(),
 		Load:                   scale.Load,
 		MaxRetries:             50,
-		Obs:                    obs.New(),
 		WarmupShare:            fc.warmShare,
 		PageIDTransfer:         fc.pageIDs,
 		CheckpointPeriod:       fc.checkpt,
@@ -428,16 +331,21 @@ func buildDMV(scale tpcw.Scale, fc dmvFailoverConfig) (*cluster.Cluster, map[str
 
 // runDMVFailover drives the workload, fires fault at FaultAt, and analyzes.
 func runDMVFailover(name string, scale tpcw.Scale, fc dmvFailoverConfig, d Durations, fault func(c *cluster.Cluster)) (*FailoverResult, error) {
-	c, _, err := buildDMV(scale, fc)
+	c, disks, err := buildDMV(scale, fc)
 	if err != nil {
 		return nil, err
 	}
 	defer c.Close()
+	spare := disks["spare0"]
 	w := tpcw.NewWorkload(harness.DMVStore{C: c}, scale)
+	var spareResident int
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		d.clock().Sleep(d.Warmup + d.FaultAt)
+		harness.RealClock{}.Sleep(d.Warmup + d.FaultAt)
+		if spare != nil {
+			spareResident = spare.ResidentCount()
+		}
 		fault(c)
 	}()
 	res := harness.Run(harness.RunConfig{
@@ -448,11 +356,10 @@ func runDMVFailover(name string, scale tpcw.Scale, fc dmvFailoverConfig, d Durat
 		Warmup:   d.Warmup,
 		Window:   d.Window,
 		Seed:     d.Seed,
-		Clock:    d.Clock,
 	})
 	<-done
 	r := analyze(name, res, d.Window, d.FaultAt, c.Events())
-	r.TxnLatency = c.Obs().Histogram(obs.SchedTxnUS).Snapshot().Summary()
+	r.SpareResident = spareResident
 	return r, nil
 }
 
@@ -473,7 +380,7 @@ func Figure4(scale tpcw.Scale, d Durations, downtime time.Duration) (*FailoverRe
 		killed = c.MasterID(0)
 		_ = c.Kill(killed)
 		go func() {
-			d.clock().Sleep(downtime)
+			harness.RealClock{}.Sleep(downtime)
 			_ = c.Restart(killed)
 		}()
 	})
@@ -527,7 +434,7 @@ func Figure5InnoDB(scale tpcw.Scale, d Durations) (*FailoverResult, error) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		d.clock().Sleep(d.Warmup + d.FaultAt)
+		harness.RealClock{}.Sleep(d.Warmup + d.FaultAt)
 		tier.KillActive(1)
 	}()
 	res := harness.Run(harness.RunConfig{
@@ -538,7 +445,6 @@ func Figure5InnoDB(scale tpcw.Scale, d Durations) (*FailoverResult, error) {
 		Warmup:   d.Warmup,
 		Window:   d.Window,
 		Seed:     d.Seed,
-		Clock:    d.Clock,
 	})
 	<-done
 	out := analyze("fig5-innodb-stale", res, d.Window, d.FaultAt, nil)
@@ -670,7 +576,6 @@ func AblationVersionAffinity(scale tpcw.Scale, d Durations) (withPct, withoutPct
 			Warmup:   d.Warmup,
 			Window:   d.Window,
 			Seed:     d.Seed,
-			Clock:    d.Clock,
 		})
 		st := c.Scheduler().Stats()
 		reads := st.ReadTxns.Load() + st.VersionAborts.Load()
@@ -696,7 +601,7 @@ func AblationVersionAffinity(scale tpcw.Scale, d Durations) (withPct, withoutPct
 // applies. The ablation therefore uses a synthetic workload of two
 // independent update streams over disjoint tables, the situation conflict
 // classes are designed for.
-func AblationConflictClasses(_ tpcw.Scale, d Durations) (single, multi float64, err error) {
+func AblationConflictClasses(d Durations) (single, multi float64, err error) {
 	ddl := []string{
 		`CREATE TABLE t0 (id INT PRIMARY KEY, v INT)`,
 		`CREATE TABLE t1 (id INT PRIMARY KEY, v INT)`,
@@ -756,9 +661,9 @@ func AblationConflictClasses(_ tpcw.Scale, d Durations) (single, multi float64, 
 				}
 			}(w)
 		}
-		d.clock().Sleep(d.Warmup)
+		harness.RealClock{}.Sleep(d.Warmup)
 		committed.Store(0)
-		d.clock().Sleep(d.Measure)
+		harness.RealClock{}.Sleep(d.Measure)
 		total := committed.Load()
 		close(stop)
 		workers.Wait()

@@ -10,63 +10,34 @@ import (
 	"dmv/internal/cluster"
 	"dmv/internal/harness"
 	"dmv/internal/heap"
-	"dmv/internal/obs"
 	"dmv/internal/scheduler"
 	"dmv/internal/value"
 )
 
-// --- open-loop overload sweep (admission control evaluation) ------------------
+// --- open-loop overload (admission control evaluation) -------------------------
 
-// overloadRows is the hot-row count of the stampede workload's single table.
-const overloadRows = 200
+const (
+	// overloadRows is the hot-row count of the stampede workload's single
+	// table.
+	overloadRows = 200
+	// overloadMultiplier is the offered rate as a multiple of the measured
+	// closed-loop plateau: well past saturation.
+	overloadMultiplier = 2.0
+	// overloadDeadline is the per-arrival caller deadline. Both arms get
+	// it: without admission the deadline is the only thing that bounds how
+	// long a doomed caller waits.
+	overloadDeadline = 500 * time.Millisecond
+	// overloadSlaves sizes the tier; the admission arm gets 2×slaves+2
+	// slots and library defaults for the rest.
+	overloadSlaves = 2
+)
 
-// OverloadOpts parameterize the stampede experiment: an offered-load sweep
-// in multiples of the closed-loop saturation plateau, run once with the
-// admission queue and once without it.
-type OverloadOpts struct {
-	Dur Durations
-	// Multipliers are the offered rates as multiples of the measured
-	// closed-loop plateau (default 0.5, 1.0, 2.0 — below, at, and well past
-	// saturation).
-	Multipliers []float64
-	// Deadline is the per-arrival caller deadline (default 500ms). Both
-	// arms get it: without admission the deadline is the only thing that
-	// bounds how long a doomed caller waits.
-	Deadline time.Duration
-	// Slaves sizes the tier (default 2).
-	Slaves int
-	// Admission configures the admission-on arm (zero Slots = derived:
-	// 2×Slaves+2 slots, library defaults for the rest).
-	Admission scheduler.AdmissionOptions
-	// Burst injects flash-crowd episodes into the arrival process: the rate
-	// triples for a tenth of the run, twice per run (default on).
-	NoBurst bool
-}
-
-// OverloadPoint is one offered-load multiple of the sweep.
-type OverloadPoint struct {
-	Multiplier  float64
-	OfferedRate float64 // arrivals per second
-	Open        *harness.OpenLoopResult
-}
-
-// OverloadArm is one sweep under a fixed admission configuration.
-type OverloadArm struct {
-	Name   string // "admit" or "noadmit"
-	Points []OverloadPoint
-	// Shed/Abandoned are the cluster's final counter readings across the
-	// whole arm (admission fast-rejects, deadline abandons).
-	Shed      int64
-	Abandoned int64
-	// SojournUS summarizes admission-queue sojourn over the arm.
-	SojournUS obs.HistSummary
-}
-
-// OverloadResult is the full stampede experiment outcome.
+// OverloadResult is the stampede experiment outcome: the open-loop run
+// with the admission queue and the same run without it.
 type OverloadResult struct {
 	PlateauGoodput float64 // closed-loop saturation, transactions per second
-	Admit          OverloadArm
-	NoAdmit        OverloadArm
+	Admit          *harness.OpenLoopResult
+	NoAdmit        *harness.OpenLoopResult
 }
 
 func overloadDDL() []string {
@@ -83,10 +54,9 @@ func overloadLoad(e *heap.Engine) error {
 }
 
 // buildOverloadCluster assembles the modelled tier the sweep saturates.
-func buildOverloadCluster(opts OverloadOpts, adm scheduler.AdmissionOptions) (*cluster.Cluster, *obs.Registry, error) {
-	reg := obs.New()
-	c, err := cluster.New(cluster.Config{
-		Slaves:                 opts.Slaves,
+func buildOverloadCluster(adm scheduler.AdmissionOptions) (*cluster.Cluster, error) {
+	return cluster.New(cluster.Config{
+		Slaves:                 overloadSlaves,
 		SchemaDDL:              overloadDDL(),
 		Load:                   overloadLoad,
 		MaxRetries:             8,
@@ -94,9 +64,7 @@ func buildOverloadCluster(opts OverloadOpts, adm scheduler.AdmissionOptions) (*c
 		ServiceWidth:           serviceWidth,
 		UpdateStatementService: updateServiceTime,
 		Admission:              adm,
-		Obs:                    reg,
 	})
-	return c, reg, err
 }
 
 // overloadDo returns the per-arrival interaction: 80% point reads, 20%
@@ -150,92 +118,60 @@ func closedLoopGoodput(c *cluster.Cluster, d Durations) float64 {
 			}
 		}(w)
 	}
-	d.clock().Sleep(d.Warmup)
+	harness.RealClock{}.Sleep(d.Warmup)
 	measuring.Store(true)
-	d.clock().Sleep(d.Measure)
+	harness.RealClock{}.Sleep(d.Measure)
 	measuring.Store(false)
 	close(stop)
 	wg.Wait()
 	return float64(committed.Load()) / d.Measure.Seconds()
 }
 
-// runOverloadArm sweeps the multipliers against one cluster configuration.
-func runOverloadArm(name string, opts OverloadOpts, adm scheduler.AdmissionOptions, plateau float64) (OverloadArm, error) {
-	arm := OverloadArm{Name: name}
-	c, reg, err := buildOverloadCluster(opts, adm)
-	if err != nil {
-		return arm, err
-	}
-	defer c.Close()
-	do := overloadDo(c, opts.Deadline)
-	for _, mult := range opts.Multipliers {
-		rate := mult * plateau
-		if rate <= 0 {
-			continue
-		}
-		cfg := harness.OpenLoopConfig{
-			Do:       do,
-			Rate:     rate,
-			Duration: opts.Dur.Measure,
-			Seed:     harness.DeriveSeed(opts.Dur.Seed, fmt.Sprintf("overload/%s/x%.2f", name, mult)),
-			Clock:    opts.Dur.Clock,
-		}
-		if !opts.NoBurst {
-			cfg.BurstEvery = opts.Dur.Measure / 2
-			cfg.BurstLen = opts.Dur.Measure / 10
-			cfg.BurstFactor = 3
-		}
-		arm.Points = append(arm.Points, OverloadPoint{
-			Multiplier:  mult,
-			OfferedRate: rate,
-			Open:        harness.RunOpenLoop(cfg),
-		})
-	}
-	arm.Shed = reg.Counter(obs.SchedAdmitShed).Load()
-	arm.Abandoned = reg.Counter(obs.SchedDeadlineAbandoned).Load()
-	arm.SojournUS = reg.Histogram(obs.SchedAdmitSojournUS).Snapshot().Summary()
-	return arm, nil
-}
-
-// OverloadSweep runs the full stampede experiment: measure the closed-loop
-// plateau on an unthrottled tier, then offer open-loop load at multiples of
-// it with and without the admission queue. The admission arm should hold
-// admitted p95 near the unloaded latency and goodput near the plateau while
-// shedding the excess; the no-admission arm shows the collapse the queue
-// exists to prevent — latency climbing to the caller deadline and goodput
-// falling as capacity is spent on work whose callers already gave up.
-func OverloadSweep(opts OverloadOpts) (*OverloadResult, error) {
-	if len(opts.Multipliers) == 0 {
-		opts.Multipliers = []float64{0.5, 1.0, 2.0}
-	}
-	if opts.Deadline <= 0 {
-		opts.Deadline = 500 * time.Millisecond
-	}
-	if opts.Slaves <= 0 {
-		opts.Slaves = 2
-	}
-	adm := opts.Admission
-	if adm.Slots <= 0 {
-		adm.Slots = 2*opts.Slaves + 2
-	}
-
-	// Plateau on a dedicated unthrottled cluster so admission never skews
-	// the anchor.
-	base, _, err := buildOverloadCluster(opts, scheduler.AdmissionOptions{})
+// runOverloadArm offers overloadMultiplier× the plateau open-loop, with
+// flash-crowd bursts, to one cluster configuration.
+func runOverloadArm(name string, d Durations, adm scheduler.AdmissionOptions, plateau float64) (*harness.OpenLoopResult, error) {
+	c, err := buildOverloadCluster(adm)
 	if err != nil {
 		return nil, err
 	}
-	plateau := closedLoopGoodput(base, opts.Dur)
+	defer c.Close()
+	return harness.RunOpenLoop(harness.OpenLoopConfig{
+		Do:       overloadDo(c, overloadDeadline),
+		Rate:     overloadMultiplier * plateau,
+		Duration: d.Measure,
+		Seed:     harness.DeriveSeed(d.Seed, fmt.Sprintf("overload/%s/x%.2f", name, overloadMultiplier)),
+		// The rate triples for a tenth of the run, twice per run.
+		BurstEvery:  d.Measure / 2,
+		BurstLen:    d.Measure / 10,
+		BurstFactor: 3,
+	}), nil
+}
+
+// OverloadSweep runs the stampede experiment: measure the closed-loop
+// plateau on an unthrottled tier, then offer twice that open-loop with and
+// without the admission queue. The admission arm should hold admitted p95
+// near the unloaded latency and goodput near the plateau while shedding
+// the excess; the no-admission arm shows the collapse the queue exists to
+// prevent — latency climbing to the caller deadline and goodput falling as
+// capacity is spent on work whose callers already gave up.
+func OverloadSweep(d Durations) (*OverloadResult, error) {
+	// Plateau on a dedicated unthrottled cluster so admission never skews
+	// the anchor.
+	base, err := buildOverloadCluster(scheduler.AdmissionOptions{})
+	if err != nil {
+		return nil, err
+	}
+	plateau := closedLoopGoodput(base, d)
 	base.Close()
 	if plateau <= 0 {
 		return nil, fmt.Errorf("experiments: overload plateau measured zero goodput")
 	}
 
 	res := &OverloadResult{PlateauGoodput: plateau}
-	if res.Admit, err = runOverloadArm("admit", opts, adm, plateau); err != nil {
+	if res.Admit, err = runOverloadArm("admit", d, scheduler.AdmissionOptions{Slots: 2*overloadSlaves + 2}, plateau); err != nil {
 		return nil, err
 	}
-	if res.NoAdmit, err = runOverloadArm("noadmit", opts, scheduler.AdmissionOptions{}, plateau); err != nil {
+	if res.NoAdmit, err = runOverloadArm("noadmit", d, scheduler.AdmissionOptions{}, plateau); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -240,39 +239,10 @@ func Run(cfg RunConfig) *RunResult {
 	return res
 }
 
-// StepRamp runs the workload with increasing client counts (the paper's
-// step-function from 100 to 1000 clients) and returns the peak WIPS and the
-// client count achieving it.
-func StepRamp(cfg RunConfig, steps []int) (peak float64, atClients int, results []*RunResult) {
-	for _, n := range steps {
-		c := cfg
-		c.Clients = n
-		r := Run(c)
-		results = append(results, r)
-		if r.WIPS > peak {
-			peak, atClients = r.WIPS, n
-		}
-	}
-	return peak, atClients, results
-}
-
 // --- reporting ----------------------------------------------------------------
 
-// WriteCSV emits a timeline as CSV.
-func WriteCSV(w io.Writer, series []Point) error {
-	if _, err := fmt.Fprintln(w, "t_sec,wips,avg_latency_ms,errors"); err != nil {
-		return err
-	}
-	for _, p := range series {
-		if _, err := fmt.Fprintf(w, "%.2f,%.2f,%.3f,%d\n", p.T, p.Throughput, p.AvgLatency, p.Errors); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AsciiChart renders a throughput timeline as a fixed-width terminal chart,
-// the report format of the figure binaries.
+// AsciiChart renders a throughput timeline as a fixed-width terminal chart
+// (dmv-scheduler's workload report).
 func AsciiChart(title string, series []Point, height int) string {
 	if height <= 0 {
 		height = 12

@@ -32,27 +32,6 @@ func TestTimelineBucketing(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	var sb strings.Builder
-	err := WriteCSV(&sb, []Point{
-		{T: 0, Throughput: 10, AvgLatency: 1.5, Errors: 0},
-		{T: 0.25, Throughput: 12, AvgLatency: 2.25, Errors: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if lines[0] != "t_sec,wips,avg_latency_ms,errors" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[2], "0.25,12.00,2.250,3") {
-		t.Fatalf("row = %q", lines[2])
-	}
-}
-
 func TestAsciiChartRendersPeak(t *testing.T) {
 	series := []Point{{Throughput: 1}, {Throughput: 5}, {Throughput: 3}}
 	chart := AsciiChart("demo", series, 5)
@@ -94,8 +73,7 @@ func TestRecoveryTimeNoDip(t *testing.T) {
 }
 
 func TestStepRampFindsPeak(t *testing.T) {
-	// StepRamp's mechanics are covered with a synthetic workload in the
-	// experiments package; here just verify Speedup guards.
+	// Speedup guards a zero base; FmtDur rounds for reports.
 	if s := Speedup(10, 0); s <= 0 {
 		t.Fatalf("speedup with zero base = %v", s)
 	}

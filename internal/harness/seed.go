@@ -1,13 +1,12 @@
 package harness
 
 // DeriveSeed maps a root seed and a scenario name to a stable per-scenario
-// seed. The bench subsystem derives every scenario's seed from one
-// user-supplied root so that (a) two runs with the same root seed plan the
-// identical seed set — the determinism the smoke-mode test asserts — and
-// (b) scenarios never share a seed, which would correlate their random
-// streams. FNV-1a folds the name, splitmix64 decorrelates the result; both
-// are fixed algorithms, so derived seeds are portable across hosts and Go
-// versions.
+// seed. The overload experiment derives each arm's open-loop arrival seed
+// from the run's root seed, so (a) one root seed always replays the same
+// arrival streams and (b) the two arms never share a seed, which would
+// correlate their random streams. FNV-1a folds the name, splitmix64
+// decorrelates the result; both are fixed algorithms, so derived seeds are
+// portable across hosts and Go versions.
 func DeriveSeed(root int64, name string) int64 {
 	// FNV-1a over the scenario name.
 	const (

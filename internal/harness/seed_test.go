@@ -2,9 +2,9 @@ package harness
 
 import "testing"
 
-// TestDeriveSeedStable pins the derivation so recorded BENCH_*.json seeds
-// stay reproducible across releases: changing the hash silently invalidates
-// every committed baseline.
+// TestDeriveSeedStable pins the derivation so the overload experiment's
+// arrival seeds stay reproducible across releases: changing the hash
+// silently changes the streams its shape margins were sized on.
 func TestDeriveSeedStable(t *testing.T) {
 	if a, b := DeriveSeed(7, "wal-fsync"), DeriveSeed(7, "wal-fsync"); a != b {
 		t.Errorf("DeriveSeed not deterministic: %d vs %d", a, b)

@@ -1,9 +1,8 @@
 // Package harness drives the paper's experiments: it adapts the database
 // tiers (DMV cluster, stand-alone on-disk database, replicated InnoDB
 // baseline) to the TPC-W workload interface, emulates closed-loop browser
-// clients, records windowed throughput/latency timelines, searches for peak
-// throughput under a client step function, and renders CSV and ASCII charts
-// for the figure-regeneration binaries.
+// clients and open-loop arrivals, records windowed throughput/latency
+// timelines, and renders them as ASCII charts.
 package harness
 
 import (

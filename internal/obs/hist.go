@@ -105,8 +105,7 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 }
 
 // HistSummary carries the standard latency quantiles derived from the
-// bucket layout, for exposition and dashboards. The JSON field names are
-// part of the BENCH_*.json schema (internal/bench), so they are stable.
+// bucket layout, for exposition and dashboards.
 type HistSummary struct {
 	Count int64   `json:"count"`
 	Mean  float64 `json:"mean"`

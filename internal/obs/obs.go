@@ -201,8 +201,7 @@ type Snapshot struct {
 func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
 
 // Summary returns the quantile summary of the snapshotted histogram under
-// name (the zero HistSummary if absent). Bench reporting reads latency
-// quantiles through this single accessor.
+// name (the zero HistSummary if absent).
 func (s Snapshot) Summary(name string) HistSummary { return s.Histograms[name].Summary() }
 
 // Snapshot captures every metric. The handle set is frozen under the

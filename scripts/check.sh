@@ -88,16 +88,6 @@ go run ./cmd/dmv-doctor -check "$flight_dir"/scrub/flight-*-replica-divergence.j
 echo "==> go test -race"
 go test -race -count=1 ./...
 
-echo "==> bench smoke leg (plan/schema/comparator pipeline, fixed seed, no perf assertions)"
-# Seconds-scale: only the count-bounded micro suites run. The binary
-# self-checks JSON round-trip stability, a clean self-diff, and that an
-# injected 100x latency regression is caught; two runs under one seed must
-# plan the identical scenario set (the -list output pins this down).
-smoke_plan_a=$(go run ./cmd/dmv-bench -list -mode smoke -seed 7)
-smoke_plan_b=$(go run ./cmd/dmv-bench -list -mode smoke -seed 7)
-[ "$smoke_plan_a" = "$smoke_plan_b" ] || { echo "bench smoke: plan is not deterministic" >&2; exit 1; }
-go run ./cmd/dmv-bench -mode smoke -seed 7 >/dev/null
-
 echo "==> chaos under -tags dmvdebug (sealed-vector and write-set assertions active)"
 go test -tags dmvdebug -race -count=1 -run 'TestChaos|TestSealed|TestUnsealed' . ./internal/vclock/
 
