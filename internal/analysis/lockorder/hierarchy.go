@@ -173,12 +173,13 @@ var DefaultConfig = &Config{
 		"dmv/internal/heap.Engine.allTables":       levelEngine,
 		"dmv/internal/heap.Engine.AppliedVersions": levelEngine,
 
-		// anti-entropy scrub entry points (DESIGN.md §15): each walks the
-		// catalog and takes table/page locks internally, so callers must
-		// hold nothing at or above the engine band.
+		// anti-entropy scrub and page-install entry points (DESIGN.md §15):
+		// each walks the catalog and takes table/index/page locks
+		// internally, so callers must hold nothing at or above the engine
+		// band.
 		"dmv/internal/heap.Engine.TableDigestAt":    levelEngine,
 		"dmv/internal/heap.Engine.PageImages":       levelEngine,
-		"dmv/internal/heap.Engine.RepairPages":      levelEngine,
+		"dmv/internal/heap.Engine.InstallDelta":     levelEngine,
 		"dmv/internal/heap.Engine.CorruptPage":      levelEngine,
 		"dmv/internal/heap.Engine.CorruptRandomRow": levelEngine,
 

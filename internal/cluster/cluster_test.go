@@ -285,6 +285,31 @@ func TestNodeRestartReintegrates(t *testing.T) {
 	}
 }
 
+// TestStaleReportSparesRestartedNode: a failure report about a killed
+// node's old incarnation can land after Restart has replaced it (reports
+// are asynchronous); it must not declare the restarted node dead, which
+// would leave it in read placement without a replication stream.
+func TestStaleReportSparesRestartedNode(t *testing.T) {
+	c := newTestCluster(t, Config{Slaves: 2, MaxRetries: 20})
+	old, _ := c.Peer("slave1")
+	if err := c.Kill("slave1"); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+	waitFor(t, 2*time.Second, func() bool {
+		return len(c.Scheduler().Slaves()) == 1
+	}, "slave removal")
+	if err := c.Restart("slave1"); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	c.applyHealth("slave1", c.note(old, 0, old.Ping()))
+	if h := c.Health("slave1"); h != healthy {
+		t.Fatalf("restarted slave1 is %s after its old incarnation's report, want healthy", h)
+	}
+	if n := len(c.Scheduler().Slaves()); n != 2 {
+		t.Fatalf("%d slaves in read placement, want 2", n)
+	}
+}
+
 func TestStaleSpareFailover(t *testing.T) {
 	c := newTestCluster(t, Config{
 		Slaves:     2,

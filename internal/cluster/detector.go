@@ -178,16 +178,18 @@ func (p *Plane) probeAll() {
 	wg.Wait()
 
 	for _, t := range targets {
-		p.applyHealth(t.n.ID(), p.note(t.n.ID(), t.rtt, t.err))
+		p.applyHealth(t.n.ID(), p.note(t.n, t.rtt, t.err))
 	}
 }
 
-// note feeds one probe outcome to the member's state machine.
-func (p *Plane) note(id string, rtt time.Duration, err error) healthAction {
+// note feeds one probe outcome for peer n to its member's state machine.
+// An outcome for an incarnation Restart has since replaced under the same
+// id is dropped: the old node's death must not kill the new one.
+func (p *Plane) note(n replica.Peer, rtt time.Duration, err error) healthAction {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	m := p.members[id]
-	if m == nil {
+	m := p.members[n.ID()]
+	if m == nil || m.peer != n {
 		return actNone
 	}
 	return m.observe(rtt, err, p.cfg.SuspectAfter, p.cfg.DeadAfter)
@@ -224,7 +226,7 @@ func (p *Plane) ReportFailure(id string) {
 	// Confirm outside the lock (a scheduler may report a transient error;
 	// the probe may block up to the deadline).
 	if err := p.pingBounded(n); err != nil {
-		p.applyHealth(id, p.note(id, 0, err))
+		p.applyHealth(id, p.note(n, 0, err))
 	}
 }
 
@@ -232,7 +234,9 @@ func (p *Plane) ReportFailure(id string) {
 // subscriber's write-set ack at its deadline. That is one miss worth of
 // suspicion, never an instant death from a single report.
 func (p *Plane) ReportSuspect(id string) {
-	p.applyHealth(id, p.note(id, 0, replica.ErrPeerTimeout))
+	if n, ok := p.Peer(id); ok {
+		p.applyHealth(id, p.note(n, 0, replica.ErrPeerTimeout))
+	}
 }
 
 // applyHealth runs the side effects of a detector transition with no
@@ -249,21 +253,27 @@ func (p *Plane) applyHealth(id string, act healthAction) {
 	case actClear:
 		p.metFalseSuspicions.Inc()
 		p.setHealthGauge(id, "")
-		p.eachSched(func(s *scheduler.Scheduler) { s.SetQuarantined(id, false) })
 		p.emit(Event{Kind: EventNodeCleared, Node: id})
 		p.cfg.Flight.RecordHealth(id, healthSuspect, healthy)
 		// While suspect the node may have missed write-sets (a master
 		// abandons acks at the deadline); close the gap with the
-		// incremental page-delta path — no full state transfer.
+		// incremental page-delta path — no full state transfer — and only
+		// then let reads back onto the node, whether or not it succeeded,
+		// unless it fell under suspicion again meanwhile.
 		p.mu.Lock()
 		var n replica.Peer
 		if m := p.members[id]; m != nil && p.usable(m) {
 			n = m.peer
 		}
 		p.mu.Unlock()
-		if n != nil {
-			go func() { _, _ = p.migrate(n) }()
-		}
+		go func() {
+			if n != nil {
+				_, _ = p.migrate(n)
+			}
+			if p.Health(id) == healthy {
+				p.eachSched(func(s *scheduler.Scheduler) { s.SetQuarantined(id, false) })
+			}
+		}()
 	case actDead:
 		p.confirmDead(id)
 	}

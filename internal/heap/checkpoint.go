@@ -41,64 +41,12 @@ func (e *Engine) FuzzyCheckpoint() *Checkpoint {
 }
 
 // RestoreCheckpoint installs a checkpoint into an engine that has the schema
-// created but no data (a recovering node), then rebuilds row locations and
-// indexes from the materialized state.
+// created but no data (a recovering node). It is InstallDelta into pages
+// that are all empty: every row is new, so its index entries start at
+// version 0 and its row location and row-id allocation point are published
+// as it lands.
 func (e *Engine) RestoreCheckpoint(cp *Checkpoint) error {
-	for _, img := range cp.Images {
-		t, err := e.table(img.Table)
-		if err != nil {
-			return fmt.Errorf("restore checkpoint: %w", err)
-		}
-		pg := t.ensurePage(img.Page, img.CreateVer)
-		pg.Replace(img)
-	}
-	return e.RebuildDerived()
-}
-
-// RebuildDerived reconstructs every table's row-location map, secondary
-// indexes, row-id allocation point, and insert cursor from the materialized
-// page contents. Index entries are installed with version 0 (visible at all
-// versions): the node only ever serves readers at or above the vector it
-// reports after rebuilding, and page-level version checks still guard
-// against stale reads.
-func (e *Engine) RebuildDerived() error {
-	for _, t := range e.allTables() {
-		t.rlMu.Lock()
-		t.rowLoc = make(map[page.RowID]*page.Page, len(t.rowLoc))
-		t.rlMu.Unlock()
-		for _, ix := range t.allIndexes() {
-			ix.reset()
-		}
-		var maxRid page.RowID
-		var maxVer uint64
-		for _, pg := range t.pagesSnapshot() {
-			img := pg.SnapshotBlocking()
-			if img.Version > maxVer {
-				maxVer = img.Version
-			}
-			for rid, row := range img.Rows {
-				t.rlMu.Lock()
-				t.rowLoc[rid] = pg
-				t.rlMu.Unlock()
-				if rid > maxRid {
-					maxRid = rid
-				}
-				for _, ix := range t.allIndexes() {
-					if err := ix.addUnchecked(ix.keyOf(row), rid, 0); err != nil {
-						return fmt.Errorf("rebuild index %s: %w", ix.def.Name, err)
-					}
-				}
-			}
-		}
-		if int64(maxRid) > t.nextRowID.Load() {
-			t.nextRowID.Store(int64(maxRid))
-		}
-		t.bumpVer(maxVer)
-		t.allocMu.Lock()
-		t.curPage, t.curCount = nil, 0
-		t.allocMu.Unlock()
-	}
-	return nil
+	return e.InstallDelta(cp.Images)
 }
 
 // EncodeCheckpoint serializes a checkpoint (gob) for local stable storage.

@@ -90,30 +90,6 @@ func (e *Engine) PageImages(table int, pages []page.ID) ([]page.Image, error) {
 	return out, nil
 }
 
-// RepairPages unconditionally installs the shipped page images — the
-// diverged-node side of changed-page repair. Install would refuse images at
-// the version the node believes it already applied (divergence is exactly
-// "same version, different bytes"), so repair uses Replace, which
-// overwrites the materialized rows while keeping buffered mods newer than
-// the image for normal lazy application. Derived state (row locations,
-// indexes, allocation points) is rebuilt afterwards, as checkpoint restore
-// does.
-func (e *Engine) RepairPages(images []page.Image) error {
-	if len(images) == 0 {
-		return nil
-	}
-	for _, img := range images {
-		t, err := e.table(img.Table)
-		if err != nil {
-			return fmt.Errorf("repair pages: %w", err)
-		}
-		p := t.ensurePage(img.Page, img.CreateVer)
-		p.Replace(img)
-		t.bumpVer(img.Version)
-	}
-	return e.RebuildDerived()
-}
-
 // CorruptPage deterministically flips one bit in one row of the page — the
 // scrub chaos injector. The victim row and bit position derive only from
 // pick, so a seed replays the exact same damage. The flip bypasses all

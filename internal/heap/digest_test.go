@@ -147,7 +147,7 @@ func TestDigestPinnedVersionIgnoresLaterCommits(t *testing.T) {
 // TestCorruptionDivergesAndRepairConverges drives the full tentpole data
 // path at engine level: a seeded bit flip silently diverges a slave (same
 // applied versions, different bytes), the digest diff names exactly the
-// damaged page, and shipping the master's current image over RepairPages
+// damaged page, and shipping the master's current image through InstallDelta
 // restores a matching root.
 func TestCorruptionDivergesAndRepairConverges(t *testing.T) {
 	const rows = 40
@@ -193,7 +193,7 @@ func TestCorruptionDivergesAndRepairConverges(t *testing.T) {
 	if err != nil {
 		t.Fatalf("page images: %v", err)
 	}
-	if err := slave.RepairPages(imgs); err != nil {
+	if err := slave.InstallDelta(imgs); err != nil {
 		t.Fatalf("repair: %v", err)
 	}
 	sd2, err := slave.TableDigestAt(tbl, v, false)
@@ -204,7 +204,7 @@ func TestCorruptionDivergesAndRepairConverges(t *testing.T) {
 		t.Fatalf("repair did not converge: %x != %x", sd2.Root, md.Root)
 	}
 
-	// The repaired slave keeps working: reads resolve through the rebuilt
+	// The repaired slave keeps working: reads resolve through the reconciled
 	// derived state.
 	tx := slave.BeginRead(nil)
 	if _, ok := fetchByPK(t, tx, tbl, 1); !ok {

@@ -45,11 +45,10 @@ func visible(spans []span, v uint64) bool {
 	return false
 }
 
-// Index is a versioned secondary index. Entries are never removed while the
-// database is live (garbage collection of dead spans is future work; the
-// paper similarly keeps no old page versions but index history is what lets
-// this implementation keep page application lazy while staying consistent
-// for index scans at any version).
+// Index is a versioned secondary index. Index history is what lets this
+// implementation keep page application lazy while staying consistent for
+// index scans at any version (the paper keeps no old page versions); spans
+// no reader can see any more are dropped only by gc.
 type Index struct {
 	def  IndexDef
 	mu   sync.RWMutex
@@ -106,11 +105,19 @@ func (ix *Index) addUnchecked(key value.Row, rid page.RowID, ver uint64) error {
 	return ix.addLocked(key, rid, ver)
 }
 
+// addLocked opens a span for (key,rid) unless one is already open: a pair
+// is added at most once per life, so a duplicate delivery of the same
+// write-set (or one racing an install that already added the pair) must
+// not stack a second open span that the next del would leave behind.
 func (ix *Index) addLocked(key value.Row, rid page.RowID, ver uint64) error {
 	k := ikey{key: key, rid: rid}
 	spans, _ := ix.tree.Get(k)
-	spans = append(spans, span{add: ver})
-	ix.tree.Put(k, spans)
+	for _, s := range spans {
+		if s.del == 0 {
+			return nil
+		}
+	}
+	ix.tree.Put(k, append(spans, span{add: ver}))
 	return nil
 }
 
@@ -284,10 +291,48 @@ func (ix *Index) gc(lw uint64) int {
 	return removed
 }
 
-// reset discards all entries (used before an index rebuild during node
-// reintegration).
-func (ix *Index) reset() {
+// reconcile makes the index show, at version v, exactly the pairs of an
+// installed page image. Called under the page's exclusive latch: old holds
+// the page's rows at v that the image replaced, img the image's rows, and
+// prev the page's applied version before the install. A pair of the image
+// the index does not show at v is added from prev, so a reader below v
+// reaches the page and aborts with page.ErrVersionConflict instead of
+// missing the row; a pair shown at v that the image lacks has the span
+// covering v closed at v. Pairs that already agree are left untouched.
+//
+// The pairs shown at v are found through old's keys: write-set application
+// keeps a page's spans in step with its rows, so those are the only pairs
+// the index can show for the page. A node that missed a write-set can hold
+// a pair no row of the page still carries; that one is not found here.
+func (ix *Index) reconcile(old, img map[page.RowID]value.Row, prev, v uint64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.tree = rbtree.New[ikey, []span](cmpIKey)
+	for rid, row := range old {
+		key := ix.keyOf(row)
+		if want, kept := img[rid]; kept && value.CompareRows(ix.keyOf(want), key) == 0 {
+			continue
+		}
+		spans, _ := ix.tree.Get(ikey{key: key, rid: rid})
+		for i, s := range spans {
+			if s.add <= v && (s.del == 0 || v < s.del) {
+				spans[i].del = v
+			}
+		}
+	}
+	for rid, row := range img {
+		k := ikey{key: ix.keyOf(row), rid: rid}
+		spans, _ := ix.tree.Get(k)
+		if visible(spans, v) {
+			continue
+		}
+		// End the added span where a later life of the pair begins, so that
+		// life keeps its own span.
+		var next uint64
+		for _, s := range spans {
+			if s.add > v && (next == 0 || s.add < next) {
+				next = s.add
+			}
+		}
+		ix.tree.Put(k, append(spans, span{add: prev, del: next}))
+	}
 }

@@ -58,20 +58,49 @@ func (e *Engine) DeltaSince(have PageVersionMap, target vclock.Vector) ([]page.I
 	return out, nil
 }
 
-// InstallDelta installs migrated page images (newer-wins) and rebuilds the
-// derived structures. Called on the reintegrating node after it has
-// subscribed to the masters' replication streams, so that any write-set
-// buffered while the migration was in flight applies cleanly on top (the
-// per-group version guard in ApplyWriteSet skips what the images already
-// cover).
+// InstallDelta installs shipped page images: the one install path behind
+// reintegration and stale refresh (a support slave's changed pages), scrub
+// repair (a master's images of diverged pages) and checkpoint restore (every
+// page, into a fresh engine). page.XInstall decides per page: an image at or
+// above the page's applied version replaces its rows, an older one is
+// refused. Row locations and index spans are reconciled page by page, so no
+// reader ever finds them emptied for a rebuild.
+//
+// A reintegrating node calls it after subscribing to the masters'
+// replication streams, so any write-set buffered while the migration was in
+// flight applies cleanly on top (the per-group version guard in
+// ApplyWriteSet skips what the images already cover).
 func (e *Engine) InstallDelta(images []page.Image) error {
 	for _, img := range images {
 		t, err := e.table(img.Table)
 		if err != nil {
 			return fmt.Errorf("install delta: %w", err)
 		}
-		pg := t.ensurePage(img.Page, img.CreateVer)
-		pg.Install(img)
+		t.install(img)
 	}
-	return e.RebuildDerived()
+	return nil
+}
+
+// install installs one image into its page. Row locations are published
+// first: rows never move between pages, so an early entry only leads a
+// reader to the page that holds the row. The index spans then change inside
+// the page's exclusive latch (the order UpdateTx.Commit uses), so a reader
+// that follows a changed entry to the page finds the installed rows, and
+// the entries the image keeps are never touched.
+func (t *Table) install(img page.Image) {
+	pg := t.ensurePage(img.Page, img.CreateVer)
+	for rid := range img.Rows {
+		t.setLoc(rid, pg)
+	}
+	indexes := t.allIndexes()
+	pg.LockX()
+	defer pg.UnlockX()
+	installed, prev, replaced := pg.XInstall(img)
+	if !installed {
+		return
+	}
+	for _, ix := range indexes {
+		ix.reconcile(replaced, img.Rows, prev, img.Version)
+	}
+	t.bumpVer(img.Version)
 }

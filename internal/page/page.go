@@ -367,15 +367,24 @@ func (p *Page) imageLocked() Image {
 	}
 }
 
-// Install replaces the page state with a migrated image if the image is
-// newer than the locally materialized version, then drops pending mods that
-// the image already covers. Returns whether the image was installed.
-func (p *Page) Install(img Image) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if img.Version <= p.applied {
-		return false
+// XInstall overwrites the page with a shipped image unless the page has
+// already applied past it. An image at the page's own version is a scrub
+// repair (same version, different bytes); a newer one is migration or
+// checkpoint restore; an older one is refused, since the page is already
+// fresher. Pending modifications up to the image version are applied first
+// and then superseded by the image; newer ones stay buffered.
+//
+// Caller must hold the exclusive latch, and keeps it while it reconciles
+// derived state with the returned prev (the applied version before the
+// install) and replaced (the page's rows at the image version, which the
+// image superseded).
+func (p *Page) XInstall(img Image) (installed bool, prev uint64, replaced map[RowID]value.Row) {
+	prev = p.applied
+	if img.Version < prev {
+		return false, prev, nil
 	}
+	_ = p.ensureLocked(img.Version, true) // cannot conflict: img.Version >= applied
+	replaced = p.rows
 	p.rows = make(map[RowID]value.Row, len(img.Rows))
 	for id, r := range img.Rows {
 		p.rows[id] = r.Clone()
@@ -384,25 +393,7 @@ func (p *Page) Install(img Image) bool {
 	if img.CreateVer < p.createVer.Load() {
 		p.createVer.Store(img.CreateVer)
 	}
-	i := sort.Search(len(p.pending), func(i int) bool { return p.pending[i].Version > img.Version })
-	p.pending = append([]Mod(nil), p.pending[i:]...)
-	return true
-}
-
-// Replace unconditionally overwrites the page state from an image
-// (checkpoint restore into a fresh engine). Pending modifications newer than
-// the image are kept.
-func (p *Page) Replace(img Image) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.rows = make(map[RowID]value.Row, len(img.Rows))
-	for id, r := range img.Rows {
-		p.rows[id] = r.Clone()
-	}
-	p.applied = img.Version
-	p.createVer.Store(img.CreateVer)
-	i := sort.Search(len(p.pending), func(i int) bool { return p.pending[i].Version > img.Version })
-	p.pending = append([]Mod(nil), p.pending[i:]...)
+	return true, prev, replaced
 }
 
 // RowCount returns the number of live rows (materialized state).

@@ -106,25 +106,75 @@ func TestDiscardAbove(t *testing.T) {
 	}
 }
 
-func TestInstallNewerWins(t *testing.T) {
+// The install rule: an image older than the page is refused, one at the
+// page's version overwrites it, and a newer one installs while keeping the
+// pending changes it does not cover. TestInstallNewerWins and
+// TestReplaceOverwrites pin its three cases.
+type installCase struct {
+	version     uint64
+	installed   bool
+	wantPending int
+	wantLatest  map[RowID]int64 // rows once every pending change applied
+}
+
+// checkInstall installs an image holding only row 9 into a page that holds
+// row 1 at version 2, with changes 3 and 4 pending.
+func checkInstall(t *testing.T, c installCase) {
+	t.Helper()
 	p := New(0, 0, 0)
 	p.Enqueue(mod(1, ins(1, 10)))
-	img := Image{Table: 0, Page: 0, Version: 5, Rows: map[RowID]value.Row{2: intRow(50)}}
-	if !p.Install(img) {
-		t.Fatal("install of newer image refused")
+	p.Enqueue(mod(2, upd(1, 20)))
+	p.Enqueue(mod(3, upd(1, 30)))
+	p.Enqueue(mod(4, upd(1, 40)))
+	_ = rowsAt(t, p, 2)
+	p.LockX()
+	got, prev, replaced := p.XInstall(Image{Version: c.version, Rows: map[RowID]value.Row{9: intRow(90)}})
+	p.UnlockX()
+	if got != c.installed || prev != 2 {
+		t.Fatalf("XInstall = %v from version %d, want %v from 2", got, prev, c.installed)
 	}
-	got := rowsAt(t, p, 5)
-	if got[2] != 50 || len(got) != 1 {
-		t.Fatalf("after install: %v", got)
+	if c.installed {
+		// The replaced rows are the page brought up to the image version.
+		if r, ok := replaced[1]; len(replaced) != 1 || !ok || r[0].AsInt() != int64(c.version)*10 {
+			t.Fatalf("replaced rows %v, want the page at version %d", replaced, c.version)
+		}
+		if at := rowsAt(t, p, c.version); !equalRows(at, map[RowID]int64{9: 90}) {
+			t.Fatalf("rows at %d = %v, want the image", c.version, at)
+		}
 	}
-	// Older image must be refused.
-	if p.Install(Image{Version: 3}) {
-		t.Fatal("older image installed")
+	if p.PendingLen() != c.wantPending {
+		t.Fatalf("pending = %d, want %d", p.PendingLen(), c.wantPending)
 	}
-	// Pending mods <= image version were pruned.
-	if p.PendingLen() != 0 {
-		t.Fatalf("pending = %d", p.PendingLen())
+	if at := rowsAt(t, p, 4); !equalRows(at, c.wantLatest) {
+		t.Fatalf("rows at 4 = %v, want %v", at, c.wantLatest)
 	}
+}
+
+func TestInstallNewerWins(t *testing.T) {
+	t.Run("older refused", func(t *testing.T) {
+		checkInstall(t, installCase{1, false, 2, map[RowID]int64{1: 40}})
+	})
+	t.Run("newer keeps newer pending", func(t *testing.T) {
+		checkInstall(t, installCase{3, true, 1, map[RowID]int64{1: 40, 9: 90}})
+	})
+}
+
+// TestReplaceOverwrites pins the scrub repair: an image at the page's own
+// version overwrites its rows and leaves the pending changes alone.
+func TestReplaceOverwrites(t *testing.T) {
+	checkInstall(t, installCase{2, true, 2, map[RowID]int64{1: 40, 9: 90}})
+}
+
+func equalRows(a, b map[RowID]int64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for rid, v := range a {
+		if w, ok := b[rid]; !ok || w != v {
+			return false
+		}
+	}
+	return true
 }
 
 func TestSnapshotSkipsDirty(t *testing.T) {
@@ -241,16 +291,5 @@ func TestApplyPrefixDeterministic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestReplaceOverwrites(t *testing.T) {
-	p := New(0, 0, 0)
-	p.Enqueue(mod(1, ins(1, 10)))
-	_ = rowsAt(t, p, 1)
-	p.Replace(Image{Version: 0, CreateVer: 0, Rows: map[RowID]value.Row{9: intRow(90)}})
-	got := rowsAt(t, p, 0)
-	if got[9] != 90 || len(got) != 1 {
-		t.Fatalf("after replace: %v", got)
 	}
 }

@@ -111,7 +111,8 @@ type Peer interface {
 	DiscardAbove(v vclock.Vector) error
 	MaxVersions() (vclock.Vector, error)
 
-	// Reintegration (Section 4.4).
+	// Reintegration (Section 4.4). InstallDelta is the one page-install
+	// path: migration deltas and scrub repair images both land through it.
 	StartJoin() error
 	PageVersions() (heap.PageVersionMap, error)
 	DeltaSince(have heap.PageVersionMap, target vclock.Vector) ([]page.Image, error)
@@ -119,11 +120,10 @@ type Peer interface {
 	FinishJoin() error
 
 	// Anti-entropy scrub (DESIGN.md §15): a snapshot-consistent state
-	// digest at a pinned version, the healthy-donor side of changed-page
-	// repair, and the unconditional install on the diverged node.
+	// digest at a pinned version, and the healthy-donor side of
+	// changed-page repair.
 	Digest(table int, version uint64, withPages bool) (scrub.TableDigest, error)
 	PageImages(table int, pages []page.ID) ([]page.Image, error)
-	RepairPages(images []page.Image) error
 
 	// Buffer-cache warm-up (Section 4.5).
 	WarmPages(keys []simdisk.PageKey) error
@@ -958,7 +958,8 @@ func (n *Node) DeltaSince(have heap.PageVersionMap, target vclock.Vector) ([]pag
 	return n.eng.DeltaSince(have, target)
 }
 
-// InstallDelta implements Peer (joining-node side of data migration).
+// InstallDelta implements Peer (joining-node side of data migration, and
+// diverged-node side of changed-page repair).
 func (n *Node) InstallDelta(images []page.Image) error {
 	if err := n.check(); err != nil {
 		return err
@@ -1011,14 +1012,6 @@ func (n *Node) PageImages(table int, pages []page.ID) ([]page.Image, error) {
 		return nil, err
 	}
 	return n.eng.PageImages(table, pages)
-}
-
-// RepairPages implements Peer (diverged-node side of changed-page repair).
-func (n *Node) RepairPages(images []page.Image) error {
-	if err := n.check(); err != nil {
-		return err
-	}
-	return n.eng.RepairPages(images)
 }
 
 // --- observability ----------------------------------------------------------

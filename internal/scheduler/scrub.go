@@ -337,11 +337,12 @@ func scrubFrontier(t int, master replica.Peer, audit []replica.Peer) (uint64, []
 }
 
 // repair ships the master's current images for every diverged page to the
-// node and verifies convergence by re-digesting the affected tables. The
-// StartJoin/FinishJoin bracket makes the bulk install safe under live
-// replication: write-sets arriving mid-repair buffer on the node and drain
-// through the versioned apply path afterwards, so nothing acked is lost and
-// nothing is applied twice.
+// node through the same InstallDelta that reintegration uses (an image at
+// the page's own version overwrites it: divergence is "same version,
+// different bytes"). The StartJoin/FinishJoin bracket makes the install
+// safe under live replication: write-sets arriving mid-repair buffer on the
+// node and drain through the versioned apply path afterwards, so nothing
+// acked is lost and nothing is applied twice.
 func (sc *Scrubber) repair(peer replica.Peer, mms []ScrubMismatch) (pages int, err error) {
 	if err := peer.StartJoin(); err != nil {
 		return 0, fmt.Errorf("scrub repair %s: start join: %w", peer.ID(), err)
@@ -363,7 +364,7 @@ func (sc *Scrubber) repair(peer replica.Peer, mms []ScrubMismatch) (pages int, e
 		if err != nil {
 			return pages, fmt.Errorf("scrub repair %s: fetch images: %w", peer.ID(), err)
 		}
-		if err := peer.RepairPages(imgs); err != nil {
+		if err := peer.InstallDelta(imgs); err != nil {
 			return pages, fmt.Errorf("scrub repair %s: install images: %w", peer.ID(), err)
 		}
 		pages += len(imgs)

@@ -399,12 +399,6 @@ func (s *NodeService) PageImages(args PageImagesArgs, reply *ImagesReply) error 
 	return nil
 }
 
-// RepairPages installs repair images on a diverged node.
-func (s *NodeService) RepairPages(images []page.Image, reply *Status) error {
-	reply.set(s.node.RepairPages(images))
-	return nil
-}
-
 // ObsSnapshotReply carries the node's observability snapshot (identity,
 // version state, metrics, trace ring) for the scheduler's aggregation
 // plane.
@@ -1190,16 +1184,6 @@ func (n *RemoteNode) PageImages(table int, pages []page.ID) ([]page.Image, error
 		return nil, err
 	}
 	return reply.Images, reply.Err()
-}
-
-// RepairPages implements replica.Peer. Replacing a page with the same image
-// twice leaves identical content, so replay is safe.
-func (n *RemoteNode) RepairPages(images []page.Image) error {
-	var st Status
-	if err := n.callIdem("Node.RepairPages", images, &st, n.opts.CallTimeout); err != nil {
-		return err
-	}
-	return st.Err()
 }
 
 // ObsSnapshot fetches the remote node's observability snapshot (not part

@@ -13,7 +13,7 @@ import (
 
 // TestScrubRPCRoundTrip drives the anti-entropy RPCs over real TCP: a digest
 // taken remotely matches the local one, diverged pages ship as images from
-// the master, and RepairPages installed over the wire converges the slave.
+// the master, and InstallDelta over the wire converges the slave.
 func TestScrubRPCRoundTrip(t *testing.T) {
 	master := newTPCNode(t, "m")
 	slave := newTPCNode(t, "s")
@@ -130,7 +130,7 @@ func TestScrubRPCRoundTrip(t *testing.T) {
 	if err != nil || len(imgs) != 1 {
 		t.Fatalf("page images = %d, %v", len(imgs), err)
 	}
-	if err := sPeer.RepairPages(imgs); err != nil {
+	if err := sPeer.InstallDelta(imgs); err != nil {
 		t.Fatalf("repair: %v", err)
 	}
 	sd3, err := sPeer.Digest(0, v, false)
