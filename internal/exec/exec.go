@@ -416,12 +416,12 @@ func choosePath(tx heap.Txn, b *binder, tabIdx int, conjuncts []sql.Expr, maxOut
 
 // scanPath streams the rows of table tabIdx matching the access path, given
 // the outer environment (for probe-expression evaluation).
-func scanPath(tx heap.Txn, b *binder, tabIdx int, path accessPath, outer *env, fn func(row value.Row) (bool, error)) error {
+func scanPath(tx heap.Txn, b *binder, tabIdx int, path accessPath, outer *env, fn func(rid page.RowID, row value.Row) (bool, error)) error {
 	tb := b.tabs[tabIdx]
 	if path.idx < 0 {
 		var ferr error
-		err := tx.Scan(tb.tid, func(_ page.RowID, row value.Row) bool {
-			cont, err := fn(row)
+		err := tx.Scan(tb.tid, func(rid page.RowID, row value.Row) bool {
+			cont, err := fn(rid, row)
 			if err != nil {
 				ferr = err
 				return false
@@ -495,7 +495,7 @@ func scanPath(tx heap.Txn, b *binder, tabIdx int, path accessPath, outer *env, f
 		if !ok {
 			return true
 		}
-		cont, err := fn(row)
+		cont, err := fn(rid, row)
 		if err != nil {
 			ferr = err
 			return false
@@ -612,7 +612,7 @@ func runSelect(tx heap.Txn, sel *sql.Select, params []value.Value) (*Result, err
 		for _, outerRow := range joined {
 			outerEnv := &env{cols: b.cols, row: outerRow, params: params, tx: tx, subs: subs}
 			matched := false
-			err := scanPath(tx, b, i, path, outerEnv, func(row value.Row) (bool, error) {
+			err := scanPath(tx, b, i, path, outerEnv, func(_ page.RowID, row value.Row) (bool, error) {
 				combined := make(value.Row, 0, len(outerRow)+len(row))
 				combined = append(combined, outerRow...)
 				combined = append(combined, row...)
@@ -1137,12 +1137,10 @@ func targetRows(tx heap.Txn, table string, where sql.Expr, params []value.Value)
 		}
 		residual = append(residual, c)
 	}
-	tid := b.tabs[0].tid
 	subs := make(subCache)
 	outerEnv := &env{cols: b.cols, params: params, tx: tx, subs: subs}
 	var rids []page.RowID
-
-	collect := func(rid page.RowID, row value.Row) (bool, error) {
+	err = scanPath(tx, b, 0, path, outerEnv, func(rid page.RowID, row value.Row) (bool, error) {
 		rowEnv := &env{cols: b.cols, row: row, params: params, tx: tx, subs: subs}
 		for _, r := range residual {
 			v, err := eval(r, rowEnv)
@@ -1155,66 +1153,11 @@ func targetRows(tx heap.Txn, table string, where sql.Expr, params []value.Value)
 		}
 		rids = append(rids, rid)
 		return true, nil
-	}
-
-	if path.idx < 0 {
-		var ferr error
-		err := tx.Scan(tid, func(rid page.RowID, row value.Row) bool {
-			cont, err := collect(rid, row)
-			if err != nil {
-				ferr = err
-				return false
-			}
-			return cont
-		})
-		if err != nil {
-			return 0, nil, err
-		}
-		if ferr != nil {
-			return 0, nil, ferr
-		}
-		return tid, rids, nil
-	}
-
-	// Index path: reuse scanPath but we need row ids, so duplicate the
-	// probe/fetch loop with ids exposed.
-	prefix := make(value.Row, 0, len(path.eq))
-	for _, ex := range path.eq {
-		v, err := eval(ex, outerEnv)
-		if err != nil {
-			return 0, nil, err
-		}
-		prefix = append(prefix, v)
-	}
-	var ferr error
-	err = tx.IndexScan(tid, path.idx, prefix, func(key value.Row, rid page.RowID) bool {
-		for i := range prefix {
-			if i >= len(key) || !value.Equal(key[i], prefix[i]) {
-				return false
-			}
-		}
-		row, ok, err := tx.Fetch(tid, rid)
-		if err != nil {
-			ferr = err
-			return false
-		}
-		if !ok {
-			return true
-		}
-		cont, err := collect(rid, row)
-		if err != nil {
-			ferr = err
-			return false
-		}
-		return cont
 	})
 	if err != nil {
 		return 0, nil, err
 	}
-	if ferr != nil {
-		return 0, nil, ferr
-	}
-	return tid, rids, nil
+	return b.tabs[0].tid, rids, nil
 }
 
 func runUpdate(tx heap.Txn, up *sql.Update, params []value.Value) (*Result, error) {

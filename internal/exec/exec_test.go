@@ -239,6 +239,52 @@ func TestUpdateAndDelete(t *testing.T) {
 	}
 }
 
+// TestRangeUpdateDeleteOnIndexedColumn pins that UPDATE and DELETE honour a
+// range bound the access path consumed: the index probe must stop at it,
+// since the bound is no longer in the residual predicates.
+func TestRangeUpdateDeleteOnIndexedColumn(t *testing.T) {
+	e := heap.NewEngine(heap.Options{PageCap: 8})
+	if err := ExecDDL(e, `CREATE TABLE t (id INT PRIMARY KEY, v INT)`); err != nil {
+		t.Fatal(err)
+	}
+	run := func(q string) int {
+		t.Helper()
+		tx := e.BeginUpdate()
+		res, err := Run(tx, q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if _, err := tx.Commit(nil); err != nil {
+			t.Fatalf("commit %s: %v", q, err)
+		}
+		return res.Affected
+	}
+	for i := 1; i <= 10; i++ {
+		run(fmt.Sprintf(`INSERT INTO t (id, v) VALUES (%d, 0)`, i))
+	}
+	for _, c := range []struct {
+		q    string
+		want int
+	}{
+		{`UPDATE t SET v = 1 WHERE id > 8`, 2},
+		{`UPDATE t SET v = 2 WHERE id >= 3 AND id < 5`, 2},
+		{`DELETE FROM t WHERE id <= 2`, 2},
+	} {
+		if got := run(c.q); got != c.want {
+			t.Fatalf("%s: affected %d, want %d", c.q, got, c.want)
+		}
+	}
+	got := query(t, e, `SELECT id, v FROM t ORDER BY id`)
+	want := "3:2 4:2 5:0 6:0 7:0 8:0 9:1 10:1"
+	var parts []string
+	for _, r := range got.Rows {
+		parts = append(parts, fmt.Sprintf("%d:%d", r[0].AsInt(), r[1].AsInt()))
+	}
+	if s := strings.Join(parts, " "); s != want {
+		t.Fatalf("rows = %s, want %s", s, want)
+	}
+}
+
 func TestSecondaryIndexMaintainedByUpdate(t *testing.T) {
 	e := newBookDB(t)
 	tx := e.BeginUpdate()

@@ -126,12 +126,11 @@ func (e *Engine) CorruptPage(table int, pg page.ID, pick int64) (page.RowID, err
 	if len(row) == 0 {
 		return 0, fmt.Errorf("%w: table %d page %d row %d is empty", ErrNoRows, table, pg, rid)
 	}
-	// Damage a clone and swap it in: in-process replication shares row
-	// backing arrays between engines (write-sets are not serialized), so an
-	// in-place flip would corrupt the master's copy too and the divergence
-	// would be undetectable by construction.
+	// Damage a clone, then publish it: stored rows are immutable (readers
+	// hold them without copies), and in-process replication shares row
+	// backing arrays between engines, so an in-place flip would corrupt the
+	// master's copy too and the divergence would be undetectable.
 	row = row.Clone()
-	rows[rid] = row
 	ci := rng.Intn(len(row))
 	switch v := row[ci]; v.K {
 	case value.Int:
@@ -149,6 +148,7 @@ func (e *Engine) CorruptPage(table int, pg page.ID, pick int64) (page.RowID, err
 	default:
 		row[ci] = value.NewInt(1)
 	}
+	p.XApply(page.RowOp{Kind: page.OpUpdate, Row: rid, Data: row})
 	return rid, nil
 }
 

@@ -108,86 +108,101 @@ func (ix *Index) addUnchecked(key value.Row, rid page.RowID, ver uint64) error {
 // addLocked opens a span for (key,rid) unless one is already open: a pair
 // is added at most once per life, so a duplicate delivery of the same
 // write-set (or one racing an install that already added the pair) must
-// not stack a second open span that the next del would leave behind.
+// not stack a second open span that the next del would leave behind. One
+// tree descent finds the pair and stores its spans.
 func (ix *Index) addLocked(key value.Row, rid page.RowID, ver uint64) error {
-	k := ikey{key: key, rid: rid}
-	spans, _ := ix.tree.Get(k)
-	for _, s := range spans {
-		if s.del == 0 {
-			return nil
+	ix.tree.Upsert(ikey{key: key, rid: rid}, func(spans []span, found bool) []span {
+		if !found {
+			value.Seal(key) // the tree now holds key; scan hands it out as is
 		}
-	}
-	ix.tree.Put(k, append(spans, span{add: ver}))
+		for _, s := range spans {
+			if s.del == 0 {
+				return spans
+			}
+		}
+		return append(spans, span{add: ver})
+	})
 	return nil
 }
 
-// del ends the visibility of (key,rid) at version ver.
+// del ends the visibility of (key,rid) at version ver. The span is closed
+// in place, as reconcile does, so one lookup suffices and nothing is stored
+// for a pair the index does not hold.
 func (ix *Index) del(key value.Row, rid page.RowID, ver uint64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	k := ikey{key: key, rid: rid}
-	spans, ok := ix.tree.Get(k)
-	if !ok {
-		return
-	}
+	spans, _ := ix.tree.Get(ikey{key: key, rid: rid})
 	for i := len(spans) - 1; i >= 0; i-- {
 		if spans[i].del == 0 {
 			spans[i].del = ver
 			break
 		}
 	}
-	ix.tree.Put(k, spans)
 }
 
+// Chunk sizes of scan: the first chunk is small because most scans are
+// point probes (lookupEq, a unique-key fetch) whose caller reads one or two
+// entries and stops; each later chunk is scanChunkGrowth times larger, up
+// to scanChunkMax, so a long range scan still takes the latch once per
+// scanChunkMax entries.
+const (
+	scanChunkFirst  = 8
+	scanChunkGrowth = 4
+	scanChunkMax    = 256
+)
+
 // scan iterates entries with key >= from (nil from = whole index) visible at
-// version v, in key order, until fn returns false.
+// version v, in key order, until fn returns false. The keys fn receives are
+// the stored ones, immutable once added: fn must not write into them.
 //
 // The index latch is NEVER held while fn runs: fn typically fetches pages,
 // and a committing update transaction holds page latches while publishing
 // index entries — holding the index latch across fn would create a classic
 // index->page vs page->index deadlock. Entries are therefore collected in
-// chunks under a shared latch and delivered latch-free. Entries inserted
-// behind the cursor between chunks are invisible at the reader's version by
-// construction (write-sets are acknowledged before the version is ever
-// assigned to a reader).
+// chunks (see scanChunkFirst) under a shared latch and delivered
+// latch-free. Entries inserted behind the cursor between chunks are
+// invisible at the reader's version by construction (write-sets are
+// acknowledged before the version is ever assigned to a reader).
 func (ix *Index) scan(from value.Row, v uint64, fn func(key value.Row, rid page.RowID) bool) {
-	const chunk = 256
-	var resume *ikey
-	buf := make([]ikey, 0, chunk)
-	for {
-		buf = buf[:0]
-		start := ikey{rid: -1 << 62}
-		if resume != nil {
-			start = *resume
-		} else if from != nil {
-			start = ikey{key: from, rid: -1 << 62}
+	var (
+		buf     []ikey
+		resume  ikey
+		resumed bool
+	)
+	for size := scanChunkFirst; ; size = min(size*scanChunkGrowth, scanChunkMax) {
+		if cap(buf) < size {
+			buf = make([]ikey, 0, size)
 		}
-		ix.mu.RLock()
+		buf = buf[:0]
 		iter := func(k ikey, spans []span) bool {
-			if resume != nil && cmpIKey(k, *resume) <= 0 {
+			if resumed && cmpIKey(k, resume) <= 0 {
 				return true
 			}
 			if visible(spans, v) {
-				buf = append(buf, ikey{key: k.key.Clone(), rid: k.rid})
+				buf = append(buf, k)
 			}
-			return len(buf) < chunk
+			return len(buf) < size
 		}
-		if resume == nil && from == nil {
+		ix.mu.RLock()
+		switch {
+		case resumed:
+			ix.tree.Ascend(resume, iter)
+		case from != nil:
+			ix.tree.Ascend(ikey{key: from, rid: -1 << 62}, iter)
+		default:
 			ix.tree.AscendAll(iter)
-		} else {
-			ix.tree.Ascend(start, iter)
 		}
 		ix.mu.RUnlock()
 		for _, k := range buf {
+			value.CheckSealed(k.key)
 			if !fn(k.key, k.rid) {
 				return
 			}
 		}
-		if len(buf) < chunk {
+		if len(buf) < size {
 			return
 		}
-		last := buf[len(buf)-1]
-		resume = &last
+		resume, resumed = buf[len(buf)-1], true
 	}
 }
 
@@ -333,6 +348,7 @@ func (ix *Index) reconcile(old, img map[page.RowID]value.Row, prev, v uint64) {
 				next = s.add
 			}
 		}
+		value.Seal(k.key)
 		ix.tree.Put(k, append(spans, span{add: prev, del: next}))
 	}
 }

@@ -20,12 +20,17 @@ type Txn interface {
 	// ReadOnly reports whether mutations are allowed.
 	ReadOnly() bool
 	// Fetch returns the row with the given id, if it exists in this
-	// transaction's view.
+	// transaction's view. A ReadTx returns the stored row: it belongs to
+	// the engine and must not be modified. An UpdateTx returns a private
+	// copy the caller may modify and pass to Update.
 	Fetch(table int, rid page.RowID) (value.Row, bool, error)
-	// Scan iterates all rows of the table until fn returns false.
+	// Scan iterates all rows of the table until fn returns false. Rows are
+	// owned as for Fetch: stored rows from a ReadTx, copies from an
+	// UpdateTx.
 	Scan(table int, fn func(rid page.RowID, row value.Row) bool) error
 	// IndexScan iterates index entries with key >= from (nil = all) in key
-	// order until fn returns false.
+	// order until fn returns false. Every key fn receives belongs to the
+	// engine and must not be modified.
 	IndexScan(table, idx int, from value.Row, fn func(key value.Row, rid page.RowID) bool) error
 	// LookupEq returns the row ids whose index key equals key.
 	LookupEq(table, idx int, key value.Row) ([]page.RowID, error)
@@ -109,7 +114,8 @@ func (tx *ReadTx) Scan(table int, fn func(rid page.RowID, row value.Row) bool) e
 		tx.e.observe(table, pg.ID())
 		err := pg.View(v, func(rows map[page.RowID]value.Row) error {
 			for rid, row := range rows {
-				if !fn(rid, row.Clone()) {
+				value.CheckSealed(row)
+				if !fn(rid, row) {
 					return errStopScan
 				}
 			}
@@ -280,6 +286,8 @@ func (tx *UpdateTx) Fetch(table int, rid page.RowID) (value.Row, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
+	// A copy, unlike ReadTx: update callers (exec's UPDATE, read-modify-
+	// write tests) change the fetched row and write it back.
 	return row.Clone(), true, nil
 }
 
@@ -295,7 +303,7 @@ func (tx *UpdateTx) Scan(table int, fn func(rid page.RowID, row value.Row) bool)
 			return err
 		}
 		for rid, row := range pg.XRows() {
-			if !fn(rid, row.Clone()) {
+			if !fn(rid, row.Clone()) { // a copy, as in Fetch
 				return nil
 			}
 		}
@@ -495,6 +503,9 @@ func (tx *UpdateTx) Update(table int, rid page.RowID, row value.Row) error {
 			return err
 		}
 	}
+	// The before-image stays a copy: it leaves the page in the write-set
+	// (Record.Old, read by every replica and the persistence tier) and in
+	// the undo log, where the seal checks on the read path do not reach.
 	beforeCopy := before.Clone()
 	pg.XApply(page.RowOp{Kind: page.OpUpdate, Row: rid, Data: r})
 	tx.undo = append(tx.undo, undoOp{t: t, pg: pg, kind: page.OpUpdate, rid: rid, before: beforeCopy})
@@ -537,7 +548,7 @@ func (tx *UpdateTx) Delete(table int, rid page.RowID) error {
 	if !ok {
 		return fmt.Errorf("%w: table %s row %d", ErrRowNotFound, t.def.Name, rid)
 	}
-	beforeCopy := before.Clone()
+	beforeCopy := before.Clone() // a copy, as in Update
 	pg.XApply(page.RowOp{Kind: page.OpDelete, Row: rid})
 	tx.undo = append(tx.undo, undoOp{t: t, pg: pg, kind: page.OpDelete, rid: rid, before: beforeCopy})
 	tx.recs = append(tx.recs, Record{

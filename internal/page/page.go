@@ -99,7 +99,7 @@ func New(table int, id ID, createVer uint64) *Page {
 	p := &Page{
 		id:    id,
 		table: table,
-		rows:  make(map[RowID]value.Row, 64),
+		rows:  make(map[RowID]value.Row),
 	}
 	// applied starts at 0: an empty page is a valid materialization of every
 	// version up to its first modification.
@@ -196,12 +196,7 @@ func (p *Page) DiscardAbove(v uint64) int {
 
 func (p *Page) applyLocked(m Mod) {
 	for _, op := range m.Ops {
-		switch op.Kind {
-		case OpInsert, OpUpdate:
-			p.rows[op.Row] = op.Data
-		case OpDelete:
-			delete(p.rows, op.Row)
-		}
+		p.XApply(op)
 	}
 	if m.Version > p.applied {
 		p.applied = m.Version
@@ -232,8 +227,10 @@ func (p *Page) ensureLocked(v uint64, eager bool) error {
 }
 
 // View materializes the page at table version v and calls fn with the row
-// slots under a shared latch. fn must not retain or mutate the map. Returns
-// ErrVersionConflict if version v is no longer constructible.
+// slots under a shared latch. fn must not retain or mutate the map. The rows
+// in it are the stored rows, immutable once published: fn may keep one but
+// must never write into it. Returns ErrVersionConflict if version v is no
+// longer constructible.
 func (p *Page) View(v uint64, fn func(rows map[RowID]value.Row) error) error {
 	for {
 		p.mu.RLock()
@@ -258,16 +255,14 @@ func (p *Page) View(v uint64, fn func(rows map[RowID]value.Row) error) error {
 }
 
 // Get returns the row at rid as of version v (materializing v first). ok is
-// false if the row does not exist at v.
+// false if the row does not exist at v. The row is the stored one, not a
+// copy: the caller must not write into it.
 func (p *Page) Get(rid RowID, v uint64) (row value.Row, ok bool, err error) {
 	err = p.View(v, func(rows map[RowID]value.Row) error {
-		r, exists := rows[rid]
-		if exists {
-			row = r.Clone()
-			ok = true
-		}
+		row, ok = rows[rid]
 		return nil
 	})
+	value.CheckSealed(row)
 	return row, ok, err
 }
 
@@ -286,10 +281,13 @@ func (p *Page) UnlockX() { p.mu.Unlock() }
 // XRows exposes the live slots. Caller must hold the exclusive latch.
 func (p *Page) XRows() map[RowID]value.Row { return p.rows }
 
-// XApply mutates one row. Caller must hold the exclusive latch.
+// XApply mutates one row. Caller must hold the exclusive latch. An inserted
+// or updated row is published as it is: op.Data must be a slice nobody
+// writes into afterwards, since readers are handed it without a copy.
 func (p *Page) XApply(op RowOp) {
 	switch op.Kind {
 	case OpInsert, OpUpdate:
+		value.Seal(op.Data)
 		p.rows[op.Row] = op.Data
 	case OpDelete:
 		delete(p.rows, op.Row)
@@ -353,6 +351,9 @@ func (p *Page) SnapshotBlocking() Image {
 	return p.imageLocked()
 }
 
+// imageLocked copies the rows although they are immutable: an image leaves
+// the engine (checkpoint file, migration RPC, the receiving engine's pages),
+// and only the checkpoint and migration paths take one, never a workload.
 func (p *Page) imageLocked() Image {
 	rows := make(map[RowID]value.Row, len(p.rows))
 	for id, r := range p.rows {
@@ -387,7 +388,11 @@ func (p *Page) XInstall(img Image) (installed bool, prev uint64, replaced map[Ro
 	replaced = p.rows
 	p.rows = make(map[RowID]value.Row, len(img.Rows))
 	for id, r := range img.Rows {
-		p.rows[id] = r.Clone()
+		// The image belongs to the caller, which may hand it to other
+		// engines too: publish a private copy.
+		r = r.Clone()
+		value.Seal(r)
+		p.rows[id] = r
 	}
 	p.applied = img.Version
 	if img.CreateVer < p.createVer.Load() {

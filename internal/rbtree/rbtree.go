@@ -57,24 +57,30 @@ func (t *Tree[K, V]) Get(key K) (V, bool) {
 }
 
 // Put inserts or replaces the value at key.
-func (t *Tree[K, V]) Put(key K, val V) {
-	t.root = t.put(t.root, key, val)
+func (t *Tree[K, V]) Put(key K, val V) { t.Upsert(key, func(V, bool) V { return val }) }
+
+// Upsert stores fn(old, found) at key in a single descent: old is the value
+// already stored (found true), or the zero value when key is absent, in
+// which case key is inserted. A present key keeps its stored key value.
+func (t *Tree[K, V]) Upsert(key K, fn func(old V, found bool) V) {
+	t.root = t.upsert(t.root, key, fn)
 	t.root.color = black
 }
 
-func (t *Tree[K, V]) put(h *node[K, V], key K, val V) *node[K, V] {
+func (t *Tree[K, V]) upsert(h *node[K, V], key K, fn func(V, bool) V) *node[K, V] {
 	if h == nil {
 		t.size++
-		return &node[K, V]{key: key, val: val, color: red}
+		var zero V
+		return &node[K, V]{key: key, val: fn(zero, false), color: red}
 	}
 	c := t.cmp(key, h.key)
 	switch {
 	case c < 0:
-		h.left = t.put(h.left, key, val)
+		h.left = t.upsert(h.left, key, fn)
 	case c > 0:
-		h.right = t.put(h.right, key, val)
+		h.right = t.upsert(h.right, key, fn)
 	default:
-		h.val = val
+		h.val = fn(h.val, true)
 	}
 	return fix(h)
 }

@@ -76,6 +76,7 @@ func TestMatchesReferenceMap(t *testing.T) {
 	if tr.Len() != len(ref) {
 		t.Fatalf("len = %d, want %d", tr.Len(), len(ref))
 	}
+	checkLLRB(t, tr)
 	var keys []int
 	tr.AscendAll(func(k, v int) bool {
 		if ref[k] != v {
@@ -94,6 +95,68 @@ func TestMatchesReferenceMap(t *testing.T) {
 	sort.Ints(want)
 	if len(keys) != len(want) {
 		t.Fatalf("iterated %d keys, want %d", len(keys), len(want))
+	}
+}
+
+// checkLLRB verifies the left-leaning red-black shape: no red right link,
+// no two reds in a row, and one black height on every root-to-leaf path.
+func checkLLRB(t *testing.T, tr *Tree[int, int]) {
+	t.Helper()
+	var walk func(h *node[int, int]) int
+	walk = func(h *node[int, int]) int {
+		if h == nil {
+			return 1
+		}
+		if isRed(h.right) {
+			t.Fatalf("red right link at %d", h.key)
+		}
+		if isRed(h) && isRed(h.left) {
+			t.Fatalf("two reds in a row at %d", h.key)
+		}
+		l, r := walk(h.left), walk(h.right)
+		if l != r {
+			t.Fatalf("black height %d left vs %d right at %d", l, r, h.key)
+		}
+		if !isRed(h) {
+			l++
+		}
+		return l
+	}
+	if isRed(tr.root) {
+		t.Fatal("red root")
+	}
+	walk(tr.root)
+}
+
+func TestUpsert(t *testing.T) {
+	tr := intTree()
+	rng := rand.New(rand.NewSource(7))
+	ref := map[int]int{}
+	for op := 0; op < 3000; op++ {
+		k := rng.Intn(400)
+		want, wantFound := ref[k]
+		tr.Upsert(k, func(old int, found bool) int {
+			if found != wantFound || old != want {
+				t.Fatalf("Upsert(%d) saw (%d,%v), want (%d,%v)", k, old, found, want, wantFound)
+			}
+			return old + k + 1
+		})
+		ref[k] = want + k + 1
+		if tr.Len() != len(ref) {
+			t.Fatalf("len = %d after upsert of %d, want %d", tr.Len(), k, len(ref))
+		}
+	}
+	checkLLRB(t, tr)
+	var keys []int
+	tr.AscendAll(func(k, v int) bool {
+		if ref[k] != v {
+			t.Fatalf("key %d = %d, want %d", k, v, ref[k])
+		}
+		keys = append(keys, k)
+		return true
+	})
+	if !sort.IntsAreSorted(keys) || len(keys) != len(ref) {
+		t.Fatalf("ascend gave %d keys (sorted=%v), want %d", len(keys), sort.IntsAreSorted(keys), len(ref))
 	}
 }
 

@@ -1,0 +1,61 @@
+//go:build dmvdebug
+
+package value
+
+import (
+	"fmt"
+	"math"
+	"sync"
+)
+
+// Debug build: Seal keeps a copy of a row when a page or an index publishes
+// it, and CheckSealed compares the row with that copy wherever the engine
+// hands it out, panicking on any drift. Rows are keyed by the address of
+// their backing array; the map entry keeps the array reachable, so an
+// address is never reused for a different sealed row while its entry
+// exists. The registry grows for the life of the process — acceptable for
+// the test runs this tag exists for, never for production builds.
+
+var (
+	sealMu sync.Mutex
+	sealed = make(map[*Value]Row)
+)
+
+// Seal records r as published: any later write into it makes CheckSealed
+// panic.
+func Seal(r Row) {
+	if len(r) == 0 {
+		return
+	}
+	sealMu.Lock()
+	sealed[&r[0]] = r.Clone()
+	sealMu.Unlock()
+}
+
+// CheckSealed panics if r was sealed and has since been written. Rows that
+// were never sealed pass.
+func CheckSealed(r Row) {
+	if len(r) == 0 {
+		return
+	}
+	sealMu.Lock()
+	want, isSealed := sealed[&r[0]]
+	sealMu.Unlock()
+	if isSealed && !identical(r, want) {
+		panic(fmt.Sprintf("value: published row %v was written after publication (sealed as %v)", r, want))
+	}
+}
+
+// identical compares bit for bit, unlike CompareRows (Int 1 = Float 1).
+func identical(a, b Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, x := range a {
+		y := b[i]
+		if x.K != y.K || x.I != y.I || math.Float64bits(x.F) != math.Float64bits(y.F) || x.S != y.S {
+			return false
+		}
+	}
+	return true
+}
