@@ -58,12 +58,14 @@ func (e *env) subquery(sq *sql.Subquery) (*Result, error) {
 	return r, nil
 }
 
-func (e *env) lookup(table, col string) (int, bool) {
-	if table != "" {
-		off, ok := e.cols[strings.ToLower(table+"."+col)]
+// colOffset resolves a column reference to its offset in the joined row,
+// given the qualified and unqualified name -> offset map.
+func colOffset(cols map[string]int, r *sql.ColRef) (int, bool) {
+	if r.Table != "" {
+		off, ok := cols[strings.ToLower(r.Table+"."+r.Col)]
 		return off, ok
 	}
-	off, ok := e.cols[strings.ToLower(col)]
+	off, ok := cols[strings.ToLower(r.Col)]
 	return off, ok
 }
 
@@ -90,7 +92,7 @@ func eval(x sql.Expr, e *env) (value.Value, error) {
 		}
 		return e.params[t.N], nil
 	case *sql.ColRef:
-		off, ok := e.lookup(t.Table, t.Col)
+		off, ok := colOffset(e.cols, t)
 		if !ok {
 			return value.Value{}, fmt.Errorf("%w: %s", ErrUnknownColumn, refName(t))
 		}

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"dmv/internal/heap"
@@ -195,232 +194,14 @@ func ExecDDL(e *heap.Engine, text string) error {
 	}
 }
 
-// --- binding ----------------------------------------------------------------
+// --- execution -------------------------------------------------------------
 
-type tableBinding struct {
-	ref  sql.TableRef
-	tid  int
-	def  heap.TableDef
-	base int // offset of this table's first column in the joined row
-}
-
-type binder struct {
-	tabs  []tableBinding
-	cols  map[string]int
-	width int
-}
-
-func bindTables(e *heap.Engine, from []sql.TableRef) (*binder, error) {
-	b := &binder{cols: make(map[string]int, 16)}
-	for _, ref := range from {
-		tid, ok := e.TableID(ref.Table)
-		if !ok {
-			return nil, fmt.Errorf("exec: unknown table %q", ref.Table)
-		}
-		def, err := e.TableDef(tid)
-		if err != nil {
-			return nil, err
-		}
-		tb := tableBinding{ref: ref, tid: tid, def: def, base: b.width}
-		name := ref.Alias
-		if name == "" {
-			name = ref.Table
-		}
-		for i, c := range def.Cols {
-			off := tb.base + i
-			b.cols[strings.ToLower(name+"."+c.Name)] = off
-			key := strings.ToLower(c.Name)
-			if _, dup := b.cols[key]; !dup {
-				b.cols[key] = off
-			}
-		}
-		b.width += len(def.Cols)
-		b.tabs = append(b.tabs, tb)
-	}
-	return b, nil
-}
-
-// exprLevel returns the highest table index an expression's columns bind to
-// (-1 if it references no columns), or an error for unresolvable columns.
-func (b *binder) exprLevel(x sql.Expr) (int, error) {
-	var refs []*sql.ColRef
-	colRefsIn(x, &refs)
-	level := -1
-	for _, r := range refs {
-		var off int
-		var ok bool
-		if r.Table != "" {
-			off, ok = b.cols[strings.ToLower(r.Table+"."+r.Col)]
-		} else {
-			off, ok = b.cols[strings.ToLower(r.Col)]
-		}
-		if !ok {
-			return 0, fmt.Errorf("%w: %s", ErrUnknownColumn, refName(r))
-		}
-		for i := len(b.tabs) - 1; i >= 0; i-- {
-			if off >= b.tabs[i].base {
-				if i > level {
-					level = i
-				}
-				break
-			}
-		}
-	}
-	return level, nil
-}
-
-// colOrdinalOf resolves a ColRef to a column ordinal of table tabIdx, or -1
-// if the reference binds elsewhere.
-func (b *binder) colOrdinalOf(r *sql.ColRef, tabIdx int) int {
-	tb := b.tabs[tabIdx]
-	var off int
-	var ok bool
-	if r.Table != "" {
-		off, ok = b.cols[strings.ToLower(r.Table+"."+r.Col)]
-	} else {
-		off, ok = b.cols[strings.ToLower(r.Col)]
-	}
-	if !ok {
-		return -1
-	}
-	if off < tb.base || off >= tb.base+len(tb.def.Cols) {
-		return -1
-	}
-	return off - tb.base
-}
-
-// --- access-path selection --------------------------------------------------
-
-type accessPath struct {
-	idx      int        // index ordinal, or -1 for full scan
-	eq       []sql.Expr // probe expressions for the index prefix columns
-	lo, hi   sql.Expr   // optional range bounds on the next index column
-	loInc    bool
-	hiInc    bool
-	consumed map[sql.Expr]struct{}
-}
-
-// choosePath inspects the conjuncts usable at this join level and picks the
-// index with the longest equality prefix (plus at most one range column).
-func choosePath(tx heap.Txn, b *binder, tabIdx int, conjuncts []sql.Expr, maxOuter int) (accessPath, error) {
-	type colPreds struct {
-		eq     sql.Expr
-		eqSrc  sql.Expr
-		lo, hi sql.Expr
-		loInc  bool
-		hiInc  bool
-		loSrc  sql.Expr
-		hiSrc  sql.Expr
-	}
-	tb := b.tabs[tabIdx]
-	preds := make(map[int]*colPreds, 4)
-	pred := func(ord int) *colPreds {
-		p, ok := preds[ord]
-		if !ok {
-			p = &colPreds{}
-			preds[ord] = p
-		}
-		return p
-	}
-	for _, c := range conjuncts {
-		bin, ok := c.(*sql.Binary)
-		if !ok {
-			continue
-		}
-		classify := func(col sql.Expr, other sql.Expr, op string) {
-			ref, ok := col.(*sql.ColRef)
-			if !ok {
-				return
-			}
-			ord := b.colOrdinalOf(ref, tabIdx)
-			if ord < 0 {
-				return
-			}
-			lvl, err := b.exprLevel(other)
-			if err != nil || lvl > maxOuter {
-				return // probe side must be bound by earlier tables/params
-			}
-			p := pred(ord)
-			switch op {
-			case "=":
-				if p.eq == nil {
-					p.eq, p.eqSrc = other, c
-				}
-			case ">":
-				if p.lo == nil {
-					p.lo, p.loInc, p.loSrc = other, false, c
-				}
-			case ">=":
-				if p.lo == nil {
-					p.lo, p.loInc, p.loSrc = other, true, c
-				}
-			case "<":
-				if p.hi == nil {
-					p.hi, p.hiInc, p.hiSrc = other, false, c
-				}
-			case "<=":
-				if p.hi == nil {
-					p.hi, p.hiInc, p.hiSrc = other, true, c
-				}
-			}
-		}
-		switch bin.Op {
-		case "=":
-			classify(bin.L, bin.R, "=")
-			classify(bin.R, bin.L, "=")
-		case "<", "<=", ">", ">=":
-			flip := map[string]string{"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-			classify(bin.L, bin.R, bin.Op)
-			classify(bin.R, bin.L, flip[bin.Op])
-		}
-	}
-	if len(preds) == 0 {
-		return accessPath{idx: -1}, nil
-	}
-	indexes, err := tx.Engine().Indexes(tb.tid)
-	if err != nil {
-		return accessPath{}, err
-	}
-	best := accessPath{idx: -1}
-	bestScore := 0
-	for ord, ix := range indexes {
-		path := accessPath{idx: ord, consumed: make(map[sql.Expr]struct{}, 4)}
-		score := 0
-		for _, col := range ix.Cols {
-			p, ok := preds[col]
-			if ok && p.eq != nil {
-				path.eq = append(path.eq, p.eq)
-				path.consumed[p.eqSrc] = struct{}{}
-				score += 2
-				continue
-			}
-			if ok && (p.lo != nil || p.hi != nil) {
-				path.lo, path.loInc = p.lo, p.loInc
-				path.hi, path.hiInc = p.hi, p.hiInc
-				if p.loSrc != nil {
-					path.consumed[p.loSrc] = struct{}{}
-				}
-				if p.hiSrc != nil {
-					path.consumed[p.hiSrc] = struct{}{}
-				}
-				score++
-			}
-			break
-		}
-		if score > bestScore {
-			best, bestScore = path, score
-		}
-	}
-	return best, nil
-}
-
-// scanPath streams the rows of table tabIdx matching the access path, given
+// scanPath streams the rows of table tid matching the access path, given
 // the outer environment (for probe-expression evaluation).
-func scanPath(tx heap.Txn, b *binder, tabIdx int, path accessPath, outer *env, fn func(rid page.RowID, row value.Row) (bool, error)) error {
-	tb := b.tabs[tabIdx]
+func scanPath(tx heap.Txn, tid int, path accessPath, outer *env, fn func(rid page.RowID, row value.Row) (bool, error)) error {
 	if path.idx < 0 {
 		var ferr error
-		err := tx.Scan(tb.tid, func(rid page.RowID, row value.Row) bool {
+		err := tx.Scan(tid, func(rid page.RowID, row value.Row) bool {
 			cont, err := fn(rid, row)
 			if err != nil {
 				ferr = err
@@ -463,7 +244,7 @@ func scanPath(tx heap.Txn, b *binder, tabIdx int, path accessPath, outer *env, f
 		from = append(prefix.Clone(), loV)
 	}
 	var ferr error
-	err := tx.IndexScan(tb.tid, path.idx, from, func(key value.Row, rid page.RowID) bool {
+	err := tx.IndexScan(tid, path.idx, from, func(key value.Row, rid page.RowID) bool {
 		// Stop once the equality prefix no longer matches.
 		for i := range prefix {
 			if i >= len(key) || !value.Equal(key[i], prefix[i]) {
@@ -487,7 +268,7 @@ func scanPath(tx heap.Txn, b *binder, tabIdx int, path accessPath, outer *env, f
 				}
 			}
 		}
-		row, ok, err := tx.Fetch(tb.tid, rid)
+		row, ok, err := tx.Fetch(tid, rid)
 		if err != nil {
 			ferr = err
 			return false
@@ -511,117 +292,36 @@ func scanPath(tx heap.Txn, b *binder, tabIdx int, path accessPath, outer *env, f
 // --- SELECT -----------------------------------------------------------------
 
 func runSelect(tx heap.Txn, sel *sql.Select, params []value.Value) (*Result, error) {
-	b, err := bindTables(tx.Engine(), sel.From)
+	p, err := planSelect(tx.Engine(), sel)
 	if err != nil {
 		return nil, err
 	}
+	b := p.b
 	subs := make(subCache)
-
-	// Collect conjuncts with the level at which they become evaluable,
-	// remembering whether each came from WHERE or an ON clause: for LEFT
-	// JOIN the two differ (ON decides matching; WHERE filters the final
-	// rows, including null-extended ones).
-	var whereConj []sql.Expr
-	splitConjuncts(sel.Where, &whereConj)
-	type levConj struct {
-		e      sql.Expr
-		level  int
-		fromOn bool
-	}
-	var conj []levConj
-	for _, c := range whereConj {
-		lvl, err := b.exprLevel(c)
-		if err != nil {
-			return nil, err
-		}
-		conj = append(conj, levConj{e: c, level: lvl})
-	}
-	for i, ref := range sel.From {
-		var onConj []sql.Expr
-		splitConjuncts(ref.On, &onConj)
-		for _, c := range onConj {
-			if _, err := b.exprLevel(c); err != nil {
-				return nil, err
-			}
-			conj = append(conj, levConj{e: c, level: i, fromOn: true})
-		}
-	}
 
 	// Join pipeline: materialize level by level.
 	joined := []value.Row{nil}
 	if len(b.tabs) == 0 {
 		joined = []value.Row{{}}
 	}
-	var basePath accessPath // single-table queries: may satisfy ORDER BY
 	for i := range b.tabs {
+		lv := &p.levels[i]
 		leftJoin := b.tabs[i].ref.Join == sql.JoinLeft
-		// A left-joined table's access path may only use ON conditions:
-		// using a WHERE predicate as the probe would let null-extended rows
-		// bypass it.
-		var usable []sql.Expr
-		for _, c := range conj {
-			if c.level > i {
-				continue
-			}
-			if leftJoin && !c.fromOn {
-				continue
-			}
-			usable = append(usable, c.e)
-		}
-		maxOuter := i - 1
-		path, err := choosePath(tx, b, i, usable, maxOuter)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			basePath = path
-		}
-		// Residual predicates that become fully bound at this level, split
-		// by origin: ON residuals decide matching; WHERE residuals filter
-		// every emitted row, null-extended ones included.
-		var residualOn, residualWhere []sql.Expr
-		for _, c := range conj {
-			if c.level != i {
-				continue
-			}
-			if path.consumed != nil {
-				if _, used := path.consumed[c.e]; used {
-					continue
-				}
-			}
-			if c.fromOn {
-				residualOn = append(residualOn, c.e)
-			} else {
-				residualWhere = append(residualWhere, c.e)
-			}
-		}
-		passes := func(rowEnv *env, preds []sql.Expr) (bool, error) {
-			for _, r := range preds {
-				v, err := eval(r, rowEnv)
-				if err != nil {
-					return false, err
-				}
-				if !truthy(v) {
-					return false, nil
-				}
-			}
-			return true, nil
-		}
 		nullRow := make(value.Row, len(b.tabs[i].def.Cols))
 		next := make([]value.Row, 0, len(joined))
 		for _, outerRow := range joined {
 			outerEnv := &env{cols: b.cols, row: outerRow, params: params, tx: tx, subs: subs}
 			matched := false
-			err := scanPath(tx, b, i, path, outerEnv, func(_ page.RowID, row value.Row) (bool, error) {
+			err := scanPath(tx, b.tabs[i].tid, lv.path, outerEnv, func(_ page.RowID, row value.Row) (bool, error) {
 				combined := make(value.Row, 0, len(outerRow)+len(row))
 				combined = append(combined, outerRow...)
 				combined = append(combined, row...)
 				rowEnv := &env{cols: b.cols, row: combined, params: params, tx: tx, subs: subs}
-				if ok, err := passes(rowEnv, residualOn); err != nil || !ok {
+				if ok, err := passes(rowEnv, lv.residualOn); err != nil || !ok {
 					return err == nil, err
 				}
 				matched = true // the ON condition matched
-				if ok, err := passes(rowEnv, residualWhere); err != nil || !ok {
+				if ok, err := passes(rowEnv, lv.residualWhere); err != nil || !ok {
 					return err == nil, err
 				}
 				next = append(next, combined)
@@ -634,8 +334,8 @@ func runSelect(tx heap.Txn, sel *sql.Select, params []value.Value) (*Result, err
 				combined := make(value.Row, 0, len(outerRow)+len(nullRow))
 				combined = append(combined, outerRow...)
 				combined = append(combined, nullRow...)
-				rowEnv := &env{cols: b.cols, row: combined, params: params}
-				ok, err := passes(rowEnv, residualWhere)
+				rowEnv := &env{cols: b.cols, row: combined, params: params, tx: tx, subs: subs}
+				ok, err := passes(rowEnv, lv.residualWhere)
 				if err != nil {
 					return nil, err
 				}
@@ -647,81 +347,9 @@ func runSelect(tx heap.Txn, sel *sql.Select, params []value.Value) (*Result, err
 		joined = next
 	}
 
-	// Substitute SELECT aliases referenced by ORDER BY / GROUP BY / HAVING,
-	// recursively through expression trees (but not into subqueries, whose
-	// names resolve in their own scope). Unqualified references that match
-	// a real column win over aliases, per SQL resolution rules.
-	var aliasOf func(x sql.Expr) sql.Expr
-	aliasOf = func(x sql.Expr) sql.Expr {
-		switch t := x.(type) {
-		case *sql.ColRef:
-			if t.Table != "" {
-				return t
-			}
-			if _, isCol := b.cols[strings.ToLower(t.Col)]; isCol {
-				return t
-			}
-			for _, se := range sel.Exprs {
-				if se.Alias != "" && strings.EqualFold(se.Alias, t.Col) {
-					return se.Expr
-				}
-			}
-			return t
-		case *sql.Binary:
-			return &sql.Binary{Op: t.Op, L: aliasOf(t.L), R: aliasOf(t.R)}
-		case *sql.Unary:
-			return &sql.Unary{Op: t.Op, X: aliasOf(t.X)}
-		case *sql.IsNull:
-			return &sql.IsNull{X: aliasOf(t.X), Not: t.Not}
-		case *sql.Between:
-			return &sql.Between{X: aliasOf(t.X), Lo: aliasOf(t.Lo), Hi: aliasOf(t.Hi)}
-		case *sql.InList:
-			out := &sql.InList{X: aliasOf(t.X), Sub: t.Sub}
-			for _, e := range t.List {
-				out.List = append(out.List, aliasOf(e))
-			}
-			return out
-		default:
-			return x
-		}
-	}
-	orderBy := make([]sql.OrderItem, len(sel.OrderBy))
-	for i, o := range sel.OrderBy {
-		orderBy[i] = sql.OrderItem{Expr: aliasOf(o.Expr), Desc: o.Desc}
-	}
-	groupBy := make([]sql.Expr, len(sel.GroupBy))
-	for i, g := range sel.GroupBy {
-		groupBy[i] = aliasOf(g)
-	}
-	having := sel.Having
-	if having != nil {
-		having = aliasOf(having)
-	}
-	selEff := *sel
-	selEff.Having = having
-	sel = &selEff
-
-	// A single-table index scan emits rows in key order; when the ORDER BY
-	// is exactly the index key columns following the equality prefix (all
-	// ascending), the sort is already satisfied.
-	if len(b.tabs) == 1 && orderSatisfiedByIndex(tx, b, basePath, orderBy) {
-		orderBy = nil
-	}
-
-	// Aggregation?
-	hasAgg := len(groupBy) > 0
-	for _, se := range sel.Exprs {
-		if !se.Star && sql.IsAggregate(se.Expr) {
-			hasAgg = true
-		}
-	}
-	if sel.Having != nil && sql.IsAggregate(sel.Having) {
-		hasAgg = true
-	}
-
 	var outs []outRow
-	if hasAgg {
-		outs, err = aggregate(tx, subs, b, sel, groupBy, joined, params)
+	if p.hasAgg {
+		outs, err = aggregate(tx, subs, p, sel, joined, params)
 		if err != nil {
 			return nil, err
 		}
@@ -733,10 +361,10 @@ func runSelect(tx heap.Txn, sel *sql.Select, params []value.Value) (*Result, err
 	}
 
 	// HAVING (aggregate filters handled in aggregate(); non-agg HAVING here).
-	if sel.Having != nil && !hasAgg {
+	if p.having != nil && !p.hasAgg {
 		kept := outs[:0]
 		for _, o := range outs {
-			v, err := eval(sel.Having, o.env)
+			v, err := eval(p.having, o.env)
 			if err != nil {
 				return nil, err
 			}
@@ -748,7 +376,7 @@ func runSelect(tx heap.Txn, sel *sql.Select, params []value.Value) (*Result, err
 	}
 
 	// ORDER BY keys.
-	if len(orderBy) > 0 {
+	if orderBy := p.orderBy; len(orderBy) > 0 {
 		for i := range outs {
 			keys := make(value.Row, len(orderBy))
 			for j, o := range orderBy {
@@ -825,51 +453,18 @@ type outRow struct {
 	keys value.Row
 }
 
-// orderSatisfiedByIndex reports whether a single-table scan through the
-// given access path already delivers rows in the requested order: the ORDER
-// BY items must be ascending column references matching the index key
-// columns immediately after the equality prefix (whose values are fixed).
-func orderSatisfiedByIndex(tx heap.Txn, b *binder, path accessPath, orderBy []sql.OrderItem) bool {
-	if len(orderBy) == 0 || path.idx < 0 || path.lo != nil || path.hi != nil {
-		return false
-	}
-	indexes, err := tx.Engine().Indexes(b.tabs[0].tid)
-	if err != nil || path.idx >= len(indexes) {
-		return false
-	}
-	ix := indexes[path.idx]
-	next := len(path.eq) // first unfixed key column
-	for k, item := range orderBy {
-		if item.Desc {
-			return false
-		}
-		ref, ok := item.Expr.(*sql.ColRef)
-		if !ok {
-			return false
-		}
-		ord := b.colOrdinalOf(ref, 0)
-		if ord < 0 {
-			return false
-		}
-		pos := next + k
-		if pos >= len(ix.Cols) || ix.Cols[pos] != ord {
-			return false
-		}
-	}
-	return true
-}
-
 // aggregate groups the joined rows and computes aggregate values; HAVING
 // with aggregates is applied here.
-func aggregate(tx heap.Txn, subs subCache, b *binder, sel *sql.Select, groupBy []sql.Expr, joined []value.Row, params []value.Value) ([]outRow, error) {
+func aggregate(tx heap.Txn, subs subCache, p *plan, sel *sql.Select, joined []value.Row, params []value.Value) ([]outRow, error) {
+	b, groupBy := p.b, p.groupBy
 	var aggCalls []*sql.Call
 	for _, se := range sel.Exprs {
 		if !se.Star {
 			collectAggs(se.Expr, &aggCalls)
 		}
 	}
-	if sel.Having != nil {
-		collectAggs(sel.Having, &aggCalls)
+	if p.having != nil {
+		collectAggs(p.having, &aggCalls)
 	}
 	for _, o := range sel.OrderBy {
 		collectAggs(o.Expr, &aggCalls)
@@ -1001,8 +596,8 @@ func aggregate(tx heap.Txn, subs subCache, b *binder, sel *sql.Select, groupBy [
 			aggVals[call] = finalize(call, grp.state[i])
 		}
 		e := &env{cols: b.cols, row: grp.first, params: params, aggs: aggVals, tx: tx, subs: subs}
-		if sel.Having != nil {
-			v, err := eval(sel.Having, e)
+		if p.having != nil {
+			v, err := eval(p.having, e)
 			if err != nil {
 				return nil, err
 			}
@@ -1110,73 +705,53 @@ func runInsert(tx heap.Txn, ins *sql.Insert, params []value.Value) (*Result, err
 	return &Result{Affected: n}, nil
 }
 
-// targetRows finds the row ids matched by a single-table WHERE clause using
-// the same access-path logic as SELECT.
-func targetRows(tx heap.Txn, table string, where sql.Expr, params []value.Value) (int, []page.RowID, error) {
-	b, err := bindTables(tx.Engine(), []sql.TableRef{{Table: table, Join: sql.JoinInner}})
-	if err != nil {
-		return 0, nil, err
-	}
-	var conj []sql.Expr
-	splitConjuncts(where, &conj)
-	for _, c := range conj {
-		if _, err := b.exprLevel(c); err != nil {
-			return 0, nil, err
+// passes reports whether every predicate holds for the row in rowEnv.
+func passes(rowEnv *env, preds []sql.Expr) (bool, error) {
+	for _, r := range preds {
+		v, err := eval(r, rowEnv)
+		if err != nil {
+			return false, err
+		}
+		if !truthy(v) {
+			return false, nil
 		}
 	}
-	path, err := choosePath(tx, b, 0, conj, -1)
+	return true, nil
+}
+
+// targetRows finds the row ids a single-table WHERE clause matches, through
+// the access path and residuals the planner picks for it.
+func targetRows(tx heap.Txn, table string, where sql.Expr, params []value.Value, subs subCache) (*plan, []page.RowID, error) {
+	p, err := planSelect(tx.Engine(), &sql.Select{From: []sql.TableRef{{Table: table, Join: sql.JoinInner}}, Where: where})
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
-	var residual []sql.Expr
-	for _, c := range conj {
-		if path.consumed != nil {
-			if _, used := path.consumed[c]; used {
-				continue
-			}
-		}
-		residual = append(residual, c)
-	}
-	subs := make(subCache)
+	b, lv := p.b, &p.levels[0]
 	outerEnv := &env{cols: b.cols, params: params, tx: tx, subs: subs}
 	var rids []page.RowID
-	err = scanPath(tx, b, 0, path, outerEnv, func(rid page.RowID, row value.Row) (bool, error) {
-		rowEnv := &env{cols: b.cols, row: row, params: params, tx: tx, subs: subs}
-		for _, r := range residual {
-			v, err := eval(r, rowEnv)
-			if err != nil {
-				return false, err
-			}
-			if !truthy(v) {
-				return true, nil
-			}
+	err = scanPath(tx, b.tabs[0].tid, lv.path, outerEnv, func(rid page.RowID, row value.Row) (bool, error) {
+		ok, err := passes(&env{cols: b.cols, row: row, params: params, tx: tx, subs: subs}, lv.residualWhere)
+		if ok {
+			rids = append(rids, rid)
 		}
-		rids = append(rids, rid)
-		return true, nil
+		return err == nil, err
 	})
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
-	return b.tabs[0].tid, rids, nil
+	return p, rids, nil
 }
 
 func runUpdate(tx heap.Txn, up *sql.Update, params []value.Value) (*Result, error) {
-	tid, rids, err := targetRows(tx, up.Table, up.Where, params)
+	subs := make(subCache)
+	p, rids, err := targetRows(tx, up.Table, up.Where, params, subs)
 	if err != nil {
 		return nil, err
 	}
-	def, err := tx.Engine().TableDef(tid)
-	if err != nil {
-		return nil, err
-	}
-	cols := make(map[string]int, len(def.Cols))
-	for i, c := range def.Cols {
-		cols[strings.ToLower(c.Name)] = i
-		cols[strings.ToLower(up.Table+"."+c.Name)] = i
-	}
+	tb := p.b.tabs[0]
 	setOrds := make([]int, len(up.Sets))
 	for i, s := range up.Sets {
-		ord := def.ColIndex(s.Col)
+		ord := tb.def.ColIndex(s.Col)
 		if ord < 0 {
 			return nil, fmt.Errorf("exec: %w: %s.%s", ErrUnknownColumn, up.Table, s.Col)
 		}
@@ -1184,14 +759,14 @@ func runUpdate(tx heap.Txn, up *sql.Update, params []value.Value) (*Result, erro
 	}
 	n := 0
 	for _, rid := range rids {
-		row, ok, err := tx.Fetch(tid, rid)
+		row, ok, err := tx.Fetch(tb.tid, rid)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			continue
 		}
-		e := &env{cols: cols, row: row, params: params, tx: tx, subs: make(subCache)}
+		e := &env{cols: p.b.cols, row: row, params: params, tx: tx, subs: subs}
 		newRow := row.Clone()
 		for i, s := range up.Sets {
 			v, err := eval(s.Expr, e)
@@ -1200,7 +775,7 @@ func runUpdate(tx heap.Txn, up *sql.Update, params []value.Value) (*Result, erro
 			}
 			newRow[setOrds[i]] = v
 		}
-		if err := tx.Update(tid, rid, newRow); err != nil {
+		if err := tx.Update(tb.tid, rid, newRow); err != nil {
 			return nil, err
 		}
 		n++
@@ -1209,13 +784,13 @@ func runUpdate(tx heap.Txn, up *sql.Update, params []value.Value) (*Result, erro
 }
 
 func runDelete(tx heap.Txn, del *sql.Delete, params []value.Value) (*Result, error) {
-	tid, rids, err := targetRows(tx, del.Table, del.Where, params)
+	p, rids, err := targetRows(tx, del.Table, del.Where, params, make(subCache))
 	if err != nil {
 		return nil, err
 	}
 	n := 0
 	for _, rid := range rids {
-		if err := tx.Delete(tid, rid); err != nil {
+		if err := tx.Delete(p.b.tabs[0].tid, rid); err != nil {
 			return nil, err
 		}
 		n++

@@ -8,10 +8,11 @@ import (
 	"dmv/internal/sql"
 )
 
-// Explain renders the access plan the executor would use for a SELECT
-// statement: the join order (FROM order) and, per table, the chosen index
-// with its equality-prefix and range columns, or a full scan. Diagnostics
-// for query authors; the figure workloads were tuned with it.
+// Explain renders the plan the executor runs for a SELECT statement: the
+// join order (FROM order) and, per table, the chosen index with its
+// equality-prefix and range columns, or a full scan; then the aggregation,
+// sort and limit steps that run. Diagnostics for query authors; the figure
+// workloads were tuned with it.
 func Explain(e *heap.Engine, text string) (string, error) {
 	stmt, err := sql.Parse(text)
 	if err != nil {
@@ -21,80 +22,33 @@ func Explain(e *heap.Engine, text string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("exec: EXPLAIN supports SELECT only, got %T", stmt)
 	}
-	b, err := bindTables(e, sel.From)
+	p, err := planSelect(e, sel)
 	if err != nil {
 		return "", err
 	}
-
-	var whereConj []sql.Expr
-	splitConjuncts(sel.Where, &whereConj)
-	type levConj struct {
-		e     sql.Expr
-		level int
-	}
-	var conj []levConj
-	for _, c := range whereConj {
-		lvl, err := b.exprLevel(c)
-		if err != nil {
-			return "", err
-		}
-		conj = append(conj, levConj{e: c, level: lvl})
-	}
-	for i, ref := range sel.From {
-		var onConj []sql.Expr
-		splitConjuncts(ref.On, &onConj)
-		for _, c := range onConj {
-			if _, err := b.exprLevel(c); err != nil {
-				return "", err
-			}
-			conj = append(conj, levConj{e: c, level: i})
-		}
-	}
-
-	// tx only supplies the catalog; a read transaction is side-effect free.
-	tx := e.BeginRead(nil)
 	var out strings.Builder
-	for i, tb := range b.tabs {
-		var usable []sql.Expr
-		for _, c := range conj {
-			if c.level <= i {
-				usable = append(usable, c.e)
-			}
-		}
-		path, err := choosePath(tx, b, i, usable, i-1)
-		if err != nil {
-			return "", err
-		}
-		name := tb.ref.Alias
-		if name == "" {
-			name = tb.ref.Table
-		}
+	for i, tb := range p.b.tabs {
 		fmt.Fprintf(&out, "%d: %s", i+1, tb.ref.Table)
-		if name != tb.ref.Table {
-			fmt.Fprintf(&out, " AS %s", name)
+		if tb.ref.Alias != "" && tb.ref.Alias != tb.ref.Table {
+			fmt.Fprintf(&out, " AS %s", tb.ref.Alias)
 		}
+		path := p.levels[i].path
 		if path.idx < 0 {
 			out.WriteString("  FULL SCAN")
 		} else {
-			indexes, err := e.Indexes(tb.tid)
-			if err != nil {
-				return "", err
-			}
-			ix := indexes[path.idx]
-			fmt.Fprintf(&out, "  INDEX %s", ix.Name)
+			// The path's probes cover a prefix of the index columns, then at
+			// most one range column.
+			keyCol := func(k int) string { return tb.def.Cols[path.ix.Cols[k]].Name }
+			fmt.Fprintf(&out, "  INDEX %s", path.ix.Name)
 			if n := len(path.eq); n > 0 {
-				cols := make([]string, 0, n)
-				for k := 0; k < n && k < len(ix.Cols); k++ {
-					cols = append(cols, tb.def.Cols[ix.Cols[k]].Name)
+				cols := make([]string, n)
+				for k := range cols {
+					cols[k] = keyCol(k)
 				}
 				fmt.Fprintf(&out, " eq(%s)", strings.Join(cols, ","))
 			}
 			if path.lo != nil || path.hi != nil {
-				rangeCol := "?"
-				if len(path.eq) < len(ix.Cols) {
-					rangeCol = tb.def.Cols[ix.Cols[len(path.eq)]].Name
-				}
-				fmt.Fprintf(&out, " range(%s)", rangeCol)
+				fmt.Fprintf(&out, " range(%s)", keyCol(len(path.eq)))
 			}
 		}
 		if i > 0 {
@@ -102,23 +56,14 @@ func Explain(e *heap.Engine, text string) (string, error) {
 		}
 		out.WriteByte('\n')
 	}
-	if len(sel.GroupBy) > 0 || anyAggregate(sel) {
+	if p.hasAgg {
 		out.WriteString("aggregate: hash group-by\n")
 	}
-	if len(sel.OrderBy) > 0 {
+	if len(p.orderBy) > 0 {
 		out.WriteString("sort: order-by\n")
 	}
 	if sel.Limit != nil {
 		out.WriteString("limit\n")
 	}
 	return out.String(), nil
-}
-
-func anyAggregate(sel *sql.Select) bool {
-	for _, se := range sel.Exprs {
-		if !se.Star && sql.IsAggregate(se.Expr) {
-			return true
-		}
-	}
-	return false
 }

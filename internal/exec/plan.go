@@ -1,0 +1,424 @@
+package exec
+
+import (
+	"fmt"
+	"strings"
+
+	"dmv/internal/heap"
+	"dmv/internal/sql"
+)
+
+// --- binding ----------------------------------------------------------------
+
+type tableBinding struct {
+	ref  sql.TableRef
+	tid  int
+	def  heap.TableDef
+	base int // offset of this table's first column in the joined row
+}
+
+type binder struct {
+	tabs  []tableBinding
+	cols  map[string]int
+	width int
+}
+
+func bindTables(e *heap.Engine, from []sql.TableRef) (*binder, error) {
+	b := &binder{cols: make(map[string]int, 16)}
+	for _, ref := range from {
+		tid, ok := e.TableID(ref.Table)
+		if !ok {
+			return nil, fmt.Errorf("exec: unknown table %q", ref.Table)
+		}
+		def, err := e.TableDef(tid)
+		if err != nil {
+			return nil, err
+		}
+		tb := tableBinding{ref: ref, tid: tid, def: def, base: b.width}
+		name := ref.Alias
+		if name == "" {
+			name = ref.Table
+		}
+		for i, c := range def.Cols {
+			off := tb.base + i
+			b.cols[strings.ToLower(name+"."+c.Name)] = off
+			key := strings.ToLower(c.Name)
+			if _, dup := b.cols[key]; !dup {
+				b.cols[key] = off
+			}
+		}
+		b.width += len(def.Cols)
+		b.tabs = append(b.tabs, tb)
+	}
+	return b, nil
+}
+
+// exprLevel returns the highest table index an expression's columns bind to
+// (-1 if it references no columns), or an error for unresolvable columns.
+func (b *binder) exprLevel(x sql.Expr) (int, error) {
+	var refs []*sql.ColRef
+	colRefsIn(x, &refs)
+	level := -1
+	for _, r := range refs {
+		off, ok := colOffset(b.cols, r)
+		if !ok {
+			return 0, fmt.Errorf("%w: %s", ErrUnknownColumn, refName(r))
+		}
+		for i := len(b.tabs) - 1; i >= 0; i-- {
+			if off >= b.tabs[i].base {
+				if i > level {
+					level = i
+				}
+				break
+			}
+		}
+	}
+	return level, nil
+}
+
+// colOrdinalOf resolves a ColRef to a column ordinal of table tabIdx, or -1
+// if the reference binds elsewhere.
+func (b *binder) colOrdinalOf(r *sql.ColRef, tabIdx int) int {
+	tb := b.tabs[tabIdx]
+	off, ok := colOffset(b.cols, r)
+	if !ok || off < tb.base || off >= tb.base+len(tb.def.Cols) {
+		return -1
+	}
+	return off - tb.base
+}
+
+// --- the plan ---------------------------------------------------------------
+
+// plan is how one statement runs: the plan of a SELECT, or of the
+// single-table WHERE clause an UPDATE or DELETE targets rows with. runSelect
+// executes it, targetRows probes with it and Explain renders it, so the
+// three cannot disagree. It depends only on the statement and the catalog.
+type plan struct {
+	b      *binder
+	levels []joinLevel // one per FROM table, in join order
+
+	orderBy []sql.OrderItem // aliases substituted; nil when the index order already satisfies it
+	groupBy []sql.Expr      // aliases substituted
+	having  sql.Expr        // aliases substituted
+	hasAgg  bool
+}
+
+// joinLevel is the plan for one table of the join pipeline.
+type joinLevel struct {
+	path accessPath
+	// Conjuncts that become fully bound at this level and that the path
+	// did not consume, split by origin: ON residuals decide matching; WHERE
+	// residuals filter every emitted row, null-extended ones included.
+	residualOn, residualWhere []sql.Expr
+}
+
+// planSelect plans a SELECT: binding, the level at which each conjunct
+// becomes evaluable, an access path and residuals per join level, alias
+// substitution, sort elision and whether the query aggregates.
+func planSelect(e *heap.Engine, sel *sql.Select) (*plan, error) {
+	b, err := bindTables(e, sel.From)
+	if err != nil {
+		return nil, err
+	}
+
+	// Collect conjuncts with the level at which they become evaluable,
+	// remembering whether each came from WHERE or an ON clause: for LEFT
+	// JOIN the two differ (ON decides matching; WHERE filters the final
+	// rows, including null-extended ones). A WHERE conjunct that names no
+	// column filters at the first level.
+	var whereConj []sql.Expr
+	splitConjuncts(sel.Where, &whereConj)
+	type levConj struct {
+		e      sql.Expr
+		level  int
+		fromOn bool
+	}
+	var conj []levConj
+	for _, c := range whereConj {
+		lvl, err := b.exprLevel(c)
+		if err != nil {
+			return nil, err
+		}
+		conj = append(conj, levConj{e: c, level: max(lvl, 0)})
+	}
+	for i, ref := range sel.From {
+		var onConj []sql.Expr
+		splitConjuncts(ref.On, &onConj)
+		for _, c := range onConj {
+			if _, err := b.exprLevel(c); err != nil {
+				return nil, err
+			}
+			conj = append(conj, levConj{e: c, level: i, fromOn: true})
+		}
+	}
+
+	p := &plan{b: b, levels: make([]joinLevel, len(b.tabs))}
+	for i := range b.tabs {
+		leftJoin := b.tabs[i].ref.Join == sql.JoinLeft
+		// A left-joined table's access path may only use ON conditions:
+		// using a WHERE predicate as the probe would let null-extended rows
+		// bypass it.
+		var usable []sql.Expr
+		for _, c := range conj {
+			if c.level > i {
+				continue
+			}
+			if leftJoin && !c.fromOn {
+				continue
+			}
+			usable = append(usable, c.e)
+		}
+		lv := &p.levels[i]
+		if lv.path, err = choosePath(e, b, i, usable, i-1); err != nil {
+			return nil, err
+		}
+		for _, c := range conj {
+			if c.level != i {
+				continue
+			}
+			if _, used := lv.path.consumed[c.e]; used {
+				continue
+			}
+			if c.fromOn {
+				lv.residualOn = append(lv.residualOn, c.e)
+			} else {
+				lv.residualWhere = append(lv.residualWhere, c.e)
+			}
+		}
+	}
+
+	if len(sel.OrderBy) > 0 {
+		p.orderBy = make([]sql.OrderItem, len(sel.OrderBy))
+		for i, o := range sel.OrderBy {
+			p.orderBy[i] = sql.OrderItem{Expr: substituteAliases(o.Expr, b, sel), Desc: o.Desc}
+		}
+	}
+	if len(sel.GroupBy) > 0 {
+		p.groupBy = make([]sql.Expr, len(sel.GroupBy))
+		for i, g := range sel.GroupBy {
+			p.groupBy[i] = substituteAliases(g, b, sel)
+		}
+	}
+	if sel.Having != nil {
+		p.having = substituteAliases(sel.Having, b, sel)
+	}
+
+	// A single-table index scan emits rows in key order; when the ORDER BY
+	// is exactly the index key columns following the equality prefix (all
+	// ascending), the sort is already satisfied.
+	if len(b.tabs) == 1 && orderSatisfiedByIndex(b, p.levels[0].path, p.orderBy) {
+		p.orderBy = nil
+	}
+
+	p.hasAgg = len(p.groupBy) > 0 || (p.having != nil && sql.IsAggregate(p.having))
+	for _, se := range sel.Exprs {
+		if !se.Star && sql.IsAggregate(se.Expr) {
+			p.hasAgg = true
+		}
+	}
+	return p, nil
+}
+
+// substituteAliases replaces SELECT aliases referenced by ORDER BY / GROUP
+// BY / HAVING, recursively through expression trees (but not into
+// subqueries, whose names resolve in their own scope). Unqualified
+// references that match a real column win over aliases, per SQL resolution
+// rules.
+func substituteAliases(x sql.Expr, b *binder, sel *sql.Select) sql.Expr {
+	sub := func(x sql.Expr) sql.Expr { return substituteAliases(x, b, sel) }
+	switch t := x.(type) {
+	case *sql.ColRef:
+		if t.Table != "" {
+			return t
+		}
+		if _, isCol := b.cols[strings.ToLower(t.Col)]; isCol {
+			return t
+		}
+		for _, se := range sel.Exprs {
+			if se.Alias != "" && strings.EqualFold(se.Alias, t.Col) {
+				return se.Expr
+			}
+		}
+		return t
+	case *sql.Binary:
+		return &sql.Binary{Op: t.Op, L: sub(t.L), R: sub(t.R)}
+	case *sql.Unary:
+		return &sql.Unary{Op: t.Op, X: sub(t.X)}
+	case *sql.IsNull:
+		return &sql.IsNull{X: sub(t.X), Not: t.Not}
+	case *sql.Between:
+		return &sql.Between{X: sub(t.X), Lo: sub(t.Lo), Hi: sub(t.Hi)}
+	case *sql.InList:
+		out := &sql.InList{X: sub(t.X), Sub: t.Sub}
+		for _, e := range t.List {
+			out.List = append(out.List, sub(e))
+		}
+		return out
+	default:
+		return x
+	}
+}
+
+// --- access-path selection --------------------------------------------------
+
+type accessPath struct {
+	idx      int           // index ordinal, or -1 for full scan
+	ix       heap.IndexDef // the index's definition when idx >= 0
+	eq       []sql.Expr    // probe expressions for the index prefix columns
+	lo, hi   sql.Expr      // optional range bounds on the next index column
+	loInc    bool
+	hiInc    bool
+	consumed map[sql.Expr]struct{}
+}
+
+// choosePath inspects the conjuncts usable at this join level and picks the
+// index with the longest equality prefix (plus at most one range column).
+func choosePath(e *heap.Engine, b *binder, tabIdx int, conjuncts []sql.Expr, maxOuter int) (accessPath, error) {
+	type colPreds struct {
+		eq     sql.Expr
+		eqSrc  sql.Expr
+		lo, hi sql.Expr
+		loInc  bool
+		hiInc  bool
+		loSrc  sql.Expr
+		hiSrc  sql.Expr
+	}
+	tb := b.tabs[tabIdx]
+	preds := make(map[int]*colPreds, 4)
+	pred := func(ord int) *colPreds {
+		p, ok := preds[ord]
+		if !ok {
+			p = &colPreds{}
+			preds[ord] = p
+		}
+		return p
+	}
+	for _, c := range conjuncts {
+		bin, ok := c.(*sql.Binary)
+		if !ok {
+			continue
+		}
+		classify := func(col sql.Expr, other sql.Expr, op string) {
+			ref, ok := col.(*sql.ColRef)
+			if !ok {
+				return
+			}
+			ord := b.colOrdinalOf(ref, tabIdx)
+			if ord < 0 {
+				return
+			}
+			lvl, err := b.exprLevel(other)
+			if err != nil || lvl > maxOuter {
+				return // probe side must be bound by earlier tables/params
+			}
+			p := pred(ord)
+			switch op {
+			case "=":
+				if p.eq == nil {
+					p.eq, p.eqSrc = other, c
+				}
+			case ">":
+				if p.lo == nil {
+					p.lo, p.loInc, p.loSrc = other, false, c
+				}
+			case ">=":
+				if p.lo == nil {
+					p.lo, p.loInc, p.loSrc = other, true, c
+				}
+			case "<":
+				if p.hi == nil {
+					p.hi, p.hiInc, p.hiSrc = other, false, c
+				}
+			case "<=":
+				if p.hi == nil {
+					p.hi, p.hiInc, p.hiSrc = other, true, c
+				}
+			}
+		}
+		switch bin.Op {
+		case "=":
+			classify(bin.L, bin.R, "=")
+			classify(bin.R, bin.L, "=")
+		case "<", "<=", ">", ">=":
+			// With the operands swapped, the comparison mirrors.
+			mirrored := "<="
+			switch bin.Op {
+			case "<":
+				mirrored = ">"
+			case "<=":
+				mirrored = ">="
+			case ">":
+				mirrored = "<"
+			}
+			classify(bin.L, bin.R, bin.Op)
+			classify(bin.R, bin.L, mirrored)
+		}
+	}
+	if len(preds) == 0 {
+		return accessPath{idx: -1}, nil
+	}
+	indexes, err := e.Indexes(tb.tid)
+	if err != nil {
+		return accessPath{}, err
+	}
+	best := accessPath{idx: -1}
+	bestScore := 0
+	for ord, ix := range indexes {
+		path := accessPath{idx: ord, ix: ix, consumed: make(map[sql.Expr]struct{}, 4)}
+		score := 0
+		for _, col := range ix.Cols {
+			p, ok := preds[col]
+			if ok && p.eq != nil {
+				path.eq = append(path.eq, p.eq)
+				path.consumed[p.eqSrc] = struct{}{}
+				score += 2
+				continue
+			}
+			if ok && (p.lo != nil || p.hi != nil) {
+				path.lo, path.loInc = p.lo, p.loInc
+				path.hi, path.hiInc = p.hi, p.hiInc
+				if p.loSrc != nil {
+					path.consumed[p.loSrc] = struct{}{}
+				}
+				if p.hiSrc != nil {
+					path.consumed[p.hiSrc] = struct{}{}
+				}
+				score++
+			}
+			break
+		}
+		if score > bestScore {
+			best, bestScore = path, score
+		}
+	}
+	return best, nil
+}
+
+// orderSatisfiedByIndex reports whether a single-table scan through the
+// given access path already delivers rows in the requested order: the ORDER
+// BY items must be ascending column references matching the index key
+// columns immediately after the equality prefix (whose values are fixed).
+func orderSatisfiedByIndex(b *binder, path accessPath, orderBy []sql.OrderItem) bool {
+	if len(orderBy) == 0 || path.idx < 0 || path.lo != nil || path.hi != nil {
+		return false
+	}
+	next := len(path.eq) // first unfixed key column
+	for k, item := range orderBy {
+		if item.Desc {
+			return false
+		}
+		ref, ok := item.Expr.(*sql.ColRef)
+		if !ok {
+			return false
+		}
+		ord := b.colOrdinalOf(ref, 0)
+		if ord < 0 {
+			return false
+		}
+		pos := next + k
+		if pos >= len(path.ix.Cols) || path.ix.Cols[pos] != ord {
+			return false
+		}
+	}
+	return true
+}
