@@ -10,6 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"dmv/internal/heap"
 	"dmv/internal/sql"
@@ -48,7 +50,12 @@ func (e *env) subquery(sq *sql.Subquery) (*Result, error) {
 			return r, nil
 		}
 	}
-	r, err := runSelect(e.tx, sq.Sel, e.params)
+	// Planned per statement execution, not cached: TPC-W issues none.
+	p, err := planSelect(e.tx.Engine(), sq.Sel)
+	var r *Result
+	if err == nil {
+		r, err = runSelect(e.tx, p, sq.Sel, e.params)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("subquery: %w", err)
 	}
@@ -296,42 +303,45 @@ func boolVal(b bool) value.Value {
 	return value.NewInt(0)
 }
 
-// likeMatch implements SQL LIKE with % (any run) and _ (any one char),
-// case-insensitively as MySQL does by default.
-func likeMatch(s, pattern string) bool {
-	return likeRec(strings.ToLower(s), strings.ToLower(pattern))
+// likeMatch implements SQL LIKE with % (any run) and _ (any one character),
+// case-insensitively as MySQL does by default: runes compare by
+// unicode.ToLower, as strings.ToLower maps them (an invalid byte is U+FFFD).
+func likeMatch(s, p string) bool {
+	// After a %, star is the pattern position past it and retry the text
+	// position the rest is next tried at; a mismatch lets that % absorb one
+	// more character. Backing up to the last % only suffices.
+	i, j, star, retry := 0, 0, -1, 0
+	for i < len(s) {
+		if j < len(p) {
+			sc, sn := nextRune(s[i:])
+			switch pc, pn := nextRune(p[j:]); {
+			case pc == '%':
+				j, star, retry = j+1, j+1, i
+				continue
+			case pc == '_' || sc == pc || unicode.ToLower(sc) == unicode.ToLower(pc):
+				i, j = i+sn, j+pn
+				continue
+			}
+		}
+		if star < 0 {
+			return false
+		}
+		_, n := nextRune(s[retry:])
+		retry += n
+		i, j = retry, star
+	}
+	for j < len(p) && p[j] == '%' {
+		j++
+	}
+	return j == len(p)
 }
 
-func likeRec(s, p string) bool {
-	for len(p) > 0 {
-		switch p[0] {
-		case '%':
-			// collapse consecutive %
-			for len(p) > 0 && p[0] == '%' {
-				p = p[1:]
-			}
-			if len(p) == 0 {
-				return true
-			}
-			for i := 0; i <= len(s); i++ {
-				if likeRec(s[i:], p) {
-					return true
-				}
-			}
-			return false
-		case '_':
-			if len(s) == 0 {
-				return false
-			}
-			s, p = s[1:], p[1:]
-		default:
-			if len(s) == 0 || s[0] != p[0] {
-				return false
-			}
-			s, p = s[1:], p[1:]
-		}
+// nextRune decodes the first rune of a non-empty s and its width.
+func nextRune(s string) (rune, int) {
+	if c := s[0]; c < utf8.RuneSelf {
+		return rune(c), 1
 	}
-	return len(s) == 0
+	return utf8.DecodeRuneInString(s)
 }
 
 func refName(c *sql.ColRef) string {

@@ -85,6 +85,9 @@ func TestLogicalOps(t *testing.T) {
 	}
 }
 
+// TestLikeMatching pins LIKE to characters, not bytes: _ matches one rune,
+// case folds rune by rune, % backtracks over runs, and an invalid UTF-8 byte
+// is one U+FFFD character, as strings.ToLower makes it.
 func TestLikeMatching(t *testing.T) {
 	cases := []struct {
 		s, pat string
@@ -103,10 +106,53 @@ func TestLikeMatching(t *testing.T) {
 		{"abc", "a%d", false},
 		{"Title 042", "Title 0%", true},
 		{"HELLO", "hello", true}, // case-insensitive like MySQL
+		// mixed case
+		{"CaFÉ au LAIT", "café%lait", true},
+		{"ÀB", "àb", true},
+		{"İ", "i", true}, // unicode.ToLower('İ') is 'i'
+		{"Straße", "STRASSE", false},
+		// % runs and backtracking
+		{"abcabd", "%ab%d", true},
+		{"aaa", "a%%a%%a", true},
+		{"aa", "a%%a%%a", false},
+		{"mississippi", "m%iss%iss%", true},
+		{"mississippi", "%sip%sip", false},
+		{"xay", "%a", false},
+		// _ on multi-byte runes
+		{"café", "caf_", true},
+		{"ÀB", "_b", true},
+		{"日本語", "___", true},
+		{"日本語", "__", false},
+		{"日本語", "%_語", true},
+		{"naïve", "na_ve", true},
+		{"naïve", "na__ve", false},
+		// invalid UTF-8, as before
+		{"a\xffb", "a\xffb", true},
+		{"a\xffb", "a%b", true},
+		{"a\xffb", "a\xfeb", true},
+		{"a\xffb", "a�b", true},
+		{"a\xffb", "acb", false},
 	}
 	for _, tc := range cases {
 		if got := likeMatch(tc.s, tc.pat); got != tc.want {
 			t.Errorf("likeMatch(%q, %q) = %v, want %v", tc.s, tc.pat, got, tc.want)
+		}
+	}
+}
+
+var likeSink bool
+
+// TestLikeAllocs checks LIKE matches in place, without copying either side.
+func TestLikeAllocs(t *testing.T) {
+	for _, c := range [][2]string{
+		{"The Art of Computer Programming", "%art%PROG%"},
+		{"Café Society", "caf_ %"},
+	} {
+		if n := testing.AllocsPerRun(100, func() { likeSink = likeMatch(c[0], c[1]) }); n != 0 {
+			t.Errorf("likeMatch(%q, %q): %.0f allocs, want 0", c[0], c[1], n)
+		}
+		if !likeSink {
+			t.Errorf("likeMatch(%q, %q) = false", c[0], c[1])
 		}
 	}
 }

@@ -2,8 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dmv/internal/heap"
 	"dmv/internal/page"
@@ -19,13 +21,14 @@ type Result struct {
 }
 
 // Prepared is a parsed, reusable statement; execution binds positional
-// parameters. It holds only the text and its AST and Exec never mutates
-// either, so one Prepared is safe to share between goroutines, engines and
-// in-process nodes, and schema changes (DDL) never invalidate it: tables
-// and columns are resolved against the engine at execution time.
+// parameters. Exec never mutates its text or AST, and caches its plan tagged
+// with the schema fingerprint of the engine it was built on; on an engine
+// with another fingerprint (another schema, or DDL since) Exec re-plans. So
+// one Prepared is safe to share between goroutines, engines and nodes.
 type Prepared struct {
 	text string
 	stmt sql.Statement
+	plan atomic.Pointer[plan]
 }
 
 // Prepare parses a statement for repeated execution, bypassing the cache.
@@ -116,18 +119,39 @@ func (p *Prepared) TableNames() []string {
 
 // Exec runs the prepared statement in the given storage transaction.
 func (p *Prepared) Exec(tx heap.Txn, params []value.Value) (*Result, error) {
+	if ins, ok := p.stmt.(*sql.Insert); ok {
+		return runInsert(tx, ins, params)
+	}
+	pl, err := p.planFor(tx.Engine())
+	if err != nil {
+		return nil, err
+	}
 	switch s := p.stmt.(type) {
 	case *sql.Select:
-		return runSelect(tx, s, params)
-	case *sql.Insert:
-		return runInsert(tx, s, params)
+		return runSelect(tx, pl, s, params)
 	case *sql.Update:
-		return runUpdate(tx, s, params)
-	case *sql.Delete:
-		return runDelete(tx, s, params)
+		return runUpdate(tx, pl, s, params)
 	default:
-		return nil, fmt.Errorf("exec: statement %T must run through ExecDDL or the session layer", p.stmt)
+		return runDelete(tx, pl, params)
 	}
+}
+
+// planFor returns the cached plan if it was built under e's fingerprint,
+// else plans and caches. Reading the fingerprint first tags a plan racing
+// DDL with the older schema, so its next use rebuilds it.
+func (p *Prepared) planFor(e *heap.Engine) (*plan, error) {
+	fp := e.SchemaFingerprint()
+	if pl := p.plan.Load(); pl != nil && pl.fp == fp {
+		checkCachedPlan(p, e, pl)
+		return pl, nil
+	}
+	pl, err := planStmt(e, p.stmt)
+	if err != nil {
+		return nil, err
+	}
+	pl.fp = fp
+	p.plan.Store(pl)
+	return pl, nil
 }
 
 // Run parses and executes text in one step (tests and examples).
@@ -291,11 +315,8 @@ func scanPath(tx heap.Txn, tid int, path accessPath, outer *env, fn func(rid pag
 
 // --- SELECT -----------------------------------------------------------------
 
-func runSelect(tx heap.Txn, sel *sql.Select, params []value.Value) (*Result, error) {
-	p, err := planSelect(tx.Engine(), sel)
-	if err != nil {
-		return nil, err
-	}
+func runSelect(tx heap.Txn, p *plan, sel *sql.Select, params []value.Value) (*Result, error) {
+	var err error
 	b := p.b
 	subs := make(subCache)
 
@@ -403,8 +424,7 @@ func runSelect(tx heap.Txn, sel *sql.Select, params []value.Value) (*Result, err
 		})
 	}
 
-	// Projection.
-	cols, projected, err := project(b, sel, outs)
+	projected, err := project(p, sel, outs)
 	if err != nil {
 		return nil, err
 	}
@@ -445,7 +465,7 @@ func runSelect(tx heap.Txn, sel *sql.Select, params []value.Value) (*Result, err
 			projected = projected[:n]
 		}
 	}
-	return &Result{Cols: cols, Rows: projected}, nil
+	return &Result{Cols: slices.Clone(p.cols), Rows: projected}, nil
 }
 
 type outRow struct {
@@ -610,52 +630,26 @@ func aggregate(tx heap.Txn, subs subCache, p *plan, sel *sql.Select, joined []va
 	return outs, nil
 }
 
-// project evaluates the SELECT list for every output row.
-func project(b *binder, sel *sql.Select, outs []outRow) ([]string, []value.Row, error) {
-	var cols []string
-	type proj struct {
-		expr sql.Expr
-		star bool
-	}
-	var plist []proj
-	for i, se := range sel.Exprs {
-		if se.Star {
-			for _, tb := range b.tabs {
-				for _, c := range tb.def.Cols {
-					cols = append(cols, c.Name)
-				}
-			}
-			plist = append(plist, proj{star: true})
-			continue
-		}
-		name := se.Alias
-		if name == "" {
-			if ref, ok := se.Expr.(*sql.ColRef); ok {
-				name = ref.Col
-			} else {
-				name = fmt.Sprintf("col%d", i+1)
-			}
-		}
-		cols = append(cols, name)
-		plist = append(plist, proj{expr: se.Expr})
-	}
+// project evaluates the SELECT list for every output row, each row
+// allocated once at the plan's width.
+func project(p *plan, sel *sql.Select, outs []outRow) ([]value.Row, error) {
 	rows := make([]value.Row, 0, len(outs))
 	for _, o := range outs {
-		var row value.Row
-		for _, p := range plist {
-			if p.star {
+		row := make(value.Row, 0, p.width)
+		for _, se := range sel.Exprs {
+			if se.Star {
 				row = append(row, o.env.row...)
 				continue
 			}
-			v, err := eval(p.expr, o.env)
+			v, err := eval(se.Expr, o.env)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			row = append(row, v)
 		}
 		rows = append(rows, row)
 	}
-	return cols, rows, nil
+	return rows, nil
 }
 
 // --- INSERT / UPDATE / DELETE -----------------------------------------------
@@ -719,44 +713,29 @@ func passes(rowEnv *env, preds []sql.Expr) (bool, error) {
 	return true, nil
 }
 
-// targetRows finds the row ids a single-table WHERE clause matches, through
-// the access path and residuals the planner picks for it.
-func targetRows(tx heap.Txn, table string, where sql.Expr, params []value.Value, subs subCache) (*plan, []page.RowID, error) {
-	p, err := planSelect(tx.Engine(), &sql.Select{From: []sql.TableRef{{Table: table, Join: sql.JoinInner}}, Where: where})
-	if err != nil {
-		return nil, nil, err
-	}
+// targetRows finds the row ids an UPDATE's or DELETE's WHERE clause
+// matches, through the access path and residuals of its plan.
+func targetRows(tx heap.Txn, p *plan, params []value.Value, subs subCache) ([]page.RowID, error) {
 	b, lv := p.b, &p.levels[0]
 	outerEnv := &env{cols: b.cols, params: params, tx: tx, subs: subs}
 	var rids []page.RowID
-	err = scanPath(tx, b.tabs[0].tid, lv.path, outerEnv, func(rid page.RowID, row value.Row) (bool, error) {
+	err := scanPath(tx, b.tabs[0].tid, lv.path, outerEnv, func(rid page.RowID, row value.Row) (bool, error) {
 		ok, err := passes(&env{cols: b.cols, row: row, params: params, tx: tx, subs: subs}, lv.residualWhere)
 		if ok {
 			rids = append(rids, rid)
 		}
 		return err == nil, err
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, rids, nil
+	return rids, err
 }
 
-func runUpdate(tx heap.Txn, up *sql.Update, params []value.Value) (*Result, error) {
+func runUpdate(tx heap.Txn, p *plan, up *sql.Update, params []value.Value) (*Result, error) {
 	subs := make(subCache)
-	p, rids, err := targetRows(tx, up.Table, up.Where, params, subs)
+	rids, err := targetRows(tx, p, params, subs)
 	if err != nil {
 		return nil, err
 	}
 	tb := p.b.tabs[0]
-	setOrds := make([]int, len(up.Sets))
-	for i, s := range up.Sets {
-		ord := tb.def.ColIndex(s.Col)
-		if ord < 0 {
-			return nil, fmt.Errorf("exec: %w: %s.%s", ErrUnknownColumn, up.Table, s.Col)
-		}
-		setOrds[i] = ord
-	}
 	n := 0
 	for _, rid := range rids {
 		row, ok, err := tx.Fetch(tb.tid, rid)
@@ -773,7 +752,7 @@ func runUpdate(tx heap.Txn, up *sql.Update, params []value.Value) (*Result, erro
 			if err != nil {
 				return nil, err
 			}
-			newRow[setOrds[i]] = v
+			newRow[p.sets[i]] = v
 		}
 		if err := tx.Update(tb.tid, rid, newRow); err != nil {
 			return nil, err
@@ -783,17 +762,15 @@ func runUpdate(tx heap.Txn, up *sql.Update, params []value.Value) (*Result, erro
 	return &Result{Affected: n}, nil
 }
 
-func runDelete(tx heap.Txn, del *sql.Delete, params []value.Value) (*Result, error) {
-	p, rids, err := targetRows(tx, del.Table, del.Where, params, make(subCache))
+func runDelete(tx heap.Txn, p *plan, params []value.Value) (*Result, error) {
+	rids, err := targetRows(tx, p, params, make(subCache))
 	if err != nil {
 		return nil, err
 	}
-	n := 0
 	for _, rid := range rids {
 		if err := tx.Delete(p.b.tabs[0].tid, rid); err != nil {
 			return nil, err
 		}
-		n++
 	}
-	return &Result{Affected: n}, nil
+	return &Result{Affected: len(rids)}, nil
 }

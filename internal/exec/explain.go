@@ -11,18 +11,19 @@ import (
 // Explain renders the plan the executor runs for a SELECT statement: the
 // join order (FROM order) and, per table, the chosen index with its
 // equality-prefix and range columns, or a full scan; then the aggregation,
-// sort and limit steps that run. Diagnostics for query authors; the figure
-// workloads were tuned with it.
+// sort and limit steps that run. It renders the plan cached on the
+// statement's shared Prepared, the one Exec runs. Diagnostics for query
+// authors; the figure workloads were tuned with it.
 func Explain(e *heap.Engine, text string) (string, error) {
-	stmt, err := sql.Parse(text)
+	prep, err := Cached(text)
 	if err != nil {
 		return "", err
 	}
-	sel, ok := stmt.(*sql.Select)
+	sel, ok := prep.stmt.(*sql.Select)
 	if !ok {
-		return "", fmt.Errorf("exec: EXPLAIN supports SELECT only, got %T", stmt)
+		return "", fmt.Errorf("exec: EXPLAIN supports SELECT only, got %T", prep.stmt)
 	}
-	p, err := planSelect(e, sel)
+	p, err := prep.planFor(e)
 	if err != nil {
 		return "", err
 	}

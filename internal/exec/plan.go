@@ -92,8 +92,12 @@ func (b *binder) colOrdinalOf(r *sql.ColRef, tabIdx int) int {
 // plan is how one statement runs: the plan of a SELECT, or of the
 // single-table WHERE clause an UPDATE or DELETE targets rows with. runSelect
 // executes it, targetRows probes with it and Explain renders it, so the
-// three cannot disagree. It depends only on the statement and the catalog.
+// three cannot disagree. A Prepared caches it, so goroutines and engines
+// share it and nothing writes it once stored (binder.cols included). It
+// holds ordinals and definitions, never engine pointers, and the statement's
+// own AST nodes, since accessPath.consumed is keyed by node identity.
 type plan struct {
+	fp     uint64 // the engine schema fingerprint the plan was built under
 	b      *binder
 	levels []joinLevel // one per FROM table, in join order
 
@@ -101,6 +105,10 @@ type plan struct {
 	groupBy []sql.Expr      // aliases substituted
 	having  sql.Expr        // aliases substituted
 	hasAgg  bool
+
+	cols  []string // SELECT: output column names
+	width int      // SELECT: values per output row
+	sets  []int    // UPDATE: the column ordinal each SET assigns
 }
 
 // joinLevel is the plan for one table of the join pipeline.
@@ -211,12 +219,56 @@ func planSelect(e *heap.Engine, sel *sql.Select) (*plan, error) {
 	}
 
 	p.hasAgg = len(p.groupBy) > 0 || (p.having != nil && sql.IsAggregate(p.having))
-	for _, se := range sel.Exprs {
-		if !se.Star && sql.IsAggregate(se.Expr) {
+	for i, se := range sel.Exprs {
+		if se.Star {
+			for _, tb := range b.tabs {
+				for _, c := range tb.def.Cols {
+					p.cols = append(p.cols, c.Name)
+				}
+			}
+			p.width += b.width
+			continue
+		}
+		if sql.IsAggregate(se.Expr) {
 			p.hasAgg = true
 		}
+		name := se.Alias
+		if name == "" {
+			if ref, ok := se.Expr.(*sql.ColRef); ok {
+				name = ref.Col
+			} else {
+				name = fmt.Sprintf("col%d", i+1)
+			}
+		}
+		p.cols = append(p.cols, name)
+		p.width++
 	}
 	return p, nil
+}
+
+// planStmt plans a SELECT, or an UPDATE's or DELETE's WHERE clause as a
+// single-table SELECT.
+func planStmt(e *heap.Engine, stmt sql.Statement) (*plan, error) {
+	switch s := stmt.(type) {
+	case *sql.Select:
+		return planSelect(e, s)
+	case *sql.Update:
+		p, err := planSelect(e, &sql.Select{From: []sql.TableRef{{Table: s.Table, Join: sql.JoinInner}}, Where: s.Where})
+		if err != nil {
+			return nil, err
+		}
+		p.sets = make([]int, len(s.Sets))
+		for i, set := range s.Sets {
+			if p.sets[i] = p.b.tabs[0].def.ColIndex(set.Col); p.sets[i] < 0 {
+				return nil, fmt.Errorf("exec: %w: %s.%s", ErrUnknownColumn, s.Table, set.Col)
+			}
+		}
+		return p, nil
+	case *sql.Delete:
+		return planSelect(e, &sql.Select{From: []sql.TableRef{{Table: s.Table, Join: sql.JoinInner}}, Where: s.Where})
+	default:
+		return nil, fmt.Errorf("exec: statement %T must run through ExecDDL or the session layer", stmt)
+	}
 }
 
 // substituteAliases replaces SELECT aliases referenced by ORDER BY / GROUP

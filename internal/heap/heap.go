@@ -27,7 +27,9 @@ package heap
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dmv/internal/obs"
@@ -151,12 +153,13 @@ type Engine struct {
 	// at allocation (before the page is shared).
 	applyHook func(mods []page.Mod, eager bool)
 
-	mu      sync.RWMutex
-	tables  []*Table       // guarded by mu
-	byName  map[string]int // guarded by mu
-	clock   *vclock.Clock
-	txSeq   uint64 // guarded by txSeqMu
-	txSeqMu sync.Mutex
+	mu       sync.RWMutex
+	tables   []*Table       // guarded by mu
+	byName   map[string]int // guarded by mu
+	schemaFP atomic.Uint64  // SchemaFingerprint; written under mu
+	clock    *vclock.Clock
+	txSeq    uint64 // guarded by txSeqMu
+	txSeqMu  sync.Mutex
 }
 
 // NewEngine returns an empty engine.
@@ -226,6 +229,7 @@ func (e *Engine) CreateTable(def TableDef) (int, error) {
 	e.tables = append(e.tables, t)
 	e.byName[def.Name] = id
 	e.clock = vclock.NewClockAt(e.clock.Current().Merge(vclock.New(id + 1)))
+	e.foldSchemaLocked(def)
 	return id, nil
 }
 
@@ -235,7 +239,25 @@ func (e *Engine) CreateIndex(table int, def IndexDef) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return t.addIndex(def)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	id, err := t.addIndex(def)
+	if err == nil {
+		e.foldSchemaLocked(table, def)
+	}
+	return id, err
+}
+
+// SchemaFingerprint returns a hash of every table and index definition,
+// folded in as CreateTable and CreateIndex add them: equal on engines built
+// by the same DDL, changed by each table or index added.
+func (e *Engine) SchemaFingerprint() uint64 { return e.schemaFP.Load() }
+
+// foldSchemaLocked mixes one new definition into schemaFP. Caller holds mu.
+func (e *Engine) foldSchemaLocked(def ...any) {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d %#v", e.schemaFP.Load(), def)
+	e.schemaFP.Store(h.Sum64())
 }
 
 // TableID resolves a table name.

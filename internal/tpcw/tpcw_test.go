@@ -144,8 +144,10 @@ type engQuerier struct {
 	tx heap.Txn
 }
 
+// Exec resolves statements through the shared cache, as a node's session
+// does, so repeated interactions run cached plans.
 func (q engQuerier) Exec(stmt string, params ...value.Value) (*exec.Result, error) {
-	p, err := exec.Prepare(stmt)
+	p, err := exec.Cached(stmt)
 	if err != nil {
 		return nil, err
 	}

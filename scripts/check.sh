@@ -95,8 +95,9 @@ go test -race -count=1 ./...
 echo "==> chaos under -tags dmvdebug (sealed-vector, sealed-row and write-set assertions active)"
 go test -tags dmvdebug -race -count=1 -run 'TestChaos|TestSealed|TestUnsealed' . ./internal/vclock/ ./internal/value/
 # Whole packages: the heap property tests and executor tests hand out
-# published rows and index keys, so the row seals check them too.
-go test -tags dmvdebug -race -count=1 ./internal/heap/ ./internal/page/ ./internal/exec/
+# published rows and index keys, so the row seals check them too; the
+# TPC-W runs re-plan every cached plan they hit and compare.
+go test -tags dmvdebug -race -count=1 ./internal/heap/ ./internal/page/ ./internal/exec/ ./internal/tpcw/
 
 echo "==> production Go lines (scripts/loc.sh; refactor PRs quote the delta in CHANGES.md)"
 sh scripts/loc.sh
