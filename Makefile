@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet dmv-vet check bench
+.PHONY: build test race vet dmv-vet check bench fuzz
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,13 @@ vet:
 # The nine dmv-vet analyzers standalone (no go vet), package-parallel.
 dmv-vet:
 	$(GO) run ./cmd/dmv-vet ./...
+
+# The fuzz targets, each for a fixed number of inputs so the run time stays
+# bounded (plain go test runs only their seed corpora): the wire codec's
+# data-path bodies and the WAL record codec.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzWireBodies$$' -fuzztime 20000x ./internal/transport/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 20000x ./internal/persist/
 
 # The full gate CI runs: build, vet, dmv-vet, race tests, dmvdebug chaos leg.
 check:

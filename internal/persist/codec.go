@@ -3,7 +3,6 @@ package persist
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"dmv/internal/scheduler"
 	"dmv/internal/value"
@@ -16,17 +15,13 @@ import (
 // what lets the seeded crash tests demand identical recovered state across
 // two runs of one seed.
 //
-// Layout (all varints are unsigned LEB128 via encoding/binary unless noted):
+// Layout (all varints are unsigned LEB128 via encoding/binary):
 //
 //	uvarint vectorLen, then vectorLen uvarint components
 //	uvarint stmtCount, then per statement:
 //	    uvarint textLen, textLen bytes of SQL
-//	    uvarint paramCount, then per param:
-//	        1 byte kind
-//	        Int:    varint (zig-zag) int64
-//	        Float:  8-byte little-endian IEEE 754 bits
-//	        String: uvarint len + bytes
-//	        Null:   nothing
+//	    uvarint paramCount, then paramCount values in value.AppendBinary's
+//	    layout (the one the wire codec uses too)
 
 // EncodeRecord serializes one commit record for the WAL.
 func EncodeRecord(rec scheduler.CommitRecord) []byte {
@@ -41,18 +36,7 @@ func EncodeRecord(rec scheduler.CommitRecord) []byte {
 		buf = append(buf, s.Text...)
 		buf = binary.AppendUvarint(buf, uint64(len(s.Params)))
 		for _, p := range s.Params {
-			buf = append(buf, byte(p.K))
-			switch p.K {
-			case value.Int:
-				buf = binary.AppendVarint(buf, p.I)
-			case value.Float:
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.F))
-			case value.String:
-				buf = binary.AppendUvarint(buf, uint64(len(p.S)))
-				buf = append(buf, p.S...)
-			case value.Null:
-				// kind byte only
-			}
+			buf = value.AppendBinary(buf, p)
 		}
 	}
 	return buf
@@ -63,101 +47,25 @@ func EncodeRecord(rec scheduler.CommitRecord) []byte {
 // so a decode failure means a genuinely foreign or corrupt record.
 func DecodeRecord(buf []byte) (scheduler.CommitRecord, error) {
 	var rec scheduler.CommitRecord
-	d := decoder{buf: buf}
-	vlen := d.uvarint()
-	if vlen > uint64(len(buf)) {
-		return rec, fmt.Errorf("persist: record vector length %d overruns payload", vlen)
-	}
-	rec.Version = vclock.New(int(vlen))
+	d := value.NewDecoder(buf)
+	rec.Version = vclock.New(d.Count())
 	for i := range rec.Version {
-		rec.Version[i] = d.uvarint()
+		rec.Version[i] = d.Uvarint()
 	}
-	nStmts := d.uvarint()
-	if nStmts > uint64(len(buf)) {
-		return rec, fmt.Errorf("persist: record statement count %d overruns payload", nStmts)
-	}
-	rec.Stmts = make([]scheduler.LoggedStmt, 0, nStmts)
-	for i := uint64(0); i < nStmts; i++ {
-		var s scheduler.LoggedStmt
-		s.Text = string(d.bytes(d.uvarint()))
-		nParams := d.uvarint()
-		if nParams > uint64(len(buf)) {
-			return rec, fmt.Errorf("persist: record param count %d overruns payload", nParams)
+	rec.Stmts = make([]scheduler.LoggedStmt, d.Count())
+	for i := range rec.Stmts {
+		s := &rec.Stmts[i]
+		s.Text = d.String()
+		s.Params = make([]value.Value, d.Count())
+		for j := range s.Params {
+			s.Params[j] = value.ReadBinary(&d)
 		}
-		s.Params = make([]value.Value, 0, nParams)
-		for j := uint64(0); j < nParams; j++ {
-			var p value.Value
-			p.K = value.Kind(d.byte())
-			switch p.K {
-			case value.Int:
-				p.I = d.varint()
-			case value.Float:
-				p.F = math.Float64frombits(binary.LittleEndian.Uint64(d.bytes(8)))
-			case value.String:
-				p.S = string(d.bytes(d.uvarint()))
-			case value.Null:
-			default:
-				return rec, fmt.Errorf("persist: record has unknown value kind %d", p.K)
-			}
-			s.Params = append(s.Params, p)
-		}
-		rec.Stmts = append(rec.Stmts, s)
 	}
-	if d.err {
-		return rec, fmt.Errorf("persist: truncated record payload")
+	if err := d.Err(); err != nil {
+		return rec, fmt.Errorf("persist: record payload: %w", err)
 	}
-	if len(d.buf) != 0 {
-		return rec, fmt.Errorf("persist: %d trailing bytes after record", len(d.buf))
+	if d.Len() != 0 {
+		return rec, fmt.Errorf("persist: %d trailing bytes after record", d.Len())
 	}
 	return rec, nil
-}
-
-// decoder consumes buf front-to-back, latching the first failure so call
-// sites stay linear; the caller checks err once at the end.
-type decoder struct {
-	buf []byte
-	err bool
-}
-
-func (d *decoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = true
-		d.buf = nil
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		d.err = true
-		d.buf = nil
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *decoder) byte() byte {
-	if len(d.buf) < 1 {
-		d.err = true
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
-}
-
-func (d *decoder) bytes(n uint64) []byte {
-	if uint64(len(d.buf)) < n {
-		d.err = true
-		d.buf = nil
-		return nil
-	}
-	b := d.buf[:n]
-	d.buf = d.buf[n:]
-	return b
 }

@@ -1,10 +1,15 @@
 // Package transport serves the replica Peer interface and the scheduler
-// session API over TCP using net/rpc (gob encoding), enabling real
-// multi-process deployments: each database node runs cmd/dmv-node, the
-// scheduler runs cmd/dmv-scheduler, and the two sides exchange exactly the
-// messages of the in-process cluster — write-set broadcasts with
-// acknowledgments, version-tagged transaction sessions, heartbeats, page
-// migration, and warm-up traffic.
+// session API over TCP using net/rpc, enabling real multi-process
+// deployments: each database node runs cmd/dmv-node, the scheduler runs
+// cmd/dmv-scheduler, and the two sides exchange exactly the messages of the
+// in-process cluster — write-set broadcasts with acknowledgments,
+// version-tagged transaction sessions, heartbeats, page migration, and
+// warm-up traffic.
+//
+// net/rpc runs with this package's binary codec (codec.go) instead of its
+// default gob one: length-prefixed frames, hand-written binary bodies for
+// the data-path messages, and gob, inside the frame, for the control-plane
+// bodies that have no binary form yet.
 //
 // Error identity matters to the scheduler (version-conflict aborts and
 // node-down errors are retried differently), and net/rpc flattens errors to
@@ -528,9 +533,9 @@ func ServeNodeListener(n *replica.Node, lis net.Listener, reg *obs.Registry) (*S
 			s.connMu.Unlock()
 			go func() {
 				if reg != nil {
-					srv.ServeConn(&countingConn{Conn: conn, in: bytesIn, out: bytesOut})
+					srv.ServeCodec(newServerCodec(&countingConn{Conn: conn, in: bytesIn, out: bytesOut}))
 				} else {
-					srv.ServeConn(conn)
+					srv.ServeCodec(newServerCodec(conn))
 				}
 				s.connMu.Lock()
 				delete(s.conns, conn)
@@ -778,7 +783,7 @@ func (n *RemoteNode) conn() (*rpc.Client, error) {
 		n.met.redials.Inc()
 	}
 	n.dialed = true
-	n.client = rpc.NewClient(raw)
+	n.client = rpc.NewClientWithCodec(newClientCodec(raw))
 	return n.client, nil
 }
 
@@ -801,6 +806,19 @@ func (n *RemoteNode) Close() {
 	n.drop()
 }
 
+// callWait is callOnce's completion channel and deadline timer, recycled
+// through callWaits so a call allocates neither. A pair goes back only when
+// the reply beat the deadline and the timer stopped before firing: then
+// the channel is empty (net/rpc signals a call once) and no tick is
+// pending. A pair whose call timed out may still get a late reply, so it
+// is dropped.
+type callWait struct {
+	done chan *rpc.Call
+	t    *time.Timer
+}
+
+var callWaits = sync.Pool{New: func() any { return &callWait{done: make(chan *rpc.Call, 1)} }}
+
 // call performs one deadline-bounded RPC attempt (the default path for
 // non-idempotent calls, which must not be replayed blind: a lost TxCommit
 // reply leaves the outcome genuinely unknown).
@@ -809,7 +827,8 @@ func (n *RemoteNode) call(method string, args, reply any) error {
 }
 
 // callOnce performs one RPC with deadline d (0 = unbounded), mapping
-// transport failures to ErrNodeDown and deadline misses to ErrPeerTimeout.
+// transport failures (including a *FrameError) to ErrNodeDown and
+// deadline misses to ErrPeerTimeout.
 // On a timeout the client is dropped: net/rpc cannot cancel an in-flight
 // call, so abandoning the connection is the only way to keep a late reply
 // from being confused with a fresh request, and it arms the lazy re-dial.
@@ -828,14 +847,20 @@ func (n *RemoteNode) callOnce(method string, args, reply any, d time.Duration) e
 		// would stall here before the deadline select was ever reached.
 		// Issue the send from a goroutine; on timeout, drop() closes the
 		// connection, which unblocks a writer stalled on a dead link.
-		done := make(chan *rpc.Call, 1)
-		go c.Go(method, args, reply, done)
-		t := time.NewTimer(d)
+		w := callWaits.Get().(*callWait)
+		go c.Go(method, args, reply, w.done)
+		if w.t == nil {
+			w.t = time.NewTimer(d)
+		} else {
+			w.t.Reset(d)
+		}
 		select {
-		case call := <-done:
-			t.Stop()
+		case call := <-w.done:
 			callErr = call.Error
-		case <-t.C:
+			if w.t.Stop() {
+				callWaits.Put(w)
+			}
+		case <-w.t.C:
 			n.drop()
 			n.met.timeouts.Inc()
 			n.met.rpcUS.ObserveSince(start)
@@ -845,8 +870,9 @@ func (n *RemoteNode) callOnce(method string, args, reply any, d time.Duration) e
 	n.met.rpcUS.ObserveSince(start)
 	if callErr != nil {
 		n.drop()
+		var fe *FrameError
 		if errors.Is(callErr, rpc.ErrShutdown) || errors.Is(callErr, io.EOF) ||
-			errors.Is(callErr, io.ErrUnexpectedEOF) || isNetError(callErr) {
+			errors.Is(callErr, io.ErrUnexpectedEOF) || errors.As(callErr, &fe) || isNetError(callErr) {
 			return fmt.Errorf("%w: %s: %v", replica.ErrNodeDown, n.id, callErr)
 		}
 		return callErr
