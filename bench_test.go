@@ -11,6 +11,7 @@ import (
 
 	"dmv/internal/exec"
 	"dmv/internal/heap"
+	"dmv/internal/page"
 	"dmv/internal/tpcw"
 	"dmv/internal/value"
 )
@@ -67,9 +68,13 @@ func setV(tb testing.TB, e *heap.Engine, tid int, id, v int64, apply func(*heap.
 func shipDelta(t *testing.T, master *heap.Engine, rows int) (*heap.Engine, int) {
 	t.Helper()
 	stale, _ := newKVEngine(t, rows)
-	delta, err := master.DeltaSince(stale.PageVersions(), master.MaxVersions())
-	if err != nil {
-		t.Fatal(err)
+	var delta []page.Image
+	for _, s := range heap.ChangedPages(stale.PageVersions(), master.PageVersions()) {
+		imgs, err := master.PageImages(s.Table, s.Pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta = append(delta, imgs...)
 	}
 	if err := stale.InstallDelta(delta); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"dmv/internal/exec"
 	"dmv/internal/heap"
 	"dmv/internal/obs/flight"
+	"dmv/internal/page"
 	"dmv/internal/replica"
 	"dmv/internal/scheduler"
 )
@@ -181,7 +182,8 @@ func (p *Plane) setJoining(id string, joining bool) {
 }
 
 // migrate brings n's pages up to a support slave's versions with one
-// changed-page delta and reports how many pages it shipped. On its own it
+// changed-page delta (heap.ChangedPages, imaged by the donor's PageImages as
+// in scrub repair) and reports how many pages it shipped. On its own it
 // refreshes a node without subscribing it: a stale spare goes right back to
 // being stale (the paper's periodically-updated backup), a cleared suspect
 // closes the gap its abandoned acks left.
@@ -190,17 +192,21 @@ func (p *Plane) migrate(n replica.Peer) (int, error) {
 	if support == nil {
 		return 0, ErrNoSupportSlave
 	}
-	target, err := support.MaxVersions()
-	if err != nil {
-		return 0, err
-	}
 	have, err := n.PageVersions()
 	if err != nil {
 		return 0, err
 	}
-	delta, err := support.DeltaSince(have, target)
+	donor, err := support.PageVersions()
 	if err != nil {
-		return 0, fmt.Errorf("delta from %s: %w", support.ID(), err)
+		return 0, err
+	}
+	var delta []page.Image
+	for _, s := range heap.ChangedPages(have, donor) {
+		imgs, err := support.PageImages(s.Table, s.Pages)
+		if err != nil {
+			return 0, fmt.Errorf("delta from %s: %w", support.ID(), err)
+		}
+		delta = append(delta, imgs...)
 	}
 	return len(delta), n.InstallDelta(delta)
 }

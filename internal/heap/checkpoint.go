@@ -20,8 +20,9 @@ type Checkpoint struct {
 }
 
 // FuzzyCheckpoint snapshots every page that can be latched without blocking.
-// Skipped (dirty) pages simply retain their previous checkpoint image; the
-// reintegration protocol fetches anything newer from a support slave anyway.
+// A skipped (dirty) page has no image in the checkpoint, so a restore leaves
+// it an empty placeholder at version 0; reintegration ships it back from a
+// support slave along with anything newer (ChangedPages).
 func (e *Engine) FuzzyCheckpoint() *Checkpoint {
 	tables := e.allTables()
 	cp := &Checkpoint{Versions: vclock.New(len(tables))}

@@ -64,12 +64,14 @@ func (e *Engine) TableDigestAt(table int, v uint64, withPages bool) (scrub.Table
 	return td, nil
 }
 
-// PageImages snapshots the named pages at their current content — the
-// donor side of changed-page repair. Each page is first materialized to the
-// table's newest version (collapsing its mod chain, the paper's "only
-// current pages move"), then imaged; a page that has already applied ahead
-// of the captured version is imaged as-is. Unknown page ids are skipped:
-// the diverged set may name a page the donor dropped to empty.
+// PageImages snapshots the named pages at their current content — the one
+// donor primitive of page shipping: reintegration asks for the pages
+// ChangedPages picks, scrub repair for the pages whose hashes differ. Each
+// page is first materialized to the table's newest version (collapsing its
+// mod chain, the paper's "only current pages move"), then imaged; a page
+// that has already applied ahead of the captured version is imaged as-is.
+// Unknown page ids are skipped: the diverged set may name a page the donor
+// dropped to empty.
 func (e *Engine) PageImages(table int, pages []page.ID) ([]page.Image, error) {
 	t, err := e.table(table)
 	if err != nil {

@@ -386,11 +386,7 @@ func TestMigrationDelta(t *testing.T) {
 		last = ver
 	}
 
-	have := stale.PageVersions()
-	delta, err := support.DeltaSince(have, last)
-	if err != nil {
-		t.Fatalf("delta: %v", err)
-	}
+	delta := fetchChanged(t, stale, support)
 	if len(delta) == 0 {
 		t.Fatal("no delta pages; want >0")
 	}

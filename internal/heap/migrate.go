@@ -4,58 +4,72 @@ import (
 	"fmt"
 
 	"dmv/internal/page"
-	"dmv/internal/vclock"
 )
 
-// PageVersionMap records, per table id, the applied version of every page a
-// node holds (indexed by page id). A reintegrating node sends this to its
-// support slave, which replies with only the pages that changed since —
-// pages that may have collapsed long chains of row modifications, making
-// page shipping faster on average than log replay (Section 4.4).
-type PageVersionMap map[int][]uint64
+// PageVersion summarizes one page for changed-page selection.
+type PageVersion struct {
+	Applied  uint64 // version the materialized rows reflect
+	Received uint64 // newest version applied or still buffered
+	Rows     int    // materialized row count
+}
 
-// PageVersions captures this node's page-version map.
+// PageVersionMap records, per table id, a summary of every page a node
+// holds (indexed by page id). Reintegration compares the joiner's map with
+// its donor's to choose which pages to ship (ChangedPages): only pages that
+// changed move, and each may have collapsed a long chain of row
+// modifications, making page shipping faster on average than log replay
+// (Section 4.4).
+type PageVersionMap map[int][]PageVersion
+
+// PageVersions captures this node's page-version map without materializing
+// anything: a page's buffered mods show in its Received version.
 func (e *Engine) PageVersions() PageVersionMap {
 	out := make(PageVersionMap)
 	for _, t := range e.allTables() {
 		pages := t.pagesSnapshot()
-		vers := make([]uint64, len(pages))
+		vers := make([]PageVersion, len(pages))
 		for i, pg := range pages {
-			vers[i] = pg.Applied()
+			vers[i].Applied, vers[i].Received, vers[i].Rows = pg.Versions()
 		}
 		out[t.id] = vers
 	}
 	return out
 }
 
-// DeltaSince serves a migration request on a support slave: materialize
-// everything up to target, then return images of every page that is newer
-// than the requester's recorded version (or that the requester does not have
-// at all).
-func (e *Engine) DeltaSince(have PageVersionMap, target vclock.Vector) ([]page.Image, error) {
-	if err := e.MaterializeAll(target); err != nil {
-		return nil, fmt.Errorf("materialize for migration: %w", err)
-	}
-	var out []page.Image
-	for _, t := range e.allTables() {
-		theirs := have[t.id]
-		for i, pg := range t.pagesSnapshot() {
-			var theirVer uint64
-			known := i < len(theirs)
-			if known {
-				theirVer = theirs[i]
+// PageSet names pages of one table.
+type PageSet struct {
+	Table int
+	Pages []page.ID
+}
+
+// ChangedPages chooses the pages a joiner must fetch from a donor, in
+// table-id order (an engine's table ids are dense). A page ships when the
+// donor has received a version above the one the joiner has applied (so a
+// joiner that buffered a later write-set above a missed one still gets the
+// page), or when the joiner's copy is empty at version 0 while the donor's
+// holds rows (a placeholder, such as a page a fuzzy checkpoint skipped). A
+// page the joiner lacks counts as empty at version 0, so empty never-written
+// pages stay where they are.
+func ChangedPages(joiner, donor PageVersionMap) []PageSet {
+	var out []PageSet
+	for id := 0; id < len(donor); id++ {
+		theirs := joiner[id]
+		var pages []page.ID
+		for i, d := range donor[id] {
+			var j PageVersion
+			if i < len(theirs) {
+				j = theirs[i]
 			}
-			v := pg.Applied()
-			if known && v <= theirVer {
-				continue
+			placeholder := j.Applied == 0 && j.Rows == 0 && d.Rows > 0
+			if d.Received > j.Applied || placeholder {
+				pages = append(pages, page.ID(i))
 			}
-			if !known && v == 0 && pg.RowCount() == 0 {
-				continue // empty placeholder neither side needs
-			}
-			out = append(out, pg.SnapshotBlocking())
+		}
+		if len(pages) > 0 {
+			out = append(out, PageSet{Table: id, Pages: pages})
 		}
 	}
-	return out, nil
+	return out
 }
 
 // InstallDelta installs shipped page images: the one install path behind

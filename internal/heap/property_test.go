@@ -268,12 +268,7 @@ func TestPropertyMigrationEquivalence(t *testing.T) {
 				return nil
 			})
 		}
-		target := []uint64{last[tid]}
-		have := stale.PageVersions()
-		delta, err := support.DeltaSince(have, target)
-		if err != nil {
-			t.Fatal(err)
-		}
+		delta := fetchChanged(t, stale, support)
 		if err := stale.InstallDelta(delta); err != nil {
 			t.Fatal(err)
 		}

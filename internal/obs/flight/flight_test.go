@@ -156,7 +156,7 @@ type fakePeer struct {
 	err error
 }
 
-func (p fakePeer) ID() string                  { return p.id }
+func (p fakePeer) ID() string                    { return p.id }
 func (p fakePeer) FlightDump() (NodeDump, error) { return p.nd, p.err }
 
 // TestPeerGather checks dump assembly over a peer set: reachable rings are

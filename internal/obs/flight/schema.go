@@ -38,8 +38,8 @@ type Trigger struct {
 // reachable), so determinism comparisons strip it.
 type Meta struct {
 	WrittenUnixNano int64
-	Origin          string // node that assembled the dump
-	GatherUS        int64  // peer-gather + assembly time
+	Origin          string   // node that assembled the dump
+	GatherUS        int64    // peer-gather + assembly time
 	PeerErrors      []string `json:",omitempty"`
 }
 

@@ -122,11 +122,11 @@ func (sp *Span) Finish(outcome, cause string) {
 // Tracer keeps the most recent spans in a bounded ring buffer.
 type Tracer struct {
 	mu    sync.Mutex
-	ring  []Span        // guarded by mu
-	next  int           // guarded by mu
-	seq   uint64        // guarded by mu
-	hooks []func(Span)  // guarded by mu; invoked after unlock
-	drops *Counter      // ring-wrap overwrites (nil-safe; wired by Registry)
+	ring  []Span       // guarded by mu
+	next  int          // guarded by mu
+	seq   uint64       // guarded by mu
+	hooks []func(Span) // guarded by mu; invoked after unlock
+	drops *Counter     // ring-wrap overwrites (nil-safe; wired by Registry)
 }
 
 // NewTracer returns a tracer retaining the last capacity spans.

@@ -133,6 +133,19 @@ func (p *Page) Applied() uint64 {
 	return p.applied
 }
 
+// Versions returns, under one shared latch, the applied version, the newest
+// version received (applied or still buffered) and the materialized row
+// count: what changed-page selection needs without materializing the page.
+func (p *Page) Versions() (applied, received uint64, rows int) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	received = p.applied
+	if n := len(p.pending); n > 0 && p.pending[n-1].Version > received {
+		received = p.pending[n-1].Version
+	}
+	return p.applied, received, len(p.rows)
+}
+
 // PendingLen returns the number of buffered, unapplied modifications.
 func (p *Page) PendingLen() int {
 	p.mu.RLock()

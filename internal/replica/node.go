@@ -115,13 +115,12 @@ type Peer interface {
 	// path: migration deltas and scrub repair images both land through it.
 	StartJoin() error
 	PageVersions() (heap.PageVersionMap, error)
-	DeltaSince(have heap.PageVersionMap, target vclock.Vector) ([]page.Image, error)
 	InstallDelta(images []page.Image) error
 	FinishJoin() error
 
 	// Anti-entropy scrub (DESIGN.md §15): a snapshot-consistent state
-	// digest at a pinned version, and the healthy-donor side of
-	// changed-page repair.
+	// digest at a pinned version, and the donor side of page shipping,
+	// for scrub repair and reintegration alike.
 	Digest(table int, version uint64, withPages bool) (scrub.TableDigest, error)
 	PageImages(table int, pages []page.ID) ([]page.Image, error)
 
@@ -950,14 +949,6 @@ func (n *Node) PageVersions() (heap.PageVersionMap, error) {
 	return n.eng.PageVersions(), nil
 }
 
-// DeltaSince implements Peer (support-slave side of data migration).
-func (n *Node) DeltaSince(have heap.PageVersionMap, target vclock.Vector) ([]page.Image, error) {
-	if err := n.check(); err != nil {
-		return nil, err
-	}
-	return n.eng.DeltaSince(have, target)
-}
-
 // InstallDelta implements Peer (joining-node side of data migration, and
 // diverged-node side of changed-page repair).
 func (n *Node) InstallDelta(images []page.Image) error {
@@ -1006,7 +997,7 @@ func (n *Node) Digest(table int, version uint64, withPages bool) (scrub.TableDig
 	return n.eng.TableDigestAt(table, version, withPages)
 }
 
-// PageImages implements Peer (healthy-donor side of changed-page repair).
+// PageImages implements Peer (donor side of scrub repair and migration).
 func (n *Node) PageImages(table int, pages []page.ID) ([]page.Image, error) {
 	if err := n.check(); err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"dmv/internal/exec"
 	"dmv/internal/heap"
 	"dmv/internal/obs"
+	"dmv/internal/page"
 	"dmv/internal/simdisk"
 	"dmv/internal/value"
 )
@@ -105,18 +106,23 @@ func TestJoinBuffering(t *testing.T) {
 		t.Fatalf("joiner applied while joining: %d pending mods", got)
 	}
 
-	// Migration: fetch the delta from the support slave, install, drain.
-	target, err := support.MaxVersions()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Migration: fetch the changed pages from the support slave, install,
+	// drain.
 	have, err := joiner.PageVersions()
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := support.DeltaSince(have, target)
+	donor, err := support.PageVersions()
 	if err != nil {
 		t.Fatal(err)
+	}
+	var delta []page.Image
+	for _, s := range heap.ChangedPages(have, donor) {
+		imgs, err := support.PageImages(s.Table, s.Pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta = append(delta, imgs...)
 	}
 	if err := joiner.InstallDelta(delta); err != nil {
 		t.Fatal(err)

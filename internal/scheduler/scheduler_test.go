@@ -46,9 +46,6 @@ func (f *fakePeer) Digest(table int, version uint64, _ bool) (scrub.TableDigest,
 	return scrub.TableDigest{Table: table, Version: version}, nil
 }
 func (f *fakePeer) PageImages(int, []page.ID) ([]page.Image, error) { return nil, nil }
-func (f *fakePeer) DeltaSince(heap.PageVersionMap, vclock.Vector) ([]page.Image, error) {
-	return nil, nil
-}
 func (f *fakePeer) TxBegin(readOnly bool, _ vclock.Vector, _ time.Duration, _ obs.TraceContext) (uint64, error) {
 	if f.failTx != nil {
 		return 0, f.failTx

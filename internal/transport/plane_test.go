@@ -194,3 +194,73 @@ func TestRemotePlaneTimelineMatchesInProcess(t *testing.T) {
 		t.Fatalf("in-process timeline = %v, remote = %v", local, remote)
 	}
 }
+
+// insertAcct commits one new account row through the scheduler.
+func insertAcct(t *testing.T, tr *remoteTier, id int64) {
+	t.Helper()
+	err := tr.sched.Run(scheduler.TxnSpec{Tables: []string{"acct"}}, func(tx *scheduler.Txn) error {
+		_, err := tx.Exec(`INSERT INTO acct (id, bal) VALUES (?, ?)`, value.NewInt(id), value.NewInt(id))
+		return err
+	})
+	if err != nil {
+		t.Fatalf("insert %d: %v", id, err)
+	}
+}
+
+// TestRemotePlaneClearedSuspectMigrates runs reintegration's page shipping
+// over TCP: a slave cut off from the master's write-sets and from the
+// detector's probes for fewer than DeadAfter probe periods misses the
+// commits of the cut, is suspected, and on heal is cleared and migrated
+// through RemoteNodes (page-version maps, the donor's PageImages, the
+// install). Commits after the heal buffer on the slave above the ones it
+// lost. Once the quarantine lifts, the slave matches the master at the
+// master's frontier.
+func TestRemotePlaneClearedSuspectMigrates(t *testing.T) {
+	tr := newRemoteTier(t, 7)
+	for i := 0; i < 3; i++ {
+		if err := increment(tr.sched.Run); err != nil {
+			t.Fatalf("warm-up commit %d: %v", i, err)
+		}
+	}
+
+	tr.nw.Partition("master0", "slave1")
+	tr.nw.ResetLink("master0", "slave1") // the next ship fails fast instead of stalling a commit
+	tr.nw.Partition("sched", "slave1")
+	id := int64(1)
+	for ; id < 4; id++ {
+		insertAcct(t, tr, id+1)
+	}
+	awaitEvent(t, tr.plane, cluster.EventNodeSuspect, "slave1")
+	tr.nw.HealAll()
+	for ; id < 6; id++ {
+		insertAcct(t, tr, id+1)
+	}
+	awaitEvent(t, tr.plane, cluster.EventNodeCleared, "slave1")
+	deadline := time.Now().Add(10 * time.Second)
+	for len(tr.sched.Quarantined()) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("quarantine %v not lifted after clear", tr.sched.Quarantined())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for _, ev := range tr.plane.Events() {
+		if ev.Kind == cluster.EventNodeFailed {
+			t.Fatalf("the cut escalated to a failure: %+v", ev)
+		}
+	}
+
+	master, slave := tr.nodes["master0"].Engine(), tr.nodes["slave1"].Engine()
+	tid, _ := master.TableID("acct")
+	v := master.MaxVersions().Get(tid)
+	want, err := master.TableDigestAt(tid, v, false)
+	if err != nil {
+		t.Fatalf("master digest: %v", err)
+	}
+	got, err := slave.TableDigestAt(tid, v, false)
+	if err != nil {
+		t.Fatalf("slave digest: %v", err)
+	}
+	if got.Root != want.Root {
+		t.Fatalf("slave1 diverges from the master at version %d after migration", v)
+	}
+}

@@ -164,18 +164,6 @@ type CommitReply struct {
 	Status
 }
 
-// DeltaArgs requests a page-migration delta.
-type DeltaArgs struct {
-	Have   heap.PageVersionMap
-	Target vclock.Vector
-}
-
-// DeltaReply carries the migrated page images.
-type DeltaReply struct {
-	Images []page.Image
-	Status
-}
-
 // VersionReply carries a version vector.
 type VersionReply struct {
 	Version vclock.Vector
@@ -214,8 +202,8 @@ type DigestReply struct {
 	Status
 }
 
-// PageImagesArgs names the pages whose current images the scrubber wants
-// shipped for repair.
+// PageImagesArgs names the pages whose current images a repair or a
+// migration wants shipped.
 type PageImagesArgs struct {
 	Table int
 	Pages []page.ID
@@ -344,18 +332,10 @@ func (s *NodeService) StartJoin(_ struct{}, reply *Status) error {
 	return nil
 }
 
-// PageVersions reports per-page applied versions.
+// PageVersions reports per-page applied and received versions and row counts.
 func (s *NodeService) PageVersions(_ struct{}, reply *PageVersionsReply) error {
 	v, err := s.node.PageVersions()
 	reply.Versions = v
-	reply.set(err)
-	return nil
-}
-
-// DeltaSince serves a migration request (support-slave side).
-func (s *NodeService) DeltaSince(args DeltaArgs, reply *DeltaReply) error {
-	imgs, err := s.node.DeltaSince(args.Have, args.Target)
-	reply.Images = imgs
 	reply.set(err)
 	return nil
 }
@@ -395,8 +375,8 @@ func (s *NodeService) Digest(args DigestArgs, reply *DigestReply) error {
 	return nil
 }
 
-// PageImages serves current page images for changed-page repair (healthy
-// donor side).
+// PageImages serves current page images (donor side of scrub repair and
+// migration).
 func (s *NodeService) PageImages(args PageImagesArgs, reply *ImagesReply) error {
 	imgs, err := s.node.PageImages(args.Table, args.Pages)
 	reply.Images = imgs
@@ -1143,16 +1123,6 @@ func (n *RemoteNode) PageVersions() (heap.PageVersionMap, error) {
 	return reply.Versions, reply.Err()
 }
 
-// DeltaSince implements replica.Peer. Pure read on the support slave, so
-// page migration survives transient faults via retry.
-func (n *RemoteNode) DeltaSince(have heap.PageVersionMap, target vclock.Vector) ([]page.Image, error) {
-	var reply DeltaReply
-	if err := n.callIdem("Node.DeltaSince", DeltaArgs{Have: have, Target: target}, &reply, n.opts.CallTimeout); err != nil {
-		return nil, err
-	}
-	return reply.Images, reply.Err()
-}
-
 // InstallDelta implements replica.Peer. Installing the same page images
 // twice overwrites them with identical content, so replay is safe.
 func (n *RemoteNode) InstallDelta(images []page.Image) error {
@@ -1203,7 +1173,7 @@ func (n *RemoteNode) Digest(table int, version uint64, withPages bool) (scrub.Ta
 }
 
 // PageImages implements replica.Peer. Pure read on the donor, so repair
-// survives transient faults via retry.
+// and migration survive transient faults via retry.
 func (n *RemoteNode) PageImages(table int, pages []page.ID) ([]page.Image, error) {
 	var reply ImagesReply
 	if err := n.callIdem("Node.PageImages", PageImagesArgs{Table: table, Pages: pages}, &reply, n.opts.CallTimeout); err != nil {

@@ -103,7 +103,7 @@ func TestRPCRoundTrip(t *testing.T) {
 		t.Fatalf("read commit: %v", err)
 	}
 
-	// Control plane: versions, page versions, migration round trip.
+	// Control plane: versions, page versions, page images.
 	mv, err := sPeer.MaxVersions()
 	if err != nil || mv.Get(0) != 1 {
 		t.Fatalf("max versions = %v, %v", mv, err)
@@ -112,9 +112,9 @@ func TestRPCRoundTrip(t *testing.T) {
 	if err != nil || len(pv) == 0 {
 		t.Fatalf("page versions = %v, %v", pv, err)
 	}
-	imgs, err := mPeer.DeltaSince(heap.PageVersionMap{}, mv)
-	if err != nil || len(imgs) == 0 {
-		t.Fatalf("delta = %d images, %v", len(imgs), err)
+	imgs, err := mPeer.PageImages(0, []page.ID{0})
+	if err != nil || len(imgs) != 1 {
+		t.Fatalf("page images = %d images, %v", len(imgs), err)
 	}
 }
 

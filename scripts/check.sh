@@ -10,6 +10,10 @@ cd "$(dirname "$0")/.."
 echo "==> go build"
 go build ./...
 
+echo "==> gofmt"
+unformatted=$(gofmt -l .)
+[ -z "$unformatted" ] || { echo "gofmt -l lists unformatted files:" >&2; echo "$unformatted" >&2; exit 1; }
+
 echo "==> go vet"
 go vet ./...
 
