@@ -52,7 +52,12 @@ var DefaultConfig = &Config{
 	Levels: map[string]int{
 		// cluster: the control plane's membership/detector state, and the
 		// in-process cluster's per-node resources (checkpointers, disks).
-		// Neither is ever taken under the other.
+		// Neither is ever taken under the other. The sweep mutex is entered
+		// only from the scrub ticker or a direct Sweep with no locks held,
+		// and held across the whole sweep (routing-state reads, digest
+		// RPCs, quarantine updates under Plane.mu), so it sits outside the
+		// cluster band.
+		"dmv/internal/cluster.Plane.scrubMu":  levelCluster - 1,
 		"dmv/internal/cluster.Plane.mu":       levelCluster,
 		"dmv/internal/cluster.Cluster.nodeMu": levelCluster,
 
@@ -81,11 +86,6 @@ var DefaultConfig = &Config{
 		// writes, timeline events, and flight triggers all fire after
 		// unlock, so only obs-band locks may nest inside it.
 		"dmv/internal/scheduler.Admitter.mu": levelScheduler + 4,
-		// Scrubber sweep serialization: entered only from the cluster's
-		// scrub ticker with no locks held, and held across the whole sweep
-		// (routing-state reads, digest RPCs, quarantine flips), so it shares
-		// the scheduler band as an outermost scheduler-layer lock.
-		"dmv/internal/scheduler.Scrubber.mu": levelScheduler,
 
 		// replica. TxCommit fixes the order session.mu -> commitMu ->
 		// (broadcast) subsMu; sessMu is released before any session.mu is

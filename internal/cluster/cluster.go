@@ -249,7 +249,7 @@ func New(cfg Config) (*Cluster, error) {
 		default:
 			id = fmt.Sprintf("spare%d", i-numClasses-cfg.Slaves)
 		}
-		n, err := c.buildNode(cfg, id)
+		n, err := c.buildNode(cfg, id, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -327,7 +327,7 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.registerLagGauges(n.ID(), n.Engine())
+		c.registerLagGauges(n.ID(), n.Engine().TableNames())
 		c.startCheckpointer(n)
 	}
 
@@ -364,9 +364,12 @@ func (c *Cluster) startCheckpointer(n *replica.Node) {
 	c.nodeMu.Unlock()
 }
 
-// buildNode constructs and loads one node. It runs before the plane
-// exists, so it takes the configuration explicitly.
-func (c *Cluster) buildNode(cfg Config, id string) (*replica.Node, error) {
+// buildNode constructs and loads one node. A first incarnation (prev nil)
+// loads cfg.Load's image and gets cfg.DiskFor's buffer cache; a restart
+// restores prev's last checkpoint (the initial image when it never took
+// one) onto prev's buffer cache, which the reboot empties. It runs before
+// the plane exists, so it takes the configuration explicitly.
+func (c *Cluster) buildNode(cfg Config, id string, prev *replica.Node) (*replica.Node, error) {
 	var opts heap.Options
 	if cfg.EngineOptions != nil {
 		opts = cfg.EngineOptions(id)
@@ -383,16 +386,39 @@ func (c *Cluster) buildNode(cfg Config, id string) (*replica.Node, error) {
 			return nil, fmt.Errorf("node %s: %w", id, err)
 		}
 	}
-	if cfg.Load != nil {
+	var cpBlob []byte
+	if prev != nil {
+		cpBlob = prev.LastCheckpoint()
+	}
+	switch {
+	case cpBlob != nil:
+		cp, err := heap.DecodeCheckpoint(cpBlob)
+		if err == nil {
+			err = eng.RestoreCheckpoint(cp)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("restore node %s: %w", id, err)
+		}
+	case cfg.Load != nil:
 		if err := cfg.Load(eng); err != nil {
 			return nil, fmt.Errorf("load node %s: %w", id, err)
 		}
 	}
 	var disk *simdisk.Disk
-	if cfg.DiskFor != nil {
+	switch {
+	case prev != nil:
+		if disk = prev.Disk(); disk != nil {
+			disk.Drop()
+		}
+	case cfg.DiskFor != nil:
 		disk = cfg.DiskFor(id)
+		if disk != nil {
+			c.nodeMu.Lock()
+			c.disks = append(c.disks, disk)
+			c.nodeMu.Unlock()
+		}
 	}
-	n := replica.NewNode(replica.Options{
+	return replica.NewNode(replica.Options{
 		ID:                   id,
 		Engine:               eng,
 		Disk:                 disk,
@@ -402,33 +428,33 @@ func (c *Cluster) buildNode(cfg Config, id string) (*replica.Node, error) {
 		ServicePerStmt:       cfg.StatementService,
 		ServiceWidth:         cfg.ServiceWidth,
 		UpdateServicePerStmt: cfg.UpdateStatementService,
+		CheckpointDir:        cfg.CheckpointDir,
 		DefaultDeadline:      cfg.DefaultDeadline,
 		Obs:                  cfg.Obs,
-	})
-	if disk != nil {
-		c.nodeMu.Lock()
-		c.disks = append(c.disks, disk)
-		c.nodeMu.Unlock()
-	}
-	return n, nil
+	}), nil
 }
 
 // registerLagGauges exports the node's DMV staleness against the cluster
 // commit frontier: one version-lag gauge per table (frontier minus the
 // version the table's pages have actually applied) and one backlog gauge
-// counting buffered, not-yet-applied modifications. Both read live engine
-// state at snapshot time, so a scrape after reads forced lazy application
-// reports zero without any bookkeeping in the apply path.
-func (c *Cluster) registerLagGauges(id string, eng *heap.Engine) {
+// counting buffered, not-yet-applied modifications. Both resolve the node
+// by id and read its live engine state at snapshot time, so they follow a
+// restarted node's new engine, and a scrape after reads forced lazy
+// application reports zero without any bookkeeping in the apply path.
+func (c *Cluster) registerLagGauges(id string, tables []string) {
 	reg := c.cfg.Obs
 	if reg == nil {
 		return
 	}
-	for ti, name := range eng.TableNames() {
+	engine := func() *heap.Engine {
+		n, _ := c.Node(id)
+		return n.Engine()
+	}
+	for ti, name := range tables {
 		ti := ti
 		reg.GaugeFunc(obs.Labeled(obs.ReplicaVersionLag, "node", id, "table", name), func() float64 {
 			frontier := c.frontier()
-			applied := eng.AppliedVersions()
+			applied := engine().AppliedVersions()
 			if ti >= len(frontier) || ti >= len(applied) || frontier[ti] <= applied[ti] {
 				return 0
 			}
@@ -436,7 +462,7 @@ func (c *Cluster) registerLagGauges(id string, eng *heap.Engine) {
 		})
 	}
 	reg.GaugeFunc(obs.Labeled(obs.ReplicaApplyBacklog, "node", id), func() float64 {
-		return float64(eng.PendingMods())
+		return float64(engine().PendingMods())
 	})
 }
 

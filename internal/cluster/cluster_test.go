@@ -1,12 +1,17 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"dmv/internal/heap"
+	"dmv/internal/obs"
+	"dmv/internal/replica"
 	"dmv/internal/scheduler"
 	"dmv/internal/simdisk"
 	"dmv/internal/value"
@@ -307,6 +312,74 @@ func TestStaleReportSparesRestartedNode(t *testing.T) {
 	}
 	if n := len(c.Scheduler().Slaves()); n != 2 {
 		t.Fatalf("%d slaves in read placement, want 2", n)
+	}
+}
+
+// TestRestartBuildsLikeFirstIncarnation: New and Restart build nodes
+// through one path, so a first incarnation writes its checkpoints under
+// CheckpointDir, a restarted node keeps DefaultDeadline, and the lag gauges
+// follow the restarted node's engine instead of the dead one's.
+func TestRestartBuildsLikeFirstIncarnation(t *testing.T) {
+	const deadline = 200 * time.Millisecond
+	dir := t.TempDir()
+	reg := obs.New()
+	c := newTestCluster(t, Config{
+		Slaves:           2,
+		MaxRetries:       20,
+		CheckpointPeriod: 5 * time.Millisecond,
+		CheckpointDir:    dir,
+		DefaultDeadline:  deadline,
+		Obs:              reg,
+	})
+	ckpt := filepath.Join(dir, "slave1.ckpt")
+	for start := time.Now(); time.Since(start) < time.Second; time.Sleep(5 * time.Millisecond) {
+		if _, err := os.Stat(ckpt); err == nil {
+			break
+		}
+	}
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Errorf("first incarnation wrote no checkpoint under CheckpointDir: %v", err)
+	}
+
+	if err := c.Kill("slave1"); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+	waitFor(t, 2*time.Second, func() bool {
+		return len(c.Scheduler().Slaves()) == 1
+	}, "slave removal")
+	if err := c.Restart("slave1"); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	for i := 1; i <= 10; i++ {
+		if err := deposit(t, c, 3, 1, int64(i)); err != nil {
+			t.Fatalf("deposit: %v", err)
+		}
+	}
+
+	n, _ := c.Node("slave1")
+	if err := n.Engine().MaterializeAll(c.Scheduler().Latest()); err != nil {
+		t.Fatalf("materialize: %v", err)
+	}
+	snap := reg.Snapshot()
+	for _, nl := range c.ClusterSnapshot().Nodes {
+		if nl.Node != "slave1" {
+			continue
+		}
+		for ti, name := range n.Engine().TableNames() {
+			gauge := snap.Gauges[obs.Labeled(obs.ReplicaVersionLag, "node", "slave1", "table", name)]
+			if nl.Lag[ti] != 0 || gauge != 0 {
+				t.Errorf("table %s: lag gauge %v, snapshot lag %d, want both 0", name, gauge, nl.Lag[ti])
+			}
+		}
+	}
+
+	tx, err := n.TxBegin(true, c.Scheduler().Latest(), 0, obs.TraceContext{})
+	if err != nil {
+		t.Fatalf("begin: %v", err)
+	}
+	time.Sleep(deadline + 50*time.Millisecond)
+	if _, err := n.TxExec(tx, `SELECT a_balance FROM account WHERE a_id = 3`, nil); !errors.Is(err, replica.ErrDeadlineExpired) {
+		t.Errorf("statement past DefaultDeadline on the restarted node: err = %v, want ErrDeadlineExpired", err)
 	}
 }
 

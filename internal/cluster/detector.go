@@ -10,7 +10,6 @@ import (
 	"dmv/internal/obs"
 	"dmv/internal/obs/flight"
 	"dmv/internal/replica"
-	"dmv/internal/scheduler"
 )
 
 // Node health states tracked by the suspicion detector. The zero value
@@ -130,8 +129,8 @@ func (h *nodeHealth) miss(suspectAfter, deadAfter int) healthAction {
 // monitor is the suspicion-based failure detector loop. Suspects are
 // quarantined out of the version-aware read placement but stay in the
 // replication topology; a recovered suspect is cleared (a false
-// suspicion), unquarantined, and caught up with an incremental page-delta
-// migration rather than a full state transfer.
+// suspicion), caught up with an incremental page-delta migration rather
+// than a full state transfer, and then drops the detector's quarantine.
 func (p *Plane) monitor() {
 	defer p.wg.Done()
 	ticker := time.NewTicker(p.cfg.HeartbeatInterval)
@@ -246,7 +245,7 @@ func (p *Plane) applyHealth(id string, act healthAction) {
 	case actSuspect:
 		p.metSuspicions.Inc()
 		p.setHealthGauge(id, healthSuspect)
-		p.eachSched(func(s *scheduler.Scheduler) { s.SetQuarantined(id, true) })
+		p.quarantine(id, func(m *member) { m.suspected = true })
 		p.emit(Event{Kind: EventNodeSuspect, Node: id})
 		p.cfg.Flight.RecordHealth(id, healthy, healthSuspect)
 		p.cfg.Flight.Trigger(flight.CauseSuspicion, id, "probe misses reached SuspectAfter")
@@ -258,8 +257,9 @@ func (p *Plane) applyHealth(id string, act healthAction) {
 		// While suspect the node may have missed write-sets (a master
 		// abandons acks at the deadline); close the gap with the
 		// incremental page-delta path — no full state transfer — and only
-		// then let reads back onto the node, whether or not it succeeded,
-		// unless it fell under suspicion again meanwhile.
+		// then drop the detector's quarantine, whether or not it
+		// succeeded, unless the node fell under suspicion again meanwhile.
+		// A scrub quarantine on the node stands regardless.
 		p.mu.Lock()
 		var n replica.Peer
 		if m := p.members[id]; m != nil && p.usable(m) {
@@ -270,9 +270,11 @@ func (p *Plane) applyHealth(id string, act healthAction) {
 			if n != nil {
 				_, _ = p.migrate(n)
 			}
-			if p.Health(id) == healthy {
-				p.eachSched(func(s *scheduler.Scheduler) { s.SetQuarantined(id, false) })
-			}
+			p.quarantine(id, func(m *member) {
+				if m.state == "" {
+					m.suspected = false
+				}
+			})
 		}()
 	case actDead:
 		p.confirmDead(id)

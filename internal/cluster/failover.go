@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 
-	"dmv/internal/exec"
 	"dmv/internal/heap"
 	"dmv/internal/obs/flight"
 	"dmv/internal/page"
@@ -182,8 +181,8 @@ func (p *Plane) setJoining(id string, joining bool) {
 }
 
 // migrate brings n's pages up to a support slave's versions with one
-// changed-page delta (heap.ChangedPages, imaged by the donor's PageImages as
-// in scrub repair) and reports how many pages it shipped. On its own it
+// changed-page delta (heap.ChangedPages, shipped by shipPages as in scrub
+// repair) and reports how many pages it shipped. On its own it
 // refreshes a node without subscribing it: a stale spare goes right back to
 // being stale (the paper's periodically-updated backup), a cleared suspect
 // closes the gap its abandoned acks left.
@@ -200,15 +199,27 @@ func (p *Plane) migrate(n replica.Peer) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	return shipPages(n, support, heap.ChangedPages(have, donor))
+}
+
+// shipPages brings n's copies of the given pages up to donor's current
+// images: one PageImages call per table, then one InstallDelta for them
+// all. It is the plane's one page-shipping step; its callers choose the
+// pages (migrate by version, scrub repair by digest) and any join bracket
+// around it. It reports how many pages it installed.
+func shipPages(n, donor replica.Peer, sets []heap.PageSet) (int, error) {
 	var delta []page.Image
-	for _, s := range heap.ChangedPages(have, donor) {
-		imgs, err := support.PageImages(s.Table, s.Pages)
+	for _, s := range sets {
+		imgs, err := donor.PageImages(s.Table, s.Pages)
 		if err != nil {
-			return 0, fmt.Errorf("delta from %s: %w", support.ID(), err)
+			return 0, fmt.Errorf("images from %s: %w", donor.ID(), err)
 		}
 		delta = append(delta, imgs...)
 	}
-	return len(delta), n.InstallDelta(delta)
+	if err := n.InstallDelta(delta); err != nil {
+		return 0, fmt.Errorf("install on %s: %w", n.ID(), err)
+	}
+	return len(delta), nil
 }
 
 // pickSupportSlave chooses a migration donor: a healthy, promptly-answering
@@ -245,52 +256,11 @@ func (c *Cluster) Restart(id string) error {
 	if old.Alive() {
 		return fmt.Errorf("cluster: node %s still alive", id)
 	}
-	cpBlob := old.LastCheckpoint()
-
 	restart := c.tl.Start(EventNodeRestarted, id)
-	var opts heap.Options
-	if c.cfg.EngineOptions != nil {
-		opts = c.cfg.EngineOptions(id)
+	n, err := c.buildNode(c.cfg, id, old)
+	if err != nil {
+		return fmt.Errorf("restart %s: %w", id, err)
 	}
-	if opts.Obs == nil {
-		opts.Obs = c.cfg.Obs
-	}
-	eng := heap.NewEngine(opts)
-	for _, ddl := range c.cfg.SchemaDDL {
-		if err := exec.ExecDDL(eng, ddl); err != nil {
-			return fmt.Errorf("restart %s: %w", id, err)
-		}
-	}
-	if cpBlob != nil {
-		cp, err := heap.DecodeCheckpoint(cpBlob)
-		if err != nil {
-			return fmt.Errorf("restart %s: %w", id, err)
-		}
-		if err := eng.RestoreCheckpoint(cp); err != nil {
-			return fmt.Errorf("restart %s: %w", id, err)
-		}
-	} else if c.cfg.Load != nil {
-		if err := c.cfg.Load(eng); err != nil {
-			return fmt.Errorf("restart %s: %w", id, err)
-		}
-	}
-	disk := old.Disk()
-	if disk != nil {
-		disk.Drop() // the reboot loses the buffer cache
-	}
-	n := replica.NewNode(replica.Options{
-		ID:                   id,
-		Engine:               eng,
-		Disk:                 disk,
-		OnPeerFailure:        func(peer string) { go c.ReportFailure(peer) },
-		OnPeerSuspect:        func(peer string) { go c.ReportSuspect(peer) },
-		AckTimeout:           c.cfg.AckTimeout,
-		ServicePerStmt:       c.cfg.StatementService,
-		ServiceWidth:         c.cfg.ServiceWidth,
-		UpdateServicePerStmt: c.cfg.UpdateStatementService,
-		CheckpointDir:        c.cfg.CheckpointDir,
-		Obs:                  c.cfg.Obs,
-	})
 	// The fresh member (healthy, not a spare, no master role) already
 	// receives the replication stream while reintegrate runs; it joins read
 	// placement only once it is current.

@@ -11,7 +11,8 @@ import (
 
 // Plane is the control plane of one DMV tier: membership, the
 // suspicion-ladder failure detector (detector.go), the fail-over pipeline
-// (failover.go) and the anti-entropy scrub loop (scrub.go). It sees its
+// (failover.go), the anti-entropy sweep (scrub.go) and read quarantine,
+// which the detector and the sweep feed (Plane.quarantine). It sees its
 // members only as replica.Peer, so the same type runs over in-process
 // *replica.Node values (cluster.New) and over *transport.RemoteNode clients
 // (cmd/dmv-scheduler). The two things that genuinely differ between those
@@ -41,6 +42,11 @@ type Plane struct {
 	metSuspicions      *obs.Counter
 	metFalseSuspicions *obs.Counter
 
+	// scrubMu serializes anti-entropy sweeps (scrub.go): a slow repair
+	// must not overlap the next tick or a test's direct Sweep.
+	scrubMu  sync.Mutex
+	scrubMet scrubMetrics
+
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
@@ -58,6 +64,13 @@ type member struct {
 	// failure): it is excluded from every topology computation even though
 	// it may still answer.
 	fenced bool
+	// Read quarantine has two inputs, each written by one path:
+	// suspected by the detector (set on suspicion, dropped once a cleared
+	// suspect has been caught up) and diverged by the sweep (the tables
+	// whose digest differed from the master's, dropped as each is shown
+	// equal again). Plane.quarantine pushes their OR to every scheduler.
+	suspected bool
+	diverged  map[int]bool
 	nodeHealth
 }
 
@@ -79,6 +92,7 @@ func NewPlane(cfg Config, scheds []*scheduler.Scheduler, rewire func(master repl
 		tl:                 tl,
 		metSuspicions:      cfg.Obs.Counter(obs.ClusterSuspicions),
 		metFalseSuspicions: cfg.Obs.Counter(obs.ClusterFalseSuspicions),
+		scrubMet:           newScrubMetrics(cfg.Obs),
 		stop:               make(chan struct{}),
 	}
 }
@@ -195,6 +209,22 @@ func (p *Plane) eachSched(fn func(*scheduler.Scheduler)) {
 	for _, s := range p.scheds {
 		fn(s)
 	}
+}
+
+// quarantine applies update to one of the member's read-quarantine inputs
+// and pushes the result, suspected or diverged, to every scheduler. It is
+// the only writer of the schedulers' quarantine flags; holding the plane
+// lock across the push keeps concurrent updates from landing out of order.
+func (p *Plane) quarantine(id string, update func(*member)) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	m := p.members[id]
+	if m == nil {
+		return
+	}
+	update(m)
+	q := m.suspected || len(m.diverged) > 0
+	p.eachSched(func(s *scheduler.Scheduler) { s.SetQuarantined(id, q) })
 }
 
 // Peer returns the named member.

@@ -176,7 +176,7 @@ func runScrubChaos(t *testing.T, dir string) []string {
 
 	// Final convergence proof at the scrubber's own bar: one more full
 	// sweep over quiesced state finds nothing.
-	rep := c.Scheduler().NewScrubber(scheduler.ScrubOptions{}).Sweep()
+	rep := c.Sweep()
 	if len(rep.Diverged) != 0 || len(rep.Failed) != 0 {
 		t.Fatalf("post-episode sweep still dirty: %+v", rep)
 	}
@@ -295,10 +295,9 @@ func TestScrubDuringReintegration(t *testing.T) {
 	// The joined spare (now a slave) converges to a master-matching digest:
 	// a quiesced sweep audits every replica, including the reintegrated one,
 	// and must find nothing diverged and repair nothing.
-	sc := c.Scheduler().NewScrubber(scheduler.ScrubOptions{})
-	var rep scheduler.ScrubReport
+	var rep ScrubReport
 	for attempt := 0; ; attempt++ {
-		rep = sc.Sweep()
+		rep = c.Sweep()
 		if len(rep.Diverged) == 0 && len(rep.Failed) == 0 && rep.TablesChecked > 0 {
 			break
 		}

@@ -264,3 +264,89 @@ func TestRemotePlaneClearedSuspectMigrates(t *testing.T) {
 		t.Fatalf("slave1 diverges from the master at version %d after migration", v)
 	}
 }
+
+// scrubLines renders the plane's scrub events without durations.
+func scrubLines(p *cluster.Plane) []string {
+	var out []string
+	for _, ev := range p.Events() {
+		if ev.Kind == cluster.EventScrubDiverged || ev.Kind == cluster.EventScrubRepaired {
+			out = append(out, ev.Kind+" "+ev.Node+" "+ev.Detail)
+		}
+	}
+	return out
+}
+
+// corruptAcct flips a bit in the node's one acct row.
+func corruptAcct(t *testing.T, n *replica.Node) {
+	t.Helper()
+	tid, _ := n.Engine().TableID("acct")
+	if _, err := n.Engine().CorruptPage(tid, 0, 12345); err != nil {
+		t.Fatalf("corrupt %s: %v", n.ID(), err)
+	}
+}
+
+// TestRemotePlaneScrubRepairs runs the deployed sweep over RemoteNodes: a
+// slave whose page silently diverged is quarantined, repaired through the
+// master's page images, verified and released, and the scrub events match
+// an in-process tier's for the same damage.
+func TestRemotePlaneScrubRepairs(t *testing.T) {
+	tr := newRemoteTier(t, 7)
+	for i := 0; i < 3; i++ {
+		if err := increment(tr.sched.Run); err != nil {
+			t.Fatalf("warm-up commit %d: %v", i, err)
+		}
+	}
+	var atDivergence []string
+	tr.plane.OnEvent(func(ev cluster.Event) {
+		if ev.Kind == cluster.EventScrubDiverged {
+			atDivergence = tr.sched.Quarantined()
+		}
+	})
+	corruptAcct(t, tr.nodes["slave0"])
+
+	rep := tr.plane.Sweep()
+	if !reflect.DeepEqual(atDivergence, []string{"slave0"}) {
+		t.Fatalf("quarantined at divergence = %v, want [slave0]", atDivergence)
+	}
+	if !reflect.DeepEqual(rep.Repaired, []string{"slave0"}) || len(rep.Failed) != 0 {
+		t.Fatalf("sweep = %+v, want slave0 repaired and verified", rep)
+	}
+	if q := tr.sched.Quarantined(); len(q) != 0 {
+		t.Fatalf("quarantine %v not lifted after the verified repair", q)
+	}
+	master, slave := tr.nodes["master0"].Engine(), tr.nodes["slave0"].Engine()
+	tid, _ := master.TableID("acct")
+	v := master.MaxVersions().Get(tid)
+	want, err := master.TableDigestAt(tid, v, false)
+	if err != nil {
+		t.Fatalf("master digest: %v", err)
+	}
+	if got, err := slave.TableDigestAt(tid, v, false); err != nil || got.Root != want.Root {
+		t.Fatalf("slave0 still diverges at version %d after repair (err %v)", v, err)
+	}
+	remote := scrubLines(tr.plane)
+
+	cfg := planeTestConfig
+	cfg.Slaves = 2
+	cfg.SchemaDDL = []string{`CREATE TABLE acct (id INT PRIMARY KEY, bal INT)`}
+	cfg.Load = func(e *heap.Engine) error {
+		tid, _ := e.TableID("acct")
+		return e.Load(tid, []value.Row{{value.NewInt(1), value.NewInt(0)}})
+	}
+	c, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatalf("cluster: %v", err)
+	}
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		if err := increment(c.Run); err != nil {
+			t.Fatalf("in-process commit %d: %v", i, err)
+		}
+	}
+	n, _ := c.Node("slave0")
+	corruptAcct(t, n)
+	c.Sweep()
+	if local := scrubLines(c.Plane); !reflect.DeepEqual(local, remote) {
+		t.Fatalf("in-process scrub events = %v, remote = %v", local, remote)
+	}
+}

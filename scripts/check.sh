@@ -90,8 +90,10 @@ go run ./cmd/dmv-doctor -check "$flight_dir"/scrub/flight-*-replica-divergence.j
 	|| { echo "scrub leg: dmv-doctor did not attribute the divergence trigger" >&2; exit 1; }
 # Repeated without dumps: a page install that let readers see half-built
 # derived state failed this episode about one run in ten, so ten runs make
-# such a regression fail the gate rather than slip through one run.
-go test -race -count=10 -run 'TestScrubDivergenceRepair$' ./internal/cluster/
+# such a regression fail the gate rather than slip through one run. The
+# quarantine-ownership test rides along: neither the detector nor the sweep
+# may lift the other's read quarantine.
+go test -race -count=10 -run 'TestScrubDivergenceRepair$|TestScrubQuarantineOwnership$' ./internal/cluster/
 
 echo "==> fuzz leg (wire bodies and WAL records, a fixed number of inputs each)"
 # Iteration counts, not durations, keep the gate's run time bounded; a
