@@ -1,18 +1,23 @@
 // Command dmv-scheduler runs the version-aware scheduler against a set of
 // dmv-node processes. Role assignment, replication wiring, heartbeat
-// failure detection, master/slave fail-over and the scrub loop are the
-// shared control plane (cluster.Plane) over RemoteNode peers — the same
-// code the in-process cluster and every chaos test run. The binary can also
-// drive the TPC-W workload against the tier, so a complete multi-process
-// demonstration needs only it plus N dmv-nodes.
+// failure detection, master/slave fail-over, spare activation and the
+// scrub loop are the shared control plane (cluster.Plane) over RemoteNode
+// peers — the same code the in-process cluster and every chaos test run.
+// Spares are hot backups: subscribed to the replication stream, activated
+// as slaves on a slave or master failure and, with -admit-queue, when the
+// admission queue stays saturated. The binary can also drive the TPC-W
+// workload against the tier, so a complete multi-process demonstration
+// needs only it plus N dmv-nodes.
 //
-// Example (three shells):
+// Example (four shells):
 //
 //	dmv-node -id master0 -addr :7101
 //	dmv-node -id slave0  -addr :7102
 //	dmv-node -id slave1  -addr :7103
+//	dmv-node -id spare0  -addr :7104
 //	dmv-scheduler -master master0=127.0.0.1:7101 \
 //	              -slave slave0=127.0.0.1:7102 -slave slave1=127.0.0.1:7103 \
+//	              -spare spare0=127.0.0.1:7104 \
 //	              -drive shopping -duration 15s -clients 8
 package main
 
@@ -61,6 +66,7 @@ func run() error {
 	var (
 		masterSpec = flag.String("master", "", "master node as id=host:port")
 		slaveSpecs nodeList
+		spareSpecs nodeList
 		heartbeat  = flag.Duration("heartbeat", 50*time.Millisecond, "failure-detection probe period")
 		drive      = flag.String("drive", "", "drive a TPC-W mix (browsing|shopping|ordering); empty = idle")
 		duration   = flag.Duration("duration", 15*time.Second, "workload duration when driving")
@@ -88,6 +94,7 @@ func run() error {
 		scrubTabs  = flag.String("scrub-tables", "", "comma-separated TPC-W table names to scrub (empty = all)")
 	)
 	flag.Var(&slaveSpecs, "slave", "slave node as id=host:port (repeatable)")
+	flag.Var(&spareSpecs, "spare", "hot spare backup node as id=host:port (repeatable)")
 	flag.Parse()
 
 	if *masterSpec == "" || len(slaveSpecs) == 0 {
@@ -126,31 +133,23 @@ func run() error {
 		Seed:          *seed,
 		Obs:           reg,
 	}
-	mID, mAddr, err := parseNode(*masterSpec)
-	if err != nil {
-		return err
-	}
-	master, err := transport.DialNodeOpts(mID, mAddr, cOpts)
-	if err != nil {
-		return fmt.Errorf("master %s: %w", mID, err)
-	}
-	var slaves []*transport.RemoteNode
-	for _, spec := range slaveSpecs {
+	var all []*transport.RemoteNode
+	for _, spec := range append(append([]string{*masterSpec}, slaveSpecs...), spareSpecs...) {
 		id, addr, err := parseNode(spec)
 		if err != nil {
 			return err
 		}
-		s, err := transport.DialNodeOpts(id, addr, cOpts)
+		n, err := transport.DialNodeOpts(id, addr, cOpts)
 		if err != nil {
-			return fmt.Errorf("slave %s: %w", id, err)
+			return fmt.Errorf("dial %s: %w", id, err)
 		}
-		slaves = append(slaves, s)
+		all = append(all, n)
 	}
+	master, slaves, spares := all[0], all[1:1+len(slaveSpecs)], all[1+len(slaveSpecs):]
 	if rec != nil {
-		peers := make([]flight.Peer, 0, 1+len(slaves))
-		peers = append(peers, master)
-		for _, s := range slaves {
-			peers = append(peers, s)
+		peers := make([]flight.Peer, 0, len(all))
+		for _, n := range all {
+			peers = append(peers, n)
 		}
 		rec.SetPeers(peers)
 	}
@@ -230,7 +229,8 @@ func run() error {
 	// The control plane: it promotes the master, wires the replication
 	// subscriptions, and from then on owns failure detection (suspicion
 	// ladder with RTT accrual, quarantine, commit-fenced master fail-over,
-	// dead-slave removal) and the anti-entropy scrub loop (DESIGN.md §10,
+	// dead-slave removal), spare activation on fail-over or a saturated
+	// admission queue, and the anti-entropy scrub loop (DESIGN.md §10,
 	// §15). Its timeline events are this daemon's log lines.
 	plane = cluster.NewPlane(cluster.Config{
 		HeartbeatInterval: *heartbeat,
@@ -246,14 +246,19 @@ func run() error {
 		log.Printf("%s node=%q detail=%q took=%s", ev.Kind, ev.Node, ev.Detail, ev.Duration)
 	})
 	if err := plane.AddMaster(0, master); err != nil {
-		return fmt.Errorf("promote %s: %w", mID, err)
+		return fmt.Errorf("promote %s: %w", master.ID(), err)
 	}
 	for _, s := range slaves {
 		plane.AddSlave(s)
 	}
+	for _, s := range spares {
+		if err := plane.AddSpare(s); err != nil {
+			return fmt.Errorf("spare %s: %w", s.ID(), err)
+		}
+	}
 	plane.Start()
 	defer plane.Close()
-	log.Printf("tier up: master=%s slaves=%v", mID, sched.Slaves())
+	log.Printf("tier up: master=%s slaves=%v spares=%v", master.ID(), sched.Slaves(), sched.Spares())
 
 	// Aggregation plane: scrape every node's registry over the ObsSnapshot
 	// RPC and merge into one labeled cluster snapshot served at /cluster.
@@ -264,7 +269,6 @@ func run() error {
 		stopScrape := make(chan struct{})
 		defer close(stopScrape)
 		go func() {
-			all := append([]*transport.RemoteNode{master}, slaves...)
 			ticker := time.NewTicker(*scrape)
 			defer ticker.Stop()
 			for {

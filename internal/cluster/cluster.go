@@ -1,11 +1,12 @@
 // Package cluster orchestrates a DMV in-memory database tier. Plane is the
 // Peer-driven control plane shared by every deployment: heartbeat failure
 // detection, master election, the three-stage fail-over pipeline (recovery
-// -> data migration -> cache warm-up), reintegration and the scrub loop.
-// Cluster is its in-process constructor, adding what only a process that
-// owns its nodes can do: node construction and initial load, kill/restart,
-// periodic fuzzy checkpoints, and spare-backup upkeep with the paper's two
-// warm-up schemes (1%-of-reads query execution and page-id transfer).
+// -> data migration -> cache warm-up), reintegration, the scrub loop,
+// peer-scheduler take-over and spare-backup upkeep (page-id-transfer
+// warm-up, stale-spare refresh, overload-driven spare activation). Cluster
+// is its in-process constructor, adding what only a process that owns its
+// nodes can do: node construction and initial load, kill/restart, periodic
+// fuzzy checkpoints, index-history GC and buffer-cache gauges.
 package cluster
 
 import (
@@ -98,17 +99,17 @@ type Config struct {
 	// first scheme). 0 disables.
 	WarmupShare float64
 	// PageIDTransfer enables the second warm-up scheme: an active slave
-	// ships its resident page ids to the spares on this period (0 = off).
+	// ships all its resident page ids to the spares on this period (0 =
+	// off).
 	PageIDTransfer time.Duration
-	// PageIDLimit bounds the shipped page-id set per transfer (0 = all).
-	PageIDLimit int
 	// IndexGCPeriod runs versioned-index garbage collection on every node
 	// at this period, at the scheduler's reader low-water mark (0 = off).
 	IndexGCPeriod time.Duration
 	// OverloadThreshold activates a spare backup as an additional read
 	// replica when the mean in-flight reads per slave stays above this
 	// value (the paper keeps spares "for overflow in case of failures or
-	// potentially overload of active replicas"). 0 disables.
+	// potentially overload of active replicas"). 0 disables this signal;
+	// a saturated admission queue activates a spare regardless.
 	OverloadThreshold float64
 	// OverloadWindow is how long the overload must persist before a spare
 	// is activated (default 250ms).
@@ -121,10 +122,11 @@ type Config struct {
 	ScrubInterval time.Duration
 	// ScrubTables restricts the sweep to these table ids (nil = all).
 	ScrubTables []int
-	// Admission configures the primary scheduler's bounded admission queue
-	// (Slots == 0 disables). Under overload the queue sheds work at begin
-	// with ErrOverloaded instead of letting latency collapse, and its
-	// pressure signal feeds spare activation alongside OverloadThreshold.
+	// Admission configures the primary scheduler New builds (Slots == 0
+	// disables its bounded admission queue). Under overload the queue sheds
+	// work at begin with ErrOverloaded instead of letting latency collapse,
+	// and its pressure signal feeds spare activation alongside
+	// OverloadThreshold.
 	Admission scheduler.AdmissionOptions
 	// DefaultDeadline is applied by every node to transactions that carry
 	// no caller deadline (0 = unbounded). Expired sessions abandon queued
@@ -211,6 +213,9 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.SpareMode == 0 {
 		cfg.SpareMode = SpareHot
+	}
+	if cfg.OverloadWindow <= 0 {
+		cfg.OverloadWindow = 250 * time.Millisecond
 	}
 	return cfg
 }
@@ -311,7 +316,7 @@ func New(cfg Config) (*Cluster, error) {
 			return nil
 		},
 		func(p replica.Peer) bool { return p.(*replica.Node).Alive() })
-	c.registerMetrics()
+	c.registerCacheGauges()
 
 	// Roles and topology (mirrored on every peer scheduler).
 	for i, n := range nodes {
@@ -331,25 +336,10 @@ func New(cfg Config) (*Cluster, error) {
 		c.startCheckpointer(n)
 	}
 
-	// Background loops: the plane's detector and scrubber, then the
-	// in-process-only upkeep loops on the same stop channel and wait group.
+	// The plane's periodic jobs, then the one that needs the nodes'
+	// engines, on the same stop channel and wait group.
 	c.Start()
-	if cfg.PageIDTransfer > 0 {
-		c.wg.Add(1)
-		go c.pageIDWarmupLoop()
-	}
-	if cfg.SpareMode == SpareStale && cfg.StaleRefresh > 0 {
-		c.wg.Add(1)
-		go c.staleRefreshLoop()
-	}
-	if cfg.IndexGCPeriod > 0 {
-		c.wg.Add(1)
-		go c.indexGCLoop()
-	}
-	if cfg.OverloadThreshold > 0 || cfg.Admission.Slots > 0 {
-		c.wg.Add(1)
-		go c.overloadLoop()
-	}
+	c.every(cfg.IndexGCPeriod, c.collectIndexes)
 	return c, nil
 }
 
@@ -502,24 +492,6 @@ func (c *Cluster) ClusterSnapshot() obs.ClusterSnapshot {
 	return cs
 }
 
-// KillScheduler fails the primary scheduler and promotes the next peer: the
-// new primary runs the Section 4.1 take-over (masters abort transactions
-// orphaned by the failed scheduler and report their highest versions).
-// Returns the index of the new primary, or an error when no peer remains.
-func (c *Cluster) KillScheduler() (int, error) {
-	cur := int(c.primary.Load())
-	next := cur + 1
-	if next >= len(c.scheds) {
-		return cur, errors.New("cluster: no peer scheduler left")
-	}
-	if err := c.scheds[next].TakeOver(); err != nil {
-		return cur, err
-	}
-	c.primary.Store(int32(next))
-	c.emit(Event{Kind: EventSchedulerSwitch, Node: fmt.Sprintf("scheduler%d", next)})
-	return next, nil
-}
-
 // Run executes one transaction through the primary scheduler.
 func (c *Cluster) Run(spec scheduler.TxnSpec, fn func(*scheduler.Txn) error) error {
 	return c.Scheduler().Run(spec, fn)
@@ -537,29 +509,14 @@ func (c *Cluster) Node(id string) (*replica.Node, bool) {
 // Obs returns the configured metrics registry (nil when disabled).
 func (c *Cluster) Obs() *obs.Registry { return c.cfg.Obs }
 
-// registerMetrics wires the timeline and node buffer caches into the
-// configured registry: every lifecycle event counts, stage-completion
-// events feed per-stage duration histograms, and cache hit/miss/fsync
-// totals export as gauges summed across nodes.
-func (c *Cluster) registerMetrics() {
+// registerCacheGauges exports the node buffer caches' hit/miss/fsync
+// totals, summed across nodes, as gauges on the configured registry (the
+// plane counts the lifecycle events).
+func (c *Cluster) registerCacheGauges() {
 	reg := c.cfg.Obs
 	if reg == nil {
 		return
 	}
-	events := reg.Counter(obs.ClusterEvents)
-	stageHist := map[string]*obs.Histogram{
-		EventRecoveryDone:   reg.Histogram(obs.FailoverRecoveryUS),
-		EventMigrationDone:  reg.Histogram(obs.FailoverMigrationUS),
-		EventReintegrated:   reg.Histogram(obs.FailoverReintegrationUS),
-		EventNodeRestarted:  reg.Histogram(obs.FailoverRestartUS),
-		EventSpareActivated: reg.Histogram(obs.FailoverSpareUS),
-	}
-	c.tl.OnEvent(func(ev Event) {
-		events.Add(1)
-		if h := stageHist[ev.Kind]; h != nil && ev.Duration > 0 {
-			h.Observe(ev.Duration.Microseconds())
-		}
-	})
 	// Gauge callbacks run at snapshot time with no registry lock held, so
 	// taking c.nodeMu here is safe and keeps the disk list race-free.
 	reg.GaugeFunc(obs.CacheHits, func() float64 {
@@ -596,6 +553,18 @@ func (c *Cluster) cacheTotals() (hits, misses, fsyncs int64) {
 	return hits, misses, fsyncs
 }
 
+// collectIndexes garbage-collects every live node's index history and row
+// locations below the scheduler's reader low-water mark.
+func (c *Cluster) collectIndexes() {
+	lw := c.Scheduler().LowWater()
+	for _, id := range c.NodeIDs() {
+		if n, _ := c.Node(id); n.Alive() {
+			n.Engine().GCIndexes(lw)
+			_, _ = n.Engine().GCRowLocations(lw)
+		}
+	}
+}
+
 // Close stops background loops and checkpoint threads.
 func (c *Cluster) Close() {
 	c.Plane.Close()
@@ -621,112 +590,3 @@ func (c *Cluster) Kill(id string) error {
 
 // KillMaster kills the master of class 0 (the worst-case fail-over).
 func (c *Cluster) KillMaster() error { return c.Kill(c.MasterID(0)) }
-
-// --- background loops ---------------------------------------------------------
-
-func (c *Cluster) pageIDWarmupLoop() {
-	defer c.wg.Done()
-	ticker := time.NewTicker(c.cfg.PageIDTransfer)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-ticker.C:
-			slaves := c.Scheduler().SlaveList()
-			spares := c.Scheduler().SpareList()
-			if len(slaves) == 0 || len(spares) == 0 {
-				continue
-			}
-			keys, err := slaves[0].ResidentPages(c.cfg.PageIDLimit)
-			if err != nil || len(keys) == 0 {
-				continue
-			}
-			for _, sp := range spares {
-				_ = sp.WarmPages(keys)
-			}
-		}
-	}
-}
-
-func (c *Cluster) staleRefreshLoop() {
-	defer c.wg.Done()
-	ticker := time.NewTicker(c.cfg.StaleRefresh)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-ticker.C:
-			for _, sp := range c.Scheduler().SpareList() {
-				if n, ok := c.Node(sp.ID()); ok && n.Alive() {
-					_, _ = c.migrate(n)
-				}
-			}
-		}
-	}
-}
-
-// overloadLoop watches the scheduler's queue depth and activates one spare
-// per sustained overload episode.
-func (c *Cluster) overloadLoop() {
-	defer c.wg.Done()
-	window := c.cfg.OverloadWindow
-	if window <= 0 {
-		window = 250 * time.Millisecond
-	}
-	tick := window / 5
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	var over time.Duration
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-ticker.C:
-			sched := c.Scheduler()
-			hot := c.cfg.OverloadThreshold > 0 && sched.AvgOutstanding() > c.cfg.OverloadThreshold
-			// A saturated admission queue is the earlier signal: it fills
-			// before latency shows in AvgOutstanding, so spares come up
-			// while the queue is still absorbing the burst.
-			if sched.AdmissionPressure() >= 1 {
-				hot = true
-			}
-			if hot {
-				over += tick
-			} else {
-				over = 0
-			}
-			if over >= window {
-				over = 0
-				if len(sched.Spares()) > 0 {
-					c.emit(Event{Kind: EventOverload, Detail: "activating spare"})
-					c.activateSpare()
-				}
-			}
-		}
-	}
-}
-
-func (c *Cluster) indexGCLoop() {
-	defer c.wg.Done()
-	ticker := time.NewTicker(c.cfg.IndexGCPeriod)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-ticker.C:
-			lw := c.Scheduler().LowWater()
-			for _, id := range c.NodeIDs() {
-				if n, _ := c.Node(id); n.Alive() {
-					n.Engine().GCIndexes(lw)
-					_, _ = n.Engine().GCRowLocations(lw)
-				}
-			}
-		}
-	}
-}

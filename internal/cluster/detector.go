@@ -126,29 +126,15 @@ func (h *nodeHealth) miss(suspectAfter, deadAfter int) healthAction {
 	return actNone
 }
 
-// monitor is the suspicion-based failure detector loop. Suspects are
-// quarantined out of the version-aware read placement but stay in the
-// replication topology; a recovered suspect is cleared (a false
-// suspicion), caught up with an incremental page-delta migration rather
-// than a full state transfer, and then drops the detector's quarantine.
-func (p *Plane) monitor() {
-	defer p.wg.Done()
-	ticker := time.NewTicker(p.cfg.HeartbeatInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-ticker.C:
-			p.probeAll()
-		}
-	}
-}
-
-// probeAll runs one detector round: probe every member not yet dead
-// concurrently outside the plane lock (one black-holed node costs the
-// round a single PingTimeout, not one per node), classify under the lock,
-// act outside it again.
+// probeAll runs one round of the suspicion-based failure detector, once
+// per heartbeat: probe every member not yet dead concurrently outside the
+// plane lock (one black-holed node costs the round a single PingTimeout,
+// not one per node), classify under the lock, act outside it again.
+// Suspects are quarantined out of the version-aware read placement but
+// stay in the replication topology; a recovered suspect is cleared (a
+// false suspicion), caught up with an incremental page-delta migration
+// rather than a full state transfer, and then drops the detector's
+// quarantine.
 func (p *Plane) probeAll() {
 	type probe struct {
 		n   replica.Peer

@@ -109,18 +109,11 @@ func (p *Plane) slaveFailover(failed string) {
 // migration first (instant for hot spares, a page-delta transfer for stale
 // ones), then the spare serves reads while its buffer cache warms up.
 func (p *Plane) activateSpare() {
-	p.mu.Lock()
-	var spare replica.Peer
-	for _, id := range p.order {
-		if m := p.members[id]; m.isSpare && p.usable(m) {
-			spare = m.peer
-			break
-		}
-	}
-	p.mu.Unlock()
-	if spare == nil {
+	spares := p.usableSpares()
+	if len(spares) == 0 {
 		return
 	}
+	spare := spares[0]
 
 	act := p.tl.Start(EventSpareActivated, spare.ID())
 	mig := p.tl.Start(EventMigrationDone, spare.ID())

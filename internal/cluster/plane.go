@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dmv/internal/obs"
 	"dmv/internal/replica"
@@ -11,8 +14,9 @@ import (
 
 // Plane is the control plane of one DMV tier: membership, the
 // suspicion-ladder failure detector (detector.go), the fail-over pipeline
-// (failover.go), the anti-entropy sweep (scrub.go) and read quarantine,
-// which the detector and the sweep feed (Plane.quarantine). It sees its
+// (failover.go), spare upkeep (spare.go), the anti-entropy sweep
+// (scrub.go), read quarantine, which the detector and the sweep feed
+// (Plane.quarantine), and peer-scheduler take-over. It sees its
 // members only as replica.Peer, so the same type runs over in-process
 // *replica.Node values (cluster.New) and over *transport.RemoteNode clients
 // (cmd/dmv-scheduler). The two things that genuinely differ between those
@@ -83,6 +87,7 @@ func NewPlane(cfg Config, scheds []*scheduler.Scheduler, rewire func(master repl
 	if tl == nil {
 		tl = obs.NewTimeline()
 	}
+	registerEventMetrics(cfg.Obs, tl)
 	return &Plane{
 		cfg:                cfg,
 		scheds:             scheds,
@@ -135,16 +140,58 @@ func (p *Plane) setMember(n replica.Peer, m *member) {
 	p.members[n.ID()] = m
 }
 
-// Start wires every master's subscriber set and launches the failure
-// detector and, when configured, the scrub loop.
+// registerEventMetrics counts every lifecycle event on the timeline and
+// feeds the stage-completion events into per-stage duration histograms.
+func registerEventMetrics(reg *obs.Registry, tl *obs.Timeline) {
+	if reg == nil {
+		return
+	}
+	events := reg.Counter(obs.ClusterEvents)
+	stageHist := map[string]*obs.Histogram{
+		EventRecoveryDone:   reg.Histogram(obs.FailoverRecoveryUS),
+		EventMigrationDone:  reg.Histogram(obs.FailoverMigrationUS),
+		EventReintegrated:   reg.Histogram(obs.FailoverReintegrationUS),
+		EventNodeRestarted:  reg.Histogram(obs.FailoverRestartUS),
+		EventSpareActivated: reg.Histogram(obs.FailoverSpareUS),
+	}
+	tl.OnEvent(func(ev Event) {
+		events.Add(1)
+		if h := stageHist[ev.Kind]; h != nil && ev.Duration > 0 {
+			h.Observe(ev.Duration.Microseconds())
+		}
+	})
+}
+
+// Start wires every master's subscriber set and launches the periodic
+// jobs: the failure detector, and, as configured, the scrub sweep and the
+// spare upkeep (spare.go).
 func (p *Plane) Start() {
 	p.rewireSubscribers()
-	p.wg.Add(1)
-	go p.monitor()
-	if p.cfg.ScrubInterval > 0 {
-		p.wg.Add(1)
-		go p.scrubLoop()
+	p.every(p.cfg.HeartbeatInterval, p.probeAll)
+	p.every(p.cfg.ScrubInterval, func() { p.Sweep() })
+	p.startSpareUpkeep()
+}
+
+// every runs fn once per period until Close (period <= 0: never). A tick
+// that fn overruns is dropped, so runs never overlap.
+func (p *Plane) every(period time.Duration, fn func()) {
+	if period <= 0 {
+		return
 	}
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		ticker := time.NewTicker(period)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-p.stop:
+				return
+			case <-ticker.C:
+				fn()
+			}
+		}
+	}()
 }
 
 // Close stops the background loops and waits for them.
@@ -195,6 +242,24 @@ func (p *Plane) rewireSubscribers() {
 			p.emit(Event{Kind: EventRewireFailed, Node: m.ID(), Detail: err.Error()})
 		}
 	}
+}
+
+// KillScheduler fails the primary scheduler and promotes the next peer: the
+// new primary runs the Section 4.1 take-over (masters abort transactions
+// orphaned by the failed scheduler and report their highest versions).
+// Returns the index of the new primary, or an error when no peer remains.
+func (p *Plane) KillScheduler() (int, error) {
+	cur := int(p.primary.Load())
+	next := cur + 1
+	if next >= len(p.scheds) {
+		return cur, errors.New("cluster: no peer scheduler left")
+	}
+	if err := p.scheds[next].TakeOver(); err != nil {
+		return cur, err
+	}
+	p.primary.Store(int32(next))
+	p.emit(Event{Kind: EventSchedulerSwitch, Node: fmt.Sprintf("scheduler%d", next)})
+	return next, nil
 }
 
 // Scheduler returns the current primary scheduler (the transaction entry

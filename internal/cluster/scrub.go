@@ -88,20 +88,6 @@ func newScrubMetrics(reg *obs.Registry) scrubMetrics {
 	}
 }
 
-func (p *Plane) scrubLoop() {
-	defer p.wg.Done()
-	ticker := time.NewTicker(p.cfg.ScrubInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-ticker.C:
-			p.Sweep()
-		}
-	}
-}
-
 // Sweep runs one full anti-entropy pass over the primary scheduler's
 // topology: digest every table (cfg.ScrubTables, or all) on every slave,
 // and on hot spares, against its class master; release nodes whose

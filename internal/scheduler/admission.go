@@ -384,7 +384,7 @@ func (a *Admitter) grantLocked(class int, now time.Time) (granted []*admitWaiter
 
 // Pressure reports admission occupancy in [0, 1]: the most loaded class's
 // (inflight + queued) over its total capacity, saturating to 1 while shed
-// mode is active. The cluster's overload loop reads it to decide spare
+// mode is active. The control plane's overload job reads it to decide spare
 // activation — a standing admission queue means the active replica set is
 // undersized even if per-replica outstanding counts look tolerable.
 func (a *Admitter) Pressure() float64 {

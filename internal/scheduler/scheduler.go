@@ -269,7 +269,7 @@ func New(opts Options, numTables int, tableID func(string) (int, bool)) (*Schedu
 func (s *Scheduler) Admitter() *Admitter { return s.admit }
 
 // AdmissionPressure reports the admission queue's occupancy in [0, 1]
-// (0 when admission control is disabled). The cluster's overload loop
+// (0 when admission control is disabled). The control plane's overload job
 // feeds it into spare activation alongside AvgOutstanding.
 func (s *Scheduler) AdmissionPressure() float64 {
 	if s.admit == nil {
@@ -442,7 +442,7 @@ func (s *Scheduler) Spares() []string {
 	return out
 }
 
-// SpareList returns the spare peers (cluster warm-up loops use it).
+// SpareList returns the spare peers (spare upkeep uses it).
 func (s *Scheduler) SpareList() []replica.Peer {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

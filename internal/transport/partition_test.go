@@ -21,8 +21,18 @@ import (
 // newAcctNode builds a node with one account row at balance zero — the
 // committed-increment counter the partition test audits for loss.
 func newAcctNode(t *testing.T, id string, ackTimeout time.Duration) *replica.Node {
+	return newAcctNodeWith(t, replica.Options{ID: id, AckTimeout: ackTimeout})
+}
+
+// newAcctNodeWith builds the account node from opts; its engine observes
+// opts.Disk when one is set.
+func newAcctNodeWith(t *testing.T, opts replica.Options) *replica.Node {
 	t.Helper()
-	e := heap.NewEngine(heap.Options{PageCap: 8})
+	hopts := heap.Options{PageCap: 8}
+	if opts.Disk != nil {
+		hopts.Observer = opts.Disk
+	}
+	e := heap.NewEngine(hopts)
 	if err := exec.ExecDDL(e, `CREATE TABLE acct (id INT PRIMARY KEY, bal INT)`); err != nil {
 		t.Fatalf("ddl: %v", err)
 	}
@@ -30,7 +40,8 @@ func newAcctNode(t *testing.T, id string, ackTimeout time.Duration) *replica.Nod
 	if err := e.Load(tid, []value.Row{{value.NewInt(1), value.NewInt(0)}}); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	return replica.NewNode(replica.Options{ID: id, Engine: e, AckTimeout: ackTimeout})
+	opts.Engine = e
+	return replica.NewNode(opts)
 }
 
 // runPartitionScenario is one full seeded run of the acceptance scenario:

@@ -39,37 +39,9 @@ const subCallTimeout = time.Second
 func newRemoteTier(t *testing.T, seed int64) *remoteTier {
 	t.Helper()
 	tr := &remoteTier{nw: faultnet.New(seed), nodes: make(map[string]*replica.Node, 3)}
-	cOpts := ClientOptions{
-		Dial:        tr.nw.Dialer("sched"),
-		DialTimeout: 200 * time.Millisecond,
-		CallTimeout: 300 * time.Millisecond,
-		PingTimeout: planeTestConfig.PingTimeout,
-		Seed:        seed,
-	}
 	var peers []*RemoteNode
 	for _, id := range []string{"master0", "slave0", "slave1"} {
-		n := newAcctNode(t, id, 0)
-		tr.nodes[id] = n
-		lis, err := tr.nw.Listen(id, "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen %s: %v", id, err)
-		}
-		srv, err := ServeNodeListener(n, lis, nil)
-		if err != nil {
-			t.Fatalf("serve %s: %v", id, err)
-		}
-		t.Cleanup(srv.Close)
-		srv.DialSubscribersWith(ClientOptions{
-			Dial:        tr.nw.Dialer(id),
-			DialTimeout: 200 * time.Millisecond,
-			CallTimeout: subCallTimeout,
-			Seed:        seed,
-		})
-		p, err := DialNodeOpts(id, srv.Addr(), cOpts)
-		if err != nil {
-			t.Fatalf("dial %s: %v", id, err)
-		}
-		peers = append(peers, p)
+		peers = append(peers, tr.serve(t, newAcctNode(t, id, 0), seed))
 	}
 
 	ref := tr.nodes["master0"].Engine()
@@ -87,6 +59,41 @@ func newRemoteTier(t *testing.T, seed int64) *remoteTier {
 	tr.plane.Start()
 	t.Cleanup(tr.plane.Close)
 	return tr
+}
+
+// serve serves n over the tier's faultnet loopback, its subscriber
+// clients dialing through faultnet too, and returns the scheduler's client
+// for it.
+func (tr *remoteTier) serve(t *testing.T, n *replica.Node, seed int64) *RemoteNode {
+	t.Helper()
+	id := n.ID()
+	tr.nodes[id] = n
+	lis, err := tr.nw.Listen(id, "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen %s: %v", id, err)
+	}
+	srv, err := ServeNodeListener(n, lis, nil)
+	if err != nil {
+		t.Fatalf("serve %s: %v", id, err)
+	}
+	t.Cleanup(srv.Close)
+	srv.DialSubscribersWith(ClientOptions{
+		Dial:        tr.nw.Dialer(id),
+		DialTimeout: 200 * time.Millisecond,
+		CallTimeout: subCallTimeout,
+		Seed:        seed,
+	})
+	p, err := DialNodeOpts(id, srv.Addr(), ClientOptions{
+		Dial:        tr.nw.Dialer("sched"),
+		DialTimeout: 200 * time.Millisecond,
+		CallTimeout: 300 * time.Millisecond,
+		PingTimeout: planeTestConfig.PingTimeout,
+		Seed:        seed,
+	})
+	if err != nil {
+		t.Fatalf("dial %s: %v", id, err)
+	}
+	return p
 }
 
 func increment(run func(scheduler.TxnSpec, func(*scheduler.Txn) error) error) error {

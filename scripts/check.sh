@@ -41,7 +41,7 @@ go test -tags dmvdebug -race -count=1 \
 	-run 'TestPartitionedMasterFailover|TestStalledPeerDeadline|TestReconnectAfterConnDrop|TestRetryBudgetExhausted|TestOverloadDuringPartitionedFailover|TestRemotePlane|TestSetSubscribersReusesAndClosesClients' \
 	./internal/transport/
 go test -tags dmvdebug -race -count=1 \
-	-run 'TestSuspectQuarantineAndClear|TestGrayMasterFailover|TestFailStopStillFast' \
+	-run 'TestSuspectQuarantineAndClear|TestGrayMasterFailover|TestFailStopStillFast|TestOverloadActivatesSpare|TestPageIDWarmupLoopShipsPages' \
 	./internal/cluster/
 
 echo "==> storage-fault crash-recovery leg (WAL, faultdisk, persistence tier)"
