@@ -106,7 +106,7 @@ var DefaultConfig = &Config{
 		"dmv/internal/transport.NodeService.subMu": levelReplica - 1,
 		"dmv/internal/transport.Server.connMu":     levelTransport,
 		"dmv/internal/transport.RemoteNode.mu":     levelTransport,
-		"dmv/internal/transport.RemoteNode.trMu":   levelTransport,
+		"dmv/internal/transport.RemoteNode.sessMu": levelTransport,
 		"dmv/internal/transport.RemoteNode.rngMu":  levelTransport,
 
 		// faultnet: Network.mu is taken outer to Conn.mu (reset sweeps walk

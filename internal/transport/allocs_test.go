@@ -71,7 +71,7 @@ func TestWireAllocs(t *testing.T) {
 			}
 			_, err = sPeer.TxCommit(id)
 			return err
-		}, 95},
+		}, 88},
 		{"update txn, one TCP subscriber", func() error {
 			id, err := mPeer.TxBegin(false, nil, 0, obs.TraceContext{})
 			if err != nil {

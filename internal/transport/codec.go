@@ -335,6 +335,7 @@ func appendBinaryBody(b []byte, body any) ([]byte, bool) {
 		b = appendExecArgs(b, x)
 	case *ExecReply:
 		b = appendResult(b, x.Result)
+		b = binary.AppendUvarint(b, x.TxID)
 		b = appendStatus(b, &x.Status)
 	case CommitArgs:
 		b = appendCommitArgs(b, &x)
@@ -363,10 +364,7 @@ func readBinaryBody(body []byte, target any, names, stmts *interner) error {
 	case *uint64:
 		*x = d.Uvarint()
 	case *BeginArgs:
-		x.ReadOnly = readBool(&d)
-		x.Version = readVector(&d)
-		x.DeadlineUS = d.Varint()
-		x.Trace = readTrace(&d)
+		readBeginArgs(&d, x)
 	case *BeginReply:
 		x.ID = d.Uvarint()
 		readStatus(&d, &x.Status)
@@ -376,8 +374,13 @@ func readBinaryBody(body []byte, target any, names, stmts *interner) error {
 		x.Params = readRow(&d)
 		x.DeadlineUS = d.Varint()
 		x.Trace = readTrace(&d)
+		if readBool(&d) {
+			x.Begin = &BeginArgs{}
+			readBeginArgs(&d, x.Begin)
+		}
 	case *ExecReply:
 		x.Result = readResult(&d, names)
+		x.TxID = d.Uvarint()
 		readStatus(&d, &x.Status)
 	case *CommitArgs:
 		x.TxID = d.Uvarint()
@@ -422,12 +425,25 @@ func appendBeginArgs(b []byte, a *BeginArgs) []byte {
 	return appendTrace(b, a.Trace)
 }
 
+func readBeginArgs(d *value.Decoder, a *BeginArgs) {
+	a.ReadOnly = readBool(d)
+	a.Version = readVector(d)
+	a.DeadlineUS = d.Varint()
+	a.Trace = readTrace(d)
+}
+
+// appendExecArgs ends with a presence byte for the carried begin, then the
+// begin itself when present.
 func appendExecArgs(b []byte, a *ExecArgs) []byte {
 	b = binary.AppendUvarint(b, a.TxID)
 	b = appendString(b, a.Stmt)
 	b = appendRow(b, a.Params)
 	b = binary.AppendVarint(b, a.DeadlineUS)
-	return appendTrace(b, a.Trace)
+	b = appendTrace(b, a.Trace)
+	if a.Begin == nil {
+		return append(b, 0)
+	}
+	return appendBeginArgs(append(b, 1), a.Begin)
 }
 
 func appendCommitArgs(b []byte, a *CommitArgs) []byte {

@@ -38,9 +38,12 @@ func wireSamples() []any {
 		&BeginReply{ID: 42, Status: Status{Code: errNotMaster, Msg: "not master"}},
 		&ExecArgs{TxID: 3, Stmt: "SELECT i_title FROM item WHERE i_id = ?", Params: params, DeadlineUS: 900, Trace: trace},
 		&ExecArgs{TxID: 4, Stmt: "SELECT 1"},
+		&ExecArgs{Stmt: "SELECT 1", DeadlineUS: 700, Trace: trace,
+			Begin: &BeginArgs{ReadOnly: true, Version: vclock.Vector{1, 0, 7}, DeadlineUS: 800, Trace: trace}},
 		&ExecReply{Result: &exec.Result{Cols: []string{"a", "b", "c"}, Rows: []value.Row{item, nil, {value.NewNull()}}}},
 		&ExecReply{Result: &exec.Result{Affected: 3}},
 		&ExecReply{Status: Status{Code: errOther, Msg: "boom"}},
+		&ExecReply{TxID: 1<<40 + 3, Status: Status{Code: errVersionConflict, Msg: "conflict"}},
 		&CommitArgs{TxID: 5, DeadlineUS: 100},
 		&CommitReply{Version: vclock.Vector{2, 3}},
 		&CommitReply{Status: Status{Code: errLockTimeout, Msg: "lock"}},
@@ -106,6 +109,16 @@ func TestWireBodiesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCarriedBeginPresenceByte: an ExecArgs body whose begin-presence byte
+// is neither 0 nor 1 is refused.
+func TestCarriedBeginPresenceByte(t *testing.T) {
+	body := encodeSample(t, &ExecArgs{TxID: 4, Stmt: "SELECT 1"})
+	body[len(body)-1] = 2
+	if err := readBinaryBody(body, &ExecArgs{}, nil, nil); !errors.Is(err, errBadBool) {
+		t.Fatalf("presence byte 2: err = %v, want errBadBool", err)
+	}
+}
+
 // TestWriteSetBeforeImageSharesStrings: an update's before-image shares the
 // strings it repeats from the after-image instead of copying them.
 func TestWriteSetBeforeImageSharesStrings(t *testing.T) {
@@ -142,7 +155,7 @@ func FuzzWireBodies(f *testing.F) {
 	for i, m := range samples {
 		f.Add(uint8(i), encodeSample(f, m))
 	}
-	f.Add(uint8(9), []byte{1, 1, 0, 0x80, 0x80, 0x80, 0x80, 0x08}) // a row count far past the body
+	f.Add(uint8(10), []byte{1, 1, 0, 0x80, 0x80, 0x80, 0x80, 0x08}) // an ExecReply row count far past the body
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		typ := reflect.TypeOf(samples[int(which)%len(samples)]).Elem()
 		// The fewest bytes of three decodes: TotalAlloc counts the whole

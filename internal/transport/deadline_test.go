@@ -49,9 +49,11 @@ func stalledListener(t *testing.T) net.Listener {
 }
 
 // TestStalledPeerDeadline is the acceptance check that no transport RPC
-// can outlive its configured deadline: both the heartbeat path and the
-// transaction path against a peer that accepts but never answers must fail
-// with ErrPeerTimeout in under twice the deadline.
+// can outlive its configured deadline: every call that goes on the wire
+// (the heartbeat, an update begin, a read's first statement, which carries
+// its begin) against a peer that accepts but never answers must fail with
+// ErrPeerTimeout in under twice the deadline. A read begin sends nothing,
+// so it returns at once.
 func TestStalledPeerDeadline(t *testing.T) {
 	lis := stalledListener(t)
 
@@ -79,13 +81,31 @@ func TestStalledPeerDeadline(t *testing.T) {
 
 	// Non-idempotent path (single attempt, CallTimeout).
 	start = time.Now()
-	_, err = rn.TxBegin(true, nil, 0, obs.TraceContext{})
+	_, err = rn.TxBegin(false, nil, 0, obs.TraceContext{})
 	elapsed = time.Since(start)
 	if !errors.Is(err, replica.ErrPeerTimeout) {
-		t.Fatalf("TxBegin against stalled peer: err=%v, want ErrPeerTimeout", err)
+		t.Fatalf("update TxBegin against stalled peer: err=%v, want ErrPeerTimeout", err)
 	}
 	if elapsed >= 2*deadline {
-		t.Fatalf("TxBegin took %v, want < 2x the %v deadline", elapsed, deadline)
+		t.Fatalf("update TxBegin took %v, want < 2x the %v deadline", elapsed, deadline)
+	}
+
+	calls := reg.Snapshot().Histograms[obs.TransportRPCUS].Count
+	id, err := rn.TxBegin(true, nil, 0, obs.TraceContext{})
+	if err != nil {
+		t.Fatalf("read TxBegin against stalled peer: %v, want a local handle", err)
+	}
+	if got := reg.Snapshot().Histograms[obs.TransportRPCUS].Count; got != calls {
+		t.Fatalf("read TxBegin made %d calls, want none", got-calls)
+	}
+	start = time.Now()
+	_, err = rn.TxExec(id, `SELECT 1`, nil)
+	elapsed = time.Since(start)
+	if !errors.Is(err, replica.ErrPeerTimeout) {
+		t.Fatalf("first read TxExec against stalled peer: err=%v, want ErrPeerTimeout", err)
+	}
+	if elapsed >= 2*deadline {
+		t.Fatalf("first read TxExec took %v, want < 2x the %v deadline", elapsed, deadline)
 	}
 
 	if got := reg.Snapshot().Counters[obs.TransportRPCTimeouts]; got < 2 {

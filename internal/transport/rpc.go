@@ -136,17 +136,25 @@ type BeginReply struct {
 // DeadlineUS, when positive, refreshes the session's remaining budget
 // (microseconds left as of this statement), keeping the server-side expiry
 // honest across long sessions.
+// Begin, when set, opens the session before the statement runs, and TxID is
+// ignored: a read-only session sends no TxBegin of its own, its first
+// statement carries the begin instead.
 type ExecArgs struct {
 	TxID       uint64
 	Stmt       string
 	Params     []value.Value
 	DeadlineUS int64
 	Trace      obs.TraceContext
+	Begin      *BeginArgs
 }
 
-// ExecReply returns the statement result.
+// ExecReply returns the statement result. TxID is the session a carried
+// begin opened (0 when none was carried or the begin failed). It is set
+// even when the statement then fails, so the caller's rollback can still
+// close the session.
 type ExecReply struct {
 	Result *exec.Result
+	TxID   uint64
 	Status
 }
 
@@ -247,15 +255,24 @@ func (s *NodeService) TxBegin(args BeginArgs, reply *BeginReply) error {
 	return nil
 }
 
-// TxExec runs one statement.
+// TxExec runs one statement, first opening its session when the statement
+// carries the begin.
 func (s *NodeService) TxExec(args ExecArgs, reply *ExecReply) error {
-	if args.Trace.Valid() {
-		s.node.AdoptTrace(args.TxID, args.Trace)
+	id := args.TxID
+	if b := args.Begin; b != nil {
+		var err error
+		if id, err = s.node.TxBegin(b.ReadOnly, b.Version, time.Duration(b.DeadlineUS)*time.Microsecond, b.Trace); err != nil {
+			reply.set(err)
+			return nil
+		}
+		reply.TxID = id
+	} else if args.Trace.Valid() {
+		s.node.AdoptTrace(id, args.Trace)
 	}
 	if args.DeadlineUS > 0 {
-		s.node.RefreshDeadline(args.TxID, time.Duration(args.DeadlineUS)*time.Microsecond)
+		s.node.RefreshDeadline(id, time.Duration(args.DeadlineUS)*time.Microsecond)
 	}
-	res, err := s.node.TxExec(args.TxID, args.Stmt, args.Params)
+	res, err := s.node.TxExec(id, args.Stmt, args.Params)
 	reply.Result = res
 	reply.set(err)
 	return nil
@@ -692,14 +709,42 @@ type RemoteNode struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand // guarded by rngMu
 
-	// traces remembers each open session's trace context so TxExec can
-	// repeat it on every statement (see ExecArgs.Trace); entries are cleared
-	// at commit/rollback. expiries likewise remembers each session's caller
-	// deadline so every statement and the commit re-propagate the remaining
-	// budget to the server.
-	trMu     sync.Mutex
-	traces   map[uint64]obs.TraceContext // guarded by trMu
-	expiries map[uint64]time.Time        // guarded by trMu
+	// sessions holds the record of each open session that needs one, keyed
+	// by the handle TxBegin returned; commit and rollback remove it. Every
+	// read session has one: its handle is local (readHandle|readSeq) and its
+	// begin waits for the first statement. An update session's handle is
+	// the server's id, and it has a record only when it carries a trace or
+	// a deadline.
+	sessMu   sync.Mutex
+	sessions map[uint64]*session // guarded by sessMu
+	readSeq  uint64              // guarded by sessMu
+}
+
+// readHandle marks the handles of read sessions, which the client issues
+// itself, apart from server session ids, which count up from 1.
+const readHandle = 1 << 63
+
+// session is the client's record of one open session. Only id changes
+// after TxBegin, and it is read and written under RemoteNode.sessMu.
+type session struct {
+	id     uint64           // the server's session id; 0 until a carried begin ran
+	begin  BeginArgs        // a read session's begin, carried by its first TxExec
+	trace  obs.TraceContext // repeated on every statement (see ExecArgs.Trace)
+	expiry time.Time        // the caller's give-up time (zero = none)
+}
+
+// remainingUS returns the session's leftover deadline budget in
+// microseconds (0 = unbounded, -1 = already expired). A nil session has no
+// deadline.
+func (s *session) remainingUS() int64 {
+	if s == nil || s.expiry.IsZero() {
+		return 0
+	}
+	left := time.Until(s.expiry)
+	if left <= 0 {
+		return -1
+	}
+	return left.Microseconds()
 }
 
 var _ replica.Peer = (*RemoteNode)(nil)
@@ -719,8 +764,7 @@ func DialNodeOpts(id, addr string, o ClientOptions) (*RemoteNode, error) {
 		addr:     addr,
 		opts:     o,
 		rng:      rand.New(rand.NewSource(o.Seed)),
-		traces:   make(map[uint64]obs.TraceContext, 8),
-		expiries: make(map[uint64]time.Time, 8),
+		sessions: make(map[uint64]*session, 8),
 	}
 	if o.Obs != nil {
 		n.met = clientMetrics{
@@ -944,17 +988,31 @@ func (n *RemoteNode) ReceiveWriteSet(ws *heap.WriteSet) error {
 	return st.Err()
 }
 
-// TxBegin implements replica.Peer. A positive deadline ships as the
-// remaining-budget microseconds and is remembered locally so TxExec and
-// TxCommit re-propagate what is left of it on every later call.
+// TxBegin implements replica.Peer. A read session sends nothing: it gets a
+// local handle, and its first TxExec carries the begin. A read holds no
+// latch, so a lost reply to that call strands no more than a lost TxBegin
+// reply did. An update session still opens with a call of its own: a lost
+// reply to a begin-carrying UPDATE would strand a page latch under an id
+// the client never learned. A positive deadline is remembered, so every
+// later call re-propagates what is left of it.
 func (n *RemoteNode) TxBegin(readOnly bool, version vclock.Vector, deadline time.Duration, tc obs.TraceContext) (uint64, error) {
-	var reply BeginReply
 	args := BeginArgs{ReadOnly: readOnly, Version: version, Trace: tc}
+	var expiry time.Time
 	if deadline > 0 {
 		args.DeadlineUS = deadline.Microseconds()
+		expiry = time.Now().Add(deadline)
 	} else if deadline < 0 {
 		args.DeadlineUS = -1
 	}
+	if readOnly {
+		n.sessMu.Lock()
+		n.readSeq++
+		h := readHandle | n.readSeq
+		n.sessions[h] = &session{begin: args, trace: tc, expiry: expiry}
+		n.sessMu.Unlock()
+		return h, nil
+	}
+	var reply BeginReply
 	if err := n.call("Node.TxBegin", args, &reply); err != nil {
 		return 0, err
 	}
@@ -962,78 +1020,76 @@ func (n *RemoteNode) TxBegin(readOnly bool, version vclock.Vector, deadline time
 		return reply.ID, err
 	}
 	if tc.Valid() || deadline > 0 {
-		n.trMu.Lock()
-		if tc.Valid() {
-			n.traces[reply.ID] = tc
-		}
-		if deadline > 0 {
-			n.expiries[reply.ID] = time.Now().Add(deadline)
-		}
-		n.trMu.Unlock()
+		n.sessMu.Lock()
+		n.sessions[reply.ID] = &session{id: reply.ID, trace: tc, expiry: expiry}
+		n.sessMu.Unlock()
 	}
 	return reply.ID, nil
 }
 
-func (n *RemoteNode) traceOf(txID uint64) obs.TraceContext {
-	n.trMu.Lock()
-	defer n.trMu.Unlock()
-	return n.traces[txID]
-}
-
-// remainingUS returns the session's leftover deadline budget in
-// microseconds (0 = unbounded, -1 = already expired).
-func (n *RemoteNode) remainingUS(txID uint64) int64 {
-	n.trMu.Lock()
-	exp, ok := n.expiries[txID]
-	n.trMu.Unlock()
-	if !ok {
-		return 0
+// take removes h's record and returns the server's session id (0 for a
+// read whose begin never ran) and the remaining budget, as remainingUS.
+func (n *RemoteNode) take(h uint64) (uint64, int64) {
+	n.sessMu.Lock()
+	s, ok := n.sessions[h]
+	delete(n.sessions, h)
+	id := h
+	if ok {
+		id = s.id
 	}
-	left := time.Until(exp)
-	if left <= 0 {
-		return -1
-	}
-	return left.Microseconds()
+	n.sessMu.Unlock()
+	return id, s.remainingUS()
 }
 
-func (n *RemoteNode) clearTrace(txID uint64) {
-	n.trMu.Lock()
-	delete(n.traces, txID)
-	delete(n.expiries, txID)
-	n.trMu.Unlock()
-}
-
-// TxExec implements replica.Peer.
+// TxExec implements replica.Peer. A read session's first statement carries
+// its begin, and the reply names the server session it opened.
 func (n *RemoteNode) TxExec(txID uint64, stmt string, params []value.Value) (*exec.Result, error) {
-	var reply ExecReply
-	args := ExecArgs{TxID: txID, Stmt: stmt, Params: params, Trace: n.traceOf(txID)}
-	if us := n.remainingUS(txID); us < 0 {
+	args := ExecArgs{TxID: txID, Stmt: stmt, Params: params}
+	n.sessMu.Lock()
+	s := n.sessions[txID]
+	if s != nil {
+		args.TxID, args.Trace = s.id, s.trace
+		if s.id == 0 {
+			args.Begin = &s.begin
+		}
+	}
+	n.sessMu.Unlock()
+	if us := s.remainingUS(); us < 0 {
 		// Saves the round trip: the server would refuse anyway.
 		return nil, fmt.Errorf("%w: exec %d on %s", replica.ErrDeadlineExpired, txID, n.id)
 	} else if us > 0 {
 		args.DeadlineUS = us
 	}
+	var reply ExecReply
 	if err := n.call("Node.TxExec", args, &reply); err != nil {
 		return nil, err
+	}
+	if args.Begin != nil && reply.TxID != 0 {
+		n.sessMu.Lock()
+		s.id = reply.TxID
+		n.sessMu.Unlock()
 	}
 	return reply.Result, reply.Err()
 }
 
 // TxCommit implements replica.Peer. The deadline is checked here, before
 // the commit request is issued — once the RPC is on the wire the commit is
-// in flight and only ErrCommitUncertain semantics apply to its outcome.
+// in flight and only ErrCommitUncertain semantics apply to its outcome. A
+// read that ran no statement has nothing to commit on the server.
 func (n *RemoteNode) TxCommit(txID uint64) (vclock.Vector, error) {
-	args := CommitArgs{TxID: txID}
-	if us := n.remainingUS(txID); us < 0 {
-		// Commit work has not started; abandoning here is safe and the
-		// server-side session is reaped by the caller's rollback.
+	id, us := n.take(txID)
+	if us < 0 {
+		// Commit work has not started, so abandoning is safe. The session
+		// is rolled back here: the caller counts its transaction finished
+		// once it has called TxCommit and sends no rollback of its own.
+		_ = n.rollback(id)
 		return nil, fmt.Errorf("%w: commit %d on %s", replica.ErrDeadlineExpired, txID, n.id)
-	} else if us > 0 {
-		args.DeadlineUS = us
 	}
-	defer n.clearTrace(txID)
+	if id == 0 {
+		return nil, nil
+	}
 	var reply CommitReply
-	if err := n.call("Node.TxCommit", args, &reply); err != nil {
+	if err := n.call("Node.TxCommit", CommitArgs{TxID: id, DeadlineUS: us}, &reply); err != nil {
 		return nil, err
 	}
 	return reply.Version, reply.Err()
@@ -1041,9 +1097,18 @@ func (n *RemoteNode) TxCommit(txID uint64) (vclock.Vector, error) {
 
 // TxRollback implements replica.Peer.
 func (n *RemoteNode) TxRollback(txID uint64) error {
-	defer n.clearTrace(txID)
+	id, _ := n.take(txID)
+	return n.rollback(id)
+}
+
+// rollback closes server session id; 0 is a read whose begin never ran,
+// with nothing to close.
+func (n *RemoteNode) rollback(id uint64) error {
+	if id == 0 {
+		return nil
+	}
 	var st Status
-	if err := n.call("Node.TxRollback", txID, &st); err != nil {
+	if err := n.call("Node.TxRollback", id, &st); err != nil {
 		return err
 	}
 	return st.Err()

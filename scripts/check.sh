@@ -38,7 +38,7 @@ echo "==> faultnet chaos leg (seeded partitions, RPC deadlines, gray-failure det
 # byte-for-byte: rerun the named test with the same seed from the source.
 go test -race -count=1 ./internal/faultnet/
 go test -tags dmvdebug -race -count=1 \
-	-run 'TestPartitionedMasterFailover|TestStalledPeerDeadline|TestReconnectAfterConnDrop|TestRetryBudgetExhausted|TestOverloadDuringPartitionedFailover|TestRemotePlane|TestSetSubscribersReusesAndClosesClients' \
+	-run 'TestPartitionedMasterFailover|TestStalledPeerDeadline|TestReconnectAfterConnDrop|TestRetryBudgetExhausted|TestOverloadDuringPartitionedFailover|TestRemotePlane|TestSetSubscribersReusesAndClosesClients|TestReadTxnRoundTrips|TestExpiredCommitReleasesSession|TestReadBegin' \
 	./internal/transport/
 go test -tags dmvdebug -race -count=1 \
 	-run 'TestSuspectQuarantineAndClear|TestGrayMasterFailover|TestFailStopStillFast|TestOverloadActivatesSpare|TestPageIDWarmupLoopShipsPages' \
