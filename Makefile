@@ -22,10 +22,11 @@ dmv-vet:
 
 # The fuzz targets, each for a fixed number of inputs so the run time stays
 # bounded (plain go test runs only their seed corpora): the wire codec's
-# data-path bodies and the WAL record codec.
+# binary bodies, the WAL record codec and the checkpoint decoder.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireBodies$$' -fuzztime 20000x ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 20000x ./internal/persist/
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime 20000x ./internal/heap/
 
 # The full gate CI runs: build, vet, dmv-vet, race tests, dmvdebug chaos leg.
 check:

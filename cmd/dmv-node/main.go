@@ -47,7 +47,6 @@ func run() error {
 		customers  = flag.Int("customers", 500, "TPC-W customers to load")
 		checkpoint = flag.Duration("checkpoint", 0, "fuzzy checkpoint period (0 = off)")
 		ckptDir    = flag.String("checkpoint-dir", "", "directory for on-disk checkpoints (default: memory)")
-		ckptSync   = flag.Bool("checkpoint-sync", true, "fsync on-disk checkpoints before publishing them")
 		cachePages = flag.Int("cache-pages", 0, "buffer-cache capacity in pages (0 = unbounded)")
 		pageFault  = flag.Duration("page-fault", 5*time.Millisecond, "cache-miss penalty")
 		pageCap    = flag.Int("page-cap", 64, "rows per page")
@@ -102,7 +101,7 @@ func run() error {
 	}
 
 	node := replica.NewNode(replica.Options{
-		ID: *id, Engine: eng, Disk: disk, CheckpointDir: *ckptDir, CheckpointSync: *ckptSync, Obs: reg,
+		ID: *id, Engine: eng, Disk: disk, CheckpointDir: *ckptDir, Obs: reg,
 		AckTimeout: *ackTimeout, Flight: rec, DefaultDeadline: *deadlineD,
 	})
 	if reg != nil {

@@ -29,24 +29,6 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// FuncKey renders a function as "pkgpath.Recv.Name" or "pkgpath.Name".
-func FuncKey(fn *types.Func) string {
-	if fn.Pkg() == nil {
-		return fn.Name()
-	}
-	sig, isSig := fn.Type().(*types.Signature)
-	if isSig && sig.Recv() != nil {
-		recv := sig.Recv().Type()
-		if ptr, isPtr := recv.(*types.Pointer); isPtr {
-			recv = ptr.Elem()
-		}
-		if named, isNamed := recv.(*types.Named); isNamed {
-			return fn.Pkg().Path() + "." + named.Obj().Name() + "." + fn.Name()
-		}
-	}
-	return fn.Pkg().Path() + "." + fn.Name()
-}
-
 // RecvTypeName returns the bare receiver type name of a method ("Registry"
 // for func (r *Registry) Counter), or "" for plain functions.
 func RecvTypeName(fn *types.Func) string {

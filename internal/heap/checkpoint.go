@@ -2,10 +2,12 @@ package heap
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"dmv/internal/page"
+	"dmv/internal/value"
 	"dmv/internal/vclock"
 )
 
@@ -50,20 +52,50 @@ func (e *Engine) RestoreCheckpoint(cp *Checkpoint) error {
 	return e.InstallDelta(cp.Images)
 }
 
-// EncodeCheckpoint serializes a checkpoint (gob) for local stable storage.
+// checkpointMagic opens every encoded checkpoint; bytes in any other format
+// (an older gob file, a foreign file) fail to decode.
+const checkpointMagic = "dmvckpt\x01"
+
+// EncodeCheckpoint serializes a checkpoint for local stable storage: the
+// magic, the version vector (uvarint length, uvarint components), a uvarint
+// image count and the images in page.AppendImage's encoding, the one they
+// have on the wire. Equal checkpoints encode to equal bytes.
 func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
-		return nil, fmt.Errorf("encode checkpoint: %w", err)
+	b := append([]byte(nil), checkpointMagic...)
+	b = binary.AppendUvarint(b, uint64(len(cp.Versions)))
+	for _, v := range cp.Versions {
+		b = binary.AppendUvarint(b, v)
 	}
-	return buf.Bytes(), nil
+	b = binary.AppendUvarint(b, uint64(len(cp.Images)))
+	for _, img := range cp.Images {
+		b = page.AppendImage(b, img)
+	}
+	return b, nil
 }
 
-// DecodeCheckpoint deserializes a checkpoint.
+// DecodeCheckpoint deserializes an EncodeCheckpoint checkpoint. A wrong
+// magic, malformed bytes or trailing bytes are an error.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
-	var cp Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&cp); err != nil {
+	rest, ok := bytes.CutPrefix(b, []byte(checkpointMagic))
+	if !ok {
+		return nil, errors.New("decode checkpoint: not a checkpoint (bad magic)")
+	}
+	d := value.NewDecoder(rest)
+	cp := &Checkpoint{Versions: vclock.New(d.Count())}
+	for i := range cp.Versions {
+		cp.Versions[i] = d.Uvarint()
+	}
+	if n := d.Count(); n > 0 {
+		cp.Images = make([]page.Image, n)
+		for i := range cp.Images {
+			cp.Images[i] = page.ReadImage(&d)
+		}
+	}
+	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("decode checkpoint: %w", err)
 	}
-	return &cp, nil
+	if d.Len() != 0 {
+		return nil, fmt.Errorf("decode checkpoint: %d trailing bytes", d.Len())
+	}
+	return cp, nil
 }

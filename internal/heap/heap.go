@@ -310,22 +310,6 @@ func (e *Engine) Indexes(table int) ([]IndexDef, error) {
 	return out, nil
 }
 
-// IndexID resolves an index by name within a table, returning its ordinal.
-func (e *Engine) IndexID(table int, name string) (int, bool) {
-	t, err := e.table(table)
-	if err != nil {
-		return 0, false
-	}
-	t.idxMu.RLock()
-	defer t.idxMu.RUnlock()
-	for i, ix := range t.indexes {
-		if ix.def.Name == name {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
 // Clock exposes the engine's version clock (the master's DBVersion).
 func (e *Engine) Clock() *vclock.Clock { return e.clock }
 

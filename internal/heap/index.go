@@ -219,14 +219,6 @@ func (ix *Index) lookupEq(key value.Row, v uint64) []page.RowID {
 	return out
 }
 
-// entryCount returns the number of (key,row) pairs tracked (including dead
-// spans); diagnostics only.
-func (ix *Index) entryCount() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.tree.Len()
-}
-
 // discardAbove removes the effects of modifications with version > v:
 // spans added after v are dropped and deletions after v are reopened. Used
 // during master fail-over to purge eagerly-published index entries whose

@@ -2,7 +2,6 @@ package heap
 
 import (
 	"fmt"
-	"sort"
 
 	"dmv/internal/obs"
 	"dmv/internal/page"
@@ -280,19 +279,4 @@ func (e *Engine) RowCountAt(table int, v uint64) (int, error) {
 		return 0, err
 	}
 	return t.rowCountAt(v)
-}
-
-// TablesOf maps table names to ids, failing fast on unknown names; the
-// scheduler uses it to translate conflict-class configuration.
-func (e *Engine) TablesOf(names []string) ([]int, error) {
-	out := make([]int, 0, len(names))
-	for _, n := range names {
-		id, ok := e.TableID(n)
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, n)
-		}
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out, nil
 }

@@ -18,8 +18,10 @@
 package page
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -315,14 +317,6 @@ func (p *Page) XStamp(v uint64) {
 	}
 }
 
-// XApplied returns the applied version. Caller must hold the exclusive latch.
-func (p *Page) XApplied() uint64 { return p.applied }
-
-// XEnsure applies pending modifications up to v. Caller must hold the
-// exclusive latch. Used by update transactions on a freshly promoted master
-// that still has buffered mods.
-func (p *Page) XEnsure(v uint64) error { return p.ensureLocked(v, false) }
-
 // Materialize eagerly applies pending modifications up to v (a
 // materialize-all sweep during migration or promotion, as opposed to the
 // lazy demand-driven application readers trigger through View).
@@ -342,6 +336,53 @@ type Image struct {
 	Version   uint64
 	CreateVer uint64
 	Rows      map[RowID]value.Row
+}
+
+var errRowOrder = errors.New("page image rows out of RowID order")
+
+// AppendImage appends img's binary encoding, the one a page image has on the
+// wire and in checkpoint files:
+//
+//	varint table, varint page, uvarint version, uvarint create version,
+//	uvarint row count, then per row in ascending RowID order:
+//	    varint RowID, the row as a value.AppendRow row
+//
+// The fixed row order makes equal images encode to equal bytes.
+func AppendImage(b []byte, img Image) []byte {
+	b = binary.AppendVarint(b, int64(img.Table))
+	b = binary.AppendVarint(b, int64(img.Page))
+	b = binary.AppendUvarint(b, img.Version)
+	b = binary.AppendUvarint(b, img.CreateVer)
+	b = binary.AppendUvarint(b, uint64(len(img.Rows)))
+	ids := make([]RowID, 0, len(img.Rows))
+	for id := range img.Rows {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		b = binary.AppendVarint(b, int64(id))
+		b = value.AppendRow(b, img.Rows[id])
+	}
+	return b
+}
+
+// ReadImage decodes one AppendImage image from d. Rows not in strictly
+// ascending RowID order fail d. Rows is never nil, as in a snapshot.
+func ReadImage(d *value.Decoder) Image {
+	img := Image{Table: int(d.Varint()), Page: ID(d.Varint()), Version: d.Uvarint(), CreateVer: d.Uvarint()}
+	n := d.Count()
+	img.Rows = make(map[RowID]value.Row, n)
+	var prev RowID
+	for i := 0; i < n && d.Err() == nil; i++ {
+		id := RowID(d.Varint())
+		if i > 0 && id <= prev {
+			d.Fail(errRowOrder)
+			break
+		}
+		img.Rows[id] = value.ReadRow(d, nil)
+		prev = id
+	}
+	return img
 }
 
 // Snapshot copies the materialized state if the page can be latched in

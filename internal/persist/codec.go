@@ -20,8 +20,8 @@ import (
 //	uvarint vectorLen, then vectorLen uvarint components
 //	uvarint stmtCount, then per statement:
 //	    uvarint textLen, textLen bytes of SQL
-//	    uvarint paramCount, then paramCount values in value.AppendBinary's
-//	    layout (the one the wire codec uses too)
+//	    the parameters as a value.AppendRow row (the layout the wire codec
+//	    and page images use too)
 
 // EncodeRecord serializes one commit record for the WAL.
 func EncodeRecord(rec scheduler.CommitRecord) []byte {
@@ -34,10 +34,7 @@ func EncodeRecord(rec scheduler.CommitRecord) []byte {
 	for _, s := range rec.Stmts {
 		buf = binary.AppendUvarint(buf, uint64(len(s.Text)))
 		buf = append(buf, s.Text...)
-		buf = binary.AppendUvarint(buf, uint64(len(s.Params)))
-		for _, p := range s.Params {
-			buf = value.AppendBinary(buf, p)
-		}
+		buf = value.AppendRow(buf, s.Params)
 	}
 	return buf
 }
@@ -56,10 +53,7 @@ func DecodeRecord(buf []byte) (scheduler.CommitRecord, error) {
 	for i := range rec.Stmts {
 		s := &rec.Stmts[i]
 		s.Text = d.String()
-		s.Params = make([]value.Value, d.Count())
-		for j := range s.Params {
-			s.Params[j] = value.ReadBinary(&d)
-		}
+		s.Params = value.ReadRow(&d, nil)
 	}
 	if err := d.Err(); err != nil {
 		return rec, fmt.Errorf("persist: record payload: %w", err)

@@ -216,6 +216,63 @@ func TestLogTruncationBoundsMemory(t *testing.T) {
 	}
 }
 
+// TestCorruptManifestRefused: a checkpoint manifest cut short, one whose
+// checkpoint magic has a flipped bit, or one whose last varint lost its end
+// to a flipped bit fails OpenLog with wal.ErrCorrupt. (The manifest carries
+// no checksum: a flip inside a value's bytes still decodes.)
+func TestCorruptManifestRefused(t *testing.T) {
+	dir := t.TempDir()
+	log, err := OpenLog(DurableConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier := NewTier(Options{Backends: []*Backend{newBackend(t, "d0")}, Log: log})
+	for i := 0; i < 5; i++ {
+		tier.OnCommit(rec(uint64(i+1), set(int64(i+1), int64(i))))
+	}
+	tier.Flush()
+	if _, err := tier.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	tier.Close()
+	path := filepath.Join(dir, "ckpt-d0"+ckptSuffix)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip := func(i int, bit byte) []byte {
+		b := append([]byte(nil), good...)
+		b[i] ^= bit
+		return b
+	}
+	for name, blob := range map[string][]byte{
+		"empty":         {},
+		"cut in magic":  good[:3],
+		"cut at end":    good[:len(good)-1],
+		"magic bit":     flip(2, 0x04),
+		"last varint":   flip(len(good)-1, 0x80),
+		"trailing byte": append(append([]byte(nil), good...), 0),
+	} {
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if l, err := OpenLog(DurableConfig{Dir: dir}); !errors.Is(err, wal.ErrCorrupt) {
+			if l != nil {
+				l.WAL.Close()
+			}
+			t.Errorf("%s: OpenLog err = %v, want wal.ErrCorrupt", name, err)
+		}
+	}
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenLog(DurableConfig{Dir: dir})
+	if err != nil {
+		t.Fatalf("intact manifest: %v", err)
+	}
+	l.WAL.Close()
+}
+
 // TestConcurrentTierOps exercises OnCommit/Flush/Recover/Close running
 // together; scripts/check.sh runs it under -race.
 func TestConcurrentTierOps(t *testing.T) {

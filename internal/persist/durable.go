@@ -2,8 +2,10 @@ package persist
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,9 +25,11 @@ import (
 // that coordinate log truncation. On disk a tier directory holds:
 //
 //	wal-<base>.seg   segment files (internal/wal framing)
-//	ckpt-<id>.ckpt   one gob manifest per backend: how many log records the
-//	                 backend had applied when the checkpoint was cut, plus a
-//	                 complete engine checkpoint at exactly that point
+//	ckpt-<id>.ckpt   one manifest per backend: how many log records the
+//	                 backend had applied when the checkpoint was cut (a
+//	                 uvarint), then a complete engine checkpoint at exactly
+//	                 that point (heap.EncodeCheckpoint); a manifest that does
+//	                 not decode fails OpenLog with wal.ErrCorrupt
 //
 // The WAL base and every checkpoint's Applied mark are global record
 // indexes (they survive truncation); the in-memory Tier keeps the same
@@ -41,6 +45,29 @@ type BackendCheckpoint struct {
 	Applied int
 	// Checkpoint is the engine state at Applied.
 	Checkpoint *heap.Checkpoint
+}
+
+// encode returns the manifest's file bytes: a uvarint Applied followed by
+// the checkpoint in heap.EncodeCheckpoint's encoding.
+func (m *BackendCheckpoint) encode() ([]byte, error) {
+	cp, err := heap.EncodeCheckpoint(m.Checkpoint)
+	if err != nil {
+		return nil, err
+	}
+	return append(binary.AppendUvarint(nil, uint64(m.Applied)), cp...), nil
+}
+
+// decodeManifest parses encode's bytes.
+func decodeManifest(b []byte) (*BackendCheckpoint, error) {
+	applied, n := binary.Uvarint(b)
+	if n <= 0 || applied > math.MaxInt {
+		return nil, errors.New("bad applied mark")
+	}
+	cp, err := heap.DecodeCheckpoint(b[n:])
+	if err != nil {
+		return nil, err
+	}
+	return &BackendCheckpoint{Applied: int(applied), Checkpoint: cp}, nil
 }
 
 // DurableConfig configures OpenLog.
@@ -84,15 +111,6 @@ type RecoveredLog struct {
 // Checkpoint returns the recovered manifest for a backend ID, or nil.
 func (r *RecoveredLog) Checkpoint(id string) *BackendCheckpoint {
 	return r.checkpoints[id]
-}
-
-// CheckpointIDs returns the backend IDs that have recovered manifests.
-func (r *RecoveredLog) CheckpointIDs() []string {
-	ids := make([]string, 0, len(r.checkpoints))
-	for id := range r.checkpoints {
-		ids = append(ids, id)
-	}
-	return ids
 }
 
 // MinApplied returns the smallest Applied mark among recovered manifests
@@ -177,11 +195,11 @@ func (r *RecoveredLog) loadCheckpoints(cfg DurableConfig) error {
 		if rerr != nil {
 			return fmt.Errorf("persist: read checkpoint %s: %w", name, rerr)
 		}
-		var cp BackendCheckpoint
-		if derr := gob.NewDecoder(bytes.NewReader(blob)).Decode(&cp); derr != nil {
+		cp, derr := decodeManifest(blob)
+		if derr != nil {
 			return fmt.Errorf("persist: decode checkpoint %s: %v: %w", name, derr, wal.ErrCorrupt)
 		}
-		r.checkpoints[id] = &cp
+		r.checkpoints[id] = cp
 	}
 	// Drop the prefix every manifest covers: a backend restored from its
 	// checkpoint replays only from its Applied mark, so records below the

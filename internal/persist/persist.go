@@ -18,8 +18,6 @@
 package persist
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -484,12 +482,12 @@ func (t *Tier) Checkpoint() (int, error) {
 		b.mu.Unlock()
 		cp := b.Eng.FuzzyCheckpoint()
 		b.applyMu.Unlock()
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&BackendCheckpoint{Applied: applied, Checkpoint: cp}); err != nil {
+		blob, err := (&BackendCheckpoint{Applied: applied, Checkpoint: cp}).encode()
+		if err != nil {
 			return 0, fmt.Errorf("persist: encode checkpoint %s: %w", b.ID, err)
 		}
 		path := filepath.Join(t.dir, "ckpt-"+b.ID+ckptSuffix)
-		if err := wal.WriteFileDurable(t.fs, path, buf.Bytes()); err != nil {
+		if err := wal.WriteFileDurable(t.fs, path, blob); err != nil {
 			return 0, fmt.Errorf("persist: write checkpoint %s: %w", b.ID, err)
 		}
 		if cut < 0 || applied < cut {

@@ -105,7 +105,6 @@ type Peer interface {
 
 	// Control plane.
 	AbortActiveSessions() (int, error)
-	Role() (Role, error)
 	Promote(classTables []int) error
 	Demote(to Role) error
 	DiscardAbove(v vclock.Vector) error
@@ -168,16 +167,12 @@ type Options struct {
 	// two rates differ.
 	UpdateServicePerStmt time.Duration
 	// CheckpointDir, when set, persists fuzzy checkpoints to
-	// <dir>/<id>.ckpt (atomic rename). This is real local stable storage: a
-	// node object constructed after a "reboot" finds its predecessor's
-	// checkpoint on disk. When empty, checkpoints are kept in memory on the
-	// node object, which models the same thing for in-process experiments.
+	// <dir>/<id>.ckpt (temp write, fsync, atomic rename). This is real
+	// local stable storage: a node object constructed after a "reboot"
+	// finds its predecessor's checkpoint on disk. When empty, checkpoints
+	// are kept in memory on the node object, which models the same thing
+	// for in-process experiments.
 	CheckpointDir string
-	// CheckpointSync fsyncs on-disk checkpoints before the atomic rename
-	// publishes them, so a power loss right after RunCheckpoint cannot
-	// leave a zero-length or torn checkpoint behind the new name. Off by
-	// default to keep the fast path for in-process experiments.
-	CheckpointSync bool
 	// DefaultDeadline bounds sessions whose TxBegin carried no deadline:
 	// the node behaves as if every such client asked for this budget. Zero
 	// leaves legacy sessions unbounded (cmd/dmv-node exposes it as
@@ -232,7 +227,6 @@ type Node struct {
 	cpMu   sync.Mutex
 	lastCP []byte // guarded by cpMu; encoded fuzzy checkpoint (in-memory stable storage)
 	cpDir  string // when set, checkpoints live in files instead
-	cpSync bool   // fsync checkpoint files before the publishing rename
 
 	svcPer    time.Duration
 	svcPerUpd time.Duration
@@ -348,7 +342,6 @@ func NewNode(opts Options) *Node {
 	}
 	n.flight = opts.Flight
 	n.cpDir = opts.CheckpointDir
-	n.cpSync = opts.CheckpointSync
 	n.alive.Store(true)
 	return n
 }
@@ -375,10 +368,6 @@ func (n *Node) Alive() bool { return n.alive.Load() }
 // node's in-memory state is considered lost; only the last fuzzy checkpoint
 // (local stable storage) survives for reintegration after "reboot".
 func (n *Node) Kill() { n.alive.Store(false) }
-
-// Revive is used by tests that reuse the same object; real recovery flows
-// construct a fresh node and restore the checkpoint.
-func (n *Node) Revive() { n.alive.Store(true) }
 
 func (n *Node) check() error {
 	if !n.alive.Load() {
@@ -419,7 +408,7 @@ func (n *Node) Ping() error {
 	return n.check()
 }
 
-// Role implements Peer.
+// Role reports the node's replication role.
 func (n *Node) Role() (Role, error) {
 	if err := n.check(); err != nil {
 		return 0, err
@@ -1076,8 +1065,8 @@ func (n *Node) ResidentPages(limit int) ([]simdisk.PageKey, error) {
 
 // RunCheckpoint takes a fuzzy checkpoint and stores it on the node's local
 // stable storage (survives Kill; used to restore before reintegration).
-// With CheckpointDir set the flush goes to disk via write-to-temp + atomic
-// rename, matching the paper's "a flush of a page and its version number is
+// With CheckpointDir set the flush goes to disk via write-to-temp + fsync +
+// atomic rename (wal.WriteFileDurable), matching the paper's "a flush of a page and its version number is
 // atomic" at checkpoint granularity.
 func (n *Node) RunCheckpoint() error {
 	if err := n.check(); err != nil {
@@ -1091,21 +1080,11 @@ func (n *Node) RunCheckpoint() error {
 	n.cpMu.Lock()
 	defer n.cpMu.Unlock()
 	if n.cpDir != "" {
-		if n.cpSync {
-			// Durable publish: temp write + fsync + atomic rename, so a
-			// crash mid-checkpoint leaves either the old file or the new
-			// one, never a torn blob under the published name.
-			if err := wal.WriteFileDurable(nil, n.checkpointPath(), blob); err != nil {
-				return fmt.Errorf("write checkpoint: %w", err)
-			}
-			return nil
-		}
-		tmp := n.checkpointPath() + ".tmp"
-		if err := os.WriteFile(tmp, blob, 0o644); err != nil {
+		// Durable publish: temp write + fsync + atomic rename, so a crash
+		// mid-checkpoint leaves either the old file or the new one, never a
+		// torn blob under the published name.
+		if err := wal.WriteFileDurable(nil, n.checkpointPath(), blob); err != nil {
 			return fmt.Errorf("write checkpoint: %w", err)
-		}
-		if err := os.Rename(tmp, n.checkpointPath()); err != nil {
-			return fmt.Errorf("publish checkpoint: %w", err)
 		}
 		return nil
 	}

@@ -2,9 +2,8 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,6 +14,8 @@ import (
 	"dmv/internal/heap"
 	"dmv/internal/obs"
 	"dmv/internal/page"
+	"dmv/internal/scrub"
+	"dmv/internal/simdisk"
 	"dmv/internal/value"
 	"dmv/internal/vclock"
 )
@@ -25,15 +26,19 @@ import (
 //	uint32 little-endian length of the rest (at most maxFrame)
 //	uvarint seq
 //	uvarint len + bytes: the method name (requests) or the error (responses)
-//	1 byte body kind: bodyNone, bodyBinary or bodyGob
+//	1 byte body kind: bodyNone, bodyBinary or bodyJSON
 //	the body
 //
-// The data-path messages (Status, BeginArgs/BeginReply, ExecArgs/ExecReply,
-// CommitArgs/CommitReply, the TxRollback id, *heap.WriteSet, and the empty
-// struct{} argument) have hand-written binary bodies whose values use
-// value.AppendBinary's layout, the WAL's. Every other body (page images,
-// digests, obs snapshots, flight dumps, the rest of the control plane) is
-// gob inside the frame, on one gob stream per connection direction.
+// Binary bodies are hand-written. The data-path messages (Status,
+// BeginArgs/BeginReply, ExecArgs/ExecReply, CommitArgs/CommitReply, the
+// TxRollback id, *heap.WriteSet, and the empty struct{} argument) have one,
+// with rows in value.AppendRow's layout, the WAL's. So does every
+// control-plane body that holds one entry per page, since those grow with
+// the database: page images (page.AppendImage, the checkpoint files'
+// encoding), PageImagesArgs, page-version maps, page-key lists and digests.
+// Every other body (the role, vectors, counts, the subscriber map, obs
+// snapshots, flight dumps) is JSON inside the frame, which keeps no state
+// between frames.
 //
 // net/rpc serializes each direction of a connection (one reader goroutine,
 // writes under its send mutex), so a codec needs no lock of its own. Decoded
@@ -58,7 +63,7 @@ const (
 const (
 	bodyNone byte = iota
 	bodyBinary
-	bodyGob
+	bodyJSON
 )
 
 // FrameError is a framing failure: a frame cut short by the connection
@@ -88,14 +93,6 @@ type wire struct {
 	// names interns method names (server) or column names (client); stmts
 	// interns statement texts (server).
 	names, stmts interner
-
-	// The gob stream for control-plane bodies, built on first use. gobSrc
-	// holds one frame body at a time; being an io.ByteReader, it keeps the
-	// decoder from buffering ahead into the next frame.
-	gobIn   *gob.Decoder
-	gobSrc  bytes.Reader
-	gobOut  *gob.Encoder
-	gobSink gobSink
 }
 
 func newWire(conn io.ReadWriteCloser) *wire {
@@ -150,8 +147,8 @@ func (w *wire) readHeader() (uint64, []byte, error) {
 	return seq, text, nil
 }
 
-// readBody decodes the current frame's body into target (nil discards it,
-// keeping the gob stream in step).
+// readBody decodes the current frame's body into target; a nil target
+// discards it.
 func (w *wire) readBody(target any) error {
 	defer func() {
 		w.body = nil
@@ -159,30 +156,25 @@ func (w *wire) readBody(target any) error {
 			w.in = nil
 		}
 	}()
+	if target == nil {
+		return nil
+	}
 	switch w.kind {
 	case bodyNone:
 		return nil
 	case bodyBinary:
-		if target == nil {
-			return nil
-		}
 		return readBinaryBody(w.body, target, &w.names, &w.stmts)
-	case bodyGob:
-		if w.gobIn == nil {
-			w.gobIn = gob.NewDecoder(&w.gobSrc)
-		}
-		w.gobSrc.Reset(w.body)
-		err := w.gobIn.Decode(target)
-		w.gobSrc.Reset(nil) // pin no frame between calls
-		return err
+	case bodyJSON:
+		return json.Unmarshal(w.body, target)
 	default:
 		return fmt.Errorf("transport: unknown body kind %d", w.kind)
 	}
 }
 
-// writeFrame encodes one frame (header text, then body) and writes it. An
-// encoding failure closes the connection: a gob encoder may already have
-// recorded type definitions the peer will never see.
+// errEncode wraps a body that failed to encode; nothing was written then.
+var errEncode = errors.New("transport: encode body")
+
+// writeFrame encodes one frame (header text, then body) and writes it.
 func (w *wire) writeFrame(seq uint64, text string, body any) error {
 	b := append(w.out[:0], 0, 0, 0, 0)
 	b = binary.AppendUvarint(b, seq)
@@ -193,16 +185,11 @@ func (w *wire) writeFrame(seq uint64, text string, body any) error {
 	} else if bb, ok := appendBinaryBody(append(b, bodyBinary), body); ok {
 		b = bb
 	} else {
-		if w.gobOut == nil {
-			w.gobOut = gob.NewEncoder(&w.gobSink)
-		}
-		w.gobSink.b = append(b, bodyGob)
-		err := w.gobOut.Encode(body)
-		b, w.gobSink.b = w.gobSink.b, nil
+		j, err := json.Marshal(body)
 		if err != nil {
-			_ = w.conn.Close()
-			return err
+			return fmt.Errorf("%w %T: %v", errEncode, body, err)
 		}
+		b = append(append(b, bodyJSON), j...)
 	}
 	if len(b)-4 > maxFrame {
 		_ = w.conn.Close()
@@ -268,15 +255,13 @@ func (c serverCodec) WriteResponse(r *rpc.Response, body any) error {
 	if r.Error != "" {
 		body = nil // the client discards an error response's body
 	}
-	return c.writeFrame(r.Seq, r.Error, body)
-}
-
-// gobSink appends what the gob encoder writes to the frame being built.
-type gobSink struct{ b []byte }
-
-func (s *gobSink) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
+	err := c.writeFrame(r.Seq, r.Error, body)
+	if errors.Is(err, errEncode) {
+		// Nothing was written: answer with the failure rather than leave
+		// the caller to wait out its deadline.
+		return c.writeFrame(r.Seq, err.Error(), nil)
+	}
+	return err
 }
 
 // interner returns one string per distinct byte sequence, so the names and
@@ -311,7 +296,7 @@ func (m *interner) get(b []byte) string {
 // --- binary bodies -----------------------------------------------------------
 
 // appendBinaryBody appends body's binary form, reporting false for a type
-// that has none (it then travels as gob). Arguments arrive as values on the
+// that has none (it then travels as JSON). Arguments arrive as values on the
 // client and replies as pointers on the server, so both forms encode.
 func appendBinaryBody(b []byte, body any) ([]byte, bool) {
 	switch x := body.(type) {
@@ -346,6 +331,26 @@ func appendBinaryBody(b []byte, body any) ([]byte, bool) {
 		b = appendStatus(b, &x.Status)
 	case *heap.WriteSet:
 		b = appendWriteSet(b, x)
+	case []page.Image:
+		b = appendList(b, x, page.AppendImage)
+	case *[]page.Image:
+		b = appendList(b, *x, page.AppendImage)
+	case *Reply[[]page.Image]:
+		b = appendStatus(appendList(b, x.Value, page.AppendImage), &x.Status)
+	case PageImagesArgs:
+		b = appendPageImagesArgs(b, &x)
+	case *PageImagesArgs:
+		b = appendPageImagesArgs(b, x)
+	case *Reply[heap.PageVersionMap]:
+		b = appendStatus(appendPageVersions(b, x.Value), &x.Status)
+	case []simdisk.PageKey:
+		b = appendList(b, x, appendPageKey)
+	case *[]simdisk.PageKey:
+		b = appendList(b, *x, appendPageKey)
+	case *Reply[[]simdisk.PageKey]:
+		b = appendStatus(appendList(b, x.Value, appendPageKey), &x.Status)
+	case *Reply[scrub.TableDigest]:
+		b = appendStatus(appendDigest(b, &x.Value), &x.Status)
 	default:
 		return b, false
 	}
@@ -371,7 +376,7 @@ func readBinaryBody(body []byte, target any, names, stmts *interner) error {
 	case *ExecArgs:
 		x.TxID = d.Uvarint()
 		x.Stmt = stmts.get(d.Bytes(d.Uvarint()))
-		x.Params = readRow(&d)
+		x.Params = value.ReadRow(&d, nil)
 		x.DeadlineUS = d.Varint()
 		x.Trace = readTrace(&d)
 		if readBool(&d) {
@@ -390,6 +395,28 @@ func readBinaryBody(body []byte, target any, names, stmts *interner) error {
 		readStatus(&d, &x.Status)
 	case *heap.WriteSet:
 		readWriteSet(&d, x)
+	case *[]page.Image:
+		*x = readImages(&d)
+	case *Reply[[]page.Image]:
+		x.Value = readImages(&d)
+		readStatus(&d, &x.Status)
+	case *PageImagesArgs:
+		x.Table = int(d.Varint())
+		x.Pages = makeList[page.ID](&d)
+		for i := range x.Pages {
+			x.Pages[i] = page.ID(d.Varint())
+		}
+	case *Reply[heap.PageVersionMap]:
+		x.Value = readPageVersions(&d)
+		readStatus(&d, &x.Status)
+	case *[]simdisk.PageKey:
+		*x = readPageKeys(&d)
+	case *Reply[[]simdisk.PageKey]:
+		x.Value = readPageKeys(&d)
+		readStatus(&d, &x.Status)
+	case *Reply[scrub.TableDigest]:
+		readDigest(&d, &x.Value)
+		readStatus(&d, &x.Status)
 	default:
 		return fmt.Errorf("transport: no binary body for %T", target)
 	}
@@ -437,7 +464,7 @@ func readBeginArgs(d *value.Decoder, a *BeginArgs) {
 func appendExecArgs(b []byte, a *ExecArgs) []byte {
 	b = binary.AppendUvarint(b, a.TxID)
 	b = appendString(b, a.Stmt)
-	b = appendRow(b, a.Params)
+	b = value.AppendRow(b, a.Params)
 	b = binary.AppendVarint(b, a.DeadlineUS)
 	b = appendTrace(b, a.Trace)
 	if a.Begin == nil {
@@ -476,7 +503,7 @@ func appendVector(b []byte, v vclock.Vector) []byte {
 	return b
 }
 
-// readVector decodes a vector; an empty one decodes as nil, as gob did.
+// readVector decodes a vector; an empty one decodes as nil.
 func readVector(d *value.Decoder) vclock.Vector {
 	n := d.Count()
 	if n == 0 {
@@ -498,38 +525,6 @@ func readTrace(d *value.Decoder) obs.TraceContext {
 	return obs.TraceContext{TraceID: d.Uint64(), SpanID: d.Uint64()}
 }
 
-func appendRow(b []byte, r []value.Value) []byte {
-	b = binary.AppendUvarint(b, uint64(len(r)))
-	for _, v := range r {
-		b = value.AppendBinary(b, v)
-	}
-	return b
-}
-
-// readRow decodes a row into its own backing array (a write-set row becomes
-// a stored row, so it must pin nothing else); an empty row decodes as nil.
-func readRow(d *value.Decoder) value.Row { return readRowLike(d, nil) }
-
-// readRowLike is readRow, except that a string equal to the one at the same
-// position of like shares like's bytes (value.ReadBinaryLike). A write-set
-// update's before-image decodes like its after-image, so the two share
-// their unchanged strings and the before-image pins no memory of its own.
-func readRowLike(d *value.Decoder, like value.Row) value.Row {
-	n := d.Count()
-	if n == 0 {
-		return nil
-	}
-	r := make(value.Row, n)
-	for i := range r {
-		var l value.Value
-		if i < len(like) {
-			l = like[i]
-		}
-		r[i] = value.ReadBinaryLike(d, l)
-	}
-	return r
-}
-
 // appendResult encodes a statement result: a presence byte, then the
 // column names, the row count, the total value count (so the decoder can
 // size one backing array), each row, and the affected count.
@@ -549,7 +544,7 @@ func appendResult(b []byte, res *exec.Result) []byte {
 	}
 	b = binary.AppendUvarint(b, uint64(total))
 	for _, r := range res.Rows {
-		b = appendRow(b, r)
+		b = value.AppendRow(b, r)
 	}
 	return binary.AppendVarint(b, int64(res.Affected))
 }
@@ -606,8 +601,8 @@ func appendWriteSet(b []byte, ws *heap.WriteSet) []byte {
 		b = binary.AppendVarint(b, int64(rec.Page))
 		b = append(b, byte(rec.Op.Kind))
 		b = binary.AppendVarint(b, int64(rec.Op.Row))
-		b = appendRow(b, rec.Op.Data)
-		b = appendRow(b, rec.Old)
+		b = value.AppendRow(b, rec.Op.Data)
+		b = value.AppendRow(b, rec.Old)
 	}
 	return appendTrace(b, ws.Trace)
 }
@@ -629,9 +624,114 @@ func readWriteSet(d *value.Decoder, ws *heap.WriteSet) {
 			rec.Page = page.ID(d.Varint())
 			rec.Op.Kind = page.OpKind(d.Byte())
 			rec.Op.Row = page.RowID(d.Varint())
-			rec.Op.Data = readRow(d)
-			rec.Old = readRowLike(d, rec.Op.Data)
+			rec.Op.Data = value.ReadRow(d, nil)
+			// The before-image shares the after-image's unchanged strings,
+			// so it pins no memory of its own.
+			rec.Old = value.ReadRow(d, rec.Op.Data)
 		}
 	}
 	ws.Trace = readTrace(d)
+}
+
+// --- per-page control-plane bodies ------------------------------------------
+
+// appendList appends a uvarint count, then each element of xs.
+func appendList[T any](b []byte, xs []T, add func([]byte, T) []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(xs)))
+	for _, x := range xs {
+		b = add(b, x)
+	}
+	return b
+}
+
+// makeList reads an appendList count and returns a list of that length for
+// the caller to fill; an empty one is nil. The caller reads the elements
+// itself: a decoder handed to a function value would escape to the heap.
+func makeList[T any](d *value.Decoder) []T {
+	if n := d.Count(); n > 0 {
+		return make([]T, n)
+	}
+	return nil
+}
+
+func readImages(d *value.Decoder) []page.Image {
+	imgs := makeList[page.Image](d)
+	for i := range imgs {
+		imgs[i] = page.ReadImage(d)
+	}
+	return imgs
+}
+
+func appendPageImagesArgs(b []byte, a *PageImagesArgs) []byte {
+	return appendList(binary.AppendVarint(b, int64(a.Table)), a.Pages, func(b []byte, p page.ID) []byte {
+		return binary.AppendVarint(b, int64(p))
+	})
+}
+
+// appendPageVersions encodes the tables in ascending id order, each as its
+// id and its pages' (applied, received, rows) triples.
+func appendPageVersions(b []byte, m heap.PageVersionMap) []byte {
+	tables := make([]int, 0, len(m))
+	for t := range m {
+		tables = append(tables, t)
+	}
+	slices.Sort(tables)
+	b = binary.AppendUvarint(b, uint64(len(m)))
+	for _, t := range tables {
+		b = appendList(binary.AppendVarint(b, int64(t)), m[t], func(b []byte, v heap.PageVersion) []byte {
+			b = binary.AppendUvarint(b, v.Applied)
+			b = binary.AppendUvarint(b, v.Received)
+			return binary.AppendVarint(b, int64(v.Rows))
+		})
+	}
+	return b
+}
+
+// readPageVersions decodes appendPageVersions' form; the map is never nil,
+// a table with no pages maps to nil.
+func readPageVersions(d *value.Decoder) heap.PageVersionMap {
+	n := d.Count()
+	m := make(heap.PageVersionMap, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		t := int(d.Varint())
+		vers := makeList[heap.PageVersion](d)
+		for j := range vers {
+			vers[j] = heap.PageVersion{Applied: d.Uvarint(), Received: d.Uvarint(), Rows: int(d.Varint())}
+		}
+		m[t] = vers
+	}
+	return m
+}
+
+func appendPageKey(b []byte, k simdisk.PageKey) []byte {
+	return binary.AppendVarint(binary.AppendVarint(b, int64(k.Table)), int64(k.Page))
+}
+
+func readPageKeys(d *value.Decoder) []simdisk.PageKey {
+	keys := makeList[simdisk.PageKey](d)
+	for i := range keys {
+		keys[i] = simdisk.PageKey{Table: int(d.Varint()), Page: int32(d.Varint())}
+	}
+	return keys
+}
+
+// appendDigest encodes the table, the pinned version, the root and the
+// leaves, each a page id and its hash.
+func appendDigest(b []byte, dg *scrub.TableDigest) []byte {
+	b = binary.AppendVarint(b, int64(dg.Table))
+	b = binary.AppendUvarint(b, dg.Version)
+	return appendList(append(b, dg.Root[:]...), dg.Pages, func(b []byte, p scrub.PageDigest) []byte {
+		return append(binary.AppendVarint(b, int64(p.Page)), p.Hash[:]...)
+	})
+}
+
+func readDigest(d *value.Decoder, dg *scrub.TableDigest) {
+	dg.Table = int(d.Varint())
+	dg.Version = d.Uvarint()
+	copy(dg.Root[:], d.Bytes(uint64(len(dg.Root))))
+	dg.Pages = makeList[scrub.PageDigest](d)
+	for i := range dg.Pages {
+		dg.Pages[i].Page = page.ID(d.Varint())
+		copy(dg.Pages[i].Hash[:], d.Bytes(uint64(len(dg.Pages[i].Hash))))
+	}
 }

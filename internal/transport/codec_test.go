@@ -5,29 +5,36 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"net/rpc"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"dmv/internal/exec"
 	"dmv/internal/heap"
 	"dmv/internal/obs"
+	"dmv/internal/obs/flight"
 	"dmv/internal/page"
 	"dmv/internal/replica"
+	"dmv/internal/scrub"
+	"dmv/internal/simdisk"
 	"dmv/internal/value"
 	"dmv/internal/vclock"
 )
 
-// wireSamples holds one or more instance of every data-path body, as the
+// wireSamples holds one or more instance of every binary body, as the
 // pointer a decoder fills. Empty slices are nil: they decode as nil.
 func wireSamples() []any {
 	rollback := uint64(1<<40 + 7)
 	trace := obs.TraceContext{TraceID: 9, SpanID: 1<<63 + 5}
 	params := []value.Value{value.NewInt(-3), value.NewFloat(2.5), value.NewString("héllo"), value.NewNull(), value.NewString("")}
 	item := value.Row{value.NewInt(17), value.NewString("title"), value.NewFloat(9.75)}
+	images := sampleImages(item)
+	keys := []simdisk.PageKey{{Table: 2, Page: 40}, {Table: 0, Page: 1}}
 	return []any{
 		&struct{}{},
 		&Status{},
@@ -60,6 +67,31 @@ func wireSamples() []any {
 			Trace: trace,
 		},
 		&heap.WriteSet{TxID: 1},
+		&images,
+		&Reply[[]page.Image]{Value: images},
+		&Reply[[]page.Image]{Status: Status{Code: errNodeDown, Msg: "down"}},
+		&PageImagesArgs{Table: 3, Pages: []page.ID{0, 7, 1 << 20}},
+		&PageImagesArgs{},
+		&Reply[heap.PageVersionMap]{Value: heap.PageVersionMap{
+			0: {{Applied: 3, Received: 5, Rows: 64}, {}},
+			4: {{Applied: 1 << 40, Received: 1 << 40, Rows: 1}},
+		}},
+		&Reply[heap.PageVersionMap]{Value: heap.PageVersionMap{}, Status: Status{Code: errOther, Msg: "boom"}},
+		&keys,
+		&Reply[[]simdisk.PageKey]{Value: keys},
+		&Reply[scrub.TableDigest]{Value: scrub.TableDigest{Table: 1, Version: 9, Root: scrub.Hash{1, 2, 3},
+			Pages: []scrub.PageDigest{{Page: 0, Hash: scrub.Hash{31: 7}}, {Page: 5, Hash: scrub.Hash{4}}}}},
+		&Reply[scrub.TableDigest]{Status: Status{Code: errVersionConflict, Msg: "conflict"}},
+	}
+}
+
+// sampleImages returns two page images, one of them empty.
+func sampleImages(item value.Row) []page.Image {
+	return []page.Image{
+		{Table: 2, Page: 3, Version: 11, CreateVer: 4, Rows: map[page.RowID]value.Row{
+			17: item, 3: {value.NewNull(), value.NewString("")}, -1: {value.NewFloat(-0.5)},
+		}},
+		{Table: 0, Page: 0, Version: 1, Rows: map[page.RowID]value.Row{}},
 	}
 }
 
@@ -102,6 +134,9 @@ func TestWireBodiesRoundTrip(t *testing.T) {
 		{CommitArgs{TxID: 2}, &CommitArgs{TxID: 2}},
 		{uint64(9), func() *uint64 { u := uint64(9); return &u }()},
 		{struct{}{}, &struct{}{}},
+		{sampleImages(nil), func() *[]page.Image { imgs := sampleImages(nil); return &imgs }()},
+		{PageImagesArgs{Table: 1, Pages: []page.ID{4}}, &PageImagesArgs{Table: 1, Pages: []page.ID{4}}},
+		{[]simdisk.PageKey{{Table: 1, Page: 2}}, &[]simdisk.PageKey{{Table: 1, Page: 2}}},
 	} {
 		if a, b := encodeSample(t, pair[0]), encodeSample(t, pair[1]); !bytes.Equal(a, b) {
 			t.Fatalf("%T encodes %x, %T encodes %x", pair[0], a, pair[1], b)
@@ -197,6 +232,90 @@ func FuzzWireBodies(f *testing.F) {
 		}
 	})
 }
+
+// TestJSONBodiesRoundTrip: every body without a binary form travels as
+// JSON, in the value form a client sends and the pointer form a server
+// answers with, and decodes to what was encoded; a nil target discards a
+// body and leaves the stream in step; a reply that cannot be encoded
+// answers with the failure instead of nothing.
+func TestJSONBodiesRoundTrip(t *testing.T) {
+	snap := obs.Snapshot{
+		Counters:   map[string]int64{"dmv_a_total": 3},
+		Gauges:     map[string]float64{"dmv_g": 1.5},
+		Histograms: map[string]obs.HistSnapshot{"dmv_h_us": {Count: 2, Sum: 30, Buckets: []obs.HistBucket{{Bound: 16, Count: 2}}}},
+	}
+	span := obs.Span{ID: 1, TraceID: 2, SpanID: 1<<63 + 3, Kind: "read", Node: "s1", Start: time.Unix(5, 6).UTC(),
+		Total: time.Millisecond, Stages: []obs.SpanStage{{Name: "exec", Offset: time.Microsecond}}}
+	for _, m := range []any{
+		&map[string]string{"slave1": "127.0.0.1:7102", "slave2": "127.0.0.1:7103"},
+		&[]int{0, 3},
+		func() *replica.Role { r := replica.RoleSpare; return &r }(),
+		&vclock.Vector{4, 0, 1 << 62},
+		func() *int { n := 25; return &n }(),
+		&DigestArgs{Table: 2, Version: 9, WithPages: true},
+		&Reply[int]{Value: 3},
+		&Reply[int]{Status: Status{Code: errNodeDown, Msg: "down"}},
+		&Reply[vclock.Vector]{Value: vclock.Vector{7, 8}},
+		&Reply[obs.NodeSnapshot]{Value: obs.NodeSnapshot{Node: "s1", Role: "slave", StartUnix: 10,
+			Applied: []uint64{1, 2}, MaxVer: []uint64{2, 2}, PendingMods: 4, Snap: snap, Spans: []obs.Span{span}}},
+		&Reply[flight.NodeDump]{Value: flight.NodeDump{Node: "s1", Metrics: snap, Dropped: 2,
+			Runtime: flight.RuntimeSample{Goroutines: 12, HeapBytes: 1 << 20},
+			Entries: []flight.Entry{{Seq: 1, TS: 99, Kind: "span", Node: "s1", Span: &span},
+				{Seq: 2, Kind: "deltas", Deltas: map[string]int64{"dmv_a_total": 1}}}}},
+	} {
+		for _, form := range []any{reflect.ValueOf(m).Elem().Interface(), m} {
+			w := newWire(&bufConn{})
+			if err := w.writeFrame(1, "Node.X", form); err != nil {
+				t.Fatalf("%T: write: %v", form, err)
+			}
+			if _, _, err := w.readHeader(); err != nil || w.kind != bodyJSON {
+				t.Fatalf("%T: header err %v, body kind %d, want %d", form, err, w.kind, bodyJSON)
+			}
+			got := reflect.New(reflect.TypeOf(m).Elem()).Interface()
+			if err := w.readBody(got); err != nil {
+				t.Fatalf("%T: read: %v", form, err)
+			}
+			if !reflect.DeepEqual(got, m) {
+				t.Fatalf("%T round trip:\n got %+v\nwant %+v", form, got, m)
+			}
+		}
+	}
+
+	w := newWire(&bufConn{})
+	if err := w.writeFrame(1, "Node.X", &Reply[int]{Value: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.writeFrame(2, "Node.Y", &Reply[int]{Value: 6}); err != nil {
+		t.Fatal(err)
+	}
+	var got Reply[int]
+	if _, _, err := w.readHeader(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.readBody(nil); err != nil {
+		t.Fatalf("discarding a JSON body: %v", err)
+	}
+	if seq, _, err := w.readHeader(); err != nil || seq != 2 {
+		t.Fatalf("frame after a discarded body: seq %d, err %v", seq, err)
+	}
+	if err := w.readBody(&got); err != nil || got.Value != 6 {
+		t.Fatalf("frame after a discarded body = %+v, %v", got, err)
+	}
+
+	conn := &bufConn{}
+	if err := (serverCodec{newWire(conn)}).WriteResponse(&rpc.Response{Seq: 7}, &Reply[float64]{Value: math.Inf(1)}); err != nil {
+		t.Fatalf("unencodable reply: %v", err)
+	}
+	var resp rpc.Response
+	if err := newClientCodec(conn).ReadResponseHeader(&resp); err != nil || resp.Seq != 7 || !strings.Contains(resp.Error, "encode") {
+		t.Fatalf("unencodable reply answered %+v, %v; want seq 7 with an encode error", resp, err)
+	}
+}
+
+// bufConn is a connection that reads back what was written to it.
+type bufConn struct{ bytes.Buffer }
+
+func (*bufConn) Close() error { return nil }
 
 type readOnlyConn struct{ io.Reader }
 

@@ -6,15 +6,17 @@
 // version-tagged transaction sessions, heartbeats, page migration, and
 // warm-up traffic.
 //
-// net/rpc runs with this package's binary codec (codec.go) instead of its
-// default gob one: length-prefixed frames, hand-written binary bodies for
-// the data-path messages, and gob, inside the frame, for the control-plane
-// bodies that have no binary form yet.
+// net/rpc runs with this package's codec (codec.go) instead of its default
+// gob one: length-prefixed frames, hand-written binary bodies for the
+// data-path messages and for the control-plane bodies that hold one entry
+// per page, and JSON, inside the frame, for the rest of the control plane.
 //
 // Error identity matters to the scheduler (version-conflict aborts and
 // node-down errors are retried differently), and net/rpc flattens errors to
-// strings; replies therefore carry an explicit error code that the client
-// side converts back to the canonical sentinel errors.
+// strings; replies therefore carry an explicit error code (Status) that the
+// client side converts back to the canonical sentinel errors. RemoteNode
+// reads it in one place: call and callIdem return the error a reply's
+// Status carries once the transport has succeeded.
 package transport
 
 import (
@@ -172,28 +174,18 @@ type CommitReply struct {
 	Status
 }
 
-// VersionReply carries a version vector.
-type VersionReply struct {
-	Version vclock.Vector
+// Reply is a control-plane reply: the call's result and its status.
+type Reply[T any] struct {
+	Value T
 	Status
 }
 
-// PageVersionsReply carries a node's page-version map.
-type PageVersionsReply struct {
-	Versions heap.PageVersionMap
-	Status
-}
-
-// PagesReply carries resident page ids.
-type PagesReply struct {
-	Keys []simdisk.PageKey
-	Status
-}
-
-// RoleReply carries a node role.
-type RoleReply struct {
-	Role replica.Role
-	Status
+// fill records a node call's result and error; it returns the handler's
+// own (nil) error.
+func (r *Reply[T]) fill(v T, err error) error {
+	r.Value = v
+	r.set(err)
+	return nil
 }
 
 // DigestArgs requests a snapshot-consistent table digest at a pinned
@@ -204,23 +196,11 @@ type DigestArgs struct {
 	WithPages bool
 }
 
-// DigestReply carries one table digest.
-type DigestReply struct {
-	Digest scrub.TableDigest
-	Status
-}
-
 // PageImagesArgs names the pages whose current images a repair or a
 // migration wants shipped.
 type PageImagesArgs struct {
 	Table int
 	Pages []page.ID
-}
-
-// ImagesReply carries current page images.
-type ImagesReply struct {
-	Images []page.Image
-	Status
 }
 
 // NodeService exposes a replica.Node over net/rpc under the service name
@@ -295,26 +275,9 @@ func (s *NodeService) TxRollback(txID uint64, reply *Status) error {
 	return nil
 }
 
-// AbortReply carries the aborted-transaction count.
-type AbortReply struct {
-	Aborted int
-	Status
-}
-
 // AbortActiveSessions rolls back sessions owned by a failed scheduler.
-func (s *NodeService) AbortActiveSessions(_ struct{}, reply *AbortReply) error {
-	n, err := s.node.AbortActiveSessions()
-	reply.Aborted = n
-	reply.set(err)
-	return nil
-}
-
-// Role reports the node's replication role.
-func (s *NodeService) Role(_ struct{}, reply *RoleReply) error {
-	r, err := s.node.Role()
-	reply.Role = r
-	reply.set(err)
-	return nil
+func (s *NodeService) AbortActiveSessions(_ struct{}, reply *Reply[int]) error {
+	return reply.fill(s.node.AbortActiveSessions())
 }
 
 // Promote makes the node a conflict-class master.
@@ -336,11 +299,8 @@ func (s *NodeService) DiscardAbove(v vclock.Vector, reply *Status) error {
 }
 
 // MaxVersions reports the node's highest versions.
-func (s *NodeService) MaxVersions(_ struct{}, reply *VersionReply) error {
-	v, err := s.node.MaxVersions()
-	reply.Version = v
-	reply.set(err)
-	return nil
+func (s *NodeService) MaxVersions(_ struct{}, reply *Reply[vclock.Vector]) error {
+	return reply.fill(s.node.MaxVersions())
 }
 
 // StartJoin begins write-set buffering for reintegration.
@@ -350,11 +310,8 @@ func (s *NodeService) StartJoin(_ struct{}, reply *Status) error {
 }
 
 // PageVersions reports per-page applied and received versions and row counts.
-func (s *NodeService) PageVersions(_ struct{}, reply *PageVersionsReply) error {
-	v, err := s.node.PageVersions()
-	reply.Versions = v
-	reply.set(err)
-	return nil
+func (s *NodeService) PageVersions(_ struct{}, reply *Reply[heap.PageVersionMap]) error {
+	return reply.fill(s.node.PageVersions())
 }
 
 // InstallDelta installs migrated pages (joining-node side).
@@ -376,62 +333,32 @@ func (s *NodeService) WarmPages(keys []simdisk.PageKey, reply *Status) error {
 }
 
 // ResidentPages reports the node's hottest pages.
-func (s *NodeService) ResidentPages(limit int, reply *PagesReply) error {
-	keys, err := s.node.ResidentPages(limit)
-	reply.Keys = keys
-	reply.set(err)
-	return nil
+func (s *NodeService) ResidentPages(limit int, reply *Reply[[]simdisk.PageKey]) error {
+	return reply.fill(s.node.ResidentPages(limit))
 }
 
 // Digest computes the node's snapshot digest for one table at a pinned
 // version (anti-entropy scrub).
-func (s *NodeService) Digest(args DigestArgs, reply *DigestReply) error {
-	d, err := s.node.Digest(args.Table, args.Version, args.WithPages)
-	reply.Digest = d
-	reply.set(err)
-	return nil
+func (s *NodeService) Digest(args DigestArgs, reply *Reply[scrub.TableDigest]) error {
+	return reply.fill(s.node.Digest(args.Table, args.Version, args.WithPages))
 }
 
 // PageImages serves current page images (donor side of scrub repair and
 // migration).
-func (s *NodeService) PageImages(args PageImagesArgs, reply *ImagesReply) error {
-	imgs, err := s.node.PageImages(args.Table, args.Pages)
-	reply.Images = imgs
-	reply.set(err)
-	return nil
+func (s *NodeService) PageImages(args PageImagesArgs, reply *Reply[[]page.Image]) error {
+	return reply.fill(s.node.PageImages(args.Table, args.Pages))
 }
 
-// ObsSnapshotReply carries the node's observability snapshot (identity,
-// version state, metrics, trace ring) for the scheduler's aggregation
-// plane.
-type ObsSnapshotReply struct {
-	NS obs.NodeSnapshot
-	Status
+// ObsSnapshot serves the node's observability snapshot (identity, version
+// state, metrics, trace ring) to the scraping scheduler.
+func (s *NodeService) ObsSnapshot(_ struct{}, reply *Reply[obs.NodeSnapshot]) error {
+	return reply.fill(s.node.ObsSnapshot())
 }
 
-// ObsSnapshot serves the node's registry snapshot to the scraping
-// scheduler.
-func (s *NodeService) ObsSnapshot(_ struct{}, reply *ObsSnapshotReply) error {
-	ns, err := s.node.ObsSnapshot()
-	reply.NS = ns
-	reply.set(err)
-	return nil
-}
-
-// FlightDumpReply carries the node's frozen flight-recorder ring for a
-// cluster-wide anomaly dump.
-type FlightDumpReply struct {
-	ND flight.NodeDump
-	Status
-}
-
-// FlightDump serves the node's flight-recorder fragment to a peer
+// FlightDump serves the node's frozen flight-recorder ring to a peer
 // assembling a cluster-wide anomaly dump.
-func (s *NodeService) FlightDump(_ struct{}, reply *FlightDumpReply) error {
-	nd, err := s.node.FlightDump()
-	reply.ND = nd
-	reply.set(err)
-	return nil
+func (s *NodeService) FlightDump(_ struct{}, reply *Reply[flight.NodeDump]) error {
+	return reply.fill(s.node.FlightDump())
 }
 
 // SetSubscribers re-points the node's replication stream at the given peer
@@ -596,8 +523,8 @@ const (
 	DefaultPingTimeout = 1 * time.Second
 	DefaultDialTimeout = 2 * time.Second
 	defaultRetries     = 2
-	defaultRetryBase   = 5 * time.Millisecond
-	defaultRetryCap    = 250 * time.Millisecond
+	retryBase          = 5 * time.Millisecond   // backoff floor
+	retryCap           = 250 * time.Millisecond // backoff ceiling
 
 	// DefaultRetryBudget bounds the total elapsed time an idempotent call
 	// may spend across attempts and backoff sleeps. Attempt counts alone do
@@ -622,8 +549,6 @@ type ClientOptions struct {
 	// RetryAttempts is the number of extra attempts for idempotent calls
 	// after the first fails on a transport error (default 2; <0 disables).
 	RetryAttempts int
-	RetryBase     time.Duration // backoff floor (default 5ms)
-	RetryCap      time.Duration // backoff ceiling (default 250ms)
 
 	// RetryBudget caps the total wall-clock a retry loop may consume across
 	// all attempts and backoff sleeps (default DefaultRetryBudget; <0
@@ -662,12 +587,6 @@ func (o ClientOptions) withDefaults() ClientOptions {
 		o.RetryAttempts = defaultRetries
 	case o.RetryAttempts < 0:
 		o.RetryAttempts = 0
-	}
-	if o.RetryBase == 0 {
-		o.RetryBase = defaultRetryBase
-	}
-	if o.RetryCap == 0 {
-		o.RetryCap = defaultRetryCap
 	}
 	switch {
 	case o.RetryBudget == 0:
@@ -843,11 +762,19 @@ type callWait struct {
 
 var callWaits = sync.Pool{New: func() any { return &callWait{done: make(chan *rpc.Call, 1)} }}
 
+// statusReply is what every RPC answers with: a reply carrying a Status.
+type statusReply interface{ Err() error }
+
 // call performs one deadline-bounded RPC attempt (the default path for
 // non-idempotent calls, which must not be replayed blind: a lost TxCommit
-// reply leaves the outcome genuinely unknown).
-func (n *RemoteNode) call(method string, args, reply any) error {
-	return n.callOnce(method, args, reply, n.opts.CallTimeout)
+// reply leaves the outcome genuinely unknown). Once the transport succeeds
+// it returns the error reply's Status carries. After a transport failure
+// reply must not be read: a late answer may still be decoding into it.
+func (n *RemoteNode) call(method string, args any, reply statusReply) error {
+	if err := n.callOnce(method, args, reply, n.opts.CallTimeout); err != nil {
+		return err
+	}
+	return reply.Err()
 }
 
 // callOnce performs one RPC with deadline d (0 = unbounded), mapping
@@ -904,17 +831,21 @@ func (n *RemoteNode) callOnce(method string, args, reply any, d time.Duration) e
 	return nil
 }
 
-// callIdem is callOnce plus a bounded retry loop with decorrelated-jitter
-// backoff, for calls that are safe to replay (pure reads, heartbeats, and
-// naturally idempotent writes like DiscardAbove or InstallDelta). Only
-// transport-level failures are retried — an error decoded from the reply
-// means the peer executed the request and retrying would not change it.
-func (n *RemoteNode) callIdem(method string, args, reply any, d time.Duration) error {
+// callIdem is call with deadline d plus a bounded retry loop with
+// decorrelated-jitter backoff, for calls that are safe to replay (pure
+// reads, heartbeats, and naturally idempotent writes like DiscardAbove or
+// InstallDelta). Only transport-level failures are retried — an error
+// decoded from the reply means the peer executed the request and retrying
+// would not change it.
+func (n *RemoteNode) callIdem(method string, args any, reply statusReply, d time.Duration) error {
 	start := time.Now()
-	sleep := n.opts.RetryBase
+	sleep := retryBase
 	for attempt := 0; ; attempt++ {
 		err := n.callOnce(method, args, reply, d)
-		if err == nil || attempt >= n.opts.RetryAttempts || !transportFailure(err) {
+		if err == nil {
+			return reply.Err()
+		}
+		if attempt >= n.opts.RetryAttempts || !transportFailure(err) {
 			return err
 		}
 		// Elapsed-time budget: attempt counts alone let slow failures
@@ -930,14 +861,11 @@ func (n *RemoteNode) callIdem(method string, args, reply any, d time.Duration) e
 		n.rngMu.Lock()
 		f := n.rng.Float64()
 		n.rngMu.Unlock()
-		span := 3*sleep - n.opts.RetryBase
+		span := 3*sleep - retryBase
 		if span < 0 {
 			span = 0
 		}
-		sleep = n.opts.RetryBase + time.Duration(f*float64(span))
-		if sleep > n.opts.RetryCap {
-			sleep = n.opts.RetryCap
-		}
+		sleep = min(retryBase+time.Duration(f*float64(span)), retryCap)
 		time.Sleep(sleep)
 	}
 }
@@ -972,20 +900,12 @@ func (n *RemoteNode) Addr() string { return n.addr }
 // so the failure detector's probe cost is bounded well below the data-path
 // deadline.
 func (n *RemoteNode) Ping() error {
-	var st Status
-	if err := n.callIdem("Node.Ping", struct{}{}, &st, n.opts.PingTimeout); err != nil {
-		return err
-	}
-	return st.Err()
+	return n.callIdem("Node.Ping", struct{}{}, &Status{}, n.opts.PingTimeout)
 }
 
 // ReceiveWriteSet implements replica.Peer.
 func (n *RemoteNode) ReceiveWriteSet(ws *heap.WriteSet) error {
-	var st Status
-	if err := n.call("Node.ReceiveWriteSet", ws, &st); err != nil {
-		return err
-	}
-	return st.Err()
+	return n.call("Node.ReceiveWriteSet", ws, &Status{})
 }
 
 // TxBegin implements replica.Peer. A read session sends nothing: it gets a
@@ -1016,9 +936,6 @@ func (n *RemoteNode) TxBegin(readOnly bool, version vclock.Vector, deadline time
 	if err := n.call("Node.TxBegin", args, &reply); err != nil {
 		return 0, err
 	}
-	if err := reply.Err(); err != nil {
-		return reply.ID, err
-	}
 	if tc.Valid() || deadline > 0 {
 		n.sessMu.Lock()
 		n.sessions[reply.ID] = &session{id: reply.ID, trace: tc, expiry: expiry}
@@ -1042,7 +959,8 @@ func (n *RemoteNode) take(h uint64) (uint64, int64) {
 }
 
 // TxExec implements replica.Peer. A read session's first statement carries
-// its begin, and the reply names the server session it opened.
+// its begin, and the reply names the server session it opened, even when
+// the statement then failed.
 func (n *RemoteNode) TxExec(txID uint64, stmt string, params []value.Value) (*exec.Result, error) {
 	args := ExecArgs{TxID: txID, Stmt: stmt, Params: params}
 	n.sessMu.Lock()
@@ -1060,8 +978,10 @@ func (n *RemoteNode) TxExec(txID uint64, stmt string, params []value.Value) (*ex
 	} else if us > 0 {
 		args.DeadlineUS = us
 	}
+	// callOnce rather than call: the session id is read from the reply even
+	// when its Status carries an error.
 	var reply ExecReply
-	if err := n.call("Node.TxExec", args, &reply); err != nil {
+	if err := n.callOnce("Node.TxExec", args, &reply, n.opts.CallTimeout); err != nil {
 		return nil, err
 	}
 	if args.Begin != nil && reply.TxID != 0 {
@@ -1092,7 +1012,7 @@ func (n *RemoteNode) TxCommit(txID uint64) (vclock.Vector, error) {
 	if err := n.call("Node.TxCommit", CommitArgs{TxID: id, DeadlineUS: us}, &reply); err != nil {
 		return nil, err
 	}
-	return reply.Version, reply.Err()
+	return reply.Version, nil
 }
 
 // TxRollback implements replica.Peer.
@@ -1107,154 +1027,98 @@ func (n *RemoteNode) rollback(id uint64) error {
 	if id == 0 {
 		return nil
 	}
-	var st Status
-	if err := n.call("Node.TxRollback", id, &st); err != nil {
-		return err
-	}
-	return st.Err()
+	return n.call("Node.TxRollback", id, &Status{})
 }
 
 // AbortActiveSessions implements replica.Peer.
 func (n *RemoteNode) AbortActiveSessions() (int, error) {
-	var reply AbortReply
+	var reply Reply[int]
 	if err := n.call("Node.AbortActiveSessions", struct{}{}, &reply); err != nil {
 		return 0, err
 	}
-	return reply.Aborted, reply.Err()
-}
-
-// Role implements replica.Peer.
-func (n *RemoteNode) Role() (replica.Role, error) {
-	var reply RoleReply
-	if err := n.callIdem("Node.Role", struct{}{}, &reply, n.opts.CallTimeout); err != nil {
-		return 0, err
-	}
-	return reply.Role, reply.Err()
+	return reply.Value, nil
 }
 
 // Promote implements replica.Peer.
 func (n *RemoteNode) Promote(classTables []int) error {
-	var st Status
-	if err := n.call("Node.Promote", classTables, &st); err != nil {
-		return err
-	}
-	return st.Err()
+	return n.call("Node.Promote", classTables, &Status{})
 }
 
 // Demote implements replica.Peer.
 func (n *RemoteNode) Demote(to replica.Role) error {
-	var st Status
-	if err := n.call("Node.Demote", to, &st); err != nil {
-		return err
-	}
-	return st.Err()
+	return n.call("Node.Demote", to, &Status{})
 }
 
 // DiscardAbove implements replica.Peer. Discarding above the same vector
 // twice is a no-op, so the fail-over path may retry through transient
 // faults instead of abandoning a reachable peer.
 func (n *RemoteNode) DiscardAbove(v vclock.Vector) error {
-	var st Status
-	if err := n.callIdem("Node.DiscardAbove", v, &st, n.opts.CallTimeout); err != nil {
-		return err
+	return n.callIdem("Node.DiscardAbove", v, &Status{}, n.opts.CallTimeout)
+}
+
+// fetch runs one idempotent read and returns its reply's value.
+func fetch[T any](n *RemoteNode, method string, args any) (T, error) {
+	var reply Reply[T]
+	if err := n.callIdem(method, args, &reply, n.opts.CallTimeout); err != nil {
+		var zero T
+		return zero, err
 	}
-	return st.Err()
+	return reply.Value, nil
 }
 
 // MaxVersions implements replica.Peer.
 func (n *RemoteNode) MaxVersions() (vclock.Vector, error) {
-	var reply VersionReply
-	if err := n.callIdem("Node.MaxVersions", struct{}{}, &reply, n.opts.CallTimeout); err != nil {
-		return nil, err
-	}
-	return reply.Version, reply.Err()
+	return fetch[vclock.Vector](n, "Node.MaxVersions", struct{}{})
 }
 
 // StartJoin implements replica.Peer.
 func (n *RemoteNode) StartJoin() error {
-	var st Status
-	if err := n.call("Node.StartJoin", struct{}{}, &st); err != nil {
-		return err
-	}
-	return st.Err()
+	return n.call("Node.StartJoin", struct{}{}, &Status{})
 }
 
 // PageVersions implements replica.Peer.
 func (n *RemoteNode) PageVersions() (heap.PageVersionMap, error) {
-	var reply PageVersionsReply
-	if err := n.callIdem("Node.PageVersions", struct{}{}, &reply, n.opts.CallTimeout); err != nil {
-		return nil, err
-	}
-	return reply.Versions, reply.Err()
+	return fetch[heap.PageVersionMap](n, "Node.PageVersions", struct{}{})
 }
 
 // InstallDelta implements replica.Peer. Installing the same page images
 // twice overwrites them with identical content, so replay is safe.
 func (n *RemoteNode) InstallDelta(images []page.Image) error {
-	var st Status
-	if err := n.callIdem("Node.InstallDelta", images, &st, n.opts.CallTimeout); err != nil {
-		return err
-	}
-	return st.Err()
+	return n.callIdem("Node.InstallDelta", images, &Status{}, n.opts.CallTimeout)
 }
 
 // FinishJoin implements replica.Peer.
 func (n *RemoteNode) FinishJoin() error {
-	var st Status
-	if err := n.call("Node.FinishJoin", struct{}{}, &st); err != nil {
-		return err
-	}
-	return st.Err()
+	return n.call("Node.FinishJoin", struct{}{}, &Status{})
 }
 
 // WarmPages implements replica.Peer. Touching a page twice is idempotent.
 func (n *RemoteNode) WarmPages(keys []simdisk.PageKey) error {
-	var st Status
-	if err := n.callIdem("Node.WarmPages", keys, &st, n.opts.CallTimeout); err != nil {
-		return err
-	}
-	return st.Err()
+	return n.callIdem("Node.WarmPages", keys, &Status{}, n.opts.CallTimeout)
 }
 
 // ResidentPages implements replica.Peer.
 func (n *RemoteNode) ResidentPages(limit int) ([]simdisk.PageKey, error) {
-	var reply PagesReply
-	if err := n.callIdem("Node.ResidentPages", limit, &reply, n.opts.CallTimeout); err != nil {
-		return nil, err
-	}
-	return reply.Keys, reply.Err()
+	return fetch[[]simdisk.PageKey](n, "Node.ResidentPages", limit)
 }
 
 // Digest implements replica.Peer. A pure read at a pinned version, so it
 // retries transient faults; CallTimeout bounds the sweep's wait on a slow
 // or partitioned node.
 func (n *RemoteNode) Digest(table int, version uint64, withPages bool) (scrub.TableDigest, error) {
-	var reply DigestReply
-	args := DigestArgs{Table: table, Version: version, WithPages: withPages}
-	if err := n.callIdem("Node.Digest", args, &reply, n.opts.CallTimeout); err != nil {
-		return scrub.TableDigest{}, err
-	}
-	return reply.Digest, reply.Err()
+	return fetch[scrub.TableDigest](n, "Node.Digest", DigestArgs{Table: table, Version: version, WithPages: withPages})
 }
 
 // PageImages implements replica.Peer. Pure read on the donor, so repair
 // and migration survive transient faults via retry.
 func (n *RemoteNode) PageImages(table int, pages []page.ID) ([]page.Image, error) {
-	var reply ImagesReply
-	if err := n.callIdem("Node.PageImages", PageImagesArgs{Table: table, Pages: pages}, &reply, n.opts.CallTimeout); err != nil {
-		return nil, err
-	}
-	return reply.Images, reply.Err()
+	return fetch[[]page.Image](n, "Node.PageImages", PageImagesArgs{Table: table, Pages: pages})
 }
 
 // ObsSnapshot fetches the remote node's observability snapshot (not part
 // of replica.Peer; the scheduler's aggregation loop type-asserts for it).
 func (n *RemoteNode) ObsSnapshot() (obs.NodeSnapshot, error) {
-	var reply ObsSnapshotReply
-	if err := n.callIdem("Node.ObsSnapshot", struct{}{}, &reply, n.opts.CallTimeout); err != nil {
-		return obs.NodeSnapshot{}, err
-	}
-	return reply.NS, reply.Err()
+	return fetch[obs.NodeSnapshot](n, "Node.ObsSnapshot", struct{}{})
 }
 
 // FlightDump fetches the remote node's flight-recorder fragment (not part
@@ -1263,20 +1127,12 @@ func (n *RemoteNode) ObsSnapshot() (obs.NodeSnapshot, error) {
 // retry; the CallTimeout deadline bounds the gather even when the peer is
 // partitioned away.
 func (n *RemoteNode) FlightDump() (flight.NodeDump, error) {
-	var reply FlightDumpReply
-	if err := n.callIdem("Node.FlightDump", struct{}{}, &reply, n.opts.CallTimeout); err != nil {
-		return flight.NodeDump{}, err
-	}
-	return reply.ND, reply.Err()
+	return fetch[flight.NodeDump](n, "Node.FlightDump", struct{}{})
 }
 
 // SetSubscribers re-points the remote node's replication stream.
 func (n *RemoteNode) SetSubscribers(addrs map[string]string) error {
-	var st Status
-	if err := n.call("Node.SetSubscribers", addrs, &st); err != nil {
-		return err
-	}
-	return st.Err()
+	return n.call("Node.SetSubscribers", addrs, &Status{})
 }
 
 // Rewire installs subs as master's replication subscriber set over RPC. It

@@ -7,8 +7,9 @@ import (
 	"math"
 )
 
-// Binary value layout, shared by the WAL record codec (persist) and the
-// wire codec (transport), so a Value has one encoding everywhere:
+// Binary value layout, shared by the WAL record codec (persist), the wire
+// codec (transport) and page images (page), so a Value has one encoding
+// everywhere:
 //
 //	1 byte kind, then
 //	Int:    varint (zig-zag) int64
@@ -58,6 +59,38 @@ func ReadBinaryLike(d *Decoder, like Value) Value {
 		return Value{}
 	}
 	return v
+}
+
+// AppendRow appends a row: a uvarint value count, then each value in
+// AppendBinary's layout. The wire, the WAL and page images share it.
+func AppendRow(buf []byte, r []Value) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(r)))
+	for _, v := range r {
+		buf = AppendBinary(buf, v)
+	}
+	return buf
+}
+
+// ReadRow decodes an AppendRow row into its own backing array (a decoded row
+// may become a stored row, so it must pin nothing else); an empty row
+// decodes as nil. A string equal to the one at the same position of like
+// (nil for none) shares like's bytes, as in ReadBinaryLike: a write-set
+// update's before-image decodes like its after-image, so the two share their
+// unchanged strings.
+func ReadRow(d *Decoder, like Row) Row {
+	n := d.Count()
+	if n == 0 {
+		return nil
+	}
+	r := make(Row, n)
+	for i := range r {
+		var l Value
+		if i < len(like) {
+			l = like[i]
+		}
+		r[i] = ReadBinaryLike(d, l)
+	}
+	return r
 }
 
 // errTruncated is the failure a Decoder latches when its input runs out or a

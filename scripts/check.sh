@@ -95,12 +95,13 @@ go run ./cmd/dmv-doctor -check "$flight_dir"/scrub/flight-*-replica-divergence.j
 # may lift the other's read quarantine.
 go test -race -count=10 -run 'TestScrubDivergenceRepair$|TestScrubQuarantineOwnership$' ./internal/cluster/
 
-echo "==> fuzz leg (wire bodies and WAL records, a fixed number of inputs each)"
+echo "==> fuzz leg (wire bodies, WAL records and checkpoints, a fixed number of inputs each)"
 # Iteration counts, not durations, keep the gate's run time bounded; a
 # failing input is written under the package's testdata/fuzz and replays
 # with plain go test.
 go test -run '^$' -fuzz '^FuzzWireBodies$' -fuzztime 20000x ./internal/transport/
 go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 20000x ./internal/persist/
+go test -run '^$' -fuzz '^FuzzCheckpoint$' -fuzztime 20000x ./internal/heap/
 
 echo "==> go test -race"
 go test -race -count=1 ./...
