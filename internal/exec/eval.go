@@ -1,9 +1,12 @@
 // Package exec plans and executes parsed SQL statements against the heap
 // storage engine: index selection (equality prefixes plus one range column),
 // index nested-loop joins, filtering, grouping/aggregation, sorting, and
-// projection. It is deliberately a straightforward executor — the paper's
-// contribution is in the replication layer, not the optimizer — but it runs
-// every TPC-W interaction, including the BestSellers and NewProducts joins.
+// projection. A join runs as pipelined nested iterators over one row buffer
+// per statement: residuals test the stored rows in place, only a row the
+// query keeps is copied, and grouping folds rows as the join produces them.
+// It is deliberately a straightforward executor — the paper's contribution
+// is in the replication layer, not the optimizer — but it runs every TPC-W
+// interaction, including the BestSellers and NewProducts joins.
 package exec
 
 import (

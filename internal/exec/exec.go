@@ -221,8 +221,9 @@ func ExecDDL(e *heap.Engine, text string) error {
 // --- execution -------------------------------------------------------------
 
 // scanPath streams the rows of table tid matching the access path, given
-// the outer environment (for probe-expression evaluation).
-func scanPath(tx heap.Txn, tid int, path accessPath, outer *env, fn func(rid page.RowID, row value.Row) (bool, error)) error {
+// the outer environment (for probe-expression evaluation). key is scratch
+// for the probe key; a join level passes the same one on every call.
+func scanPath(tx heap.Txn, tid int, path *accessPath, outer *env, key *value.Row, fn func(rid page.RowID, row value.Row) (bool, error)) error {
 	if path.idx < 0 {
 		var ferr error
 		err := tx.Scan(tid, func(rid page.RowID, row value.Row) bool {
@@ -239,7 +240,7 @@ func scanPath(tx heap.Txn, tid int, path accessPath, outer *env, fn func(rid pag
 		return ferr
 	}
 	// Evaluate probe values.
-	prefix := make(value.Row, 0, len(path.eq)+1)
+	prefix := (*key)[:0]
 	for _, e := range path.eq {
 		v, err := eval(e, outer)
 		if err != nil {
@@ -265,8 +266,9 @@ func scanPath(tx heap.Txn, tid int, path accessPath, outer *env, fn func(rid pag
 	}
 	from := prefix
 	if haveLo {
-		from = append(prefix.Clone(), loV)
+		from = append(prefix, loV) // past prefix's length: prefix still reads the same
 	}
+	*key = from
 	var ferr error
 	err := tx.IndexScan(tid, path.idx, from, func(key value.Row, rid page.RowID) bool {
 		// Stop once the equality prefix no longer matches.
@@ -315,77 +317,39 @@ func scanPath(tx heap.Txn, tid int, path accessPath, outer *env, fn func(rid pag
 
 // --- SELECT -----------------------------------------------------------------
 
+// runSelect runs a SELECT. The join streams (joinWalk): each row it keeps
+// goes straight to the aggregation or to the output list, and only a kept
+// row is copied. output then makes the result from what it kept.
 func runSelect(tx heap.Txn, p *plan, sel *sql.Select, params []value.Value) (*Result, error) {
-	var err error
-	b := p.b
-	subs := make(subCache)
-
-	// Join pipeline: materialize level by level.
-	joined := []value.Row{nil}
-	if len(b.tabs) == 0 {
-		joined = []value.Row{{}}
+	top := &env{cols: p.b.cols, params: params, tx: tx, subs: make(subCache)}
+	offset, limit, err := rowBounds(sel, top)
+	if err != nil {
+		return nil, err
 	}
-	for i := range b.tabs {
-		lv := &p.levels[i]
-		leftJoin := b.tabs[i].ref.Join == sql.JoinLeft
-		nullRow := make(value.Row, len(b.tabs[i].def.Cols))
-		next := make([]value.Row, 0, len(joined))
-		for _, outerRow := range joined {
-			outerEnv := &env{cols: b.cols, row: outerRow, params: params, tx: tx, subs: subs}
-			matched := false
-			err := scanPath(tx, b.tabs[i].tid, lv.path, outerEnv, func(_ page.RowID, row value.Row) (bool, error) {
-				combined := make(value.Row, 0, len(outerRow)+len(row))
-				combined = append(combined, outerRow...)
-				combined = append(combined, row...)
-				rowEnv := &env{cols: b.cols, row: combined, params: params, tx: tx, subs: subs}
-				if ok, err := passes(rowEnv, lv.residualOn); err != nil || !ok {
-					return err == nil, err
-				}
-				matched = true // the ON condition matched
-				if ok, err := passes(rowEnv, lv.residualWhere); err != nil || !ok {
-					return err == nil, err
-				}
-				next = append(next, combined)
-				return true, nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			if leftJoin && !matched {
-				combined := make(value.Row, 0, len(outerRow)+len(nullRow))
-				combined = append(combined, outerRow...)
-				combined = append(combined, nullRow...)
-				rowEnv := &env{cols: b.cols, row: combined, params: params, tx: tx, subs: subs}
-				ok, err := passes(rowEnv, lv.residualWhere)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					next = append(next, combined)
-				}
-			}
-		}
-		joined = next
-	}
-
-	var outs []outRow
-	if p.hasAgg {
-		outs, err = aggregate(tx, subs, p, sel, joined, params)
-		if err != nil {
-			return nil, err
-		}
+	w := newJoinWalk(tx, p, sel, top)
+	if len(p.b.tabs) == 0 {
+		err = w.keep(top) // no FROM: one row without columns
 	} else {
-		outs = make([]outRow, 0, len(joined))
-		for _, row := range joined {
-			outs = append(outs, outRow{env: &env{cols: b.cols, row: row, params: params, tx: tx, subs: subs}})
-		}
+		err = w.level(0)
 	}
+	if err != nil {
+		return nil, err
+	}
+	outs := w.outs
+	if w.agg != nil {
+		outs = w.agg.results()
+	}
+	return output(p, sel, top, outs, offset, limit)
+}
 
-	// HAVING (aggregate filters handled in aggregate(); non-agg HAVING here).
-	if p.having != nil && !p.hasAgg {
+// output makes the result of a SELECT from the rows its join kept, or from
+// its groups: HAVING, ORDER BY, projection, DISTINCT, OFFSET and LIMIT.
+func output(p *plan, sel *sql.Select, top *env, outs []outRow, offset, limit int) (*Result, error) {
+	e := *top // evaluates one output row at a time (env.at)
+	if p.having != nil {
 		kept := outs[:0]
 		for _, o := range outs {
-			v, err := eval(p.having, o.env)
+			v, err := eval(p.having, e.at(o))
 			if err != nil {
 				return nil, err
 			}
@@ -401,7 +365,7 @@ func runSelect(tx heap.Txn, p *plan, sel *sql.Select, params []value.Value) (*Re
 		for i := range outs {
 			keys := make(value.Row, len(orderBy))
 			for j, o := range orderBy {
-				v, err := eval(o.Expr, outs[i].env)
+				v, err := eval(o.Expr, e.at(outs[i]))
 				if err != nil {
 					return nil, err
 				}
@@ -424,7 +388,7 @@ func runSelect(tx heap.Txn, p *plan, sel *sql.Select, params []value.Value) (*Re
 		})
 	}
 
-	projected, err := project(p, sel, outs)
+	projected, err := project(p, sel, outs, &e)
 	if err != nil {
 		return nil, err
 	}
@@ -443,205 +407,364 @@ func runSelect(tx heap.Txn, p *plan, sel *sql.Select, params []value.Value) (*Re
 		projected = kept
 	}
 
-	// OFFSET / LIMIT.
-	if sel.Offset != nil {
-		v, err := eval(sel.Offset, &env{cols: b.cols, params: params, tx: tx, subs: subs})
-		if err != nil {
-			return nil, err
-		}
-		n := int(v.AsInt())
-		if n > len(projected) {
-			n = len(projected)
-		}
-		projected = projected[n:]
-	}
-	if sel.Limit != nil {
-		v, err := eval(sel.Limit, &env{cols: b.cols, params: params, tx: tx, subs: subs})
-		if err != nil {
-			return nil, err
-		}
-		n := int(v.AsInt())
-		if n < len(projected) {
-			projected = projected[:n]
-		}
+	projected = projected[min(offset, len(projected)):]
+	if limit >= 0 && limit < len(projected) {
+		projected = projected[:limit]
 	}
 	return &Result{Cols: slices.Clone(p.cols), Rows: projected}, nil
 }
 
+// rowBounds evaluates OFFSET and LIMIT once, before the join runs; limit
+// is -1 without a LIMIT clause. Either may be a parameter a client bound,
+// so a negative count is an error.
+func rowBounds(sel *sql.Select, e *env) (offset, limit int, err error) {
+	limit = -1
+	if sel.Offset != nil {
+		if offset, err = rowCount("OFFSET", sel.Offset, e); err != nil {
+			return 0, 0, err
+		}
+	}
+	if sel.Limit != nil {
+		if limit, err = rowCount("LIMIT", sel.Limit, e); err != nil {
+			return 0, 0, err
+		}
+	}
+	return offset, limit, nil
+}
+
+func rowCount(clause string, x sql.Expr, e *env) (int, error) {
+	v, err := eval(x, e)
+	if err != nil {
+		return 0, err
+	}
+	n := v.AsInt()
+	if n < 0 {
+		return 0, fmt.Errorf("exec: negative %s %d", clause, n)
+	}
+	return int(n), nil
+}
+
+// joinWalk is one SELECT's join, run as nested iterators: a depth-first
+// walk over the FROM tables in plan order, outer-major like the nested
+// loops it stands for. With more than one table, level i copies its current
+// row into buf[base:] (base: the table's first column), so its residuals
+// read the joined row as buf[:base+width] and a row they reject is never
+// copied. buf is private to the statement and never published; keep clones
+// what the query keeps. A single table needs no buffer: its stored row is
+// the row the residuals read.
+type joinWalk struct {
+	tx     heap.Txn
+	p      *plan
+	top    *env        // no row: binds level 0's probe expressions
+	buf    value.Row   // the joined row; nil for a single table
+	levels []walkLevel // one per FROM table
+	agg    *aggregator // non-nil when the query aggregates
+	outs   []outRow    // the kept rows when it does not
+}
+
+// walkLevel is the state of one join level for one statement.
+type walkLevel struct {
+	env     env         // reads this level's row; binds the next level's probes
+	key     value.Row   // probe-key scratch for scanPath
+	held    []value.Row // stored rows a full scan qualified, for level to descend into
+	matched bool        // a row met the ON residuals (LEFT JOIN null extension)
+	visit   func(rid page.RowID, row value.Row) (bool, error)
+}
+
+func newJoinWalk(tx heap.Txn, p *plan, sel *sql.Select, top *env) *joinWalk {
+	w := &joinWalk{tx: tx, p: p, top: top, levels: make([]walkLevel, len(p.b.tabs))}
+	if len(p.b.tabs) > 1 {
+		w.buf = make(value.Row, p.b.width)
+	}
+	for i, tb := range p.b.tabs {
+		lv := &w.levels[i]
+		lv.env = *top
+		if w.buf != nil {
+			lv.env.row = w.buf[:tb.base+len(tb.def.Cols)]
+		}
+		lv.visit = func(_ page.RowID, row value.Row) (bool, error) { return w.visit(i, row) }
+	}
+	if p.hasAgg {
+		w.agg = newAggregator(p, sel)
+	}
+	return w
+}
+
+// level runs join level i under the rows levels 0..i-1 have placed.
+func (w *joinWalk) level(i int) error {
+	tb, pl, lv := &w.p.b.tabs[i], &w.p.levels[i], &w.levels[i]
+	probe := w.top
+	if i > 0 {
+		probe = &w.levels[i-1].env
+	}
+	lv.matched, lv.held = false, lv.held[:0]
+	if err := scanPath(w.tx, tb.tid, &pl.path, probe, &lv.key, lv.visit); err != nil {
+		return err
+	}
+	// A full scan calls visit under the page's read latch, which a deeper
+	// level may take again, and a sync.RWMutex read lock taken twice hangs
+	// once a lazy apply waits for the write latch. So visit holds a full
+	// scan's rows short of the last level, and the walk descends into them
+	// here, after Scan has returned. The stored rows outlive the latch,
+	// which is safe only because a published row is never written
+	// (DESIGN.md §8).
+	for _, row := range lv.held {
+		w.load(i, row)
+		if err := w.next(i); err != nil {
+			return err
+		}
+	}
+	if tb.ref.Join != sql.JoinLeft || lv.matched {
+		return nil
+	}
+	clear(lv.env.row[tb.base:]) // the null-extended row
+	if ok, err := passes(&lv.env, pl.residualWhere); err != nil || !ok {
+		return err
+	}
+	return w.next(i)
+}
+
+// visit tests one row level i scanned against the level's residuals, the
+// outer levels' rows in place, and passes it on if they hold.
+func (w *joinWalk) visit(i int, row value.Row) (bool, error) {
+	pl, lv := &w.p.levels[i], &w.levels[i]
+	w.load(i, row)
+	if ok, err := passes(&lv.env, pl.residualOn); err != nil || !ok {
+		return err == nil, err
+	}
+	lv.matched = true // the ON condition matched
+	if ok, err := passes(&lv.env, pl.residualWhere); err != nil || !ok {
+		return err == nil, err
+	}
+	if pl.path.idx < 0 && i+1 < len(w.levels) {
+		lv.held = append(lv.held, row)
+		return true, nil
+	}
+	return true, w.next(i)
+}
+
+// load makes row the current row of level i.
+func (w *joinWalk) load(i int, row value.Row) {
+	if w.buf == nil {
+		w.levels[i].env.row = row
+		return
+	}
+	copy(w.buf[w.p.b.tabs[i].base:], row)
+}
+
+// next passes on the row level i has placed: to level i+1, or from the
+// last level to keep.
+func (w *joinWalk) next(i int) error {
+	if i+1 < len(w.levels) {
+		return w.level(i + 1)
+	}
+	return w.keep(&w.levels[i].env)
+}
+
+// keep takes the joined row in e: the aggregator folds it into its group,
+// or it joins the output. A row in the buffer is cloned when it is kept,
+// by the aggregator only as a new group's first row; a stored row is kept
+// as it is.
+func (w *joinWalk) keep(e *env) error {
+	if w.agg != nil {
+		return w.agg.add(e, w.buf != nil)
+	}
+	row := e.row
+	if w.buf != nil {
+		row = row.Clone()
+	}
+	w.outs = append(w.outs, outRow{row: row})
+	return nil
+}
+
+// outRow is one row before projection: a kept joined row, or a group's
+// first row with the group's aggregate values; keys is its sort key.
 type outRow struct {
-	env  *env
+	row  value.Row
+	aggs map[*sql.Call]value.Value
 	keys value.Row
 }
 
-// aggregate groups the joined rows and computes aggregate values; HAVING
-// with aggregates is applied here.
-func aggregate(tx heap.Txn, subs subCache, p *plan, sel *sql.Select, joined []value.Row, params []value.Value) ([]outRow, error) {
-	b, groupBy := p.b, p.groupBy
-	var aggCalls []*sql.Call
+// at points e at output row o and returns it.
+func (e *env) at(o outRow) *env {
+	e.row, e.aggs = o.row, o.aggs
+	return e
+}
+
+// aggregator folds the rows the join keeps into their groups as they
+// arrive, in first-seen group order. A group keeps its first row, for the
+// SELECT list's plain columns, and nothing else of its input.
+type aggregator struct {
+	p      *plan
+	calls  []*sql.Call
+	groups map[string]*group
+	order  []*group
+	key    []byte // scratch: a group key, or a DISTINCT argument's key
+}
+
+type group struct {
+	first value.Row
+	state []aggState // one per aggregator.calls
+}
+
+type aggState struct {
+	count  int64
+	sumI   int64
+	sumF   float64
+	asF    bool
+	minSet bool
+	minV   value.Value
+	maxV   value.Value
+	seen   map[string]struct{} // DISTINCT aggregates
+}
+
+func newAggregator(p *plan, sel *sql.Select) *aggregator {
+	a := &aggregator{p: p, groups: make(map[string]*group, 64)}
 	for _, se := range sel.Exprs {
 		if !se.Star {
-			collectAggs(se.Expr, &aggCalls)
+			collectAggs(se.Expr, &a.calls)
 		}
 	}
 	if p.having != nil {
-		collectAggs(p.having, &aggCalls)
+		collectAggs(p.having, &a.calls)
 	}
 	for _, o := range sel.OrderBy {
-		collectAggs(o.Expr, &aggCalls)
+		collectAggs(o.Expr, &a.calls)
 	}
-
-	type aggState struct {
-		count  int64
-		sumI   int64
-		sumF   float64
-		asF    bool
-		minSet bool
-		minV   value.Value
-		maxV   value.Value
-		seen   map[string]struct{} // DISTINCT aggregates
-	}
-	type group struct {
-		first value.Row
-		state []*aggState
-	}
-	groups := make(map[string]*group, 64)
-	var order []string
-	for _, row := range joined {
-		e := &env{cols: b.cols, row: row, params: params, tx: tx, subs: subs}
-		keyVals := make(value.Row, len(groupBy))
-		for i, g := range groupBy {
-			v, err := eval(g, e)
-			if err != nil {
-				return nil, err
-			}
-			keyVals[i] = v
-		}
-		k := keyVals.Key()
-		grp, ok := groups[k]
-		if !ok {
-			grp = &group{first: row, state: make([]*aggState, len(aggCalls))}
-			for i := range grp.state {
-				grp.state[i] = &aggState{}
-			}
-			groups[k] = grp
-			order = append(order, k)
-		}
-		for i, call := range aggCalls {
-			st := grp.state[i]
-			if call.Star {
-				st.count++
-				continue
-			}
-			v, err := eval(call.Args[0], e)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				continue
-			}
-			if call.Distinct {
-				if st.seen == nil {
-					st.seen = make(map[string]struct{}, 16)
-				}
-				k := value.Row{v}.Key()
-				if _, dup := st.seen[k]; dup {
-					continue
-				}
-				st.seen[k] = struct{}{}
-			}
-			st.count++
-			if v.K == value.Float {
-				st.asF = true
-			}
-			st.sumI += v.AsInt()
-			st.sumF += v.AsFloat()
-			if !st.minSet {
-				st.minV, st.maxV, st.minSet = v, v, true
-			} else {
-				if value.Compare(v, st.minV) < 0 {
-					st.minV = v
-				}
-				if value.Compare(v, st.maxV) > 0 {
-					st.maxV = v
-				}
-			}
-		}
-	}
-	// A grand aggregate over zero rows still yields one group.
-	if len(groupBy) == 0 && len(groups) == 0 {
-		grp := &group{first: make(value.Row, b.width), state: make([]*aggState, len(aggCalls))}
-		for i := range grp.state {
-			grp.state[i] = &aggState{}
-		}
-		groups[""] = grp
-		order = append(order, "")
-	}
-
-	finalize := func(call *sql.Call, st *aggState) value.Value {
-		switch call.Fn {
-		case "COUNT":
-			return value.NewInt(st.count)
-		case "SUM":
-			if st.count == 0 {
-				return value.NewNull()
-			}
-			if st.asF {
-				return value.NewFloat(st.sumF)
-			}
-			return value.NewInt(st.sumI)
-		case "AVG":
-			if st.count == 0 {
-				return value.NewNull()
-			}
-			return value.NewFloat(st.sumF / float64(st.count))
-		case "MIN":
-			if !st.minSet {
-				return value.NewNull()
-			}
-			return st.minV
-		case "MAX":
-			if !st.minSet {
-				return value.NewNull()
-			}
-			return st.maxV
-		}
-		return value.NewNull()
-	}
-
-	outs := make([]outRow, 0, len(groups))
-	for _, k := range order {
-		grp := groups[k]
-		aggVals := make(map[*sql.Call]value.Value, len(aggCalls))
-		for i, call := range aggCalls {
-			aggVals[call] = finalize(call, grp.state[i])
-		}
-		e := &env{cols: b.cols, row: grp.first, params: params, aggs: aggVals, tx: tx, subs: subs}
-		if p.having != nil {
-			v, err := eval(p.having, e)
-			if err != nil {
-				return nil, err
-			}
-			if !truthy(v) {
-				continue
-			}
-		}
-		outs = append(outs, outRow{env: e})
-	}
-	return outs, nil
+	return a
 }
 
-// project evaluates the SELECT list for every output row, each row
+// add folds the row in e into its group. shared reports that e.row is the
+// join's buffer, which a new group must copy.
+func (a *aggregator) add(e *env, shared bool) error {
+	a.key = a.key[:0]
+	for _, g := range a.p.groupBy {
+		v, err := eval(g, e)
+		if err != nil {
+			return err
+		}
+		a.key = v.AppendKey(a.key)
+	}
+	grp, ok := a.groups[string(a.key)]
+	if !ok {
+		first := e.row
+		if shared {
+			first = first.Clone()
+		}
+		grp = a.newGroup(string(a.key), first)
+	}
+	for i, call := range a.calls {
+		st := &grp.state[i]
+		if call.Star {
+			st.count++
+			continue
+		}
+		v, err := eval(call.Args[0], e)
+		if err != nil {
+			return err
+		}
+		if v.IsNull() {
+			continue
+		}
+		if call.Distinct {
+			a.key = v.AppendKey(a.key[:0])
+			if _, dup := st.seen[string(a.key)]; dup {
+				continue
+			}
+			if st.seen == nil {
+				st.seen = make(map[string]struct{}, 16)
+			}
+			st.seen[string(a.key)] = struct{}{}
+		}
+		st.count++
+		if v.K == value.Float {
+			st.asF = true
+		}
+		st.sumI += v.AsInt()
+		st.sumF += v.AsFloat()
+		if !st.minSet {
+			st.minV, st.maxV, st.minSet = v, v, true
+		} else {
+			if value.Compare(v, st.minV) < 0 {
+				st.minV = v
+			}
+			if value.Compare(v, st.maxV) > 0 {
+				st.maxV = v
+			}
+		}
+	}
+	return nil
+}
+
+func (a *aggregator) newGroup(key string, first value.Row) *group {
+	grp := &group{first: first, state: make([]aggState, len(a.calls))}
+	a.groups[key] = grp
+	a.order = append(a.order, grp)
+	return grp
+}
+
+// results finalizes every group, in first-seen order.
+func (a *aggregator) results() []outRow {
+	// A grand aggregate over zero rows still yields one group.
+	if len(a.p.groupBy) == 0 && len(a.order) == 0 {
+		a.newGroup("", make(value.Row, a.p.b.width))
+	}
+	outs := make([]outRow, 0, len(a.order))
+	for _, grp := range a.order {
+		o := outRow{row: grp.first, aggs: make(map[*sql.Call]value.Value, len(a.calls))}
+		for i, call := range a.calls {
+			o.aggs[call] = grp.state[i].result(call.Fn)
+		}
+		outs = append(outs, o)
+	}
+	return outs
+}
+
+// result is the value of aggregate fn over what st folded.
+func (st *aggState) result(fn string) value.Value {
+	switch fn {
+	case "COUNT":
+		return value.NewInt(st.count)
+	case "SUM":
+		if st.count == 0 {
+			return value.NewNull()
+		}
+		if st.asF {
+			return value.NewFloat(st.sumF)
+		}
+		return value.NewInt(st.sumI)
+	case "AVG":
+		if st.count == 0 {
+			return value.NewNull()
+		}
+		return value.NewFloat(st.sumF / float64(st.count))
+	case "MIN":
+		if !st.minSet {
+			return value.NewNull()
+		}
+		return st.minV
+	case "MAX":
+		if !st.minSet {
+			return value.NewNull()
+		}
+		return st.maxV
+	}
+	return value.NewNull()
+}
+
+// project evaluates the SELECT list for every output row in e, each row
 // allocated once at the plan's width.
-func project(p *plan, sel *sql.Select, outs []outRow) ([]value.Row, error) {
+func project(p *plan, sel *sql.Select, outs []outRow, e *env) ([]value.Row, error) {
 	rows := make([]value.Row, 0, len(outs))
 	for _, o := range outs {
+		e.at(o)
 		row := make(value.Row, 0, p.width)
 		for _, se := range sel.Exprs {
 			if se.Star {
-				row = append(row, o.env.row...)
+				row = append(row, o.row...)
 				continue
 			}
-			v, err := eval(se.Expr, o.env)
+			v, err := eval(se.Expr, e)
 			if err != nil {
 				return nil, err
 			}
@@ -718,8 +841,9 @@ func passes(rowEnv *env, preds []sql.Expr) (bool, error) {
 func targetRows(tx heap.Txn, p *plan, params []value.Value, subs subCache) ([]page.RowID, error) {
 	b, lv := p.b, &p.levels[0]
 	outerEnv := &env{cols: b.cols, params: params, tx: tx, subs: subs}
+	var key value.Row
 	var rids []page.RowID
-	err := scanPath(tx, b.tabs[0].tid, lv.path, outerEnv, func(rid page.RowID, row value.Row) (bool, error) {
+	err := scanPath(tx, b.tabs[0].tid, &lv.path, outerEnv, &key, func(rid page.RowID, row value.Row) (bool, error) {
 		ok, err := passes(&env{cols: b.cols, row: row, params: params, tx: tx, subs: subs}, lv.residualWhere)
 		if ok {
 			rids = append(rids, rid)

@@ -201,6 +201,22 @@ func TestDistinctAndOffset(t *testing.T) {
 	}
 }
 
+// TestNegativeLimitOffset checks a negative LIMIT or OFFSET is an error,
+// not a panic: over TCP a client binds it as a parameter.
+func TestNegativeLimitOffset(t *testing.T) {
+	e := newBookDB(t)
+	for _, q := range []string{
+		`SELECT i_id FROM item LIMIT ?`,
+		`SELECT i_id FROM item ORDER BY i_id LIMIT 2 OFFSET ?`,
+		`SELECT i_subject, COUNT(*) FROM item GROUP BY i_subject LIMIT ?`,
+	} {
+		if res, err := Run(e.BeginRead(nil), q, value.NewInt(-1)); err == nil {
+			t.Errorf("%s with -1: rows %v, want an error", q, res.Rows)
+		}
+		query(t, e, q, value.NewInt(0))
+	}
+}
+
 func TestUpdateAndDelete(t *testing.T) {
 	e := newBookDB(t)
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -179,9 +180,9 @@ func TestLeftJoinNullRowSubquery(t *testing.T) {
 }
 
 // TestStatementAllocs guards the executor's allocations per statement, with
-// the plan cached on the Prepared. Each ceiling is the count last measured,
-// and ceilings only fall: a change that raises one has made the executor
-// costlier.
+// the plan cached on the Prepared, and the bytes of the four-table join.
+// Each ceiling is the figure last measured, and ceilings only fall: a
+// change that raises one has made the executor costlier.
 func TestStatementAllocs(t *testing.T) {
 	if debugBuild {
 		t.Skip("dmvdebug seal checks change allocation counts")
@@ -196,20 +197,26 @@ func TestStatementAllocs(t *testing.T) {
 		q       string
 		params  []value.Value
 		ceiling float64
+		bytes   float64 // bytes-per-Exec ceiling; 0 leaves bytes unchecked
 	}{
 		{"point select", rtx, `SELECT i_title, i_cost FROM item WHERE i_id = ?`,
-			[]value.Value{value.NewInt(3)}, 17},
+			[]value.Value{value.NewInt(3)}, 14, 0},
 		{"two-table join", rtx, `SELECT i.i_title, a.a_lname FROM item i JOIN author a ON i.i_a_id = a.a_id WHERE i.i_id = ?`,
-			[]value.Value{value.NewInt(4)}, 27},
+			[]value.Value{value.NewInt(4)}, 21, 0},
 		{"range order-by limit", rtx, `SELECT i_id, i_cost FROM item WHERE i_id >= ? ORDER BY i_cost DESC LIMIT 3`,
-			[]value.Value{value.NewInt(2)}, 41},
+			[]value.Value{value.NewInt(2)}, 29, 0},
 		// Before the writes: a latest-version scan waits on utx's page latches.
 		{"like full scan", rtx, `SELECT i_id, i_title FROM item WHERE i_title LIKE ?`,
-			[]value.Value{value.NewString("%BOOK 0%")}, 34},
+			[]value.Value{value.NewString("%BOOK 0%")}, 21, 0},
+		{"best sellers", rtx, `SELECT i.i_id, i.i_title, a.a_lname, SUM(ol.ol_qty) AS qty
+			FROM item i JOIN order_line ol ON ol.ol_i_id = i.i_id JOIN orders o ON ol.ol_o_id = o.o_id
+			JOIN author a ON i.i_a_id = a.a_id WHERE o.o_id > ? AND i.i_subject = ?
+			GROUP BY i.i_id, i.i_title, a.a_lname ORDER BY qty DESC LIMIT 50`,
+			[]value.Value{value.NewInt(0), value.NewString("SCIFI")}, 106, 17100},
 		{"point update", utx, `UPDATE item SET i_stock = i_stock + 1 WHERE i_id = ?`,
-			[]value.Value{value.NewInt(2)}, 27},
+			[]value.Value{value.NewInt(2)}, 27, 0},
 		{"point delete", utx, `DELETE FROM order_line WHERE ol_id = ?`,
-			[]value.Value{value.NewInt(5)}, 17}, // 16 without -race
+			[]value.Value{value.NewInt(5)}, 17, 0}, // 16 without -race
 	} {
 		p, err := Prepare(c.q)
 		if err != nil {
@@ -224,9 +231,27 @@ func TestStatementAllocs(t *testing.T) {
 		if runErr != nil {
 			t.Fatalf("%s: %v", c.name, runErr)
 		}
-		t.Logf("%s: %.0f allocs", c.name, got)
+		bytes := bytesPerRun(200, func() { _, _ = p.Exec(c.tx, c.params) })
+		t.Logf("%s: %.0f allocs, %.0f B", c.name, got, bytes)
 		if got > c.ceiling {
 			t.Errorf("%s: %.0f allocs per Exec, ceiling %.0f", c.name, got, c.ceiling)
 		}
+		if c.bytes > 0 && bytes > c.bytes {
+			t.Errorf("%s: %.0f bytes per Exec, ceiling %.0f", c.name, bytes, c.bytes)
+		}
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call
+// of fn allocates, averaged over runs after a warm-up call.
+func bytesPerRun(runs int, fn func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

@@ -227,28 +227,31 @@ func (r Row) String() string {
 // elimination. The encoding is injective: each value is prefixed by its kind
 // and length so distinct rows never collide.
 func (r Row) Key() string {
-	var b strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for _, v := range r {
-		switch v.K {
-		case Null:
-			b.WriteString("n;")
-		case Int:
-			b.WriteString("i")
-			b.WriteString(strconv.FormatInt(v.I, 10))
-			b.WriteByte(';')
-		case Float:
-			b.WriteString("f")
-			b.WriteString(strconv.FormatFloat(v.F, 'b', -1, 64))
-			b.WriteByte(';')
-		case String:
-			b.WriteString("s")
-			b.WriteString(strconv.Itoa(len(v.S)))
-			b.WriteByte(':')
-			b.WriteString(v.S)
-			b.WriteByte(';')
-		}
+		b = v.AppendKey(b)
 	}
-	return b.String()
+	return string(b)
+}
+
+// AppendKey appends v's part of Row.Key to b. A caller that keys a map by
+// the result can look it up as m[string(b)] without allocating.
+func (v Value) AppendKey(b []byte) []byte {
+	switch v.K {
+	case Null:
+		return append(b, "n;"...)
+	case Int:
+		b = strconv.AppendInt(append(b, 'i'), v.I, 10)
+	case Float:
+		b = strconv.AppendFloat(append(b, 'f'), v.F, 'b', -1, 64)
+	case String:
+		b = strconv.AppendInt(append(b, 's'), int64(len(v.S)), 10)
+		b = append(append(b, ':'), v.S...)
+	default:
+		return b
+	}
+	return append(b, ';')
 }
 
 // ColumnType is the declared type of a table column.

@@ -110,8 +110,11 @@ echo "==> chaos under -tags dmvdebug (sealed-vector, sealed-row and write-set as
 go test -tags dmvdebug -race -count=1 -run 'TestChaos|TestSealed|TestUnsealed' . ./internal/vclock/ ./internal/value/
 # Whole packages: the heap property tests and executor tests hand out
 # published rows and index keys, so the row seals check them too; the
-# TPC-W runs re-plan every cached plan they hit and compare.
+# TPC-W runs re-plan every cached plan they hit and compare. The
+# BestSellers benchmark streams a four-table join over TPC-W data under
+# the row seals.
 go test -tags dmvdebug -race -count=1 ./internal/heap/ ./internal/page/ ./internal/exec/ ./internal/tpcw/
+go test -tags dmvdebug -race -run '^$' -bench TPCW_BestSellersQuery -benchtime 3x .
 
 echo "==> production Go lines (scripts/loc.sh; refactor PRs quote the delta in CHANGES.md)"
 sh scripts/loc.sh
