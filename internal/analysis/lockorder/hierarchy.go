@@ -108,6 +108,12 @@ var DefaultConfig = &Config{
 		"dmv/internal/transport.RemoteNode.mu":     levelTransport,
 		"dmv/internal/transport.RemoteNode.sessMu": levelTransport,
 		"dmv/internal/transport.RemoteNode.rngMu":  levelTransport,
+		// The call multiplexer: a client writes a request under wmu and
+		// marks it written under mu (wmu -> mu). A served connection writes
+		// each reply under its own wmu.
+		"dmv/internal/transport.clientConn.mu":  levelTransport,
+		"dmv/internal/transport.clientConn.wmu": levelTransport,
+		"dmv/internal/transport.serverConn.wmu": levelTransport,
 
 		// faultnet: Network.mu is taken outer to Conn.mu (reset sweeps walk
 		// the conn table under the network lock), and transport writes land

@@ -10,8 +10,10 @@
 //     violation — raw clients have no deadline machinery, and the
 //     transport layer exists precisely to wrap them.
 //  2. Inside the transport packages, the raw (*rpc.Client).Call / Go
-//     methods may appear only in the blessed single-attempt primitive
-//     (callOnce); every other function must compose it.
+//     methods and the transport's own raw send (RawSends: the call
+//     multiplexer's roundTrip) may appear only in the blessed
+//     single-attempt primitive (callOnce); every other function must
+//     compose it.
 //  3. Writing a compile-time constant <= 0 into a ClientOptions deadline
 //     field (CallTimeout, PingTimeout, DialTimeout) is a violation: zero
 //     is a redundant spelling of "default" at best, and negative disables
@@ -29,6 +31,7 @@ package rpcdeadline
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strconv"
 
 	"dmv/internal/analysis"
@@ -40,8 +43,12 @@ type Config struct {
 	// the deadline-armed client; only they may touch net/rpc.
 	TransportPkgs []string
 	// AllowRawIn names the functions inside TransportPkgs allowed to call
-	// (*rpc.Client).Call / Go directly.
+	// (*rpc.Client).Call / Go or a RawSends method directly.
 	AllowRawIn []string
+	// RawSends are the transport's own raw send methods, as "Type.Method"
+	// of a type declared in TransportPkgs; rule 2 guards them like
+	// (*rpc.Client).Call.
+	RawSends []string
 	// OptionsType is the client-options struct whose deadline fields rule 3
 	// guards.
 	OptionsType string
@@ -57,6 +64,7 @@ type Config struct {
 var DefaultConfig = Config{
 	TransportPkgs: []string{"transport"},
 	AllowRawIn:    []string{"callOnce"},
+	RawSends:      []string{"clientConn.roundTrip"},
 	OptionsType:   "ClientOptions",
 	TimeoutFields: []string{"CallTimeout", "PingTimeout", "DialTimeout"},
 	DeadlineArg:   map[string]int{"callOnce": 3, "callIdem": 3},
@@ -114,6 +122,12 @@ func checkCall(pass *analysis.Pass, cfg Config, call *ast.CallExpr, stack []ast.
 		analysis.RecvTypeName(fn) == "Client" && (fn.Name() == "Call" || fn.Name() == "Go") {
 		if enc := analysis.EnclosingFuncName(stack); !allowRaw[enc] {
 			pass.Reportf(call.Pos(), "raw (*rpc.Client).%s outside %s; only the blessed single-attempt primitive may bypass the deadline wrapper", fn.Name(), quoteList(cfg.AllowRawIn))
+		}
+	}
+	if inTransport && analysis.PkgMatchAny(pkgPathOf(fn), cfg.TransportPkgs) &&
+		slices.Contains(cfg.RawSends, analysis.RecvTypeName(fn)+"."+fn.Name()) {
+		if enc := analysis.EnclosingFuncName(stack); !allowRaw[enc] {
+			pass.Reportf(call.Pos(), "raw (*%s).%s outside %s; only the blessed single-attempt primitive may bypass the deadline wrapper", analysis.RecvTypeName(fn), fn.Name(), quoteList(cfg.AllowRawIn))
 		}
 	}
 	// Rule 4: constant <= 0 deadline argument to a transport primitive.

@@ -18,11 +18,20 @@ type ClientOptions struct {
 // Node is a minimal client wrapper.
 type Node struct {
 	c    *rpc.Client
+	cc   *clientConn
 	opts ClientOptions
 }
 
+// clientConn mirrors the transport's own call multiplexer.
+type clientConn struct{}
+
+func (c *clientConn) roundTrip(method string, args, reply any, d time.Duration) error { return nil }
+
 // callOnce is the blessed raw-call site.
 func (n *Node) callOnce(method string, args, reply any, d time.Duration) error {
+	if n.cc != nil {
+		return n.cc.roundTrip(method, args, reply, d) // allowed: inside callOnce
+	}
 	return n.c.Call(method, args, reply) // allowed: inside callOnce
 }
 
@@ -37,6 +46,10 @@ func (n *Node) rawCall(method string, args, reply any) error {
 
 func (n *Node) rawGo(method string, args, reply any) {
 	n.c.Go(method, args, reply, nil) // want `raw \(\*rpc\.Client\)\.Go outside callOnce`
+}
+
+func (n *Node) rawRoundTrip(method string, args, reply any) error {
+	return n.cc.roundTrip(method, args, reply, time.Second) // want `raw \(\*clientConn\)\.roundTrip outside callOnce`
 }
 
 func (n *Node) rawSuppressed(method string, args, reply any) error {

@@ -130,7 +130,7 @@ const (
 
 	TransportRPCTimeouts = "dmv_transport_rpc_timeouts_total" // client calls abandoned at their deadline
 	TransportRPCRetries  = "dmv_transport_rpc_retries_total"  // idempotent-call retry attempts after transport failures
-	TransportRedials     = "dmv_transport_redials_total"      // client reconnects after a broken rpc.Client
+	TransportRedials     = "dmv_transport_redials_total"      // client re-dials after a failed connection
 	TransportRPCUS       = "dmv_transport_rpc_us"             // client-observed per-call latency (incl. timeouts)
 
 	TransportRetryBudgetExhausted = "dmv_transport_retry_budget_exhausted_total" // idempotent retry loops stopped by the elapsed-time budget

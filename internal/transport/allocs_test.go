@@ -8,10 +8,10 @@ import (
 )
 
 // TestWireAllocs guards the allocations of the data-path calls over
-// loopback TCP, counted process-wide (client, codec, net/rpc and the served
-// node together). Each ceiling is the count last measured, and ceilings
-// only fall: a change that raises one has made the wire costlier. Under
-// net/rpc's default gob codec the three counts were 18, 169 and 150.
+// loopback TCP, counted process-wide (client, frame codec, call multiplexer
+// and the served node together). Each ceiling is the count last measured,
+// and ceilings only fall: a change that raises one has made the wire
+// costlier. With a gob codec the three counts were 18, 169 and 150.
 func TestWireAllocs(t *testing.T) {
 	if debugBuild || raceBuild {
 		t.Skip("dmvdebug seal checks and race instrumentation change allocation counts")
@@ -56,7 +56,7 @@ func TestWireAllocs(t *testing.T) {
 		run     func() error
 		ceiling float64
 	}{
-		{"ping", sPeer.Ping, 7},
+		{"ping", sPeer.Ping, 3},
 		{"read txn, 10 rows", func() error {
 			id, err := sPeer.TxBegin(true, ver, 0, obs.TraceContext{})
 			if err != nil {
@@ -71,7 +71,7 @@ func TestWireAllocs(t *testing.T) {
 			}
 			_, err = sPeer.TxCommit(id)
 			return err
-		}, 88},
+		}, 58},
 		{"update txn, one TCP subscriber", func() error {
 			id, err := mPeer.TxBegin(false, nil, 0, obs.TraceContext{})
 			if err != nil {
@@ -82,7 +82,7 @@ func TestWireAllocs(t *testing.T) {
 			}
 			_, err = mPeer.TxCommit(id)
 			return err
-		}, 84},
+		}, 67},
 	} {
 		var runErr error
 		got := testing.AllocsPerRun(200, func() {

@@ -7,27 +7,32 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/rpc"
 	"slices"
+	"sync"
+	"time"
 
 	"dmv/internal/exec"
 	"dmv/internal/heap"
 	"dmv/internal/obs"
 	"dmv/internal/page"
+	"dmv/internal/replica"
 	"dmv/internal/scrub"
 	"dmv/internal/simdisk"
 	"dmv/internal/value"
 	"dmv/internal/vclock"
 )
 
-// The wire codec behind net/rpc (rpc.ClientCodec / rpc.ServerCodec). Each
-// request and each response is one frame:
+// The wire format. Each request and each reply is one frame:
 //
 //	uint32 little-endian length of the rest (at most maxFrame)
 //	uvarint seq
-//	uvarint len + bytes: the method name (requests) or the error (responses)
+//	uvarint len + bytes: the method name (requests) or the error (replies)
 //	1 byte body kind: bodyNone, bodyBinary or bodyJSON
 //	the body
+//
+// A reply carries its request's seq, so calls on one connection may be
+// answered in any order (clientConn matches them up; serverConn runs each
+// request on its own goroutine). An error reply has no body.
 //
 // Binary bodies are hand-written. The data-path messages (Status,
 // BeginArgs/BeginReply, ExecArgs/ExecReply, CommitArgs/CommitReply, the
@@ -40,10 +45,11 @@ import (
 // snapshots, flight dumps) is JSON inside the frame, which keeps no state
 // between frames.
 //
-// net/rpc serializes each direction of a connection (one reader goroutine,
-// writes under its send mutex), so a codec needs no lock of its own. Decoded
-// strings and slices never alias the read buffer, which the next frame
-// reuses while the previous request's handler may still be running.
+// Each end of a connection reads frames on one goroutine and writes them
+// under a mutex, so the read and write halves of a wire need no lock of
+// their own. Decoded strings and slices never alias the read buffer, which
+// the next frame reuses while the previous request's handler may still be
+// running.
 
 // maxFrame caps a frame's declared length. The largest frame the tests ship
 // is a page-image set of about 4 KiB; the cap leaves room for migrating a
@@ -54,7 +60,7 @@ const maxFrame = 256 << 20
 const (
 	// readChunk is how far the read buffer grows ahead of the bytes read.
 	readChunk = 64 << 10
-	// keepBuf is the largest buffer a codec keeps between frames; a larger
+	// keepBuf is the largest buffer a wire keeps between frames; a larger
 	// one (a page-image shipment) is dropped after use.
 	keepBuf = 64 << 10
 )
@@ -68,7 +74,7 @@ const (
 
 // FrameError is a framing failure: a frame cut short by the connection
 // ending, or a length prefix above maxFrame. The stream cannot be resumed
-// after either, so the caller sees the node as down (callOnce).
+// after either, so the caller sees the node as down (clientConn.fail).
 type FrameError struct {
 	Len    uint64 // the declared frame length
 	Reason string
@@ -90,8 +96,8 @@ type wire struct {
 	body   []byte // the current frame's body, a suffix of in
 	out    []byte // the frame being written; reused across frames
 
-	// names interns method names (server) or column names (client); stmts
-	// interns statement texts (server).
+	// names interns result column names (client); stmts interns statement
+	// texts (server).
 	names, stmts interner
 }
 
@@ -207,61 +213,247 @@ func (w *wire) writeFrame(seq uint64, text string, body any) error {
 
 func (w *wire) Close() error { return w.conn.Close() }
 
-// clientCodec is the rpc.ClientCodec of a RemoteNode.
-type clientCodec struct{ *wire }
+// errDeadline is what roundTrip returns when a call's deadline passed first;
+// callOnce turns it into ErrPeerTimeout.
+var errDeadline = errors.New("transport: call deadline passed")
 
-func newClientCodec(conn io.ReadWriteCloser) rpc.ClientCodec {
-	return clientCodec{newWire(conn)}
+// clientConn multiplexes a RemoteNode's calls over one connection. Each
+// request goes out as one frame under a fresh seq, and one reader goroutine
+// (readLoop) hands each reply to the call waiting on its seq. Whoever
+// removes a call from pending (the reader, the call's deadline timer, or a
+// connection failure) is the one that completes it, so a reply is decoded
+// only into a call that is still waiting for it.
+type clientConn struct {
+	id       string        // the peer, for error messages
+	w        *wire         // read by readLoop alone; written under wmu
+	readDone chan struct{} // closed when readLoop returns
+
+	wmu sync.Mutex // one request frame at a time
+
+	mu      sync.Mutex
+	seq     uint64                  // guarded by mu; the next request's seq
+	pending map[uint64]pendingEntry // guarded by mu; calls awaiting a reply
+	writing bool                    // guarded by mu; a request frame is being written
+	err     error                   // guarded by mu; why the connection failed (ErrNodeDown)
 }
 
-func (c clientCodec) WriteRequest(r *rpc.Request, body any) error {
-	return c.writeFrame(r.Seq, r.ServiceMethod, body)
+// pendingEntry is a call awaiting its reply; sent is set once its request
+// frame is fully written.
+type pendingEntry struct {
+	call *pendingCall
+	sent bool
 }
 
-func (c clientCodec) ReadResponseHeader(r *rpc.Response) error {
-	seq, msg, err := c.readHeader()
+// pendingCall is one call in flight: its reply target, its outcome and its
+// completion signal, with the timer that enforces its deadline. Calls are
+// recycled through pendingCalls. One goes back only when its timer never
+// fired, so no timer callback can still be looking at it.
+type pendingCall struct {
+	c     *clientConn
+	seq   uint64
+	reply any
+	err   error
+	done  chan struct{} // receives once when the call completes
+	t     *time.Timer   // runs expire; nil until a call had a deadline
+}
+
+var pendingCalls = sync.Pool{New: func() any { return &pendingCall{done: make(chan struct{}, 1)} }}
+
+func newClientConn(id string, conn io.ReadWriteCloser) *clientConn {
+	c := &clientConn{id: id, w: newWire(conn), readDone: make(chan struct{}), pending: make(map[uint64]pendingEntry, 8)}
+	go c.readLoop()
+	return c
+}
+
+// roundTrip sends one request and waits for its reply, decoded into reply,
+// for at most d (0 = no deadline). It returns errDeadline when d passed
+// first, the error text of an error frame, or ErrNodeDown when the
+// connection failed.
+//
+// A call whose request was written before its deadline is forgotten and the
+// connection stays up; its late reply is discarded. A call whose request is
+// still unwritten at its deadline closes the connection if a write is in
+// progress (expire): a writer stalled on a dead link wakes no other way.
+func (c *clientConn) roundTrip(method string, args, reply any, d time.Duration) error {
+	pc := pendingCalls.Get().(*pendingCall)
+	pc.c, pc.reply = c, reply
+	c.mu.Lock()
+	err := c.err
+	if err == nil {
+		pc.seq = c.seq
+		c.seq++
+		c.pending[pc.seq] = pendingEntry{call: pc}
+	}
+	c.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	r.Seq = seq
-	if len(msg) > 0 {
-		r.Error = string(msg)
+	armed := d > 0
+	if armed {
+		if pc.t == nil {
+			pc.t = time.AfterFunc(d, pc.expire)
+		} else {
+			pc.t.Reset(d)
+		}
 	}
-	return nil
-}
 
-func (c clientCodec) ReadResponseBody(body any) error { return c.readBody(body) }
-
-// serverCodec is the rpc.ServerCodec of a served node.
-type serverCodec struct{ *wire }
-
-func newServerCodec(conn io.ReadWriteCloser) rpc.ServerCodec {
-	return serverCodec{newWire(conn)}
-}
-
-func (c serverCodec) ReadRequestHeader(r *rpc.Request) error {
-	seq, name, err := c.readHeader()
-	if err != nil {
-		return err
+	// A call its deadline already withdrew is not written.
+	c.wmu.Lock()
+	c.mu.Lock()
+	_, live := c.pending[pc.seq]
+	c.writing = live
+	c.mu.Unlock()
+	if live {
+		err = c.w.writeFrame(pc.seq, method, args)
 	}
-	r.Seq = seq
-	r.ServiceMethod = c.names.get(name)
-	return nil
-}
-
-func (c serverCodec) ReadRequestBody(body any) error { return c.readBody(body) }
-
-func (c serverCodec) WriteResponse(r *rpc.Response, body any) error {
-	if r.Error != "" {
-		body = nil // the client discards an error response's body
+	c.mu.Lock()
+	c.writing = false
+	if e, ok := c.pending[pc.seq]; ok && err == nil {
+		e.sent = true
+		c.pending[pc.seq] = e
 	}
-	err := c.writeFrame(r.Seq, r.Error, body)
-	if errors.Is(err, errEncode) {
-		// Nothing was written: answer with the failure rather than leave
-		// the caller to wait out its deadline.
-		return c.writeFrame(r.Seq, err.Error(), nil)
+	c.mu.Unlock()
+	c.wmu.Unlock()
+	switch {
+	case err == nil:
+	case errors.Is(err, errEncode):
+		// Nothing was written: the call fails alone.
+		if c.claim(pc.seq) != nil {
+			pc.err = err
+			pc.done <- struct{}{}
+		}
+	default:
+		c.fail(err)
+	}
+
+	<-pc.done
+	err = pc.err
+	if !armed || pc.t.Stop() {
+		pc.c, pc.reply, pc.err = nil, nil, nil
+		pendingCalls.Put(pc)
 	}
 	return err
+}
+
+// claim removes seq's call from pending; it is nil when seq has none.
+func (c *clientConn) claim(seq uint64) *pendingCall {
+	c.mu.Lock()
+	pc := c.pending[seq].call
+	delete(c.pending, seq)
+	c.mu.Unlock()
+	return pc
+}
+
+// expire is a call's deadline timer. A call still waiting to be written is
+// withdrawn; but when a write is in progress, this call's or one ahead of
+// it, the connection is closed, since that write may be stalled on a dead
+// link and a half-written frame cannot be resumed.
+func (pc *pendingCall) expire() {
+	c := pc.c
+	c.mu.Lock()
+	e, ok := c.pending[pc.seq]
+	delete(c.pending, pc.seq)
+	blocked := !e.sent && c.writing
+	c.mu.Unlock()
+	if !ok {
+		return // the reply or a failure came first
+	}
+	if blocked {
+		c.fail(errors.New("deadline passed with a request write in progress"))
+	}
+	pc.err = errDeadline
+	pc.done <- struct{}{}
+}
+
+// fail marks the connection failed and closes it; every pending call ends
+// with ErrNodeDown. The first failure's cause is kept.
+func (c *clientConn) fail(cause error) {
+	c.mu.Lock()
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: %s: %v", replica.ErrNodeDown, c.id, cause)
+	}
+	err, pending := c.err, c.pending
+	c.pending = nil // no call registers once c.err is set
+	c.mu.Unlock()
+	_ = c.w.Close()
+	for _, e := range pending {
+		e.call.err = err
+		e.call.done <- struct{}{}
+	}
+}
+
+// failed reports whether the connection has failed.
+func (c *clientConn) failed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err != nil
+}
+
+// readLoop reads replies until the connection fails. A reply whose call is
+// gone (it timed out) is read and discarded; an error frame fails its call
+// with the error's text; a body that does not decode fails its call alone,
+// since the frame was read whole and the stream is still in step.
+func (c *clientConn) readLoop() {
+	defer close(c.readDone)
+	for {
+		seq, text, err := c.w.readHeader()
+		if err != nil {
+			c.fail(err)
+			return
+		}
+		pc := c.claim(seq)
+		var target any
+		if pc != nil && len(text) == 0 {
+			target = pc.reply
+		}
+		err = c.w.readBody(target)
+		if pc == nil {
+			continue
+		}
+		if len(text) > 0 {
+			err = errors.New(string(text))
+		}
+		pc.err = err
+		pc.done <- struct{}{}
+	}
+}
+
+// serverConn is one served connection: the reader goroutine decodes each
+// request and hands it to a handler goroutine, and replies are written one
+// frame at a time under wmu, in whatever order the handlers finish.
+type serverConn struct {
+	svc *NodeService
+	w   *wire // read by NodeService.serve alone; written under wmu
+
+	wmu sync.Mutex
+}
+
+// reply writes seq's reply frame: errText for an error, else body. A body
+// that fails to encode is answered with the failure. A failed write closes
+// the connection, since a half-written frame cannot be resumed.
+func (c *serverConn) reply(seq uint64, errText string, body any) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	err := c.w.writeFrame(seq, errText, body)
+	if errors.Is(err, errEncode) {
+		err = c.w.writeFrame(seq, err.Error(), nil)
+	}
+	if err != nil {
+		_ = c.w.Close()
+	}
+}
+
+// handle decodes a request's argument into a fresh A and answers it with
+// fn's reply on a goroutine of its own, so a slow call never holds up the
+// frames behind it. An argument that does not decode is answered with the
+// error.
+func handle[A any](c *serverConn, seq uint64, fn func(*NodeService, *A) any) {
+	a := new(A)
+	if err := c.w.readBody(a); err != nil {
+		c.reply(seq, err.Error(), nil)
+		return
+	}
+	go func() { c.reply(seq, "", fn(c.svc, a)) }()
 }
 
 // interner returns one string per distinct byte sequence, so the names and
@@ -296,55 +488,44 @@ func (m *interner) get(b []byte) string {
 // --- binary bodies -----------------------------------------------------------
 
 // appendBinaryBody appends body's binary form, reporting false for a type
-// that has none (it then travels as JSON). Arguments arrive as values on the
-// client and replies as pointers on the server, so both forms encode.
+// that has none (it then travels as JSON). Bodies are pointers: the client
+// sends its arguments as pointers and the server answers with pointers.
 func appendBinaryBody(b []byte, body any) ([]byte, bool) {
 	switch x := body.(type) {
-	case struct{}, *struct{}:
+	case *struct{}:
 	case *Status:
 		b = appendStatus(b, x)
-	case uint64:
-		b = binary.AppendUvarint(b, x)
 	case *uint64:
 		b = binary.AppendUvarint(b, *x)
-	case BeginArgs:
-		b = appendBeginArgs(b, &x)
 	case *BeginArgs:
 		b = appendBeginArgs(b, x)
 	case *BeginReply:
 		b = binary.AppendUvarint(b, x.ID)
 		b = appendStatus(b, &x.Status)
-	case ExecArgs:
-		b = appendExecArgs(b, &x)
 	case *ExecArgs:
 		b = appendExecArgs(b, x)
 	case *ExecReply:
 		b = appendResult(b, x.Result)
 		b = binary.AppendUvarint(b, x.TxID)
 		b = appendStatus(b, &x.Status)
-	case CommitArgs:
-		b = appendCommitArgs(b, &x)
 	case *CommitArgs:
-		b = appendCommitArgs(b, x)
+		b = binary.AppendUvarint(b, x.TxID)
+		b = binary.AppendVarint(b, x.DeadlineUS)
 	case *CommitReply:
 		b = appendVector(b, x.Version)
 		b = appendStatus(b, &x.Status)
 	case *heap.WriteSet:
 		b = appendWriteSet(b, x)
-	case []page.Image:
-		b = appendList(b, x, page.AppendImage)
 	case *[]page.Image:
 		b = appendList(b, *x, page.AppendImage)
 	case *Reply[[]page.Image]:
 		b = appendStatus(appendList(b, x.Value, page.AppendImage), &x.Status)
-	case PageImagesArgs:
-		b = appendPageImagesArgs(b, &x)
 	case *PageImagesArgs:
-		b = appendPageImagesArgs(b, x)
+		b = appendList(binary.AppendVarint(b, int64(x.Table)), x.Pages, func(b []byte, p page.ID) []byte {
+			return binary.AppendVarint(b, int64(p))
+		})
 	case *Reply[heap.PageVersionMap]:
 		b = appendStatus(appendPageVersions(b, x.Value), &x.Status)
-	case []simdisk.PageKey:
-		b = appendList(b, x, appendPageKey)
 	case *[]simdisk.PageKey:
 		b = appendList(b, *x, appendPageKey)
 	case *Reply[[]simdisk.PageKey]:
@@ -471,11 +652,6 @@ func appendExecArgs(b []byte, a *ExecArgs) []byte {
 		return append(b, 0)
 	}
 	return appendBeginArgs(append(b, 1), a.Begin)
-}
-
-func appendCommitArgs(b []byte, a *CommitArgs) []byte {
-	b = binary.AppendUvarint(b, a.TxID)
-	return binary.AppendVarint(b, a.DeadlineUS)
 }
 
 func readBool(d *value.Decoder) bool {
@@ -660,12 +836,6 @@ func readImages(d *value.Decoder) []page.Image {
 		imgs[i] = page.ReadImage(d)
 	}
 	return imgs
-}
-
-func appendPageImagesArgs(b []byte, a *PageImagesArgs) []byte {
-	return appendList(binary.AppendVarint(b, int64(a.Table)), a.Pages, func(b []byte, p page.ID) []byte {
-		return binary.AppendVarint(b, int64(p))
-	})
 }
 
 // appendPageVersions encodes the tables in ascending id order, each as its

@@ -7,10 +7,10 @@ import (
 	"io"
 	"math"
 	"net"
-	"net/rpc"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -127,21 +127,6 @@ func TestWireBodiesRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// The value forms the client sends encode like the pointers.
-	for _, pair := range [][2]any{
-		{BeginArgs{ReadOnly: true}, &BeginArgs{ReadOnly: true}},
-		{ExecArgs{TxID: 2, Stmt: "x"}, &ExecArgs{TxID: 2, Stmt: "x"}},
-		{CommitArgs{TxID: 2}, &CommitArgs{TxID: 2}},
-		{uint64(9), func() *uint64 { u := uint64(9); return &u }()},
-		{struct{}{}, &struct{}{}},
-		{sampleImages(nil), func() *[]page.Image { imgs := sampleImages(nil); return &imgs }()},
-		{PageImagesArgs{Table: 1, Pages: []page.ID{4}}, &PageImagesArgs{Table: 1, Pages: []page.ID{4}}},
-		{[]simdisk.PageKey{{Table: 1, Page: 2}}, &[]simdisk.PageKey{{Table: 1, Page: 2}}},
-	} {
-		if a, b := encodeSample(t, pair[0]), encodeSample(t, pair[1]); !bytes.Equal(a, b) {
-			t.Fatalf("%T encodes %x, %T encodes %x", pair[0], a, pair[1], b)
-		}
-	}
 }
 
 // TestCarriedBeginPresenceByte: an ExecArgs body whose begin-presence byte
@@ -184,7 +169,7 @@ func TestWriteSetBeforeImageSharesStrings(t *testing.T) {
 // succeed without panicking, allocate a bounded multiple of their length
 // (no count can claim more elements than bytes remain), and whatever
 // decodes survives an encode/decode round trip unchanged. The same bytes
-// as a whole frame go through the server codec without panicking.
+// as a whole frame go through the frame reader without panicking.
 func FuzzWireBodies(f *testing.F) {
 	samples := wireSamples()
 	for i, m := range samples {
@@ -225,19 +210,17 @@ func FuzzWireBodies(f *testing.F) {
 		}
 
 		frame := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
-		c := newServerCodec(readOnlyConn{bytes.NewReader(append(frame, body...))})
-		var req rpc.Request
-		if c.ReadRequestHeader(&req) == nil {
-			_ = c.ReadRequestBody(reflect.New(typ).Interface())
+		w := newWire(readOnlyConn{bytes.NewReader(append(frame, body...))})
+		if _, _, err := w.readHeader(); err == nil {
+			_ = w.readBody(reflect.New(typ).Interface())
 		}
 	})
 }
 
 // TestJSONBodiesRoundTrip: every body without a binary form travels as
-// JSON, in the value form a client sends and the pointer form a server
-// answers with, and decodes to what was encoded; a nil target discards a
-// body and leaves the stream in step; a reply that cannot be encoded
-// answers with the failure instead of nothing.
+// JSON, written as a value or through a pointer, and decodes to what was
+// encoded; a nil target discards a body and leaves the stream in step; a
+// reply that cannot be encoded answers with the failure instead of nothing.
 func TestJSONBodiesRoundTrip(t *testing.T) {
 	snap := obs.Snapshot{
 		Counters:   map[string]int64{"dmv_a_total": 3},
@@ -303,12 +286,10 @@ func TestJSONBodiesRoundTrip(t *testing.T) {
 	}
 
 	conn := &bufConn{}
-	if err := (serverCodec{newWire(conn)}).WriteResponse(&rpc.Response{Seq: 7}, &Reply[float64]{Value: math.Inf(1)}); err != nil {
-		t.Fatalf("unencodable reply: %v", err)
-	}
-	var resp rpc.Response
-	if err := newClientCodec(conn).ReadResponseHeader(&resp); err != nil || resp.Seq != 7 || !strings.Contains(resp.Error, "encode") {
-		t.Fatalf("unencodable reply answered %+v, %v; want seq 7 with an encode error", resp, err)
+	(&serverConn{w: newWire(conn)}).reply(7, "", &Reply[float64]{Value: math.Inf(1)})
+	seq, text, err := newWire(conn).readHeader()
+	if err != nil || seq != 7 || !strings.Contains(string(text), "encode") {
+		t.Fatalf("unencodable reply answered seq %d, %q, %v; want seq 7 with an encode error", seq, text, err)
 	}
 }
 
@@ -333,35 +314,91 @@ func TestFrameErrors(t *testing.T) {
 		{"short frame", append(binary.LittleEndian.AppendUint32(nil, 100), 1, 2, 3)},
 		{"short length", []byte{1, 0}},
 	} {
-		codec := newClientCodec(readOnlyConn{bytes.NewReader(c.stream)})
 		var fe *FrameError
-		if err := codec.ReadResponseHeader(&rpc.Response{}); !errors.As(err, &fe) {
+		if _, _, err := newWire(readOnlyConn{bytes.NewReader(c.stream)}).readHeader(); !errors.As(err, &fe) {
 			t.Errorf("%s: err = %v, want a *FrameError", c.name, err)
 		}
 	}
-	codec := newClientCodec(readOnlyConn{bytes.NewReader(nil)})
-	if err := codec.ReadResponseHeader(&rpc.Response{}); err != io.EOF {
+	if _, _, err := newWire(readOnlyConn{bytes.NewReader(nil)}).readHeader(); err != io.EOF {
 		t.Errorf("clean close: err = %v, want io.EOF", err)
 	}
 }
 
-// TestFramingErrorRedials: a peer that answers with a garbage length prefix
-// or a frame cut short makes the call fail with ErrNodeDown, and the next
-// call re-dials and succeeds.
-func TestFramingErrorRedials(t *testing.T) {
-	node := newTPCNode(t, "n")
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Node", &NodeService{node: node}); err != nil {
+// TestServerAnswersBadRequests: a request for an unknown method and one
+// whose body does not decode each get an error frame with their seq, and
+// the connection goes on serving: a Ping behind them succeeds.
+func TestServerAnswersBadRequests(t *testing.T) {
+	srv, err := ServeNode(newTPCNode(t, "n"), "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	w := newWire(conn)
+
+	if err := w.writeFrame(1, "Node.NoSuchMethod", &struct{}{}); err != nil {
+		t.Fatal(err)
+	}
+	begin := encodeSample(t, &BeginArgs{ReadOnly: true, Version: vclock.Vector{1, 2}, DeadlineUS: 1500})
+	frame := binary.AppendUvarint(nil, 2)
+	frame = append(binary.AppendUvarint(frame, uint64(len("Node.TxBegin"))), "Node.TxBegin"...)
+	frame = append(append(frame, bodyBinary), begin[:len(begin)-3]...) // truncated
+	if _, err := conn.Write(append(binary.LittleEndian.AppendUint32(nil, uint32(len(frame))), frame...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.writeFrame(3, "Node.Ping", &struct{}{}); err != nil {
+		t.Fatal(err)
+	}
+
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for _, want := range []struct {
+		seq    uint64
+		errMsg string // in the error frame; "" for a successful reply
+	}{{1, "unknown method"}, {2, "BeginArgs"}, {3, ""}} {
+		seq, text, err := w.readHeader()
+		if err != nil {
+			t.Fatalf("reply to seq %d: %v", want.seq, err)
+		}
+		if seq != want.seq {
+			t.Fatalf("reply seq %d, want %d", seq, want.seq)
+		}
+		var st Status
+		if err := w.readBody(&st); err != nil {
+			t.Fatalf("seq %d body: %v", seq, err)
+		}
+		switch {
+		case want.errMsg != "" && !strings.Contains(string(text), want.errMsg):
+			t.Fatalf("seq %d answered %q, want an error frame naming %q", seq, text, want.errMsg)
+		case want.errMsg == "" && (len(text) > 0 || st.Err() != nil):
+			t.Fatalf("ping behind the bad requests answered %q, %v", text, st.Err())
+		}
+	}
+}
+
+// TestFramingErrorRedials: a peer that answers with a garbage length prefix
+// or a frame cut short, or a connection whose read fails, makes the call
+// fail with ErrNodeDown, and the next call re-dials and succeeds. The read
+// error's text does not say "connection": the error is the connection's
+// because of where it came from.
+func TestFramingErrorRedials(t *testing.T) {
+	node := newTPCNode(t, "n")
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lis.Close()
-	garbage := [][]byte{
-		{0xff, 0xff, 0xff, 0xff}, // far above the cap
-		append(binary.LittleEndian.AppendUint32(nil, 64), 1, 2, 3, 4, 5), // cut short
+	streams := []struct {
+		reply   []byte // what the peer answers; nil serves the call
+		readErr error  // what the client's reads fail with; nil for none
+		want    string // in the call's error
+	}{
+		{reply: []byte{0xff, 0xff, 0xff, 0xff}, want: "bad frame"},                                   // far above the cap
+		{reply: append(binary.LittleEndian.AppendUint32(nil, 64), 1, 2, 3, 4, 5), want: "bad frame"}, // cut short
+		{readErr: errors.New("injected read failure"), want: "injected read failure"},
 	}
 	accepted := make(chan struct{}, 8)
 	go func() {
@@ -371,33 +408,63 @@ func TestFramingErrorRedials(t *testing.T) {
 				return
 			}
 			accepted <- struct{}{}
-			if i < len(garbage) {
+			if i < len(streams) && streams[i].reply != nil {
 				go func(reply []byte) {
 					buf := make([]byte, 256)
 					_, _ = conn.Read(buf) // the request
 					_, _ = conn.Write(reply)
 					_ = conn.Close()
-				}(garbage[i])
+				}(streams[i].reply)
 				continue
 			}
-			go srv.ServeCodec(newServerCodec(conn))
+			go (&NodeService{node: node}).serve(conn)
 		}
 	}()
-	peer, err := DialNodeOpts("n", lis.Addr().String(), ClientOptions{RetryAttempts: -1})
+	dials := 0
+	dial := func(network, addr string) (net.Conn, error) {
+		conn, err := net.Dial(network, addr)
+		i := dials
+		dials++
+		if err == nil && i < len(streams) && streams[i].readErr != nil {
+			return &failingReadConn{Conn: conn, err: streams[i].readErr, wrote: make(chan struct{})}, nil
+		}
+		return conn, err
+	}
+	peer, err := DialNodeOpts("n", lis.Addr().String(), ClientOptions{RetryAttempts: -1, Dial: dial})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer peer.Close()
-	for i := range garbage {
+	for i, s := range streams {
 		err := peer.Ping()
-		if !errors.Is(err, replica.ErrNodeDown) || !strings.Contains(err.Error(), "bad frame") {
-			t.Fatalf("ping %d against garbage = %v, want ErrNodeDown from a bad frame", i, err)
+		if !errors.Is(err, replica.ErrNodeDown) || !strings.Contains(err.Error(), s.want) {
+			t.Fatalf("ping %d = %v, want ErrNodeDown from %q", i, err, s.want)
 		}
 	}
 	if err := peer.Ping(); err != nil {
 		t.Fatalf("ping after re-dial: %v", err)
 	}
-	if n := len(accepted); n != len(garbage)+1 {
-		t.Fatalf("%d connections accepted, want %d (one re-dial per bad frame)", n, len(garbage)+1)
+	if n := len(accepted); n != len(streams)+1 {
+		t.Fatalf("%d connections accepted, want %d (one re-dial per failed connection)", n, len(streams)+1)
 	}
+}
+
+// failingReadConn is a connection whose reads fail with err once the first
+// request has been written, so the failure meets a call in flight.
+type failingReadConn struct {
+	net.Conn
+	err   error
+	once  sync.Once
+	wrote chan struct{}
+}
+
+func (c *failingReadConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.once.Do(func() { close(c.wrote) })
+	return n, err
+}
+
+func (c *failingReadConn) Read([]byte) (int, error) {
+	<-c.wrote
+	return 0, c.err
 }

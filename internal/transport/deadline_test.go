@@ -2,6 +2,8 @@ package transport
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -9,12 +11,13 @@ import (
 
 	"dmv/internal/obs"
 	"dmv/internal/replica"
+	"dmv/internal/value"
 )
 
 // stalledListener accepts connections and then sits on them forever: the
-// TCP handshake completes (the peer looks alive to a dialer) but no RPC is
-// ever answered — the canonical gray failure a raw net/rpc client hangs
-// on.
+// TCP handshake completes (the peer looks alive to a dialer) but no call is
+// ever answered — the canonical gray failure a client without deadlines
+// hangs on.
 func stalledListener(t *testing.T) net.Listener {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -155,8 +158,8 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	}
 }
 
-// dropFirstListener kills the first accepted connection before net/rpc can
-// serve it, then behaves normally — the transient conn reset of the
+// dropFirstListener kills the first accepted connection before the server
+// can serve it, then behaves normally — the transient conn reset of the
 // regression: a client that never re-dials is permanently dead after this.
 type dropFirstListener struct {
 	net.Listener
@@ -218,5 +221,131 @@ func TestReconnectAfterConnDrop(t *testing.T) {
 	// The recovered client keeps working for non-idempotent traffic too.
 	if err := rn.Ping(); err != nil {
 		t.Fatalf("Ping on recovered client: %v", err)
+	}
+}
+
+// TestTimedOutCallKeepsConnection: a call that times out after its request
+// went out costs only that call. Its late reply is discarded, and the calls
+// after it run on the same connection: no re-dial.
+func TestTimedOutCallKeepsConnection(t *testing.T) {
+	node := newTPCNode(t, "n")
+	sreg := obs.New()
+	srv, err := ServeNodeObs(node, "127.0.0.1:0", sreg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	reg := obs.New()
+	rn, err := DialNodeOpts("n", srv.Addr(), ClientOptions{
+		PingTimeout:   100 * time.Millisecond,
+		RetryAttempts: -1,
+		Obs:           reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rn.Close()
+
+	bytesOut := func() int64 { return sreg.Snapshot().Counters[obs.TransportBytesOut] }
+	before := bytesOut()
+	node.SetStalled(true)
+	if err := rn.Ping(); !errors.Is(err, replica.ErrPeerTimeout) {
+		node.SetStalled(false)
+		t.Fatalf("Ping against a stalled node = %v, want ErrPeerTimeout", err)
+	}
+	node.SetStalled(false)
+	if !eventually(5*time.Second, func() bool { return bytesOut() > before }) {
+		t.Fatal("the stalled Ping was never answered")
+	}
+	if err := rn.Ping(); err != nil {
+		t.Fatalf("Ping after the late reply: %v", err)
+	}
+	if _, err := rn.MaxVersions(); err != nil {
+		t.Fatalf("MaxVersions after the late reply: %v", err)
+	}
+	if got := reg.Snapshot().Counters[obs.TransportRedials]; got != 0 {
+		t.Fatalf("redials = %d, want 0: a timed-out call must not cost the connection", got)
+	}
+}
+
+// TestLateRepliesNeverCross: concurrent calls on one client, with deadlines
+// drawn around the handler's latency, each return their own reply or
+// ErrPeerTimeout. A late reply is never taken for another call's, and the
+// connection outlives every timeout.
+func TestLateRepliesNeverCross(t *testing.T) {
+	const (
+		service = 20 * time.Millisecond // each statement's handler latency
+		workers = 6
+		calls   = 30
+	)
+	// Enough execution slots that a late call never queues the next one.
+	node := newTPCNodeWith(t, replica.Options{ID: "n", ServicePerStmt: service, ServiceWidth: 64})
+	reg := obs.New()
+	_, rn := serveDial(t, node, ClientOptions{Obs: reg})
+	ver, err := rn.MaxVersions()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	counts := map[bool]int{} // timed out -> calls
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		rng := rand.New(rand.NewSource(int64(w + 1)))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			id, err := node.TxBegin(true, ver, 0, obs.TraceContext{})
+			if err != nil {
+				errs <- err
+				return
+			}
+			for i := 0; i < calls; i++ {
+				k := int64(1 + rng.Intn(20))
+				d := service/2 + time.Duration(rng.Int63n(int64(2*service)))
+				var reply ExecReply
+				args := ExecArgs{TxID: id, Stmt: `SELECT k FROM kv WHERE k = ?`, Params: []value.Value{value.NewInt(k)}}
+				err := rn.callOnce("Node.TxExec", &args, &reply, d)
+				if errors.Is(err, replica.ErrPeerTimeout) {
+					mu.Lock()
+					counts[true]++
+					mu.Unlock()
+					continue
+				}
+				if err == nil {
+					err = reply.Err()
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				if r := reply.Result; r == nil || len(r.Rows) != 1 || !value.Equal(r.Rows[0][0], value.NewInt(k)) {
+					errs <- fmt.Errorf("read of k=%d answered %+v", k, r)
+					return
+				}
+				mu.Lock()
+				counts[false]++
+				mu.Unlock()
+			}
+		}()
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(time.Minute):
+		t.Fatal("calls still running after a minute: a reply or a deadline was lost")
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	t.Logf("%d replies, %d timeouts", counts[false], counts[true])
+	if counts[true] == 0 || counts[false] == 0 {
+		t.Fatalf("%d replies and %d timeouts: the deadlines must straddle the latency", counts[false], counts[true])
+	}
+	if got := reg.Snapshot().Counters[obs.TransportRedials]; got != 0 {
+		t.Fatalf("redials = %d, want 0", got)
 	}
 }

@@ -1,22 +1,24 @@
 // Package transport serves the replica Peer interface and the scheduler
-// session API over TCP using net/rpc, enabling real multi-process
-// deployments: each database node runs cmd/dmv-node, the scheduler runs
-// cmd/dmv-scheduler, and the two sides exchange exactly the messages of the
-// in-process cluster — write-set broadcasts with acknowledgments,
-// version-tagged transaction sessions, heartbeats, page migration, and
-// warm-up traffic.
+// session API over TCP, enabling real multi-process deployments: each
+// database node runs cmd/dmv-node, the scheduler runs cmd/dmv-scheduler,
+// and the two sides exchange exactly the messages of the in-process
+// cluster — write-set broadcasts with acknowledgments, version-tagged
+// transaction sessions, heartbeats, page migration, and warm-up traffic.
 //
-// net/rpc runs with this package's codec (codec.go) instead of its default
-// gob one: length-prefixed frames, hand-written binary bodies for the
-// data-path messages and for the control-plane bodies that hold one entry
-// per page, and JSON, inside the frame, for the rest of the control plane.
+// Calls travel as frames (codec.go): length-prefixed, tagged with a seq so
+// one connection carries many calls at once, with hand-written binary
+// bodies for the data-path messages and for the control-plane bodies that
+// hold one entry per page, and JSON, inside the frame, for the rest of the
+// control plane. A RemoteNode multiplexes its calls over one connection
+// (clientConn); a served connection dispatches each request by method name
+// (NodeService.serve).
 //
 // Error identity matters to the scheduler (version-conflict aborts and
-// node-down errors are retried differently), and net/rpc flattens errors to
-// strings; replies therefore carry an explicit error code (Status) that the
-// client side converts back to the canonical sentinel errors. RemoteNode
-// reads it in one place: call and callIdem return the error a reply's
-// Status carries once the transport has succeeded.
+// node-down errors are retried differently), and a frame carries an error
+// only as text; replies therefore carry an explicit error code (Status)
+// that the client side converts back to the canonical sentinel errors.
+// RemoteNode reads it in one place: call and callIdem return the error a
+// reply's Status carries once the transport has succeeded.
 package transport
 
 import (
@@ -25,7 +27,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"net/rpc"
 	"sort"
 	"strings"
 	"sync"
@@ -109,8 +110,6 @@ type Status struct {
 	Msg  string
 }
 
-func (s *Status) set(err error) { s.Code, s.Msg = encodeErr(err) }
-
 // Err converts the status back into a sentinel-matching error.
 func (s Status) Err() error { return decodeErr(s.Code, s.Msg) }
 
@@ -180,14 +179,6 @@ type Reply[T any] struct {
 	Status
 }
 
-// fill records a node call's result and error; it returns the handler's
-// own (nil) error.
-func (r *Reply[T]) fill(v T, err error) error {
-	r.Value = v
-	r.set(err)
-	return nil
-}
-
 // DigestArgs requests a snapshot-consistent table digest at a pinned
 // version (anti-entropy scrub, DESIGN.md §15).
 type DigestArgs struct {
@@ -203,8 +194,7 @@ type PageImagesArgs struct {
 	Pages []page.ID
 }
 
-// NodeService exposes a replica.Node over net/rpc under the service name
-// "Node".
+// NodeService serves a replica.Node to the connections of one Server.
 type NodeService struct {
 	node *replica.Node
 
@@ -215,164 +205,129 @@ type NodeService struct {
 	subOpts ClientOptions          // guarded by subMu; how subscribers are dialed
 }
 
-// Ping implements the heartbeat probe.
-func (s *NodeService) Ping(_ struct{}, reply *Status) error {
-	reply.set(s.node.Ping())
-	return nil
+// status is the reply of a call that returns only an error.
+func status(err error) *Status {
+	code, msg := encodeErr(err)
+	return &Status{Code: code, Msg: msg}
 }
 
-// ReceiveWriteSet delivers one replication message; returning is the ack.
-func (s *NodeService) ReceiveWriteSet(ws *heap.WriteSet, reply *Status) error {
-	reply.set(s.node.ReceiveWriteSet(ws))
-	return nil
+// reply is the reply of a call that returns a value and an error.
+func reply[T any](v T, err error) *Reply[T] {
+	return &Reply[T]{Value: v, Status: *status(err)}
 }
 
-// TxBegin opens a session.
-func (s *NodeService) TxBegin(args BeginArgs, reply *BeginReply) error {
-	id, err := s.node.TxBegin(args.ReadOnly, args.Version, time.Duration(args.DeadlineUS)*time.Microsecond, args.Trace)
-	reply.ID = id
-	reply.set(err)
-	return nil
+// serve answers the requests on conn until it fails or closes. The reader
+// decodes each request's argument in arrival order and runs its handler on
+// a goroutine of its own (handle). An unknown method or an argument that
+// does not decode is answered with an error frame, and the connection keeps
+// serving.
+func (s *NodeService) serve(conn io.ReadWriteCloser) {
+	c := &serverConn{svc: s, w: newWire(conn)}
+	defer conn.Close()
+	for {
+		seq, method, err := c.w.readHeader()
+		if err != nil {
+			return
+		}
+		switch string(method) {
+		case "Node.Ping":
+			handle(c, seq, func(s *NodeService, _ *struct{}) any { return status(s.node.Ping()) })
+		case "Node.ReceiveWriteSet":
+			// Returning is the ack.
+			handle(c, seq, func(s *NodeService, ws *heap.WriteSet) any { return status(s.node.ReceiveWriteSet(ws)) })
+		case "Node.TxBegin":
+			handle(c, seq, func(s *NodeService, a *BeginArgs) any {
+				id, err := s.node.TxBegin(a.ReadOnly, a.Version, time.Duration(a.DeadlineUS)*time.Microsecond, a.Trace)
+				return &BeginReply{ID: id, Status: *status(err)}
+			})
+		case "Node.TxExec":
+			handle(c, seq, (*NodeService).txExec)
+		case "Node.TxCommit":
+			handle(c, seq, func(s *NodeService, a *CommitArgs) any {
+				if a.DeadlineUS > 0 {
+					s.node.RefreshDeadline(a.TxID, time.Duration(a.DeadlineUS)*time.Microsecond)
+				}
+				ver, err := s.node.TxCommit(a.TxID)
+				return &CommitReply{Version: ver, Status: *status(err)}
+			})
+		case "Node.TxRollback":
+			handle(c, seq, func(s *NodeService, id *uint64) any { return status(s.node.TxRollback(*id)) })
+		case "Node.AbortActiveSessions":
+			handle(c, seq, func(s *NodeService, _ *struct{}) any { return reply(s.node.AbortActiveSessions()) })
+		case "Node.Promote":
+			handle(c, seq, func(s *NodeService, tables *[]int) any { return status(s.node.Promote(*tables)) })
+		case "Node.Demote":
+			handle(c, seq, func(s *NodeService, to *replica.Role) any { return status(s.node.Demote(*to)) })
+		case "Node.DiscardAbove":
+			handle(c, seq, func(s *NodeService, v *vclock.Vector) any { return status(s.node.DiscardAbove(*v)) })
+		case "Node.MaxVersions":
+			handle(c, seq, func(s *NodeService, _ *struct{}) any { return reply(s.node.MaxVersions()) })
+		case "Node.StartJoin":
+			handle(c, seq, func(s *NodeService, _ *struct{}) any { return status(s.node.StartJoin()) })
+		case "Node.PageVersions":
+			handle(c, seq, func(s *NodeService, _ *struct{}) any { return reply(s.node.PageVersions()) })
+		case "Node.InstallDelta":
+			handle(c, seq, func(s *NodeService, images *[]page.Image) any { return status(s.node.InstallDelta(*images)) })
+		case "Node.FinishJoin":
+			handle(c, seq, func(s *NodeService, _ *struct{}) any { return status(s.node.FinishJoin()) })
+		case "Node.WarmPages":
+			handle(c, seq, func(s *NodeService, keys *[]simdisk.PageKey) any { return status(s.node.WarmPages(*keys)) })
+		case "Node.ResidentPages":
+			handle(c, seq, func(s *NodeService, limit *int) any { return reply(s.node.ResidentPages(*limit)) })
+		case "Node.Digest":
+			handle(c, seq, func(s *NodeService, a *DigestArgs) any {
+				return reply(s.node.Digest(a.Table, a.Version, a.WithPages))
+			})
+		case "Node.PageImages":
+			handle(c, seq, func(s *NodeService, a *PageImagesArgs) any { return reply(s.node.PageImages(a.Table, a.Pages)) })
+		case "Node.ObsSnapshot":
+			handle(c, seq, func(s *NodeService, _ *struct{}) any { return reply(s.node.ObsSnapshot()) })
+		case "Node.FlightDump":
+			handle(c, seq, func(s *NodeService, _ *struct{}) any { return reply(s.node.FlightDump()) })
+		case "Node.SetSubscribers":
+			handle(c, seq, (*NodeService).setSubscribers)
+		default:
+			_ = c.w.readBody(nil)
+			c.reply(seq, fmt.Sprintf("transport: unknown method %q", method), nil)
+		}
+	}
 }
 
-// TxExec runs one statement, first opening its session when the statement
+// txExec runs one statement, first opening its session when the statement
 // carries the begin.
-func (s *NodeService) TxExec(args ExecArgs, reply *ExecReply) error {
-	id := args.TxID
-	if b := args.Begin; b != nil {
+func (s *NodeService) txExec(a *ExecArgs) any {
+	r := &ExecReply{}
+	id := a.TxID
+	if b := a.Begin; b != nil {
 		var err error
 		if id, err = s.node.TxBegin(b.ReadOnly, b.Version, time.Duration(b.DeadlineUS)*time.Microsecond, b.Trace); err != nil {
-			reply.set(err)
-			return nil
+			r.Status = *status(err)
+			return r
 		}
-		reply.TxID = id
-	} else if args.Trace.Valid() {
-		s.node.AdoptTrace(id, args.Trace)
+		r.TxID = id
+	} else if a.Trace.Valid() {
+		s.node.AdoptTrace(id, a.Trace)
 	}
-	if args.DeadlineUS > 0 {
-		s.node.RefreshDeadline(id, time.Duration(args.DeadlineUS)*time.Microsecond)
+	if a.DeadlineUS > 0 {
+		s.node.RefreshDeadline(id, time.Duration(a.DeadlineUS)*time.Microsecond)
 	}
-	res, err := s.node.TxExec(id, args.Stmt, args.Params)
-	reply.Result = res
-	reply.set(err)
-	return nil
+	res, err := s.node.TxExec(id, a.Stmt, a.Params)
+	r.Result, r.Status = res, *status(err)
+	return r
 }
 
-// TxCommit commits a session.
-func (s *NodeService) TxCommit(args CommitArgs, reply *CommitReply) error {
-	if args.DeadlineUS > 0 {
-		s.node.RefreshDeadline(args.TxID, time.Duration(args.DeadlineUS)*time.Microsecond)
-	}
-	ver, err := s.node.TxCommit(args.TxID)
-	reply.Version = ver
-	reply.set(err)
-	return nil
-}
-
-// TxRollback aborts a session.
-func (s *NodeService) TxRollback(txID uint64, reply *Status) error {
-	reply.set(s.node.TxRollback(txID))
-	return nil
-}
-
-// AbortActiveSessions rolls back sessions owned by a failed scheduler.
-func (s *NodeService) AbortActiveSessions(_ struct{}, reply *Reply[int]) error {
-	return reply.fill(s.node.AbortActiveSessions())
-}
-
-// Promote makes the node a conflict-class master.
-func (s *NodeService) Promote(classTables []int, reply *Status) error {
-	reply.set(s.node.Promote(classTables))
-	return nil
-}
-
-// Demote changes the node's role.
-func (s *NodeService) Demote(to replica.Role, reply *Status) error {
-	reply.set(s.node.Demote(to))
-	return nil
-}
-
-// DiscardAbove drops buffered modifications beyond a vector.
-func (s *NodeService) DiscardAbove(v vclock.Vector, reply *Status) error {
-	reply.set(s.node.DiscardAbove(v))
-	return nil
-}
-
-// MaxVersions reports the node's highest versions.
-func (s *NodeService) MaxVersions(_ struct{}, reply *Reply[vclock.Vector]) error {
-	return reply.fill(s.node.MaxVersions())
-}
-
-// StartJoin begins write-set buffering for reintegration.
-func (s *NodeService) StartJoin(_ struct{}, reply *Status) error {
-	reply.set(s.node.StartJoin())
-	return nil
-}
-
-// PageVersions reports per-page applied and received versions and row counts.
-func (s *NodeService) PageVersions(_ struct{}, reply *Reply[heap.PageVersionMap]) error {
-	return reply.fill(s.node.PageVersions())
-}
-
-// InstallDelta installs migrated pages (joining-node side).
-func (s *NodeService) InstallDelta(images []page.Image, reply *Status) error {
-	reply.set(s.node.InstallDelta(images))
-	return nil
-}
-
-// FinishJoin drains the join buffer and re-enters the slave role.
-func (s *NodeService) FinishJoin(_ struct{}, reply *Status) error {
-	reply.set(s.node.FinishJoin())
-	return nil
-}
-
-// WarmPages touches page ids (page-id-transfer warm-up).
-func (s *NodeService) WarmPages(keys []simdisk.PageKey, reply *Status) error {
-	reply.set(s.node.WarmPages(keys))
-	return nil
-}
-
-// ResidentPages reports the node's hottest pages.
-func (s *NodeService) ResidentPages(limit int, reply *Reply[[]simdisk.PageKey]) error {
-	return reply.fill(s.node.ResidentPages(limit))
-}
-
-// Digest computes the node's snapshot digest for one table at a pinned
-// version (anti-entropy scrub).
-func (s *NodeService) Digest(args DigestArgs, reply *Reply[scrub.TableDigest]) error {
-	return reply.fill(s.node.Digest(args.Table, args.Version, args.WithPages))
-}
-
-// PageImages serves current page images (donor side of scrub repair and
-// migration).
-func (s *NodeService) PageImages(args PageImagesArgs, reply *Reply[[]page.Image]) error {
-	return reply.fill(s.node.PageImages(args.Table, args.Pages))
-}
-
-// ObsSnapshot serves the node's observability snapshot (identity, version
-// state, metrics, trace ring) to the scraping scheduler.
-func (s *NodeService) ObsSnapshot(_ struct{}, reply *Reply[obs.NodeSnapshot]) error {
-	return reply.fill(s.node.ObsSnapshot())
-}
-
-// FlightDump serves the node's frozen flight-recorder ring to a peer
-// assembling a cluster-wide anomaly dump.
-func (s *NodeService) FlightDump(_ struct{}, reply *Reply[flight.NodeDump]) error {
-	return reply.fill(s.node.FlightDump())
-}
-
-// SetSubscribers re-points the node's replication stream at the given peer
+// setSubscribers re-points the node's replication stream at the given peer
 // addresses (id -> address). A master node dials each subscriber itself:
 // a subscriber whose id and address are unchanged keeps its client, dropped
 // ones are closed, and the reachable subset is installed even when some
 // dials fail — the reply then names the unreachable ones.
-func (s *NodeService) SetSubscribers(addrs map[string]string, reply *Status) error {
+func (s *NodeService) setSubscribers(addrs *map[string]string) any {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
-	next := make(map[string]*RemoteNode, len(addrs))
-	peers := make([]replica.Peer, 0, len(addrs))
+	next := make(map[string]*RemoteNode, len(*addrs))
+	peers := make([]replica.Peer, 0, len(*addrs))
 	var failed []string
-	for id, addr := range addrs {
+	for id, addr := range *addrs {
 		p := s.subs[id]
 		if p == nil || p.Addr() != addr {
 			var err error
@@ -393,9 +348,9 @@ func (s *NodeService) SetSubscribers(addrs map[string]string, reply *Status) err
 	s.subs = next
 	if len(failed) > 0 {
 		sort.Strings(failed)
-		reply.set(fmt.Errorf("dial subscribers: %s", strings.Join(failed, "; ")))
+		return status(fmt.Errorf("dial subscribers: %s", strings.Join(failed, "; ")))
 	}
-	return nil
+	return &Status{}
 }
 
 // Server is a listening RPC endpoint for one node.
@@ -431,12 +386,7 @@ func ServeNodeObs(n *replica.Node, addr string, reg *obs.Registry) (*Server, err
 // faultnet-wrapped listener so real TCP links to this node can be
 // partitioned, delayed, or reset under script control.
 func ServeNodeListener(n *replica.Node, lis net.Listener, reg *obs.Registry) (*Server, error) {
-	srv := rpc.NewServer()
 	svc := &NodeService{node: n}
-	if err := srv.RegisterName("Node", svc); err != nil {
-		_ = lis.Close()
-		return nil, err
-	}
 	var connsC, bytesIn, bytesOut *obs.Counter
 	if reg != nil {
 		connsC = reg.Counter(obs.TransportConns)
@@ -457,9 +407,9 @@ func ServeNodeListener(n *replica.Node, lis net.Listener, reg *obs.Registry) (*S
 			s.connMu.Unlock()
 			go func() {
 				if reg != nil {
-					srv.ServeCodec(newServerCodec(&countingConn{Conn: conn, in: bytesIn, out: bytesOut}))
+					svc.serve(&countingConn{Conn: conn, in: bytesIn, out: bytesOut})
 				} else {
-					srv.ServeCodec(newServerCodec(conn))
+					svc.serve(conn)
 				}
 				s.connMu.Lock()
 				delete(s.conns, conn)
@@ -536,7 +486,7 @@ const (
 
 // ClientOptions tunes a RemoteNode's dialing, deadlines, and retry policy.
 // The zero value gets sane defaults; pass a negative CallTimeout to run
-// unbounded (tests that want the raw net/rpc behavior).
+// unbounded (tests that want calls without a deadline).
 type ClientOptions struct {
 	// Dial replaces net.Dial for this peer — the fault-injection hook
 	// (e.g. faultnet.Network.Dialer). Nil dials real TCP with DialTimeout.
@@ -620,7 +570,7 @@ type RemoteNode struct {
 	met  clientMetrics
 
 	mu     sync.Mutex
-	client *rpc.Client // guarded by mu
+	cc     *clientConn // guarded by mu; dropped once a call finds it failed
 	dialed bool        // guarded by mu; a later dial is a re-dial
 	closed bool        // guarded by mu; Close was called, no re-dial
 
@@ -700,11 +650,11 @@ func DialNodeOpts(id, addr string, o ClientOptions) (*RemoteNode, error) {
 	return n, nil
 }
 
-func (n *RemoteNode) conn() (*rpc.Client, error) {
+func (n *RemoteNode) conn() (*clientConn, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.client != nil {
-		return n.client, nil
+	if n.cc != nil {
+		return n.cc, nil
 	}
 	if n.closed {
 		return nil, fmt.Errorf("%w: %s: client closed", replica.ErrNodeDown, n.id)
@@ -726,50 +676,31 @@ func (n *RemoteNode) conn() (*rpc.Client, error) {
 		n.met.redials.Inc()
 	}
 	n.dialed = true
-	n.client = rpc.NewClientWithCodec(newClientCodec(raw))
-	return n.client, nil
+	n.cc = newClientConn(n.id, raw)
+	return n.cc, nil
 }
 
-func (n *RemoteNode) drop() {
-	n.mu.Lock()
-	if n.client != nil {
-		_ = n.client.Close()
-		n.client = nil
-	}
-	n.mu.Unlock()
-}
-
-// Close releases the connection for good: unlike a dropped client, a
-// closed one never re-dials, so a call still in flight on a replaced
+// Close releases the connection for good: unlike a failed connection, a
+// closed client never re-dials, so a call still in flight on a replaced
 // subscriber handle fails instead of leaking a fresh connection.
 func (n *RemoteNode) Close() {
 	n.mu.Lock()
 	n.closed = true
+	c := n.cc
 	n.mu.Unlock()
-	n.drop()
+	if c != nil {
+		c.fail(errors.New("client closed"))
+		<-c.readDone
+	}
 }
 
-// callWait is callOnce's completion channel and deadline timer, recycled
-// through callWaits so a call allocates neither. A pair goes back only when
-// the reply beat the deadline and the timer stopped before firing: then
-// the channel is empty (net/rpc signals a call once) and no tick is
-// pending. A pair whose call timed out may still get a late reply, so it
-// is dropped.
-type callWait struct {
-	done chan *rpc.Call
-	t    *time.Timer
-}
-
-var callWaits = sync.Pool{New: func() any { return &callWait{done: make(chan *rpc.Call, 1)} }}
-
-// statusReply is what every RPC answers with: a reply carrying a Status.
+// statusReply is what every call answers with: a reply carrying a Status.
 type statusReply interface{ Err() error }
 
-// call performs one deadline-bounded RPC attempt (the default path for
+// call performs one deadline-bounded attempt (the default path for
 // non-idempotent calls, which must not be replayed blind: a lost TxCommit
 // reply leaves the outcome genuinely unknown). Once the transport succeeds
-// it returns the error reply's Status carries. After a transport failure
-// reply must not be read: a late answer may still be decoding into it.
+// it returns the error reply's Status carries.
 func (n *RemoteNode) call(method string, args any, reply statusReply) error {
 	if err := n.callOnce(method, args, reply, n.opts.CallTimeout); err != nil {
 		return err
@@ -777,58 +708,31 @@ func (n *RemoteNode) call(method string, args any, reply statusReply) error {
 	return reply.Err()
 }
 
-// callOnce performs one RPC with deadline d (0 = unbounded), mapping
-// transport failures (including a *FrameError) to ErrNodeDown and
-// deadline misses to ErrPeerTimeout.
-// On a timeout the client is dropped: net/rpc cannot cancel an in-flight
-// call, so abandoning the connection is the only way to keep a late reply
-// from being confused with a fresh request, and it arms the lazy re-dial.
+// callOnce performs one call with deadline d (0 = unbounded). A failure of
+// the connection is ErrNodeDown, and the next call re-dials; a deadline
+// miss is ErrPeerTimeout, and costs the connection only when the request
+// could not be written (clientConn.roundTrip). After a transport failure
+// reply must not be read.
 func (n *RemoteNode) callOnce(method string, args, reply any, d time.Duration) error {
 	c, err := n.conn()
 	if err != nil {
 		return err
 	}
 	start := time.Now()
-	var callErr error
-	if d <= 0 {
-		callErr = c.Call(method, args, reply)
-	} else {
-		// rpc.Client.Go writes the request in the calling goroutine, so a
-		// link that blackholes writes (a partition, not a refused dial)
-		// would stall here before the deadline select was ever reached.
-		// Issue the send from a goroutine; on timeout, drop() closes the
-		// connection, which unblocks a writer stalled on a dead link.
-		w := callWaits.Get().(*callWait)
-		go c.Go(method, args, reply, w.done)
-		if w.t == nil {
-			w.t = time.NewTimer(d)
-		} else {
-			w.t.Reset(d)
-		}
-		select {
-		case call := <-w.done:
-			callErr = call.Error
-			if w.t.Stop() {
-				callWaits.Put(w)
-			}
-		case <-w.t.C:
-			n.drop()
-			n.met.timeouts.Inc()
-			n.met.rpcUS.ObserveSince(start)
-			return fmt.Errorf("%w: %s %s after %v", replica.ErrPeerTimeout, n.id, method, d)
-		}
-	}
+	err = c.roundTrip(method, args, reply, d)
 	n.met.rpcUS.ObserveSince(start)
-	if callErr != nil {
-		n.drop()
-		var fe *FrameError
-		if errors.Is(callErr, rpc.ErrShutdown) || errors.Is(callErr, io.EOF) ||
-			errors.Is(callErr, io.ErrUnexpectedEOF) || errors.As(callErr, &fe) || isNetError(callErr) {
-			return fmt.Errorf("%w: %s: %v", replica.ErrNodeDown, n.id, callErr)
+	if err != nil && c.failed() {
+		n.mu.Lock()
+		if n.cc == c {
+			n.cc = nil // the next call re-dials
 		}
-		return callErr
+		n.mu.Unlock()
 	}
-	return nil
+	if err == errDeadline {
+		n.met.timeouts.Inc()
+		return fmt.Errorf("%w: %s %s after %v", replica.ErrPeerTimeout, n.id, method, d)
+	}
+	return err
 }
 
 // callIdem is call with deadline d plus a bounded retry loop with
@@ -882,14 +786,6 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-func isNetError(err error) bool {
-	var ne net.Error
-	if errors.As(err, &ne) {
-		return true
-	}
-	return strings.Contains(err.Error(), "connection")
-}
-
 // ID implements replica.Peer.
 func (n *RemoteNode) ID() string { return n.id }
 
@@ -900,7 +796,7 @@ func (n *RemoteNode) Addr() string { return n.addr }
 // so the failure detector's probe cost is bounded well below the data-path
 // deadline.
 func (n *RemoteNode) Ping() error {
-	return n.callIdem("Node.Ping", struct{}{}, &Status{}, n.opts.PingTimeout)
+	return n.callIdem("Node.Ping", &struct{}{}, &Status{}, n.opts.PingTimeout)
 }
 
 // ReceiveWriteSet implements replica.Peer.
@@ -933,7 +829,7 @@ func (n *RemoteNode) TxBegin(readOnly bool, version vclock.Vector, deadline time
 		return h, nil
 	}
 	var reply BeginReply
-	if err := n.call("Node.TxBegin", args, &reply); err != nil {
+	if err := n.call("Node.TxBegin", &args, &reply); err != nil {
 		return 0, err
 	}
 	if tc.Valid() || deadline > 0 {
@@ -981,7 +877,7 @@ func (n *RemoteNode) TxExec(txID uint64, stmt string, params []value.Value) (*ex
 	// callOnce rather than call: the session id is read from the reply even
 	// when its Status carries an error.
 	var reply ExecReply
-	if err := n.callOnce("Node.TxExec", args, &reply, n.opts.CallTimeout); err != nil {
+	if err := n.callOnce("Node.TxExec", &args, &reply, n.opts.CallTimeout); err != nil {
 		return nil, err
 	}
 	if args.Begin != nil && reply.TxID != 0 {
@@ -1009,7 +905,7 @@ func (n *RemoteNode) TxCommit(txID uint64) (vclock.Vector, error) {
 		return nil, nil
 	}
 	var reply CommitReply
-	if err := n.call("Node.TxCommit", CommitArgs{TxID: id, DeadlineUS: us}, &reply); err != nil {
+	if err := n.call("Node.TxCommit", &CommitArgs{TxID: id, DeadlineUS: us}, &reply); err != nil {
 		return nil, err
 	}
 	return reply.Version, nil
@@ -1027,13 +923,13 @@ func (n *RemoteNode) rollback(id uint64) error {
 	if id == 0 {
 		return nil
 	}
-	return n.call("Node.TxRollback", id, &Status{})
+	return n.call("Node.TxRollback", &id, &Status{})
 }
 
 // AbortActiveSessions implements replica.Peer.
 func (n *RemoteNode) AbortActiveSessions() (int, error) {
 	var reply Reply[int]
-	if err := n.call("Node.AbortActiveSessions", struct{}{}, &reply); err != nil {
+	if err := n.call("Node.AbortActiveSessions", &struct{}{}, &reply); err != nil {
 		return 0, err
 	}
 	return reply.Value, nil
@@ -1041,19 +937,19 @@ func (n *RemoteNode) AbortActiveSessions() (int, error) {
 
 // Promote implements replica.Peer.
 func (n *RemoteNode) Promote(classTables []int) error {
-	return n.call("Node.Promote", classTables, &Status{})
+	return n.call("Node.Promote", &classTables, &Status{})
 }
 
 // Demote implements replica.Peer.
 func (n *RemoteNode) Demote(to replica.Role) error {
-	return n.call("Node.Demote", to, &Status{})
+	return n.call("Node.Demote", &to, &Status{})
 }
 
 // DiscardAbove implements replica.Peer. Discarding above the same vector
 // twice is a no-op, so the fail-over path may retry through transient
 // faults instead of abandoning a reachable peer.
 func (n *RemoteNode) DiscardAbove(v vclock.Vector) error {
-	return n.callIdem("Node.DiscardAbove", v, &Status{}, n.opts.CallTimeout)
+	return n.callIdem("Node.DiscardAbove", &v, &Status{}, n.opts.CallTimeout)
 }
 
 // fetch runs one idempotent read and returns its reply's value.
@@ -1068,57 +964,57 @@ func fetch[T any](n *RemoteNode, method string, args any) (T, error) {
 
 // MaxVersions implements replica.Peer.
 func (n *RemoteNode) MaxVersions() (vclock.Vector, error) {
-	return fetch[vclock.Vector](n, "Node.MaxVersions", struct{}{})
+	return fetch[vclock.Vector](n, "Node.MaxVersions", &struct{}{})
 }
 
 // StartJoin implements replica.Peer.
 func (n *RemoteNode) StartJoin() error {
-	return n.call("Node.StartJoin", struct{}{}, &Status{})
+	return n.call("Node.StartJoin", &struct{}{}, &Status{})
 }
 
 // PageVersions implements replica.Peer.
 func (n *RemoteNode) PageVersions() (heap.PageVersionMap, error) {
-	return fetch[heap.PageVersionMap](n, "Node.PageVersions", struct{}{})
+	return fetch[heap.PageVersionMap](n, "Node.PageVersions", &struct{}{})
 }
 
 // InstallDelta implements replica.Peer. Installing the same page images
 // twice overwrites them with identical content, so replay is safe.
 func (n *RemoteNode) InstallDelta(images []page.Image) error {
-	return n.callIdem("Node.InstallDelta", images, &Status{}, n.opts.CallTimeout)
+	return n.callIdem("Node.InstallDelta", &images, &Status{}, n.opts.CallTimeout)
 }
 
 // FinishJoin implements replica.Peer.
 func (n *RemoteNode) FinishJoin() error {
-	return n.call("Node.FinishJoin", struct{}{}, &Status{})
+	return n.call("Node.FinishJoin", &struct{}{}, &Status{})
 }
 
 // WarmPages implements replica.Peer. Touching a page twice is idempotent.
 func (n *RemoteNode) WarmPages(keys []simdisk.PageKey) error {
-	return n.callIdem("Node.WarmPages", keys, &Status{}, n.opts.CallTimeout)
+	return n.callIdem("Node.WarmPages", &keys, &Status{}, n.opts.CallTimeout)
 }
 
 // ResidentPages implements replica.Peer.
 func (n *RemoteNode) ResidentPages(limit int) ([]simdisk.PageKey, error) {
-	return fetch[[]simdisk.PageKey](n, "Node.ResidentPages", limit)
+	return fetch[[]simdisk.PageKey](n, "Node.ResidentPages", &limit)
 }
 
 // Digest implements replica.Peer. A pure read at a pinned version, so it
 // retries transient faults; CallTimeout bounds the sweep's wait on a slow
 // or partitioned node.
 func (n *RemoteNode) Digest(table int, version uint64, withPages bool) (scrub.TableDigest, error) {
-	return fetch[scrub.TableDigest](n, "Node.Digest", DigestArgs{Table: table, Version: version, WithPages: withPages})
+	return fetch[scrub.TableDigest](n, "Node.Digest", &DigestArgs{Table: table, Version: version, WithPages: withPages})
 }
 
 // PageImages implements replica.Peer. Pure read on the donor, so repair
 // and migration survive transient faults via retry.
 func (n *RemoteNode) PageImages(table int, pages []page.ID) ([]page.Image, error) {
-	return fetch[[]page.Image](n, "Node.PageImages", PageImagesArgs{Table: table, Pages: pages})
+	return fetch[[]page.Image](n, "Node.PageImages", &PageImagesArgs{Table: table, Pages: pages})
 }
 
 // ObsSnapshot fetches the remote node's observability snapshot (not part
 // of replica.Peer; the scheduler's aggregation loop type-asserts for it).
 func (n *RemoteNode) ObsSnapshot() (obs.NodeSnapshot, error) {
-	return fetch[obs.NodeSnapshot](n, "Node.ObsSnapshot", struct{}{})
+	return fetch[obs.NodeSnapshot](n, "Node.ObsSnapshot", &struct{}{})
 }
 
 // FlightDump fetches the remote node's flight-recorder fragment (not part
@@ -1127,12 +1023,12 @@ func (n *RemoteNode) ObsSnapshot() (obs.NodeSnapshot, error) {
 // retry; the CallTimeout deadline bounds the gather even when the peer is
 // partitioned away.
 func (n *RemoteNode) FlightDump() (flight.NodeDump, error) {
-	return fetch[flight.NodeDump](n, "Node.FlightDump", struct{}{})
+	return fetch[flight.NodeDump](n, "Node.FlightDump", &struct{}{})
 }
 
 // SetSubscribers re-points the remote node's replication stream.
 func (n *RemoteNode) SetSubscribers(addrs map[string]string) error {
-	return n.call("Node.SetSubscribers", addrs, &Status{})
+	return n.call("Node.SetSubscribers", &addrs, &Status{})
 }
 
 // Rewire installs subs as master's replication subscriber set over RPC. It

@@ -15,6 +15,12 @@ import (
 
 func newTPCNode(t *testing.T, id string) *replica.Node {
 	t.Helper()
+	return newTPCNodeWith(t, replica.Options{ID: id})
+}
+
+// newTPCNodeWith is newTPCNode with opts; the engine is the test's own.
+func newTPCNodeWith(t *testing.T, opts replica.Options) *replica.Node {
+	t.Helper()
 	e := heap.NewEngine(heap.Options{PageCap: 8})
 	ddl := []string{
 		`CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(32))`,
@@ -32,7 +38,8 @@ func newTPCNode(t *testing.T, id string) *replica.Node {
 	if err := e.Load(tid, rows); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	return replica.NewNode(replica.Options{ID: id, Engine: e})
+	opts.Engine = e
+	return replica.NewNode(opts)
 }
 
 // TestRPCRoundTrip drives a master and a slave over real TCP connections:

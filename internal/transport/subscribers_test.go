@@ -31,7 +31,7 @@ func awaitConns(t *testing.T, s *Server, want int, who string) {
 
 // TestSetSubscribersReusesAndClosesClients rewires a served master ten
 // times. The control plane rewires on every slave death, so a rewire must
-// not cost a connection (and a net/rpc reader goroutine) per subscriber:
+// not cost a connection (and a reader goroutine) per subscriber:
 // unchanged id=addr pairs keep their client, dropped ones are closed, and a
 // subscriber that cannot be dialed does not keep the reachable ones from
 // being installed.

@@ -10,6 +10,15 @@ cd "$(dirname "$0")/.."
 echo "==> go build"
 go build ./...
 
+echo "==> no net/rpc or encoding/gob in the module"
+# The transport frames its own calls and every body has a hand-written or
+# JSON encoding; neither package may come back, directly or through a
+# dependency.
+if go list -deps ./... | grep -x -e net/rpc -e encoding/gob; then
+	echo "the module depends on the package(s) above" >&2
+	exit 1
+fi
+
 echo "==> gofmt"
 unformatted=$(gofmt -l .)
 [ -z "$unformatted" ] || { echo "gofmt -l lists unformatted files:" >&2; echo "$unformatted" >&2; exit 1; }
@@ -39,6 +48,12 @@ echo "==> faultnet chaos leg (seeded partitions, RPC deadlines, gray-failure det
 go test -race -count=1 ./internal/faultnet/
 go test -tags dmvdebug -race -count=1 \
 	-run 'TestPartitionedMasterFailover|TestStalledPeerDeadline|TestReconnectAfterConnDrop|TestRetryBudgetExhausted|TestOverloadDuringPartitionedFailover|TestRemotePlane|TestSetSubscribersReusesAndClosesClients|TestReadTxnRoundTrips|TestExpiredCommitReleasesSession|TestReadBegin' \
+	./internal/transport/
+# The call multiplexer: a timed-out call keeps the connection, and a late
+# reply is never taken for another call's. Ten runs, since a crossed reply
+# would show only under some interleavings.
+go test -tags dmvdebug -race -count=10 \
+	-run 'TestTimedOutCallKeepsConnection|TestLateRepliesNeverCross' \
 	./internal/transport/
 go test -tags dmvdebug -race -count=1 \
 	-run 'TestSuspectQuarantineAndClear|TestGrayMasterFailover|TestFailStopStillFast|TestOverloadActivatesSpare|TestPageIDWarmupLoopShipsPages' \
