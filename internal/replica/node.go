@@ -178,9 +178,9 @@ type Options struct {
 	// leaves legacy sessions unbounded (cmd/dmv-node exposes it as
 	// -deadline-default).
 	DefaultDeadline time.Duration
-	// Obs, if non-nil, receives cluster-wide node metrics (transactions,
-	// aborts, write-set traffic, broadcast latency). The per-node Stats
-	// counters are kept regardless; the registry aggregates across nodes.
+	// Obs, if non-nil, receives the node's counts (transactions, aborts,
+	// write-set traffic, broadcast latency); nodes sharing a registry
+	// aggregate into it. Nil counts nothing.
 	Obs *obs.Registry
 	// Flight, if non-nil, is the node's flight recorder: its ring is served
 	// to peers via the FlightDump RPC when an anomaly dump is assembled
@@ -246,16 +246,7 @@ type Node struct {
 	// flight is the node's optional flight recorder (nil-safe).
 	flight *flight.Recorder
 
-	stats Stats
-	met   nodeMetrics
-}
-
-// Stats are cumulative node counters.
-type Stats struct {
-	ReadTxns    atomic.Int64
-	UpdateTxns  atomic.Int64
-	Aborts      atomic.Int64
-	WriteSetsIn atomic.Int64
+	met nodeMetrics
 }
 
 // nodeMetrics holds the registry handles shared by every node wired to the
@@ -355,9 +346,6 @@ func (n *Node) Engine() *heap.Engine { return n.eng }
 // Disk exposes the buffer-cache simulator (may be nil).
 func (n *Node) Disk() *simdisk.Disk { return n.disk }
 
-// Stats exposes the node counters.
-func (n *Node) Stats() *Stats { return &n.stats }
-
 // StartTime reports when the node was constructed (identity metrics).
 func (n *Node) StartTime() time.Time { return n.started }
 
@@ -448,7 +436,6 @@ func (n *Node) ReceiveWriteSet(ws *heap.WriteSet) error {
 	if err := n.check(); err != nil {
 		return err
 	}
-	n.stats.WriteSetsIn.Add(1)
 	if n.met.enabled {
 		n.met.writeSetsIn.Inc()
 		n.met.wsBytes.Add(int64(ws.Size()))
@@ -593,7 +580,6 @@ func (n *Node) TxBegin(readOnly bool, version vclock.Vector, deadline time.Durat
 	}
 	if readOnly {
 		s.readTx = n.eng.BeginRead(version)
-		n.stats.ReadTxns.Add(1)
 		n.met.readTxns.Inc()
 		if n.tracer != nil && tc.Valid() {
 			s.sp = n.tracer.BeginChild("replica-read", tc)
@@ -608,7 +594,6 @@ func (n *Node) TxBegin(readOnly bool, version vclock.Vector, deadline time.Durat
 			return 0, fmt.Errorf("%w: %s", ErrNotMaster, n.id)
 		}
 		s.upTx = n.eng.BeginUpdate()
-		n.stats.UpdateTxns.Add(1)
 		n.met.updateTxns.Inc()
 		if n.tracer != nil && tc.Valid() {
 			s.sp = n.tracer.BeginChild("master-commit", tc)
@@ -622,52 +607,6 @@ func (n *Node) TxBegin(readOnly bool, version vclock.Vector, deadline time.Durat
 	n.sessions[id] = s
 	n.sessMu.Unlock()
 	return id, nil
-}
-
-// AdoptTrace attaches a trace context to an open session that was begun
-// untraced (ExecArgs repeat the context on every statement for exactly this
-// case). No-op when the session already carries a span or is unknown.
-func (n *Node) AdoptTrace(txID uint64, tc obs.TraceContext) {
-	if n.tracer == nil || !tc.Valid() {
-		return
-	}
-	s, err := n.session(txID)
-	if err != nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.sp != nil || s.done {
-		return
-	}
-	kind := "replica-read"
-	if s.upTx != nil {
-		kind = "master-commit"
-	}
-	s.sp = n.tracer.BeginChild(kind, tc)
-	s.sp.SetNode(n.id)
-	if s.upTx != nil {
-		s.upTx.SetTrace(s.sp.Context())
-	}
-}
-
-// RefreshDeadline re-arms an open session's expiry from a freshly
-// propagated remaining budget (the transport repeats the caller's budget on
-// every statement and at commit, so one slow statement cannot strand the
-// session on a stale expiry). No-op for unknown or finished sessions.
-func (n *Node) RefreshDeadline(txID uint64, remaining time.Duration) {
-	if remaining <= 0 {
-		return
-	}
-	s, err := n.session(txID)
-	if err != nil {
-		return
-	}
-	s.mu.Lock()
-	if !s.done {
-		s.expiry = time.Now().Add(remaining)
-	}
-	s.mu.Unlock()
 }
 
 func (n *Node) session(id uint64) (*session, error) {
@@ -733,7 +672,6 @@ func (n *Node) TxExec(txID uint64, stmt string, params []value.Value) (*exec.Res
 	}
 	res, err := p.Exec(tx, params)
 	if err != nil && errors.Is(err, page.ErrVersionConflict) {
-		n.stats.Aborts.Add(1)
 		n.met.aborts.Inc()
 	}
 	return res, err

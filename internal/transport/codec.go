@@ -35,9 +35,9 @@ import (
 // request on its own goroutine). An error reply has no body.
 //
 // Binary bodies are hand-written. The data-path messages (Status,
-// BeginArgs/BeginReply, ExecArgs/ExecReply, CommitArgs/CommitReply, the
-// TxRollback id, *heap.WriteSet, and the empty struct{} argument) have one,
-// with rows in value.AppendRow's layout, the WAL's. So does every
+// BeginArgs/BeginReply, ExecArgs/ExecReply, CommitReply, the session id
+// that TxCommit and TxRollback send, *heap.WriteSet, and the empty struct{}
+// argument) have one, with rows in value.AppendRow's layout, the WAL's. So does every
 // control-plane body that holds one entry per page, since those grow with
 // the database: page images (page.AppendImage, the checkpoint files'
 // encoding), PageImagesArgs, page-version maps, page-key lists and digests.
@@ -508,9 +508,6 @@ func appendBinaryBody(b []byte, body any) ([]byte, bool) {
 		b = appendResult(b, x.Result)
 		b = binary.AppendUvarint(b, x.TxID)
 		b = appendStatus(b, &x.Status)
-	case *CommitArgs:
-		b = binary.AppendUvarint(b, x.TxID)
-		b = binary.AppendVarint(b, x.DeadlineUS)
 	case *CommitReply:
 		b = appendVector(b, x.Version)
 		b = appendStatus(b, &x.Status)
@@ -558,8 +555,6 @@ func readBinaryBody(body []byte, target any, names, stmts *interner) error {
 		x.TxID = d.Uvarint()
 		x.Stmt = stmts.get(d.Bytes(d.Uvarint()))
 		x.Params = value.ReadRow(&d, nil)
-		x.DeadlineUS = d.Varint()
-		x.Trace = readTrace(&d)
 		if readBool(&d) {
 			x.Begin = &BeginArgs{}
 			readBeginArgs(&d, x.Begin)
@@ -568,9 +563,6 @@ func readBinaryBody(body []byte, target any, names, stmts *interner) error {
 		x.Result = readResult(&d, names)
 		x.TxID = d.Uvarint()
 		readStatus(&d, &x.Status)
-	case *CommitArgs:
-		x.TxID = d.Uvarint()
-		x.DeadlineUS = d.Varint()
 	case *CommitReply:
 		x.Version = readVector(&d)
 		readStatus(&d, &x.Status)
@@ -646,8 +638,6 @@ func appendExecArgs(b []byte, a *ExecArgs) []byte {
 	b = binary.AppendUvarint(b, a.TxID)
 	b = appendString(b, a.Stmt)
 	b = value.AppendRow(b, a.Params)
-	b = binary.AppendVarint(b, a.DeadlineUS)
-	b = appendTrace(b, a.Trace)
 	if a.Begin == nil {
 		return append(b, 0)
 	}

@@ -30,6 +30,7 @@ import (
 // pointer a decoder fills. Empty slices are nil: they decode as nil.
 func wireSamples() []any {
 	rollback := uint64(1<<40 + 7)
+	commit := uint64(5)
 	trace := obs.TraceContext{TraceID: 9, SpanID: 1<<63 + 5}
 	params := []value.Value{value.NewInt(-3), value.NewFloat(2.5), value.NewString("héllo"), value.NewNull(), value.NewString("")}
 	item := value.Row{value.NewInt(17), value.NewString("title"), value.NewFloat(9.75)}
@@ -43,15 +44,15 @@ func wireSamples() []any {
 		&BeginArgs{ReadOnly: true, Version: vclock.Vector{1, 0, 7}, DeadlineUS: 1500, Trace: trace},
 		&BeginArgs{DeadlineUS: -1},
 		&BeginReply{ID: 42, Status: Status{Code: errNotMaster, Msg: "not master"}},
-		&ExecArgs{TxID: 3, Stmt: "SELECT i_title FROM item WHERE i_id = ?", Params: params, DeadlineUS: 900, Trace: trace},
+		&ExecArgs{TxID: 3, Stmt: "SELECT i_title FROM item WHERE i_id = ?", Params: params},
 		&ExecArgs{TxID: 4, Stmt: "SELECT 1"},
-		&ExecArgs{Stmt: "SELECT 1", DeadlineUS: 700, Trace: trace,
+		&ExecArgs{Stmt: "SELECT 1",
 			Begin: &BeginArgs{ReadOnly: true, Version: vclock.Vector{1, 0, 7}, DeadlineUS: 800, Trace: trace}},
 		&ExecReply{Result: &exec.Result{Cols: []string{"a", "b", "c"}, Rows: []value.Row{item, nil, {value.NewNull()}}}},
 		&ExecReply{Result: &exec.Result{Affected: 3}},
 		&ExecReply{Status: Status{Code: errOther, Msg: "boom"}},
 		&ExecReply{TxID: 1<<40 + 3, Status: Status{Code: errVersionConflict, Msg: "conflict"}},
-		&CommitArgs{TxID: 5, DeadlineUS: 100},
+		&commit,
 		&CommitReply{Version: vclock.Vector{2, 3}},
 		&CommitReply{Status: Status{Code: errLockTimeout, Msg: "lock"}},
 		&heap.WriteSet{

@@ -113,11 +113,12 @@ type Status struct {
 // Err converts the status back into a sentinel-matching error.
 func (s Status) Err() error { return decodeErr(s.Code, s.Msg) }
 
-// BeginArgs opens a transaction session. Trace is the scheduler-side span
+// BeginArgs opens a transaction session, and is the only message that
+// carries the session's trace and deadline. Trace is the scheduler-side span
 // context; the node records its work as child spans under it. DeadlineUS is
-// the caller's remaining time budget in microseconds (0 = none): a duration
-// rather than an absolute time, so client and server clocks never have to
-// agree.
+// the caller's remaining time budget in microseconds (0 = none, -1 = already
+// spent): a duration rather than an absolute time, so client and server
+// clocks never have to agree. The node enforces it from then on.
 type BeginArgs struct {
 	ReadOnly   bool
 	Version    vclock.Vector
@@ -131,22 +132,15 @@ type BeginReply struct {
 	Status
 }
 
-// ExecArgs executes one statement in a session. Trace repeats the session's
-// trace context on every statement so a session opened untraced (or by an
-// older client) can still adopt the trace mid-flight.
-// DeadlineUS, when positive, refreshes the session's remaining budget
-// (microseconds left as of this statement), keeping the server-side expiry
-// honest across long sessions.
-// Begin, when set, opens the session before the statement runs, and TxID is
-// ignored: a read-only session sends no TxBegin of its own, its first
-// statement carries the begin instead.
+// ExecArgs executes one statement in a session. Begin, when set, opens the
+// session before the statement runs, and TxID is ignored: a read-only
+// session sends no TxBegin of its own, its first statement carries the
+// begin instead.
 type ExecArgs struct {
-	TxID       uint64
-	Stmt       string
-	Params     []value.Value
-	DeadlineUS int64
-	Trace      obs.TraceContext
-	Begin      *BeginArgs
+	TxID   uint64
+	Stmt   string
+	Params []value.Value
+	Begin  *BeginArgs
 }
 
 // ExecReply returns the statement result. TxID is the session a carried
@@ -157,14 +151,6 @@ type ExecReply struct {
 	Result *exec.Result
 	TxID   uint64
 	Status
-}
-
-// CommitArgs commits a session. DeadlineUS, when positive, is the caller's
-// remaining budget at commit time; the node checks it once at commit entry
-// and never again (a started commit always runs to completion).
-type CommitArgs struct {
-	TxID       uint64
-	DeadlineUS int64
 }
 
 // CommitReply returns the commit version vector (updates only).
@@ -237,17 +223,14 @@ func (s *NodeService) serve(conn io.ReadWriteCloser) {
 			handle(c, seq, func(s *NodeService, ws *heap.WriteSet) any { return status(s.node.ReceiveWriteSet(ws)) })
 		case "Node.TxBegin":
 			handle(c, seq, func(s *NodeService, a *BeginArgs) any {
-				id, err := s.node.TxBegin(a.ReadOnly, a.Version, time.Duration(a.DeadlineUS)*time.Microsecond, a.Trace)
+				id, err := s.begin(a)
 				return &BeginReply{ID: id, Status: *status(err)}
 			})
 		case "Node.TxExec":
 			handle(c, seq, (*NodeService).txExec)
 		case "Node.TxCommit":
-			handle(c, seq, func(s *NodeService, a *CommitArgs) any {
-				if a.DeadlineUS > 0 {
-					s.node.RefreshDeadline(a.TxID, time.Duration(a.DeadlineUS)*time.Microsecond)
-				}
-				ver, err := s.node.TxCommit(a.TxID)
+			handle(c, seq, func(s *NodeService, id *uint64) any {
+				ver, err := s.node.TxCommit(*id)
 				return &CommitReply{Version: ver, Status: *status(err)}
 			})
 		case "Node.TxRollback":
@@ -293,23 +276,23 @@ func (s *NodeService) serve(conn io.ReadWriteCloser) {
 	}
 }
 
+// begin opens the session a TxBegin or a carried begin asks for.
+func (s *NodeService) begin(a *BeginArgs) (uint64, error) {
+	return s.node.TxBegin(a.ReadOnly, a.Version, time.Duration(a.DeadlineUS)*time.Microsecond, a.Trace)
+}
+
 // txExec runs one statement, first opening its session when the statement
 // carries the begin.
 func (s *NodeService) txExec(a *ExecArgs) any {
 	r := &ExecReply{}
 	id := a.TxID
-	if b := a.Begin; b != nil {
+	if a.Begin != nil {
 		var err error
-		if id, err = s.node.TxBegin(b.ReadOnly, b.Version, time.Duration(b.DeadlineUS)*time.Microsecond, b.Trace); err != nil {
+		if id, err = s.begin(a.Begin); err != nil {
 			r.Status = *status(err)
 			return r
 		}
 		r.TxID = id
-	} else if a.Trace.Valid() {
-		s.node.AdoptTrace(id, a.Trace)
-	}
-	if a.DeadlineUS > 0 {
-		s.node.RefreshDeadline(id, time.Duration(a.DeadlineUS)*time.Microsecond)
 	}
 	res, err := s.node.TxExec(id, a.Stmt, a.Params)
 	r.Result, r.Status = res, *status(err)
@@ -578,12 +561,10 @@ type RemoteNode struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand // guarded by rngMu
 
-	// sessions holds the record of each open session that needs one, keyed
-	// by the handle TxBegin returned; commit and rollback remove it. Every
-	// read session has one: its handle is local (readHandle|readSeq) and its
-	// begin waits for the first statement. An update session's handle is
-	// the server's id, and it has a record only when it carries a trace or
-	// a deadline.
+	// sessions holds the record of each open read session, keyed by the
+	// local handle TxBegin returned (readHandle|readSeq); commit and
+	// rollback remove it. An update session's handle is the server's id,
+	// and it has no record.
 	sessMu   sync.Mutex
 	sessions map[uint64]*session // guarded by sessMu
 	readSeq  uint64              // guarded by sessMu
@@ -593,24 +574,20 @@ type RemoteNode struct {
 // itself, apart from server session ids, which count up from 1.
 const readHandle = 1 << 63
 
-// session is the client's record of one open session. Only id changes
-// after TxBegin, and it is read and written under RemoteNode.sessMu.
+// session is the client's record of one open read session. id and
+// begin.DeadlineUS change after TxBegin, under RemoteNode.sessMu; begin is
+// encoded outside it, which is safe because a session's calls come one at
+// a time.
 type session struct {
-	id     uint64           // the server's session id; 0 until a carried begin ran
-	begin  BeginArgs        // a read session's begin, carried by its first TxExec
-	trace  obs.TraceContext // repeated on every statement (see ExecArgs.Trace)
-	expiry time.Time        // the caller's give-up time (zero = none)
+	id     uint64    // the server's session id; 0 until the carried begin ran
+	begin  BeginArgs // carried by the first TxExec
+	expiry time.Time // the caller's give-up time (zero = none)
 }
 
-// remainingUS returns the session's leftover deadline budget in
-// microseconds (0 = unbounded, -1 = already expired). A nil session has no
-// deadline.
-func (s *session) remainingUS() int64 {
-	if s == nil || s.expiry.IsZero() {
-		return 0
-	}
-	left := time.Until(s.expiry)
-	if left <= 0 {
+// budgetUS is a remaining budget as BeginArgs.DeadlineUS carries it: -1 once
+// less than a microsecond is left.
+func budgetUS(left time.Duration) int64 {
+	if left < time.Microsecond {
 		return -1
 	}
 	return left.Microseconds()
@@ -809,70 +786,66 @@ func (n *RemoteNode) ReceiveWriteSet(ws *heap.WriteSet) error {
 // latch, so a lost reply to that call strands no more than a lost TxBegin
 // reply did. An update session still opens with a call of its own: a lost
 // reply to a begin-carrying UPDATE would strand a page latch under an id
-// the client never learned. A positive deadline is remembered, so every
-// later call re-propagates what is left of it.
+// the client never learned. Either way the begin is the one message that
+// carries the deadline and the trace; the node enforces the deadline.
 func (n *RemoteNode) TxBegin(readOnly bool, version vclock.Vector, deadline time.Duration, tc obs.TraceContext) (uint64, error) {
 	args := BeginArgs{ReadOnly: readOnly, Version: version, Trace: tc}
-	var expiry time.Time
+	if deadline != 0 {
+		args.DeadlineUS = budgetUS(deadline)
+	}
+	if !readOnly {
+		var reply BeginReply
+		if err := n.call("Node.TxBegin", &args, &reply); err != nil {
+			return 0, err
+		}
+		return reply.ID, nil
+	}
+	s := &session{begin: args}
 	if deadline > 0 {
-		args.DeadlineUS = deadline.Microseconds()
-		expiry = time.Now().Add(deadline)
-	} else if deadline < 0 {
-		args.DeadlineUS = -1
+		s.expiry = time.Now().Add(deadline)
 	}
-	if readOnly {
-		n.sessMu.Lock()
-		n.readSeq++
-		h := readHandle | n.readSeq
-		n.sessions[h] = &session{begin: args, trace: tc, expiry: expiry}
-		n.sessMu.Unlock()
-		return h, nil
-	}
-	var reply BeginReply
-	if err := n.call("Node.TxBegin", &args, &reply); err != nil {
-		return 0, err
-	}
-	if tc.Valid() || deadline > 0 {
-		n.sessMu.Lock()
-		n.sessions[reply.ID] = &session{id: reply.ID, trace: tc, expiry: expiry}
-		n.sessMu.Unlock()
-	}
-	return reply.ID, nil
+	n.sessMu.Lock()
+	n.readSeq++
+	h := readHandle | n.readSeq
+	n.sessions[h] = s
+	n.sessMu.Unlock()
+	return h, nil
 }
 
-// take removes h's record and returns the server's session id (0 for a
-// read whose begin never ran) and the remaining budget, as remainingUS.
-func (n *RemoteNode) take(h uint64) (uint64, int64) {
-	n.sessMu.Lock()
-	s, ok := n.sessions[h]
-	delete(n.sessions, h)
-	id := h
-	if ok {
-		id = s.id
+// take removes a read handle's record and returns the server's session id,
+// 0 for a read whose begin never ran. Any other handle is the server's id.
+func (n *RemoteNode) take(h uint64) uint64 {
+	if h&readHandle == 0 {
+		return h
 	}
-	n.sessMu.Unlock()
-	return id, s.remainingUS()
+	n.sessMu.Lock()
+	defer n.sessMu.Unlock()
+	s, ok := n.sessions[h]
+	if !ok {
+		return h
+	}
+	delete(n.sessions, h)
+	return s.id
 }
 
 // TxExec implements replica.Peer. A read session's first statement carries
-// its begin, and the reply names the server session it opened, even when
-// the statement then failed.
+// its begin, with the budget left at send time, and the reply names the
+// server session it opened, even when the statement then failed.
 func (n *RemoteNode) TxExec(txID uint64, stmt string, params []value.Value) (*exec.Result, error) {
 	args := ExecArgs{TxID: txID, Stmt: stmt, Params: params}
-	n.sessMu.Lock()
-	s := n.sessions[txID]
-	if s != nil {
-		args.TxID, args.Trace = s.id, s.trace
-		if s.id == 0 {
-			args.Begin = &s.begin
+	var s *session
+	if txID&readHandle != 0 {
+		n.sessMu.Lock()
+		if s = n.sessions[txID]; s != nil {
+			args.TxID = s.id
+			if s.id == 0 {
+				if !s.expiry.IsZero() {
+					s.begin.DeadlineUS = budgetUS(time.Until(s.expiry))
+				}
+				args.Begin = &s.begin
+			}
 		}
-	}
-	n.sessMu.Unlock()
-	if us := s.remainingUS(); us < 0 {
-		// Saves the round trip: the server would refuse anyway.
-		return nil, fmt.Errorf("%w: exec %d on %s", replica.ErrDeadlineExpired, txID, n.id)
-	} else if us > 0 {
-		args.DeadlineUS = us
+		n.sessMu.Unlock()
 	}
 	// callOnce rather than call: the session id is read from the reply even
 	// when its Status carries an error.
@@ -888,38 +861,24 @@ func (n *RemoteNode) TxExec(txID uint64, stmt string, params []value.Value) (*ex
 	return reply.Result, reply.Err()
 }
 
-// TxCommit implements replica.Peer. The deadline is checked here, before
-// the commit request is issued — once the RPC is on the wire the commit is
-// in flight and only ErrCommitUncertain semantics apply to its outcome. A
-// read that ran no statement has nothing to commit on the server.
+// TxCommit implements replica.Peer. A read that ran no statement has
+// nothing to commit on the server.
 func (n *RemoteNode) TxCommit(txID uint64) (vclock.Vector, error) {
-	id, us := n.take(txID)
-	if us < 0 {
-		// Commit work has not started, so abandoning is safe. The session
-		// is rolled back here: the caller counts its transaction finished
-		// once it has called TxCommit and sends no rollback of its own.
-		_ = n.rollback(id)
-		return nil, fmt.Errorf("%w: commit %d on %s", replica.ErrDeadlineExpired, txID, n.id)
-	}
+	id := n.take(txID)
 	if id == 0 {
 		return nil, nil
 	}
 	var reply CommitReply
-	if err := n.call("Node.TxCommit", &CommitArgs{TxID: id, DeadlineUS: us}, &reply); err != nil {
+	if err := n.call("Node.TxCommit", &id, &reply); err != nil {
 		return nil, err
 	}
 	return reply.Version, nil
 }
 
-// TxRollback implements replica.Peer.
+// TxRollback implements replica.Peer. A read that ran no statement has
+// nothing to close on the server.
 func (n *RemoteNode) TxRollback(txID uint64) error {
-	id, _ := n.take(txID)
-	return n.rollback(id)
-}
-
-// rollback closes server session id; 0 is a read whose begin never ran,
-// with nothing to close.
-func (n *RemoteNode) rollback(id uint64) error {
+	id := n.take(txID)
 	if id == 0 {
 		return nil
 	}

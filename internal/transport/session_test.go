@@ -28,7 +28,8 @@ func serveDial(t *testing.T, n *replica.Node, opts ClientOptions) (*Server, *Rem
 	return srv, p
 }
 
-// openSessions counts the client's session records.
+// openSessions counts the client's session records: one per open read
+// session, none for an update.
 func openSessions(p *RemoteNode) int {
 	p.sessMu.Lock()
 	defer p.sessMu.Unlock()
@@ -210,8 +211,8 @@ func TestReadBeginConflictClosesSession(t *testing.T) {
 	}
 }
 
-// TestExpiredCommitReleasesSession: a commit refused on the client because
-// the caller's deadline passed rolls the session back. The caller counts
+// TestExpiredCommitReleasesSession: a commit the node refuses because the
+// caller's deadline passed rolls the session back there. The caller counts
 // the transaction finished and sends no rollback, so otherwise the master
 // kept the session and its page latch, and the next update of the row
 // waited out the lock timeout.
@@ -251,5 +252,57 @@ func TestExpiredCommitReleasesSession(t *testing.T) {
 	}
 	if n, err := p.AbortActiveSessions(); err != nil || n != 0 {
 		t.Fatalf("AbortActiveSessions = %d, %v; want no open update session", n, err)
+	}
+}
+
+// TestReadCommitAfterDeadlineMatchesInProcess: a read whose deadline passes
+// after its last statement commits, on a RemoteNode as on the node it
+// serves. Neither node refuses a read at commit, so neither may the
+// transport: the read already returned its rows.
+func TestReadCommitAfterDeadlineMatchesInProcess(t *testing.T) {
+	n := newTPCNode(t, "s")
+	_, p := serveDial(t, n, ClientOptions{})
+	for _, peer := range []replica.Peer{n, p} {
+		id, err := peer.TxBegin(true, nil, 30*time.Millisecond, obs.TraceContext{})
+		if err != nil {
+			t.Fatalf("%T begin: %v", peer, err)
+		}
+		if _, err := peer.TxExec(id, `SELECT v FROM kv WHERE k = 1`, nil); err != nil {
+			t.Fatalf("%T exec: %v", peer, err)
+		}
+		time.Sleep(50 * time.Millisecond)
+		if _, err := peer.TxCommit(id); err != nil {
+			t.Fatalf("%T commit after the deadline: %v, want nil", peer, err)
+		}
+	}
+	if n := openSessions(p); n != 0 {
+		t.Fatalf("%d session records left", n)
+	}
+}
+
+// TestReadBeginCarriesRemainingBudget: a read's begin rides its first
+// statement, so it must carry the budget left when that statement is sent,
+// not the budget the read began with. The node then refuses a statement
+// sent after the caller's deadline, with no check on the client.
+func TestReadBeginCarriesRemainingBudget(t *testing.T) {
+	_, p := serveDial(t, newTPCNode(t, "s"), ClientOptions{})
+	start := time.Now()
+	h, err := p.TxBegin(true, nil, 100*time.Millisecond, obs.TraceContext{})
+	if err != nil {
+		t.Fatalf("begin: %v", err)
+	}
+	time.Sleep(time.Until(start.Add(60 * time.Millisecond)))
+	if _, err := p.TxExec(h, `SELECT v FROM kv WHERE k = 1`, nil); err != nil {
+		t.Fatalf("first statement at 60ms of a 100ms budget: %v", err)
+	}
+	time.Sleep(time.Until(start.Add(120 * time.Millisecond)))
+	if _, err := p.TxExec(h, `SELECT v FROM kv WHERE k = 2`, nil); !errors.Is(err, replica.ErrDeadlineExpired) {
+		t.Fatalf("second statement at 120ms of a 100ms budget: err = %v, want ErrDeadlineExpired", err)
+	}
+	if err := p.TxRollback(h); err != nil {
+		t.Fatalf("rollback: %v", err)
+	}
+	if n := openSessions(p); n != 0 {
+		t.Fatalf("%d session records left", n)
 	}
 }

@@ -26,6 +26,12 @@ unformatted=$(gofmt -l .)
 echo "==> go vet"
 go vet ./...
 
+echo "==> benchmark module (go vet + go test)"
+# benchmark/ is a module of its own over this one: an internal API change
+# that breaks it, or a replica.Peer method its decorators lack, fails here
+# rather than only in the perf pipeline.
+(cd benchmark && go vet . && go test -count=1 .)
+
 echo "==> dmv-vet (memory-safety + protocol-invariant analyzers, all nine)"
 # The suite emits -json (stable machine-readable diagnostics) which the
 # driver's own -fmt mode re-renders as sorted diff-friendly text; the
@@ -47,7 +53,7 @@ echo "==> faultnet chaos leg (seeded partitions, RPC deadlines, gray-failure det
 # byte-for-byte: rerun the named test with the same seed from the source.
 go test -race -count=1 ./internal/faultnet/
 go test -tags dmvdebug -race -count=1 \
-	-run 'TestPartitionedMasterFailover|TestStalledPeerDeadline|TestReconnectAfterConnDrop|TestRetryBudgetExhausted|TestOverloadDuringPartitionedFailover|TestRemotePlane|TestSetSubscribersReusesAndClosesClients|TestReadTxnRoundTrips|TestExpiredCommitReleasesSession|TestReadBegin' \
+	-run 'TestPartitionedMasterFailover|TestStalledPeerDeadline|TestReconnectAfterConnDrop|TestRetryBudgetExhausted|TestOverloadDuringPartitionedFailover|TestRemotePlane|TestSetSubscribersReusesAndClosesClients|TestReadTxnRoundTrips|TestExpiredCommitReleasesSession|TestReadBegin|TestReadCommitAfterDeadlineMatchesInProcess' \
 	./internal/transport/
 # The call multiplexer: a timed-out call keeps the connection, and a late
 # reply is never taken for another call's. Ten runs, since a crossed reply
