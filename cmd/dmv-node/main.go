@@ -122,7 +122,7 @@ func run() error {
 	}
 	defer srv.Close()
 	if reg != nil {
-		mln, err := obs.ServeWith(*metrics, reg, obs.ServeOptions{Pprof: *pprofOn})
+		mln, err := obs.Serve(*metrics, reg, obs.ServeOptions{Pprof: *pprofOn})
 		if err != nil {
 			return err
 		}

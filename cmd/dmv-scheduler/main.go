@@ -115,7 +115,7 @@ func run() error {
 		if *flightSamp > 0 {
 			rec.StartSampler(*flightSamp)
 		}
-		mln, err := obs.ServeWith(*metrics, reg, obs.ServeOptions{Cluster: agg.Current, Pprof: *pprofOn})
+		mln, err := obs.Serve(*metrics, reg, obs.ServeOptions{Cluster: agg.Current, Pprof: *pprofOn})
 		if err != nil {
 			return err
 		}

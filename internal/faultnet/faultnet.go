@@ -1,7 +1,7 @@
 // Package faultnet is a deterministic network fault-injection plane for
 // tests. It wraps real TCP listeners and dialers so a multi-node cluster
-// talking over genuine sockets can be partitioned, delayed, throttled, or
-// reset from a test script, reproducibly from a single seed.
+// talking over genuine sockets can be partitioned, delayed, or reset from
+// a test script, reproducibly from a single seed.
 //
 // Endpoints are named ("m", "s0", "sched"). A process listens through
 // Network.Listen(name, addr) and dials through the function returned by
@@ -13,7 +13,6 @@
 //	nw.PartitionOneWay("m", "s0")// m's sends to s0 stall; replies still flow
 //	nw.Isolate("m")              // every route touching m is cut
 //	nw.SetDelay("sched", "s1", 5*time.Millisecond, time.Millisecond)
-//	nw.SetBandwidth("m", "s0", 64<<10)
 //	nw.SetDrop("m", "s1", 0.01)  // seeded: each delivery may blackhole the conn
 //	nw.ResetLink("sched", "m")   // mid-stream RST: both ends see a conn error
 //	nw.Heal("sched", "m") / nw.HealAll()
@@ -47,11 +46,10 @@ type route struct{ from, to string }
 // Rule is the fault policy for one directed route. The zero Rule is a
 // healthy link.
 type Rule struct {
-	Cut         bool          // stall all bytes until healed
-	Drop        float64       // per-delivery probability of blackholing the conn
-	Delay       time.Duration // fixed one-way latency
-	Jitter      time.Duration // uniform extra latency in [0, Jitter)
-	BytesPerSec int           // bandwidth cap; 0 = unlimited
+	Cut    bool          // stall all bytes until healed
+	Drop   float64       // per-delivery probability of blackholing the conn
+	Delay  time.Duration // fixed one-way latency
+	Jitter time.Duration // uniform extra latency in [0, Jitter)
 }
 
 // Network owns the endpoint registry and the per-route fault rules.
@@ -221,16 +219,6 @@ func (nw *Network) SetDelay(from, to string, delay, jitter time.Duration) {
 	nw.bumpLocked()
 }
 
-// SetBandwidth caps from->to throughput in bytes per second.
-func (nw *Network) SetBandwidth(from, to string, bytesPerSec int) {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	r := nw.rules[route{from, to}]
-	r.BytesPerSec = bytesPerSec
-	nw.rules[route{from, to}] = r
-	nw.bumpLocked()
-}
-
 // SetDrop makes each from->to delivery blackhole the connection with
 // probability p, decided by the seeded generator.
 func (nw *Network) SetDrop(from, to string, p float64) {
@@ -292,7 +280,7 @@ func (c *Conn) reset() {
 
 // Write applies the from->to rule, then forwards to the real socket.
 func (c *Conn) Write(p []byte) (int, error) {
-	if err := c.gate(c.from, c.to, len(p)); err != nil {
+	if err := c.gate(c.from, c.to, true); err != nil {
 		return 0, err
 	}
 	return c.Conn.Write(p)
@@ -312,16 +300,16 @@ func (c *Conn) Read(p []byte) (int, error) {
 		}
 		return n, err
 	}
-	if gerr := c.gate(c.to, c.from, 0); gerr != nil {
+	if gerr := c.gate(c.to, c.from, false); gerr != nil {
 		return 0, gerr
 	}
 	return n, nil
 }
 
 // gate blocks while the directed route is cut or the conn is blackholed,
-// rolls the drop dice, and charges latency and bandwidth. nbytes is 0 for
-// the read direction (bandwidth is charged once, on the sender's side).
-func (c *Conn) gate(from, to string, nbytes int) error {
+// rolls the drop dice, and charges latency. The drop dice roll only for a
+// send, so one delivery is judged once.
+func (c *Conn) gate(from, to string, send bool) error {
 	for {
 		c.nw.mu.Lock()
 		c.mu.Lock()
@@ -329,7 +317,7 @@ func (c *Conn) gate(from, to string, nbytes int) error {
 		c.mu.Unlock()
 		r := c.nw.ruleLocked(from, to)
 		if !r.Cut && !dead {
-			if nbytes > 0 && r.Drop > 0 && c.nw.rng.Float64() < r.Drop {
+			if send && r.Drop > 0 && c.nw.rng.Float64() < r.Drop {
 				// Lost segment: the stream stalls from here on.
 				c.mu.Lock()
 				c.dead = true
@@ -340,9 +328,6 @@ func (c *Conn) gate(from, to string, nbytes int) error {
 			sleep := r.Delay
 			if r.Jitter > 0 {
 				sleep += time.Duration(c.nw.rng.Int63n(int64(r.Jitter)))
-			}
-			if r.BytesPerSec > 0 && nbytes > 0 {
-				sleep += time.Duration(float64(nbytes) / float64(r.BytesPerSec) * float64(time.Second))
 			}
 			c.nw.mu.Unlock()
 			if sleep > 0 {

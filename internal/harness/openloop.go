@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"container/heap"
 	"errors"
 	"math/rand"
 	"sort"
@@ -89,8 +88,7 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 // work. The arrival schedule is fully determined by Seed — the dispatcher
 // draws inter-arrival gaps from one seeded RNG on a single goroutine — but
 // completions race real concurrency, so only the schedule (not the
-// outcome counts) is bit-reproducible here; SimulateOpenLoop is the
-// deterministic twin.
+// outcome counts) is bit-reproducible.
 func RunOpenLoop(cfg OpenLoopConfig) *OpenLoopResult {
 	if cfg.Clock == nil {
 		cfg.Clock = RealClock{}
@@ -170,184 +168,5 @@ func RunOpenLoop(cfg OpenLoopConfig) *OpenLoopResult {
 	res.P50Latency = quantile(samples, 0.50)
 	res.P95Latency = quantile(samples, 0.95)
 	res.P99Latency = quantile(samples, 0.99)
-	return res
-}
-
-// --- deterministic open-loop simulation ---------------------------------------
-
-// SimConfig parameterizes the discrete-event open-loop simulation: a
-// k-server queue with exponential service, a bounded FIFO, per-arrival
-// deadlines, and the scheduler's own CoDel shed law. Everything runs in
-// virtual time on one goroutine, so the same seed produces bit-identical
-// results — the property the determinism test asserts and the reason
-// scheduler.CoDel takes explicit timestamps instead of reading the clock.
-type SimConfig struct {
-	Rate     float64       // mean arrivals per second
-	Duration time.Duration // arrival-generation horizon (virtual)
-	Seed     int64
-	Servers  int           // concurrent service slots (admission Slots)
-	Service  time.Duration // mean exponential service time
-	QueueCap int           // bounded queue beyond the slots
-	// CoDel parameters (defaults mirror scheduler.AdmissionOptions).
-	Target   time.Duration
-	Interval time.Duration
-	// Deadline abandons arrivals still queued this long after arriving
-	// (0 = none).
-	Deadline time.Duration
-	// Burst episodes, as in OpenLoopConfig.
-	BurstEvery  time.Duration
-	BurstLen    time.Duration
-	BurstFactor float64
-}
-
-// SimResult is the deterministic run summary.
-type SimResult struct {
-	Offered  int64
-	Done     int64
-	Shed     int64
-	Expired  int64
-	Goodput  float64 // completions per virtual second of the horizon
-	MaxQueue int     // peak queue depth (bounded-memory check)
-	ShedOn   int     // CoDel shed-mode entries (hysteresis check)
-
-	AvgLatency time.Duration
-	P95Latency time.Duration
-}
-
-// simEvent is one scheduled occurrence in virtual time.
-type simEvent struct {
-	at   time.Duration
-	seq  int64 // tie-break: FIFO among simultaneous events
-	kind int   // 0 arrival, 1 departure
-	arr  time.Duration
-}
-
-type simHeap []simEvent
-
-func (h simHeap) Len() int { return len(h) }
-func (h simHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h simHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *simHeap) Push(x any)   { *h = append(*h, x.(simEvent)) }
-func (h *simHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	*h = old[:n-1]
-	return ev
-}
-
-// SimulateOpenLoop runs the open-loop overload model in virtual time.
-func SimulateOpenLoop(cfg SimConfig) SimResult {
-	if cfg.Servers <= 0 {
-		cfg.Servers = 1
-	}
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 4 * cfg.Servers
-	}
-	if cfg.Target <= 0 {
-		cfg.Target = 5 * time.Millisecond
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 100 * time.Millisecond
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	base := time.Unix(0, 0) // virtual epoch for the CoDel timestamps
-	codel := scheduler.CoDel{Target: cfg.Target, Interval: cfg.Interval}
-
-	var (
-		res       SimResult
-		events    simHeap
-		seq       int64
-		busy      int
-		queue     []time.Duration // arrival times of queued jobs, FIFO
-		latencies []time.Duration
-	)
-	ol := OpenLoopConfig{Rate: cfg.Rate, BurstEvery: cfg.BurstEvery, BurstLen: cfg.BurstLen, BurstFactor: cfg.BurstFactor}
-	push := func(ev simEvent) {
-		ev.seq = seq
-		seq++
-		heap.Push(&events, ev)
-	}
-	drawService := func() time.Duration {
-		return time.Duration(rng.ExpFloat64() * float64(cfg.Service))
-	}
-	// Seed the first arrival.
-	first := time.Duration(rng.ExpFloat64() / burstRate(&ol, 0) * float64(time.Second))
-	if first <= cfg.Duration {
-		push(simEvent{at: first, kind: 0})
-	}
-	grant := func(now time.Duration) {
-		for busy < cfg.Servers && len(queue) > 0 {
-			arr := queue[0]
-			queue = queue[1:]
-			if cfg.Deadline > 0 && now-arr > cfg.Deadline {
-				res.Expired++
-				continue
-			}
-			wasShedding := codel.Shedding()
-			codel.Observe(now-arr, base.Add(now))
-			if !wasShedding && codel.Shedding() {
-				res.ShedOn++
-			}
-			busy++
-			push(simEvent{at: now + drawService(), kind: 1, arr: arr})
-		}
-		if len(queue) == 0 && codel.Shedding() {
-			codel.OnEmpty(base.Add(now))
-		}
-	}
-	for events.Len() > 0 {
-		ev := heap.Pop(&events).(simEvent)
-		now := ev.at
-		switch ev.kind {
-		case 0: // arrival
-			res.Offered++
-			// Schedule the next arrival first so RNG draw order is a pure
-			// function of the arrival sequence.
-			gap := time.Duration(rng.ExpFloat64() / burstRate(&ol, now) * float64(time.Second))
-			if next := now + gap; next <= cfg.Duration {
-				push(simEvent{at: next, kind: 0})
-			}
-			switch {
-			case codel.Shedding():
-				res.Shed++
-			case busy < cfg.Servers:
-				wasShedding := codel.Shedding()
-				codel.Observe(0, base.Add(now))
-				_ = wasShedding
-				busy++
-				push(simEvent{at: now + drawService(), kind: 1, arr: now})
-			case len(queue) >= cfg.QueueCap:
-				res.Shed++
-			default:
-				queue = append(queue, now)
-				if len(queue) > res.MaxQueue {
-					res.MaxQueue = len(queue)
-				}
-			}
-		case 1: // departure
-			busy--
-			res.Done++
-			latencies = append(latencies, now-ev.arr)
-			grant(now)
-		}
-	}
-	if cfg.Duration > 0 {
-		res.Goodput = float64(res.Done) / cfg.Duration.Seconds()
-	}
-	var sum time.Duration
-	for _, l := range latencies {
-		sum += l
-	}
-	if len(latencies) > 0 {
-		res.AvgLatency = sum / time.Duration(len(latencies))
-	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	res.P95Latency = quantile(latencies, 0.95)
 	return res
 }

@@ -3,8 +3,9 @@
 //
 // It is the Go analogue of the paper's REPLICATED_HEAP MySQL table type:
 // MySQL HEAP tables (RB-tree indexed, page-organized rows) made
-// transactional with an undo log and per-page two-phase locking, plus
-// write-set capture for replication. The same engine, configured with a
+// transactional with per-page two-phase locking and write-set capture for
+// replication; an aborting transaction replays its write-set backwards from
+// the before-images. The same engine, configured with a
 // synthetic disk cost model (package simdisk), doubles as the InnoDB-like
 // on-disk baseline.
 //

@@ -3,6 +3,7 @@ package heap
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -171,14 +172,6 @@ func (tx *ReadTx) Delete(int, page.RowID) error { return ErrReadOnly }
 // Update transactions
 // ---------------------------------------------------------------------------
 
-type undoOp struct {
-	t      *Table
-	pg     *page.Page
-	kind   page.OpKind
-	rid    page.RowID
-	before value.Row
-}
-
 type idxOp struct {
 	table int
 	ix    *Index
@@ -189,14 +182,14 @@ type idxOp struct {
 
 // UpdateTx is an update transaction executing on a master database under
 // strict two-phase page locking. It must be used by a single goroutine.
+// Its write-set records are also its undo log: Commit broadcasts them and
+// Rollback replays them backwards from their before-images.
 type UpdateTx struct {
 	e      *Engine
 	id     uint64
 	locked map[*page.Page]struct{}
 	order  []*page.Page
-	undo   []undoOp
 	recs   []Record
-	tables map[int]struct{}
 	ovl    []idxOp
 	done   bool
 	trace  obs.TraceContext
@@ -218,7 +211,6 @@ func (e *Engine) BeginUpdate() *UpdateTx {
 		e:      e,
 		id:     e.nextTxID(),
 		locked: make(map[*page.Page]struct{}, 8),
-		tables: make(map[int]struct{}, 4),
 	}
 }
 
@@ -459,7 +451,6 @@ func (tx *UpdateTx) Insert(table int, row value.Row) (page.RowID, error) {
 	}
 	pg.XApply(page.RowOp{Kind: page.OpInsert, Row: rid, Data: r})
 	t.setLoc(rid, pg)
-	tx.undo = append(tx.undo, undoOp{t: t, pg: pg, kind: page.OpInsert, rid: rid})
 	tx.recs = append(tx.recs, Record{
 		Table: table,
 		Page:  pg.ID(),
@@ -468,7 +459,6 @@ func (tx *UpdateTx) Insert(table int, row value.Row) (page.RowID, error) {
 	for _, ix := range indexes {
 		tx.ovl = append(tx.ovl, idxOp{table: table, ix: ix, key: ix.keyOf(r), rid: rid, add: true})
 	}
-	tx.tables[table] = struct{}{}
 	return rid, nil
 }
 
@@ -505,10 +495,10 @@ func (tx *UpdateTx) Update(table int, rid page.RowID, row value.Row) error {
 	}
 	// The before-image stays a copy: it leaves the page in the write-set
 	// (Record.Old, read by every replica and the persistence tier) and in
-	// the undo log, where the seal checks on the read path do not reach.
+	// Rollback's before-image, where the seal checks on the read path do not
+	// reach.
 	beforeCopy := before.Clone()
 	pg.XApply(page.RowOp{Kind: page.OpUpdate, Row: rid, Data: r})
-	tx.undo = append(tx.undo, undoOp{t: t, pg: pg, kind: page.OpUpdate, rid: rid, before: beforeCopy})
 	tx.recs = append(tx.recs, Record{
 		Table: table,
 		Page:  pg.ID(),
@@ -524,7 +514,6 @@ func (tx *UpdateTx) Update(table int, rid page.RowID, row value.Row) error {
 			idxOp{table: table, ix: ix, key: oldKey, rid: rid, add: false},
 			idxOp{table: table, ix: ix, key: newKey, rid: rid, add: true})
 	}
-	tx.tables[table] = struct{}{}
 	return nil
 }
 
@@ -550,7 +539,6 @@ func (tx *UpdateTx) Delete(table int, rid page.RowID) error {
 	}
 	beforeCopy := before.Clone() // a copy, as in Update
 	pg.XApply(page.RowOp{Kind: page.OpDelete, Row: rid})
-	tx.undo = append(tx.undo, undoOp{t: t, pg: pg, kind: page.OpDelete, rid: rid, before: beforeCopy})
 	tx.recs = append(tx.recs, Record{
 		Table: table,
 		Page:  pg.ID(),
@@ -560,7 +548,6 @@ func (tx *UpdateTx) Delete(table int, rid page.RowID) error {
 	for _, ix := range t.allIndexes() {
 		tx.ovl = append(tx.ovl, idxOp{table: table, ix: ix, key: ix.keyOf(beforeCopy), rid: rid, add: false})
 	}
-	tx.tables[table] = struct{}{}
 	return nil
 }
 
@@ -581,31 +568,23 @@ func (tx *UpdateTx) Commit(broadcast func(*WriteSet) error) (vclock.Vector, erro
 		tx.unlockAll()
 		return nil, nil
 	}
-	tables := make([]int, 0, len(tx.tables))
-	for t := range tx.tables {
-		tables = append(tables, t)
+	tables := make([]int, 0, 4)
+	for _, rec := range tx.recs {
+		if !slices.Contains(tables, rec.Table) {
+			tables = append(tables, rec.Table)
+		}
 	}
 	sort.Ints(tables)
 	ver := tx.e.clock.Tick(tables)
 
-	// Stamp modified pages with their table's new version.
-	stamped := make(map[*page.Page]struct{}, len(tx.recs))
+	// Stamp modified pages with their table's new version. Both stamps are
+	// idempotent, so a page written by several records is stamped again.
 	for _, rec := range tx.recs {
-		t, err := tx.e.table(rec.Table)
-		if err != nil {
-			continue
+		if pg := tx.recPage(rec); pg != nil {
+			v := ver.Get(rec.Table)
+			pg.XStamp(v)
+			pg.StampCreateVersion(v)
 		}
-		pg := t.pageAt(rec.Page)
-		if pg == nil {
-			continue
-		}
-		if _, done := stamped[pg]; done {
-			continue
-		}
-		stamped[pg] = struct{}{}
-		v := ver.Get(rec.Table)
-		pg.XStamp(v)
-		pg.StampCreateVersion(v)
 	}
 	for _, tid := range tables {
 		if t, err := tx.e.table(tid); err == nil {
@@ -643,21 +622,34 @@ func (tx *UpdateTx) Commit(broadcast func(*WriteSet) error) (vclock.Vector, erro
 	return ver, nil
 }
 
-// Rollback undoes every modification (before-images) and releases all locks.
+// recPage returns the page a write-set record of this transaction modified.
+func (tx *UpdateTx) recPage(rec Record) *page.Page {
+	t, err := tx.e.table(rec.Table)
+	if err != nil {
+		return nil
+	}
+	return t.pageAt(rec.Page)
+}
+
+// Rollback undoes every modification, replaying the write-set backwards
+// from its before-images, and releases all locks.
 func (tx *UpdateTx) Rollback() error {
 	if tx.done {
 		return nil
 	}
-	for i := len(tx.undo) - 1; i >= 0; i-- {
-		u := tx.undo[i]
-		switch u.kind {
+	for i := len(tx.recs) - 1; i >= 0; i-- {
+		rec := tx.recs[i]
+		pg := tx.recPage(rec)
+		if pg == nil {
+			continue
+		}
+		switch rec.Op.Kind {
 		case page.OpInsert:
-			u.pg.XApply(page.RowOp{Kind: page.OpDelete, Row: u.rid})
+			pg.XApply(page.RowOp{Kind: page.OpDelete, Row: rec.Op.Row})
 		case page.OpUpdate, page.OpDelete:
-			u.pg.XApply(page.RowOp{Kind: page.OpInsert, Row: u.rid, Data: u.before})
+			pg.XApply(page.RowOp{Kind: page.OpInsert, Row: rec.Op.Row, Data: rec.Old})
 		}
 	}
-	tx.undo = nil
 	tx.recs = nil
 	tx.ovl = nil
 	tx.done = true

@@ -2,6 +2,9 @@ package heap
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -223,5 +226,127 @@ func TestEmptyUpdateTxCommit(t *testing.T) {
 	}
 	if ver != nil {
 		t.Fatalf("empty commit produced version %v", ver)
+	}
+}
+
+// TestRollbackRestoresPageImages rolls back a seeded mix of inserts (enough
+// to open a fresh page), updates and deletes that writes several rows more
+// than once, then checks that every page image and every index answer is
+// the one from before the transaction. A rollback that replayed the
+// write-set forwards would leave a twice-updated row at its first update.
+func TestRollbackRestoresPageImages(t *testing.T) {
+	const rows = 10
+	e, tbl := newTestEngine(t) // PageCap 4
+	loadItems(t, e, tbl, rows)
+	// One committed update, so the images carry a non-zero version.
+	setup := e.BeginUpdate()
+	rid, _ := setup.LookupEq(tbl, 0, value.Row{value.NewInt(3)})
+	if err := setup.Update(tbl, rid[0], value.Row{value.NewInt(3), value.NewString("title-three"), value.NewInt(7)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := setup.Commit(nil); err != nil {
+		t.Fatal(err)
+	}
+
+	images := func() map[page.ID]page.Image {
+		out := make(map[page.ID]page.Image)
+		for _, img := range e.FuzzyCheckpoint().Images {
+			out[img.Page] = img
+		}
+		return out
+	}
+	// answers maps every primary key and title the transaction may touch to
+	// the row ids LookupEq returns for it.
+	answers := func() map[string][]page.RowID {
+		tx := e.BeginRead(nil)
+		out := make(map[string][]page.RowID)
+		for pk := 1; pk <= 2*rows; pk++ {
+			for idx, key := range []value.Value{value.NewInt(int64(pk)), value.NewString(fmt.Sprintf("title-%03d", pk))} {
+				got, err := tx.LookupEq(tbl, idx, value.Row{key})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[fmt.Sprintf("%d/%v", idx, key)] = got
+			}
+		}
+		return out
+	}
+	beforeImages, beforeAnswers := images(), answers()
+
+	rng := rand.New(rand.NewSource(44))
+	tx := e.BeginUpdate()
+	live := make(map[int64]page.RowID) // pk -> rid of the rows the txn can still write
+	for pk := int64(1); pk <= rows; pk++ {
+		rids, err := tx.LookupEq(tbl, 0, value.Row{value.NewInt(pk)})
+		if err != nil || len(rids) != 1 {
+			t.Fatalf("LookupEq(%d) = %v, %v", pk, rids, err)
+		}
+		live[pk] = rids[0]
+	}
+	next := int64(rows + 1)
+	for range 5 { // PageCap 4: the fifth insert at the latest opens a fresh page
+		r, err := tx.Insert(tbl, value.Row{value.NewInt(next), value.NewString(fmt.Sprintf("title-%03d", next)), value.NewInt(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[next] = r
+		next++
+	}
+	for step := 0; step < 40 && len(live) > 0; step++ {
+		pk := int64(rng.Intn(int(next-1))) + 1
+		r, ok := live[pk]
+		if !ok {
+			continue
+		}
+		if rng.Intn(5) == 0 {
+			if err := tx.Delete(tbl, r); err != nil {
+				t.Fatal(err)
+			}
+			delete(live, pk)
+			continue
+		}
+		title := fmt.Sprintf("title-%03d", pk)
+		if rng.Intn(2) == 0 {
+			title = fmt.Sprintf("title-%03d", rows+int(pk)) // moves the secondary key
+		}
+		if err := tx.Update(tbl, r, value.Row{value.NewInt(pk), value.NewString(title), value.NewInt(int64(step))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(tx.recs) < 2*rows {
+		t.Fatalf("the mix wrote %d records, want at least %d", len(tx.recs), 2*rows)
+	}
+	writes := make(map[page.RowID]int)
+	for _, rec := range tx.recs {
+		writes[rec.Op.Row]++
+	}
+	rewritten := 0
+	for _, n := range writes {
+		if n > 1 {
+			rewritten++
+		}
+	}
+	if rewritten == 0 {
+		t.Fatal("the mix wrote no row twice")
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+
+	afterImages := images()
+	if len(afterImages) <= len(beforeImages) {
+		t.Fatalf("%d pages after the inserts, %d before: no fresh page opened", len(afterImages), len(beforeImages))
+	}
+	for id, img := range afterImages {
+		want, existed := beforeImages[id]
+		switch {
+		case !existed && len(img.Rows) != 0:
+			t.Errorf("fresh page %d keeps %d rows after rollback", id, len(img.Rows))
+		case existed && !reflect.DeepEqual(img, want):
+			t.Errorf("page %d after rollback:\n got %+v\nwant %+v", id, img, want)
+		}
+	}
+	if got := answers(); !reflect.DeepEqual(got, beforeAnswers) {
+		t.Errorf("LookupEq answers after rollback:\n got %v\nwant %v", got, beforeAnswers)
 	}
 }

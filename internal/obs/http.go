@@ -42,30 +42,13 @@ func writeSnapshotText(w io.Writer, snap Snapshot) {
 	}
 }
 
-// Handler serves the observability endpoints:
-//
-//	/metrics  — text exposition of every counter, gauge, and histogram
-//	          (with per-histogram p50/p95/p99 quantile lines)
-//	/trace    — JSON dump of the span ring buffer (oldest first)
-//	/stitch   — one trace's spans in causal order (?trace=<id>, default:
-//	          the most recent root span's trace)
-//	/timeline — JSON dump of the cluster event timeline
-func (r *Registry) Handler() http.Handler {
-	return r.handler(nil)
-}
-
-// HandlerWithCluster is Handler plus a /cluster endpoint serving the
-// aggregated snapshot from fetch (JSON by default, the text exposition of
-// the merged metrics with ?format=text). /stitch additionally searches the
-// aggregated spans, so a trace spanning several processes stitches whole.
-func (r *Registry) HandlerWithCluster(fetch func() ClusterSnapshot) http.Handler {
-	return r.handler(fetch)
-}
-
-// ServeOptions configure ServeWith beyond the bare registry endpoints.
+// ServeOptions configure Serve beyond the bare registry endpoints.
 type ServeOptions struct {
-	// Cluster, if non-nil, adds the /cluster aggregation endpoint (see
-	// HandlerWithCluster).
+	// Cluster, if non-nil, adds a /cluster endpoint serving the aggregated
+	// snapshot from Cluster (JSON by default, the text exposition of the
+	// merged metrics with ?format=text), and /stitch also searches the
+	// aggregated spans, so a trace spanning several processes stitches
+	// whole. The scheduler's scrape loop supplies it (Aggregator.Current).
 	Cluster func() ClusterSnapshot
 	// Pprof mounts the stdlib net/http/pprof handlers under /debug/pprof/
 	// on the same mux, so CPU/heap profiles are grabbable from the metrics
@@ -75,11 +58,17 @@ type ServeOptions struct {
 	Pprof bool
 }
 
-func (r *Registry) handler(fetch func() ClusterSnapshot) http.Handler {
-	return r.handlerWith(ServeOptions{Cluster: fetch})
-}
-
-func (r *Registry) handlerWith(o ServeOptions) http.Handler {
+// handler builds the mux for the observability endpoints:
+//
+//	/metrics  — text exposition of every counter, gauge, and histogram
+//	          (with per-histogram p50/p95/p99 quantile lines)
+//	/trace    — JSON dump of the span ring buffer (oldest first)
+//	/stitch   — one trace's spans in causal order (?trace=<id>, default:
+//	          the most recent root span's trace)
+//	/timeline — JSON dump of the cluster event timeline
+//
+// plus /cluster and /debug/pprof/ as o asks.
+func (r *Registry) handler(o ServeOptions) http.Handler {
 	fetch := o.Cluster
 	mux := http.NewServeMux()
 	if o.Pprof {
@@ -160,29 +149,16 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// Serve exposes the registry's endpoints on addr in a background
-// goroutine. The returned listener stops the server when closed. Used by
-// the -metrics-addr flag of cmd/dmv-node and cmd/dmv-scheduler.
-func Serve(addr string, r *Registry) (net.Listener, error) {
-	return serve(addr, r.Handler())
-}
-
-// ServeCluster is Serve with the /cluster aggregation endpoint (the
-// scheduler's scrape loop supplies fetch, usually Aggregator.Current).
-func ServeCluster(addr string, r *Registry, fetch func() ClusterSnapshot) (net.Listener, error) {
-	return serve(addr, r.HandlerWithCluster(fetch))
-}
-
-// ServeWith is Serve with explicit options (cluster endpoint, pprof).
-func ServeWith(addr string, r *Registry, o ServeOptions) (net.Listener, error) {
-	return serve(addr, r.handlerWith(o))
-}
-
-func serve(addr string, h http.Handler) (net.Listener, error) {
+// Serve exposes the registry's endpoints (see handler) on addr in a
+// background goroutine. The returned listener stops the server when
+// closed. Used by the -metrics-addr flag of cmd/dmv-node and
+// cmd/dmv-scheduler.
+func Serve(addr string, r *Registry, o ServeOptions) (net.Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	h := r.handler(o)
 	go func() {
 		// Serve returns when the listener is closed; the error carries no
 		// information the daemon can act on at that point.

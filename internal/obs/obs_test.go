@@ -250,7 +250,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	r.Counter(SchedReadTxns).Add(2)
 	r.Tracer().Begin("read").Finish("commit", "")
 	r.Timeline().Record(Event{Kind: "node-failed", Node: "node0"})
-	ln, err := Serve("127.0.0.1:0", r)
+	ln, err := Serve("127.0.0.1:0", r, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -247,7 +247,7 @@ func TestClusterEndpointAndAggregator(t *testing.T) {
 		Nodes:    []NodeLag{{Node: "slave0", Role: "slave", Lag: []uint64{1}, PendingMods: 2}},
 		Merged:   Snapshot{Counters: map[string]int64{SchedReadTxns: 7}},
 	})
-	ln, err := ServeCluster("127.0.0.1:0", r, agg.Current)
+	ln, err := Serve("127.0.0.1:0", r, ServeOptions{Cluster: agg.Current})
 	if err != nil {
 		t.Fatal(err)
 	}

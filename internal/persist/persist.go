@@ -251,15 +251,15 @@ func (t *Tier) Base() int {
 // Flush blocks until every non-quarantined backend has applied the log as
 // of the call. A quarantined backend would block Flush forever (its mark
 // is frozen); it is skipped and remains visible via the quarantine gauge.
+// Each check and its wait share one hold of t.mu, so the applier's
+// broadcast cannot fall between them and be lost.
 func (t *Tier) Flush() {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	target := t.base + len(t.log)
-	t.mu.Unlock()
 	for _, b := range t.backs {
 		for !b.Quarantined() && b.Applied() < target {
-			t.mu.Lock()
 			t.cond.Wait()
-			t.mu.Unlock()
 		}
 	}
 }

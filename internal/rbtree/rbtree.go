@@ -173,34 +173,6 @@ func (t *Tree[K, V]) ascend(h *node[K, V], from *K, fn func(K, V) bool) bool {
 	return t.ascend(h.right, from, fn)
 }
 
-// Descend calls fn for each key/value in descending order, stopping when fn
-// returns false.
-func (t *Tree[K, V]) Descend(fn func(K, V) bool) { t.descend(t.root, fn) }
-
-func (t *Tree[K, V]) descend(h *node[K, V], fn func(K, V) bool) bool {
-	if h == nil {
-		return true
-	}
-	if !t.descend(h.right, fn) {
-		return false
-	}
-	if !fn(h.key, h.val) {
-		return false
-	}
-	return t.descend(h.left, fn)
-}
-
-// Min returns the smallest key, if any.
-func (t *Tree[K, V]) Min() (K, V, bool) {
-	if t.root == nil {
-		var zk K
-		var zv V
-		return zk, zv, false
-	}
-	m := min(t.root)
-	return m.key, m.val, true
-}
-
 // internal balancing helpers (Sedgewick LLRB).
 
 func isRed[K any, V any](h *node[K, V]) bool { return h != nil && h.color == red }

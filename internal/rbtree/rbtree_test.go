@@ -184,34 +184,6 @@ func TestAscendFrom(t *testing.T) {
 	}
 }
 
-func TestDescend(t *testing.T) {
-	tr := intTree()
-	for _, k := range []int{3, 1, 2} {
-		tr.Put(k, k)
-	}
-	var got []int
-	tr.Descend(func(k, _ int) bool {
-		got = append(got, k)
-		return true
-	})
-	if got[0] != 3 || got[2] != 1 {
-		t.Fatalf("descend = %v", got)
-	}
-}
-
-func TestMin(t *testing.T) {
-	tr := intTree()
-	if _, _, ok := tr.Min(); ok {
-		t.Fatal("empty tree has no min")
-	}
-	tr.Put(5, 50)
-	tr.Put(2, 20)
-	k, v, ok := tr.Min()
-	if !ok || k != 2 || v != 20 {
-		t.Fatalf("min = %d,%d,%v", k, v, ok)
-	}
-}
-
 // TestSortedInvariantProperty uses testing/quick: any key set inserted in
 // any order iterates sorted and fully.
 func TestSortedInvariantProperty(t *testing.T) {

@@ -206,9 +206,8 @@ type Node struct {
 	stallMu sync.Mutex
 	stallCh chan struct{} // guarded by stallMu
 
-	roleMu      sync.RWMutex
-	role        Role  // guarded by roleMu
-	classTables []int // guarded by roleMu
+	roleMu sync.RWMutex
+	role   Role // guarded by roleMu
 
 	// commitMu serializes version ticks with write-set broadcasts so every
 	// subscriber observes one ordered stream per master.
@@ -799,7 +798,9 @@ func (n *Node) AbortActiveSessions() (int, error) {
 // Promote implements Peer: the node becomes master for the given conflict
 // class. It materializes all buffered modifications (its state must be fully
 // current before executing updates) and resets insert cursors so it never
-// shares an insert page with the failed master's unreplicated tail.
+// shares an insert page with the failed master's unreplicated tail. The
+// node keeps no copy of classTables: the scheduler routes the class's
+// updates here, and the node serves whatever it is sent.
 func (n *Node) Promote(classTables []int) error {
 	if err := n.check(); err != nil {
 		return err
@@ -811,7 +812,6 @@ func (n *Node) Promote(classTables []int) error {
 	n.eng.Clock().Advance(n.eng.MaxVersions())
 	n.roleMu.Lock()
 	n.role = RoleMaster
-	n.classTables = append([]int(nil), classTables...)
 	n.roleMu.Unlock()
 	n.noteRole(RoleMaster)
 	return nil
@@ -825,7 +825,6 @@ func (n *Node) Demote(to Role) error {
 	}
 	n.roleMu.Lock()
 	n.role = to
-	n.classTables = nil
 	n.roleMu.Unlock()
 	n.noteRole(to)
 	return nil

@@ -67,18 +67,16 @@ func (o AdmissionOptions) withDefaults() AdmissionOptions {
 	return o
 }
 
-// CoDel is the controlled-delay shed law as a pure state machine: feed it
-// queue-sojourn observations with explicit timestamps and it decides when
-// to enter and leave shed mode. It never reads the wall clock itself, so
-// the concurrent Admitter and the single-threaded open-loop simulation in
-// internal/harness run the identical law — the determinism test depends on
-// this.
+// codel is the Admitter's controlled-delay shed law as a pure state
+// machine: feed it queue-sojourn observations with explicit timestamps and
+// it decides when to enter and leave shed mode. It never reads the wall
+// clock itself, so a test can drive it on any clock.
 //
 // Entry: sojourn stays at or above Target for a full Interval with no
 // below-target observation in between. Exit (hysteresis): one observation
 // below Target/2, or the queue draining empty. Not safe for concurrent use;
 // the Admitter serializes access under its mutex.
-type CoDel struct {
+type codel struct {
 	Target   time.Duration
 	Interval time.Duration
 
@@ -88,7 +86,7 @@ type CoDel struct {
 
 // Observe feeds one head-of-queue sojourn measured at now and returns
 // whether shed mode is active after the observation.
-func (c *CoDel) Observe(sojourn time.Duration, now time.Time) bool {
+func (c *codel) Observe(sojourn time.Duration, now time.Time) bool {
 	if c.shedding {
 		if sojourn < c.Target/2 {
 			c.shedding = false
@@ -112,15 +110,13 @@ func (c *CoDel) Observe(sojourn time.Duration, now time.Time) bool {
 
 // OnEmpty reports that every queue drained: a standing queue cannot exist
 // without members, so shed mode ends.
-func (c *CoDel) OnEmpty(now time.Time) bool {
-	_ = now
+func (c *codel) OnEmpty() {
 	c.shedding = false
 	c.firstAbove = time.Time{}
-	return false
 }
 
 // Shedding reports whether shed mode is active.
-func (c *CoDel) Shedding() bool { return c.shedding }
+func (c *codel) Shedding() bool { return c.shedding }
 
 // admitWaiter is one arrival parked in a class queue.
 type admitWaiter struct {
@@ -138,7 +134,7 @@ type admitClass struct {
 
 // Admitter is the bounded admission queue in front of transaction begin:
 // per-class occupancy slots, a bounded FIFO of waiters per class, and one
-// shared CoDel law deciding when to shed. All shared state lives under mu;
+// CoDel law deciding when to shed. All shared state lives under mu;
 // the flight trigger and timeline event for shed transitions fire after
 // unlock (they cross into other subsystems).
 type Admitter struct {
@@ -154,7 +150,7 @@ type Admitter struct {
 
 	mu      sync.Mutex
 	classes []admitClass // slice header immutable after construction; element fields carry their own guards
-	codel   CoDel        // guarded by mu
+	codel   codel        // guarded by mu
 	rng     *rand.Rand   // guarded by mu; retry-after jitter
 }
 
@@ -173,7 +169,7 @@ func newAdmitter(opts AdmissionOptions, numClasses int, seed int64, reg *obs.Reg
 		shedGauge: reg.Gauge(obs.SchedAdmitShedding),
 		sojournUS: reg.Histogram(obs.SchedAdmitSojournUS),
 		classes:   make([]admitClass, numClasses+1),
-		codel:     CoDel{Target: opts.TargetSojourn, Interval: opts.Interval},
+		codel:     codel{Target: opts.TargetSojourn, Interval: opts.Interval},
 		rng:       rand.New(rand.NewSource(seed)),
 	}
 }
@@ -376,7 +372,7 @@ func (a *Admitter) grantLocked(class int, now time.Time) (granted []*admitWaiter
 		sojourns = append(sojourns, soj)
 	}
 	if a.queuedLocked() == 0 && a.codel.Shedding() {
-		a.codel.OnEmpty(now)
+		a.codel.OnEmpty()
 		transition = -1
 	}
 	return granted, sojourns, transition, a.queuedLocked()

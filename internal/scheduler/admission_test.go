@@ -18,7 +18,7 @@ import (
 func TestCoDelHysteresis(t *testing.T) {
 	target := 5 * time.Millisecond
 	interval := 100 * time.Millisecond
-	c := CoDel{Target: target, Interval: interval}
+	c := codel{Target: target, Interval: interval}
 	t0 := time.Unix(0, 0)
 
 	// A spike shorter than the interval never sheds.
@@ -53,7 +53,7 @@ func TestCoDelHysteresis(t *testing.T) {
 	if !c.Observe(2*target, base.Add(2*time.Second+interval)) {
 		t.Fatal("no shed on second sustained run")
 	}
-	c.OnEmpty(base.Add(3 * time.Second))
+	c.OnEmpty()
 	if c.Shedding() {
 		t.Fatal("still shedding after the queue drained empty")
 	}

@@ -105,7 +105,7 @@ func TestLowWaterTracksOutstandingReaders(t *testing.T) {
 	s.ReportVersion(vclock.Vector{5, 0, 0, 0})
 
 	// Open a read session pinned at version 5.
-	tx, err := s.Begin(TxnSpec{ReadOnly: true})
+	tx, err := s.begin(TxnSpec{ReadOnly: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,8 +34,8 @@ type TxnSpec struct {
 // that replica with per-statement round trips, exactly as the PHP
 // application server talks to the database tier in the paper's setup.
 //
-// Txns come from Scheduler.Begin (explicit sessions, used by the RPC
-// transport) or implicitly inside Scheduler.Run (which adds retries).
+// Scheduler.Run opens one Txn per attempt and retries the attempts that
+// abort.
 type Txn struct {
 	sched    *Scheduler
 	peer     replica.Peer
@@ -209,13 +209,6 @@ func (s *Scheduler) runOnce(spec TxnSpec, fn func(tx *Txn) error) error {
 	return nil
 }
 
-// Begin opens one transaction session: read-only transactions are tagged
-// with the latest version vector and placed by the version-aware policy;
-// updates go to their conflict-class master. The caller must finish the
-// session with Commit or Rollback. Begin does not retry — Run adds retry
-// semantics on top.
-func (s *Scheduler) Begin(spec TxnSpec) (*Txn, error) { return s.begin(spec, nil) }
-
 // remainingBudget converts the spec deadline into the duration budget the
 // replica call carries (0 = unbounded; an error when already expired).
 func (s *Scheduler) remainingBudget(deadline time.Time) (time.Duration, error) {
@@ -230,7 +223,11 @@ func (s *Scheduler) remainingBudget(deadline time.Time) (time.Duration, error) {
 	return left, nil
 }
 
-// begin implements Begin, annotating the optional trace span with the
+// begin opens one transaction session: read-only transactions are tagged
+// with the latest version vector and placed by the version-aware policy;
+// updates go to their conflict-class master. The caller must finish the
+// session with Commit or Rollback. begin does not retry — Run adds retry
+// semantics on top. The optional trace span is annotated with the
 // lifecycle stages (admission, version tagging, replica selection, session
 // begin). When admission control is enabled the bounded queue is the very
 // first gate: an overloaded scheduler rejects here, in microseconds, before

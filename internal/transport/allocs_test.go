@@ -82,7 +82,7 @@ func TestWireAllocs(t *testing.T) {
 			}
 			_, err = mPeer.TxCommit(id)
 			return err
-		}, 67},
+		}, 64},
 	} {
 		var runErr error
 		got := testing.AllocsPerRun(200, func() {

@@ -9,7 +9,6 @@ package vclock
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -193,13 +192,4 @@ func (m *Merged) Reset(v Vector) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.cur = v.Clone()
-}
-
-// SortTables returns a sorted copy of a table-id set; masters lock conflict
-// classes in this order to keep multi-table commits deadlock free.
-func SortTables(tables []int) []int {
-	out := make([]int, len(tables))
-	copy(out, tables)
-	sort.Ints(out)
-	return out
 }

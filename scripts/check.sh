@@ -124,6 +124,13 @@ go test -run '^$' -fuzz '^FuzzWireBodies$' -fuzztime 20000x ./internal/transport
 go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 20000x ./internal/persist/
 go test -run '^$' -fuzz '^FuzzCheckpoint$' -fuzztime 20000x ./internal/heap/
 
+echo "==> allocation ceilings (no -race, no dmvdebug)"
+# The ceilings hold for a plain build only: -race and -tags dmvdebug
+# instrument and seal-check, and allocate, so TestWireAllocs and
+# TestUpdateCommitAllocs do not run under them and no other leg runs them.
+go test -count=1 -run 'TestWireAllocs|TestUpdateCommitAllocs|TestStatementAllocs|TestPointLookupAllocs' \
+	./internal/transport/ ./internal/heap/ ./internal/exec/
+
 echo "==> go test -race"
 go test -race -count=1 ./...
 
