@@ -80,13 +80,6 @@ func run() error {
 	if *cachePages > 0 {
 		disk = simdisk.New(simdisk.InMemory(*pageFault), *cachePages)
 		opts.Observer = disk
-		if reg != nil {
-			st := disk.Stats()
-			reg.GaugeFunc(obs.CacheHits, func() float64 { return float64(st.Hits.Load()) })
-			reg.GaugeFunc(obs.CacheMisses, func() float64 { return float64(st.Misses.Load()) })
-			reg.GaugeFunc(obs.CacheFsyncs, func() float64 { return float64(st.Fsyncs.Load()) })
-			reg.GaugeFunc(obs.CacheHitRatio, disk.HitRatio)
-		}
 	}
 	eng := heap.NewEngine(opts)
 	for _, ddl := range tpcw.SchemaDDL() {

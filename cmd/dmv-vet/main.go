@@ -15,7 +15,7 @@
 // (commit acks in the persistence tier happen only after WaitDurable),
 // detrand (fault-injection and chaos code draws entropy only from the
 // threaded seeded source), metricname (obs registrations use the names.go
-// catalogue; dead catalogue entries are flagged).
+// catalogue; a catalogued name nothing reads is flagged).
 //
 // A finding is suppressed with a trailing or preceding comment
 //

@@ -270,7 +270,6 @@ func Open(cfg Config) (*Cluster, error) {
 
 	// Optional per-node buffer-cache simulation.
 	disks := map[string]*simdisk.Disk{}
-	var engineOpts func(string) heap.Options
 	var diskFor func(string) *simdisk.Disk
 	if cfg.CachePages > 0 {
 		fault := cfg.PageFault
@@ -284,9 +283,6 @@ func Open(cfg Config) (*Cluster, error) {
 			d := simdisk.New(simdisk.InMemory(fault), cfg.CachePages)
 			disks[id] = d
 			return d
-		}
-		engineOpts = func(id string) heap.Options {
-			return heap.Options{Observer: diskFor(id)}
 		}
 	}
 
@@ -388,7 +384,6 @@ func Open(cfg Config) (*Cluster, error) {
 		Classes:           classes,
 		SchemaDDL:         cfg.Schema,
 		Load:              load,
-		EngineOptions:     engineOpts,
 		DiskFor:           diskFor,
 		PeerSchedulers:    cfg.PeerSchedulers,
 		HeartbeatInterval: cfg.HeartbeatInterval,

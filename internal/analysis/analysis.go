@@ -10,7 +10,7 @@
 //
 // Beyond the x/tools subset this package adds three things the protocol
 // analyzers need: cross-package session state (Begin/Finish, e.g. the
-// metricname registration census), analyzer-scoped loading of _test.go
+// metricname read census), analyzer-scoped loading of _test.go
 // files (TestScope), and a central //dmv:ignore suppression layer applied
 // when diagnostics are collected (see ignore.go).
 package analysis

@@ -51,8 +51,12 @@ func RecvTypeName(fn *types.Func) string {
 
 // PkgMatch reports whether pkgPath is pattern or ends with "/"+pattern, so
 // configs can name repository packages ("transport", "internal/persist")
-// and still match the analysistest fixture paths ("transport").
+// and still match the analysistest fixture paths ("transport"). A pattern
+// ending in "/..." matches its prefix package and every package below it.
 func PkgMatch(pkgPath, pattern string) bool {
+	if root, tree := strings.CutSuffix(pattern, "/..."); tree {
+		return pkgPath == root || strings.HasPrefix(pkgPath, root+"/")
+	}
 	return pkgPath == pattern || strings.HasSuffix(pkgPath, "/"+pattern)
 }
 

@@ -13,11 +13,20 @@
 //     names.go" diagnostic; arbitrary expressions are flagged too.
 //  2. Any string literal starting with the metric prefix ("dmv_") outside
 //     the names file is a scattered name, registration site or not.
-//  3. A name declared in the names file but never referenced outside it is
-//     dead — flagged at the declaration (cross-package, via the analyzer's
-//     Finish hook). Dead-name detection is only meaningful when the whole
-//     module is analyzed (./...); analyzing the obs package alone would
-//     report every name dead.
+//  3. A name declared in the names file must be read somewhere: a name
+//     that is only registered and updated feeds a series nothing consumes.
+//     Every reference outside the names file counts as a read except the
+//     name argument (directly or through obs.Labeled) of a registration
+//     whose result is not read straight away with .Load() or .Snapshot().
+//     References in _test.go files count (the analyzer's TestScope is the
+//     whole module); references inside the obs package itself, its tests
+//     included, do not, since the registry's own code and tests handle names
+//     as samples. Generic listings such as /metrics, which print whatever
+//     exists, name nothing and so read nothing. Unread names are
+//     flagged at the declaration via the Finish hook, which is meaningful
+//     only when the whole module is analyzed (./...).
+//
+// Rules 1 and 2 apply to non-test files only.
 package metricname
 
 import (
@@ -68,19 +77,20 @@ type state struct {
 	// declared maps const name -> its declaration, for consts in the names
 	// file whose value carries the metric prefix.
 	declared map[string]token.Pos
-	// referenced holds const names used anywhere outside the names file.
-	referenced map[string]bool
+	// read holds const names read anywhere outside the names file.
+	read map[string]bool
 }
 
-// Analyzer flags uncatalogued and dead metric names.
+// Analyzer flags uncatalogued and unread metric names.
 var Analyzer = &analysis.Analyzer{
 	Name:  "metricname",
-	Doc:   "require obs metric registrations to use constants from the names catalogue, and flag catalogued names that are never used",
-	Begin: func() any { return &state{declared: make(map[string]token.Pos), referenced: make(map[string]bool)} },
+	Doc:   "require obs metric registrations to use constants from the names catalogue, and flag catalogued names nothing reads",
+	Begin: func() any { return &state{declared: make(map[string]token.Pos), read: make(map[string]bool)} },
 	Run:   func(pass *analysis.Pass) error { return run(pass, DefaultConfig) },
 	Finish: func(st any, report func(analysis.Diagnostic)) error {
 		return finish(st.(*state), DefaultConfig, report)
 	},
+	TestScope: []string{"dmv/..."},
 }
 
 func run(pass *analysis.Pass, cfg Config) error {
@@ -94,21 +104,47 @@ func run(pass *analysis.Pass, cfg Config) error {
 	flagged := make(map[token.Pos]bool)
 
 	for _, f := range pass.Files {
-		base := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
-		inNamesFile := base == cfg.NamesFile && analysis.PkgMatch(pass.Pkg.Path(), cfg.ObsPkg)
+		name := pass.Fset.Position(f.Pos()).Filename
+		inNamesFile := filepath.Base(name) == cfg.NamesFile && analysis.PkgMatch(pass.Pkg.Path(), cfg.ObsPkg)
 		if inNamesFile {
 			collectDeclared(pass, cfg, f, st)
 			continue // the catalogue itself may hold prefix literals
 		}
+		isTest := analysis.IsTestFileName(name)
+		// The obs package and its external test package read nothing.
+		inObs := analysis.PkgMatch(strings.TrimSuffix(pass.Pkg.Path(), "_test"), cfg.ObsPkg)
+		// Registrations read on the spot (reg.Counter(name).Load()), and the
+		// name identifiers of every other registration: those only feed.
+		readNow := make(map[*ast.CallExpr]bool)
+		feedOnly := make(map[*ast.Ident]bool)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch node := n.(type) {
 			case *ast.CallExpr:
-				checkRegistration(pass, cfg, node, register, flagged)
+				if sel, isSel := node.Fun.(*ast.SelectorExpr); isSel && (sel.Sel.Name == "Load" || sel.Sel.Name == "Snapshot") {
+					if inner, isCall := sel.X.(*ast.CallExpr); isCall {
+						readNow[inner] = true
+					}
+				}
+				fn := registration(pass, cfg, node, register)
+				if fn == nil {
+					return true
+				}
+				if !isTest {
+					checkRegistration(pass, cfg, fn, node.Args[0], flagged)
+				}
+				if id := nameIdent(pass, cfg, node.Args[0]); id != nil && !readNow[node] {
+					feedOnly[id] = true
+				}
 			case *ast.Ident:
-				recordUse(pass, cfg, node, st)
+				if !inObs && !feedOnly[node] {
+					recordRead(pass, cfg, node, st)
+				}
 			}
 			return true
 		})
+		if isTest {
+			continue
+		}
 		// Rule 2, after rule 1 marked its positions.
 		ast.Inspect(f, func(n ast.Node) bool {
 			lit, isLit := n.(*ast.BasicLit)
@@ -151,39 +187,47 @@ func collectDeclared(pass *analysis.Pass, cfg Config, f *ast.File, st *state) {
 	}
 }
 
-// recordUse marks catalogue constants referenced outside the names file.
-func recordUse(pass *analysis.Pass, cfg Config, id *ast.Ident, st *state) {
+// recordRead marks a catalogue constant as read.
+func recordRead(pass *analysis.Pass, cfg Config, id *ast.Ident, st *state) {
 	obj, isConst := pass.TypesInfo.Uses[id].(*types.Const)
 	if !isConst || obj.Pkg() == nil || !analysis.PkgMatch(obj.Pkg().Path(), cfg.ObsPkg) {
 		return
 	}
 	st.mu.Lock()
-	st.referenced[obj.Name()] = true
+	st.read[obj.Name()] = true
 	st.mu.Unlock()
 }
 
-// checkRegistration enforces rule 1 on one call.
-func checkRegistration(pass *analysis.Pass, cfg Config, call *ast.CallExpr, register map[string]bool, flagged map[token.Pos]bool) {
+// registration returns the Registry method call registers with, or nil.
+func registration(pass *analysis.Pass, cfg Config, call *ast.CallExpr, register map[string]bool) *types.Func {
 	fn := analysis.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil || !register[fn.Name()] || len(call.Args) == 0 {
-		return
+		return nil
 	}
 	if analysis.RecvTypeName(fn) != cfg.RegistryType || fn.Pkg() == nil ||
 		!analysis.PkgMatch(fn.Pkg().Path(), cfg.ObsPkg) {
-		return
+		return nil
 	}
-	arg := call.Args[0]
-	if catalogueName(pass, cfg, arg) {
-		return
+	return fn
+}
+
+// nameIdent returns the catalogue constant a registration's name argument
+// names, directly or as obs.Labeled's base, or nil.
+func nameIdent(pass *analysis.Pass, cfg Config, arg ast.Expr) *ast.Ident {
+	if id := catalogueName(pass, cfg, arg); id != nil {
+		return id
 	}
-	// obs.Labeled(<const>, ...) derives a labeled series from a catalogued
-	// base name.
-	if inner, isCall := arg.(*ast.CallExpr); isCall {
-		ifn := analysis.CalleeFunc(pass.TypesInfo, inner)
-		if analysis.FuncFromPkg(ifn, cfg.ObsPkg, cfg.LabeledFunc) &&
-			len(inner.Args) > 0 && catalogueName(pass, cfg, inner.Args[0]) {
-			return
-		}
+	if inner, isCall := ast.Unparen(arg).(*ast.CallExpr); isCall && len(inner.Args) > 0 &&
+		analysis.FuncFromPkg(analysis.CalleeFunc(pass.TypesInfo, inner), cfg.ObsPkg, cfg.LabeledFunc) {
+		return catalogueName(pass, cfg, inner.Args[0])
+	}
+	return nil
+}
+
+// checkRegistration enforces rule 1 on one registration's name argument.
+func checkRegistration(pass *analysis.Pass, cfg Config, fn *types.Func, arg ast.Expr, flagged map[token.Pos]bool) {
+	if nameIdent(pass, cfg, arg) != nil {
+		return
 	}
 	flagged[arg.Pos()] = true
 	if lit, isLit := arg.(*ast.BasicLit); isLit && lit.Kind == token.STRING {
@@ -194,27 +238,23 @@ func checkRegistration(pass *analysis.Pass, cfg Config, call *ast.CallExpr, regi
 	pass.Reportf(arg.Pos(), "%s registered with a non-catalogue name; use a constant from %s (or %s over one)", fn.Name(), cfg.NamesFile, cfg.LabeledFunc)
 }
 
-// catalogueName reports whether expr is (possibly parenthesized) a use of
-// a constant declared in the obs package.
-func catalogueName(pass *analysis.Pass, cfg Config, expr ast.Expr) bool {
-	for {
-		paren, isParen := expr.(*ast.ParenExpr)
-		if !isParen {
-			break
-		}
-		expr = paren.X
-	}
+// catalogueName returns the identifier of expr when it is (possibly
+// parenthesized) a use of a constant declared in the obs package, or nil.
+func catalogueName(pass *analysis.Pass, cfg Config, expr ast.Expr) *ast.Ident {
 	var id *ast.Ident
-	switch e := expr.(type) {
+	switch e := ast.Unparen(expr).(type) {
 	case *ast.Ident:
 		id = e
 	case *ast.SelectorExpr:
 		id = e.Sel
 	default:
-		return false
+		return nil
 	}
 	obj, isConst := pass.TypesInfo.Uses[id].(*types.Const)
-	return isConst && obj.Pkg() != nil && analysis.PkgMatch(obj.Pkg().Path(), cfg.ObsPkg)
+	if !isConst || obj.Pkg() == nil || !analysis.PkgMatch(obj.Pkg().Path(), cfg.ObsPkg) {
+		return nil
+	}
+	return id
 }
 
 func litValue(pass *analysis.Pass, lit *ast.BasicLit) (string, bool) {
@@ -225,13 +265,13 @@ func litValue(pass *analysis.Pass, lit *ast.BasicLit) (string, bool) {
 	return constant.StringVal(tv.Value), true
 }
 
-// finish reports rule 3: catalogued names never referenced anywhere.
+// finish reports rule 3: catalogued names nothing reads.
 func finish(st *state, cfg Config, report func(analysis.Diagnostic)) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	names := make([]string, 0, len(st.declared))
 	for name := range st.declared {
-		if !st.referenced[name] {
+		if !st.read[name] {
 			names = append(names, name)
 		}
 	}
@@ -240,7 +280,7 @@ func finish(st *state, cfg Config, report func(analysis.Diagnostic)) error {
 		report(analysis.Diagnostic{
 			Pos:      st.declared[name],
 			Analyzer: "metricname",
-			Message:  "metric name constant " + name + " is declared in " + cfg.NamesFile + " but never registered or referenced; delete it or wire it up (meaningful only when analyzing the whole module)",
+			Message:  "metric name constant " + name + " is declared in " + cfg.NamesFile + " but nothing reads it; delete it with the code that feeds it, or read it (meaningful only when analyzing the whole module)",
 		})
 	}
 	return nil

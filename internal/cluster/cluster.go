@@ -66,11 +66,10 @@ type Config struct {
 	// deterministic: every node loads an identical image, modelling the
 	// shared on-disk database every node mmaps at startup.
 	Load func(e *heap.Engine) error
-	// EngineOptions builds per-node engine options (wire a simdisk observer
-	// here to model buffer caches). May be nil.
+	// EngineOptions builds per-node engine options. May be nil.
 	EngineOptions func(nodeID string) heap.Options
-	// DiskFor returns the node's buffer-cache simulator (the same one wired
-	// into EngineOptions), or nil. May be nil.
+	// DiskFor returns the node's buffer-cache simulator, or nil; the node's
+	// engine reports its page accesses to it. May be nil.
 	DiskFor func(nodeID string) *simdisk.Disk
 	// HeartbeatInterval is the failure-detection probe period (default
 	// 10ms; detection latency is about two intervals).
@@ -227,7 +226,6 @@ type Cluster struct {
 
 	nodeMu sync.Mutex
 	cps    map[string]*replica.Checkpointer // guarded by nodeMu
-	disks  []*simdisk.Disk                  // guarded by nodeMu; every node buffer cache, for gauge export
 }
 
 // New builds and starts a cluster: NumClasses master nodes plus cfg.Slaves
@@ -316,7 +314,6 @@ func New(cfg Config) (*Cluster, error) {
 			return nil
 		},
 		func(p replica.Peer) bool { return p.(*replica.Node).Alive() })
-	c.registerCacheGauges()
 
 	// Roles and topology (mirrored on every peer scheduler).
 	for i, n := range nodes {
@@ -357,12 +354,23 @@ func (c *Cluster) startCheckpointer(n *replica.Node) {
 // buildNode constructs and loads one node. A first incarnation (prev nil)
 // loads cfg.Load's image and gets cfg.DiskFor's buffer cache; a restart
 // restores prev's last checkpoint (the initial image when it never took
-// one) onto prev's buffer cache, which the reboot empties. It runs before
-// the plane exists, so it takes the configuration explicitly.
+// one) onto prev's buffer cache, which the reboot empties. Either way the
+// buffer cache observes the engine's page accesses. It runs before the
+// plane exists, so it takes the configuration explicitly.
 func (c *Cluster) buildNode(cfg Config, id string, prev *replica.Node) (*replica.Node, error) {
 	var opts heap.Options
 	if cfg.EngineOptions != nil {
 		opts = cfg.EngineOptions(id)
+	}
+	var disk *simdisk.Disk
+	switch {
+	case prev != nil:
+		disk = prev.Disk()
+	case cfg.DiskFor != nil:
+		disk = cfg.DiskFor(id)
+	}
+	if disk != nil {
+		opts.Observer = disk
 	}
 	if opts.Obs == nil {
 		opts.Obs = cfg.Obs
@@ -394,19 +402,8 @@ func (c *Cluster) buildNode(cfg Config, id string, prev *replica.Node) (*replica
 			return nil, fmt.Errorf("load node %s: %w", id, err)
 		}
 	}
-	var disk *simdisk.Disk
-	switch {
-	case prev != nil:
-		if disk = prev.Disk(); disk != nil {
-			disk.Drop()
-		}
-	case cfg.DiskFor != nil:
-		disk = cfg.DiskFor(id)
-		if disk != nil {
-			c.nodeMu.Lock()
-			c.disks = append(c.disks, disk)
-			c.nodeMu.Unlock()
-		}
+	if prev != nil && disk != nil {
+		disk.Drop()
 	}
 	return replica.NewNode(replica.Options{
 		ID:                   id,
@@ -508,50 +505,6 @@ func (c *Cluster) Node(id string) (*replica.Node, bool) {
 
 // Obs returns the configured metrics registry (nil when disabled).
 func (c *Cluster) Obs() *obs.Registry { return c.cfg.Obs }
-
-// registerCacheGauges exports the node buffer caches' hit/miss/fsync
-// totals, summed across nodes, as gauges on the configured registry (the
-// plane counts the lifecycle events).
-func (c *Cluster) registerCacheGauges() {
-	reg := c.cfg.Obs
-	if reg == nil {
-		return
-	}
-	// Gauge callbacks run at snapshot time with no registry lock held, so
-	// taking c.nodeMu here is safe and keeps the disk list race-free.
-	reg.GaugeFunc(obs.CacheHits, func() float64 {
-		h, _, _ := c.cacheTotals()
-		return float64(h)
-	})
-	reg.GaugeFunc(obs.CacheMisses, func() float64 {
-		_, m, _ := c.cacheTotals()
-		return float64(m)
-	})
-	reg.GaugeFunc(obs.CacheFsyncs, func() float64 {
-		_, _, f := c.cacheTotals()
-		return float64(f)
-	})
-	reg.GaugeFunc(obs.CacheHitRatio, func() float64 {
-		h, m, _ := c.cacheTotals()
-		if h+m == 0 {
-			return 1
-		}
-		return float64(h) / float64(h+m)
-	})
-}
-
-// cacheTotals sums buffer-cache stats over every node disk.
-func (c *Cluster) cacheTotals() (hits, misses, fsyncs int64) {
-	c.nodeMu.Lock()
-	defer c.nodeMu.Unlock()
-	for _, d := range c.disks {
-		st := d.Stats()
-		hits += st.Hits.Load()
-		misses += st.Misses.Load()
-		fsyncs += st.Fsyncs.Load()
-	}
-	return hits, misses, fsyncs
-}
 
 // collectIndexes garbage-collects every live node's index history and row
 // locations below the scheduler's reader low-water mark.

@@ -470,8 +470,7 @@ func TestVersionAffinityKeepsAbortsLow(t *testing.T) {
 	}
 }
 
-// testEngineOptsWithDisk / testDiskFor wire shared per-node buffer caches
-// into test clusters.
+// testDiskFor wires per-node buffer caches into test clusters.
 func testDiskFor() func(string) *simdisk.Disk {
 	disks := map[string]*simdisk.Disk{}
 	var mu sync.Mutex
@@ -484,12 +483,5 @@ func testDiskFor() func(string) *simdisk.Disk {
 		d := simdisk.New(simdisk.CostModel{}, 256)
 		disks[id] = d
 		return d
-	}
-}
-
-func testEngineOptsWithDisk() func(string) heap.Options {
-	diskFor := testDiskFor()
-	return func(id string) heap.Options {
-		return heap.Options{Observer: diskFor(id)}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"dmv/internal/heap"
 	"dmv/internal/obs"
 	"dmv/internal/scheduler"
 )
@@ -112,16 +111,12 @@ func TestIndexGCLoopRuns(t *testing.T) {
 }
 
 func TestPageIDWarmupLoopShipsPages(t *testing.T) {
-	diskFor := testDiskFor()
 	c := newTestCluster(t, Config{
 		Slaves:         1,
 		Spares:         1,
 		MaxRetries:     20,
 		PageIDTransfer: 10 * time.Millisecond,
-		EngineOptions: func(id string) heap.Options {
-			return heap.Options{Observer: diskFor(id)}
-		},
-		DiskFor: diskFor,
+		DiskFor:        testDiskFor(),
 	})
 	// Generate read traffic so the active slave has resident pages.
 	for i := 0; i < 20; i++ {

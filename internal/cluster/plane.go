@@ -141,23 +141,17 @@ func (p *Plane) setMember(n replica.Peer, m *member) {
 }
 
 // registerEventMetrics counts every lifecycle event on the timeline and
-// feeds the stage-completion events into per-stage duration histograms.
+// feeds fail-over recovery durations into their histogram.
 func registerEventMetrics(reg *obs.Registry, tl *obs.Timeline) {
 	if reg == nil {
 		return
 	}
 	events := reg.Counter(obs.ClusterEvents)
-	stageHist := map[string]*obs.Histogram{
-		EventRecoveryDone:   reg.Histogram(obs.FailoverRecoveryUS),
-		EventMigrationDone:  reg.Histogram(obs.FailoverMigrationUS),
-		EventReintegrated:   reg.Histogram(obs.FailoverReintegrationUS),
-		EventNodeRestarted:  reg.Histogram(obs.FailoverRestartUS),
-		EventSpareActivated: reg.Histogram(obs.FailoverSpareUS),
-	}
+	recoveryUS := reg.Histogram(obs.FailoverRecoveryUS)
 	tl.OnEvent(func(ev Event) {
 		events.Add(1)
-		if h := stageHist[ev.Kind]; h != nil && ev.Duration > 0 {
-			h.Observe(ev.Duration.Microseconds())
+		if ev.Kind == EventRecoveryDone && ev.Duration > 0 {
+			recoveryUS.Observe(ev.Duration.Microseconds())
 		}
 	})
 }

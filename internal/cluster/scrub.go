@@ -60,15 +60,11 @@ func newScrubReport() ScrubReport {
 
 type scrubMetrics struct {
 	sweeps         *obs.Counter
-	tablesChecked  *obs.Counter
-	conflicts      *obs.Counter
 	skipped        *obs.Counter
 	divergences    *obs.Counter
 	repairs        *obs.Counter
 	repairFailures *obs.Counter
-	repairPages    *obs.Counter
 	sweepUS        *obs.Histogram
-	repairUS       *obs.Histogram
 }
 
 // newScrubMetrics resolves the sweep's metrics on reg (nil-safe handles
@@ -76,15 +72,11 @@ type scrubMetrics struct {
 func newScrubMetrics(reg *obs.Registry) scrubMetrics {
 	return scrubMetrics{
 		sweeps:         reg.Counter(obs.ScrubSweeps),
-		tablesChecked:  reg.Counter(obs.ScrubTablesChecked),
-		conflicts:      reg.Counter(obs.ScrubConflicts),
 		skipped:        reg.Counter(obs.ScrubSkipped),
 		divergences:    reg.Counter(obs.ScrubDivergences),
 		repairs:        reg.Counter(obs.ScrubRepairs),
 		repairFailures: reg.Counter(obs.ScrubRepairFailures),
-		repairPages:    reg.Counter(obs.ScrubRepairPages),
 		sweepUS:        reg.Histogram(obs.ScrubSweepUS),
-		repairUS:       reg.Histogram(obs.ScrubRepairUS),
 	}
 }
 
@@ -150,8 +142,6 @@ func (p *Plane) Sweep() ScrubReport {
 		repairStart := time.Now()
 		pages, err := repairAndVerify(sched, peerByID(peers, node), mms)
 		took := time.Since(repairStart)
-		p.scrubMet.repairPages.Add(int64(pages))
-		p.scrubMet.repairUS.Observe(took.Microseconds())
 		if err == nil {
 			p.quarantine(node, func(m *member) {
 				for _, mm := range mms {
@@ -175,8 +165,6 @@ func (p *Plane) Sweep() ScrubReport {
 	}
 
 	p.scrubMet.sweeps.Inc()
-	p.scrubMet.tablesChecked.Add(int64(rep.TablesChecked))
-	p.scrubMet.conflicts.Add(int64(rep.Conflicts))
 	p.scrubMet.skipped.Add(int64(rep.Skipped))
 	p.scrubMet.sweepUS.Observe(time.Since(start).Microseconds())
 	return rep

@@ -319,7 +319,7 @@ func buildDMV(scale tpcw.Scale, fc dmvFailoverConfig) (*cluster.Cluster, map[str
 		ServiceWidth:           serviceWidth,
 		UpdateStatementService: updateServiceTime,
 		EngineOptions: func(id string) heap.Options {
-			return heap.Options{PageCap: pageCap, LockTimeout: lockTimeout, Observer: diskFor(id)}
+			return heap.Options{PageCap: pageCap, LockTimeout: lockTimeout}
 		},
 		DiskFor: diskFor,
 	})

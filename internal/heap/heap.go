@@ -123,13 +123,10 @@ type Options struct {
 // heapMetrics holds the engine's registry handles; all nil when Options.Obs
 // is nil (every obs method no-ops on nil handles).
 type heapMetrics struct {
-	lockWaitUS    *obs.Histogram
-	lockTimeouts  *obs.Counter
-	commits       *obs.Counter
-	wsRecords     *obs.Counter
-	modsEnqueued  *obs.Counter
-	modsDiscarded *obs.Counter
-	modChainLen   *obs.Histogram
+	lockWaitUS   *obs.Histogram
+	commits      *obs.Counter
+	wsRecords    *obs.Counter
+	modsEnqueued *obs.Counter
 }
 
 func (o Options) withDefaults() Options {
@@ -172,34 +169,26 @@ func NewEngine(opts Options) *Engine {
 	}
 	if reg := e.opts.Obs; reg != nil {
 		e.met = heapMetrics{
-			lockWaitUS:    reg.Histogram(obs.HeapLockWaitUS),
-			lockTimeouts:  reg.Counter(obs.HeapLockTimeouts),
-			commits:       reg.Counter(obs.HeapCommits),
-			wsRecords:     reg.Counter(obs.HeapWriteSetRecords),
-			modsEnqueued:  reg.Counter(obs.HeapModsEnqueued),
-			modsDiscarded: reg.Counter(obs.HeapModsDiscarded),
-			modChainLen:   reg.Histogram(obs.HeapModChainLen),
+			lockWaitUS:   reg.Histogram(obs.HeapLockWaitUS),
+			commits:      reg.Counter(obs.HeapCommits),
+			wsRecords:    reg.Counter(obs.HeapWriteSetRecords),
+			modsEnqueued: reg.Counter(obs.HeapModsEnqueued),
 		}
 		pagesLazy := reg.Counter(obs.HeapPagesLazy)
 		modsLazy := reg.Counter(obs.HeapModsLazy)
-		pagesEager := reg.Counter(obs.HeapPagesEager)
-		modsEager := reg.Counter(obs.HeapModsEager)
 		lazyDist := reg.Histogram(obs.HeapLazyApplyDist)
 		tracer := reg.Tracer()
 		nodeID := e.opts.NodeID
 		// Runs under the page latch: metric atomics and the obs trace ring
 		// only (level 70, inside the page band).
 		e.applyHook = func(mods []page.Mod, eager bool) {
-			ops := 0
-			for _, m := range mods {
-				ops += len(m.Ops)
-			}
-			kind := "lazy-apply"
-			if eager {
-				kind = "eager-apply"
-				pagesEager.Inc()
-				modsEager.Add(int64(ops))
-			} else {
+			kind := "eager-apply"
+			if !eager {
+				kind = "lazy-apply"
+				ops := 0
+				for _, m := range mods {
+					ops += len(m.Ops)
+				}
 				pagesLazy.Inc()
 				modsLazy.Add(int64(ops))
 				lazyDist.Observe(int64(len(mods)))

@@ -239,7 +239,6 @@ func (tx *UpdateTx) lockPage(pg *page.Page) error {
 				break
 			}
 			if time.Now().After(deadline) {
-				tx.e.met.lockTimeouts.Inc()
 				tx.e.met.lockWaitUS.ObserveSince(start)
 				return fmt.Errorf("%w (tx %d, %s)", ErrLockTimeout, tx.id, pg)
 			}

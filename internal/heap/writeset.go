@@ -122,7 +122,6 @@ func (e *Engine) ApplyWriteSet(ws *WriteSet) error {
 		}
 		pg.Enqueue(page.Mod{Version: ver, Ops: ops, Trace: ws.Trace})
 		e.met.modsEnqueued.Add(int64(len(ops)))
-		e.met.modChainLen.Observe(int64(pg.PendingLen()))
 		t.bumpVer(ver)
 	}
 	e.clock.Advance(ws.Version)
@@ -135,18 +134,16 @@ func (e *Engine) ApplyWriteSet(ws *WriteSet) error {
 // completed at a subset of the replicas but were never acknowledged by the
 // failed master.
 func (e *Engine) DiscardAbove(v vclock.Vector) {
-	dropped := 0
 	for _, t := range e.allTables() {
 		limit := v.Get(t.id)
 		for _, pg := range t.pagesSnapshot() {
-			dropped += pg.DiscardAbove(limit)
+			pg.DiscardAbove(limit)
 		}
 		for _, ix := range t.allIndexes() {
 			ix.discardAbove(limit)
 		}
 		t.lowerVer(limit)
 	}
-	e.met.modsDiscarded.Add(int64(dropped))
 	e.clock.ResetTo(v)
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"dmv/internal/exec"
 	"dmv/internal/heap"
-	"dmv/internal/obs"
 	"dmv/internal/value"
 )
 
@@ -58,9 +57,6 @@ type TierConfig struct {
 	// DDL and Load build each node's initial state.
 	DDL  []string
 	Load func(*heap.Engine) error
-	// Obs, if non-nil, receives the baseline tier's counters (commits,
-	// binlog replay volume, fail-over replay latency).
-	Obs *obs.Registry
 }
 
 // Tier is a replicated on-disk tier: write-all/read-one across the actives,
@@ -84,10 +80,6 @@ type Tier struct {
 	stageMu sync.Mutex
 	stages  []FailoverStages
 
-	commits       *obs.Counter   // committed update transactions
-	replayedStmts *obs.Counter   // binlog statements replayed (refresh + fail-over)
-	replayUS      *obs.Histogram // fail-over binlog-replay duration
-
 	stop chan struct{}
 	done chan struct{}
 }
@@ -105,11 +97,6 @@ func NewTier(cfg TierConfig) (*Tier, error) {
 		tableLocks: make(map[string]*sync.Mutex, 16),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
-	}
-	if reg := cfg.Obs; reg != nil {
-		t.commits = reg.Counter(obs.InnoCommits)
-		t.replayedStmts = reg.Counter(obs.InnoReplayedStmts)
-		t.replayUS = reg.Histogram(obs.InnoFailoverReplayUS)
 	}
 	for i := 0; i < cfg.Actives; i++ {
 		db, err := Open(fmt.Sprintf("inno-active%d", i), cfg.DB, cfg.DDL, cfg.Load)
@@ -267,7 +254,6 @@ func (t *Tier) Update(tables []string, fn func(q Querier) error) error {
 		t.binlog = append(t.binlog, binRec{stmts: q.logged})
 		t.binMu.Unlock()
 	}
-	t.commits.Inc()
 	return nil
 }
 
@@ -364,7 +350,6 @@ func (t *Tier) replayOnto(db *DB) (int, error) {
 	t.binMu.Lock()
 	t.sparePos += len(recs)
 	t.binMu.Unlock()
-	t.replayedStmts.Add(int64(nStmts))
 	return nStmts, nil
 }
 
@@ -393,7 +378,6 @@ func (t *Tier) failover(deadIdx int) {
 	start := time.Now()
 	n, err := t.replayOnto(spare)
 	replay := time.Since(start)
-	t.replayUS.Observe(replay.Microseconds())
 	if err == nil {
 		t.mu.Lock()
 		t.actives = append(t.actives, spare)

@@ -51,6 +51,10 @@ const (
 	CauseDivergence      = "replica-divergence"   // anti-entropy scrub found a replica whose digest differs from the master
 )
 
+// EventDumpFailed is the timeline event recorded when a dump could not be
+// written; its detail names the path and the error.
+const EventDumpFailed = "flight-dump-failed"
+
 // Defaults.
 const (
 	DefaultRingCap  = 256             // retained ring entries per recorder
@@ -95,7 +99,6 @@ type Recorder struct {
 	triggers   *obs.Counter
 	suppressed *obs.Counter
 	dumps      *obs.Counter
-	dumpErrs   *obs.Counter
 	peerErrs   *obs.Counter
 	drops      *obs.Counter
 
@@ -153,7 +156,6 @@ func New(o Options) *Recorder {
 		r.triggers = o.Reg.Counter(obs.FlightTriggers)
 		r.suppressed = o.Reg.Counter(obs.FlightSuppressed)
 		r.dumps = o.Reg.Counter(obs.Labeled(obs.FlightDumps, "node", r.node))
-		r.dumpErrs = o.Reg.Counter(obs.FlightDumpErrors)
 		r.peerErrs = o.Reg.Counter(obs.FlightPeerErrors)
 		r.drops = o.Reg.Counter(obs.Labeled(obs.ObsRingDropped, "ring", "flight"))
 		o.Reg.Tracer().OnSpan(r.RecordSpan)
@@ -379,7 +381,7 @@ func (r *Recorder) handle(t Trigger) {
 	if r.dir != "" {
 		path = filepath.Join(r.dir, fmt.Sprintf("flight-%06d-%s.json", seq, t.Cause))
 		if err := r.write(path, d); err != nil {
-			r.dumpErrs.Inc()
+			r.reg.Timeline().Record(obs.Event{Kind: EventDumpFailed, Node: r.node, Detail: fmt.Sprintf("%s: %v", path, err)})
 			path = ""
 		} else {
 			r.dumps.Inc()

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dmv/internal/obs"
+	"dmv/internal/wal"
 )
 
 // fakeClock is a deterministic, concurrency-safe clock: every read advances
@@ -148,6 +150,36 @@ func TestDumpWrittenAndParses(t *testing.T) {
 	if len(parsed.Nodes) != 1 || parsed.Nodes[0].Node != "sched" {
 		t.Fatalf("nodes = %+v", parsed.Nodes)
 	}
+}
+
+// failingFS refuses every write, as a full disk or a read-only directory
+// would.
+type failingFS struct{ wal.OsFS }
+
+func (failingFS) MkdirAll(string, os.FileMode) error { return errors.New("disk full") }
+
+// TestDumpWriteFailureRecorded: a dump that cannot be written leaves a
+// timeline event naming the path and the error, and OnDump sees no path.
+func TestDumpWriteFailureRecorded(t *testing.T) {
+	t.Parallel()
+	reg := obs.New()
+	paths := make(chan string, 1)
+	r := New(Options{Node: "sched", Reg: reg, Dir: t.TempDir(), FS: failingFS{}, Now: (&fakeClock{}).Now,
+		OnDump: func(path string, _ Dump) { paths <- path }})
+	r.Trigger(CauseFailover, "n1", "test")
+	r.Close()
+	if path := <-paths; path != "" {
+		t.Fatalf("OnDump path = %q, want none", path)
+	}
+	for _, ev := range reg.Timeline().Events() {
+		if ev.Kind == EventDumpFailed {
+			if ev.Node != "sched" || !strings.Contains(ev.Detail, "disk full") || !strings.Contains(ev.Detail, CauseFailover) {
+				t.Fatalf("failure event = %+v", ev)
+			}
+			return
+		}
+	}
+	t.Fatalf("no %s event on the timeline: %+v", EventDumpFailed, reg.Timeline().Events())
 }
 
 type fakePeer struct {

@@ -29,8 +29,7 @@ const (
 )
 
 // SampleRuntime takes one runtime-health reading: it updates the
-// node-labeled dmv_runtime_* gauges, feeds newly observed GC pauses into
-// the dmv_runtime_gc_pause_us histogram, records a metric-delta ring entry
+// node-labeled dmv_runtime_* gauges, records a metric-delta ring entry
 // for counters that moved since the previous sample, and retains the sample
 // for the next NodeDump. Exported (rather than only looping inside
 // StartSampler) so tests can step it deterministically.
@@ -57,7 +56,7 @@ func (r *Recorder) SampleRuntime() RuntimeSample {
 		rt.HeapBytes = int64(samples[1].Value.Uint64())
 	}
 	if samples[2].Value.Kind() == metrics.KindFloat64Histogram {
-		rt.GCPauseLastUS = r.observeNewPauses(samples[2].Value.Float64Histogram())
+		rt.GCPauseLastUS = r.newestPauseUS(samples[2].Value.Float64Histogram())
 	}
 	if samples[3].Value.Kind() == metrics.KindFloat64Histogram {
 		rt.SchedLatP99US = histQuantileUS(samples[3].Value.Float64Histogram(), 0.99)
@@ -82,7 +81,6 @@ func (r *Recorder) SampleRuntime() RuntimeSample {
 		r.reg.Gauge(obs.Labeled(obs.RuntimeGoroutines, "node", r.node)).Set(rt.Goroutines)
 		r.reg.Gauge(obs.Labeled(obs.RuntimeHeapBytes, "node", r.node)).Set(rt.HeapBytes)
 		r.reg.Gauge(obs.Labeled(obs.RuntimeGCPauseLastUS, "node", r.node)).Set(rt.GCPauseLastUS)
-		r.reg.Gauge(obs.Labeled(obs.RuntimeSchedLatP99US, "node", r.node)).Set(rt.SchedLatP99US)
 	}
 
 	r.mu.Lock()
@@ -108,11 +106,10 @@ func (r *Recorder) SampleRuntime() RuntimeSample {
 	return rt
 }
 
-// observeNewPauses feeds GC pauses that appeared since the previous sample
-// into the pause histogram (bucket upper bounds, in µs — the runtime only
-// exposes a histogram, so individual pause values are approximated by their
-// bucket) and returns the largest new pause in µs (0 when none).
-func (r *Recorder) observeNewPauses(h *metrics.Float64Histogram) int64 {
+// newestPauseUS returns the largest GC pause that appeared since the
+// previous sample, in µs (0 when none). The runtime only exposes a
+// histogram, so a pause is approximated by its bucket's upper bound.
+func (r *Recorder) newestPauseUS(h *metrics.Float64Histogram) int64 {
 	r.mu.Lock()
 	prev := r.prevGC
 	if len(prev) != len(h.Counts) {
@@ -123,27 +120,10 @@ func (r *Recorder) observeNewPauses(h *metrics.Float64Histogram) int64 {
 	if prev == nil {
 		return 0
 	}
-	var hist *obs.Histogram
-	if r.reg != nil {
-		hist = r.reg.Histogram(obs.RuntimeGCPauseUS)
-	}
 	var last int64
 	for i, c := range h.Counts {
-		d := int64(c) - int64(prev[i])
-		if d <= 0 {
-			continue
-		}
-		us := bucketUpperUS(h.Buckets, i)
-		if us > last {
-			last = us
-		}
-		// Cap per-bucket observations: a pathological GC storm between two
-		// samples should not stall the sampler feeding the histogram.
-		if d > 64 {
-			d = 64
-		}
-		for k := int64(0); k < d; k++ {
-			hist.Observe(us)
+		if c > prev[i] {
+			last = max(last, bucketUpperUS(h.Buckets, i))
 		}
 	}
 	return last

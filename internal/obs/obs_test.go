@@ -215,11 +215,18 @@ func TestTimelineStageAndHooks(t *testing.T) {
 	}
 }
 
+// Sample names for tests of the registry itself, which treats every name
+// alike.
+const (
+	testGauge = "test_gauge"
+	testHist  = "test_hist_us"
+)
+
 func TestGaugeFuncsSum(t *testing.T) {
 	r := New()
-	r.GaugeFunc(CacheHits, func() float64 { return 3 })
-	r.GaugeFunc(CacheHits, func() float64 { return 4 })
-	if got := r.Snapshot().Gauges[CacheHits]; got != 7 {
+	r.GaugeFunc(testGauge, func() float64 { return 3 })
+	r.GaugeFunc(testGauge, func() float64 { return 4 })
+	if got := r.Snapshot().Gauges[testGauge]; got != 7 {
 		t.Fatalf("summed gauge funcs = %g, want 7", got)
 	}
 }
@@ -227,17 +234,17 @@ func TestGaugeFuncsSum(t *testing.T) {
 func TestWriteTextFormat(t *testing.T) {
 	r := New()
 	r.Counter(HeapCommits).Add(5)
-	r.Histogram(NodeBroadcastUS).Observe(3)
-	r.Histogram(NodeBroadcastUS).Observe(900)
+	r.Histogram(testHist).Observe(3)
+	r.Histogram(testHist).Observe(900)
 	var sb strings.Builder
 	r.WriteText(&sb)
 	out := sb.String()
 	for _, want := range []string{
 		HeapCommits + " 5\n",
-		NodeBroadcastUS + "_count 2\n",
-		NodeBroadcastUS + "_sum 903\n",
-		NodeBroadcastUS + `_bucket{le="3"} 1` + "\n",
-		NodeBroadcastUS + `_bucket{le="1023"} 2` + "\n",
+		testHist + "_count 2\n",
+		testHist + "_sum 903\n",
+		testHist + `_bucket{le="3"} 1` + "\n",
+		testHist + `_bucket{le="1023"} 2` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
@@ -303,7 +310,7 @@ func TestNilRegistryAllocationFree(t *testing.T) {
 		tl.Record(Event{Kind: "node-failed"})
 		st := tl.Start("recovery-done", "node1")
 		st.End("done")
-		r.GaugeFunc(CacheHits, nil)
+		r.GaugeFunc(testGauge, nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-registry path allocates %v objects per op, want 0", allocs)

@@ -153,7 +153,7 @@ func TestMergeSnapshots(t *testing.T) {
 		r := New()
 		r.Counter(NodeReadTxns).Add(reads)
 		r.Gauge(PersistBacklog).Set(2)
-		r.Histogram(NodeBroadcastUS).Observe(5)
+		r.Histogram(testHist).Observe(5)
 		sp := r.Tracer().Begin("update")
 		sp.Finish("commit", "")
 		return NodeSnapshot{
@@ -183,7 +183,7 @@ func TestMergeSnapshots(t *testing.T) {
 	if cs.Merged.Gauges[PersistBacklog] != 4 {
 		t.Fatalf("merged gauge = %g, want 4", cs.Merged.Gauges[PersistBacklog])
 	}
-	if h := cs.Merged.Histograms[NodeBroadcastUS]; h.Count != 2 || h.Sum != 10 {
+	if h := cs.Merged.Histograms[testHist]; h.Count != 2 || h.Sum != 10 {
 		t.Fatalf("merged hist = %+v, want count 2 sum 10", h)
 	}
 	if len(cs.Spans) != 2 {

@@ -197,16 +197,14 @@ func (p *Page) FirstPending() (uint64, bool) {
 	return p.pending[0].Version, true
 }
 
-// DiscardAbove drops buffered modifications with version > v, returning how
-// many were dropped. Used during master fail-over to clean up partially
-// propagated pre-commits that the failed master never acknowledged.
-func (p *Page) DiscardAbove(v uint64) int {
+// DiscardAbove drops buffered modifications with version > v. Used during
+// master fail-over to clean up partially propagated pre-commits that the
+// failed master never acknowledged.
+func (p *Page) DiscardAbove(v uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	i := sort.Search(len(p.pending), func(i int) bool { return p.pending[i].Version > v })
-	dropped := len(p.pending) - i
 	p.pending = p.pending[:i]
-	return dropped
 }
 
 func (p *Page) applyLocked(m Mod) {

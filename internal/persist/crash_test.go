@@ -323,3 +323,49 @@ func TestConcurrentTierOps(t *testing.T) {
 	tier.Close()
 	tier.Close() // idempotent, and safe concurrently with nothing running
 }
+
+// TestWALOnlyTierRetainsNoRecords: a tier with a WAL and no backends (the
+// scheduler daemon's -wal-dir deployment) counts its commits but keeps none
+// of them, nor the records it recovered, in memory: nothing would apply or
+// trim them.
+func TestWALOnlyTierRetainsNoRecords(t *testing.T) {
+	dir := t.TempDir()
+	retained := func(tier *Tier) int {
+		tier.mu.Lock()
+		defer tier.mu.Unlock()
+		return len(tier.log)
+	}
+	log, err := OpenLog(DurableConfig{Dir: dir})
+	if err != nil {
+		t.Fatalf("open log: %v", err)
+	}
+	tier := NewTier(Options{Log: log})
+	const n = 50
+	for i := 0; i < n; i++ {
+		tier.OnCommit(rec(uint64(i+1), set(int64(i%10+1), int64(i))))
+	}
+	if got := tier.LogLen(); got != n {
+		t.Fatalf("LogLen = %d, want %d", got, n)
+	}
+	if got := retained(tier); got != 0 {
+		t.Fatalf("%d records retained in memory, want 0", got)
+	}
+	tier.Close()
+
+	log2, err := OpenLog(DurableConfig{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if len(log2.Records) != n {
+		t.Fatalf("recovered %d records, want %d", len(log2.Records), n)
+	}
+	tier2 := NewTier(Options{Log: log2})
+	defer tier2.Close()
+	tier2.OnCommit(rec(n+1, set(1, 1)))
+	if got := tier2.LogLen(); got != n+1 {
+		t.Fatalf("LogLen after recovery = %d, want %d", got, n+1)
+	}
+	if got := retained(tier2); got != 0 {
+		t.Fatalf("%d records retained after recovery, want 0", got)
+	}
+}

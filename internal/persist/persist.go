@@ -14,7 +14,9 @@
 //
 // Log positions are global record indexes that survive truncation: the
 // in-memory slice t.log holds records [t.base, t.base+len(t.log)), and a
-// backend's applied mark counts from the beginning of history.
+// backend's applied mark counts from the beginning of history. A tier with
+// no backends (a bare WAL) keeps no records, only their count in t.base:
+// nothing would apply or replay them, and nothing would trim them.
 package persist
 
 import (
@@ -139,6 +141,10 @@ func NewTier(opts Options) *Tier {
 		t.base = l.Base
 		t.log = l.Records
 	}
+	if len(t.backs) == 0 {
+		t.base += len(t.log)
+		t.log = nil
+	}
 	if reg := opts.Obs; reg != nil {
 		t.reg = reg
 		t.logged = reg.Counter(obs.PersistLogged)
@@ -210,7 +216,11 @@ func (t *Tier) OnCommit(rec scheduler.CommitRecord) {
 		t.mu.Unlock()
 		return
 	}
-	t.log = append(t.log, rec)
+	if len(t.backs) == 0 {
+		t.base++
+	} else {
+		t.log = append(t.log, rec)
+	}
 	var seq uint64
 	var walErr error
 	if t.wal != nil {
@@ -223,9 +233,10 @@ func (t *Tier) OnCommit(rec scheduler.CommitRecord) {
 		walErr = t.wal.WaitDurable(seq)
 	}
 	if walErr != nil {
-		// The record stays in the memory log (backends must not diverge
-		// from what the cluster committed), but its durability is gone;
-		// surface the loss loudly.
+		// The record stays in the memory log when the tier has backends
+		// (they must not diverge from what the cluster committed); without
+		// backends only its count in t.base remains. Either way its
+		// durability is gone; surface the loss loudly.
 		t.errs.Inc()
 		if t.onError != nil {
 			t.onError(fmt.Errorf("persist: wal append: %w", walErr))

@@ -255,13 +255,8 @@ type nodeMetrics struct {
 	enabled     bool
 	readTxns    *obs.Counter
 	updateTxns  *obs.Counter
-	aborts      *obs.Counter
 	writeSetsIn *obs.Counter
 	wsBytes     *obs.Counter
-	acks        *obs.Counter
-	bcastFail   *obs.Counter
-	bcastTmo    *obs.Counter
-	bcastUS     *obs.Histogram
 }
 
 // session is one transaction's server-side state. mu serializes the owning
@@ -318,13 +313,8 @@ func NewNode(opts Options) *Node {
 			enabled:     true,
 			readTxns:    reg.Counter(obs.NodeReadTxns),
 			updateTxns:  reg.Counter(obs.NodeUpdateTxns),
-			aborts:      reg.Counter(obs.NodeAborts),
 			writeSetsIn: reg.Counter(obs.NodeWriteSetsIn),
 			wsBytes:     reg.Counter(obs.NodeWriteSetBytes),
-			acks:        reg.Counter(obs.NodeBroadcastAcks),
-			bcastFail:   reg.Counter(obs.NodeBroadcastFailures),
-			bcastTmo:    reg.Counter(obs.NodeBroadcastTimeouts),
-			bcastUS:     reg.Histogram(obs.NodeBroadcastUS),
 		}
 		n.roleGauge = reg.Gauge(obs.Labeled(obs.NodeRole, "node", opts.ID))
 		n.roleGauge.Set(obs.RoleValue(RoleSlave.String()))
@@ -474,11 +464,6 @@ func (n *Node) broadcast(ws *heap.WriteSet) error {
 	if len(subs) == 0 {
 		return nil
 	}
-	var start time.Time
-	if n.met.enabled {
-		start = time.Now()
-		defer func() { n.met.bcastUS.ObserveSince(start) }()
-	}
 	if len(subs) == 1 {
 		n.shipTo(subs[0], ws)
 		return nil
@@ -522,7 +507,6 @@ func (n *Node) shipTo(p Peer, ws *heap.WriteSet) {
 		case err = <-done:
 			t.Stop()
 		case <-t.C:
-			n.met.bcastTmo.Inc()
 			sp.Finish("abort", "ack-timeout")
 			if n.onPeerSuspect != nil {
 				n.onPeerSuspect(p.ID())
@@ -533,12 +517,10 @@ func (n *Node) shipTo(p Peer, ws *heap.WriteSet) {
 		err = p.ReceiveWriteSet(ws)
 	}
 	if err != nil {
-		n.met.bcastFail.Inc()
 		if errors.Is(err, ErrPeerTimeout) {
 			// The transport already bounded the call; same verdict as a
 			// local ack deadline - suspicion, not death.
 			sp.Finish("abort", "ack-timeout")
-			n.met.bcastTmo.Inc()
 			if n.onPeerSuspect != nil {
 				n.onPeerSuspect(p.ID())
 			}
@@ -550,7 +532,6 @@ func (n *Node) shipTo(p Peer, ws *heap.WriteSet) {
 		}
 		return
 	}
-	n.met.acks.Inc()
 	sp.Mark("ack")
 	sp.Finish("commit", "")
 }
@@ -669,11 +650,7 @@ func (n *Node) TxExec(txID uint64, stmt string, params []value.Value) (*exec.Res
 			s.stmts++
 		}
 	}
-	res, err := p.Exec(tx, params)
-	if err != nil && errors.Is(err, page.ErrVersionConflict) {
-		n.met.aborts.Inc()
-	}
-	return res, err
+	return p.Exec(tx, params)
 }
 
 // TxCommit implements Peer. For update transactions it performs the

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -67,6 +68,28 @@ func TestUpdateRequiresMasterRole(t *testing.T) {
 	role, _ := n.Role()
 	if role != RoleMaster {
 		t.Fatalf("role = %v", role)
+	}
+}
+
+func TestNodePublishesRoleAndIdentity(t *testing.T) {
+	reg := obs.New()
+	n := NewNode(Options{ID: "n1", Engine: heap.NewEngine(heap.Options{PageCap: 4}), Obs: reg})
+	role := obs.Labeled(obs.NodeRole, "node", "n1")
+	if got := reg.Gauge(role).Load(); got != obs.RoleValue(RoleSlave.String()) {
+		t.Fatalf("role gauge before promotion = %d, want slave", got)
+	}
+	if err := n.Promote(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Gauge(role).Load(); got != obs.RoleValue(RoleMaster.String()) {
+		t.Fatalf("role gauge after promotion = %d, want master", got)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Gauges[obs.Labeled(obs.NodeStartTime, "node", "n1")]; got <= 0 {
+		t.Fatalf("start-time gauge = %g, want the node's start", got)
+	}
+	if got := snap.Gauges[obs.Labeled(obs.BuildInfo, "go", runtime.Version(), "node", "n1")]; got != 1 {
+		t.Fatalf("build-info gauge = %g, want 1", got)
 	}
 }
 

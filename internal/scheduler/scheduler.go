@@ -188,10 +188,7 @@ type schedMetrics struct {
 	abortNodeDown     *obs.Counter
 	abortPeerTimeout  *obs.Counter
 	retriesExhausted  *obs.Counter
-	pickWaitUS        *obs.Histogram
 	txnUS             *obs.Histogram
-	versionWaitUS     *obs.Histogram
-	takeovers         *obs.Counter
 	deadlineAbandoned *obs.Counter
 }
 
@@ -226,10 +223,7 @@ func New(opts Options, numTables int, tableID func(string) (int, bool)) (*Schedu
 			abortNodeDown:     reg.Counter(obs.SchedAbortNodeDown),
 			abortPeerTimeout:  reg.Counter(obs.SchedAbortPeerTimeout),
 			retriesExhausted:  reg.Counter(obs.SchedRetriesExhausted),
-			pickWaitUS:        reg.Histogram(obs.SchedPickWaitUS),
 			txnUS:             reg.Histogram(obs.SchedTxnUS),
-			versionWaitUS:     reg.Histogram(obs.SchedVersionWaitUS),
-			takeovers:         reg.Counter(obs.SchedTakeovers),
 			deadlineAbandoned: reg.Counter(obs.SchedDeadlineAbandoned),
 		},
 		tracer: opts.Obs.Tracer(), // nil when Obs is nil: spans cost nothing
@@ -515,18 +509,7 @@ func (s *Scheduler) pickReader(v vclock.Vector) *replicaState {
 	// Wait up to a few read-transaction lifetimes for a safe replica to
 	// drain before risking aborts ("read-only transactions may need to
 	// wait for other read-only transactions using a previous version").
-	start := time.Now()
-	slept := false
-	defer func() {
-		s.met.pickWaitUS.ObserveSince(start)
-		if slept {
-			// Genuine version stall: no replica could take version v on the
-			// first pass (the paper's reader wait, as opposed to the
-			// near-zero fast-path pick).
-			s.met.versionWaitUS.ObserveSince(start)
-		}
-	}()
-	deadline := start.Add(60 * time.Millisecond)
+	deadline := time.Now().Add(60 * time.Millisecond)
 	for {
 		s.mu.Lock()
 		if len(s.slaves) == 0 {
@@ -586,7 +569,6 @@ func (s *Scheduler) pickReader(v vclock.Vector) *replicaState {
 			return least
 		}
 		s.mu.Unlock()
-		slept = true
 		time.Sleep(100 * time.Microsecond)
 	}
 }
@@ -657,7 +639,6 @@ func (s *Scheduler) TakeOver() error {
 	// scheduler, and a blind reset would drop it below an acknowledged
 	// version — the rollback point of a later master fail-over.
 	s.merged.Report(merged)
-	s.met.takeovers.Inc()
 	return nil
 }
 

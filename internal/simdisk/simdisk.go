@@ -282,13 +282,3 @@ func (d *Disk) ReplayRead(n int) {
 
 // Model returns the configured cost model.
 func (d *Disk) Model() CostModel { return d.model }
-
-// HitRatio returns hits/(hits+misses), or 1 if no accesses.
-func (d *Disk) HitRatio() float64 {
-	h := float64(d.stats.Hits.Load())
-	m := float64(d.stats.Misses.Load())
-	if h+m == 0 {
-		return 1
-	}
-	return h / (h + m)
-}

@@ -254,7 +254,7 @@ type pendingCall struct {
 	reply any
 	err   error
 	done  chan struct{} // receives once when the call completes
-	t     *time.Timer   // runs expire; nil until a call had a deadline
+	t     *time.Timer   // runs expire; nil until the pooled call's first use
 }
 
 var pendingCalls = sync.Pool{New: func() any { return &pendingCall{done: make(chan struct{}, 1)} }}
@@ -266,7 +266,7 @@ func newClientConn(id string, conn io.ReadWriteCloser) *clientConn {
 }
 
 // roundTrip sends one request and waits for its reply, decoded into reply,
-// for at most d (0 = no deadline). It returns errDeadline when d passed
+// for at most d. It returns errDeadline when d passed
 // first, the error text of an error frame, or ErrNodeDown when the
 // connection failed.
 //
@@ -288,13 +288,10 @@ func (c *clientConn) roundTrip(method string, args, reply any, d time.Duration) 
 	if err != nil {
 		return err
 	}
-	armed := d > 0
-	if armed {
-		if pc.t == nil {
-			pc.t = time.AfterFunc(d, pc.expire)
-		} else {
-			pc.t.Reset(d)
-		}
+	if pc.t == nil {
+		pc.t = time.AfterFunc(d, pc.expire)
+	} else {
+		pc.t.Reset(d)
 	}
 
 	// A call its deadline already withdrew is not written.
@@ -328,7 +325,7 @@ func (c *clientConn) roundTrip(method string, args, reply any, d time.Duration) 
 
 	<-pc.done
 	err = pc.err
-	if !armed || pc.t.Stop() {
+	if pc.t.Stop() {
 		pc.c, pc.reply, pc.err = nil, nil, nil
 		pendingCalls.Put(pc)
 	}

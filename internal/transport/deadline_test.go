@@ -51,6 +51,26 @@ func stalledListener(t *testing.T) net.Listener {
 	return lis
 }
 
+// TestClientOptionsAlwaysBounded: a negative deadline or retry budget is
+// not a way to run unbounded; it takes the default, like zero. Only a
+// negative RetryAttempts keeps a meaning of its own (no retries).
+func TestClientOptionsAlwaysBounded(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		in   ClientOptions
+		want func(ClientOptions) bool
+	}{
+		{"CallTimeout", ClientOptions{CallTimeout: -1}, func(o ClientOptions) bool { return o.CallTimeout == DefaultCallTimeout }},
+		{"PingTimeout", ClientOptions{PingTimeout: -time.Second}, func(o ClientOptions) bool { return o.PingTimeout == DefaultPingTimeout }},
+		{"RetryBudget", ClientOptions{RetryBudget: -1}, func(o ClientOptions) bool { return o.RetryBudget == DefaultRetryBudget }},
+		{"RetryAttempts", ClientOptions{RetryAttempts: -1}, func(o ClientOptions) bool { return o.RetryAttempts == 0 }},
+	} {
+		if got := c.in.withDefaults(); !c.want(got) {
+			t.Errorf("%s: withDefaults(%+v) = %+v", c.name, c.in, got)
+		}
+	}
+}
+
 // TestStalledPeerDeadline is the acceptance check that no transport RPC
 // can outlive its configured deadline: every call that goes on the wire
 // (the heartbeat, an update begin, a read's first statement, which carries

@@ -370,9 +370,8 @@ func ServeNodeObs(n *replica.Node, addr string, reg *obs.Registry) (*Server, err
 // partitioned, delayed, or reset under script control.
 func ServeNodeListener(n *replica.Node, lis net.Listener, reg *obs.Registry) (*Server, error) {
 	svc := &NodeService{node: n}
-	var connsC, bytesIn, bytesOut *obs.Counter
+	var bytesIn, bytesOut *obs.Counter
 	if reg != nil {
-		connsC = reg.Counter(obs.TransportConns)
 		bytesIn = reg.Counter(obs.TransportBytesIn)
 		bytesOut = reg.Counter(obs.TransportBytesOut)
 	}
@@ -384,7 +383,6 @@ func ServeNodeListener(n *replica.Node, lis net.Listener, reg *obs.Registry) (*S
 			if err != nil {
 				return // listener closed
 			}
-			connsC.Inc()
 			s.connMu.Lock()
 			s.conns[conn] = struct{}{}
 			s.connMu.Unlock()
@@ -468,24 +466,24 @@ const (
 )
 
 // ClientOptions tunes a RemoteNode's dialing, deadlines, and retry policy.
-// The zero value gets sane defaults; pass a negative CallTimeout to run
-// unbounded (tests that want calls without a deadline).
+// A zero or negative deadline or budget takes its default: every call is
+// bounded.
 type ClientOptions struct {
 	// Dial replaces net.Dial for this peer — the fault-injection hook
 	// (e.g. faultnet.Network.Dialer). Nil dials real TCP with DialTimeout.
 	Dial func(network, addr string) (net.Conn, error)
 
 	DialTimeout time.Duration // TCP connect bound (default 2s)
-	CallTimeout time.Duration // per-RPC deadline (default 5s; <0 disables)
-	PingTimeout time.Duration // heartbeat deadline (default 1s; <0 disables)
+	CallTimeout time.Duration // per-RPC deadline (default 5s)
+	PingTimeout time.Duration // heartbeat deadline (default 1s)
 
 	// RetryAttempts is the number of extra attempts for idempotent calls
 	// after the first fails on a transport error (default 2; <0 disables).
 	RetryAttempts int
 
 	// RetryBudget caps the total wall-clock a retry loop may consume across
-	// all attempts and backoff sleeps (default DefaultRetryBudget; <0
-	// disables). Exhaustions count on
+	// all attempts and backoff sleeps (default DefaultRetryBudget).
+	// Exhaustions count on
 	// dmv_transport_retry_budget_exhausted_total so an overload amplified
 	// by client retries is visible, not silent.
 	RetryBudget time.Duration
@@ -503,17 +501,11 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	if o.DialTimeout == 0 {
 		o.DialTimeout = DefaultDialTimeout
 	}
-	switch {
-	case o.CallTimeout == 0:
+	if o.CallTimeout <= 0 {
 		o.CallTimeout = DefaultCallTimeout
-	case o.CallTimeout < 0:
-		o.CallTimeout = 0 //dmv:ignore(rpcdeadline) normalizer: the public <0 escape hatch maps to callOnce's internal 0 = unbounded encoding
 	}
-	switch {
-	case o.PingTimeout == 0:
+	if o.PingTimeout <= 0 {
 		o.PingTimeout = DefaultPingTimeout
-	case o.PingTimeout < 0:
-		o.PingTimeout = 0 //dmv:ignore(rpcdeadline) normalizer: the public <0 escape hatch maps to callOnce's internal 0 = unbounded encoding
 	}
 	switch {
 	case o.RetryAttempts == 0:
@@ -521,11 +513,8 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	case o.RetryAttempts < 0:
 		o.RetryAttempts = 0
 	}
-	switch {
-	case o.RetryBudget == 0:
+	if o.RetryBudget <= 0 {
 		o.RetryBudget = DefaultRetryBudget
-	case o.RetryBudget < 0:
-		o.RetryBudget = 0 // internal 0 = unbounded, mirroring the timeout knobs
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -685,7 +674,7 @@ func (n *RemoteNode) call(method string, args any, reply statusReply) error {
 	return reply.Err()
 }
 
-// callOnce performs one call with deadline d (0 = unbounded). A failure of
+// callOnce performs one call with deadline d. A failure of
 // the connection is ErrNodeDown, and the next call re-dials; a deadline
 // miss is ErrPeerTimeout, and costs the connection only when the request
 // could not be written (clientConn.roundTrip). After a transport failure
@@ -732,7 +721,7 @@ func (n *RemoteNode) callIdem(method string, args any, reply statusReply, d time
 		// Elapsed-time budget: attempt counts alone let slow failures
 		// (each burning a full deadline) amplify an overload; once the
 		// budget is spent the loop stops even with attempts remaining.
-		if n.opts.RetryBudget > 0 && time.Since(start)+sleep > n.opts.RetryBudget {
+		if time.Since(start)+sleep > n.opts.RetryBudget {
 			n.met.budgetExhausted.Inc()
 			return err
 		}

@@ -76,7 +76,7 @@ func newSpareTwin(t *testing.T, cfg cluster.Config, service time.Duration) *clus
 		return e.Load(tid, []value.Row{{value.NewInt(1), value.NewInt(0)}})
 	}
 	// The remote nodes' page size, so the two tiers' digests compare.
-	cfg.EngineOptions = func(id string) heap.Options { return heap.Options{PageCap: 8, Observer: diskFor(id)} }
+	cfg.EngineOptions = func(id string) heap.Options { return heap.Options{PageCap: 8} }
 	cfg.DiskFor = diskFor
 	c, err := cluster.New(cfg)
 	if err != nil {

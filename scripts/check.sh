@@ -34,8 +34,10 @@ echo "==> benchmark module (go vet + go test)"
 
 echo "==> dmv-vet (memory-safety + protocol-invariant analyzers, all nine)"
 # The suite emits -json (stable machine-readable diagnostics) which the
-# driver's own -fmt mode re-renders as sorted diff-friendly text; the
-# metricname analyzer subsumes the old grep-based obs lint.
+# dmv-vet's own -fmt mode re-renders as sorted diff-friendly text. The
+# metricname analyzer subsumes the old grep-based obs lint, and its rule 3
+# checks that every catalogued metric name is read somewhere, so it
+# type-checks every package's tests too.
 vet_json=$(mktemp)
 trap 'rm -f "$vet_json"' EXIT
 vet_status=0
