@@ -220,99 +220,95 @@ func ExecDDL(e *heap.Engine, text string) error {
 
 // --- execution -------------------------------------------------------------
 
-// scanPath streams the rows of table tid matching the access path, given
-// the outer environment (for probe-expression evaluation). key is scratch
-// for the probe key; a join level passes the same one on every call.
-func scanPath(tx heap.Txn, tid int, path *accessPath, outer *env, key *value.Row, fn func(rid page.RowID, row value.Row) (bool, error)) error {
+// scanPath streams the rows of one table that match an access path: a
+// table cursor for a full scan, or an index cursor bounded by the path's
+// probe values. A join level owns one and reopens it for every row of the
+// level above, so a probe reuses the cursors' buffers and allocates
+// nothing, and no latch is held while the caller works on a row.
+type scanPath struct {
+	tx     heap.Txn
+	tid    int
+	path   *accessPath
+	table  heap.TableCursor
+	index  heap.IndexCursor
+	key    value.Row // the probe key: the equality prefix, then lo
+	prefix int       // the equality prefix's length in key
+	lo, hi value.Value
+}
+
+// open positions s before the first row of table tid on path, with the
+// probe expressions evaluated in outer.
+func (s *scanPath) open(tx heap.Txn, tid int, path *accessPath, outer *env) error {
+	s.tx, s.tid, s.path = tx, tid, path
 	if path.idx < 0 {
-		var ferr error
-		err := tx.Scan(tid, func(rid page.RowID, row value.Row) bool {
-			cont, err := fn(rid, row)
-			if err != nil {
-				ferr = err
-				return false
-			}
-			return cont
-		})
-		if err != nil {
-			return err
-		}
-		return ferr
+		return s.table.Seek(tx, tid)
 	}
-	// Evaluate probe values.
-	prefix := (*key)[:0]
+	key := s.key[:0]
 	for _, e := range path.eq {
 		v, err := eval(e, outer)
 		if err != nil {
 			return err
 		}
-		prefix = append(prefix, v)
+		key = append(key, v)
 	}
-	var loV, hiV value.Value
-	haveLo, haveHi := false, false
+	s.prefix = len(key)
 	if path.lo != nil {
 		v, err := eval(path.lo, outer)
 		if err != nil {
 			return err
 		}
-		loV, haveLo = v, true
+		s.lo, key = v, append(key, v)
 	}
 	if path.hi != nil {
 		v, err := eval(path.hi, outer)
 		if err != nil {
 			return err
 		}
-		hiV, haveHi = v, true
+		s.hi = v
 	}
-	from := prefix
-	if haveLo {
-		from = append(prefix, loV) // past prefix's length: prefix still reads the same
+	s.key = key
+	return s.index.Seek(tx, tid, path.idx, key)
+}
+
+// next returns the next row on the path; ok is false at its end.
+func (s *scanPath) next() (rid page.RowID, row value.Row, ok bool, err error) {
+	if s.path.idx < 0 {
+		rid, row, ok = s.table.Next()
+		return rid, row, ok, s.table.Err()
 	}
-	*key = from
-	var ferr error
-	err := tx.IndexScan(tid, path.idx, from, func(key value.Row, rid page.RowID) bool {
-		// Stop once the equality prefix no longer matches.
-		for i := range prefix {
-			if i >= len(key) || !value.Equal(key[i], prefix[i]) {
-				return false
-			}
-		}
-		if haveLo || haveHi {
-			k := len(prefix)
-			if k < len(key) {
-				if haveLo {
-					c := value.Compare(key[k], loV)
-					if c < 0 || (c == 0 && !path.loInc) {
-						return true // before range start (exclusive bound)
-					}
-				}
-				if haveHi {
-					c := value.Compare(key[k], hiV)
-					if c > 0 || (c == 0 && !path.hiInc) {
-						return false // past range end
-					}
-				}
-			}
-		}
-		row, ok, err := tx.Fetch(tid, rid)
-		if err != nil {
-			ferr = err
-			return false
-		}
+	for {
+		key, rid, ok := s.index.Next()
 		if !ok {
-			return true
+			return 0, nil, false, s.index.Err()
 		}
-		cont, err := fn(rid, row)
+		// Stop once the equality prefix no longer matches.
+		for i, v := range s.key[:s.prefix] {
+			if i >= len(key) || !value.Equal(key[i], v) {
+				return 0, nil, false, nil
+			}
+		}
+		if k := s.prefix; k < len(key) {
+			if s.path.lo != nil {
+				c := value.Compare(key[k], s.lo)
+				if c < 0 || (c == 0 && !s.path.loInc) {
+					continue // before range start (exclusive bound)
+				}
+			}
+			if s.path.hi != nil {
+				c := value.Compare(key[k], s.hi)
+				if c > 0 || (c == 0 && !s.path.hiInc) {
+					return 0, nil, false, nil // past range end
+				}
+			}
+		}
+		row, ok, err := s.tx.Fetch(s.tid, rid)
 		if err != nil {
-			ferr = err
-			return false
+			return 0, nil, false, err
 		}
-		return cont
-	})
-	if err != nil {
-		return err
+		if ok {
+			return rid, row, true, nil
+		}
 	}
-	return ferr
 }
 
 // --- SELECT -----------------------------------------------------------------
@@ -464,11 +460,9 @@ type joinWalk struct {
 
 // walkLevel is the state of one join level for one statement.
 type walkLevel struct {
-	env     env         // reads this level's row; binds the next level's probes
-	key     value.Row   // probe-key scratch for scanPath
-	held    []value.Row // stored rows a full scan qualified, for level to descend into
-	matched bool        // a row met the ON residuals (LEFT JOIN null extension)
-	visit   func(rid page.RowID, row value.Row) (bool, error)
+	env     env      // reads this level's row; binds the next level's probes
+	scan    scanPath // reopened for every row of the level above
+	matched bool     // a row met the ON residuals (LEFT JOIN null extension)
 }
 
 func newJoinWalk(tx heap.Txn, p *plan, sel *sql.Select, top *env) *joinWalk {
@@ -482,7 +476,6 @@ func newJoinWalk(tx heap.Txn, p *plan, sel *sql.Select, top *env) *joinWalk {
 		if w.buf != nil {
 			lv.env.row = w.buf[:tb.base+len(tb.def.Cols)]
 		}
-		lv.visit = func(_ page.RowID, row value.Row) (bool, error) { return w.visit(i, row) }
 	}
 	if p.hasAgg {
 		w.agg = newAggregator(p, sel)
@@ -490,27 +483,28 @@ func newJoinWalk(tx heap.Txn, p *plan, sel *sql.Select, top *env) *joinWalk {
 	return w
 }
 
-// level runs join level i under the rows levels 0..i-1 have placed.
+// level runs join level i under the rows levels 0..i-1 have placed. The
+// scan holds no latch while a row is visited, so a deeper level, or a
+// subquery in a residual, may read the pages this level reads.
 func (w *joinWalk) level(i int) error {
 	tb, pl, lv := &w.p.b.tabs[i], &w.p.levels[i], &w.levels[i]
 	probe := w.top
 	if i > 0 {
 		probe = &w.levels[i-1].env
 	}
-	lv.matched, lv.held = false, lv.held[:0]
-	if err := scanPath(w.tx, tb.tid, &pl.path, probe, &lv.key, lv.visit); err != nil {
+	lv.matched = false
+	if err := lv.scan.open(w.tx, tb.tid, &pl.path, probe); err != nil {
 		return err
 	}
-	// A full scan calls visit under the page's read latch, which a deeper
-	// level may take again, and a sync.RWMutex read lock taken twice hangs
-	// once a lazy apply waits for the write latch. So visit holds a full
-	// scan's rows short of the last level, and the walk descends into them
-	// here, after Scan has returned. The stored rows outlive the latch,
-	// which is safe only because a published row is never written
-	// (DESIGN.md §8).
-	for _, row := range lv.held {
-		w.load(i, row)
-		if err := w.next(i); err != nil {
+	for {
+		_, row, ok, err := lv.scan.next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		if err := w.visit(i, row); err != nil {
 			return err
 		}
 	}
@@ -526,21 +520,17 @@ func (w *joinWalk) level(i int) error {
 
 // visit tests one row level i scanned against the level's residuals, the
 // outer levels' rows in place, and passes it on if they hold.
-func (w *joinWalk) visit(i int, row value.Row) (bool, error) {
+func (w *joinWalk) visit(i int, row value.Row) error {
 	pl, lv := &w.p.levels[i], &w.levels[i]
 	w.load(i, row)
 	if ok, err := passes(&lv.env, pl.residualOn); err != nil || !ok {
-		return err == nil, err
+		return err
 	}
 	lv.matched = true // the ON condition matched
 	if ok, err := passes(&lv.env, pl.residualWhere); err != nil || !ok {
-		return err == nil, err
+		return err
 	}
-	if pl.path.idx < 0 && i+1 < len(w.levels) {
-		lv.held = append(lv.held, row)
-		return true, nil
-	}
-	return true, w.next(i)
+	return w.next(i)
 }
 
 // load makes row the current row of level i.
@@ -840,17 +830,24 @@ func passes(rowEnv *env, preds []sql.Expr) (bool, error) {
 // matches, through the access path and residuals of its plan.
 func targetRows(tx heap.Txn, p *plan, params []value.Value, subs subCache) ([]page.RowID, error) {
 	b, lv := p.b, &p.levels[0]
-	outerEnv := &env{cols: b.cols, params: params, tx: tx, subs: subs}
-	var key value.Row
+	e := env{cols: b.cols, params: params, tx: tx, subs: subs}
+	var s scanPath
+	if err := s.open(tx, b.tabs[0].tid, &lv.path, &e); err != nil {
+		return nil, err
+	}
 	var rids []page.RowID
-	err := scanPath(tx, b.tabs[0].tid, &lv.path, outerEnv, &key, func(rid page.RowID, row value.Row) (bool, error) {
-		ok, err := passes(&env{cols: b.cols, row: row, params: params, tx: tx, subs: subs}, lv.residualWhere)
-		if ok {
+	for {
+		rid, row, ok, err := s.next()
+		if err != nil || !ok {
+			return rids, err
+		}
+		e.row = row
+		if ok, err := passes(&e, lv.residualWhere); err != nil {
+			return nil, err
+		} else if ok {
 			rids = append(rids, rid)
 		}
-		return err == nil, err
-	})
-	return rids, err
+	}
 }
 
 func runUpdate(tx heap.Txn, p *plan, up *sql.Update, params []value.Value) (*Result, error) {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"dmv/internal/heap"
-	"dmv/internal/page"
 	"dmv/internal/sql"
 	"dmv/internal/value"
 	"dmv/internal/vclock"
@@ -41,22 +40,33 @@ func materialized(tx heap.Txn, p *plan, sel *sql.Select, params []value.Value) (
 			outerEnv := *top
 			outerEnv.row = outer
 			matched := false
-			var key value.Row
-			err := scanPath(tx, tb.tid, &lv.path, &outerEnv, &key, func(_ page.RowID, row value.Row) (bool, error) {
+			var s scanPath
+			if err := s.open(tx, tb.tid, &lv.path, &outerEnv); err != nil {
+				return nil, err
+			}
+			for {
+				_, row, ok, err := s.next()
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					break
+				}
 				rowEnv := *top
 				rowEnv.row = append(slices.Clip(outer), row...)
-				if ok, err := passes(&rowEnv, lv.residualOn); err != nil || !ok {
-					return err == nil, err
+				if ok, err := passes(&rowEnv, lv.residualOn); err != nil {
+					return nil, err
+				} else if !ok {
+					continue
 				}
 				matched = true
-				ok, err := passes(&rowEnv, lv.residualWhere)
+				ok, err = passes(&rowEnv, lv.residualWhere)
+				if err != nil {
+					return nil, err
+				}
 				if ok {
 					next = append(next, rowEnv.row)
 				}
-				return err == nil, err
-			})
-			if err != nil {
-				return nil, err
 			}
 			if tb.ref.Join == sql.JoinLeft && !matched {
 				rowEnv := *top

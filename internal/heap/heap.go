@@ -359,6 +359,15 @@ func (e *Engine) table(id int) (*Table, error) {
 	return e.tables[id], nil
 }
 
+// index returns index idx of table.
+func (e *Engine) index(table, idx int) (*Index, error) {
+	t, err := e.table(table)
+	if err != nil {
+		return nil, err
+	}
+	return t.index(idx)
+}
+
 func (e *Engine) allTables() []*Table {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

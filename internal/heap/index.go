@@ -70,6 +70,25 @@ func (ix *Index) keyOf(row value.Row) value.Row {
 	return key
 }
 
+// keyChanged reports whether rows old and new carry different keys in ix,
+// comparing the key columns in place, as CompareRows would compare their
+// keyOf images.
+func (ix *Index) keyChanged(old, new value.Row) bool {
+	for _, c := range ix.def.Cols {
+		var a, b value.Value
+		if c < len(old) {
+			a = old[c]
+		}
+		if c < len(new) {
+			b = new[c]
+		}
+		if value.Compare(a, b) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // add makes (key,rid) visible from version ver on. For unique indexes it
 // reports ErrDuplicateKey when another live row already carries the key at
 // ver (checked against the latest state; the master serializes writers via
@@ -79,7 +98,7 @@ func (ix *Index) add(key value.Row, rid page.RowID, ver uint64) error {
 	defer ix.mu.Unlock()
 	if ix.def.Unique {
 		dup := false
-		ix.tree.Ascend(ikey{key: key, rid: -1 << 62}, func(k ikey, spans []span) bool {
+		ix.tree.Ascend(ikey{key: key, rid: minRowID}, func(k ikey, spans []span) bool {
 			if value.CompareRows(k.key, key) != 0 {
 				return false
 			}
@@ -113,7 +132,7 @@ func (ix *Index) addUnchecked(key value.Row, rid page.RowID, ver uint64) error {
 func (ix *Index) addLocked(key value.Row, rid page.RowID, ver uint64) error {
 	ix.tree.Upsert(ikey{key: key, rid: rid}, func(spans []span, found bool) []span {
 		if !found {
-			value.Seal(key) // the tree now holds key; scan hands it out as is
+			value.Seal(key) // the tree now holds key; a cursor hands it out as is
 		}
 		for _, s := range spans {
 			if s.del == 0 {
@@ -138,85 +157,6 @@ func (ix *Index) del(key value.Row, rid page.RowID, ver uint64) {
 			break
 		}
 	}
-}
-
-// Chunk sizes of scan: the first chunk is small because most scans are
-// point probes (lookupEq, a unique-key fetch) whose caller reads one or two
-// entries and stops; each later chunk is scanChunkGrowth times larger, up
-// to scanChunkMax, so a long range scan still takes the latch once per
-// scanChunkMax entries.
-const (
-	scanChunkFirst  = 8
-	scanChunkGrowth = 4
-	scanChunkMax    = 256
-)
-
-// scan iterates entries with key >= from (nil from = whole index) visible at
-// version v, in key order, until fn returns false. The keys fn receives are
-// the stored ones, immutable once added: fn must not write into them.
-//
-// The index latch is NEVER held while fn runs: fn typically fetches pages,
-// and a committing update transaction holds page latches while publishing
-// index entries — holding the index latch across fn would create a classic
-// index->page vs page->index deadlock. Entries are therefore collected in
-// chunks (see scanChunkFirst) under a shared latch and delivered
-// latch-free. Entries inserted behind the cursor between chunks are
-// invisible at the reader's version by construction (write-sets are
-// acknowledged before the version is ever assigned to a reader).
-func (ix *Index) scan(from value.Row, v uint64, fn func(key value.Row, rid page.RowID) bool) {
-	var (
-		buf     []ikey
-		resume  ikey
-		resumed bool
-	)
-	for size := scanChunkFirst; ; size = min(size*scanChunkGrowth, scanChunkMax) {
-		if cap(buf) < size {
-			buf = make([]ikey, 0, size)
-		}
-		buf = buf[:0]
-		iter := func(k ikey, spans []span) bool {
-			if resumed && cmpIKey(k, resume) <= 0 {
-				return true
-			}
-			if visible(spans, v) {
-				buf = append(buf, k)
-			}
-			return len(buf) < size
-		}
-		ix.mu.RLock()
-		switch {
-		case resumed:
-			ix.tree.Ascend(resume, iter)
-		case from != nil:
-			ix.tree.Ascend(ikey{key: from, rid: -1 << 62}, iter)
-		default:
-			ix.tree.AscendAll(iter)
-		}
-		ix.mu.RUnlock()
-		for _, k := range buf {
-			value.CheckSealed(k.key)
-			if !fn(k.key, k.rid) {
-				return
-			}
-		}
-		if len(buf) < size {
-			return
-		}
-		resume, resumed = buf[len(buf)-1], true
-	}
-}
-
-// lookupEq collects the row ids whose key equals key exactly, visible at v.
-func (ix *Index) lookupEq(key value.Row, v uint64) []page.RowID {
-	var out []page.RowID
-	ix.scan(key, v, func(k value.Row, rid page.RowID) bool {
-		if value.CompareRows(k, key) != 0 {
-			return false
-		}
-		out = append(out, rid)
-		return true
-	})
-	return out
 }
 
 // discardAbove removes the effects of modifications with version > v:
@@ -315,11 +255,10 @@ func (ix *Index) reconcile(old, img map[page.RowID]value.Row, prev, v uint64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	for rid, row := range old {
-		key := ix.keyOf(row)
-		if want, kept := img[rid]; kept && value.CompareRows(ix.keyOf(want), key) == 0 {
+		if want, kept := img[rid]; kept && !ix.keyChanged(row, want) {
 			continue
 		}
-		spans, _ := ix.tree.Get(ikey{key: key, rid: rid})
+		spans, _ := ix.tree.Get(ikey{key: ix.keyOf(row), rid: rid})
 		for i, s := range spans {
 			if s.add <= v && (s.del == 0 || v < s.del) {
 				spans[i].del = v

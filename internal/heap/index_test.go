@@ -28,7 +28,14 @@ func scanFixture(t *testing.T, n int) *Index {
 	return ix
 }
 
-// TestIndexScanChunkBoundaries drives scan across the growing chunk sizes
+// seekIndex positions c on ix at version v, as Seek does for a ReadTx.
+func seekIndex(c *IndexCursor, ix *Index, v uint64, from value.Row) {
+	c.reset(from)
+	c.ix, c.v, c.more = ix, v, true
+	c.fill()
+}
+
+// TestIndexScanChunkBoundaries drives a cursor across the growing chunk sizes
 // (8, then 32, 128, 256, 256...: boundaries after 8, 40, 168, 424 visible
 // entries): every visible entry is delivered once and in order, from any
 // start, up to the entry where the caller stops, and entries inserted
@@ -51,7 +58,9 @@ func TestIndexScanChunkBoundaries(t *testing.T) {
 		}
 		collect := func(ix *Index, from value.Row, stopAt int, onEntry func(int64)) []int64 {
 			var got []int64
-			ix.scan(from, v, func(key value.Row, rid page.RowID) bool {
+			var c IndexCursor
+			seekIndex(&c, ix, v, from)
+			for key, rid, ok := c.Next(); ok; key, rid, ok = c.Next() {
 				if key[0].AsInt() != int64(rid) {
 					t.Fatalf("n=%d: key %v delivered with rid %d", n, key, rid)
 				}
@@ -59,8 +68,10 @@ func TestIndexScanChunkBoundaries(t *testing.T) {
 				if onEntry != nil {
 					onEntry(key[0].AsInt())
 				}
-				return len(got) != stopAt
-			})
+				if len(got) == stopAt {
+					break
+				}
+			}
 			return got
 		}
 

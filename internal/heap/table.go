@@ -83,12 +83,14 @@ func (t *Table) index(id int) (*Index, error) {
 	return t.indexes[id], nil
 }
 
+// allIndexes returns the table's indexes. The list only grows and never
+// rewrites an entry, so the prefix read under the latch is a stable
+// snapshot; its capped capacity keeps a caller's append off the shared
+// array.
 func (t *Table) allIndexes() []*Index {
 	t.idxMu.RLock()
 	defer t.idxMu.RUnlock()
-	out := make([]*Index, len(t.indexes))
-	copy(out, t.indexes)
-	return out
+	return t.indexes[:len(t.indexes):len(t.indexes)]
 }
 
 // pageAt returns the page with the given id, or nil.
@@ -101,13 +103,12 @@ func (t *Table) pageAt(id page.ID) *page.Page {
 	return t.pages[id]
 }
 
-// pagesSnapshot returns a copy of the page directory.
+// pagesSnapshot returns the page directory. Like the index list it only
+// grows and never rewrites an entry, so its prefix is a stable snapshot.
 func (t *Table) pagesSnapshot() []*page.Page {
 	t.dirMu.RLock()
 	defer t.dirMu.RUnlock()
-	out := make([]*page.Page, len(t.pages))
-	copy(out, t.pages)
-	return out
+	return t.pages[:len(t.pages):len(t.pages)]
 }
 
 // ensurePage makes sure the directory contains a page with the given id

@@ -1,7 +1,6 @@
 package heap
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -25,13 +24,16 @@ type Txn interface {
 	// the engine and must not be modified. An UpdateTx returns a private
 	// copy the caller may modify and pass to Update.
 	Fetch(table int, rid page.RowID) (value.Row, bool, error)
-	// Scan iterates all rows of the table until fn returns false. Rows are
-	// owned as for Fetch: stored rows from a ReadTx, copies from an
-	// UpdateTx.
+	// Scan iterates all rows of the table until fn returns false, over a
+	// TableCursor. Rows are owned as for Fetch: stored rows from a ReadTx,
+	// copies from an UpdateTx. The executor walks a TableCursor itself;
+	// Scan stays for a Txn that decorates another (the benchmark's
+	// statement-replay probe), which a cursor reads through it.
 	Scan(table int, fn func(rid page.RowID, row value.Row) bool) error
 	// IndexScan iterates index entries with key >= from (nil = all) in key
-	// order until fn returns false. Every key fn receives belongs to the
-	// engine and must not be modified.
+	// order until fn returns false, over an IndexCursor. Every key fn
+	// receives belongs to the engine and must not be modified. It stays for
+	// decorators, as Scan does.
 	IndexScan(table, idx int, from value.Row, fn func(key value.Row, rid page.RowID) bool) error
 	// LookupEq returns the row ids whose index key equals key.
 	LookupEq(table, idx int, key value.Row) ([]page.RowID, error)
@@ -48,9 +50,6 @@ var (
 	_ Txn = (*ReadTx)(nil)
 	_ Txn = (*UpdateTx)(nil)
 )
-
-// errStopScan is a private sentinel used to break out of page.View scans.
-var errStopScan = errors.New("heap: stop scan")
 
 // ---------------------------------------------------------------------------
 // Read-only transactions
@@ -103,60 +102,58 @@ func (tx *ReadTx) Fetch(table int, rid page.RowID) (value.Row, bool, error) {
 
 // Scan implements Txn.
 func (tx *ReadTx) Scan(table int, fn func(rid page.RowID, row value.Row) bool) error {
-	t, err := tx.e.table(table)
-	if err != nil {
-		return err
-	}
-	v := tx.verFor(table)
-	for _, pg := range t.pagesSnapshot() {
-		if pg.CreateVersion() > v {
-			continue
-		}
-		tx.e.observe(table, pg.ID())
-		err := pg.View(v, func(rows map[page.RowID]value.Row) error {
-			for rid, row := range rows {
-				value.CheckSealed(row)
-				if !fn(rid, row) {
-					return errStopScan
-				}
-			}
-			return nil
-		})
-		if errors.Is(err, errStopScan) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return scan(tx, table, fn)
 }
 
 // IndexScan implements Txn.
 func (tx *ReadTx) IndexScan(table, idx int, from value.Row, fn func(key value.Row, rid page.RowID) bool) error {
-	t, err := tx.e.table(table)
-	if err != nil {
-		return err
-	}
-	ix, err := t.index(idx)
-	if err != nil {
-		return err
-	}
-	ix.scan(from, tx.verFor(table), fn)
-	return nil
+	return indexScan(tx, table, idx, from, fn)
 }
 
 // LookupEq implements Txn.
 func (tx *ReadTx) LookupEq(table, idx int, key value.Row) ([]page.RowID, error) {
-	t, err := tx.e.table(table)
-	if err != nil {
+	return lookupEq(tx, table, idx, key)
+}
+
+// scan runs Scan for a ReadTx or an UpdateTx over a TableCursor.
+func scan(tx Txn, table int, fn func(rid page.RowID, row value.Row) bool) error {
+	var c TableCursor
+	if err := c.Seek(tx, table); err != nil {
+		return err
+	}
+	for rid, row, ok := c.Next(); ok; rid, row, ok = c.Next() {
+		if !fn(rid, row) {
+			return nil
+		}
+	}
+	return c.Err()
+}
+
+// indexScan runs IndexScan for a ReadTx or an UpdateTx over an IndexCursor.
+func indexScan(tx Txn, table, idx int, from value.Row, fn func(key value.Row, rid page.RowID) bool) error {
+	var c IndexCursor
+	if err := c.Seek(tx, table, idx, from); err != nil {
+		return err
+	}
+	for key, rid, ok := c.Next(); ok; key, rid, ok = c.Next() {
+		if !fn(key, rid) {
+			return nil
+		}
+	}
+	return c.Err()
+}
+
+// lookupEq collects the row ids whose index key equals key exactly.
+func lookupEq(tx Txn, table, idx int, key value.Row) ([]page.RowID, error) {
+	var c IndexCursor
+	if err := c.Seek(tx, table, idx, key); err != nil {
 		return nil, err
 	}
-	ix, err := t.index(idx)
-	if err != nil {
-		return nil, err
+	var out []page.RowID
+	for k, rid, ok := c.Next(); ok && value.CompareRows(k, key) == 0; k, rid, ok = c.Next() {
+		out = append(out, rid)
 	}
-	return ix.lookupEq(key, tx.verFor(table)), nil
+	return out, c.Err()
 }
 
 // Insert implements Txn (always fails: read-only).
@@ -285,110 +282,18 @@ func (tx *UpdateTx) Fetch(table int, rid page.RowID) (value.Row, bool, error) {
 // Scan implements Txn: locks every page of the table (a serializable table
 // scan; the TPC-W update transactions never do this on large tables).
 func (tx *UpdateTx) Scan(table int, fn func(rid page.RowID, row value.Row) bool) error {
-	t, err := tx.e.table(table)
-	if err != nil {
-		return err
-	}
-	for _, pg := range t.pagesSnapshot() {
-		if err := tx.lockPage(pg); err != nil {
-			return err
-		}
-		for rid, row := range pg.XRows() {
-			if !fn(rid, row.Clone()) { // a copy, as in Fetch
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
-// overlayFor splits the transaction's pending index operations for one
-// index into added entries (sorted) and a deleted-entry set.
-func (tx *UpdateTx) overlayFor(ix *Index) (adds []ikey, dels map[string]struct{}) {
-	for _, op := range tx.ovl {
-		if op.ix != ix {
-			continue
-		}
-		if op.add {
-			adds = append(adds, ikey{key: op.key, rid: op.rid})
-		} else {
-			if dels == nil {
-				dels = make(map[string]struct{}, 4)
-			}
-			dels[entryKey(op.key, op.rid)] = struct{}{}
-		}
-	}
-	sort.Slice(adds, func(i, j int) bool { return cmpIKey(adds[i], adds[j]) < 0 })
-	return adds, dels
-}
-
-func entryKey(key value.Row, rid page.RowID) string {
-	return key.Key() + "#" + fmt.Sprint(rid)
+	return scan(tx, table, fn)
 }
 
 // IndexScan implements Txn: merges the committed index state (latest
 // versions) with this transaction's uncommitted overlay.
 func (tx *UpdateTx) IndexScan(table, idx int, from value.Row, fn func(key value.Row, rid page.RowID) bool) error {
-	t, err := tx.e.table(table)
-	if err != nil {
-		return err
-	}
-	ix, err := t.index(idx)
-	if err != nil {
-		return err
-	}
-	adds, dels := tx.overlayFor(ix)
-	// Skip overlay adds before `from`.
-	i := 0
-	if from != nil {
-		lo := ikey{key: from, rid: -1 << 62}
-		for i < len(adds) && cmpIKey(adds[i], lo) < 0 {
-			i++
-		}
-	}
-	stopped := false
-	ix.scan(from, VersionLatest, func(k value.Row, rid page.RowID) bool {
-		cur := ikey{key: k, rid: rid}
-		for i < len(adds) && cmpIKey(adds[i], cur) < 0 {
-			if !fn(adds[i].key, adds[i].rid) {
-				stopped = true
-				return false
-			}
-			i++
-		}
-		if dels != nil {
-			if _, dead := dels[entryKey(k, rid)]; dead {
-				return true
-			}
-		}
-		if !fn(k, rid) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return nil
-	}
-	for ; i < len(adds); i++ {
-		if !fn(adds[i].key, adds[i].rid) {
-			return nil
-		}
-	}
-	return nil
+	return indexScan(tx, table, idx, from, fn)
 }
 
 // LookupEq implements Txn.
 func (tx *UpdateTx) LookupEq(table, idx int, key value.Row) ([]page.RowID, error) {
-	var out []page.RowID
-	err := tx.IndexScan(table, idx, key, func(k value.Row, rid page.RowID) bool {
-		if value.CompareRows(k, key) != 0 {
-			return false
-		}
-		out = append(out, rid)
-		return true
-	})
-	return out, err
+	return lookupEq(tx, table, idx, key)
 }
 
 func (tx *UpdateTx) coerce(t *Table, row value.Row) value.Row {
@@ -407,24 +312,16 @@ func (tx *UpdateTx) checkUnique(table, idxOrd int, ix *Index, key value.Row, exc
 	if !ix.def.Unique {
 		return nil
 	}
-	var dup bool
-	err := tx.IndexScan(table, idxOrd, key, func(k value.Row, rid page.RowID) bool {
-		if value.CompareRows(k, key) != 0 {
-			return false
-		}
-		if rid != excludeRid {
-			dup = true
-			return false
-		}
-		return true
-	})
-	if err != nil {
+	var c IndexCursor
+	if err := c.Seek(tx, table, idxOrd, key); err != nil {
 		return err
 	}
-	if dup {
-		return fmt.Errorf("%w: index %s key %v", ErrDuplicateKey, ix.def.Name, key)
+	for k, rid, ok := c.Next(); ok && value.CompareRows(k, key) == 0; k, rid, ok = c.Next() {
+		if rid != excludeRid {
+			return fmt.Errorf("%w: index %s key %v", ErrDuplicateKey, ix.def.Name, key)
+		}
 	}
-	return nil
+	return c.Err()
 }
 
 // Insert implements Txn.
@@ -484,11 +381,10 @@ func (tx *UpdateTx) Update(table int, rid page.RowID, row value.Row) error {
 	r := tx.coerce(t, row)
 	indexes := t.allIndexes()
 	for ord, ix := range indexes {
-		oldKey, newKey := ix.keyOf(before), ix.keyOf(r)
-		if value.CompareRows(oldKey, newKey) == 0 {
+		if !ix.def.Unique || !ix.keyChanged(before, r) {
 			continue
 		}
-		if err := tx.checkUnique(table, ord, ix, newKey, rid); err != nil {
+		if err := tx.checkUnique(table, ord, ix, ix.keyOf(r), rid); err != nil {
 			return err
 		}
 	}
@@ -505,13 +401,12 @@ func (tx *UpdateTx) Update(table int, rid page.RowID, row value.Row) error {
 		Old:   beforeCopy,
 	})
 	for _, ix := range indexes {
-		oldKey, newKey := ix.keyOf(beforeCopy), ix.keyOf(r)
-		if value.CompareRows(oldKey, newKey) == 0 {
+		if !ix.keyChanged(beforeCopy, r) {
 			continue
 		}
 		tx.ovl = append(tx.ovl,
-			idxOp{table: table, ix: ix, key: oldKey, rid: rid, add: false},
-			idxOp{table: table, ix: ix, key: newKey, rid: rid, add: true})
+			idxOp{table: table, ix: ix, key: ix.keyOf(beforeCopy), rid: rid, add: false},
+			idxOp{table: table, ix: ix, key: ix.keyOf(r), rid: rid, add: true})
 	}
 	return nil
 }

@@ -105,12 +105,11 @@ func (e *Engine) ApplyWriteSet(ws *WriteSet) error {
 				}
 			case page.OpUpdate:
 				for _, ix := range t.allIndexes() {
-					oldKey, newKey := ix.keyOf(rec.Old), ix.keyOf(rec.Op.Data)
-					if value.CompareRows(oldKey, newKey) == 0 {
+					if !ix.keyChanged(rec.Old, rec.Op.Data) {
 						continue
 					}
-					ix.del(oldKey, rec.Op.Row, ver)
-					if err := ix.addUnchecked(newKey, rec.Op.Row, ver); err != nil {
+					ix.del(ix.keyOf(rec.Old), rec.Op.Row, ver)
+					if err := ix.addUnchecked(ix.keyOf(rec.Op.Data), rec.Op.Row, ver); err != nil {
 						return err
 					}
 				}

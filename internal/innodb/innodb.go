@@ -122,7 +122,10 @@ func (db *DB) Exec(tx heap.Txn, text string, params ...value.Value) (*exec.Resul
 		return nil, err
 	}
 	if ct, ok := tx.(*countedTxn); ok {
-		ct.n.n++ // update statements are charged at commit by UpdateTxn
+		// Update statements are charged at commit by UpdateTxn. The
+		// executor's cursors read the UpdateTx itself.
+		ct.n.n++
+		tx = ct.Txn
 	} else if db.svcSem != nil && tx.ReadOnly() {
 		// Occupy one CPU for the statement's service demand, then release
 		// before executing: a statement blocked on a page latch does not

@@ -157,6 +157,9 @@ func (t *Tree[K, V]) AscendAll(fn func(K, V) bool) {
 	t.ascend(t.root, nil, fn)
 }
 
+// ascend compares from only on the seek path: every key in the right
+// subtree of a node at or past from is past it too, so that subtree is
+// walked with no start key.
 func (t *Tree[K, V]) ascend(h *node[K, V], from *K, fn func(K, V) bool) bool {
 	if h == nil {
 		return true
@@ -168,7 +171,7 @@ func (t *Tree[K, V]) ascend(h *node[K, V], from *K, fn func(K, V) bool) bool {
 		if !fn(h.key, h.val) {
 			return false
 		}
-		return t.ascend(h.right, from, fn)
+		return t.ascend(h.right, nil, fn)
 	}
 	return t.ascend(h.right, from, fn)
 }

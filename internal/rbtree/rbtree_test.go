@@ -184,6 +184,30 @@ func TestAscendFrom(t *testing.T) {
 	}
 }
 
+// TestAscendComparesOnSeekPath counts the comparisons of a walk from the
+// middle of the tree to its end: the start key meets only the nodes on its
+// seek path, at most the tree's height of 2*log2(n+1), never every key
+// walked.
+func TestAscendComparesOnSeekPath(t *testing.T) {
+	cmps := 0
+	tr := New[int, int](func(a, b int) int {
+		cmps++
+		return a - b
+	})
+	for k := 0; k < 1000; k++ {
+		tr.Put(k, k)
+	}
+	cmps = 0
+	walked := 0
+	tr.Ascend(500, func(k, _ int) bool {
+		walked++
+		return true
+	})
+	if walked != 500 || cmps > 20 {
+		t.Fatalf("walked %d keys with %d comparisons, want 500 with at most 20", walked, cmps)
+	}
+}
+
 // TestSortedInvariantProperty uses testing/quick: any key set inserted in
 // any order iterates sorted and fully.
 func TestSortedInvariantProperty(t *testing.T) {

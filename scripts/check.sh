@@ -128,9 +128,10 @@ go test -run '^$' -fuzz '^FuzzCheckpoint$' -fuzztime 20000x ./internal/heap/
 
 echo "==> allocation ceilings (no -race, no dmvdebug)"
 # The ceilings hold for a plain build only: -race and -tags dmvdebug
-# instrument and seal-check, and allocate, so TestWireAllocs and
-# TestUpdateCommitAllocs do not run under them and no other leg runs them.
-go test -count=1 -run 'TestWireAllocs|TestUpdateCommitAllocs|TestStatementAllocs|TestPointLookupAllocs' \
+# instrument and seal-check, and allocate, so TestWireAllocs,
+# TestUpdateCommitAllocs and TestApplyUnchangedKeysAllocs do not run under
+# them and no other leg runs them.
+go test -count=1 -run 'TestWireAllocs|TestUpdateCommitAllocs|TestApplyUnchangedKeysAllocs|TestStatementAllocs|TestPointLookupAllocs' \
 	./internal/transport/ ./internal/heap/ ./internal/exec/
 
 echo "==> go test -race"
