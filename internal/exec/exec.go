@@ -790,7 +790,9 @@ func runInsert(tx heap.Txn, ins *sql.Insert, params []value.Value) (*Result, err
 			ords = append(ords, ord)
 		}
 	}
-	e := &env{cols: map[string]int{}, params: params, tx: tx, subs: make(subCache)}
+	// No columns are in scope (a nil cols map finds none, as an empty one
+	// would) and no subquery cache is made: e stays on the stack.
+	e := env{params: params, tx: tx}
 	n := 0
 	for _, exprRow := range ins.Rows {
 		if len(exprRow) != len(ords) {
@@ -798,7 +800,7 @@ func runInsert(tx heap.Txn, ins *sql.Insert, params []value.Value) (*Result, err
 		}
 		row := make(value.Row, len(def.Cols))
 		for i, ex := range exprRow {
-			v, err := eval(ex, e)
+			v, err := eval(ex, &e)
 			if err != nil {
 				return nil, err
 			}

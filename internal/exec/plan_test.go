@@ -199,48 +199,57 @@ func TestStatementAllocs(t *testing.T) {
 		q       string
 		params  []value.Value
 		ceiling float64
-		bytes   float64 // bytes-per-Exec ceiling; 0 leaves bytes unchecked
+		bytes   float64                    // bytes-per-Exec ceiling; 0 leaves bytes unchecked
+		next    func(params []value.Value) // if set, readies params for the next Exec
 	}{
 		{"point select", rtx, `SELECT i_title, i_cost FROM item WHERE i_id = ?`,
-			[]value.Value{value.NewInt(3)}, 11, 0},
+			[]value.Value{value.NewInt(3)}, 11, 0, nil},
 		{"two-table join", rtx, `SELECT i.i_title, a.a_lname FROM item i JOIN author a ON i.i_a_id = a.a_id WHERE i.i_id = ?`,
-			[]value.Value{value.NewInt(4)}, 15, 0},
+			[]value.Value{value.NewInt(4)}, 15, 0, nil},
 		{"range order-by limit", rtx, `SELECT i_id, i_cost FROM item WHERE i_id >= ? ORDER BY i_cost DESC LIMIT 3`,
-			[]value.Value{value.NewInt(2)}, 26, 0},
+			[]value.Value{value.NewInt(2)}, 26, 0, nil},
 		// Before the writes: a latest-version scan waits on utx's page latches.
 		{"like full scan", rtx, `SELECT i_id, i_title FROM item WHERE i_title LIKE ?`,
-			[]value.Value{value.NewString("%BOOK 0%")}, 19, 0}, // 18 without -race
+			[]value.Value{value.NewString("%BOOK 0%")}, 19, 0, nil}, // 18 without -race
 		{"best sellers", rtx, `SELECT i.i_id, i.i_title, a.a_lname, SUM(ol.ol_qty) AS qty
 			FROM item i JOIN order_line ol ON ol.ol_i_id = i.i_id JOIN orders o ON ol.ol_o_id = o.o_id
 			JOIN author a ON i.i_a_id = a.a_id WHERE o.o_id > ? AND i.i_subject = ?
 			GROUP BY i.i_id, i.i_title, a.a_lname ORDER BY qty DESC LIMIT 50`,
-			[]value.Value{value.NewInt(0), value.NewString("SCIFI")}, 56, 13800}, // 55 without -race
+			[]value.Value{value.NewInt(0), value.NewString("SCIFI")}, 56, 13800, nil}, // 55 without -race
 		// BenchmarkTPCW_BestSellersQuery's statement over enough rows that its
 		// index walks read several chunks.
 		{"best sellers at scale", bigTx, `SELECT i.i_id, i.i_title, a.a_fname, a.a_lname, SUM(ol.ol_qty) AS qty
 			FROM item i JOIN order_line ol ON ol.ol_i_id = i.i_id JOIN orders o ON ol.ol_o_id = o.o_id
 			JOIN author a ON i.i_a_id = a.a_id WHERE o.o_id > ? AND i.i_subject = ?
 			GROUP BY i.i_id, i.i_title, a.a_fname, a.a_lname ORDER BY qty DESC LIMIT 50`,
-			[]value.Value{value.NewInt(0), value.NewString("S07")}, 172, 39400},
+			[]value.Value{value.NewInt(0), value.NewString("S07")}, 172, 39400, nil},
 		{"point update", utx, `UPDATE item SET i_stock = i_stock + 1 WHERE i_id = ?`,
-			[]value.Value{value.NewInt(2)}, 10, 0},
+			[]value.Value{value.NewInt(2)}, 10, 0, nil},
 		{"point delete", utx, `DELETE FROM order_line WHERE ol_id = ?`,
-			[]value.Value{value.NewInt(5)}, 5, 0},
+			[]value.Value{value.NewInt(5)}, 5, 0, nil},
+		// A new primary key per Exec.
+		{"insert one order_line", utx, `INSERT INTO order_line (ol_id, ol_o_id, ol_i_id, ol_qty) VALUES (?, ?, ?, ?)`,
+			[]value.Value{value.NewInt(1000), value.NewInt(2), value.NewInt(3), value.NewInt(1)}, 5, 0,
+			func(params []value.Value) { params[0] = value.NewInt(params[0].AsInt() + 1) }},
 	} {
 		p, err := Prepare(c.q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var runErr error
-		got := testing.AllocsPerRun(200, func() {
+		exec := func() {
+			if c.next != nil {
+				c.next(c.params)
+			}
 			if _, err := p.Exec(c.tx, c.params); err != nil {
 				runErr = err
 			}
-		})
+		}
+		got := testing.AllocsPerRun(200, exec)
 		if runErr != nil {
 			t.Fatalf("%s: %v", c.name, runErr)
 		}
-		bytes := bytesPerRun(200, func() { _, _ = p.Exec(c.tx, c.params) })
+		bytes := bytesPerRun(200, exec)
 		t.Logf("%s: %.0f allocs, %.0f B", c.name, got, bytes)
 		if got > c.ceiling {
 			t.Errorf("%s: %.0f allocs per Exec, ceiling %.0f", c.name, got, c.ceiling)

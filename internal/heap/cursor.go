@@ -158,14 +158,14 @@ func (c *IndexCursor) fill() {
 		c.fillVia(resumed)
 	} else {
 		c.ix.mu.RLock()
-		c.ix.tree.Ascend(c.resume, func(k ikey, spans []span) bool {
+		c.ix.tree.Ascend(c.resume, func(k ikey, l lives) bool {
 			if resumed {
 				resumed = false
 				if cmpIKey(k, c.resume) == 0 {
 					return true
 				}
 			}
-			if visible(spans, c.v) {
+			if l.visible(c.v) {
 				c.buf = append(c.buf, k)
 			}
 			return len(c.buf) < c.size

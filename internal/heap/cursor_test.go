@@ -18,7 +18,7 @@ import (
 func TestIndexWalkComparesOnSeekPath(t *testing.T) {
 	ix := newIndex(IndexDef{Name: "ix", Cols: []int{0}})
 	cmps := 0
-	ix.tree = rbtree.New[ikey, []span](func(a, b ikey) int {
+	ix.tree = rbtree.New[ikey, lives](func(a, b ikey) int {
 		cmps++
 		return cmpIKey(a, b)
 	})

@@ -36,31 +36,121 @@ type span struct {
 	add, del uint64
 }
 
-func visible(spans []span, v uint64) bool {
-	for _, s := range spans {
-		if s.add <= v && (s.del == 0 || v < s.del) {
+func (s span) covers(v uint64) bool { return s.add <= v && (s.del == 0 || v < s.del) }
+
+// lives holds the spans of one (key, rid) pair in the order they were
+// opened. The first sits inline, so a pair that lives once, as nearly every
+// pair does, costs its tree node alone; each later life (a row whose key
+// changes away and back, or a span an install adds) hangs off next. A
+// stored lives holds at least one span. At 24 bytes it keeps a tree node
+// in the 80-byte size class.
+type lives struct {
+	s    span
+	next *lives
+}
+
+// visible reports whether a span of l covers v. A nil l, a pair the index
+// does not hold, shows nothing.
+func (l *lives) visible(v uint64) bool {
+	for ; l != nil; l = l.next {
+		if l.s.covers(v) {
 			return true
 		}
 	}
 	return false
 }
 
+// open returns the last span of l that is still open (del 0), or nil.
+func (l *lives) open() *span {
+	var o *span
+	for ; l != nil; l = l.next {
+		if l.s.del == 0 {
+			o = &l.s
+		}
+	}
+	return o
+}
+
+// push appends s as the last span of l.
+func (l *lives) push(s span) {
+	for l.next != nil {
+		l = l.next
+	}
+	l.next = &lives{s: s}
+}
+
+// has reports whether f holds for a span of l.
+func (l *lives) has(f func(span) bool) bool {
+	for ; l != nil; l = l.next {
+		if f(l.s) {
+			return true
+		}
+	}
+	return false
+}
+
+// retain keeps, in order, the spans of l that keep returns true for; keep
+// may change the span it is given. It compacts the kept spans into l's
+// leading nodes and reports whether any is left: a lives left with none
+// must leave the tree.
+func (l *lives) retain(keep func(*span) bool) bool {
+	w, n := l, 0
+	for p := l; p != nil; p = p.next {
+		if !keep(&p.s) {
+			continue
+		}
+		if n > 0 {
+			w = w.next
+		}
+		w.s = p.s
+		n++
+	}
+	if n > 0 {
+		w.next = nil
+	}
+	return n > 0
+}
+
 // Index is a versioned secondary index. Index history is what lets this
 // implementation keep page application lazy while staying consistent for
 // index scans at any version (the paper keeps no old page versions); spans
 // no reader can see any more are dropped only by gc.
+//
+// A stored entry is one tree node: its key is a window onto the row the
+// page publishes (see keyOf) and its first span sits in the node's value.
 type Index struct {
-	def  IndexDef
-	mu   sync.RWMutex
-	tree *rbtree.Tree[ikey, []span] // guarded by mu
+	def   IndexDef
+	winAt int // the first key column if the columns are consecutive, else -1
+	mu    sync.RWMutex
+	tree  *rbtree.Tree[ikey, lives] // guarded by mu
 }
 
 func newIndex(def IndexDef) *Index {
-	return &Index{def: def, tree: rbtree.New[ikey, []span](cmpIKey)}
+	winAt := -1
+	if len(def.Cols) > 0 {
+		winAt = def.Cols[0]
+		for i, c := range def.Cols {
+			if c != winAt+i {
+				winAt = -1
+				break
+			}
+		}
+	}
+	return &Index{def: def, winAt: winAt, tree: rbtree.New[ikey, lives](cmpIKey)}
 }
 
-// keyOf extracts the index key columns from a full row.
+// keyOf extracts the index key columns from a full row. When the columns
+// are consecutive and ascending, the key is the capped window
+// row[c:c+n:c+n] onto the row itself and costs nothing: a row the engine
+// publishes is never written again (DESIGN.md §8), so the tree keeps the
+// window as its key, and the cap keeps an append to the key off the row.
+// Any other index, or a row too short for the window, gets a copy. The
+// callers that store a key pass a published row: the row a page holds or
+// is about to hold.
 func (ix *Index) keyOf(row value.Row) value.Row {
+	if c, n := ix.winAt, len(ix.def.Cols); c >= 0 && c+n <= len(row) {
+		return row[c : c+n : c+n]
+	}
 	key := make(value.Row, len(ix.def.Cols))
 	for i, c := range ix.def.Cols {
 		if c < len(row) {
@@ -98,11 +188,11 @@ func (ix *Index) add(key value.Row, rid page.RowID, ver uint64) error {
 	defer ix.mu.Unlock()
 	if ix.def.Unique {
 		dup := false
-		ix.tree.Ascend(ikey{key: key, rid: minRowID}, func(k ikey, spans []span) bool {
+		ix.tree.Ascend(ikey{key: key, rid: minRowID}, func(k ikey, l lives) bool {
 			if value.CompareRows(k.key, key) != 0 {
 				return false
 			}
-			if k.rid != rid && visible(spans, VersionLatest) {
+			if k.rid != rid && l.visible(VersionLatest) {
 				dup = true
 				return false
 			}
@@ -112,7 +202,8 @@ func (ix *Index) add(key value.Row, rid page.RowID, ver uint64) error {
 			return fmt.Errorf("%w: index %s key %v", ErrDuplicateKey, ix.def.Name, key)
 		}
 	}
-	return ix.addLocked(key, rid, ver)
+	ix.addLocked(key, rid, ver)
+	return nil
 }
 
 // addUnchecked makes (key,rid) visible from ver without the uniqueness
@@ -121,41 +212,37 @@ func (ix *Index) add(key value.Row, rid page.RowID, ver uint64) error {
 func (ix *Index) addUnchecked(key value.Row, rid page.RowID, ver uint64) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	return ix.addLocked(key, rid, ver)
+	ix.addLocked(key, rid, ver)
+	return nil
 }
 
 // addLocked opens a span for (key,rid) unless one is already open: a pair
 // is added at most once per life, so a duplicate delivery of the same
 // write-set (or one racing an install that already added the pair) must
 // not stack a second open span that the next del would leave behind. One
-// tree descent finds the pair and stores its spans.
-func (ix *Index) addLocked(key value.Row, rid page.RowID, ver uint64) error {
-	ix.tree.Upsert(ikey{key: key, rid: rid}, func(spans []span, found bool) []span {
+// tree descent finds the pair and stores its spans; a new pair keeps key
+// as the node's key.
+func (ix *Index) addLocked(key value.Row, rid page.RowID, ver uint64) {
+	ix.tree.Upsert(ikey{key: key, rid: rid}, func(l lives, found bool) lives {
 		if !found {
 			value.Seal(key) // the tree now holds key; a cursor hands it out as is
+			return lives{s: span{add: ver}}
 		}
-		for _, s := range spans {
-			if s.del == 0 {
-				return spans
-			}
+		if l.open() == nil {
+			l.push(span{add: ver})
 		}
-		return append(spans, span{add: ver})
+		return l
 	})
-	return nil
 }
 
 // del ends the visibility of (key,rid) at version ver. The span is closed
-// in place, as reconcile does, so one lookup suffices and nothing is stored
-// for a pair the index does not hold.
+// in place, as reconcile does, so one descent suffices and nothing is
+// stored for a pair the index does not hold.
 func (ix *Index) del(key value.Row, rid page.RowID, ver uint64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	spans, _ := ix.tree.Get(ikey{key: key, rid: rid})
-	for i := len(spans) - 1; i >= 0; i-- {
-		if spans[i].del == 0 {
-			spans[i].del = ver
-			break
-		}
+	if s := ix.tree.Ref(ikey{key: key, rid: rid}).open(); s != nil {
+		s.del = ver
 	}
 }
 
@@ -166,33 +253,15 @@ func (ix *Index) del(key value.Row, rid page.RowID, ver uint64) {
 func (ix *Index) discardAbove(v uint64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	type patch struct {
-		k     ikey
-		spans []span
-	}
-	var patches []patch
-	ix.tree.AscendAll(func(k ikey, spans []span) bool {
-		changed := false
-		kept := spans[:0:0]
-		for _, s := range spans {
-			if s.add > v {
-				changed = true
-				continue
-			}
-			if s.del > v {
-				s.del = 0
-				changed = true
-			}
-			kept = append(kept, s)
+	ix.rewriteLocked(func(s span) bool { return s.add > v || s.del > v }, func(s *span) bool {
+		if s.add > v {
+			return false
 		}
-		if changed {
-			patches = append(patches, patch{k: k, spans: kept})
+		if s.del > v {
+			s.del = 0
 		}
 		return true
 	})
-	for _, p := range patches {
-		ix.tree.Put(p.k, p.spans)
-	}
 }
 
 // gc removes spans that died at or before the low-water version lw (no
@@ -203,44 +272,43 @@ func (ix *Index) discardAbove(v uint64) {
 func (ix *Index) gc(lw uint64) int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	type patch struct {
-		k     ikey
-		spans []span
-	}
-	var patches []patch
-	var dead []ikey
-	removed := 0
-	ix.tree.AscendAll(func(k ikey, spans []span) bool {
-		keep := spans[:0:0]
-		for _, s := range spans {
-			if s.del != 0 && s.del <= lw {
-				removed++
-				continue
-			}
-			keep = append(keep, s)
+	dead := func(s span) bool { return s.del != 0 && s.del <= lw }
+	return ix.rewriteLocked(dead, func(s *span) bool { return !dead(*s) })
+}
+
+// rewriteLocked passes every span of each entry that has a span hit
+// holds for to keep, which may change it; a span keep returns false for is
+// dropped, and an entry left with none leaves the tree. The walk only
+// collects the entries, since the tree hands it copies and must not change
+// shape under it. Returns the number of spans dropped. Caller holds mu.
+func (ix *Index) rewriteLocked(hit func(span) bool, keep func(*span) bool) int {
+	var keys []ikey
+	ix.tree.AscendAll(func(k ikey, l lives) bool {
+		if l.has(hit) {
+			keys = append(keys, k)
 		}
-		if len(keep) == len(spans) {
-			return true
-		}
-		if len(keep) == 0 {
-			dead = append(dead, k)
-			return true
-		}
-		patches = append(patches, patch{k: k, spans: keep})
 		return true
 	})
-	for _, p := range patches {
-		ix.tree.Put(p.k, p.spans)
+	dropped := 0
+	counted := func(s *span) bool {
+		if keep(s) {
+			return true
+		}
+		dropped++
+		return false
 	}
-	for _, k := range dead {
-		ix.tree.Delete(k)
+	for _, k := range keys {
+		if !ix.tree.Ref(k).retain(counted) {
+			ix.tree.Delete(k)
+		}
 	}
-	return removed
+	return dropped
 }
 
 // reconcile makes the index show, at version v, exactly the pairs of an
 // installed page image. Called under the page's exclusive latch: old holds
-// the page's rows at v that the image replaced, img the image's rows, and
+// the page's rows at v that the image replaced, img the rows the page
+// published from the image (their keys become the new pairs' keys), and
 // prev the page's applied version before the install. A pair of the image
 // the index does not show at v is added from prev, so a reader below v
 // reaches the page and aborts with page.ErrVersionConflict instead of
@@ -258,28 +326,31 @@ func (ix *Index) reconcile(old, img map[page.RowID]value.Row, prev, v uint64) {
 		if want, kept := img[rid]; kept && !ix.keyChanged(row, want) {
 			continue
 		}
-		spans, _ := ix.tree.Get(ikey{key: ix.keyOf(row), rid: rid})
-		for i, s := range spans {
-			if s.add <= v && (s.del == 0 || v < s.del) {
-				spans[i].del = v
+		for l := ix.tree.Ref(ikey{key: ix.keyOf(row), rid: rid}); l != nil; l = l.next {
+			if l.s.covers(v) {
+				l.s.del = v
 			}
 		}
 	}
 	for rid, row := range img {
 		k := ikey{key: ix.keyOf(row), rid: rid}
-		spans, _ := ix.tree.Get(k)
-		if visible(spans, v) {
+		l := ix.tree.Ref(k)
+		if l.visible(v) {
 			continue
 		}
 		// End the added span where a later life of the pair begins, so that
 		// life keeps its own span.
 		var next uint64
-		for _, s := range spans {
-			if s.add > v && (next == 0 || s.add < next) {
-				next = s.add
+		for p := l; p != nil; p = p.next {
+			if p.s.add > v && (next == 0 || p.s.add < next) {
+				next = p.s.add
 			}
 		}
+		if l != nil {
+			l.push(span{add: prev, del: next})
+			continue
+		}
 		value.Seal(k.key)
-		ix.tree.Put(k, append(spans, span{add: prev, del: next}))
+		ix.tree.Put(k, lives{s: span{add: prev, del: next}})
 	}
 }

@@ -113,8 +113,11 @@ func (t *Table) install(img page.Image) {
 	if !installed {
 		return
 	}
+	// The page's own rows, not the image's: an index key is a window onto
+	// the row the page publishes, and the image stays the caller's.
+	rows := pg.XRows()
 	for _, ix := range indexes {
-		ix.reconcile(replaced, img.Rows, prev, img.Version)
+		ix.reconcile(replaced, rows, prev, img.Version)
 	}
 	t.bumpVer(img.Version)
 }

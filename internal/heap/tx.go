@@ -307,11 +307,8 @@ func (tx *UpdateTx) coerce(t *Table, row value.Row) value.Row {
 }
 
 // checkUnique verifies that no live row other than excludeRid carries key in
-// a unique index, taking the transaction's own overlay into account.
+// the unique index ix, taking the transaction's own overlay into account.
 func (tx *UpdateTx) checkUnique(table, idxOrd int, ix *Index, key value.Row, excludeRid page.RowID) error {
-	if !ix.def.Unique {
-		return nil
-	}
 	var c IndexCursor
 	if err := c.Seek(tx, table, idxOrd, key); err != nil {
 		return err
@@ -337,6 +334,9 @@ func (tx *UpdateTx) Insert(table int, row value.Row) (page.RowID, error) {
 	indexes := t.allIndexes()
 	rid := page.RowID(t.nextRowID.Add(1))
 	for ord, ix := range indexes {
+		if !ix.def.Unique {
+			continue
+		}
 		if err := tx.checkUnique(table, ord, ix, ix.keyOf(r), rid); err != nil {
 			return 0, err
 		}

@@ -2,6 +2,7 @@ package heap
 
 import (
 	"fmt"
+	"slices"
 
 	"dmv/internal/obs"
 	"dmv/internal/page"
@@ -67,20 +68,20 @@ func rowBytes(r value.Row) int {
 // goroutine per master (the replication layer guarantees this).
 func (e *Engine) ApplyWriteSet(ws *WriteSet) error {
 	debugCheckWriteSet(ws)
-	type groupKey struct {
+	type pageKey struct {
 		table int
 		pg    page.ID
 	}
-	groups := make(map[groupKey][]Record, 4)
-	order := make([]groupKey, 0, 4)
-	for _, rec := range ws.Records {
-		k := groupKey{table: rec.Table, pg: rec.Page}
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
+	// A page's records need not be adjacent: its group is applied when its
+	// first record comes up, from the records at and after that one.
+	var doneBuf [8]pageKey
+	done := doneBuf[:0]
+	for i := range ws.Records {
+		k := pageKey{table: ws.Records[i].Table, pg: ws.Records[i].Page}
+		if slices.Contains(done, k) {
+			continue
 		}
-		groups[k] = append(groups[k], rec)
-	}
-	for _, k := range order {
+		done = append(done, k)
 		t, err := e.table(k.table)
 		if err != nil {
 			return fmt.Errorf("apply write-set tx %d: %w", ws.TxID, err)
@@ -91,31 +92,19 @@ func (e *Engine) ApplyWriteSet(ws *WriteSet) error {
 		if ver <= pg.Applied() {
 			continue // already reflected (duplicate or migrated state)
 		}
-		recs := groups[k]
-		ops := make([]page.RowOp, len(recs))
-		for i, rec := range recs {
-			ops[i] = rec.Op
-			switch rec.Op.Kind {
-			case page.OpInsert:
-				t.setLoc(rec.Op.Row, pg)
-				for _, ix := range t.allIndexes() {
-					if err := ix.addUnchecked(ix.keyOf(rec.Op.Data), rec.Op.Row, ver); err != nil {
-						return err
-					}
-				}
-			case page.OpUpdate:
-				for _, ix := range t.allIndexes() {
-					if !ix.keyChanged(rec.Old, rec.Op.Data) {
-						continue
-					}
-					ix.del(ix.keyOf(rec.Old), rec.Op.Row, ver)
-					if err := ix.addUnchecked(ix.keyOf(rec.Op.Data), rec.Op.Row, ver); err != nil {
-						return err
-					}
-				}
-			case page.OpDelete:
-				for _, ix := range t.allIndexes() {
-					ix.del(ix.keyOf(rec.Old), rec.Op.Row, ver)
+		recs := ws.Records[i:]
+		n := 0
+		for j := range recs {
+			if recs[j].Table == k.table && recs[j].Page == k.pg {
+				n++
+			}
+		}
+		ops := make([]page.RowOp, 0, n)
+		for j := range recs {
+			if rec := &recs[j]; rec.Table == k.table && rec.Page == k.pg {
+				ops = append(ops, rec.Op)
+				if err := t.applyIndexes(rec, pg, ver); err != nil {
+					return err
 				}
 			}
 		}
@@ -124,6 +113,37 @@ func (e *Engine) ApplyWriteSet(ws *WriteSet) error {
 		t.bumpVer(ver)
 	}
 	e.clock.Advance(ws.Version)
+	return nil
+}
+
+// applyIndexes publishes a write-set record's row location and index
+// entries at version ver, ahead of the page modification that pg buffers.
+// An inserted or updated row's keys are windows onto rec.Op.Data, the row
+// the page publishes when it applies the modification.
+func (t *Table) applyIndexes(rec *Record, pg *page.Page, ver uint64) error {
+	switch rec.Op.Kind {
+	case page.OpInsert:
+		t.setLoc(rec.Op.Row, pg)
+		for _, ix := range t.allIndexes() {
+			if err := ix.addUnchecked(ix.keyOf(rec.Op.Data), rec.Op.Row, ver); err != nil {
+				return err
+			}
+		}
+	case page.OpUpdate:
+		for _, ix := range t.allIndexes() {
+			if !ix.keyChanged(rec.Old, rec.Op.Data) {
+				continue
+			}
+			ix.del(ix.keyOf(rec.Old), rec.Op.Row, ver)
+			if err := ix.addUnchecked(ix.keyOf(rec.Op.Data), rec.Op.Row, ver); err != nil {
+				return err
+			}
+		}
+	case page.OpDelete:
+		for _, ix := range t.allIndexes() {
+			ix.del(ix.keyOf(rec.Old), rec.Op.Row, ver)
+		}
+	}
 	return nil
 }
 

@@ -38,8 +38,11 @@ func New[K any, V any](cmp Comparator[K]) *Tree[K, V] {
 // Len returns the number of keys.
 func (t *Tree[K, V]) Len() int { return t.size }
 
-// Get returns the value stored at key.
-func (t *Tree[K, V]) Get(key K) (V, bool) {
+// Ref returns a pointer to the value stored at key, or nil if key is
+// absent. The pointer lets the caller change the value in place; it is
+// valid until the next Put, Upsert or Delete, which may move values between
+// nodes.
+func (t *Tree[K, V]) Ref(key K) *V {
 	x := t.root
 	for x != nil {
 		c := t.cmp(key, x.key)
@@ -49,11 +52,10 @@ func (t *Tree[K, V]) Get(key K) (V, bool) {
 		case c > 0:
 			x = x.right
 		default:
-			return x.val, true
+			return &x.val
 		}
 	}
-	var zero V
-	return zero, false
+	return nil
 }
 
 // Put inserts or replaces the value at key.
@@ -87,7 +89,7 @@ func (t *Tree[K, V]) upsert(h *node[K, V], key K, fn func(V, bool) V) *node[K, V
 
 // Delete removes key if present and reports whether it was found.
 func (t *Tree[K, V]) Delete(key K) bool {
-	if _, ok := t.Get(key); !ok {
+	if t.Ref(key) == nil {
 		return false
 	}
 	if !isRed(t.root.left) && !isRed(t.root.right) {

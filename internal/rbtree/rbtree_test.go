@@ -29,7 +29,7 @@ func TestPutGetDelete(t *testing.T) {
 		t.Fatalf("len = %d", tr.Len())
 	}
 	for i := 0; i < 100; i++ {
-		if _, ok := tr.Get(i); !ok {
+		if tr.Ref(i) == nil {
 			t.Fatalf("missing key %d", i)
 		}
 	}
@@ -42,7 +42,7 @@ func TestPutGetDelete(t *testing.T) {
 		t.Fatalf("len after delete = %d", tr.Len())
 	}
 	for i := 0; i < 100; i++ {
-		_, ok := tr.Get(i)
+		ok := tr.Ref(i) != nil
 		if i%2 == 0 && ok {
 			t.Fatalf("key %d should be gone", i)
 		}
@@ -231,4 +231,29 @@ func TestSortedInvariantProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestRef checks that Ref points at the stored value, so a write through it
+// is what Get and the walks see, and is nil for an absent key.
+func TestRef(t *testing.T) {
+	tr := intTree()
+	for i := 0; i < 50; i++ {
+		tr.Put(i, i)
+	}
+	if p := tr.Ref(50); p != nil {
+		t.Fatalf("Ref(50) = %v for an absent key, want nil", *p)
+	}
+	for i := 0; i < 50; i += 2 {
+		*tr.Ref(i) = -i
+	}
+	tr.AscendAll(func(k, v int) bool {
+		want := k
+		if k%2 == 0 {
+			want = -k
+		}
+		if v != want {
+			t.Fatalf("key %d holds %d after writes through Ref, want %d", k, v, want)
+		}
+		return true
+	})
 }

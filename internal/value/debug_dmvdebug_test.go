@@ -33,3 +33,28 @@ func TestUnsealedRowPasses(t *testing.T) {
 	CheckSealed(c)
 	CheckSealed(s)
 }
+
+// TestSealedRowAndPrefixWindow seals a row and a window on its first
+// column, as a page and an index publish them: they share an address, yet
+// each keeps its own entry, and a write into the shared element is caught
+// through either.
+func TestSealedRowAndPrefixWindow(t *testing.T) {
+	r := Row{NewInt(1), NewString("ab")}
+	Seal(r)
+	key := r[0:1:1]
+	Seal(key)
+	CheckSealed(r) // the window's entry did not replace the row's
+	CheckSealed(key)
+
+	r[0] = NewInt(2)
+	for name, s := range map[string]Row{"row": r, "window": key} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("CheckSealed(%s) did not panic after a write into the shared element", name)
+				}
+			}()
+			CheckSealed(s)
+		}()
+	}
+}

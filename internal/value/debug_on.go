@@ -11,14 +11,22 @@ import (
 // Debug build: Seal keeps a copy of a row when a page or an index publishes
 // it, and CheckSealed compares the row with that copy wherever the engine
 // hands it out, panicking on any drift. Rows are keyed by the address of
-// their backing array; the map entry keeps the array reachable, so an
-// address is never reused for a different sealed row while its entry
-// exists. The registry grows for the life of the process — acceptable for
-// the test runs this tag exists for, never for production builds.
+// their first element and their length: an index key is a window onto the
+// row a page publishes, and a window on the row's first columns starts at
+// the row's own address, so the two seal apart. The map entry keeps the
+// array reachable, so an address is never reused for a different sealed
+// row while its entry exists. The registry grows for the life of the
+// process — acceptable for the test runs this tag exists for, never for
+// production builds.
+
+type sealKey struct {
+	first *Value
+	n     int
+}
 
 var (
 	sealMu sync.Mutex
-	sealed = make(map[*Value]Row)
+	sealed = make(map[sealKey]Row)
 )
 
 // Seal records r as published: any later write into it makes CheckSealed
@@ -28,7 +36,7 @@ func Seal(r Row) {
 		return
 	}
 	sealMu.Lock()
-	sealed[&r[0]] = r.Clone()
+	sealed[sealKey{&r[0], len(r)}] = r.Clone()
 	sealMu.Unlock()
 }
 
@@ -39,7 +47,7 @@ func CheckSealed(r Row) {
 		return
 	}
 	sealMu.Lock()
-	want, isSealed := sealed[&r[0]]
+	want, isSealed := sealed[sealKey{&r[0], len(r)}]
 	sealMu.Unlock()
 	if isSealed && !identical(r, want) {
 		panic(fmt.Sprintf("value: published row %v was written after publication (sealed as %v)", r, want))

@@ -129,9 +129,10 @@ go test -run '^$' -fuzz '^FuzzCheckpoint$' -fuzztime 20000x ./internal/heap/
 echo "==> allocation ceilings (no -race, no dmvdebug)"
 # The ceilings hold for a plain build only: -race and -tags dmvdebug
 # instrument and seal-check, and allocate, so TestWireAllocs,
-# TestUpdateCommitAllocs and TestApplyUnchangedKeysAllocs do not run under
-# them and no other leg runs them.
-go test -count=1 -run 'TestWireAllocs|TestUpdateCommitAllocs|TestApplyUnchangedKeysAllocs|TestStatementAllocs|TestPointLookupAllocs' \
+# TestUpdateCommitAllocs, TestApplyUnchangedKeysAllocs, TestIndexEntryAllocs
+# and TestApplyWriteSetAllocs do not run under them and no other leg runs
+# them.
+go test -count=1 -run 'TestWireAllocs|TestUpdateCommitAllocs|TestApplyUnchangedKeysAllocs|TestIndexEntryAllocs|TestApplyWriteSetAllocs|TestStatementAllocs|TestPointLookupAllocs' \
 	./internal/transport/ ./internal/heap/ ./internal/exec/
 
 echo "==> go test -race"
