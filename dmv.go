@@ -242,9 +242,9 @@ func toValue(v any) value.Value {
 func fromValue(v value.Value) any {
 	switch v.K {
 	case value.Int:
-		return v.I
+		return v.Int()
 	case value.Float:
-		return v.F
+		return v.Float()
 	case value.String:
 		return v.S
 	default:

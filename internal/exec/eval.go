@@ -84,9 +84,9 @@ func truthy(v value.Value) bool {
 	case value.Null:
 		return false
 	case value.Int:
-		return v.I != 0
+		return v.Int() != 0
 	case value.Float:
-		return v.F != 0
+		return v.Float() != 0
 	default:
 		return v.S != ""
 	}
@@ -120,7 +120,7 @@ func eval(x sql.Expr, e *env) (value.Value, error) {
 			return boolVal(!truthy(v)), nil
 		case "-":
 			if v.K == value.Float {
-				return value.NewFloat(-v.F), nil
+				return value.NewFloat(-v.Float()), nil
 			}
 			return value.NewInt(-v.AsInt()), nil
 		}

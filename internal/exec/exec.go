@@ -119,9 +119,6 @@ func (p *Prepared) TableNames() []string {
 
 // Exec runs the prepared statement in the given storage transaction.
 func (p *Prepared) Exec(tx heap.Txn, params []value.Value) (*Result, error) {
-	if ins, ok := p.stmt.(*sql.Insert); ok {
-		return runInsert(tx, ins, params)
-	}
 	pl, err := p.planFor(tx.Engine())
 	if err != nil {
 		return nil, err
@@ -129,6 +126,8 @@ func (p *Prepared) Exec(tx heap.Txn, params []value.Value) (*Result, error) {
 	switch s := p.stmt.(type) {
 	case *sql.Select:
 		return runSelect(tx, pl, s, params)
+	case *sql.Insert:
+		return runInsert(tx, pl, s, params)
 	case *sql.Update:
 		return runUpdate(tx, pl, s, params)
 	default:
@@ -767,51 +766,27 @@ func project(p *plan, sel *sql.Select, outs []outRow, e *env) ([]value.Row, erro
 
 // --- INSERT / UPDATE / DELETE -----------------------------------------------
 
-func runInsert(tx heap.Txn, ins *sql.Insert, params []value.Value) (*Result, error) {
-	tid, ok := tx.Engine().TableID(ins.Table)
-	if !ok {
-		return nil, fmt.Errorf("exec: unknown table %q", ins.Table)
-	}
-	def, err := tx.Engine().TableDef(tid)
-	if err != nil {
-		return nil, err
-	}
-	ords := make([]int, 0, len(ins.Cols))
-	if len(ins.Cols) == 0 {
-		for i := range def.Cols {
-			ords = append(ords, i)
-		}
-	} else {
-		for _, c := range ins.Cols {
-			ord := def.ColIndex(c)
-			if ord < 0 {
-				return nil, fmt.Errorf("exec: %w: %s.%s", ErrUnknownColumn, ins.Table, c)
-			}
-			ords = append(ords, ord)
-		}
-	}
+// runInsert inserts the VALUES rows. Each row is built at the table's width
+// and handed to Insert, which coerces it in place and publishes it.
+func runInsert(tx heap.Txn, p *plan, ins *sql.Insert, params []value.Value) (*Result, error) {
+	tid := p.b.tabs[0].tid
 	// No columns are in scope (a nil cols map finds none, as an empty one
 	// would) and no subquery cache is made: e stays on the stack.
 	e := env{params: params, tx: tx}
-	n := 0
 	for _, exprRow := range ins.Rows {
-		if len(exprRow) != len(ords) {
-			return nil, fmt.Errorf("exec: INSERT %s: %d values for %d columns", ins.Table, len(exprRow), len(ords))
-		}
-		row := make(value.Row, len(def.Cols))
+		row := make(value.Row, p.b.width)
 		for i, ex := range exprRow {
 			v, err := eval(ex, &e)
 			if err != nil {
 				return nil, err
 			}
-			row[ords[i]] = v
+			row[p.assign[i]] = v
 		}
 		if _, err := tx.Insert(tid, row); err != nil {
 			return nil, err
 		}
-		n++
 	}
-	return &Result{Affected: n}, nil
+	return &Result{Affected: len(ins.Rows)}, nil
 }
 
 // passes reports whether every predicate holds for the row in rowEnv.
@@ -828,72 +803,86 @@ func passes(rowEnv *env, preds []sql.Expr) (bool, error) {
 	return true, nil
 }
 
-// targetRows finds the row ids an UPDATE's or DELETE's WHERE clause
-// matches, through the access path and residuals of its plan.
-func targetRows(tx heap.Txn, p *plan, params []value.Value, subs subCache) ([]page.RowID, error) {
+// target is one row an UPDATE or DELETE matched: its id and the row as
+// the transaction's Fetch returned it.
+type target struct {
+	rid page.RowID
+	row value.Row
+}
+
+// targetRows finds the rows an UPDATE's or DELETE's WHERE clause matches,
+// through the access path and residuals of its plan. An UpdateTx fetches
+// each as a private copy, so UPDATE writes into it and hands it to Update.
+func targetRows(tx heap.Txn, p *plan, params []value.Value, subs subCache) ([]target, error) {
 	b, lv := p.b, &p.levels[0]
 	e := env{cols: b.cols, params: params, tx: tx, subs: subs}
 	var s scanPath
 	if err := s.open(tx, b.tabs[0].tid, &lv.path, &e); err != nil {
 		return nil, err
 	}
-	var rids []page.RowID
+	var out []target
 	for {
 		rid, row, ok, err := s.next()
 		if err != nil || !ok {
-			return rids, err
+			return out, err
 		}
 		e.row = row
 		if ok, err := passes(&e, lv.residualWhere); err != nil {
 			return nil, err
 		} else if ok {
-			rids = append(rids, rid)
+			out = append(out, target{rid, row})
 		}
 	}
 }
 
+// runUpdate evaluates every SET against the row as it was before the
+// statement, then writes the new values into that row and hands it to
+// Update: one private copy per target row, the one Fetch made. A read-only
+// transaction's Fetch returns stored rows, so it is refused before any row
+// is written.
 func runUpdate(tx heap.Txn, p *plan, up *sql.Update, params []value.Value) (*Result, error) {
+	if tx.ReadOnly() {
+		return nil, heap.ErrReadOnly
+	}
 	subs := make(subCache)
-	rids, err := targetRows(tx, p, params, subs)
+	targets, err := targetRows(tx, p, params, subs)
 	if err != nil {
 		return nil, err
 	}
-	tb := p.b.tabs[0]
-	n := 0
-	for _, rid := range rids {
-		row, ok, err := tx.Fetch(tb.tid, rid)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		e := &env{cols: p.b.cols, row: row, params: params, tx: tx, subs: subs}
-		newRow := row.Clone()
-		for i, s := range up.Sets {
-			v, err := eval(s.Expr, e)
+	tid := p.b.tabs[0].tid
+	// The SET values of one row; eight cover every TPC-W UPDATE (at most
+	// four SETs) on the stack.
+	var scratch [8]value.Value
+	vals := scratch[:0]
+	for _, tg := range targets {
+		e := env{cols: p.b.cols, row: tg.row, params: params, tx: tx, subs: subs}
+		vals = vals[:0]
+		for _, s := range up.Sets {
+			v, err := eval(s.Expr, &e)
 			if err != nil {
 				return nil, err
 			}
-			newRow[p.sets[i]] = v
+			vals = append(vals, v)
 		}
-		if err := tx.Update(tb.tid, rid, newRow); err != nil {
+		for i, v := range vals {
+			tg.row[p.assign[i]] = v
+		}
+		if err := tx.Update(tid, tg.rid, tg.row); err != nil {
 			return nil, err
 		}
-		n++
 	}
-	return &Result{Affected: n}, nil
+	return &Result{Affected: len(targets)}, nil
 }
 
 func runDelete(tx heap.Txn, p *plan, params []value.Value) (*Result, error) {
-	rids, err := targetRows(tx, p, params, make(subCache))
+	targets, err := targetRows(tx, p, params, make(subCache))
 	if err != nil {
 		return nil, err
 	}
-	for _, rid := range rids {
-		if err := tx.Delete(p.b.tabs[0].tid, rid); err != nil {
+	for _, tg := range targets {
+		if err := tx.Delete(p.b.tabs[0].tid, tg.rid); err != nil {
 			return nil, err
 		}
 	}
-	return &Result{Affected: len(rids)}, nil
+	return &Result{Affected: len(targets)}, nil
 }

@@ -108,7 +108,9 @@ type plan struct {
 
 	cols  []string // SELECT: output column names
 	width int      // SELECT: values per output row
-	sets  []int    // UPDATE: the column ordinal each SET assigns
+	// UPDATE: the column ordinal each SET assigns; INSERT: the ordinal
+	// each VALUES position fills.
+	assign []int
 }
 
 // joinLevel is the plan for one table of the join pipeline.
@@ -252,14 +254,16 @@ func planStmt(e *heap.Engine, stmt sql.Statement) (*plan, error) {
 	switch s := stmt.(type) {
 	case *sql.Select:
 		return planSelect(e, s)
+	case *sql.Insert:
+		return planInsert(e, s)
 	case *sql.Update:
 		p, err := planSelect(e, &sql.Select{From: []sql.TableRef{{Table: s.Table, Join: sql.JoinInner}}, Where: s.Where})
 		if err != nil {
 			return nil, err
 		}
-		p.sets = make([]int, len(s.Sets))
+		p.assign = make([]int, len(s.Sets))
 		for i, set := range s.Sets {
-			if p.sets[i] = p.b.tabs[0].def.ColIndex(set.Col); p.sets[i] < 0 {
+			if p.assign[i] = p.b.tabs[0].def.ColIndex(set.Col); p.assign[i] < 0 {
 				return nil, fmt.Errorf("exec: %w: %s.%s", ErrUnknownColumn, s.Table, set.Col)
 			}
 		}
@@ -269,6 +273,36 @@ func planStmt(e *heap.Engine, stmt sql.Statement) (*plan, error) {
 	default:
 		return nil, fmt.Errorf("exec: statement %T must run through ExecDDL or the session layer", stmt)
 	}
+}
+
+// planInsert resolves the ordinal of each column an INSERT names (every
+// column, in table order, when it names none) and checks that each VALUES
+// row has one value per column.
+func planInsert(e *heap.Engine, ins *sql.Insert) (*plan, error) {
+	b, err := bindTables(e, []sql.TableRef{{Table: ins.Table}})
+	if err != nil {
+		return nil, err
+	}
+	def := b.tabs[0].def
+	p := &plan{b: b, assign: make([]int, 0, b.width)}
+	if len(ins.Cols) == 0 {
+		for i := range def.Cols {
+			p.assign = append(p.assign, i)
+		}
+	}
+	for _, c := range ins.Cols {
+		ord := def.ColIndex(c)
+		if ord < 0 {
+			return nil, fmt.Errorf("exec: %w: %s.%s", ErrUnknownColumn, ins.Table, c)
+		}
+		p.assign = append(p.assign, ord)
+	}
+	for _, exprRow := range ins.Rows {
+		if len(exprRow) != len(p.assign) {
+			return nil, fmt.Errorf("exec: INSERT %s: %d values for %d columns", ins.Table, len(exprRow), len(p.assign))
+		}
+	}
+	return p, nil
 }
 
 // substituteAliases replaces SELECT aliases referenced by ORDER BY / GROUP

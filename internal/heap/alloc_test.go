@@ -42,8 +42,8 @@ func TestUpdateCommitAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.1f allocations per update commit", allocs)
-	if allocs > 15 {
-		t.Fatalf("one-row update commit made %.1f allocations, want <= 15", allocs)
+	if allocs > 14 {
+		t.Fatalf("one-row update commit made %.1f allocations, want <= 14", allocs)
 	}
 }
 

@@ -136,9 +136,9 @@ func (e *Engine) CorruptPage(table int, pg page.ID, pick int64) (page.RowID, err
 	ci := rng.Intn(len(row))
 	switch v := row[ci]; v.K {
 	case value.Int:
-		row[ci].I = v.I ^ (1 << uint(rng.Intn(63)))
+		row[ci] = value.NewInt(v.Int() ^ (1 << uint(rng.Intn(63))))
 	case value.Float:
-		row[ci].F = v.F + 1
+		row[ci] = value.NewFloat(v.Float() + 1)
 	case value.String:
 		if len(v.S) == 0 {
 			row[ci].S = "\x01"

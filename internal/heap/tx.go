@@ -37,9 +37,15 @@ type Txn interface {
 	IndexScan(table, idx int, from value.Row, fn func(key value.Row, rid page.RowID) bool) error
 	// LookupEq returns the row ids whose index key equals key.
 	LookupEq(table, idx int, key value.Row) ([]page.RowID, error)
-	// Insert adds a row, returning its id.
+	// Insert adds a row, returning its id. It takes ownership of row,
+	// whether or not it succeeds: a row of the table's width is coerced to
+	// the column types in place and becomes the row the page publishes, so
+	// the caller must not write into it again. A row of another width is
+	// copied.
 	Insert(table int, row value.Row) (page.RowID, error)
-	// Update replaces the row with the given id.
+	// Update replaces the row with the given id, taking ownership of row
+	// as Insert does. An UpdateTx's Fetch returns a private copy, so a
+	// read-modify-write passes the fetched row back.
 	Update(table int, rid page.RowID, row value.Row) error
 	// Delete removes the row with the given id.
 	Delete(table int, rid page.RowID) error
@@ -296,14 +302,24 @@ func (tx *UpdateTx) LookupEq(table, idx int, key value.Row) ([]page.RowID, error
 	return lookupEq(tx, table, idx, key)
 }
 
-func (tx *UpdateTx) coerce(t *Table, row value.Row) value.Row {
-	out := make(value.Row, len(t.def.Cols))
-	for i := range t.def.Cols {
-		if i < len(row) {
-			out[i] = value.Coerce(row[i], t.def.Cols[i].Type)
+// publishable returns row coerced to t's column types, ready for a page to
+// publish. A row of the table's width is the caller's to give away (Insert
+// and Update take ownership), so it is coerced in place, and a value is
+// written only where coercion changes its kind; a row of another width is
+// copied into a fresh one, cut or padded with NULLs.
+func publishable(t *Table, row value.Row) value.Row {
+	cols := t.def.Cols
+	if len(row) != len(cols) {
+		out := make(value.Row, len(cols))
+		copy(out, row)
+		row = out
+	}
+	for i, c := range cols {
+		if v := value.Coerce(row[i], c.Type); v.K != row[i].K {
+			row[i] = v
 		}
 	}
-	return out
+	return row
 }
 
 // checkUnique verifies that no live row other than excludeRid carries key in
@@ -330,7 +346,7 @@ func (tx *UpdateTx) Insert(table int, row value.Row) (page.RowID, error) {
 	if err != nil {
 		return 0, err
 	}
-	r := tx.coerce(t, row)
+	r := publishable(t, row)
 	indexes := t.allIndexes()
 	rid := page.RowID(t.nextRowID.Add(1))
 	for ord, ix := range indexes {
@@ -378,7 +394,7 @@ func (tx *UpdateTx) Update(table int, rid page.RowID, row value.Row) error {
 	if !ok {
 		return fmt.Errorf("%w: table %s row %d", ErrRowNotFound, t.def.Name, rid)
 	}
-	r := tx.coerce(t, row)
+	r := publishable(t, row)
 	indexes := t.allIndexes()
 	for ord, ix := range indexes {
 		if !ix.def.Unique || !ix.keyChanged(before, r) {

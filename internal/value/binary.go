@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Binary value layout, shared by the WAL record codec (persist), the wire
@@ -22,9 +21,9 @@ func AppendBinary(buf []byte, v Value) []byte {
 	buf = append(buf, byte(v.K))
 	switch v.K {
 	case Int:
-		buf = binary.AppendVarint(buf, v.I)
+		buf = binary.AppendVarint(buf, v.Int())
 	case Float:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
+		buf = binary.LittleEndian.AppendUint64(buf, v.n)
 	case String:
 		buf = binary.AppendUvarint(buf, uint64(len(v.S)))
 		buf = append(buf, v.S...)
@@ -44,9 +43,9 @@ func ReadBinaryLike(d *Decoder, like Value) Value {
 	switch v.K {
 	case Null:
 	case Int:
-		v.I = d.Varint()
+		v.n = uint64(d.Varint())
 	case Float:
-		v.F = math.Float64frombits(d.Uint64())
+		v.n = d.Uint64()
 	case String:
 		b := d.Bytes(d.Uvarint())
 		if like.K == String && like.S == string(b) {

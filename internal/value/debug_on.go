@@ -4,7 +4,7 @@ package value
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sync"
 )
 
@@ -54,16 +54,6 @@ func CheckSealed(r Row) {
 	}
 }
 
-// identical compares bit for bit, unlike CompareRows (Int 1 = Float 1).
-func identical(a, b Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, x := range a {
-		y := b[i]
-		if x.K != y.K || x.I != y.I || math.Float64bits(x.F) != math.Float64bits(y.F) || x.S != y.S {
-			return false
-		}
-	}
-	return true
-}
+// identical compares bit for bit, unlike CompareRows (Int 1 = Float 1):
+// == on a Value compares its kind, its payload word's bits and its string.
+func identical(a, b Row) bool { return slices.Equal(a, b) }

@@ -10,6 +10,7 @@ package value
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -43,10 +44,16 @@ func (k Kind) String() string {
 }
 
 // Value is one SQL datum. The zero Value is NULL.
+//
+// A Value is 32 bytes: the kind, one 64-bit payload word and a string
+// header. An Int keeps its int64's bits in the word and a Float keeps
+// math.Float64bits, so no value sets two numeric fields. Read the number
+// with Int or Float after checking K, or convert with AsInt and AsFloat.
+// Compare values with Compare or Equal, never with ==: == compares the
+// payload bits, so -0.0 and +0.0 differ under it and a NaN equals itself.
 type Value struct {
 	K Kind
-	I int64
-	F float64
+	n uint64 // Int: the int64's bits; Float: math.Float64bits
 	S string
 }
 
@@ -56,10 +63,10 @@ type Row []Value
 // Convenience constructors.
 
 // NewInt returns an integer value.
-func NewInt(i int64) Value { return Value{K: Int, I: i} }
+func NewInt(i int64) Value { return Value{K: Int, n: uint64(i)} }
 
 // NewFloat returns a float value.
-func NewFloat(f float64) Value { return Value{K: Float, F: f} }
+func NewFloat(f float64) Value { return Value{K: Float, n: math.Float64bits(f)} }
 
 // NewString returns a string value.
 func NewString(s string) Value { return Value{K: String, S: s} }
@@ -70,14 +77,22 @@ func NewNull() Value { return Value{} }
 // IsNull reports whether v is SQL NULL.
 func (v Value) IsNull() bool { return v.K == Null }
 
+// Int returns an Int value's integer. For another kind the result is
+// meaningless; AsInt converts.
+func (v Value) Int() int64 { return int64(v.n) }
+
+// Float returns a Float value's number. For another kind the result is
+// meaningless; AsFloat converts.
+func (v Value) Float() float64 { return math.Float64frombits(v.n) }
+
 // AsInt returns the value coerced to int64. Floats truncate; strings parse
 // (returning 0 on failure); NULL is 0.
 func (v Value) AsInt() int64 {
 	switch v.K {
 	case Int:
-		return v.I
+		return v.Int()
 	case Float:
-		return int64(v.F)
+		return int64(v.Float())
 	case String:
 		n, _ := strconv.ParseInt(v.S, 10, 64)
 		return n
@@ -90,9 +105,9 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.K {
 	case Int:
-		return float64(v.I)
+		return float64(v.Int())
 	case Float:
-		return v.F
+		return v.Float()
 	case String:
 		f, _ := strconv.ParseFloat(v.S, 64)
 		return f
@@ -105,9 +120,9 @@ func (v Value) AsFloat() float64 {
 func (v Value) AsString() string {
 	switch v.K {
 	case Int:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case Float:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case String:
 		return v.S
 	default:
@@ -142,10 +157,10 @@ func Compare(a, b Value) int {
 		return 0
 	case 1: // both numeric
 		if a.K == Int && b.K == Int {
-			switch {
-			case a.I < b.I:
+			switch ai, bi := a.Int(), b.Int(); {
+			case ai < bi:
 				return -1
-			case a.I > b.I:
+			case ai > bi:
 				return 1
 			}
 			return 0
@@ -242,9 +257,9 @@ func (v Value) AppendKey(b []byte) []byte {
 	case Null:
 		return append(b, "n;"...)
 	case Int:
-		b = strconv.AppendInt(append(b, 'i'), v.I, 10)
+		b = strconv.AppendInt(append(b, 'i'), v.Int(), 10)
 	case Float:
-		b = strconv.AppendFloat(append(b, 'f'), v.F, 'b', -1, 64)
+		b = strconv.AppendFloat(append(b, 'f'), v.Float(), 'b', -1, 64)
 	case String:
 		b = strconv.AppendInt(append(b, 's'), int64(len(v.S)), 10)
 		b = append(append(b, ':'), v.S...)

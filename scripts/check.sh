@@ -131,9 +131,9 @@ echo "==> allocation ceilings (no -race, no dmvdebug)"
 # instrument and seal-check, and allocate, so TestWireAllocs,
 # TestUpdateCommitAllocs, TestApplyUnchangedKeysAllocs, TestIndexEntryAllocs
 # and TestApplyWriteSetAllocs do not run under them and no other leg runs
-# them.
-go test -count=1 -run 'TestWireAllocs|TestUpdateCommitAllocs|TestApplyUnchangedKeysAllocs|TestIndexEntryAllocs|TestApplyWriteSetAllocs|TestStatementAllocs|TestPointLookupAllocs' \
-	./internal/transport/ ./internal/heap/ ./internal/exec/
+# them. TestValueLayout pins the 32-byte Value every stored column costs.
+go test -count=1 -run 'TestWireAllocs|TestUpdateCommitAllocs|TestApplyUnchangedKeysAllocs|TestIndexEntryAllocs|TestApplyWriteSetAllocs|TestStatementAllocs|TestPointLookupAllocs|TestValueLayout' \
+	./internal/transport/ ./internal/heap/ ./internal/exec/ ./internal/value/
 
 echo "==> go test -race"
 go test -race -count=1 ./...
