@@ -26,6 +26,7 @@ import (
 	"dmv/internal/heap"
 	"dmv/internal/obs"
 	"dmv/internal/obs/flight"
+	"dmv/internal/page"
 	"dmv/internal/replica"
 	"dmv/internal/simdisk"
 	"dmv/internal/tpcw"
@@ -60,6 +61,9 @@ func run() error {
 		corruptSd  = flag.Int64("corrupt-seed", 1, "seed picking the victim page/row/bit for -corrupt-after")
 	)
 	flag.Parse()
+	if *pageCap > 1<<page.SlotBits {
+		return fmt.Errorf("-page-cap %d exceeds the %d slots a row id can name", *pageCap, 1<<page.SlotBits)
+	}
 
 	var reg *obs.Registry
 	var rec *flight.Recorder

@@ -30,7 +30,7 @@ const (
 	levelFaultnet  = 36 // fault-injection net wrappers (under transport conns)
 	levelExec      = 38 // process-wide prepared-statement cache (leaf)
 	levelEngine    = 40 // heap engine catalog
-	levelTable     = 44 // per-table directory / row-location / allocator
+	levelTable     = 44 // per-table directory / allocator / index list
 	levelIndex     = 48 // versioned secondary indexes
 	levelPage      = 50 // page latches (2PL; many held at once)
 	levelDisk      = 55 // simdisk buffer-cache state: the engine's access
@@ -131,7 +131,6 @@ var DefaultConfig = &Config{
 		"dmv/internal/heap.Engine.txSeqMu": levelEngine + 1,
 		"dmv/internal/heap.Table.allocMu":  levelTable,
 		"dmv/internal/heap.Table.dirMu":    levelTable + 1,
-		"dmv/internal/heap.Table.rlMu":     levelTable + 2,
 		"dmv/internal/heap.Table.idxMu":    levelTable + 3,
 		"dmv/internal/heap.Index.mu":       levelIndex,
 

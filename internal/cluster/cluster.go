@@ -506,14 +506,13 @@ func (c *Cluster) Node(id string) (*replica.Node, bool) {
 // Obs returns the configured metrics registry (nil when disabled).
 func (c *Cluster) Obs() *obs.Registry { return c.cfg.Obs }
 
-// collectIndexes garbage-collects every live node's index history and row
-// locations below the scheduler's reader low-water mark.
+// collectIndexes garbage-collects every live node's index history below the
+// scheduler's reader low-water mark.
 func (c *Cluster) collectIndexes() {
 	lw := c.Scheduler().LowWater()
 	for _, id := range c.NodeIDs() {
 		if n, _ := c.Node(id); n.Alive() {
 			n.Engine().GCIndexes(lw)
-			_, _ = n.Engine().GCRowLocations(lw)
 		}
 	}
 }

@@ -620,3 +620,31 @@ func TestHavingOnSelectAlias(t *testing.T) {
 		t.Fatalf("rows = %v, want HISTORY and SCIFI", res.Rows)
 	}
 }
+
+// TestNaNInFloatColumn checks that a NaN stored in a FLOAT column matches
+// no numeric predicate, sorts after every number, and that an index on the
+// column and a full scan agree on a range over it.
+func TestNaNInFloatColumn(t *testing.T) {
+	const insert = `INSERT INTO f (id, x) VALUES (1, 1.0), (2, 'NaN'), (3, 3.0), (4, 8.0)`
+	scan := newEngine(t, []string{`CREATE TABLE f (id INT PRIMARY KEY, x FLOAT)`}, insert)
+	indexed := newEngine(t, []string{`CREATE TABLE f (id INT PRIMARY KEY, x FLOAT)`, `CREATE INDEX ix_x ON f (x)`}, insert)
+	if got := rowsText(query(t, scan, `SELECT id, x FROM f WHERE x = 5`)); got != "" {
+		t.Errorf("WHERE x = 5 returned %q, want no row", got)
+	}
+	if got := rowsText(query(t, scan, `SELECT id FROM f ORDER BY x`)); got != "1 3 4 2" {
+		t.Errorf("ORDER BY x = %q, want NaN last: 1 3 4 2", got)
+	}
+	const rng = `SELECT id FROM f WHERE x >= 7 ORDER BY id`
+	for _, c := range []struct {
+		e    *heap.Engine
+		path string
+	}{{scan, "FULL SCAN"}, {indexed, "ix_x"}} {
+		plan, err := Explain(c.e, rng)
+		if err != nil || !strings.Contains(plan, c.path) {
+			t.Fatalf("plan %q (%v), want a %s", plan, err, c.path)
+		}
+	}
+	if a, b := rowsText(query(t, scan, rng)), rowsText(query(t, indexed, rng)); a != b {
+		t.Errorf("x >= 7: full scan %q, index %q", a, b)
+	}
+}

@@ -80,13 +80,17 @@ func TestApplyUnchangedKeysAllocs(t *testing.T) {
 		engines[i] = e
 	}
 	master, slave := engines[0], engines[1]
+	rids, err := master.BeginRead(nil).LookupEq(0, 0, value.Row{value.NewInt(1)})
+	if err != nil || len(rids) != 1 {
+		t.Fatalf("LookupEq = %v, %v", rids, err)
+	}
 	// One write-set per run and one for AllocsPerRun's warm-up, each
 	// setting the row's stock.
 	var wss []*WriteSet
 	for i := 0; i <= runs; i++ {
 		tx := master.BeginUpdate()
 		row := value.Row{value.NewInt(1), value.NewString("t"), value.NewString("s"), value.NewInt(int64(i))}
-		if err := tx.Update(0, 1, row); err != nil {
+		if err := tx.Update(0, rids[0], row); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := tx.Commit(func(ws *WriteSet) error { wss = append(wss, ws); return nil }); err != nil {
@@ -163,8 +167,11 @@ func TestApplyWriteSetAllocs(t *testing.T) {
 		ver := uint64(i + 1)
 		ws := &WriteSet{TxID: ver, Version: vclock.Vector{ver}, Tables: []int{tbl}}
 		for j := 0; j < pages*perPage; j++ {
-			rid := page.RowID(1000 + i*pages*perPage + j)
-			ws.Records = append(ws.Records, Record{Table: tbl, Page: page.ID(j % pages), Op: page.RowOp{
+			// Past the four loaded slots of page j%pages, one new slot per
+			// record.
+			pg := page.ID(j % pages)
+			rid := page.MakeRowID(pg, 4+i*perPage+j/pages)
+			ws.Records = append(ws.Records, Record{Table: tbl, Page: pg, Op: page.RowOp{
 				Kind: page.OpInsert, Row: rid,
 				Data: value.Row{value.NewInt(int64(rid)), value.NewString(fmt.Sprintf("t%d", rid)), value.NewInt(0)},
 			}})

@@ -46,8 +46,7 @@ func (e *Engine) FuzzyCheckpoint() *Checkpoint {
 // RestoreCheckpoint installs a checkpoint into an engine that has the schema
 // created but no data (a recovering node). It is InstallDelta into pages
 // that are all empty: every row is new, so its index entries start at
-// version 0 and its row location and row-id allocation point are published
-// as it lands.
+// version 0 as it lands.
 func (e *Engine) RestoreCheckpoint(cp *Checkpoint) error {
 	return e.InstallDelta(cp.Images)
 }

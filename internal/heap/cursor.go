@@ -211,9 +211,10 @@ func (tx *UpdateTx) overlay(c *IndexCursor, ix *Index) {
 	slices.SortFunc(c.dels, cmpIKey)
 }
 
-// TableCursor walks the rows of one table a page at a time, in no
-// particular order. Its zero value is ready to use: Seek positions it and
-// Next walks it. It keeps its row buffer across seeks.
+// TableCursor walks the rows of one table a page at a time, in ascending
+// row-id order (page by page, and slot by slot within a page). Its zero
+// value is ready to use: Seek positions it and Next walks it. It keeps its
+// row buffer across seeks.
 //
 // For a ReadTx, the cursor copies one page's (rid, row) references at the
 // reader's version under page.View's read latch and delivers them after
@@ -311,15 +312,15 @@ func (c *TableCursor) load(pg *page.Page) {
 		return
 	}
 	c.e.observe(c.table, pg.ID())
-	c.err = pg.View(c.v, func(rows map[page.RowID]value.Row) error {
+	c.err = pg.View(c.v, func(rows page.Rows) error {
 		c.appendRows(rows)
 		return nil
 	})
 }
 
-func (c *TableCursor) appendRows(rows map[page.RowID]value.Row) {
-	c.rows = slices.Grow(c.rows, len(rows))
-	for rid, row := range rows {
+func (c *TableCursor) appendRows(rows page.Rows) {
+	c.rows = slices.Grow(c.rows, rows.Len())
+	rows.All(func(rid page.RowID, row value.Row) {
 		c.rows = append(c.rows, ridRow{rid: rid, row: row})
-	}
+	})
 }

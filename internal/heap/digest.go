@@ -6,7 +6,6 @@ package heap
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"dmv/internal/page"
 	"dmv/internal/scrub"
@@ -41,11 +40,11 @@ func (e *Engine) TableDigestAt(table int, v uint64, withPages bool) (scrub.Table
 		}
 		var pd scrub.PageDigest
 		hashed := false
-		err := p.View(v, func(rows map[page.RowID]value.Row) error {
-			if len(rows) == 0 {
+		err := p.View(v, func(rows page.Rows) error {
+			if rows.Len() == 0 {
 				return nil
 			}
-			pd = scrub.HashPage(table, p.ID(), rows)
+			pd = scrub.HashPage(table, p.ID(), rows.All)
 			hashed = true
 			return nil
 		})
@@ -115,16 +114,21 @@ func (e *Engine) CorruptPage(table int, pg page.ID, pick int64) (page.RowID, err
 	p.LockX()
 	defer p.UnlockX()
 	rows := p.XRows()
-	if len(rows) == 0 {
+	if rows.Len() == 0 {
 		return 0, fmt.Errorf("%w: table %d page %d", ErrNoRows, table, pg)
 	}
-	ids := make([]page.RowID, 0, len(rows))
-	for rid := range rows {
-		ids = append(ids, rid)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	rid := ids[rng.Intn(len(ids))]
-	row := rows[rid]
+	// The victim is the nth row in row-id order.
+	var (
+		rid page.RowID
+		row value.Row
+	)
+	nth, i := rng.Intn(rows.Len()), 0
+	rows.All(func(id page.RowID, r value.Row) {
+		if i == nth {
+			rid, row = id, r
+		}
+		i++
+	})
 	if len(row) == 0 {
 		return 0, fmt.Errorf("%w: table %d page %d row %d is empty", ErrNoRows, table, pg, rid)
 	}

@@ -3,6 +3,7 @@ package heap
 import (
 	"testing"
 
+	"dmv/internal/page"
 	"dmv/internal/value"
 	"dmv/internal/vclock"
 )
@@ -87,12 +88,18 @@ func TestIndexGCPreservesVisibleHistory(t *testing.T) {
 	}
 }
 
+// TestRowLocationGC checks that a row id alone finds its row through the
+// collection pass the cluster runs at the reader low-water mark: a row id
+// names its page and slot, so there is no location table to collect, and
+// after half the rows are deleted and index history is collected the
+// survivors resolve on master and slave and the deleted rows do not.
 func TestRowLocationGC(t *testing.T) {
 	master, slaves, tid := buildPair(t, 1, 20)
 	slave := slaves[0]
 
 	// Delete half the preloaded rows, replicating to the slave.
 	var last vclock.Vector
+	deleted := make([]page.RowID, 0, 10)
 	for i := 0; i < 10; i++ {
 		tx := master.BeginUpdate()
 		rids, _ := tx.LookupEq(tid, 0, value.Row{value.NewInt(int64(i))})
@@ -106,37 +113,43 @@ func TestRowLocationGC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		deleted = append(deleted, rids[0])
 		last = ver
 	}
 
 	for _, e := range []*Engine{master, slave} {
-		// Materialize so the slave has applied the deletes, then GC.
+		// Materialize so the slave has applied the deletes, then collect.
 		if err := e.MaterializeAll(last); err != nil {
 			t.Fatal(err)
 		}
-		removed, err := e.GCRowLocations(last)
-		if err != nil {
-			t.Fatalf("gc: %v", err)
+		if removed := e.GCIndexes(last); removed == 0 {
+			t.Fatal("gc removed no index history of the deleted rows")
 		}
-		if removed != 10 {
-			t.Fatalf("removed %d row locations, want 10", removed)
-		}
-		// Remaining rows still resolve.
 		rtx := e.BeginRead(last)
-		rids, _ := rtx.LookupEq(tid, 0, value.Row{value.NewInt(15)})
-		if len(rids) != 1 {
-			t.Fatalf("surviving row lost: %d rids", len(rids))
+		for pk := int64(10); pk < 20; pk++ {
+			rids, _ := rtx.LookupEq(tid, 0, value.Row{value.NewInt(pk)})
+			if len(rids) != 1 {
+				t.Fatalf("surviving row %d lost: %d rids", pk, len(rids))
+			}
+			if row, ok, err := rtx.Fetch(tid, rids[0]); err != nil || !ok || row[0].AsInt() != pk {
+				t.Fatalf("fetch survivor %d: %v %v %v", pk, row, ok, err)
+			}
 		}
-		if _, ok, err := rtx.Fetch(tid, rids[0]); err != nil || !ok {
-			t.Fatalf("fetch survivor: %v %v", ok, err)
+		for _, rid := range deleted {
+			if row, ok, err := rtx.Fetch(tid, rid); err != nil || ok {
+				t.Fatalf("deleted row %d fetched: %v %v %v", rid, row, ok, err)
+			}
 		}
 		// Idempotent.
-		if again, _ := e.GCRowLocations(last); again != 0 {
+		if again := e.GCIndexes(last); again != 0 {
 			t.Fatalf("second gc removed %d", again)
 		}
 	}
 }
 
+// TestRowLocationGCKeepsPendingInserts checks that a slave resolves an
+// insert it has buffered but not applied, also after collecting at the
+// insert's version.
 func TestRowLocationGCKeepsPendingInserts(t *testing.T) {
 	master, slaves, tid := buildPair(t, 1, 4)
 	slave := slaves[0]
@@ -149,18 +162,18 @@ func TestRowLocationGCKeepsPendingInserts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// GC at the new low-water on the SLAVE without materializing: the
-	// pending insert's row-location entry must survive.
-	if _, err := slave.GCRowLocations(ver); err != nil {
-		t.Fatal(err)
+	if slave.PendingMods() == 0 {
+		t.Fatal("the slave applied the insert eagerly")
 	}
+	// Collect at the new low-water on the SLAVE without materializing.
+	slave.GCIndexes(ver)
 	rtx := slave.BeginRead(ver)
 	rids, _ := rtx.LookupEq(tid, 0, value.Row{value.NewInt(500)})
 	if len(rids) != 1 {
 		t.Fatalf("rids = %d", len(rids))
 	}
 	row, ok, err := rtx.Fetch(tid, rids[0])
-	if err != nil || !ok {
-		t.Fatalf("pending insert lost after GC: %v %v (%v)", ok, err, row)
+	if err != nil || !ok || row[0].AsInt() != 500 {
+		t.Fatalf("buffered insert not found: %v %v (%v)", ok, err, row)
 	}
 }

@@ -101,7 +101,9 @@ type AccessObserver interface {
 
 // Options configure an Engine.
 type Options struct {
-	// PageCap is the number of row slots per page (default 64).
+	// PageCap is the number of row slots per page (default 64). A row id
+	// holds its slot in page.SlotBits bits, so NewEngine panics when
+	// PageCap exceeds 1<<page.SlotBits.
 	PageCap int
 	// LockTimeout bounds page-lock waits for update transactions
 	// (default 1s).
@@ -162,6 +164,9 @@ type Engine struct {
 
 // NewEngine returns an empty engine.
 func NewEngine(opts Options) *Engine {
+	if opts.PageCap > 1<<page.SlotBits {
+		panic(fmt.Sprintf("heap: PageCap %d exceeds the %d slots a row id can name", opts.PageCap, 1<<page.SlotBits))
+	}
 	e := &Engine{
 		opts:   opts.withDefaults(),
 		byName: make(map[string]int),

@@ -319,38 +319,48 @@ func (ix *Index) rewriteLocked(hit func(span) bool, keep func(*span) bool) int {
 // keeps a page's spans in step with its rows, so those are the only pairs
 // the index can show for the page. A node that missed a write-set can hold
 // a pair no row of the page still carries; that one is not found here.
-func (ix *Index) reconcile(old, img map[page.RowID]value.Row, prev, v uint64) {
+func (ix *Index) reconcile(old, img page.Rows, prev, v uint64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	for rid, row := range old {
-		if want, kept := img[rid]; kept && !ix.keyChanged(row, want) {
-			continue
+	old.All(func(rid page.RowID, row value.Row) {
+		if want, kept := img.Get(rid); !kept || ix.keyChanged(row, want) {
+			ix.closeLocked(ikey{key: ix.keyOf(row), rid: rid}, v)
 		}
-		for l := ix.tree.Ref(ikey{key: ix.keyOf(row), rid: rid}); l != nil; l = l.next {
-			if l.s.covers(v) {
-				l.s.del = v
-			}
+	})
+	img.All(func(rid page.RowID, row value.Row) {
+		ix.openLocked(ikey{key: ix.keyOf(row), rid: rid}, prev, v)
+	})
+}
+
+// closeLocked closes at v the span of pair k that covers v. Caller holds
+// ix.mu.
+func (ix *Index) closeLocked(k ikey, v uint64) {
+	for l := ix.tree.Ref(k); l != nil; l = l.next {
+		if l.s.covers(v) {
+			l.s.del = v
 		}
 	}
-	for rid, row := range img {
-		k := ikey{key: ix.keyOf(row), rid: rid}
-		l := ix.tree.Ref(k)
-		if l.visible(v) {
-			continue
-		}
-		// End the added span where a later life of the pair begins, so that
-		// life keeps its own span.
-		var next uint64
-		for p := l; p != nil; p = p.next {
-			if p.s.add > v && (next == 0 || p.s.add < next) {
-				next = p.s.add
-			}
-		}
-		if l != nil {
-			l.push(span{add: prev, del: next})
-			continue
-		}
-		value.Seal(k.key)
-		ix.tree.Put(k, lives{s: span{add: prev, del: next}})
+}
+
+// openLocked makes pair k visible at v, if it is not, with a span from prev.
+// Caller holds ix.mu.
+func (ix *Index) openLocked(k ikey, prev, v uint64) {
+	l := ix.tree.Ref(k)
+	if l.visible(v) {
+		return
 	}
+	// End the added span where a later life of the pair begins, so that
+	// life keeps its own span.
+	var next uint64
+	for p := l; p != nil; p = p.next {
+		if p.s.add > v && (next == 0 || p.s.add < next) {
+			next = p.s.add
+		}
+	}
+	if l != nil {
+		l.push(span{add: prev, del: next})
+		return
+	}
+	value.Seal(k.key)
+	ix.tree.Put(k, lives{s: span{add: prev, del: next}})
 }

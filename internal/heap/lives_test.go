@@ -93,21 +93,21 @@ func (m refIndex) gc(lw uint64) int {
 	return m.filter(func(s *span) bool { return s.del == 0 || s.del > lw })
 }
 
-func (m refIndex) reconcile(ix *Index, old, img map[page.RowID]value.Row, prev, v uint64) {
-	for rid, row := range old {
-		if want, kept := img[rid]; kept && !ix.keyChanged(row, want) {
-			continue
+func (m refIndex) reconcile(ix *Index, old, img page.Rows, prev, v uint64) {
+	old.All(func(rid page.RowID, row value.Row) {
+		if want, kept := img.Get(rid); kept && !ix.keyChanged(row, want) {
+			return
 		}
 		for i, s := range m[pairOf(ix.keyOf(row), rid)] {
 			if s.covers(v) {
 				m[pairOf(ix.keyOf(row), rid)][i].del = v
 			}
 		}
-	}
-	for rid, row := range img {
+	})
+	img.All(func(rid page.RowID, row value.Row) {
 		p := pairOf(ix.keyOf(row), rid)
 		if m.visible(p, v) {
-			continue
+			return
 		}
 		var next uint64
 		for _, s := range m[p] {
@@ -116,7 +116,7 @@ func (m refIndex) reconcile(ix *Index, old, img map[page.RowID]value.Row, prev, 
 			}
 		}
 		m[p] = append(m[p], span{add: prev, del: next})
-	}
+	})
 }
 
 // match fails t unless ix holds exactly the pairs and spans of m, and
@@ -219,9 +219,12 @@ func TestMultiLifeHistory(t *testing.T) {
 	for v := uint64(1); v <= 6; v++ {
 		for _, title := range []string{"A", "B", "C"} {
 			ix, m, rows := keyChangeFixture(t)
-			cur := rows[min(v, 5)]
-			old := map[page.RowID]value.Row{1: cur}
-			img := map[page.RowID]value.Row{1: {value.NewInt(1), value.NewString(title)}}
+			pg := page.New(0, 0, 4, 0)
+			pg.LockX()
+			pg.XApply(page.RowOp{Kind: page.OpInsert, Row: 1, Data: rows[min(v, 5)]})
+			_, _, old := pg.XInstall(page.Image{Version: v, Rows: map[page.RowID]value.Row{1: {value.NewInt(1), value.NewString(title)}}})
+			img := pg.XRows()
+			pg.UnlockX()
 			ix.reconcile(old, img, v-1, v)
 			m.reconcile(ix, old, img, v-1, v)
 			m.match(t, ix, 7, fmt.Sprintf("reconcile to %s at %d", title, v))

@@ -77,35 +77,40 @@ func ChangedPages(joiner, donor PageVersionMap) []PageSet {
 // repair (a master's images of diverged pages) and checkpoint restore (every
 // page, into a fresh engine). page.XInstall decides per page: an image at or
 // above the page's applied version replaces its rows, an older one is
-// refused. Row locations and index spans are reconciled page by page, so no
-// reader ever finds them emptied for a rebuild.
+// refused. Index spans are reconciled page by page, so no reader ever finds
+// them emptied for a rebuild. An image holding a row whose id names another
+// page is refused, and no image is installed.
 //
 // A reintegrating node calls it after subscribing to the masters'
 // replication streams, so any write-set buffered while the migration was in
 // flight applies cleanly on top (the per-group version guard in
 // ApplyWriteSet skips what the images already cover).
 func (e *Engine) InstallDelta(images []page.Image) error {
-	for _, img := range images {
+	tables := make([]*Table, len(images))
+	for i, img := range images {
 		t, err := e.table(img.Table)
 		if err != nil {
 			return fmt.Errorf("install delta: %w", err)
 		}
-		t.install(img)
+		for rid := range img.Rows {
+			if rid.Page() != img.Page {
+				return fmt.Errorf("install delta: table %d row %d is not on page %d", img.Table, rid, img.Page)
+			}
+		}
+		tables[i] = t
+	}
+	for i, img := range images {
+		tables[i].install(img)
 	}
 	return nil
 }
 
-// install installs one image into its page. Row locations are published
-// first: rows never move between pages, so an early entry only leads a
-// reader to the page that holds the row. The index spans then change inside
+// install installs one image into its page. The index spans change inside
 // the page's exclusive latch (the order UpdateTx.Commit uses), so a reader
 // that follows a changed entry to the page finds the installed rows, and
 // the entries the image keeps are never touched.
 func (t *Table) install(img page.Image) {
 	pg := t.ensurePage(img.Page, img.CreateVer)
-	for rid := range img.Rows {
-		t.setLoc(rid, pg)
-	}
 	indexes := t.allIndexes()
 	pg.LockX()
 	defer pg.UnlockX()

@@ -9,8 +9,9 @@ import (
 	"dmv/internal/value"
 )
 
-// Table is one heap table: a page directory, a row-location map, and
-// versioned secondary indexes.
+// Table is one heap table: a page directory and versioned secondary
+// indexes. A row id names the page and slot that hold the row, so the
+// directory is also the row-location map.
 type Table struct {
 	id      int
 	def     TableDef
@@ -20,19 +21,11 @@ type Table struct {
 	dirMu sync.RWMutex
 	pages []*page.Page // guarded by dirMu
 
-	// row location: row id -> owning page. Rows never move between pages,
-	// so entries are stable once created; they are retained after delete so
-	// that stale readers reach the page and fail the version check instead
-	// of silently missing the row.
-	rlMu   sync.RWMutex
-	rowLoc map[page.RowID]*page.Page // guarded by rlMu
-
 	// master-side insert cursor: pages are filled up to pageCap reserved
 	// slots, then a new page is allocated.
-	allocMu   sync.Mutex
-	curPage   *page.Page // guarded by allocMu
-	curCount  int        // guarded by allocMu
-	nextRowID atomic.Int64
+	allocMu  sync.Mutex
+	curPage  *page.Page // guarded by allocMu
+	curCount int        // guarded by allocMu
 
 	// maxVer is the highest table version seen (applied, buffered, or
 	// committed locally).
@@ -51,7 +44,6 @@ func newTable(id int, def TableDef, pageCap int, onApply func(mods []page.Mod, e
 		id:      id,
 		def:     def,
 		pageCap: pageCap,
-		rowLoc:  make(map[page.RowID]*page.Page, 1024),
 		onApply: onApply,
 	}
 }
@@ -135,32 +127,16 @@ func (t *Table) appendPage(createVer uint64) *page.Page {
 // newPageLocked builds a page with the apply hook installed before the page
 // becomes reachable. Caller holds dirMu.
 func (t *Table) newPageLocked(createVer uint64) *page.Page {
-	p := page.New(t.id, page.ID(len(t.pages)), createVer)
+	p := page.New(t.id, page.ID(len(t.pages)), t.pageCap, createVer)
 	if t.onApply != nil {
 		p.SetApplyHook(t.onApply)
 	}
 	return p
 }
 
-func (t *Table) locate(rid page.RowID) *page.Page {
-	t.rlMu.RLock()
-	defer t.rlMu.RUnlock()
-	return t.rowLoc[rid]
-}
-
-func (t *Table) setLoc(rid page.RowID, p *page.Page) {
-	t.rlMu.Lock()
-	t.rowLoc[rid] = p
-	t.rlMu.Unlock()
-	// Track the master's row-id allocation point so a promoted slave
-	// continues the sequence without collision.
-	for {
-		cur := t.nextRowID.Load()
-		if int64(rid) <= cur || t.nextRowID.CompareAndSwap(cur, int64(rid)) {
-			return
-		}
-	}
-}
+// locate returns the page that holds (or held, or will hold) row rid, or
+// nil when the directory has no such page yet.
+func (t *Table) locate(rid page.RowID) *page.Page { return t.pageAt(rid.Page()) }
 
 func (t *Table) bumpVer(v uint64) {
 	for {
@@ -182,18 +158,21 @@ func (t *Table) lowerVer(v uint64) {
 }
 
 // reserveSlot picks the insert target page for one new row on the master,
-// allocating a new page when the current one is full. Newly allocated pages
-// carry the create-version sentinel until the first committing transaction
-// stamps them (see page.StampCreateVersion).
-func (t *Table) reserveSlot() *page.Page {
+// allocating a new page when the current one is full, and returns it with
+// the id of the slot reserved on it. A slot is never handed out twice: a
+// rolled-back insert leaves its slot empty. Newly allocated pages carry the
+// create-version sentinel until the first committing transaction stamps
+// them (see page.StampCreateVersion).
+func (t *Table) reserveSlot() (*page.Page, page.RowID) {
 	t.allocMu.Lock()
 	defer t.allocMu.Unlock()
 	if t.curPage == nil || t.curCount >= t.pageCap {
 		t.curPage = t.appendPage(^uint64(0)) // hidden from scans until stamped
 		t.curCount = 0
 	}
+	rid := page.MakeRowID(t.curPage.ID(), t.curCount)
 	t.curCount++
-	return t.curPage
+	return t.curPage, rid
 }
 
 // load bulk-loads the initial image (version 0).
@@ -214,12 +193,11 @@ func (t *Table) load(rows []value.Row) error {
 			cur = t.appendPage(0)
 			count = 0
 		}
-		rid := page.RowID(t.nextRowID.Add(1))
+		rid := page.MakeRowID(cur.ID(), count)
 		cur.LockX()
 		cur.XApply(page.RowOp{Kind: page.OpInsert, Row: rid, Data: row})
 		cur.UnlockX()
 		count++
-		t.setLoc(rid, cur)
 		for _, ix := range indexes {
 			if err := ix.add(ix.keyOf(row), rid, 0); err != nil {
 				return fmt.Errorf("load %s: %w", t.def.Name, err)
@@ -239,8 +217,8 @@ func (t *Table) rowCountAt(v uint64) (int, error) {
 		if p.CreateVersion() > v {
 			continue
 		}
-		err := p.View(v, func(rows map[page.RowID]value.Row) error {
-			total += len(rows)
+		err := p.View(v, func(rows page.Rows) error {
+			total += rows.Len()
 			return nil
 		})
 		if err != nil {

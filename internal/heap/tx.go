@@ -276,7 +276,7 @@ func (tx *UpdateTx) Fetch(table int, rid page.RowID) (value.Row, bool, error) {
 	if err := tx.lockPage(pg); err != nil {
 		return nil, false, err
 	}
-	row, ok := pg.XRows()[rid]
+	row, ok := pg.XRows().Get(rid)
 	if !ok {
 		return nil, false, nil
 	}
@@ -348,21 +348,21 @@ func (tx *UpdateTx) Insert(table int, row value.Row) (page.RowID, error) {
 	}
 	r := publishable(t, row)
 	indexes := t.allIndexes()
-	rid := page.RowID(t.nextRowID.Add(1))
 	for ord, ix := range indexes {
 		if !ix.def.Unique {
 			continue
 		}
-		if err := tx.checkUnique(table, ord, ix, ix.keyOf(r), rid); err != nil {
+		// The row has no id yet, so no live row is excluded: minRowID
+		// names no row.
+		if err := tx.checkUnique(table, ord, ix, ix.keyOf(r), minRowID); err != nil {
 			return 0, err
 		}
 	}
-	pg := t.reserveSlot()
+	pg, rid := t.reserveSlot()
 	if err := tx.lockPage(pg); err != nil {
 		return 0, err
 	}
 	pg.XApply(page.RowOp{Kind: page.OpInsert, Row: rid, Data: r})
-	t.setLoc(rid, pg)
 	tx.recs = append(tx.recs, Record{
 		Table: table,
 		Page:  pg.ID(),
@@ -390,7 +390,7 @@ func (tx *UpdateTx) Update(table int, rid page.RowID, row value.Row) error {
 	if err := tx.lockPage(pg); err != nil {
 		return err
 	}
-	before, ok := pg.XRows()[rid]
+	before, ok := pg.XRows().Get(rid)
 	if !ok {
 		return fmt.Errorf("%w: table %s row %d", ErrRowNotFound, t.def.Name, rid)
 	}
@@ -443,7 +443,7 @@ func (tx *UpdateTx) Delete(table int, rid page.RowID) error {
 	if err := tx.lockPage(pg); err != nil {
 		return err
 	}
-	before, ok := pg.XRows()[rid]
+	before, ok := pg.XRows().Get(rid)
 	if !ok {
 		return fmt.Errorf("%w: table %s row %d", ErrRowNotFound, t.def.Name, rid)
 	}

@@ -58,16 +58,22 @@ func rowBytes(r value.Row) int {
 }
 
 // ApplyWriteSet processes a write-set received from a master: it eagerly
-// publishes row locations and versioned index entries, and enqueues the page
-// modifications for lazy application (the paper's hybrid eager-propagation /
-// lazy-application scheme). It is idempotent: groups whose version is
-// already materialized (duplicate delivery, or state received through page
-// migration) are skipped.
+// publishes versioned index entries, and enqueues the page modifications for
+// lazy application (the paper's hybrid eager-propagation / lazy-application
+// scheme). It is idempotent: groups whose version is already materialized
+// (duplicate delivery, or state received through page migration) are
+// skipped. A write-set with a record whose row id names another page than
+// the record's is refused before anything is applied.
 //
 // Write-sets from one master must be applied in commit order by a single
 // goroutine per master (the replication layer guarantees this).
 func (e *Engine) ApplyWriteSet(ws *WriteSet) error {
 	debugCheckWriteSet(ws)
+	for i := range ws.Records {
+		if rec := &ws.Records[i]; rec.Op.Row.Page() != rec.Page {
+			return fmt.Errorf("apply write-set tx %d: table %d row %d is not on page %d", ws.TxID, rec.Table, rec.Op.Row, rec.Page)
+		}
+	}
 	type pageKey struct {
 		table int
 		pg    page.ID
@@ -103,7 +109,7 @@ func (e *Engine) ApplyWriteSet(ws *WriteSet) error {
 		for j := range recs {
 			if rec := &recs[j]; rec.Table == k.table && rec.Page == k.pg {
 				ops = append(ops, rec.Op)
-				if err := t.applyIndexes(rec, pg, ver); err != nil {
+				if err := t.applyIndexes(rec, ver); err != nil {
 					return err
 				}
 			}
@@ -116,14 +122,13 @@ func (e *Engine) ApplyWriteSet(ws *WriteSet) error {
 	return nil
 }
 
-// applyIndexes publishes a write-set record's row location and index
-// entries at version ver, ahead of the page modification that pg buffers.
-// An inserted or updated row's keys are windows onto rec.Op.Data, the row
-// the page publishes when it applies the modification.
-func (t *Table) applyIndexes(rec *Record, pg *page.Page, ver uint64) error {
+// applyIndexes publishes a write-set record's index entries at version ver,
+// ahead of the page modification its page buffers. An inserted or updated
+// row's keys are windows onto rec.Op.Data, the row the page publishes when
+// it applies the modification.
+func (t *Table) applyIndexes(rec *Record, ver uint64) error {
 	switch rec.Op.Kind {
 	case page.OpInsert:
-		t.setLoc(rec.Op.Row, pg)
 		for _, ix := range t.allIndexes() {
 			if err := ix.addUnchecked(ix.keyOf(rec.Op.Data), rec.Op.Row, ver); err != nil {
 				return err
@@ -168,7 +173,8 @@ func (e *Engine) DiscardAbove(v vclock.Vector) {
 
 // ResetInsertCursors forces fresh page allocation for subsequent inserts; a
 // slave promoted to master calls this so it never shares an insert page with
-// the failed master's unreplicated state.
+// the failed master's unreplicated state. A fresh page lies past every page
+// the directory holds, so the row ids it hands out name no earlier row.
 func (e *Engine) ResetInsertCursors() {
 	for _, t := range e.allTables() {
 		t.allocMu.Lock()
@@ -192,68 +198,6 @@ func (e *Engine) GCIndexes(lowWater vclock.Vector) int {
 		}
 	}
 	return removed
-}
-
-// GCRowLocations drops row-location entries for rows that are gone at the
-// low-water vector: each page is first materialized to the low-water
-// version, then entries pointing at it whose row no longer exists are
-// removed. Row-location entries are otherwise retained after deletion so
-// stale readers reach the page and fail the version check; below the
-// low-water mark no such reader can exist (row ids are never reused, so a
-// dropped entry can never be resurrected). Returns entries removed.
-func (e *Engine) GCRowLocations(lowWater vclock.Vector) (int, error) {
-	removed := 0
-	for _, t := range e.allTables() {
-		lw := lowWater.Get(t.id)
-		if lw == 0 {
-			continue
-		}
-		live := make(map[page.RowID]struct{}, 1024)
-		for _, pg := range t.pagesSnapshot() {
-			if pg.CreateVersion() > lw {
-				// Rows in too-new pages must keep their entries.
-				img := pg.SnapshotBlocking()
-				for rid := range img.Rows {
-					live[rid] = struct{}{}
-				}
-				continue
-			}
-			err := pg.View(lw, func(rows map[page.RowID]value.Row) error {
-				for rid := range rows {
-					live[rid] = struct{}{}
-				}
-				return nil
-			})
-			if err == page.ErrVersionConflict {
-				// Page already past the low-water mark; its current rows
-				// are a superset of what any future reader can see.
-				img := pg.SnapshotBlocking()
-				for rid := range img.Rows {
-					live[rid] = struct{}{}
-				}
-				continue
-			}
-			if err != nil {
-				return removed, err
-			}
-		}
-		t.rlMu.Lock()
-		for rid, pg := range t.rowLoc {
-			if _, ok := live[rid]; ok {
-				continue
-			}
-			// The row may still be pending insertion (buffered write-set
-			// above the low-water mark): keep entries whose page has
-			// unapplied modifications.
-			if pg.PendingLen() > 0 {
-				continue
-			}
-			delete(t.rowLoc, rid)
-			removed++
-		}
-		t.rlMu.Unlock()
-	}
-	return removed, nil
 }
 
 // MaterializeAll applies every buffered modification up to the given vector

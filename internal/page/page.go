@@ -31,7 +31,23 @@ import (
 )
 
 // RowID identifies a row within its table for the lifetime of the database.
+// It is also the row's location: the page id in the high bits and the slot
+// within the page in the low SlotBits bits, so finding a row takes no
+// lookup table. Rows never move between pages.
 type RowID int64
+
+// SlotBits is the width of a row id's slot field: a page holds at most
+// 1<<SlotBits slots.
+const SlotBits = 16
+
+// MakeRowID returns the id of slot slot of page pg.
+func MakeRowID(pg ID, slot int) RowID { return RowID(pg)<<SlotBits | RowID(slot) }
+
+// Page returns the page the row lives on.
+func (r RowID) Page() ID { return ID(r >> SlotBits) }
+
+// Slot returns the row's slot within its page.
+func (r RowID) Slot() int { return int(r & (1<<SlotBits - 1)) }
 
 // ID identifies a page within its table (its index in the table directory).
 type ID int32
@@ -70,11 +86,16 @@ type Mod struct {
 // Page is one versioned memory page. All exported methods are safe for
 // concurrent use.
 type Page struct {
-	id    ID
-	table int
+	id      ID
+	slotCap int32 // the slot array's length when the first row lands
+	table   int
 
-	mu      sync.RWMutex
-	rows    map[RowID]value.Row
+	mu sync.RWMutex
+	// slots holds the rows by slot; nil marks an empty slot. The array is
+	// allocated when the first row lands and grows only for a slot past
+	// slotCap (a row shipped from a node with larger pages).
+	slots   []value.Row
+	n       int    // rows in slots
 	applied uint64 // table version the slots materialize
 	pending []Mod  // sorted ascending by Version
 
@@ -95,13 +116,14 @@ type Page struct {
 	onApply func(mods []Mod, eager bool)
 }
 
-// New returns an empty page for the given table, allocated at table version
-// createVer (0 for pages present in the initial database load).
-func New(table int, id ID, createVer uint64) *Page {
+// New returns an empty page for the given table with slotCap slots,
+// allocated at table version createVer (0 for pages present in the initial
+// database load).
+func New(table int, id ID, slotCap int, createVer uint64) *Page {
 	p := &Page{
-		id:    id,
-		table: table,
-		rows:  make(map[RowID]value.Row),
+		id:      id,
+		slotCap: int32(slotCap),
+		table:   table,
 	}
 	// applied starts at 0: an empty page is a valid materialization of every
 	// version up to its first modification.
@@ -145,7 +167,7 @@ func (p *Page) Versions() (applied, received uint64, rows int) {
 	if n := len(p.pending); n > 0 && p.pending[n-1].Version > received {
 		received = p.pending[n-1].Version
 	}
-	return p.applied, received, len(p.rows)
+	return p.applied, received, p.n
 }
 
 // PendingLen returns the number of buffered, unapplied modifications.
@@ -239,12 +261,39 @@ func (p *Page) ensureLocked(v uint64, eager bool) error {
 	return nil
 }
 
-// View materializes the page at table version v and calls fn with the row
-// slots under a shared latch. fn must not retain or mutate the map. The rows
-// in it are the stored rows, immutable once published: fn may keep one but
-// must never write into it. Returns ErrVersionConflict if version v is no
-// longer constructible.
-func (p *Page) View(v uint64, fn func(rows map[RowID]value.Row) error) error {
+// Rows is a view of a page's rows, valid while the latch it was taken under
+// is held. The rows it hands out are the stored rows, immutable once
+// published: a holder may keep one but must never write into it.
+type Rows struct {
+	pg    ID
+	slots []value.Row
+	n     int
+}
+
+// Len returns the number of rows.
+func (r Rows) Len() int { return r.n }
+
+// Get returns the row with id rid, if the page holds it.
+func (r Rows) Get(rid RowID) (value.Row, bool) {
+	if s := rid.Slot(); rid.Page() == r.pg && s < len(r.slots) && r.slots[s] != nil {
+		return r.slots[s], true
+	}
+	return nil, false
+}
+
+// All calls fn for every row in ascending row-id order.
+func (r Rows) All(fn func(rid RowID, row value.Row)) {
+	for s, row := range r.slots {
+		if row != nil {
+			fn(MakeRowID(r.pg, s), row)
+		}
+	}
+}
+
+// View materializes the page at table version v and calls fn with the rows
+// under a shared latch. fn must not retain the view. Returns
+// ErrVersionConflict if version v is no longer constructible.
+func (p *Page) View(v uint64, fn func(rows Rows) error) error {
 	for {
 		p.mu.RLock()
 		if p.applied > v {
@@ -261,7 +310,7 @@ func (p *Page) View(v uint64, fn func(rows map[RowID]value.Row) error) error {
 			}
 			continue
 		}
-		err := fn(p.rows)
+		err := fn(p.rowsLocked())
 		p.mu.RUnlock()
 		return err
 	}
@@ -271,8 +320,8 @@ func (p *Page) View(v uint64, fn func(rows map[RowID]value.Row) error) error {
 // false if the row does not exist at v. The row is the stored one, not a
 // copy: the caller must not write into it.
 func (p *Page) Get(rid RowID, v uint64) (row value.Row, ok bool, err error) {
-	err = p.View(v, func(rows map[RowID]value.Row) error {
-		row, ok = rows[rid]
+	err = p.View(v, func(rows Rows) error {
+		row, ok = rows.Get(rid)
 		return nil
 	})
 	value.CheckSealed(row)
@@ -291,20 +340,43 @@ func (p *Page) TryLockX() bool { return p.mu.TryLock() }
 // UnlockX releases the exclusive latch.
 func (p *Page) UnlockX() { p.mu.Unlock() }
 
-// XRows exposes the live slots. Caller must hold the exclusive latch.
-func (p *Page) XRows() map[RowID]value.Row { return p.rows }
+// XRows exposes the live rows. Caller must hold the exclusive latch.
+func (p *Page) XRows() Rows { return p.rowsLocked() }
 
-// XApply mutates one row. Caller must hold the exclusive latch. An inserted
-// or updated row is published as it is: op.Data must be a slice nobody
-// writes into afterwards, since readers are handed it without a copy.
+func (p *Page) rowsLocked() Rows { return Rows{pg: p.id, slots: p.slots, n: p.n} }
+
+// XApply mutates the row in op.Row's slot. Caller must hold the exclusive
+// latch. An inserted or updated row is published as it is: op.Data must be
+// a slice nobody writes into afterwards, since readers are handed it
+// without a copy.
 func (p *Page) XApply(op RowOp) {
+	s := op.Row.Slot()
 	switch op.Kind {
 	case OpInsert, OpUpdate:
 		value.Seal(op.Data)
-		p.rows[op.Row] = op.Data
+		p.put(s, op.Data)
 	case OpDelete:
-		delete(p.rows, op.Row)
+		if s < len(p.slots) && p.slots[s] != nil {
+			p.slots[s] = nil
+			p.n--
+		}
 	}
+}
+
+// put stores row in slot s. Caller holds the exclusive latch.
+func (p *Page) put(s int, row value.Row) {
+	if row == nil {
+		row = value.Row{} // a row with no columns still fills its slot
+	}
+	if s >= len(p.slots) {
+		slots := make([]value.Row, max(int(p.slotCap), s+1, 2*len(p.slots)))
+		copy(slots, p.slots)
+		p.slots = slots
+	}
+	if p.slots[s] == nil {
+		p.n++
+	}
+	p.slots[s] = row
 }
 
 // XStamp records that the page now materializes table version v. Called by
@@ -407,10 +479,10 @@ func (p *Page) SnapshotBlocking() Image {
 // the engine (checkpoint file, migration RPC, the receiving engine's pages),
 // and only the checkpoint and migration paths take one, never a workload.
 func (p *Page) imageLocked() Image {
-	rows := make(map[RowID]value.Row, len(p.rows))
-	for id, r := range p.rows {
+	rows := make(map[RowID]value.Row, p.n)
+	p.rowsLocked().All(func(id RowID, r value.Row) {
 		rows[id] = r.Clone()
-	}
+	})
 	return Image{
 		Table:     p.table,
 		Page:      p.id,
@@ -430,21 +502,21 @@ func (p *Page) imageLocked() Image {
 // Caller must hold the exclusive latch, and keeps it while it reconciles
 // derived state with the returned prev (the applied version before the
 // install) and replaced (the page's rows at the image version, which the
-// image superseded).
-func (p *Page) XInstall(img Image) (installed bool, prev uint64, replaced map[RowID]value.Row) {
+// image superseded). Every row of img must name this page.
+func (p *Page) XInstall(img Image) (installed bool, prev uint64, replaced Rows) {
 	prev = p.applied
 	if img.Version < prev {
-		return false, prev, nil
+		return false, prev, Rows{}
 	}
 	_ = p.ensureLocked(img.Version, true) // cannot conflict: img.Version >= applied
-	replaced = p.rows
-	p.rows = make(map[RowID]value.Row, len(img.Rows))
+	replaced = p.rowsLocked()
+	p.slots, p.n = nil, 0
 	for id, r := range img.Rows {
 		// The image belongs to the caller, which may hand it to other
 		// engines too: publish a private copy.
 		r = r.Clone()
 		value.Seal(r)
-		p.rows[id] = r
+		p.put(id.Slot(), r)
 	}
 	p.applied = img.Version
 	if img.CreateVer < p.createVer.Load() {
@@ -457,7 +529,7 @@ func (p *Page) XInstall(img Image) (installed bool, prev uint64, replaced map[Ro
 func (p *Page) RowCount() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return len(p.rows)
+	return p.n
 }
 
 // String renders page identity for diagnostics. It must never block: lock

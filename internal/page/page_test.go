@@ -27,10 +27,10 @@ func del(rid RowID) RowOp          { return RowOp{Kind: OpDelete, Row: rid} }
 func rowsAt(t *testing.T, p *Page, ver uint64) map[RowID]int64 {
 	t.Helper()
 	out := map[RowID]int64{}
-	err := p.View(ver, func(rows map[RowID]value.Row) error {
-		for rid, r := range rows {
+	err := p.View(ver, func(rows Rows) error {
+		rows.All(func(rid RowID, r value.Row) {
 			out[rid] = r[0].AsInt()
-		}
+		})
 		return nil
 	})
 	if err != nil {
@@ -40,7 +40,7 @@ func rowsAt(t *testing.T, p *Page, ver uint64) map[RowID]int64 {
 }
 
 func TestLazyMaterialization(t *testing.T) {
-	p := New(0, 0, 0)
+	p := New(0, 0, 8, 0)
 	p.Enqueue(mod(1, ins(1, 10)))
 	p.Enqueue(mod(2, upd(1, 20)))
 	p.Enqueue(mod(3, del(1)))
@@ -64,11 +64,11 @@ func TestLazyMaterialization(t *testing.T) {
 }
 
 func TestVersionConflictAbort(t *testing.T) {
-	p := New(0, 0, 0)
+	p := New(0, 0, 8, 0)
 	p.Enqueue(mod(1, ins(1, 10)))
 	p.Enqueue(mod(2, upd(1, 20)))
 	_ = rowsAt(t, p, 2) // upgrade to v2
-	err := p.View(1, func(map[RowID]value.Row) error { return nil })
+	err := p.View(1, func(Rows) error { return nil })
 	if !errors.Is(err, ErrVersionConflict) {
 		t.Fatalf("err = %v, want ErrVersionConflict (old versions are never kept)", err)
 	}
@@ -83,7 +83,7 @@ func TestVersionConflictAbort(t *testing.T) {
 }
 
 func TestEnqueueOutOfOrderAndDuplicates(t *testing.T) {
-	p := New(0, 0, 0)
+	p := New(0, 0, 8, 0)
 	p.Enqueue(mod(3, upd(1, 30)))
 	p.Enqueue(mod(1, ins(1, 10)))
 	p.Enqueue(mod(2, upd(1, 20)))
@@ -95,7 +95,7 @@ func TestEnqueueOutOfOrderAndDuplicates(t *testing.T) {
 }
 
 func TestDiscardAbove(t *testing.T) {
-	p := New(0, 0, 0)
+	p := New(0, 0, 8, 0)
 	p.Enqueue(mod(1, ins(1, 10)))
 	p.Enqueue(mod(2, upd(1, 20)))
 	p.Enqueue(mod(3, upd(1, 30)))
@@ -121,7 +121,7 @@ type installCase struct {
 // row 1 at version 2, with changes 3 and 4 pending.
 func checkInstall(t *testing.T, c installCase) {
 	t.Helper()
-	p := New(0, 0, 0)
+	p := New(0, 0, 8, 0)
 	p.Enqueue(mod(1, ins(1, 10)))
 	p.Enqueue(mod(2, upd(1, 20)))
 	p.Enqueue(mod(3, upd(1, 30)))
@@ -135,7 +135,7 @@ func checkInstall(t *testing.T, c installCase) {
 	}
 	if c.installed {
 		// The replaced rows are the page brought up to the image version.
-		if r, ok := replaced[1]; len(replaced) != 1 || !ok || r[0].AsInt() != int64(c.version)*10 {
+		if r, ok := replaced.Get(1); replaced.Len() != 1 || !ok || r[0].AsInt() != int64(c.version)*10 {
 			t.Fatalf("replaced rows %v, want the page at version %d", replaced, c.version)
 		}
 		if at := rowsAt(t, p, c.version); !equalRows(at, map[RowID]int64{9: 90}) {
@@ -178,7 +178,7 @@ func equalRows(a, b map[RowID]int64) bool {
 }
 
 func TestSnapshotSkipsDirty(t *testing.T) {
-	p := New(0, 0, 0)
+	p := New(0, 0, 8, 0)
 	p.LockX()
 	if _, ok := p.Snapshot(); ok {
 		t.Fatal("snapshot of an exclusively latched (dirty) page must be skipped")
@@ -190,7 +190,7 @@ func TestSnapshotSkipsDirty(t *testing.T) {
 }
 
 func TestStampCreateVersionLowersOnly(t *testing.T) {
-	p := New(0, 0, ^uint64(0))
+	p := New(0, 0, 8, ^uint64(0))
 	if p.CreateVersion() != ^uint64(0) {
 		t.Fatal("sentinel expected")
 	}
@@ -204,7 +204,7 @@ func TestStampCreateVersionLowersOnly(t *testing.T) {
 // TestConcurrentReadersUpgrade has readers at increasing versions race on
 // one page; all succeed or abort cleanly, and the final state is the newest.
 func TestConcurrentReadersUpgrade(t *testing.T) {
-	p := New(0, 0, 0)
+	p := New(0, 0, 8, 0)
 	const versions = 50
 	for v := uint64(1); v <= versions; v++ {
 		p.Enqueue(mod(v, upd(1, int64(v))))
@@ -219,8 +219,8 @@ func TestConcurrentReadersUpgrade(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 200; i++ {
 				v := uint64(rng.Intn(versions) + 1)
-				err := p.View(v, func(rows map[RowID]value.Row) error {
-					if r, ok := rows[1]; ok && r[0].AsInt() > int64(v) {
+				err := p.View(v, func(rows Rows) error {
+					if r, ok := rows.Get(1); ok && r[0].AsInt() > int64(v) {
 						t.Errorf("view@%d saw future value %d", v, r[0].AsInt())
 					}
 					return nil
@@ -245,7 +245,7 @@ func TestApplyPrefixDeterministic(t *testing.T) {
 	f := func(seed int64, nOps uint8, cut uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nOps%40) + 1
-		p := New(0, 0, 0)
+		p := New(0, 0, 8, 0)
 		ref := map[RowID]int64{}
 		cutV := uint64(cut%uint8(n)) + 1
 		for v := uint64(1); v <= uint64(n); v++ {
@@ -270,10 +270,10 @@ func TestApplyPrefixDeterministic(t *testing.T) {
 			}
 		}
 		got := map[RowID]int64{}
-		err := p.View(cutV, func(rows map[RowID]value.Row) error {
-			for rid, r := range rows {
+		err := p.View(cutV, func(rows Rows) error {
+			rows.All(func(rid RowID, r value.Row) {
 				got[rid] = r[0].AsInt()
-			}
+			})
 			return nil
 		})
 		if err != nil {

@@ -46,29 +46,25 @@ type TableDigest struct {
 }
 
 // HashPage computes the Merkle leaf for one page's rows as seen at the
-// pinned version. Rows hash in ascending RowID order; each row contributes
-// its id and the injective value.Row.Key encoding, both length-framed, so
-// no two distinct row sets collide by concatenation.
-func HashPage(table int, pg page.ID, rows map[page.RowID]value.Row) PageDigest {
-	ids := make([]page.RowID, 0, len(rows))
-	for rid := range rows {
-		ids = append(ids, rid)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+// pinned version. rows calls its argument for every row in ascending RowID
+// order, as page.Rows.All does; each row contributes its id and the
+// injective value.Row.Key encoding, both length-framed, so no two distinct
+// row sets collide by concatenation.
+func HashPage(table int, pg page.ID, rows func(fn func(rid page.RowID, row value.Row))) PageDigest {
 	h := sha256.New()
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], uint64(table))
 	h.Write(buf[:])
 	binary.BigEndian.PutUint64(buf[:], uint64(pg))
 	h.Write(buf[:])
-	for _, rid := range ids {
+	rows(func(rid page.RowID, row value.Row) {
 		binary.BigEndian.PutUint64(buf[:], uint64(rid))
 		h.Write(buf[:])
-		key := rows[rid].Key()
+		key := row.Key()
 		binary.BigEndian.PutUint64(buf[:], uint64(len(key)))
 		h.Write(buf[:])
 		h.Write([]byte(key))
-	}
+	})
 	var pd PageDigest
 	pd.Page = pg
 	h.Sum(pd.Hash[:0])

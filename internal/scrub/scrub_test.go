@@ -1,18 +1,26 @@
 package scrub
 
 import (
+	"slices"
 	"testing"
 
 	"dmv/internal/page"
 	"dmv/internal/value"
 )
 
-func rows(kv map[page.RowID]int64) map[page.RowID]value.Row {
-	out := make(map[page.RowID]value.Row, len(kv))
-	for rid, v := range kv {
-		out[rid] = value.Row{value.NewInt(v), value.NewString("x")}
+// rows yields a row for each entry of kv in ascending RowID order, as
+// page.Rows.All does.
+func rows(kv map[page.RowID]int64) func(fn func(page.RowID, value.Row)) {
+	return func(fn func(page.RowID, value.Row)) {
+		ids := make([]page.RowID, 0, len(kv))
+		for rid := range kv {
+			ids = append(ids, rid)
+		}
+		slices.Sort(ids)
+		for _, rid := range ids {
+			fn(rid, value.Row{value.NewInt(kv[rid]), value.NewString("x")})
+		}
 	}
-	return out
 }
 
 func TestHashPageStableUnderMapOrder(t *testing.T) {

@@ -143,7 +143,8 @@ func (v Value) String() string {
 
 // Compare returns -1, 0, or +1 ordering a before/equal/after b. The order is
 // total: NULL < numbers < strings; Int and Float compare numerically with
-// each other.
+// each other, and a Float NaN sorts after every other number and equals
+// only NaN.
 func Compare(a, b Value) int {
 	ra, rb := rank(a.K), rank(b.K)
 	if ra != rb {
@@ -171,6 +172,13 @@ func Compare(a, b Value) int {
 			return -1
 		case af > bf:
 			return 1
+		}
+		// Equal, or at least one is NaN, which no comparison orders.
+		if an, bn := af != af, bf != bf; an != bn {
+			if an {
+				return 1
+			}
+			return -1
 		}
 		return 0
 	default: // both strings

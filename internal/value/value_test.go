@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -144,5 +145,38 @@ func TestValueStringForms(t *testing.T) {
 	}
 	if NewString("2.5").AsFloat() != 2.5 {
 		t.Errorf("string as float")
+	}
+}
+
+// TestCompareTotalOrder checks antisymmetry and transitivity over every
+// triple of edge values: NaN, ±0, ±Inf, the int64 extremes, the empty
+// string and NULL, with ordinary numbers beside them. NaN sorts after
+// every other number and equals only NaN.
+func TestCompareTotalOrder(t *testing.T) {
+	vals := []Value{
+		NewFloat(math.Copysign(0, -1)), NewFloat(0), NewFloat(math.NaN()), NewFloat(-math.NaN()),
+		NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewInt(math.MinInt64), NewInt(math.MaxInt64),
+		NewString(""), NewNull(), NewInt(5), NewFloat(5), NewFloat(3.25), NewString("a"),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			if ab, ba := Compare(a, b), Compare(b, a); ab != -ba {
+				t.Errorf("Compare(%v, %v) = %d, Compare(%v, %v) = %d", a, b, ab, b, a, ba)
+			}
+			for _, c := range vals {
+				if Compare(a, b) <= 0 && Compare(b, c) <= 0 && Compare(a, c) > 0 {
+					t.Errorf("%v <= %v <= %v, but Compare(%v, %v) > 0", a, b, c, a, c)
+				}
+			}
+		}
+	}
+	nan := NewFloat(math.NaN())
+	for _, v := range []Value{NewFloat(math.Inf(1)), NewInt(math.MaxInt64), NewFloat(5)} {
+		if Compare(v, nan) >= 0 {
+			t.Errorf("Compare(%v, NaN) = %d, want NaN after every number", v, Compare(v, nan))
+		}
+	}
+	if Compare(nan, NewFloat(-math.NaN())) != 0 || Compare(nan, NewString("")) >= 0 {
+		t.Error("NaN must equal NaN and sort before strings")
 	}
 }

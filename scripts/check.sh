@@ -129,11 +129,13 @@ go test -run '^$' -fuzz '^FuzzCheckpoint$' -fuzztime 20000x ./internal/heap/
 echo "==> allocation ceilings (no -race, no dmvdebug)"
 # The ceilings hold for a plain build only: -race and -tags dmvdebug
 # instrument and seal-check, and allocate, so TestWireAllocs,
-# TestUpdateCommitAllocs, TestApplyUnchangedKeysAllocs, TestIndexEntryAllocs
-# and TestApplyWriteSetAllocs do not run under them and no other leg runs
-# them. TestValueLayout pins the 32-byte Value every stored column costs.
-go test -count=1 -run 'TestWireAllocs|TestUpdateCommitAllocs|TestApplyUnchangedKeysAllocs|TestIndexEntryAllocs|TestApplyWriteSetAllocs|TestStatementAllocs|TestPointLookupAllocs|TestValueLayout' \
-	./internal/transport/ ./internal/heap/ ./internal/exec/ ./internal/value/
+# TestUpdateCommitAllocs, TestApplyUnchangedKeysAllocs, TestIndexEntryAllocs,
+# TestApplyWriteSetAllocs and TestPageBytes do not run under them and no
+# other leg runs them. TestValueLayout pins the 32-byte Value every stored
+# column costs; TestPageBytes the 320 bytes a page of 8 rows costs beside
+# its rows.
+go test -count=1 -run 'TestWireAllocs|TestUpdateCommitAllocs|TestApplyUnchangedKeysAllocs|TestIndexEntryAllocs|TestApplyWriteSetAllocs|TestStatementAllocs|TestPointLookupAllocs|TestValueLayout|TestPageBytes' \
+	./internal/transport/ ./internal/heap/ ./internal/exec/ ./internal/value/ ./internal/page/
 
 echo "==> go test -race"
 go test -race -count=1 ./...
