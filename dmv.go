@@ -269,21 +269,13 @@ func Open(cfg Config) (*Cluster, error) {
 	}
 
 	// Optional per-node buffer-cache simulation.
-	disks := map[string]*simdisk.Disk{}
-	var diskFor func(string) *simdisk.Disk
+	var nodeCosts simdisk.CostModel
 	if cfg.CachePages > 0 {
 		fault := cfg.PageFault
 		if fault <= 0 {
 			fault = 50 * time.Microsecond
 		}
-		diskFor = func(id string) *simdisk.Disk {
-			if d, ok := disks[id]; ok {
-				return d
-			}
-			d := simdisk.New(simdisk.InMemory(fault), cfg.CachePages)
-			disks[id] = d
-			return d
-		}
+		nodeCosts = simdisk.InMemory(fault)
 	}
 
 	// Optional persistence tier; a WAL directory makes it crash-durable and
@@ -384,7 +376,8 @@ func Open(cfg Config) (*Cluster, error) {
 		Classes:           classes,
 		SchemaDDL:         cfg.Schema,
 		Load:              load,
-		DiskFor:           diskFor,
+		Costs:             nodeCosts,
+		CachePages:        cfg.CachePages,
 		PeerSchedulers:    cfg.PeerSchedulers,
 		HeartbeatInterval: cfg.HeartbeatInterval,
 		CheckpointPeriod:  cfg.CheckpointPeriod,

@@ -68,9 +68,13 @@ type Config struct {
 	Load func(e *heap.Engine) error
 	// EngineOptions builds per-node engine options. May be nil.
 	EngineOptions func(nodeID string) heap.Options
-	// DiskFor returns the node's buffer-cache simulator, or nil; the node's
-	// engine reports its page accesses to it. May be nil.
-	DiskFor func(nodeID string) *simdisk.Disk
+	// Costs is each node's simulated hardware, one simdisk per node: its
+	// CPU (Stmt, UpdateStmt, CPUs) and its buffer cache's page-fault cost.
+	// The zero model with CachePages 0 gives nodes no simdisk at all.
+	Costs simdisk.CostModel
+	// CachePages is each node's buffer-cache capacity in pages (0 = every
+	// page resident). The node's engine reports its page accesses to it.
+	CachePages int
 	// HeartbeatInterval is the failure-detection probe period (default
 	// 10ms; detection latency is about two intervals).
 	HeartbeatInterval time.Duration
@@ -140,15 +144,6 @@ type Config struct {
 	// the scheduler state is only the current version vector, so peers can
 	// take over almost instantly). Fail the primary with KillScheduler.
 	PeerSchedulers int
-	// StatementService models each node's CPU: one statement occupies one
-	// of ServiceWidth slots for this long (0 = unmodelled). See
-	// replica.Options.ServicePerStmt.
-	StatementService time.Duration
-	// ServiceWidth is CPUs per node (default 2 when StatementService set).
-	ServiceWidth int
-	// UpdateStatementService is the per-statement CPU demand of update
-	// transactions (default = StatementService).
-	UpdateStatementService time.Duration
 	// OnCommit receives committed update transactions (persistence tier).
 	OnCommit func(scheduler.CommitRecord)
 	// Seed seeds scheduler randomness.
@@ -352,11 +347,12 @@ func (c *Cluster) startCheckpointer(n *replica.Node) {
 }
 
 // buildNode constructs and loads one node. A first incarnation (prev nil)
-// loads cfg.Load's image and gets cfg.DiskFor's buffer cache; a restart
-// restores prev's last checkpoint (the initial image when it never took
-// one) onto prev's buffer cache, which the reboot empties. Either way the
-// buffer cache observes the engine's page accesses. It runs before the
-// plane exists, so it takes the configuration explicitly.
+// loads cfg.Load's image and gets a simdisk of cfg.Costs and
+// cfg.CachePages; a restart restores prev's last checkpoint (the initial
+// image when it never took one) onto prev's simdisk, whose buffer cache the
+// reboot empties. Either way the buffer cache observes the engine's page
+// accesses. It runs before the plane exists, so it takes the configuration
+// explicitly.
 func (c *Cluster) buildNode(cfg Config, id string, prev *replica.Node) (*replica.Node, error) {
 	var opts heap.Options
 	if cfg.EngineOptions != nil {
@@ -366,8 +362,8 @@ func (c *Cluster) buildNode(cfg Config, id string, prev *replica.Node) (*replica
 	switch {
 	case prev != nil:
 		disk = prev.Disk()
-	case cfg.DiskFor != nil:
-		disk = cfg.DiskFor(id)
+	case cfg.Costs != simdisk.CostModel{} || cfg.CachePages > 0:
+		disk = simdisk.New(cfg.Costs, cfg.CachePages)
 	}
 	if disk != nil {
 		opts.Observer = disk
@@ -406,18 +402,15 @@ func (c *Cluster) buildNode(cfg Config, id string, prev *replica.Node) (*replica
 		disk.Drop()
 	}
 	return replica.NewNode(replica.Options{
-		ID:                   id,
-		Engine:               eng,
-		Disk:                 disk,
-		OnPeerFailure:        func(peer string) { go c.ReportFailure(peer) },
-		OnPeerSuspect:        func(peer string) { go c.ReportSuspect(peer) },
-		AckTimeout:           cfg.AckTimeout,
-		ServicePerStmt:       cfg.StatementService,
-		ServiceWidth:         cfg.ServiceWidth,
-		UpdateServicePerStmt: cfg.UpdateStatementService,
-		CheckpointDir:        cfg.CheckpointDir,
-		DefaultDeadline:      cfg.DefaultDeadline,
-		Obs:                  cfg.Obs,
+		ID:              id,
+		Engine:          eng,
+		Disk:            disk,
+		OnPeerFailure:   func(peer string) { go c.ReportFailure(peer) },
+		OnPeerSuspect:   func(peer string) { go c.ReportSuspect(peer) },
+		AckTimeout:      cfg.AckTimeout,
+		CheckpointDir:   cfg.CheckpointDir,
+		DefaultDeadline: cfg.DefaultDeadline,
+		Obs:             cfg.Obs,
 	}), nil
 }
 

@@ -13,7 +13,6 @@ import (
 	"dmv/internal/obs"
 	"dmv/internal/replica"
 	"dmv/internal/scheduler"
-	"dmv/internal/simdisk"
 	"dmv/internal/value"
 )
 
@@ -467,21 +466,5 @@ func TestVersionAffinityKeepsAbortsLow(t *testing.T) {
 	// The paper reports <2.5% aborts; allow slack for the tiny test DB.
 	if float64(aborts) > 0.25*float64(reads)+5 {
 		t.Fatalf("aborts = %d of %d reads; affinity not working", aborts, reads)
-	}
-}
-
-// testDiskFor wires per-node buffer caches into test clusters.
-func testDiskFor() func(string) *simdisk.Disk {
-	disks := map[string]*simdisk.Disk{}
-	var mu sync.Mutex
-	return func(id string) *simdisk.Disk {
-		mu.Lock()
-		defer mu.Unlock()
-		if d, ok := disks[id]; ok {
-			return d
-		}
-		d := simdisk.New(simdisk.CostModel{}, 256)
-		disks[id] = d
-		return d
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"dmv/internal/heap"
 	"dmv/internal/obs/flight"
@@ -9,6 +10,10 @@ import (
 	"dmv/internal/replica"
 	"dmv/internal/scheduler"
 )
+
+// deadPublished, when set, runs in confirmDead right after a node's dead
+// state becomes visible, so a test can park fail-over there.
+var deadPublished atomic.Pointer[func(id string)]
 
 // confirmDead declares a node dead and reconfigures around it. It is
 // idempotent and serialized per node via the dead state. A node that may
@@ -25,15 +30,27 @@ func (p *Plane) confirmDead(id string) {
 		p.mu.Unlock()
 		return
 	}
-	from := m.state
+	// The fail-over dump is enqueued, after the health transition it
+	// shows, before "dead" becomes visible: whoever reads the dead state
+	// (Health, a post-mortem closing the recorder) finds the dump pending.
+	// The recorder takes only its own innermost lock. A master's fail-over
+	// reconfigures the whole class, so its trigger names no node.
+	p.cfg.Flight.RecordHealth(id, healthName(m.state), healthDead)
+	if m.classID >= 0 {
+		p.cfg.Flight.Trigger(flight.CauseFailover, "", fmt.Sprintf("master fail-over, class %d", m.classID))
+	} else {
+		p.cfg.Flight.Trigger(flight.CauseFailover, id, "node confirmed dead, reconfiguring")
+	}
 	m.state = healthDead
 	m.fenced = p.usable(m)
 	gray, peer, classID, isSpare := m.fenced, m.peer, m.classID, m.isSpare
 	p.mu.Unlock()
+	if hook := deadPublished.Load(); hook != nil {
+		(*hook)(id)
+	}
 
 	p.setHealthGauge(id, healthDead)
 	p.emit(Event{Kind: EventNodeFailed, Node: id})
-	p.cfg.Flight.RecordHealth(id, healthName(from), healthDead)
 	if gray {
 		// The fence proper is the fenced flag; the node-side cleanup runs
 		// asynchronously because a stalled node may sit on these calls.
@@ -44,11 +61,9 @@ func (p *Plane) confirmDead(id string) {
 	}
 
 	if classID >= 0 {
-		// scheduler.FailoverMaster fires the fail-over flight trigger itself.
 		p.masterFailover(id, classID)
 		return
 	}
-	p.cfg.Flight.Trigger(flight.CauseFailover, id, "node confirmed dead, reconfiguring")
 	if isSpare {
 		p.eachSched(func(s *scheduler.Scheduler) { s.Remove(id) })
 		p.rewireSubscribers()

@@ -7,6 +7,7 @@ import (
 
 	"dmv/internal/obs"
 	"dmv/internal/scheduler"
+	"dmv/internal/simdisk"
 )
 
 func TestSlaveFailoverWithoutSpare(t *testing.T) {
@@ -116,7 +117,7 @@ func TestPageIDWarmupLoopShipsPages(t *testing.T) {
 		Spares:         1,
 		MaxRetries:     20,
 		PageIDTransfer: 10 * time.Millisecond,
-		DiskFor:        testDiskFor(),
+		CachePages:     256,
 	})
 	// Generate read traffic so the active slave has resident pages.
 	for i := 0; i < 20; i++ {
@@ -226,8 +227,7 @@ func TestOverloadActivatesSpare(t *testing.T) {
 		OverloadThreshold: 2,
 		OverloadWindow:    50 * time.Millisecond,
 		// Slow statements so in-flight reads pile up on the single slave.
-		StatementService: 5 * time.Millisecond,
-		ServiceWidth:     1,
+		Costs: simdisk.CostModel{Stmt: 5 * time.Millisecond, UpdateStmt: 5 * time.Millisecond, CPUs: 1},
 	})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -59,8 +59,8 @@ func FullDurations() Durations {
 	}
 }
 
-// Calibrated per-node model shared by all experiments: each node is a dual-
-// CPU machine taking serviceTime per statement; the on-disk baseline
+// Calibrated per-node model shared by all experiments: each node is a
+// single-CPU machine taking serviceTime per statement; the on-disk baseline
 // additionally pays the DefaultCosts disk charges. Absolute values are
 // arbitrary — the figures compare shapes and ratios.
 const (
@@ -85,6 +85,19 @@ const (
 	benchPageCap      = 8 // fine pages: the hot set spans enough pages to avoid
 	// artificial writer serialization at this reduced database scale
 )
+
+// nodeCPU is an in-memory node's hardware: a CPU taking serviceTime per
+// read statement and updateServiceTime per update statement.
+var nodeCPU = simdisk.CostModel{Stmt: serviceTime, UpdateStmt: updateServiceTime, CPUs: serviceWidth}
+
+// innodbCosts is the on-disk baseline's hardware: the DefaultCosts disk
+// behind a CPU taking innodbServiceTime per read statement and twice
+// updateServiceTime per update statement.
+func innodbCosts() simdisk.CostModel {
+	m := innodb.DefaultCosts()
+	m.Stmt, m.UpdateStmt, m.CPUs = innodbServiceTime, 2*updateServiceTime, serviceWidth
+	return m
+}
 
 // --- Figure 3: throughput scaling vs. stand-alone InnoDB ---------------------
 
@@ -124,12 +137,9 @@ func Figure3(opts Fig3Opts) ([]Fig3Row, error) {
 	for _, mix := range opts.Mixes {
 		// Baseline: fine-tuned stand-alone InnoDB (serializable).
 		db, err := innodb.Open("inno", innodb.Config{
-			Costs:                innodb.DefaultCosts(),
-			LockTimeout:          lockTimeout,
-			PageCap:              benchPageCap,
-			ServicePerStmt:       innodbServiceTime,
-			ServiceWidth:         serviceWidth,
-			UpdateServicePerStmt: 2 * updateServiceTime,
+			Costs:       innodbCosts(),
+			LockTimeout: lockTimeout,
+			PageCap:     benchPageCap,
 		}, tpcw.SchemaDDL(), opts.Scale.Load)
 		if err != nil {
 			return nil, err
@@ -148,13 +158,11 @@ func Figure3(opts Fig3Opts) ([]Fig3Row, error) {
 
 		for _, n := range opts.SlaveCounts {
 			c, err := cluster.New(cluster.Config{
-				Slaves:                 n,
-				SchemaDDL:              tpcw.SchemaDDL(),
-				Load:                   opts.Scale.Load,
-				MaxRetries:             30,
-				StatementService:       serviceTime,
-				ServiceWidth:           serviceWidth,
-				UpdateStatementService: updateServiceTime,
+				Slaves:     n,
+				SchemaDDL:  tpcw.SchemaDDL(),
+				Load:       opts.Scale.Load,
+				MaxRetries: 30,
+				Costs:      nodeCPU,
 				EngineOptions: func(string) heap.Options {
 					return heap.Options{PageCap: benchPageCap, LockTimeout: lockTimeout}
 				},
@@ -278,7 +286,7 @@ type dmvFailoverConfig struct {
 	checkpt   time.Duration
 }
 
-func buildDMV(scale tpcw.Scale, fc dmvFailoverConfig) (*cluster.Cluster, map[string]*simdisk.Disk, error) {
+func buildDMV(scale tpcw.Scale, fc dmvFailoverConfig) (*cluster.Cluster, error) {
 	const (
 		pageCap = 8
 		// pageFault is the cost of swapping one page into a cold buffer
@@ -295,48 +303,40 @@ func buildDMV(scale tpcw.Scale, fc dmvFailoverConfig) (*cluster.Cluster, map[str
 		cachePages = 16
 	}
 
-	disks := map[string]*simdisk.Disk{}
-	diskFor := func(id string) *simdisk.Disk {
-		if d, ok := disks[id]; ok {
-			return d
-		}
-		d := simdisk.New(simdisk.InMemory(pageFault), cachePages)
-		disks[id] = d
-		return d
-	}
-	c, err := cluster.New(cluster.Config{
-		Slaves:                 fc.slaves,
-		Spares:                 fc.spares,
-		SpareMode:              fc.spareMode,
-		StaleRefresh:           fc.refresh,
-		SchemaDDL:              tpcw.SchemaDDL(),
-		Load:                   scale.Load,
-		MaxRetries:             50,
-		WarmupShare:            fc.warmShare,
-		PageIDTransfer:         fc.pageIDs,
-		CheckpointPeriod:       fc.checkpt,
-		StatementService:       serviceTime,
-		ServiceWidth:           serviceWidth,
-		UpdateStatementService: updateServiceTime,
+	// Each node's simdisk: the CPU model plus a buffer cache faulting
+	// pages in at pageFault.
+	costs := nodeCPU
+	costs.PageMiss = pageFault
+	return cluster.New(cluster.Config{
+		Slaves:           fc.slaves,
+		Spares:           fc.spares,
+		SpareMode:        fc.spareMode,
+		StaleRefresh:     fc.refresh,
+		SchemaDDL:        tpcw.SchemaDDL(),
+		Load:             scale.Load,
+		MaxRetries:       50,
+		WarmupShare:      fc.warmShare,
+		PageIDTransfer:   fc.pageIDs,
+		CheckpointPeriod: fc.checkpt,
+		Costs:            costs,
+		CachePages:       cachePages,
 		EngineOptions: func(id string) heap.Options {
 			return heap.Options{PageCap: pageCap, LockTimeout: lockTimeout}
 		},
-		DiskFor: diskFor,
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, disks, nil
 }
 
 // runDMVFailover drives the workload, fires fault at FaultAt, and analyzes.
 func runDMVFailover(name string, scale tpcw.Scale, fc dmvFailoverConfig, d Durations, fault func(c *cluster.Cluster)) (*FailoverResult, error) {
-	c, disks, err := buildDMV(scale, fc)
+	c, err := buildDMV(scale, fc)
 	if err != nil {
 		return nil, err
 	}
 	defer c.Close()
-	spare := disks["spare0"]
+	var spare *simdisk.Disk
+	if n, ok := c.Node("spare0"); ok {
+		spare = n.Disk()
+	}
 	w := tpcw.NewWorkload(harness.DMVStore{C: c}, scale)
 	var spareResident int
 	done := make(chan struct{})
@@ -415,13 +415,10 @@ func Figure5InnoDB(scale tpcw.Scale, d Durations) (*FailoverResult, error) {
 		WithSpare:    true,
 		SpareRefresh: time.Hour, // stale for the whole run
 		DB: innodb.Config{
-			Costs:                innodb.DefaultCosts(),
-			CacheCapacity:        cachePages,
-			PageCap:              benchPageCap,
-			LockTimeout:          lockTimeout,
-			ServicePerStmt:       innodbServiceTime,
-			ServiceWidth:         serviceWidth,
-			UpdateServicePerStmt: 2 * updateServiceTime,
+			Costs:         innodbCosts(),
+			CacheCapacity: cachePages,
+			PageCap:       benchPageCap,
+			LockTimeout:   lockTimeout,
 		},
 		DDL:  tpcw.SchemaDDL(),
 		Load: scale.Load,
@@ -554,14 +551,12 @@ func Figure9(scale tpcw.Scale, d Durations) (*FailoverResult, error) {
 func AblationVersionAffinity(scale tpcw.Scale, d Durations) (withPct, withoutPct float64, err error) {
 	run := func(noAffinity bool) (float64, error) {
 		c, err := cluster.New(cluster.Config{
-			Slaves:                 3,
-			SchemaDDL:              tpcw.SchemaDDL(),
-			Load:                   scale.Load,
-			MaxRetries:             50,
-			NoVersionAffinity:      noAffinity,
-			StatementService:       serviceTime,
-			ServiceWidth:           serviceWidth,
-			UpdateStatementService: updateServiceTime,
+			Slaves:            3,
+			SchemaDDL:         tpcw.SchemaDDL(),
+			Load:              scale.Load,
+			MaxRetries:        50,
+			NoVersionAffinity: noAffinity,
+			Costs:             nodeCPU,
 		})
 		if err != nil {
 			return 0, err
@@ -621,14 +616,12 @@ func AblationConflictClasses(d Durations) (single, multi float64, err error) {
 	}
 	run := func(classes []scheduler.ConflictClass) (float64, error) {
 		c, err := cluster.New(cluster.Config{
-			Slaves:                 1,
-			Classes:                classes,
-			SchemaDDL:              ddl,
-			Load:                   load,
-			MaxRetries:             50,
-			StatementService:       serviceTime,
-			ServiceWidth:           serviceWidth,
-			UpdateStatementService: updateServiceTime,
+			Slaves:     1,
+			Classes:    classes,
+			SchemaDDL:  ddl,
+			Load:       load,
+			MaxRetries: 50,
+			Costs:      nodeCPU,
 		})
 		if err != nil {
 			return 0, err

@@ -56,14 +56,12 @@ func overloadLoad(e *heap.Engine) error {
 // buildOverloadCluster assembles the modelled tier the sweep saturates.
 func buildOverloadCluster(adm scheduler.AdmissionOptions) (*cluster.Cluster, error) {
 	return cluster.New(cluster.Config{
-		Slaves:                 overloadSlaves,
-		SchemaDDL:              overloadDDL(),
-		Load:                   overloadLoad,
-		MaxRetries:             8,
-		StatementService:       serviceTime,
-		ServiceWidth:           serviceWidth,
-		UpdateStatementService: updateServiceTime,
-		Admission:              adm,
+		Slaves:     overloadSlaves,
+		SchemaDDL:  overloadDDL(),
+		Load:       overloadLoad,
+		MaxRetries: 8,
+		Costs:      nodeCPU,
+		Admission:  adm,
 	})
 }
 

@@ -41,14 +41,12 @@ func TestOverloadSmoke(t *testing.T) {
 	defer rec.Close()
 
 	c, err := cluster.New(cluster.Config{
-		Slaves:                 1,
-		SchemaDDL:              overloadDDL(),
-		Load:                   overloadLoad,
-		Seed:                   seed,
-		MaxRetries:             4,
-		StatementService:       serviceTime,
-		ServiceWidth:           serviceWidth,
-		UpdateStatementService: updateServiceTime,
+		Slaves:     1,
+		SchemaDDL:  overloadDDL(),
+		Load:       overloadLoad,
+		Seed:       seed,
+		MaxRetries: 4,
+		Costs:      nodeCPU,
 		Admission: scheduler.AdmissionOptions{
 			Slots: 4, QueueCap: 4,
 			TargetSojourn: 2 * time.Millisecond, Interval: 20 * time.Millisecond,

@@ -32,21 +32,13 @@ type Config struct {
 	// CacheCapacity is the buffer-pool size in pages (0 = unbounded, which
 	// disables warm-up effects).
 	CacheCapacity int
-	// Costs is the synthetic disk cost model.
+	// Costs is the node's hardware model: the CPU's per-statement demand
+	// and the synthetic disk.
 	Costs simdisk.CostModel
 	// LockTimeout bounds page-lock waits.
 	LockTimeout time.Duration
 	// PageCap is rows per page.
 	PageCap int
-	// ServicePerStmt models the node's CPU (see replica.Options); each
-	// statement occupies one of ServiceWidth slots for this long.
-	ServicePerStmt time.Duration
-	// ServiceWidth is the number of CPUs (default 2 when ServicePerStmt is
-	// set; the paper's machines are dual Athlons).
-	ServiceWidth int
-	// UpdateServicePerStmt is the CPU demand of update-transaction
-	// statements (default = ServicePerStmt).
-	UpdateServicePerStmt time.Duration
 }
 
 // DefaultCosts returns the calibrated cost model used by the experiments:
@@ -65,10 +57,6 @@ type DB struct {
 	Disk *simdisk.Disk
 
 	alive atomic.Bool
-
-	svcPer    time.Duration
-	svcPerUpd time.Duration
-	svcSem    chan struct{}
 }
 
 // Open builds an on-disk database, creates the schema, and loads the
@@ -92,18 +80,6 @@ func Open(id string, cfg Config, ddl []string, load func(*heap.Engine) error) (*
 		}
 	}
 	db := &DB{ID: id, Eng: eng, Disk: disk}
-	if cfg.ServicePerStmt > 0 {
-		width := cfg.ServiceWidth
-		if width <= 0 {
-			width = 2
-		}
-		db.svcPer = cfg.ServicePerStmt
-		db.svcPerUpd = cfg.UpdateServicePerStmt
-		if db.svcPerUpd <= 0 {
-			db.svcPerUpd = cfg.ServicePerStmt
-		}
-		db.svcSem = make(chan struct{}, width)
-	}
 	db.alive.Store(true)
 	return db, nil
 }
@@ -126,28 +102,10 @@ func (db *DB) Exec(tx heap.Txn, text string, params ...value.Value) (*exec.Resul
 		// executor's cursors read the UpdateTx itself.
 		ct.n.n++
 		tx = ct.Txn
-	} else if db.svcSem != nil && tx.ReadOnly() {
-		// Occupy one CPU for the statement's service demand, then release
-		// before executing: a statement blocked on a page latch does not
-		// consume CPU. Update-transaction statements are charged in one
-		// piece by ChargeService after commit (after locks are released).
-		db.svcSem <- struct{}{}
-		time.Sleep(db.svcPer)
-		<-db.svcSem
+	} else if tx.ReadOnly() {
+		db.Disk.ReadStmt()
 	}
 	return p.Exec(tx, params)
-}
-
-// ChargeService occupies one CPU for n statements' worth of service time.
-// Update transactions call it after commit so the CPU model does not extend
-// lock-hold times.
-func (db *DB) ChargeService(n int) {
-	if db.svcSem == nil || n <= 0 {
-		return
-	}
-	db.svcSem <- struct{}{}
-	time.Sleep(time.Duration(n) * db.svcPerUpd)
-	<-db.svcSem
 }
 
 // ReadTxn runs fn in a read-only transaction over the latest state.
@@ -173,7 +131,7 @@ func (db *DB) UpdateTxn(fn func(tx heap.Txn) error) error {
 	if _, err := tx.Commit(nil); err != nil {
 		return err
 	}
-	db.ChargeService(stmts.n)
+	db.Disk.UpdateStmts(stmts.n)
 	return nil
 }
 

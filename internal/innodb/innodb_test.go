@@ -267,3 +267,57 @@ func TestDefaultCostsRatios(t *testing.T) {
 	}
 	_ = fmt.Sprintf("%v", c)
 }
+
+// TestStatementChargePlacement pins where the database charges its CPU
+// model: a read statement pays Stmt once; an update transaction of k
+// statements pays k×UpdateStmt in one piece after it commits, and nothing
+// when it rolls back.
+func TestStatementChargePlacement(t *testing.T) {
+	const stmt, upd = 3 * time.Millisecond, time.Millisecond
+	var charges []time.Duration
+	db, err := Open("d", Config{}, testDDL, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The statement charges go to whichever simdisk db.Disk holds.
+	db.Disk = simdisk.New(simdisk.CostModel{Stmt: stmt, UpdateStmt: upd}, 0,
+		simdisk.WithSleeper(func(d time.Duration) { charges = append(charges, d) }))
+	expect := func(what string, want ...time.Duration) {
+		t.Helper()
+		if fmt.Sprint(charges) != fmt.Sprint(want) {
+			t.Fatalf("%s: charges %v, want %v", what, charges, want)
+		}
+		charges = nil
+	}
+
+	readKV(t, db, 1)
+	expect("read statement", stmt)
+
+	err = db.UpdateTxn(func(tx heap.Txn) error {
+		for k := int64(1); k <= 3; k++ {
+			if _, err := db.Exec(tx, `UPDATE kv SET v = 1 WHERE k = ?`, value.NewInt(k)); err != nil {
+				return err
+			}
+		}
+		if len(charges) != 0 {
+			t.Errorf("update statements charged %v before commit", charges)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect("3-statement update", 3*upd)
+
+	errAbort := fmt.Errorf("abort")
+	err = db.UpdateTxn(func(tx heap.Txn) error {
+		if _, err := db.Exec(tx, `UPDATE kv SET v = 2 WHERE k = 1`); err != nil {
+			return err
+		}
+		return errAbort
+	})
+	if err != errAbort {
+		t.Fatalf("err = %v, want the transaction's own", err)
+	}
+	expect("rolled-back update")
+}

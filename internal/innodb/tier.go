@@ -234,7 +234,7 @@ func (t *Tier) Update(tables []string, fn func(q Querier) error) error {
 	if _, err := tx.Commit(nil); err != nil {
 		return err
 	}
-	primary.ChargeService(q.nStmts)
+	primary.Disk.UpdateStmts(q.nStmts)
 	// Statement-based replication to the other actives.
 	for _, db := range actives[1:] {
 		err := db.UpdateTxn(func(tx heap.Txn) error {

@@ -11,8 +11,8 @@ import (
 	"strings"
 	"time"
 
-	"dmv/internal/exec"
 	"dmv/internal/heap"
+	"dmv/internal/innodb"
 	"dmv/internal/obs"
 	"dmv/internal/obs/flight"
 	"dmv/internal/scheduler"
@@ -233,22 +233,16 @@ func readAll(fs wal.FS, path string) ([]byte, error) {
 // then the checkpoint image, with the applied mark set so Recover replays
 // exactly the uncovered suffix.
 func RestoreBackend(id string, costs simdisk.CostModel, cacheCap int, ddl []string, cp *BackendCheckpoint) (*Backend, error) {
-	disk := simdisk.New(costs, cacheCap)
-	eng := heap.NewEngine(heap.Options{
-		Observer:    disk,
-		CommitDelay: disk.CommitFsync,
-	})
-	for _, d := range ddl {
-		if err := exec.ExecDDL(eng, d); err != nil {
-			return nil, fmt.Errorf("backend %s: %w", id, err)
-		}
+	db, err := innodb.Open(id, innodb.Config{Costs: costs, CacheCapacity: cacheCap}, ddl, nil)
+	if err != nil {
+		return nil, err
 	}
 	if cp.Checkpoint != nil {
-		if err := eng.RestoreCheckpoint(cp.Checkpoint); err != nil {
+		if err := db.Eng.RestoreCheckpoint(cp.Checkpoint); err != nil {
 			return nil, fmt.Errorf("backend %s restore: %w", id, err)
 		}
 	}
-	return &Backend{ID: id, Eng: eng, Disk: disk, applied: cp.Applied}, nil
+	return &Backend{ID: id, Eng: db.Eng, Disk: db.Disk, applied: cp.Applied}, nil
 }
 
 // ReplayInto executes the statements of recs, in order, against a node
@@ -256,19 +250,8 @@ func RestoreBackend(id string, costs simdisk.CostModel, cacheCap int, ddl []stri
 // the persistence tier recovered).
 func ReplayInto(e *heap.Engine, recs []scheduler.CommitRecord) error {
 	for i, rec := range recs {
-		tx := e.BeginUpdate()
-		for _, s := range rec.Stmts {
-			p, err := exec.Cached(s.Text)
-			if err == nil {
-				_, err = p.Exec(tx, s.Params)
-			}
-			if err != nil {
-				_ = tx.Rollback()
-				return fmt.Errorf("persist: replay record %d: %w", i, err)
-			}
-		}
-		if _, err := tx.Commit(nil); err != nil {
-			return fmt.Errorf("persist: replay record %d commit: %w", i, err)
+		if err := applyOne(e, rec); err != nil {
+			return fmt.Errorf("persist: replay record %d: %w", i, err)
 		}
 	}
 	return nil

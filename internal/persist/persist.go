@@ -27,6 +27,7 @@ import (
 
 	"dmv/internal/exec"
 	"dmv/internal/heap"
+	"dmv/internal/innodb"
 	"dmv/internal/obs"
 	"dmv/internal/obs/flight"
 	"dmv/internal/scheduler"
@@ -330,7 +331,7 @@ func (t *Tier) applier() {
 				rec := t.log[idx-t.base]
 				t.mu.Unlock()
 				b.applyMu.Lock()
-				err := t.applyOne(b, rec)
+				err := applyOne(b.Eng, rec)
 				b.applyMu.Unlock()
 				if err != nil {
 					// Quarantine: freeze the applied mark so the log keeps
@@ -385,17 +386,17 @@ func (t *Tier) maybeCheckpoint() {
 	}
 }
 
-// applyOne executes one commit record on a backend. Callers hold
-// b.applyMu.
-func (t *Tier) applyOne(b *Backend, rec scheduler.CommitRecord) error {
-	tx := b.Eng.BeginUpdate()
+// applyOne executes one commit record's statements on e as one update
+// transaction. The applier and Recover call it with the backend's applyMu
+// held; ReplayInto calls it on a node engine.
+func applyOne(e *heap.Engine, rec scheduler.CommitRecord) error {
+	tx := e.BeginUpdate()
 	for _, s := range rec.Stmts {
 		p, err := exec.Cached(s.Text)
-		if err != nil {
-			_ = tx.Rollback()
-			return err
+		if err == nil {
+			_, err = p.Exec(tx, s.Params)
 		}
-		if _, err := p.Exec(tx, s.Params); err != nil {
+		if err != nil {
 			_ = tx.Rollback()
 			return err
 		}
@@ -444,7 +445,7 @@ func (t *Tier) Recover(b *Backend) (int, error) {
 		rec := t.log[i-t.base]
 		t.mu.Unlock()
 		b.applyMu.Lock()
-		err := t.applyOne(b, rec)
+		err := applyOne(b.Eng, rec)
 		b.applyMu.Unlock()
 		if err != nil {
 			t.errs.Inc()
@@ -523,20 +524,9 @@ func (t *Tier) Checkpoint() (int, error) {
 // NewBackend builds an on-disk backend with the given cost model and cache
 // capacity, creates the schema, and loads the initial image.
 func NewBackend(id string, costs simdisk.CostModel, cacheCap int, ddl []string, load func(*heap.Engine) error) (*Backend, error) {
-	disk := simdisk.New(costs, cacheCap)
-	eng := heap.NewEngine(heap.Options{
-		Observer:    disk,
-		CommitDelay: disk.CommitFsync,
-	})
-	for _, d := range ddl {
-		if err := exec.ExecDDL(eng, d); err != nil {
-			return nil, fmt.Errorf("backend %s: %w", id, err)
-		}
+	db, err := innodb.Open(id, innodb.Config{Costs: costs, CacheCapacity: cacheCap}, ddl, load)
+	if err != nil {
+		return nil, err
 	}
-	if load != nil {
-		if err := load(eng); err != nil {
-			return nil, fmt.Errorf("backend %s load: %w", id, err)
-		}
-	}
-	return &Backend{ID: id, Eng: eng, Disk: disk}, nil
+	return &Backend{ID: id, Eng: db.Eng, Disk: db.Disk}, nil
 }

@@ -136,8 +136,12 @@ type Options struct {
 	ID string
 	// Engine is the node's storage engine (schema loaded by the caller).
 	Engine *heap.Engine
-	// Disk, if non-nil, is the node's buffer-cache/disk simulator; WarmPages
-	// and ResidentPages operate on it.
+	// Disk, if non-nil, is the node's simulated hardware: it charges each
+	// read statement and each committed update transaction its CPU demand
+	// (simdisk.CostModel.Stmt and UpdateStmt), and WarmPages and
+	// ResidentPages operate on its buffer cache. The whole reproduction
+	// runs on one machine, so per-node capacity (what actually scales when
+	// the paper adds replicas) must be modelled explicitly.
 	Disk *simdisk.Disk
 	// OnPeerFailure, if non-nil, is invoked (asynchronously safe) when a
 	// replication broadcast to a subscriber fails.
@@ -152,20 +156,6 @@ type Options struct {
 	// straggler is reported via OnPeerSuspect and its ack abandoned. Zero
 	// waits indefinitely (the paper's pure fail-stop model).
 	AckTimeout time.Duration
-	// ServicePerStmt models the node's CPU: each statement occupies one of
-	// ServiceWidth execution slots for this long. The whole reproduction
-	// runs on one machine, so per-node capacity (what actually scales when
-	// the paper adds replicas) must be modelled explicitly; sleeps do not
-	// consume host CPU, so an N-node tier scales even on few cores.
-	ServicePerStmt time.Duration
-	// ServiceWidth is the number of CPUs per node (the paper's machines are
-	// dual Athlons; default 2 when ServicePerStmt is set).
-	ServiceWidth int
-	// UpdateServicePerStmt is the CPU demand of update-transaction
-	// statements (default = ServicePerStmt). TPC-W updates are lightweight
-	// row changes while the read interactions run heavyweight joins, so the
-	// two rates differ.
-	UpdateServicePerStmt time.Duration
 	// CheckpointDir, when set, persists fuzzy checkpoints to
 	// <dir>/<id>.ckpt (temp write, fsync, atomic rename). This is real
 	// local stable storage: a node object constructed after a "reboot"
@@ -226,10 +216,6 @@ type Node struct {
 	cpMu   sync.Mutex
 	lastCP []byte // guarded by cpMu; encoded fuzzy checkpoint (in-memory stable storage)
 	cpDir  string // when set, checkpoints live in files instead
-
-	svcPer    time.Duration
-	svcPerUpd time.Duration
-	svcSem    chan struct{}
 
 	// defaultDeadline bounds sessions that arrive without a caller deadline
 	// (immutable after NewNode; zero = unbounded).
@@ -292,18 +278,6 @@ func NewNode(opts Options) *Node {
 		sessions:      make(map[uint64]*session, 16),
 
 		defaultDeadline: opts.DefaultDeadline,
-	}
-	if opts.ServicePerStmt > 0 {
-		width := opts.ServiceWidth
-		if width <= 0 {
-			width = 2
-		}
-		n.svcPer = opts.ServicePerStmt
-		n.svcPerUpd = opts.UpdateServicePerStmt
-		if n.svcPerUpd <= 0 {
-			n.svcPerUpd = opts.ServicePerStmt
-		}
-		n.svcSem = make(chan struct{}, width)
 	}
 	n.started = time.Now()
 	if reg := opts.Obs; reg != nil {
@@ -628,29 +602,16 @@ func (n *Node) TxExec(txID uint64, stmt string, params []value.Value) (*exec.Res
 		// statement would burn a service slot for a reply nobody reads.
 		return nil, fmt.Errorf("%w: exec %d on %s", ErrDeadlineExpired, txID, n.id)
 	}
-	var tx heap.Txn
 	if s.readTx != nil {
-		tx = s.readTx
-	} else {
-		tx = s.upTx
+		// The statement holds one CPU for its service demand and releases
+		// it before executing.
+		n.disk.ReadStmt()
+		return p.Exec(s.readTx, params)
 	}
-	if n.svcSem != nil {
-		if s.readTx != nil {
-			// Occupy one CPU for the statement's service demand, then
-			// release before executing: a statement blocked on a latch does
-			// not consume CPU.
-			n.svcSem <- struct{}{}
-			time.Sleep(n.svcPer)
-			<-n.svcSem
-		} else {
-			// Update transactions hold page locks between statements, so
-			// their CPU demand is charged in one piece at commit, after the
-			// locks are released — sleeping inside the transaction would
-			// amplify lock contention far beyond the modelled hardware.
-			s.stmts++
-		}
-	}
-	return p.Exec(tx, params)
+	// Update transactions hold page locks between statements, so their CPU
+	// demand is charged in one piece after commit.
+	s.stmts++
+	return p.Exec(s.upTx, params)
 }
 
 // TxCommit implements Peer. For update transactions it performs the
@@ -710,11 +671,7 @@ func (n *Node) TxCommit(txID uint64) (vclock.Vector, error) {
 	// The transaction's CPU demand is charged after commit, outside the
 	// replication mutex: locks are already released and the ordered
 	// write-set stream must not wait on the CPU model.
-	if n.svcSem != nil && s.stmts > 0 {
-		n.svcSem <- struct{}{}
-		time.Sleep(time.Duration(s.stmts) * n.svcPerUpd)
-		<-n.svcSem
-	}
+	n.disk.UpdateStmts(s.stmts)
 	return ver, nil
 }
 

@@ -684,11 +684,6 @@ func (s *Scheduler) FailoverMaster(ci int, candidates, rollbackOnly []replica.Pe
 		}
 	}()
 
-	// Anomaly: fail-over is starting. The flight trigger only touches the
-	// recorder's innermost-band state, so firing it under the commit fence
-	// is safe; the dump itself is assembled asynchronously.
-	s.flight.Trigger(flight.CauseFailover, "", fmt.Sprintf("master fail-over, class %d, %d survivors", ci, len(candidates)+len(rollbackOnly)))
-
 	// Rollback point: the highest version any client has seen acknowledged.
 	lastSeen := s.Latest()
 

@@ -1,14 +1,17 @@
-// Package simdisk models storage and buffer-cache costs.
+// Package simdisk models a node's hardware: its CPU, its buffer cache and
+// its storage device.
 //
 // The paper's experiments contrast a fast in-memory tier against an on-disk
 // InnoDB back-end and measure buffer-cache warm-up effects after fail-over.
 // Neither the authors' disks nor their 512 MB machines are available, so
-// this package substitutes a calibrated synthetic cost model: an LRU buffer
-// cache of bounded capacity in front of a "device" that charges a fixed
+// this package substitutes a calibrated synthetic cost model: a CPU of a
+// fixed number of cores that charges a fixed service time per statement, an
+// LRU buffer cache of bounded capacity, and a "device" that charges a fixed
 // latency per miss, per fsync, and per replayed log record. All experiment
 // shapes in the paper (speedup factors, warm-up dips, log-replay-dominated
 // fail-over) are ratios of these costs, which the model preserves while
-// letting every figure regenerate in seconds.
+// letting every figure regenerate in seconds. The charges are sleeps, which
+// consume no host CPU, so an N-node tier scales even on few cores.
 package simdisk
 
 import (
@@ -19,9 +22,17 @@ import (
 	"time"
 )
 
-// CostModel fixes the synthetic device latencies. Zero durations disable the
-// corresponding charge.
+// CostModel fixes the synthetic CPU and device latencies. Zero durations
+// disable the corresponding charge.
 type CostModel struct {
+	// Stmt is the CPU demand of one read statement (see ReadStmt).
+	Stmt time.Duration
+	// UpdateStmt is the CPU demand of one update-transaction statement (see
+	// UpdateStmts). TPC-W updates are lightweight row changes while the
+	// read interactions run heavyweight joins, so the two rates differ.
+	UpdateStmt time.Duration
+	// CPUs is the number of statements the node serves at once (0 means 1).
+	CPUs int
 	// PageMiss is charged when a page access misses the buffer cache.
 	PageMiss time.Duration
 	// PageHit is charged on every cache hit (usually zero or tiny).
@@ -62,6 +73,7 @@ type Stats struct {
 type Disk struct {
 	model CostModel
 	sleep func(time.Duration)
+	cpu   chan struct{} // one slot per CPU; nil when no statement is charged
 
 	mu       sync.Mutex
 	capacity int
@@ -113,6 +125,9 @@ func New(model CostModel, capacity int, opts ...Option) *Disk {
 		lru:      list.New(),
 		pages:    make(map[PageKey]*list.Element, capacity),
 		disabled: capacity <= 0,
+	}
+	if model.Stmt > 0 || model.UpdateStmt > 0 {
+		d.cpu = make(chan struct{}, max(model.CPUs, 1))
 	}
 	for _, o := range opts {
 		o(d)
@@ -278,6 +293,36 @@ func (d *Disk) ReplayRead(n int) {
 	if d.model.ReplayRead > 0 && n > 0 {
 		d.sleep(time.Duration(n) * d.model.ReplayRead)
 	}
+}
+
+// ReadStmt charges one read statement's CPU demand: the caller holds one of
+// the node's CPUs for Stmt, queueing while all are busy. Callers charge it
+// before the statement executes and release the CPU before executing, so a
+// statement blocked on a page latch does not consume CPU. A nil Disk
+// charges nothing.
+func (d *Disk) ReadStmt() {
+	if d == nil || d.model.Stmt <= 0 {
+		return
+	}
+	d.useCPU(d.model.Stmt)
+}
+
+// UpdateStmts charges an update transaction's n statements in one piece.
+// Callers charge it after the commit, once its page locks are released:
+// sleeping inside the transaction would amplify lock contention far beyond
+// the modelled hardware. A nil Disk charges nothing.
+func (d *Disk) UpdateStmts(n int) {
+	if d == nil || d.model.UpdateStmt <= 0 || n <= 0 {
+		return
+	}
+	d.useCPU(time.Duration(n) * d.model.UpdateStmt)
+}
+
+// useCPU occupies one CPU for t.
+func (d *Disk) useCPU(t time.Duration) {
+	d.cpu <- struct{}{}
+	d.sleep(t)
+	<-d.cpu
 }
 
 // Model returns the configured cost model.

@@ -213,3 +213,61 @@ func TestBitFlipCountsCorruptions(t *testing.T) {
 		t.Fatalf("p=1 fired %d callbacks, %d counted", n, d.Stats().Corruptions.Load())
 	}
 }
+
+// TestCPUWidth: with one CPU a second statement charge waits while the
+// first holds it; with two CPUs it runs alongside.
+func TestCPUWidth(t *testing.T) {
+	for _, cpus := range []int{1, 2} {
+		entered := make(chan struct{}, 2)
+		release := make(chan struct{})
+		d := New(CostModel{Stmt: time.Millisecond, CPUs: cpus}, 0, WithSleeper(func(time.Duration) {
+			entered <- struct{}{}
+			<-release
+		}))
+		done := make(chan struct{}, 2)
+		for i := 0; i < 2; i++ {
+			go func() {
+				d.ReadStmt()
+				done <- struct{}{}
+			}()
+		}
+		<-entered
+		select {
+		case <-entered:
+			if cpus == 1 {
+				t.Fatal("CPUs 1: a second charge ran while the CPU was busy")
+			}
+		case <-time.After(50 * time.Millisecond):
+			if cpus == 2 {
+				t.Fatal("CPUs 2: a second charge waited for the first")
+			}
+		}
+		close(release)
+		<-done
+		<-done
+	}
+}
+
+// TestStatementCharges: ReadStmt charges Stmt, UpdateStmts(n) charges
+// n×UpdateStmt in one piece, and a nil Disk or a zero demand charges
+// nothing.
+func TestStatementCharges(t *testing.T) {
+	rec := &recorder{}
+	d := New(CostModel{Stmt: 3 * time.Millisecond, UpdateStmt: time.Millisecond}, 0, WithSleeper(rec.sleep))
+	d.ReadStmt()
+	d.UpdateStmts(4)
+	d.UpdateStmts(0)
+	if rec.calls != 2 || rec.total != 7*time.Millisecond {
+		t.Fatalf("charged %v in %d sleeps, want 7ms in 2", rec.total, rec.calls)
+	}
+	var none *Disk
+	none.ReadStmt()
+	none.UpdateStmts(3)
+	rec = &recorder{}
+	d = New(CostModel{}, 0, WithSleeper(rec.sleep))
+	d.ReadStmt()
+	d.UpdateStmts(3)
+	if rec.calls != 0 {
+		t.Fatalf("a model without CPU demand charged %d sleeps", rec.calls)
+	}
+}

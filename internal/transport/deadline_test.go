@@ -11,6 +11,7 @@ import (
 
 	"dmv/internal/obs"
 	"dmv/internal/replica"
+	"dmv/internal/simdisk"
 	"dmv/internal/value"
 )
 
@@ -299,7 +300,7 @@ func TestLateRepliesNeverCross(t *testing.T) {
 		calls   = 30
 	)
 	// Enough execution slots that a late call never queues the next one.
-	node := newTPCNodeWith(t, replica.Options{ID: "n", ServicePerStmt: service, ServiceWidth: 64})
+	node := newTPCNodeWith(t, replica.Options{ID: "n", Disk: simdisk.New(simdisk.CostModel{Stmt: service, UpdateStmt: service, CPUs: 64}, 0)})
 	reg := obs.New()
 	_, rn := serveDial(t, node, ClientOptions{Obs: reg})
 	ver, err := rn.MaxVersions()

@@ -28,10 +28,8 @@ func newSpareTier(t *testing.T, cfg cluster.Config, service time.Duration) *remo
 	var peers []*RemoteNode
 	for _, id := range []string{"master0", "slave0", "spare0"} {
 		n := newAcctNodeWith(t, replica.Options{
-			ID:             id,
-			Disk:           simdisk.New(simdisk.CostModel{}, 256),
-			ServicePerStmt: service,
-			ServiceWidth:   1,
+			ID:   id,
+			Disk: simdisk.New(simdisk.CostModel{Stmt: service, UpdateStmt: service, CPUs: 1}, 256),
 		})
 		peers = append(peers, tr.serve(t, n, seed))
 	}
@@ -58,18 +56,9 @@ func newSpareTier(t *testing.T, cfg cluster.Config, service time.Duration) *remo
 // cluster.New.
 func newSpareTwin(t *testing.T, cfg cluster.Config, service time.Duration) *cluster.Cluster {
 	t.Helper()
-	var mu sync.Mutex
-	disks := map[string]*simdisk.Disk{}
-	diskFor := func(id string) *simdisk.Disk {
-		mu.Lock()
-		defer mu.Unlock()
-		if disks[id] == nil {
-			disks[id] = simdisk.New(simdisk.CostModel{}, 256)
-		}
-		return disks[id]
-	}
 	cfg.Slaves, cfg.Spares = 1, 1
-	cfg.StatementService, cfg.ServiceWidth = service, 1
+	cfg.Costs = simdisk.CostModel{Stmt: service, UpdateStmt: service, CPUs: 1}
+	cfg.CachePages = 256
 	cfg.SchemaDDL = []string{`CREATE TABLE acct (id INT PRIMARY KEY, bal INT)`}
 	cfg.Load = func(e *heap.Engine) error {
 		tid, _ := e.TableID("acct")
@@ -77,7 +66,6 @@ func newSpareTwin(t *testing.T, cfg cluster.Config, service time.Duration) *clus
 	}
 	// The remote nodes' page size, so the two tiers' digests compare.
 	cfg.EngineOptions = func(id string) heap.Options { return heap.Options{PageCap: 8} }
-	cfg.DiskFor = diskFor
 	c, err := cluster.New(cfg)
 	if err != nil {
 		t.Fatalf("cluster: %v", err)

@@ -19,6 +19,15 @@ if go list -deps ./... | grep -x -e net/rpc -e encoding/gob; then
 	exit 1
 fi
 
+echo "==> no sleeps in the replica and the on-disk engine"
+# A node's simulated hardware (CPU, buffer cache, device) is one simdisk
+# cost model; the engines call its charge methods and never sleep
+# themselves, so the model cannot grow back into them.
+if grep -n 'time\.Sleep' $(find internal/replica internal/innodb -name '*.go' ! -name '*_test.go'); then
+	echo "production code under internal/replica or internal/innodb sleeps (charge the simdisk model instead)" >&2
+	exit 1
+fi
+
 echo "==> gofmt"
 unformatted=$(gofmt -l .)
 [ -z "$unformatted" ] || { echo "gofmt -l lists unformatted files:" >&2; echo "$unformatted" >&2; exit 1; }
