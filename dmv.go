@@ -32,6 +32,7 @@ package dmv
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"dmv/internal/cluster"
@@ -466,8 +467,10 @@ func (t *Tx) Query(stmt string, args ...any) (*Rows, error) {
 	return convertResult(res), nil
 }
 
+// convertResult copies a result out for the caller. Its column names are
+// the statement's cached plan's own, so the caller gets a copy of them.
 func convertResult(res *exec.Result) *Rows {
-	out := &Rows{Cols: res.Cols, Data: make([][]any, len(res.Rows))}
+	out := &Rows{Cols: slices.Clone(res.Cols), Data: make([][]any, len(res.Rows))}
 	for i, r := range res.Rows {
 		row := make([]any, len(r))
 		for j, v := range r {

@@ -117,6 +117,30 @@ func TestPublicAPIRowsAccessors(t *testing.T) {
 	}
 }
 
+// TestPublicAPIColsAreCopies checks that a caller who writes the column
+// names of one query's Rows leaves those of the next run of the statement
+// unchanged: a result's names are the statement's cached plan's own.
+func TestPublicAPIColsAreCopies(t *testing.T) {
+	c := openTestCluster(t, dmv.Config{Slaves: 1})
+	const q = `SELECT k, v FROM kv WHERE k = ?`
+	for i, want := range []string{"k", "k"} {
+		err := c.Read([]string{"kv"}, func(tx *dmv.Tx) error {
+			rows, err := tx.Query(q, 3)
+			if err != nil {
+				return err
+			}
+			if rows.Cols[0] != want {
+				return fmt.Errorf("query %d: Cols = %q, want %q first", i, rows.Cols, want)
+			}
+			rows.Cols[0] = "overwritten"
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestPublicAPIFailoverAndRestart(t *testing.T) {
 	c := openTestCluster(t, dmv.Config{
 		Slaves:           2,

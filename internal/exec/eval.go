@@ -2,16 +2,21 @@
 // storage engine: index selection (equality prefixes plus one range column),
 // index nested-loop joins, filtering, grouping/aggregation, sorting, and
 // projection. A join runs as pipelined nested iterators over one row buffer
-// per statement: residuals test the stored rows in place, only a row the
-// query keeps is copied, and grouping folds rows as the join produces them.
-// It is deliberately a straightforward executor — the paper's contribution
-// is in the replication layer, not the optimizer — but it runs every TPC-W
+// per statement: residuals test the stored rows in place, a row the query
+// keeps has its SELECT list and sort keys evaluated into a per-statement
+// slab, and grouping folds rows as the join produces them, into slabs of
+// group columns and aggregate states. A result's rows are capped windows
+// onto one slab, so a statement allocates a fixed number of times plus the
+// slabs' growth, however many rows it returns. It is deliberately a
+// straightforward executor — the paper's contribution is in the
+// replication layer, not the optimizer — but it runs every TPC-W
 // interaction, including the BestSellers and NewProducts joins.
 package exec
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -34,14 +39,24 @@ type env struct {
 	cols   map[string]int // qualified and unqualified column name -> offset
 	row    value.Row
 	params []value.Value
-	aggs   map[*sql.Call]value.Value // set in aggregate context
-	tx     heap.Txn                  // for uncorrelated subqueries
-	subs   subCache                  // per-statement subquery result cache
+	aggs   *aggValues // set in aggregate context
+	tx     heap.Txn   // for uncorrelated subqueries
+	subs   *subCache  // per-statement subquery result cache
+}
+
+// aggValues are one group's aggregate values, by their calls' ordinals in
+// calls (plan.calls).
+type aggValues struct {
+	calls []*sql.Call
+	vals  []value.Value
 }
 
 // subCache memoizes uncorrelated subquery results for one statement
 // execution (a scalar subquery in WHERE would otherwise re-run per row).
-type subCache map[*sql.Subquery]*Result
+// The first subquery makes its map: TPC-W statements have none.
+type subCache struct {
+	m map[*sql.Subquery]*Result
+}
 
 // subquery evaluates (with memoization) an uncorrelated subquery.
 func (e *env) subquery(sq *sql.Subquery) (*Result, error) {
@@ -49,7 +64,7 @@ func (e *env) subquery(sq *sql.Subquery) (*Result, error) {
 		return nil, errors.New("exec: subquery outside a transaction context")
 	}
 	if e.subs != nil {
-		if r, ok := e.subs[sq]; ok {
+		if r, ok := e.subs.m[sq]; ok {
 			return r, nil
 		}
 	}
@@ -63,7 +78,10 @@ func (e *env) subquery(sq *sql.Subquery) (*Result, error) {
 		return nil, fmt.Errorf("subquery: %w", err)
 	}
 	if e.subs != nil {
-		e.subs[sq] = r
+		if e.subs.m == nil {
+			e.subs.m = make(map[*sql.Subquery]*Result, 1)
+		}
+		e.subs.m[sq] = r
 	}
 	return r, nil
 }
@@ -188,9 +206,11 @@ func eval(x sql.Expr, e *env) (value.Value, error) {
 		}
 		return res.Rows[0][0], nil
 	case *sql.Call:
-		if e.aggs != nil {
-			if v, ok := e.aggs[t]; ok {
-				return v, nil
+		if a := e.aggs; a != nil {
+			for i, c := range a.calls {
+				if c == t {
+					return a.vals[i], nil
+				}
 			}
 		}
 		return value.Value{}, fmt.Errorf("exec: aggregate %s outside aggregation context", t.Fn)
@@ -354,11 +374,14 @@ func refName(c *sql.ColRef) string {
 	return c.Col
 }
 
-// collectAggs gathers the aggregate calls inside an expression tree.
+// collectAggs gathers the aggregate calls inside an expression tree that
+// out does not hold yet.
 func collectAggs(x sql.Expr, out *[]*sql.Call) {
 	switch t := x.(type) {
 	case *sql.Call:
-		*out = append(*out, t)
+		if !slices.Contains(*out, t) {
+			*out = append(*out, t)
+		}
 	case *sql.Binary:
 		collectAggs(t.L, out)
 		collectAggs(t.R, out)

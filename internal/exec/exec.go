@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -313,100 +312,175 @@ func (s *scanPath) next() (rid page.RowID, row value.Row, ok bool, err error) {
 // --- SELECT -----------------------------------------------------------------
 
 // runSelect runs a SELECT. The join streams (joinWalk): each row it keeps
-// goes straight to the aggregation or to the output list, and only a kept
-// row is copied. output then makes the result from what it kept.
+// goes straight to the aggregation, or is evaluated into the statement's
+// output slab (keptRows). The result is made from the one or the other.
 func runSelect(tx heap.Txn, p *plan, sel *sql.Select, params []value.Value) (*Result, error) {
-	top := &env{cols: p.b.cols, params: params, tx: tx, subs: make(subCache)}
-	offset, limit, err := rowBounds(sel, top)
+	w := newJoinWalk(tx, p, sel, params)
+	offset, limit, err := rowBounds(sel, &w.top)
 	if err != nil {
 		return nil, err
 	}
-	w := newJoinWalk(tx, p, sel, top)
 	if len(p.b.tabs) == 0 {
-		err = w.keep(top) // no FROM: one row without columns
+		err = w.keep(&w.top) // no FROM: one row without columns
 	} else {
 		err = w.level(0)
 	}
 	if err != nil {
 		return nil, err
 	}
-	outs := w.outs
 	if w.agg != nil {
-		outs = w.agg.results()
+		return outputGroups(p, sel, &w.top, w.agg.results(), offset, limit)
 	}
-	return output(p, sel, top, outs, offset, limit)
+	return w.kept.result(p, sel, offset, limit), nil
 }
 
-// output makes the result of a SELECT from the rows its join kept, or from
-// its groups: HAVING, ORDER BY, projection, DISTINCT, OFFSET and LIMIT.
-func output(p *plan, sel *sql.Select, top *env, outs []outRow, offset, limit int) (*Result, error) {
-	e := *top // evaluates one output row at a time (env.at)
+// keptRows is the output of a query without aggregation, built as its join
+// keeps rows: each row's SELECT list and then its ORDER BY keys, evaluated
+// into one slab that grows with the rows. No joined row outlives the join.
+type keptRows struct {
+	slab []value.Value
+	n    int // rows in slab
+}
+
+// add evaluates the row in e into the slab if the query's HAVING holds for
+// it: its SELECT list, then its ORDER BY keys.
+func (k *keptRows) add(p *plan, sel *sql.Select, e *env) error {
 	if p.having != nil {
-		kept := outs[:0]
-		for _, o := range outs {
-			v, err := eval(p.having, e.at(o))
+		v, err := eval(p.having, e)
+		if err != nil || !truthy(v) {
+			return err
+		}
+	}
+	at, stride := len(k.slab), p.width+len(p.orderBy)
+	k.slab = grow(k.slab, stride)
+	row := k.slab[at:]
+	if err := project(p, sel, e, row[:p.width]); err != nil {
+		return err
+	}
+	for j, o := range p.orderBy {
+		v, err := eval(o.Expr, e)
+		if err != nil {
+			return err
+		}
+		row[p.width+j] = v
+	}
+	k.n++
+	return nil
+}
+
+// result sorts the kept rows by their keys, drops duplicates for DISTINCT
+// and applies OFFSET and LIMIT. The slab no longer grows, so the rows it
+// hands out are capped windows onto it.
+func (k *keptRows) result(p *plan, sel *sql.Select, offset, limit int) *Result {
+	w, stride := p.width, p.width+len(p.orderBy)
+	rows := make([]value.Row, k.n)
+	for i := range rows {
+		rows[i] = k.slab[i*stride : i*stride+stride : i*stride+stride]
+	}
+	if len(p.orderBy) > 0 {
+		slices.SortStableFunc(rows, func(a, b value.Row) int {
+			return compareKeys(p.orderBy, a[w:], b[w:])
+		})
+	}
+	for i, r := range rows {
+		rows[i] = r[:w:w]
+	}
+	if sel.Distinct {
+		rows = distinct(rows)
+	}
+	return &Result{Cols: p.cols[:len(p.cols):len(p.cols)], Rows: bounds(rows, offset, limit)}
+}
+
+// outputGroups makes the result of an aggregate query from its groups:
+// HAVING, ORDER BY, OFFSET and LIMIT over the groups, and projection of the
+// groups they keep (of every group, for DISTINCT, which must see them all).
+// The sort moves group ordinals; one slab holds every group's keys, and
+// then the joined row a group is evaluated in.
+func outputGroups(p *plan, sel *sql.Select, top *env, g *groupRows, offset, limit int) (*Result, error) {
+	nk := len(p.orderBy)
+	keys := make([]value.Value, g.n*nk+p.b.width)
+	e := *top
+	e.row = keys[g.n*nk:]
+	kept := make([]int, 0, g.n)
+	for i := 0; i < g.n; i++ {
+		g.load(p, i, &e)
+		if p.having != nil {
+			v, err := eval(p.having, &e)
 			if err != nil {
 				return nil, err
 			}
-			if truthy(v) {
-				kept = append(kept, o)
-			}
-		}
-		outs = kept
-	}
-
-	// ORDER BY keys.
-	if orderBy := p.orderBy; len(orderBy) > 0 {
-		for i := range outs {
-			keys := make(value.Row, len(orderBy))
-			for j, o := range orderBy {
-				v, err := eval(o.Expr, e.at(outs[i]))
-				if err != nil {
-					return nil, err
-				}
-				keys[j] = v
-			}
-			outs[i].keys = keys
-		}
-		sort.SliceStable(outs, func(x, y int) bool {
-			for j, o := range orderBy {
-				c := value.Compare(outs[x].keys[j], outs[y].keys[j])
-				if c == 0 {
-					continue
-				}
-				if o.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-	}
-
-	projected, err := project(p, sel, outs, &e)
-	if err != nil {
-		return nil, err
-	}
-
-	if sel.Distinct {
-		seen := make(map[string]struct{}, len(projected))
-		kept := projected[:0]
-		for _, r := range projected {
-			k := r.Key()
-			if _, dup := seen[k]; dup {
+			if !truthy(v) {
 				continue
 			}
-			seen[k] = struct{}{}
-			kept = append(kept, r)
 		}
-		projected = kept
+		for j, o := range p.orderBy {
+			v, err := eval(o.Expr, &e)
+			if err != nil {
+				return nil, err
+			}
+			keys[i*nk+j] = v
+		}
+		kept = append(kept, i)
 	}
+	if nk > 0 {
+		slices.SortStableFunc(kept, func(a, b int) int {
+			return compareKeys(p.orderBy, keys[a*nk:a*nk+nk], keys[b*nk:b*nk+nk])
+		})
+	}
+	if !sel.Distinct {
+		kept = bounds(kept, offset, limit)
+	}
+	w := p.width
+	slab := make([]value.Value, len(kept)*w)
+	rows := make([]value.Row, len(kept))
+	for i, grp := range kept {
+		g.load(p, grp, &e)
+		rows[i] = slab[i*w : i*w+w : i*w+w]
+		if err := project(p, sel, &e, rows[i]); err != nil {
+			return nil, err
+		}
+	}
+	if sel.Distinct {
+		rows = bounds(distinct(rows), offset, limit)
+	}
+	return &Result{Cols: p.cols[:len(p.cols):len(p.cols)], Rows: rows}, nil
+}
 
-	projected = projected[min(offset, len(projected)):]
-	if limit >= 0 && limit < len(projected) {
-		projected = projected[:limit]
+// compareKeys orders two rows' ORDER BY keys.
+func compareKeys(orderBy []sql.OrderItem, a, b value.Row) int {
+	for j, o := range orderBy {
+		if c := value.Compare(a[j], b[j]); c != 0 {
+			if o.Desc {
+				return -c
+			}
+			return c
+		}
 	}
-	return &Result{Cols: slices.Clone(p.cols), Rows: projected}, nil
+	return 0
+}
+
+// distinct keeps the first of equal rows, in place.
+func distinct(rows []value.Row) []value.Row {
+	seen := make(map[string]struct{}, len(rows))
+	kept := rows[:0]
+	for _, r := range rows {
+		k := r.Key()
+		if _, dup := seen[k]; dup {
+			continue
+		}
+		seen[k] = struct{}{}
+		kept = append(kept, r)
+	}
+	return kept
+}
+
+// bounds applies OFFSET and LIMIT (limit < 0: none) to s.
+func bounds[T any](s []T, offset, limit int) []T {
+	s = s[min(offset, len(s)):]
+	if limit >= 0 && limit < len(s) {
+		s = s[:limit]
+	}
+	return s
 }
 
 // rowBounds evaluates OFFSET and LIMIT once, before the join runs; limit
@@ -444,17 +518,19 @@ func rowCount(clause string, x sql.Expr, e *env) (int, error) {
 // loops it stands for. With more than one table, level i copies its current
 // row into buf[base:] (base: the table's first column), so its residuals
 // read the joined row as buf[:base+width] and a row they reject is never
-// copied. buf is private to the statement and never published; keep clones
-// what the query keeps. A single table needs no buffer: its stored row is
-// the row the residuals read.
+// copied. buf is private to the statement and never published, and no row
+// leaves it: keep evaluates what the query keeps of it. A single table
+// needs no buffer: its stored row is the row the residuals read.
 type joinWalk struct {
 	tx     heap.Txn
 	p      *plan
-	top    *env        // no row: binds level 0's probe expressions
+	sel    *sql.Select
+	top    env         // no row: binds level 0's probe expressions
+	subs   subCache    // the statement's subquery results, shared by every env
 	buf    value.Row   // the joined row; nil for a single table
 	levels []walkLevel // one per FROM table
-	agg    *aggregator // non-nil when the query aggregates
-	outs   []outRow    // the kept rows when it does not
+	agg    *aggregator // the groups when the query aggregates
+	kept   keptRows    // the output when it does not
 }
 
 // walkLevel is the state of one join level for one statement.
@@ -464,20 +540,21 @@ type walkLevel struct {
 	matched bool     // a row met the ON residuals (LEFT JOIN null extension)
 }
 
-func newJoinWalk(tx heap.Txn, p *plan, sel *sql.Select, top *env) *joinWalk {
-	w := &joinWalk{tx: tx, p: p, top: top, levels: make([]walkLevel, len(p.b.tabs))}
+func newJoinWalk(tx heap.Txn, p *plan, sel *sql.Select, params []value.Value) *joinWalk {
+	w := &joinWalk{tx: tx, p: p, sel: sel, levels: make([]walkLevel, len(p.b.tabs))}
+	w.top = env{cols: p.b.cols, params: params, tx: tx, subs: &w.subs}
 	if len(p.b.tabs) > 1 {
 		w.buf = make(value.Row, p.b.width)
 	}
 	for i, tb := range p.b.tabs {
 		lv := &w.levels[i]
-		lv.env = *top
+		lv.env = w.top
 		if w.buf != nil {
 			lv.env.row = w.buf[:tb.base+len(tb.def.Cols)]
 		}
 	}
 	if p.hasAgg {
-		w.agg = newAggregator(p, sel)
+		w.agg = &aggregator{p: p}
 	}
 	return w
 }
@@ -487,7 +564,7 @@ func newJoinWalk(tx heap.Txn, p *plan, sel *sql.Select, top *env) *joinWalk {
 // subquery in a residual, may read the pages this level reads.
 func (w *joinWalk) level(i int) error {
 	tb, pl, lv := &w.p.b.tabs[i], &w.p.levels[i], &w.levels[i]
-	probe := w.top
+	probe := &w.top
 	if i > 0 {
 		probe = &w.levels[i-1].env
 	}
@@ -551,49 +628,27 @@ func (w *joinWalk) next(i int) error {
 }
 
 // keep takes the joined row in e: the aggregator folds it into its group,
-// or it joins the output. A row in the buffer is cloned when it is kept,
-// by the aggregator only as a new group's first row; a stored row is kept
-// as it is.
+// or its output is evaluated into the kept rows. The row itself is not
+// kept; a new group copies the columns of it that its output reads.
 func (w *joinWalk) keep(e *env) error {
 	if w.agg != nil {
-		return w.agg.add(e, w.buf != nil)
+		return w.agg.add(e)
 	}
-	row := e.row
-	if w.buf != nil {
-		row = row.Clone()
-	}
-	w.outs = append(w.outs, outRow{row: row})
-	return nil
-}
-
-// outRow is one row before projection: a kept joined row, or a group's
-// first row with the group's aggregate values; keys is its sort key.
-type outRow struct {
-	row  value.Row
-	aggs map[*sql.Call]value.Value
-	keys value.Row
-}
-
-// at points e at output row o and returns it.
-func (e *env) at(o outRow) *env {
-	e.row, e.aggs = o.row, o.aggs
-	return e
+	return w.kept.add(w.p, w.sel, e)
 }
 
 // aggregator folds the rows the join keeps into their groups as they
-// arrive, in first-seen group order. A group keeps its first row, for the
-// SELECT list's plain columns, and nothing else of its input.
+// arrive, in first-seen group order. Group i keeps the plan.groupCols of its
+// first row at firsts[i*len(groupCols):], and its states, one per
+// plan.calls, at states[i*len(calls):]; nothing else of its input.
 type aggregator struct {
 	p      *plan
-	calls  []*sql.Call
-	groups map[string]*group
-	order  []*group
-	key    []byte // scratch: a group key, or a DISTINCT argument's key
-}
-
-type group struct {
-	first value.Row
-	state []aggState // one per aggregator.calls
+	groups map[string]int // group ordinals by key; made by the first group
+	n      int            // groups
+	firsts []value.Value
+	states []aggState
+	key    []byte    // scratch: a group key, or a DISTINCT argument's key
+	out    groupRows // the groups, once results has finalized them
 }
 
 type aggState struct {
@@ -607,25 +662,8 @@ type aggState struct {
 	seen   map[string]struct{} // DISTINCT aggregates
 }
 
-func newAggregator(p *plan, sel *sql.Select) *aggregator {
-	a := &aggregator{p: p, groups: make(map[string]*group, 64)}
-	for _, se := range sel.Exprs {
-		if !se.Star {
-			collectAggs(se.Expr, &a.calls)
-		}
-	}
-	if p.having != nil {
-		collectAggs(p.having, &a.calls)
-	}
-	for _, o := range sel.OrderBy {
-		collectAggs(o.Expr, &a.calls)
-	}
-	return a
-}
-
-// add folds the row in e into its group. shared reports that e.row is the
-// join's buffer, which a new group must copy.
-func (a *aggregator) add(e *env, shared bool) error {
+// add folds the row in e into its group.
+func (a *aggregator) add(e *env) error {
 	a.key = a.key[:0]
 	for _, g := range a.p.groupBy {
 		v, err := eval(g, e)
@@ -636,14 +674,12 @@ func (a *aggregator) add(e *env, shared bool) error {
 	}
 	grp, ok := a.groups[string(a.key)]
 	if !ok {
-		first := e.row
-		if shared {
-			first = first.Clone()
-		}
-		grp = a.newGroup(string(a.key), first)
+		grp = a.newGroup(string(a.key), e.row)
 	}
-	for i, call := range a.calls {
-		st := &grp.state[i]
+	calls := a.p.calls
+	states := a.states[grp*len(calls) : (grp+1)*len(calls)]
+	for i, call := range calls {
+		st := &states[i]
 		if call.Star {
 			st.count++
 			continue
@@ -685,28 +721,76 @@ func (a *aggregator) add(e *env, shared bool) error {
 	return nil
 }
 
-func (a *aggregator) newGroup(key string, first value.Row) *group {
-	grp := &group{first: first, state: make([]aggState, len(a.calls))}
+// newGroup adds the group of key with first row row (nulls past its end)
+// and returns its ordinal.
+func (a *aggregator) newGroup(key string, row value.Row) int {
+	if a.groups == nil {
+		a.groups = make(map[string]int, 64)
+	}
+	grp := a.n
 	a.groups[key] = grp
-	a.order = append(a.order, grp)
+	a.n++
+	at := len(a.firsts)
+	a.firsts = grow(a.firsts, len(a.p.groupCols))
+	for j, off := range a.p.groupCols {
+		if off < len(row) {
+			a.firsts[at+j] = row[off]
+		}
+	}
+	a.states = grow(a.states, len(a.p.calls))
 	return grp
 }
 
+// grow extends s by n zero values. Past its first allocation, made at
+// len+n, s grows as append grows it: about doubling, up to a size class.
+// (append(s, make([]T, n)...) would too, but allocates the make under
+// -race.)
+func grow[T any](s []T, n int) []T {
+	at := len(s)
+	if at+n > cap(s) && cap(s) > 0 {
+		var zero T
+		s = append(s[:cap(s)], zero)[:at]
+	}
+	if at+n > cap(s) {
+		s = append(make([]T, 0, at+n), s...)
+	}
+	s = s[:at+n]
+	clear(s[at:])
+	return s
+}
+
 // results finalizes every group, in first-seen order.
-func (a *aggregator) results() []outRow {
+func (a *aggregator) results() *groupRows {
 	// A grand aggregate over zero rows still yields one group.
-	if len(a.p.groupBy) == 0 && len(a.order) == 0 {
-		a.newGroup("", make(value.Row, a.p.b.width))
+	if len(a.p.groupBy) == 0 && a.n == 0 {
+		a.newGroup("", nil)
 	}
-	outs := make([]outRow, 0, len(a.order))
-	for _, grp := range a.order {
-		o := outRow{row: grp.first, aggs: make(map[*sql.Call]value.Value, len(a.calls))}
-		for i, call := range a.calls {
-			o.aggs[call] = grp.state[i].result(call.Fn)
-		}
-		outs = append(outs, o)
+	calls := a.p.calls
+	a.out = groupRows{n: a.n, firsts: a.firsts, aggs: make([]value.Value, len(a.states))}
+	for i := range a.out.aggs {
+		a.out.aggs[i] = a.states[i].result(calls[i%len(calls)].Fn)
 	}
-	return outs
+	return &a.out
+}
+
+// groupRows is an aggregate query's n groups in first-seen order: group i's
+// plan.groupCols of its first row are firsts[i*len(groupCols):], and its
+// aggregate values, one per plan.calls, aggs[i*len(calls):].
+type groupRows struct {
+	n            int
+	firsts, aggs []value.Value
+	cur          aggValues // the group load loaded last
+}
+
+// load makes group i the group e evaluates: its first row's columns go
+// into e.row, a joined row, and e.aggs holds its aggregate values.
+func (g *groupRows) load(p *plan, i int, e *env) {
+	nf, nc := len(p.groupCols), len(p.calls)
+	for j, off := range p.groupCols {
+		e.row[off] = g.firsts[i*nf+j]
+	}
+	g.cur = aggValues{calls: p.calls, vals: g.aggs[i*nc : i*nc+nc]}
+	e.aggs = &g.cur
 }
 
 // result is the value of aggregate fn over what st folded.
@@ -741,27 +825,25 @@ func (st *aggState) result(fn string) value.Value {
 	return value.NewNull()
 }
 
-// project evaluates the SELECT list for every output row in e, each row
-// allocated once at the plan's width.
-func project(p *plan, sel *sql.Select, outs []outRow, e *env) ([]value.Row, error) {
-	rows := make([]value.Row, 0, len(outs))
-	for _, o := range outs {
-		e.at(o)
-		row := make(value.Row, 0, p.width)
-		for _, se := range sel.Exprs {
-			if se.Star {
-				row = append(row, o.row...)
-				continue
-			}
-			v, err := eval(se.Expr, e)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
+// project evaluates the SELECT list for the row in e into row, which has
+// the plan's width and arrives zeroed: * copies the joined row, and leaves
+// nulls past a short row's end.
+func project(p *plan, sel *sql.Select, e *env, row value.Row) error {
+	i := 0
+	for _, se := range sel.Exprs {
+		if se.Star {
+			copy(row[i:i+p.b.width], e.row)
+			i += p.b.width
+			continue
 		}
-		rows = append(rows, row)
+		v, err := eval(se.Expr, e)
+		if err != nil {
+			return err
+		}
+		row[i] = v
+		i++
 	}
-	return rows, nil
+	return nil
 }
 
 // --- INSERT / UPDATE / DELETE -----------------------------------------------
@@ -771,7 +853,7 @@ func project(p *plan, sel *sql.Select, outs []outRow, e *env) ([]value.Row, erro
 func runInsert(tx heap.Txn, p *plan, ins *sql.Insert, params []value.Value) (*Result, error) {
 	tid := p.b.tabs[0].tid
 	// No columns are in scope (a nil cols map finds none, as an empty one
-	// would) and no subquery cache is made: e stays on the stack.
+	// would) and there is no subquery cache: e stays on the stack.
 	e := env{params: params, tx: tx}
 	for _, exprRow := range ins.Rows {
 		row := make(value.Row, p.b.width)
@@ -813,7 +895,7 @@ type target struct {
 // targetRows finds the rows an UPDATE's or DELETE's WHERE clause matches,
 // through the access path and residuals of its plan. An UpdateTx fetches
 // each as a private copy, so UPDATE writes into it and hands it to Update.
-func targetRows(tx heap.Txn, p *plan, params []value.Value, subs subCache) ([]target, error) {
+func targetRows(tx heap.Txn, p *plan, params []value.Value, subs *subCache) ([]target, error) {
 	b, lv := p.b, &p.levels[0]
 	e := env{cols: b.cols, params: params, tx: tx, subs: subs}
 	var s scanPath
@@ -844,8 +926,8 @@ func runUpdate(tx heap.Txn, p *plan, up *sql.Update, params []value.Value) (*Res
 	if tx.ReadOnly() {
 		return nil, heap.ErrReadOnly
 	}
-	subs := make(subCache)
-	targets, err := targetRows(tx, p, params, subs)
+	var subs subCache
+	targets, err := targetRows(tx, p, params, &subs)
 	if err != nil {
 		return nil, err
 	}
@@ -855,7 +937,7 @@ func runUpdate(tx heap.Txn, p *plan, up *sql.Update, params []value.Value) (*Res
 	var scratch [8]value.Value
 	vals := scratch[:0]
 	for _, tg := range targets {
-		e := env{cols: p.b.cols, row: tg.row, params: params, tx: tx, subs: subs}
+		e := env{cols: p.b.cols, row: tg.row, params: params, tx: tx, subs: &subs}
 		vals = vals[:0]
 		for _, s := range up.Sets {
 			v, err := eval(s.Expr, &e)
@@ -875,7 +957,8 @@ func runUpdate(tx heap.Txn, p *plan, up *sql.Update, params []value.Value) (*Res
 }
 
 func runDelete(tx heap.Txn, p *plan, params []value.Value) (*Result, error) {
-	targets, err := targetRows(tx, p, params, make(subCache))
+	var subs subCache
+	targets, err := targetRows(tx, p, params, &subs)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -646,5 +647,59 @@ func TestNaNInFloatColumn(t *testing.T) {
 	}
 	if a, b := rowsText(query(t, scan, rng)), rowsText(query(t, indexed, rng)); a != b {
 		t.Errorf("x >= 7: full scan %q, index %q", a, b)
+	}
+}
+
+// TestResultRowsDoNotAlias checks that the rows of a result, windows onto
+// one per-statement slab, are independent: a write into one row, or an
+// append to it, leaves its neighbours as they were, and running the
+// statement again leaves the first result as it was.
+func TestResultRowsDoNotAlias(t *testing.T) {
+	e := newBookDB(t)
+	tx := e.BeginRead(nil)
+	for _, q := range []string{
+		`SELECT i_id, i_title, i_cost FROM item WHERE i_stock > ?`,
+		`SELECT * FROM item WHERE i_stock > ?`,
+		`SELECT i.i_id, a.a_lname FROM item i JOIN author a ON i.i_a_id = a.a_id WHERE i.i_stock > ?`,
+		`SELECT i.i_title, a.a_lname FROM item i JOIN author a ON i.i_a_id = a.a_id WHERE i.i_stock > ?
+			ORDER BY i.i_cost DESC, a.a_lname LIMIT 4`,
+		`SELECT ol_o_id, SUM(ol_qty), COUNT(*) FROM order_line WHERE ol_qty > ? GROUP BY ol_o_id ORDER BY ol_o_id`,
+	} {
+		p, err := Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		params := []value.Value{value.NewInt(0)}
+		first, err := p.Exec(tx, params)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if len(first.Rows) < 3 {
+			t.Fatalf("%s: %d rows, want at least 3", q, len(first.Rows))
+		}
+		want := rowStrings(first.Rows, false)
+		second, err := p.Exec(tx, params)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if got := rowStrings(first.Rows, false); !slices.Equal(got, want) {
+			t.Fatalf("%s: a second Exec changed the first result\n got %v\nwant %v", q, got, want)
+		}
+		row := first.Rows[0]
+		for j := range row {
+			row[j] = value.NewString("written")
+		}
+		for range len(row) + 8 {
+			row = append(row, value.NewString("appended"))
+		}
+		for name, res := range map[string]*Result{"first": first, "second": second} {
+			if got := rowStrings(res.Rows[1:], false); !slices.Equal(got, want[1:]) {
+				t.Errorf("%s: writing row 0 of the first result changed the %s result\n got %v\nwant %v",
+					q, name, got, want[1:])
+			}
+		}
+		if got := second.Rows[0].String(); got != want[0] {
+			t.Errorf("%s: writing row 0 of the first result changed the second's to %s", q, got)
+		}
 	}
 }

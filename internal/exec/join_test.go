@@ -20,11 +20,12 @@ import (
 // materialized runs a SELECT the way the executor did before its joins
 // streamed: each join level is built in full, every scanned row is copied
 // into a fresh joined row before the level's residuals test it, and
-// grouping runs over the finished list (groupAll). Only output, the steps
-// after the join, is shared with runSelect.
+// grouping runs over the finished list (groupAll). Only the steps after the
+// join are shared with runSelect: keptRows for the rows of a query without
+// aggregation, outputGroups for the groups of one with it.
 func materialized(tx heap.Txn, p *plan, sel *sql.Select, params []value.Value) (*Result, error) {
 	b := p.b
-	top := &env{cols: b.cols, params: params, tx: tx, subs: make(subCache)}
+	top := &env{cols: b.cols, params: params, tx: tx, subs: &subCache{}}
 	offset, limit, err := rowBounds(sel, top)
 	if err != nil {
 		return nil, err
@@ -82,23 +83,27 @@ func materialized(tx heap.Txn, p *plan, sel *sql.Select, params []value.Value) (
 		}
 		joined = next
 	}
-	var outs []outRow
 	if p.hasAgg {
-		if outs, err = groupAll(p, sel, top, joined); err != nil {
+		groups, err := groupAll(p, top, joined)
+		if err != nil {
 			return nil, err
 		}
-	} else {
-		for _, row := range joined {
-			outs = append(outs, outRow{row: row})
+		return outputGroups(p, sel, top, groups, offset, limit)
+	}
+	var kept keptRows
+	for _, row := range joined {
+		e := *top
+		e.row = row
+		if err := kept.add(p, sel, &e); err != nil {
+			return nil, err
 		}
 	}
-	return output(p, sel, top, outs, offset, limit)
+	return kept.result(p, sel, offset, limit), nil
 }
 
 // groupAll groups a finished join in first-seen order and computes each
 // aggregate over its group's whole row list.
-func groupAll(p *plan, sel *sql.Select, top *env, joined []value.Row) ([]outRow, error) {
-	calls := newAggregator(p, sel).calls
+func groupAll(p *plan, top *env, joined []value.Row) (*groupRows, error) {
 	groups := map[string][]value.Row{}
 	var order []string
 	for _, row := range joined {
@@ -121,23 +126,25 @@ func groupAll(p *plan, sel *sql.Select, top *env, joined []value.Row) ([]outRow,
 	if len(p.groupBy) == 0 && len(order) == 0 {
 		order = append(order, "") // a grand aggregate over no rows
 	}
-	outs := make([]outRow, 0, len(order))
+	g := &groupRows{n: len(order)}
 	for _, k := range order {
 		rows := groups[k]
-		o := outRow{row: make(value.Row, p.b.width), aggs: map[*sql.Call]value.Value{}}
+		first := make(value.Row, p.b.width)
 		if len(rows) > 0 {
-			o.row = rows[0]
+			first = rows[0]
 		}
-		for _, c := range calls {
+		for _, off := range p.groupCols {
+			g.firsts = append(g.firsts, first[off])
+		}
+		for _, c := range p.calls {
 			v, err := aggregateOver(c, rows, top)
 			if err != nil {
 				return nil, err
 			}
-			o.aggs[c] = v
+			g.aggs = append(g.aggs, v)
 		}
-		outs = append(outs, o)
 	}
-	return outs, nil
+	return g, nil
 }
 
 func aggregateOver(c *sql.Call, rows []value.Row, top *env) (value.Value, error) {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dmv/internal/heap"
@@ -105,6 +106,13 @@ type plan struct {
 	groupBy []sql.Expr      // aliases substituted
 	having  sql.Expr        // aliases substituted
 	hasAgg  bool
+	// The aggregate calls of the SELECT list, HAVING and ORDER BY, each
+	// once: a group's aggregate values are indexed by their ordinals here.
+	calls []*sql.Call
+	// The joined-row offsets the SELECT list, HAVING and ORDER BY read
+	// (every column under *), each once: a group keeps these of its first
+	// row.
+	groupCols []int
 
 	cols  []string // SELECT: output column names
 	width int      // SELECT: values per output row
@@ -245,7 +253,47 @@ func planSelect(e *heap.Engine, sel *sql.Select) (*plan, error) {
 		p.cols = append(p.cols, name)
 		p.width++
 	}
+	if p.hasAgg {
+		p.planGroups(sel)
+	}
 	return p, nil
+}
+
+// planGroups finds what an aggregate query keeps of each group: its
+// aggregate calls, and the columns of its first row the output reads.
+func (p *plan) planGroups(sel *sql.Select) {
+	col := func(off int) {
+		if !slices.Contains(p.groupCols, off) {
+			p.groupCols = append(p.groupCols, off)
+		}
+	}
+	var refs []*sql.ColRef
+	for _, se := range sel.Exprs {
+		if se.Star {
+			for off := range p.b.width {
+				col(off)
+			}
+			continue
+		}
+		collectAggs(se.Expr, &p.calls)
+		colRefsIn(se.Expr, &refs)
+	}
+	if p.having != nil {
+		collectAggs(p.having, &p.calls)
+		colRefsIn(p.having, &refs)
+	}
+	for _, o := range sel.OrderBy {
+		collectAggs(o.Expr, &p.calls)
+	}
+	for _, o := range p.orderBy {
+		colRefsIn(o.Expr, &refs)
+	}
+	for _, r := range refs {
+		// An unknown column fails when the output evaluates it.
+		if off, ok := colOffset(p.b.cols, r); ok {
+			col(off)
+		}
+	}
 }
 
 // planStmt plans a SELECT, or an UPDATE's or DELETE's WHERE clause as a

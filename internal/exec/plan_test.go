@@ -203,26 +203,33 @@ func TestStatementAllocs(t *testing.T) {
 		next    func(params []value.Value) // if set, readies params for the next Exec
 	}{
 		{"point select", rtx, `SELECT i_title, i_cost FROM item WHERE i_id = ?`,
-			[]value.Value{value.NewInt(3)}, 11, 0, nil},
+			[]value.Value{value.NewInt(3)}, 7, 0, nil},
 		{"two-table join", rtx, `SELECT i.i_title, a.a_lname FROM item i JOIN author a ON i.i_a_id = a.a_id WHERE i.i_id = ?`,
-			[]value.Value{value.NewInt(4)}, 15, 0, nil},
+			[]value.Value{value.NewInt(4)}, 10, 0, nil},
 		{"range order-by limit", rtx, `SELECT i_id, i_cost FROM item WHERE i_id >= ? ORDER BY i_cost DESC LIMIT 3`,
-			[]value.Value{value.NewInt(2)}, 26, 0, nil},
+			[]value.Value{value.NewInt(2)}, 10, 0, nil},
 		// Before the writes: a latest-version scan waits on utx's page latches.
 		{"like full scan", rtx, `SELECT i_id, i_title FROM item WHERE i_title LIKE ?`,
-			[]value.Value{value.NewString("%BOOK 0%")}, 19, 0, nil}, // 18 without -race
+			[]value.Value{value.NewString("%BOOK 0%")}, 10, 0, nil}, // 9 without -race
 		{"best sellers", rtx, `SELECT i.i_id, i.i_title, a.a_lname, SUM(ol.ol_qty) AS qty
 			FROM item i JOIN order_line ol ON ol.ol_i_id = i.i_id JOIN orders o ON ol.ol_o_id = o.o_id
 			JOIN author a ON i.i_a_id = a.a_id WHERE o.o_id > ? AND i.i_subject = ?
 			GROUP BY i.i_id, i.i_title, a.a_lname ORDER BY qty DESC LIMIT 50`,
-			[]value.Value{value.NewInt(0), value.NewString("SCIFI")}, 56, 12600, nil}, // 55 and 12240 B without -race
+			[]value.Value{value.NewInt(0), value.NewString("SCIFI")}, 34, 11300, nil}, // 33 and 10960 B without -race
 		// BenchmarkTPCW_BestSellersQuery's statement over enough rows that its
 		// index walks read several chunks.
 		{"best sellers at scale", bigTx, `SELECT i.i_id, i.i_title, a.a_fname, a.a_lname, SUM(ol.ol_qty) AS qty
 			FROM item i JOIN order_line ol ON ol.ol_i_id = i.i_id JOIN orders o ON ol.ol_o_id = o.o_id
 			JOIN author a ON i.i_a_id = a.a_id WHERE o.o_id > ? AND i.i_subject = ?
 			GROUP BY i.i_id, i.i_title, a.a_fname, a.a_lname ORDER BY qty DESC LIMIT 50`,
-			[]value.Value{value.NewInt(0), value.NewString("S07")}, 172, 33400, nil},
+			[]value.Value{value.NewInt(0), value.NewString("S07")}, 53, 24300, nil},
+		// NewProducts' shape: a join whose 34 rows are sorted and cut to a page.
+		{"join order-by limit", bigTx, `SELECT i.i_id, i.i_title, a.a_fname, a.a_lname
+			FROM item i JOIN author a ON i.i_a_id = a.a_id WHERE i.i_subject >= ? AND i.i_subject <= ?
+			ORDER BY i.i_cost DESC, i.i_title LIMIT 20`,
+			[]value.Value{value.NewString("S07"), value.NewString("S08")}, 16, 0, nil},
+		{"non-aggregate having", rtx, `SELECT i_id, i_title FROM item WHERE i_id >= ? HAVING i_cost > ?`,
+			[]value.Value{value.NewInt(1), value.NewFloat(4)}, 10, 0, nil},
 		{"point update", utx, `UPDATE item SET i_stock = i_stock + 1 WHERE i_id = ?`,
 			[]value.Value{value.NewInt(2)}, 7, 0, nil},
 		{"point delete", utx, `DELETE FROM order_line WHERE ol_id = ?`,

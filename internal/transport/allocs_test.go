@@ -71,7 +71,7 @@ func TestWireAllocs(t *testing.T) {
 			}
 			_, err = sPeer.TxCommit(id)
 			return err
-		}, 58},
+		}, 42},
 		{"update txn, one TCP subscriber", func() error {
 			id, err := mPeer.TxBegin(false, nil, 0, obs.TraceContext{})
 			if err != nil {
@@ -82,7 +82,7 @@ func TestWireAllocs(t *testing.T) {
 			}
 			_, err = mPeer.TxCommit(id)
 			return err
-		}, 64},
+		}, 48},
 	} {
 		var runErr error
 		got := testing.AllocsPerRun(200, func() {
