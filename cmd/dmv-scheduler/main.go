@@ -2,7 +2,8 @@
 // dmv-node processes. Role assignment, replication wiring, heartbeat
 // failure detection, master/slave fail-over, spare activation and the
 // scrub loop are the shared control plane (cluster.Plane) over RemoteNode
-// peers — the same code the in-process cluster and every chaos test run.
+// peers, put together by cluster.Assemble — the same code the in-process
+// cluster and every chaos test run.
 // Spares are hot backups: subscribed to the replication stream, activated
 // as slaves on a slave or master failure and, with -admit-queue, when the
 // admission queue stays saturated. The binary can also drive the TPC-W
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -36,6 +38,7 @@ import (
 	"dmv/internal/obs"
 	"dmv/internal/obs/flight"
 	"dmv/internal/persist"
+	"dmv/internal/replica"
 	"dmv/internal/scheduler"
 	"dmv/internal/tpcw"
 	"dmv/internal/transport"
@@ -48,7 +51,7 @@ func (n *nodeList) String() string     { return strings.Join(*n, ",") }
 func (n *nodeList) Set(s string) error { *n = append(*n, s); return nil }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "dmv-scheduler:", err)
 		os.Exit(1)
 	}
@@ -62,40 +65,41 @@ func parseNode(spec string) (id, addr string, err error) {
 	return id, addr, nil
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("dmv-scheduler", flag.ExitOnError)
 	var (
-		masterSpec = flag.String("master", "", "master node as id=host:port")
+		masterSpec = fs.String("master", "", "master node as id=host:port")
 		slaveSpecs nodeList
 		spareSpecs nodeList
-		heartbeat  = flag.Duration("heartbeat", 50*time.Millisecond, "failure-detection probe period")
-		drive      = flag.String("drive", "", "drive a TPC-W mix (browsing|shopping|ordering); empty = idle")
-		duration   = flag.Duration("duration", 15*time.Second, "workload duration when driving")
-		clients    = flag.Int("clients", 8, "emulated browsers when driving")
-		items      = flag.Int("items", 1000, "TPC-W items (must match the nodes)")
-		customers  = flag.Int("customers", 500, "TPC-W customers (must match the nodes)")
-		metrics    = flag.String("metrics-addr", "", "serve /metrics, /trace, /stitch, /timeline, /cluster on this address (empty = off)")
-		scrape     = flag.Duration("scrape", 500*time.Millisecond, "node ObsSnapshot scrape period for /cluster")
-		rpcTimeout = flag.Duration("rpc-timeout", transport.DefaultCallTimeout, "per-RPC deadline for peer calls")
-		pingTO     = flag.Duration("ping-timeout", transport.DefaultPingTimeout, "heartbeat probe deadline")
-		rpcRetries = flag.Int("rpc-retries", 0, "extra attempts for idempotent peer calls (0 = transport default, <0 = off)")
-		suspectAt  = flag.Int("suspect-misses", 2, "consecutive probe misses before a node is quarantined as suspect")
-		deadAt     = flag.Int("dead-misses", 4, "consecutive probe misses before a suspect is declared dead")
-		seed       = flag.Int64("seed", 1, "seed for retry jitter and scheduler randomness")
-		walDir     = flag.String("wal-dir", "", "append committed update queries to a crash-durable WAL in this directory (empty = off)")
-		walFlush   = flag.String("wal-flush", "always", "WAL fsync policy: always (group commit), interval, never")
-		walEvery   = flag.Duration("wal-flush-interval", 5*time.Millisecond, "background fsync period for -wal-flush=interval")
-		pprofOn    = flag.Bool("pprof", false, "mount /debug/pprof/ on the metrics address")
-		flightDir  = flag.String("flight-dir", "flight", "write anomaly-triggered cluster flight dumps here (empty = off)")
-		flightSamp = flag.Duration("flight-sample", time.Second, "runtime-health sample period for the flight recorder (0 = off)")
-		admitQ     = flag.Int("admit-queue", 0, "admission-control slots per conflict class (0 = off); queued arrivals beyond 4x this are fast-rejected")
-		admitTgt   = flag.Duration("admit-target-sojourn", 5*time.Millisecond, "CoDel target queue sojourn; sustained waits above it for an interval engage shed mode")
-		deadlineD  = flag.Duration("deadline-default", 0, "deadline attached to driven transactions lacking one (0 = none)")
-		scrubEvery = flag.Duration("scrub-interval", 0, "anti-entropy digest sweep period across all replicas (0 = off)")
-		scrubTabs  = flag.String("scrub-tables", "", "comma-separated TPC-W table names to scrub (empty = all)")
+		heartbeat  = fs.Duration("heartbeat", 50*time.Millisecond, "failure-detection probe period")
+		drive      = fs.String("drive", "", "drive a TPC-W mix (browsing|shopping|ordering); empty = idle")
+		duration   = fs.Duration("duration", 15*time.Second, "workload duration when driving")
+		clients    = fs.Int("clients", 8, "emulated browsers when driving")
+		items      = fs.Int("items", 1000, "TPC-W items (must match the nodes)")
+		customers  = fs.Int("customers", 500, "TPC-W customers (must match the nodes)")
+		metrics    = fs.String("metrics-addr", "", "serve /metrics, /trace, /stitch, /timeline, /cluster on this address (empty = off)")
+		scrape     = fs.Duration("scrape", 500*time.Millisecond, "node ObsSnapshot scrape period for /cluster")
+		rpcTimeout = fs.Duration("rpc-timeout", transport.DefaultCallTimeout, "per-RPC deadline for peer calls")
+		pingTO     = fs.Duration("ping-timeout", transport.DefaultPingTimeout, "heartbeat probe deadline")
+		rpcRetries = fs.Int("rpc-retries", 0, "extra attempts for idempotent peer calls (0 = transport default, <0 = off)")
+		suspectAt  = fs.Int("suspect-misses", 2, "consecutive probe misses before a node is quarantined as suspect")
+		deadAt     = fs.Int("dead-misses", 4, "consecutive probe misses before a suspect is declared dead")
+		seed       = fs.Int64("seed", 1, "seed for retry jitter and scheduler randomness")
+		walDir     = fs.String("wal-dir", "", "append committed update queries to a crash-durable WAL in this directory (empty = off)")
+		walFlush   = fs.String("wal-flush", "always", "WAL fsync policy: always (group commit), interval, never")
+		walEvery   = fs.Duration("wal-flush-interval", 5*time.Millisecond, "background fsync period for -wal-flush=interval")
+		pprofOn    = fs.Bool("pprof", false, "mount /debug/pprof/ on the metrics address")
+		flightDir  = fs.String("flight-dir", "flight", "write anomaly-triggered cluster flight dumps here (empty = off)")
+		flightSamp = fs.Duration("flight-sample", time.Second, "runtime-health sample period for the flight recorder (0 = off)")
+		admitQ     = fs.Int("admit-queue", 0, "admission-control slots per conflict class (0 = off); queued arrivals beyond 4x this are fast-rejected")
+		admitTgt   = fs.Duration("admit-target-sojourn", 5*time.Millisecond, "CoDel target queue sojourn; sustained waits above it for an interval engage shed mode")
+		deadlineD  = fs.Duration("deadline-default", 0, "deadline attached to driven transactions lacking one (0 = none)")
+		scrubEvery = fs.Duration("scrub-interval", 0, "anti-entropy digest sweep period across all replicas (0 = off)")
+		scrubTabs  = fs.String("scrub-tables", "", "comma-separated TPC-W table names to scrub (empty = all)")
 	)
-	flag.Var(&slaveSpecs, "slave", "slave node as id=host:port (repeatable)")
-	flag.Var(&spareSpecs, "spare", "hot spare backup node as id=host:port (repeatable)")
-	flag.Parse()
+	fs.Var(&slaveSpecs, "slave", "slave node as id=host:port (repeatable)")
+	fs.Var(&spareSpecs, "spare", "hot spare backup node as id=host:port (repeatable)")
+	_ = fs.Parse(args) // ExitOnError: Parse exits on a bad flag
 
 	if *masterSpec == "" || len(slaveSpecs) == 0 {
 		return errors.New("need -master and at least one -slave")
@@ -134,18 +138,28 @@ func run() error {
 		Obs:           reg,
 	}
 	var all []*transport.RemoteNode
-	for _, spec := range append(append([]string{*masterSpec}, slaveSpecs...), spareSpecs...) {
-		id, addr, err := parseNode(spec)
-		if err != nil {
-			return err
+	var members cluster.Members
+	for _, role := range []struct {
+		specs []string
+		peers *[]replica.Peer
+	}{
+		{[]string{*masterSpec}, &members.Masters},
+		{slaveSpecs, &members.Slaves},
+		{spareSpecs, &members.Spares},
+	} {
+		for _, spec := range role.specs {
+			id, addr, err := parseNode(spec)
+			if err != nil {
+				return err
+			}
+			n, err := transport.DialNodeOpts(id, addr, cOpts)
+			if err != nil {
+				return fmt.Errorf("dial %s: %w", id, err)
+			}
+			all = append(all, n)
+			*role.peers = append(*role.peers, n)
 		}
-		n, err := transport.DialNodeOpts(id, addr, cOpts)
-		if err != nil {
-			return fmt.Errorf("dial %s: %w", id, err)
-		}
-		all = append(all, n)
 	}
-	master, slaves, spares := all[0], all[1:1+len(slaveSpecs)], all[1+len(slaveSpecs):]
 	if rec != nil {
 		peers := make([]flight.Peer, 0, len(all))
 		for _, n := range all {
@@ -154,17 +168,6 @@ func run() error {
 		rec.SetPeers(peers)
 	}
 
-	// The scheduler is configured from the TPC-W schema; table ids are the
-	// schema creation order, identical on every node.
-	names := tpcw.TableNames()
-	tableID := func(name string) (int, bool) {
-		for i, n := range names {
-			if n == name {
-				return i, true
-			}
-		}
-		return 0, false
-	}
 	// Durable commit log: every committed update transaction is appended to
 	// the WAL (group-committed under -wal-flush=always) before the client
 	// sees the ack, so a scheduler crash loses no acknowledged commits —
@@ -201,38 +204,28 @@ func run() error {
 	var scrubIDs []int
 	if *scrubTabs != "" {
 		for _, name := range strings.Split(*scrubTabs, ",") {
-			id, ok := tableID(strings.TrimSpace(name))
-			if !ok {
+			id := slices.Index(tpcw.TableNames(), strings.TrimSpace(name))
+			if id < 0 {
 				return fmt.Errorf("-scrub-tables: unknown table %q", name)
 			}
 			scrubIDs = append(scrubIDs, id)
 		}
 	}
-	var plane *cluster.Plane
-	sched, err := scheduler.New(scheduler.Options{
-		VersionAffinity: true,
-		MaxRetries:      30,
-		Seed:            *seed,
-		Obs:             reg,
-		OnCommit:        onCommit,
-		OnPeerFailure:   func(id string) { go plane.ReportFailure(id) },
-		Flight:          rec,
-		Admission: scheduler.AdmissionOptions{
-			Slots:         *admitQ,
-			TargetSojourn: *admitTgt,
-		},
-	}, len(names), tableID)
-	if err != nil {
-		return err
-	}
 
-	// The control plane: it promotes the master, wires the replication
-	// subscriptions, and from then on owns failure detection (suspicion
-	// ladder with RTT accrual, quarantine, commit-fenced master fail-over,
-	// dead-slave removal), spare activation on fail-over or a saturated
-	// admission queue, and the anti-entropy scrub loop (DESIGN.md §10,
-	// §15). Its timeline events are this daemon's log lines.
-	plane = cluster.NewPlane(cluster.Config{
+	// The tier, put together as every deployment is (cluster.Assemble): a
+	// version-aware scheduler over the TPC-W schema, and the control plane
+	// that promotes the master, wires the replication subscriptions, and
+	// from then on owns failure detection (suspicion ladder with RTT
+	// accrual, quarantine, commit-fenced master fail-over, dead-slave
+	// removal), spare activation on fail-over or a saturated admission
+	// queue, and the anti-entropy scrub loop (DESIGN.md §10, §15). Its
+	// timeline events are this daemon's log lines.
+	plane, err := cluster.Assemble(cluster.Config{
+		SchemaDDL:         tpcw.SchemaDDL(),
+		MaxRetries:        30,
+		Seed:              *seed,
+		Admission:         scheduler.AdmissionOptions{Slots: *admitQ, TargetSojourn: *admitTgt},
+		OnCommit:          onCommit,
 		HeartbeatInterval: *heartbeat,
 		PingTimeout:       *pingTO,
 		SuspectAfter:      *suspectAt,
@@ -241,24 +234,16 @@ func run() error {
 		ScrubTables:       scrubIDs,
 		Obs:               reg,
 		Flight:            rec,
-	}, []*scheduler.Scheduler{sched}, transport.Rewire, nil)
+	}, members, transport.Rewire, nil)
+	if err != nil {
+		return err
+	}
 	plane.OnEvent(func(ev obs.Event) {
 		log.Printf("%s node=%q detail=%q took=%s", ev.Kind, ev.Node, ev.Detail, ev.Duration)
 	})
-	if err := plane.AddMaster(0, master); err != nil {
-		return fmt.Errorf("promote %s: %w", master.ID(), err)
-	}
-	for _, s := range slaves {
-		plane.AddSlave(s)
-	}
-	for _, s := range spares {
-		if err := plane.AddSpare(s); err != nil {
-			return fmt.Errorf("spare %s: %w", s.ID(), err)
-		}
-	}
 	plane.Start()
 	defer plane.Close()
-	log.Printf("tier up: master=%s slaves=%v spares=%v", master.ID(), sched.Slaves(), sched.Spares())
+	log.Printf("tier up: master=%s slaves=%v spares=%v", plane.MasterID(0), plane.Scheduler().Slaves(), plane.Scheduler().Spares())
 
 	// Aggregation plane: scrape every node's registry over the ObsSnapshot
 	// RPC and merge into one labeled cluster snapshot served at /cluster.
@@ -284,7 +269,7 @@ func run() error {
 						}
 						nss = append(nss, ns)
 					}
-					cs := obs.MergeSnapshots(nss, sched.Latest())
+					cs := obs.MergeSnapshots(nss, plane.Scheduler().Latest())
 					for i := range cs.Nodes {
 						cs.Nodes[i].Health = plane.Health(cs.Nodes[i].Node)
 					}
@@ -303,8 +288,7 @@ func run() error {
 	if !ok {
 		return fmt.Errorf("unknown mix %q", *drive)
 	}
-	store := schedStore{sched: sched, deadline: *deadlineD}
-	w := tpcw.NewWorkload(store, tpcw.Scale{Items: *items, Customers: *customers})
+	w := tpcw.NewWorkload(harness.DMVStore{P: plane, Deadline: *deadlineD}, tpcw.Scale{Items: *items, Customers: *customers})
 	log.Printf("driving %s mix with %d clients for %s", mix.Name, *clients, *duration)
 	res := harness.Run(harness.RunConfig{
 		Workload: w,
@@ -315,7 +299,7 @@ func run() error {
 	})
 	fmt.Printf("\nWIPS: %.1f  avg latency: %s  p95: %s  errors: %d/%d\n",
 		res.WIPS, res.AvgLatency, res.P95Latency, res.Errors, res.Total)
-	st := sched.Stats()
+	st := plane.Scheduler().Stats()
 	fmt.Printf("reads: %d  updates: %d  version aborts: %d  failovers: %d\n",
 		st.ReadTxns.Load(), st.UpdateTxns.Load(), st.VersionAborts.Load(), st.Failovers.Load())
 	if reg != nil {
@@ -345,21 +329,4 @@ func run() error {
 		fmt.Printf("%-22s %8d %8d %12s\n", name, ist.Count, ist.Errors, ist.AvgLatency.Round(time.Microsecond))
 	}
 	return nil
-}
-
-// schedStore adapts the scheduler to the TPC-W workload interface.
-type schedStore struct {
-	sched    *scheduler.Scheduler
-	deadline time.Duration // -deadline-default: attached to every driven txn
-}
-
-// Run implements tpcw.Store.
-func (s schedStore) Run(readOnly bool, tables []string, fn func(tpcw.Querier) error) error {
-	spec := scheduler.TxnSpec{ReadOnly: readOnly, Tables: tables}
-	if s.deadline > 0 {
-		spec.Deadline = time.Now().Add(s.deadline)
-	}
-	return s.sched.Run(spec, func(tx *scheduler.Txn) error {
-		return fn(tx)
-	})
 }

@@ -3,10 +3,11 @@
 // detection, master election, the three-stage fail-over pipeline (recovery
 // -> data migration -> cache warm-up), reintegration, the scrub loop,
 // peer-scheduler take-over and spare-backup upkeep (page-id-transfer
-// warm-up, stale-spare refresh, overload-driven spare activation). Cluster
-// is its in-process constructor, adding what only a process that owns its
-// nodes can do: node construction and initial load, kill/restart, periodic
-// fuzzy checkpoints, index-history GC and buffer-cache gauges.
+// warm-up, stale-spare refresh, overload-driven spare activation). Assemble
+// is the one way a tier is put together, in process or over TCP. Cluster is
+// the in-process tier, adding what only a process that owns its nodes can
+// do: node construction and initial load, kill/restart, periodic fuzzy
+// checkpoints, index-history GC and buffer-cache gauges.
 package cluster
 
 import (
@@ -125,7 +126,7 @@ type Config struct {
 	ScrubInterval time.Duration
 	// ScrubTables restricts the sweep to these table ids (nil = all).
 	ScrubTables []int
-	// Admission configures the primary scheduler New builds (Slots == 0
+	// Admission configures the primary scheduler Assemble builds (Slots == 0
 	// disables its bounded admission queue). Under overload the queue sheds
 	// work at begin with ErrOverloaded instead of letting latency collapse,
 	// and its pressure signal feeds spare activation alongside
@@ -191,7 +192,7 @@ const (
 // observability subsystem share one storage and one schema.
 type Event = obs.Event
 
-// withDefaults fills the detector and spare defaults New and NewPlane share.
+// withDefaults fills the detector and spare defaults New and Assemble share.
 func (cfg Config) withDefaults() Config {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 10 * time.Millisecond
@@ -223,108 +224,46 @@ type Cluster struct {
 	cps    map[string]*replica.Checkpointer // guarded by nodeMu
 }
 
-// New builds and starts a cluster: NumClasses master nodes plus cfg.Slaves
-// slaves plus cfg.Spares spares, all loaded with the same initial image.
+// New builds and starts a cluster: a master per conflict class plus
+// cfg.Slaves slaves plus cfg.Spares spares, all loaded with the same initial
+// image, put together by Assemble.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	c := &Cluster{cps: make(map[string]*replica.Checkpointer, 8)}
-
-	numClasses := len(cfg.Classes)
-	if numClasses == 0 {
-		numClasses = 1
-	}
-
-	// Build all engines and nodes.
-	total := numClasses + cfg.Slaves + cfg.Spares
-	var nodes []*replica.Node
-	for i := 0; i < total; i++ {
-		var id string
-		switch {
-		case i < numClasses:
-			id = fmt.Sprintf("master%d", i)
-		case i < numClasses+cfg.Slaves:
-			id = fmt.Sprintf("slave%d", i-numClasses)
-		default:
-			id = fmt.Sprintf("spare%d", i-numClasses-cfg.Slaves)
-		}
-		n, err := c.buildNode(cfg, id, nil)
-		if err != nil {
-			return nil, err
-		}
-		nodes = append(nodes, n)
-	}
-
-	// Scheduler(s) over the schema of the first engine: one primary plus
-	// cfg.PeerSchedulers standbys sharing the same topology.
-	ref := nodes[0].Engine()
-	var scheds []*scheduler.Scheduler
-	for si := 0; si <= cfg.PeerSchedulers; si++ {
-		opts := scheduler.Options{
-			Classes:         cfg.Classes,
-			VersionAffinity: !cfg.NoVersionAffinity,
-			MaxRetries:      cfg.MaxRetries,
-			WarmupShare:     cfg.WarmupShare,
-			OnCommit:        cfg.OnCommit,
-			OnPeerFailure:   func(id string) { go c.ReportFailure(id) },
-			Seed:            cfg.Seed + int64(si),
-			Obs:             cfg.Obs,
-			Flight:          cfg.Flight,
-		}
-		if si == 0 {
-			// Only the primary admits traffic; standbys must not count
-			// occupancy they never see, or a take-over would inherit a
-			// queue full of ghosts.
-			opts.Admission = cfg.Admission
-		}
-		sched, err := scheduler.New(opts, ref.NumTables(), ref.TableID)
-		if err != nil {
-			return nil, err
-		}
-		scheds = append(scheds, sched)
-	}
-	// Committed versions fan out to the standby schedulers: a standby's
-	// merged vector must cover every acknowledged commit, or a take-over
-	// followed by a master fail-over would roll acknowledged state back.
-	for si, s := range scheds {
-		peers := make([]*scheduler.Scheduler, 0, len(scheds)-1)
-		for pi, p := range scheds {
-			if pi != si {
-				peers = append(peers, p)
+	var m Members
+	for _, role := range []struct {
+		name  string
+		count int
+		peers *[]replica.Peer
+	}{
+		{"master", max(len(cfg.Classes), 1), &m.Masters},
+		{"slave", cfg.Slaves, &m.Slaves},
+		{"spare", cfg.Spares, &m.Spares},
+	} {
+		for i := 0; i < role.count; i++ {
+			n, err := c.buildNode(cfg, fmt.Sprintf("%s%d", role.name, i), nil)
+			if err != nil {
+				return nil, err
 			}
-		}
-		if len(peers) > 0 {
-			s.SetVersionFanout(func(v vclock.Vector) {
-				for _, p := range peers {
-					p.ReportVersion(v)
-				}
-			})
+			*role.peers = append(*role.peers, n)
 		}
 	}
 
-	// The shared control plane over in-process nodes: subscriber sets are
-	// installed by direct call, and a killed node is known dead at once.
-	c.Plane = NewPlane(cfg, scheds,
+	// Over in-process nodes subscriber sets are installed by direct call,
+	// and a killed node is known dead at once.
+	p, err := Assemble(cfg, m,
 		func(master replica.Peer, subs []replica.Peer) error {
 			master.(*replica.Node).SetSubscribers(subs)
 			return nil
 		},
 		func(p replica.Peer) bool { return p.(*replica.Node).Alive() })
-
-	// Roles and topology (mirrored on every peer scheduler).
-	for i, n := range nodes {
-		var err error
-		switch {
-		case i < numClasses:
-			err = c.AddMaster(i, n)
-		case i < numClasses+cfg.Slaves:
-			c.AddSlave(n)
-		default:
-			err = c.AddSpare(n)
-		}
-		if err != nil {
-			return nil, err
-		}
-		c.registerLagGauges(n.ID(), n.Engine().TableNames())
+	if err != nil {
+		return nil, err
+	}
+	c.Plane = p
+	for _, id := range c.NodeIDs() {
+		n, _ := c.Node(id)
+		c.registerLagGauges(id, n.Engine().TableNames())
 		c.startCheckpointer(n)
 	}
 
@@ -482,11 +421,6 @@ func (c *Cluster) ClusterSnapshot() obs.ClusterSnapshot {
 	return cs
 }
 
-// Run executes one transaction through the primary scheduler.
-func (c *Cluster) Run(spec scheduler.TxnSpec, fn func(*scheduler.Txn) error) error {
-	return c.Scheduler().Run(spec, fn)
-}
-
 // Node returns the named node (tests, fault injection).
 func (c *Cluster) Node(id string) (*replica.Node, bool) {
 	p, ok := c.Peer(id)
@@ -495,9 +429,6 @@ func (c *Cluster) Node(id string) (*replica.Node, bool) {
 	}
 	return p.(*replica.Node), true
 }
-
-// Obs returns the configured metrics registry (nil when disabled).
-func (c *Cluster) Obs() *obs.Registry { return c.cfg.Obs }
 
 // collectIndexes garbage-collects every live node's index history below the
 // scheduler's reader low-water mark.

@@ -89,6 +89,18 @@ func readBalance(t *testing.T, c *Cluster, acct int64) int64 {
 	return bal
 }
 
+// TestAssembleWantsOneMasterPerClass: a tier whose masters do not match its
+// conflict classes one to one is refused.
+func TestAssembleWantsOneMasterPerClass(t *testing.T) {
+	classes := []scheduler.ConflictClass{{Name: "a", Tables: []string{"account"}}, {Name: "x", Tables: []string{"audit"}}}
+	n := replica.NewNode(replica.Options{ID: "master0", Engine: heap.NewEngine(heap.Options{})})
+	for _, m := range [][]replica.Peer{nil, {n}, {n, n, n}} {
+		if _, err := Assemble(Config{Classes: classes, SchemaDDL: testDDL}, Members{Masters: m}, nil, nil); err == nil {
+			t.Errorf("Assemble with %d masters for 2 classes succeeded", len(m))
+		}
+	}
+}
+
 func TestClusterReadYourWrites(t *testing.T) {
 	c := newTestCluster(t, Config{Slaves: 3})
 	for i := 1; i <= 20; i++ {

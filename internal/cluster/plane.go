@@ -7,20 +7,25 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dmv/internal/exec"
+	"dmv/internal/heap"
 	"dmv/internal/obs"
 	"dmv/internal/replica"
 	"dmv/internal/scheduler"
+	"dmv/internal/vclock"
 )
 
-// Plane is the control plane of one DMV tier: membership, the
-// suspicion-ladder failure detector (detector.go), the fail-over pipeline
-// (failover.go), spare upkeep (spare.go), the anti-entropy sweep
-// (scrub.go), read quarantine, which the detector and the sweep feed
-// (Plane.quarantine), and peer-scheduler take-over. It sees its
+// Plane is the control plane of one DMV tier: the primary and standby
+// schedulers, membership, the suspicion-ladder failure detector
+// (detector.go), the fail-over pipeline (failover.go), spare upkeep
+// (spare.go), the anti-entropy sweep (scrub.go), read quarantine, which the
+// detector and the sweep feed (Plane.quarantine), and peer-scheduler
+// take-over. Assemble is its one constructor: cluster.New, cmd/dmv-scheduler
+// and every remote test tier put a tier together through it. It sees its
 // members only as replica.Peer, so the same type runs over in-process
-// *replica.Node values (cluster.New) and over *transport.RemoteNode clients
-// (cmd/dmv-scheduler). The two things that genuinely differ between those
-// deployments are the constructor's rewire and alive inputs.
+// *replica.Node values and over *transport.RemoteNode clients. The two
+// things that genuinely differ between those deployments are Assemble's
+// rewire and alive inputs.
 type Plane struct {
 	cfg     Config
 	scheds  []*scheduler.Scheduler
@@ -78,19 +83,39 @@ type member struct {
 	nodeHealth
 }
 
-// NewPlane builds a stopped control plane over the given schedulers
-// (scheds[0] is the primary; the rest are standbys mirroring its topology).
-// Add the members, then Start.
-func NewPlane(cfg Config, scheds []*scheduler.Scheduler, rewire func(master replica.Peer, subs []replica.Peer) error, alive func(replica.Peer) bool) *Plane {
+// Members are a tier's nodes by role. Masters[i] masters cfg.Classes[i], or
+// the one class when cfg.Classes is empty.
+type Members struct {
+	Masters, Slaves, Spares []replica.Peer
+}
+
+// Assemble puts a tier together and returns its plane, stopped: add any
+// further jobs, then Start it. It builds the primary scheduler and
+// cfg.PeerSchedulers standbys over the tables cfg.SchemaDDL creates (only
+// the primary admits, with cfg.Admission; every committed version fans out
+// to the others), builds the plane over them, and adds m by role. rewire
+// installs a master's replication subscriber set; alive is the caller's
+// local liveness knowledge, nil for none.
+func Assemble(cfg Config, m Members, rewire func(master replica.Peer, subs []replica.Peer) error, alive func(replica.Peer) bool) (*Plane, error) {
 	cfg = cfg.withDefaults()
+	if len(m.Masters) != max(len(cfg.Classes), 1) {
+		return nil, fmt.Errorf("cluster: %d masters for %d conflict classes", len(m.Masters), max(len(cfg.Classes), 1))
+	}
+	// The catalog: table ids are the schema's creation order, the same on
+	// every node.
+	cat := heap.NewEngine(heap.Options{})
+	for _, ddl := range cfg.SchemaDDL {
+		if err := exec.ExecDDL(cat, ddl); err != nil {
+			return nil, fmt.Errorf("cluster: schema: %w", err)
+		}
+	}
 	tl := cfg.Obs.Timeline()
 	if tl == nil {
 		tl = obs.NewTimeline()
 	}
 	registerEventMetrics(cfg.Obs, tl)
-	return &Plane{
+	p := &Plane{
 		cfg:                cfg,
-		scheds:             scheds,
 		rewire:             rewire,
 		alive:              alive,
 		members:            make(map[string]*member, 16),
@@ -100,33 +125,63 @@ func NewPlane(cfg Config, scheds []*scheduler.Scheduler, rewire func(master repl
 		scrubMet:           newScrubMetrics(cfg.Obs),
 		stop:               make(chan struct{}),
 	}
-}
-
-// AddMaster promotes n to master of conflict class ci and installs it on
-// every scheduler.
-func (p *Plane) AddMaster(ci int, n replica.Peer) error {
-	if err := n.Promote(p.Scheduler().ClassTables(ci)); err != nil {
-		return err
+	for si := 0; si <= cfg.PeerSchedulers; si++ {
+		opts := scheduler.Options{
+			Classes:         cfg.Classes,
+			VersionAffinity: !cfg.NoVersionAffinity,
+			MaxRetries:      cfg.MaxRetries,
+			WarmupShare:     cfg.WarmupShare,
+			OnCommit:        cfg.OnCommit,
+			OnPeerFailure:   func(id string) { go p.ReportFailure(id) },
+			Seed:            cfg.Seed + int64(si),
+			Obs:             cfg.Obs,
+			Flight:          cfg.Flight,
+		}
+		if si == 0 {
+			// Only the primary admits traffic; standbys must not count
+			// occupancy they never see, or a take-over would inherit a
+			// queue full of ghosts.
+			opts.Admission = cfg.Admission
+		}
+		sched, err := scheduler.New(opts, cat.NumTables(), cat.TableID)
+		if err != nil {
+			return nil, err
+		}
+		p.scheds = append(p.scheds, sched)
 	}
-	p.setMember(n, &member{peer: n, classID: ci})
-	p.eachSched(func(s *scheduler.Scheduler) { s.SetMaster(ci, n) })
-	return nil
-}
-
-// AddSlave registers n as an active read replica.
-func (p *Plane) AddSlave(n replica.Peer) {
-	p.setMember(n, &member{peer: n, classID: -1})
-	p.eachSched(func(s *scheduler.Scheduler) { s.AddSlave(n) })
-}
-
-// AddSpare registers n as a spare backup.
-func (p *Plane) AddSpare(n replica.Peer) error {
-	if err := n.Demote(replica.RoleSpare); err != nil {
-		return err
+	// Committed versions fan out to the standby schedulers: a standby's
+	// merged vector must cover every acknowledged commit, or a take-over
+	// followed by a master fail-over would roll acknowledged state back.
+	for _, s := range p.scheds {
+		if len(p.scheds) > 1 {
+			s.SetVersionFanout(func(v vclock.Vector) {
+				for _, o := range p.scheds {
+					if o != s {
+						o.ReportVersion(v)
+					}
+				}
+			})
+		}
 	}
-	p.setMember(n, &member{peer: n, classID: -1, isSpare: true})
-	p.eachSched(func(s *scheduler.Scheduler) { s.AddSpare(n) })
-	return nil
+	for ci, n := range m.Masters {
+		if err := n.Promote(p.Scheduler().ClassTables(ci)); err != nil {
+			return nil, fmt.Errorf("cluster: promote %s: %w", n.ID(), err)
+		}
+		p.setMember(n, &member{peer: n, classID: ci})
+		p.eachSched(func(s *scheduler.Scheduler) { s.SetMaster(ci, n) })
+	}
+	for _, n := range m.Slaves {
+		p.setMember(n, &member{peer: n, classID: -1})
+		p.eachSched(func(s *scheduler.Scheduler) { s.AddSlave(n) })
+	}
+	for _, n := range m.Spares {
+		if err := n.Demote(replica.RoleSpare); err != nil {
+			return nil, fmt.Errorf("cluster: spare %s: %w", n.ID(), err)
+		}
+		p.setMember(n, &member{peer: n, classID: -1, isSpare: true})
+		p.eachSched(func(s *scheduler.Scheduler) { s.AddSpare(n) })
+	}
+	return p, nil
 }
 
 // setMember installs (or, for a restarted node, replaces) a member with
@@ -254,6 +309,11 @@ func (p *Plane) KillScheduler() (int, error) {
 	p.primary.Store(int32(next))
 	p.emit(Event{Kind: EventSchedulerSwitch, Node: fmt.Sprintf("scheduler%d", next)})
 	return next, nil
+}
+
+// Run executes one transaction through the primary scheduler.
+func (p *Plane) Run(spec scheduler.TxnSpec, fn func(*scheduler.Txn) error) error {
+	return p.Scheduler().Run(spec, fn)
 }
 
 // Scheduler returns the current primary scheduler (the transaction entry

@@ -10,7 +10,6 @@ import (
 	"dmv/internal/heap"
 	"dmv/internal/page"
 	"dmv/internal/replica"
-	"dmv/internal/scheduler"
 	"dmv/internal/scrub"
 )
 
@@ -58,22 +57,16 @@ func newHookedPlane(t *testing.T) (*Plane, *hookedPeer, *replica.Node) {
 		}
 		nodes = append(nodes, replica.NewNode(replica.Options{ID: id, Engine: eng}))
 	}
-	ref := nodes[0].Engine()
-	sched, err := scheduler.New(scheduler.Options{Seed: 1}, ref.NumTables(), ref.TableID)
-	if err != nil {
-		t.Fatalf("scheduler: %v", err)
-	}
-	p := NewPlane(Config{HeartbeatInterval: time.Hour}, []*scheduler.Scheduler{sched},
+	hooked := &hookedPeer{Peer: nodes[1]}
+	p, err := Assemble(Config{HeartbeatInterval: time.Hour, SchemaDDL: scrubDDL, Seed: 1, NoVersionAffinity: true},
+		Members{Masters: []replica.Peer{nodes[0]}, Slaves: []replica.Peer{hooked, nodes[2]}},
 		func(master replica.Peer, subs []replica.Peer) error {
 			master.(*replica.Node).SetSubscribers(subs)
 			return nil
 		}, nil)
-	hooked := &hookedPeer{Peer: nodes[1]}
-	if err := p.AddMaster(0, nodes[0]); err != nil {
-		t.Fatalf("promote: %v", err)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
 	}
-	p.AddSlave(hooked)
-	p.AddSlave(nodes[2])
 	p.Start()
 	t.Cleanup(p.Close)
 	return p, hooked, nodes[1]

@@ -170,7 +170,7 @@ func Figure3(opts Fig3Opts) ([]Fig3Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			w := tpcw.NewWorkload(harness.DMVStore{C: c}, opts.Scale)
+			w := tpcw.NewWorkload(harness.DMVStore{P: c.Plane}, opts.Scale)
 			// Closed loop: clients scale with tier size so the larger tiers
 			// are offered enough load without queueing so deep that version
 			// drains stall (the paper ramps 100..1000 clients and reports
@@ -337,7 +337,7 @@ func runDMVFailover(name string, scale tpcw.Scale, fc dmvFailoverConfig, d Durat
 	if n, ok := c.Node("spare0"); ok {
 		spare = n.Disk()
 	}
-	w := tpcw.NewWorkload(harness.DMVStore{C: c}, scale)
+	w := tpcw.NewWorkload(harness.DMVStore{P: c.Plane}, scale)
 	var spareResident int
 	done := make(chan struct{})
 	go func() {
@@ -562,7 +562,7 @@ func AblationVersionAffinity(scale tpcw.Scale, d Durations) (withPct, withoutPct
 			return 0, err
 		}
 		defer c.Close()
-		w := tpcw.NewWorkload(harness.DMVStore{C: c}, scale)
+		w := tpcw.NewWorkload(harness.DMVStore{P: c.Plane}, scale)
 		harness.Run(harness.RunConfig{
 			Workload: w,
 			Mix:      tpcw.OrderingMix, // write-heavy: versions move fast

@@ -30,7 +30,7 @@ func newDMVCluster(t *testing.T, slaves, spares int) *cluster.Cluster {
 // against the replicated tier and checks it completes without error.
 func TestAllInteractionsOnDMV(t *testing.T) {
 	c := newDMVCluster(t, 2, 0)
-	w := tpcw.NewWorkload(DMVStore{C: c}, tpcw.SmallScale())
+	w := tpcw.NewWorkload(DMVStore{P: c.Plane}, tpcw.SmallScale())
 	s := w.NewSession(1)
 	for i := tpcw.Home; i <= tpcw.AdminConfirm; i++ {
 		// ShoppingCart first so BuyConfirm has a cart sometimes; the order
@@ -94,7 +94,7 @@ func TestMixUpdateFractions(t *testing.T) {
 // TestClosedLoopRun drives the emulator briefly and sanity-checks metrics.
 func TestClosedLoopRun(t *testing.T) {
 	c := newDMVCluster(t, 2, 0)
-	w := tpcw.NewWorkload(DMVStore{C: c}, tpcw.SmallScale())
+	w := tpcw.NewWorkload(DMVStore{P: c.Plane}, tpcw.SmallScale())
 	res := Run(RunConfig{
 		Workload: w,
 		Mix:      tpcw.ShoppingMix,

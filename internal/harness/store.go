@@ -6,6 +6,8 @@
 package harness
 
 import (
+	"time"
+
 	"dmv/internal/cluster"
 	"dmv/internal/exec"
 	"dmv/internal/heap"
@@ -15,16 +17,24 @@ import (
 	"dmv/internal/value"
 )
 
-// DMVStore adapts a DMV cluster to the TPC-W Store interface.
+// DMVStore adapts a DMV tier, in process or over TCP, to the TPC-W Store
+// interface.
 type DMVStore struct {
-	C *cluster.Cluster
+	P *cluster.Plane
+	// Deadline, when positive, is attached to every transaction as its
+	// give-up time from the moment it is run.
+	Deadline time.Duration
 }
 
 var _ tpcw.Store = DMVStore{}
 
 // Run implements tpcw.Store.
 func (s DMVStore) Run(readOnly bool, tables []string, fn func(tpcw.Querier) error) error {
-	return s.C.Run(scheduler.TxnSpec{ReadOnly: readOnly, Tables: tables}, func(tx *scheduler.Txn) error {
+	spec := scheduler.TxnSpec{ReadOnly: readOnly, Tables: tables}
+	if s.Deadline > 0 {
+		spec.Deadline = time.Now().Add(s.Deadline)
+	}
+	return s.P.Run(spec, func(tx *scheduler.Txn) error {
 		return fn(tx)
 	})
 }

@@ -43,6 +43,11 @@ var (
 	// peer may be alive but slow or partitioned (a gray failure), so
 	// callers treat it as suspicion evidence rather than proof of death.
 	ErrPeerTimeout = errors.New("replica: peer call deadline exceeded")
+	// ErrReplyLost reports a call whose request was sent but whose reply
+	// was lost when the connection failed: the peer may have carried it
+	// out. It comes wrapped with ErrNodeDown, so only a caller that must
+	// not repeat the call (an update commit) needs to look for it.
+	ErrReplyLost = errors.New("replica: request sent, reply lost")
 	// ErrVersionConflict mirrors the storage-level version-inconsistency
 	// abort at the replication API boundary so remote callers can match it.
 	ErrVersionConflict = page.ErrVersionConflict

@@ -347,12 +347,14 @@ func (t *Txn) Commit() error {
 	ver, err := t.peer.TxCommit(t.id)
 	if err != nil {
 		s.commitFence.RUnlock()
-		if errors.Is(err, replica.ErrPeerTimeout) {
-			// The reply was lost to the deadline: the commit may have
-			// happened. Never acknowledged, never reported — so if it did
-			// land, its version sits above every rollback point and the
-			// fail-over discard erases it; if the master survives, the
-			// caller must reconcile. Either way, a blind retry is unsafe.
+		if errors.Is(err, replica.ErrPeerTimeout) || errors.Is(err, replica.ErrReplyLost) {
+			// The reply was lost to the deadline or to a failed connection
+			// after the request went out: the commit may have happened.
+			// Never acknowledged, never reported — so if it did land above
+			// every acknowledged version, a fail-over discard erases it;
+			// if the master survives, or a later acknowledged commit
+			// covers its version, the caller must reconcile. Either way, a
+			// blind retry is unsafe.
 			s.reportFailure(t.peer.ID())
 			s.flight.Trigger(flight.CauseCommitUncertain, t.peer.ID(), err.Error())
 			return fmt.Errorf("%w: %v", ErrCommitUncertain, err)

@@ -52,36 +52,32 @@ func (i Interaction) IsUpdate() bool {
 }
 
 // Tables returns the table set the interaction touches; the scheduler uses
-// it for conflict-class routing.
+// it for conflict-class routing. The slice is shared by every call: callers
+// must not modify it.
 func (i Interaction) Tables() []string {
-	switch i {
-	case Home:
-		return []string{"customer", "item"}
-	case NewProducts:
-		return []string{"item", "author"}
-	case BestSellers:
-		return []string{"order_line", "orders", "item", "author"}
-	case ProductDetail, AdminRequest:
-		return []string{"item", "author"}
-	case SearchRequest:
-		return []string{"country"}
-	case SearchResults:
-		return []string{"item", "author"}
-	case ShoppingCart:
-		return []string{"item"}
-	case CustomerRegistration:
-		return []string{"customer", "address"}
-	case BuyRequest:
-		return []string{"customer", "address", "country"}
-	case BuyConfirm:
-		return []string{"orders", "order_line", "item", "cc_xacts", "customer"}
-	case OrderInquiry, OrderDisplay:
-		return []string{"customer", "orders", "order_line", "item"}
-	case AdminConfirm:
-		return []string{"item"}
-	default:
+	if i < Home || i > AdminConfirm {
 		return nil
 	}
+	return interactionTables[i]
+}
+
+// interactionTables holds each interaction's table set, indexed by
+// interaction.
+var interactionTables = [numInteractions + 1][]string{
+	Home:                 {"customer", "item"},
+	NewProducts:          {"item", "author"},
+	BestSellers:          {"order_line", "orders", "item", "author"},
+	ProductDetail:        {"item", "author"},
+	SearchRequest:        {"country"},
+	SearchResults:        {"item", "author"},
+	ShoppingCart:         {"item"},
+	CustomerRegistration: {"customer", "address"},
+	BuyRequest:           {"customer", "address", "country"},
+	BuyConfirm:           {"orders", "order_line", "item", "cc_xacts", "customer"},
+	OrderInquiry:         {"customer", "orders", "order_line", "item"},
+	OrderDisplay:         {"customer", "orders", "order_line", "item"},
+	AdminRequest:         {"item", "author"},
+	AdminConfirm:         {"item"},
 }
 
 // Mix is a probability distribution over the interactions. Weights need not

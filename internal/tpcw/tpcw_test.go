@@ -135,6 +135,23 @@ func TestInteractionTablesCoverSQL(t *testing.T) {
 	}
 }
 
+// tablesSink keeps TestInteractionTablesAllocs's results on the heap, as a
+// scheduler that routes by them would.
+var tablesSink []string
+
+// TestInteractionTablesAllocs: routing an interaction allocates nothing;
+// each table set is one shared slice.
+func TestInteractionTablesAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		for it := Home; it <= AdminConfirm; it++ {
+			tablesSink = it.Tables()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Tables allocates %v times per pass over the interactions, want 0", allocs)
+	}
+}
+
 // storeOverEngine adapts a single engine to the Store interface for
 // workload-only tests.
 type storeOverEngine struct{ e *heap.Engine }

@@ -363,7 +363,9 @@ func (pc *pendingCall) expire() {
 }
 
 // fail marks the connection failed and closes it; every pending call ends
-// with ErrNodeDown. The first failure's cause is kept.
+// with ErrNodeDown, and one whose request was written also with
+// ErrReplyLost, since the peer may have carried it out. The first failure's
+// cause is kept.
 func (c *clientConn) fail(cause error) {
 	c.mu.Lock()
 	if c.err == nil {
@@ -375,6 +377,9 @@ func (c *clientConn) fail(cause error) {
 	_ = c.w.Close()
 	for _, e := range pending {
 		e.call.err = err
+		if e.sent {
+			e.call.err = fmt.Errorf("%w: %w", replica.ErrReplyLost, err)
+		}
 		e.call.done <- struct{}{}
 	}
 }

@@ -58,7 +58,7 @@ func TestOverloadDuringPartitionedFailover(t *testing.T) {
 		})
 		return n, srv.Addr()
 	}
-	mNode, mAddr := mk("m")
+	_, mAddr := mk("m")
 	_, s1Addr := mk("s1")
 	_, s2Addr := mk("s2")
 
@@ -86,26 +86,16 @@ func TestOverloadDuringPartitionedFailover(t *testing.T) {
 	// or under its cap throughout the partition.
 	const slots, queueCap, workers = 2, 2, 12
 	reg := obs.New()
-	ref := mNode.Engine()
-	sched, err := scheduler.New(scheduler.Options{
-		Seed:       seed,
-		MaxRetries: 2,
-		Obs:        reg,
-		Admission:  scheduler.AdmissionOptions{Slots: slots, QueueCap: queueCap, TargetSojourn: 2 * time.Millisecond, Interval: 20 * time.Millisecond},
-	}, ref.NumTables(), ref.TableID)
-	if err != nil {
-		t.Fatalf("scheduler: %v", err)
-	}
-	plane := cluster.NewPlane(cluster.Config{
+	plane, err := cluster.Assemble(remoteTierConfig(cluster.Config{
 		HeartbeatInterval: 25 * time.Millisecond,
 		PingTimeout:       80 * time.Millisecond,
+		Admission:         scheduler.AdmissionOptions{Slots: slots, QueueCap: queueCap, TargetSojourn: 2 * time.Millisecond, Interval: 20 * time.Millisecond},
 		Obs:               reg,
-	}, []*scheduler.Scheduler{sched}, Rewire, nil)
-	if err := plane.AddMaster(0, rm); err != nil {
-		t.Fatalf("promote: %v", err)
+	}, seed), cluster.Members{Masters: []replica.Peer{rm}, Slaves: []replica.Peer{rs1, rs2}}, Rewire, nil)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
 	}
-	plane.AddSlave(rs1)
-	plane.AddSlave(rs2)
+	sched := plane.Scheduler()
 	plane.Start()
 	defer plane.Close()
 

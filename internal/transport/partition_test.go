@@ -78,7 +78,7 @@ func runPartitionScenario(t *testing.T, seed int64) (timeline []string, acked in
 		})
 		return n, srv.Addr()
 	}
-	mNode, mAddr := mk("m")
+	_, mAddr := mk("m")
 	_, s1Addr := mk("s1")
 	_, s2Addr := mk("s2")
 
@@ -102,20 +102,14 @@ func runPartitionScenario(t *testing.T, seed int64) (timeline []string, acked in
 	if err != nil {
 		t.Fatalf("dial s2: %v", err)
 	}
-	ref := mNode.Engine()
-	sched, err := scheduler.New(scheduler.Options{Seed: seed, MaxRetries: 2}, ref.NumTables(), ref.TableID)
-	if err != nil {
-		t.Fatalf("scheduler: %v", err)
-	}
-	plane := cluster.NewPlane(cluster.Config{
+	plane, err := cluster.Assemble(remoteTierConfig(cluster.Config{
 		HeartbeatInterval: 25 * time.Millisecond,
 		PingTimeout:       80 * time.Millisecond,
-	}, []*scheduler.Scheduler{sched}, Rewire, nil)
-	if err := plane.AddMaster(0, rm); err != nil {
-		t.Fatalf("promote: %v", err)
+	}, seed), cluster.Members{Masters: []replica.Peer{rm}, Slaves: []replica.Peer{rs1, rs2}}, Rewire, nil)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
 	}
-	plane.AddSlave(rs1)
-	plane.AddSlave(rs2)
+	sched := plane.Scheduler()
 	plane.Start()
 	defer plane.Close()
 

@@ -22,8 +22,8 @@ var planeTestConfig = cluster.Config{
 
 // remoteTier is the deployed shape in one process: three nodes served over
 // faultnet-policed loopback TCP and the shared control plane driving them
-// through RemoteNodes, wired exactly as cmd/dmv-scheduler wires it. The
-// node ids are those cluster.New gives a one-master two-slave tier.
+// through RemoteNodes, assembled exactly as cmd/dmv-scheduler assembles it.
+// The node ids are those cluster.New gives a one-master two-slave tier.
 type remoteTier struct {
 	nw    *faultnet.Network
 	nodes map[string]*replica.Node // server side
@@ -39,26 +39,38 @@ const subCallTimeout = time.Second
 func newRemoteTier(t *testing.T, seed int64) *remoteTier {
 	t.Helper()
 	tr := &remoteTier{nw: faultnet.New(seed), nodes: make(map[string]*replica.Node, 3)}
-	var peers []*RemoteNode
+	var peers []replica.Peer
 	for _, id := range []string{"master0", "slave0", "slave1"} {
 		peers = append(peers, tr.serve(t, newAcctNode(t, id, 0), seed))
 	}
+	tr.assemble(t, remoteTierConfig(planeTestConfig, seed), cluster.Members{Masters: peers[:1], Slaves: peers[1:]})
+	return tr
+}
 
-	ref := tr.nodes["master0"].Engine()
+// acctDDL is the schema newAcctNode creates.
+var acctDDL = []string{`CREATE TABLE acct (id INT PRIMARY KEY, bal INT)`}
+
+// remoteTierConfig is cfg with the acct schema, the test's seed, two retries
+// and version affinity off: the scheduler the seeded remote timelines and
+// event logs were recorded under.
+func remoteTierConfig(cfg cluster.Config, seed int64) cluster.Config {
+	cfg.SchemaDDL = acctDDL
+	cfg.Seed, cfg.MaxRetries, cfg.NoVersionAffinity = seed, 2, true
+	return cfg
+}
+
+// assemble puts the tier together over m with cluster.Assemble, as
+// cmd/dmv-scheduler does, and starts its plane.
+func (tr *remoteTier) assemble(t *testing.T, cfg cluster.Config, m cluster.Members) {
+	t.Helper()
 	var err error
-	tr.sched, err = scheduler.New(scheduler.Options{Seed: seed, MaxRetries: 2}, ref.NumTables(), ref.TableID)
+	tr.plane, err = cluster.Assemble(cfg, m, Rewire, nil)
 	if err != nil {
-		t.Fatalf("scheduler: %v", err)
+		t.Fatalf("assemble: %v", err)
 	}
-	tr.plane = cluster.NewPlane(planeTestConfig, []*scheduler.Scheduler{tr.sched}, Rewire, nil)
-	if err := tr.plane.AddMaster(0, peers[0]); err != nil {
-		t.Fatalf("promote: %v", err)
-	}
-	tr.plane.AddSlave(peers[1])
-	tr.plane.AddSlave(peers[2])
+	tr.sched = tr.plane.Scheduler()
 	tr.plane.Start()
 	t.Cleanup(tr.plane.Close)
-	return tr
 }
 
 // serve serves n over the tier's faultnet loopback, its subscriber

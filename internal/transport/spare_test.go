@@ -19,13 +19,13 @@ import (
 
 // newSpareTier is the remote tier with a spare: master0, slave0 and spare0
 // over faultnet loopback, each with a buffer cache and the given statement
-// service time, under a plane built from cfg and a scheduler admitting
-// with cfg.Admission, wired as cmd/dmv-scheduler wires them.
+// service time, under a tier assembled from cfg, whose scheduler admits
+// with cfg.Admission, as cmd/dmv-scheduler assembles it.
 func newSpareTier(t *testing.T, cfg cluster.Config, service time.Duration) *remoteTier {
 	t.Helper()
 	const seed = 7
 	tr := &remoteTier{nw: faultnet.New(seed), nodes: make(map[string]*replica.Node, 3)}
-	var peers []*RemoteNode
+	var peers []replica.Peer
 	for _, id := range []string{"master0", "slave0", "spare0"} {
 		n := newAcctNodeWith(t, replica.Options{
 			ID:   id,
@@ -33,22 +33,7 @@ func newSpareTier(t *testing.T, cfg cluster.Config, service time.Duration) *remo
 		})
 		peers = append(peers, tr.serve(t, n, seed))
 	}
-	ref := tr.nodes["master0"].Engine()
-	var err error
-	tr.sched, err = scheduler.New(scheduler.Options{Seed: seed, MaxRetries: 2, Admission: cfg.Admission}, ref.NumTables(), ref.TableID)
-	if err != nil {
-		t.Fatalf("scheduler: %v", err)
-	}
-	tr.plane = cluster.NewPlane(cfg, []*scheduler.Scheduler{tr.sched}, Rewire, nil)
-	if err := tr.plane.AddMaster(0, peers[0]); err != nil {
-		t.Fatalf("promote: %v", err)
-	}
-	tr.plane.AddSlave(peers[1])
-	if err := tr.plane.AddSpare(peers[2]); err != nil {
-		t.Fatalf("add spare: %v", err)
-	}
-	tr.plane.Start()
-	t.Cleanup(tr.plane.Close)
+	tr.assemble(t, remoteTierConfig(cfg, seed), cluster.Members{Masters: peers[:1], Slaves: peers[1:2], Spares: peers[2:]})
 	return tr
 }
 

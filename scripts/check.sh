@@ -64,7 +64,7 @@ echo "==> faultnet chaos leg (seeded partitions, RPC deadlines, gray-failure det
 # byte-for-byte: rerun the named test with the same seed from the source.
 go test -race -count=1 ./internal/faultnet/
 go test -tags dmvdebug -race -count=1 \
-	-run 'TestPartitionedMasterFailover|TestStalledPeerDeadline|TestReconnectAfterConnDrop|TestRetryBudgetExhausted|TestOverloadDuringPartitionedFailover|TestRemotePlane|TestSetSubscribersReusesAndClosesClients|TestReadTxnRoundTrips|TestExpiredCommitReleasesSession|TestReadBegin|TestReadCommitAfterDeadlineMatchesInProcess' \
+	-run 'TestPartitionedMasterFailover|TestStalledPeerDeadline|TestReconnectAfterConnDrop|TestRetryBudgetExhausted|TestOverloadDuringPartitionedFailover|TestRemotePlane|TestSetSubscribersReusesAndClosesClients|TestReadTxnRoundTrips|TestExpiredCommitReleasesSession|TestReadBegin|TestReadCommitAfterDeadlineMatchesInProcess|TestTwoClassRemoteTier|TestCommitReplyLostIsUncertain' \
 	./internal/transport/
 # The call multiplexer: a timed-out call keeps the connection, and a late
 # reply is never taken for another call's. Ten runs, since a crossed reply
