@@ -161,6 +161,33 @@ func Run(tx heap.Txn, text string, params ...value.Value) (*Result, error) {
 	return p.Exec(tx, params)
 }
 
+// LoggedStmt is one update statement of a committed transaction, as the
+// scheduler hands it to the persistence tier and the on-disk baseline's
+// binlog keeps it.
+type LoggedStmt struct {
+	Text   string
+	Params []value.Value
+}
+
+// Replay runs stmts as one update transaction on e and commits it; the
+// first failing statement rolls it back. Every replay of a statement log
+// goes through it. It charges no cost model: each caller charges its own.
+func Replay(e *heap.Engine, stmts []LoggedStmt) error {
+	tx := e.BeginUpdate()
+	for _, s := range stmts {
+		p, err := Cached(s.Text)
+		if err == nil {
+			_, err = p.Exec(tx, s.Params)
+		}
+		if err != nil {
+			_ = tx.Rollback()
+			return err
+		}
+	}
+	_, err := tx.Commit(nil)
+	return err
+}
+
 // ExecDDL applies CREATE TABLE / CREATE INDEX directly to an engine. A
 // PRIMARY KEY column implies a unique index named pk_<table>.
 func ExecDDL(e *heap.Engine, text string) error {

@@ -9,12 +9,9 @@ import (
 	"time"
 
 	"dmv/internal/cluster"
-	"dmv/internal/exec"
-	"dmv/internal/heap"
 	"dmv/internal/innodb"
 	"dmv/internal/scheduler"
 	"dmv/internal/tpcw"
-	"dmv/internal/value"
 )
 
 // DMVStore adapts a DMV tier, in process or over TCP, to the TPC-W Store
@@ -46,26 +43,13 @@ type InnoDBStore struct {
 
 var _ tpcw.Store = InnoDBStore{}
 
-type dbQuerier struct {
-	db *innodb.DB
-	tx heap.Txn
-}
-
-// Exec implements tpcw.Querier.
-func (q dbQuerier) Exec(stmt string, params ...value.Value) (*exec.Result, error) {
-	return q.db.Exec(q.tx, stmt, params...)
-}
-
 // Run implements tpcw.Store.
 func (s InnoDBStore) Run(readOnly bool, _ []string, fn func(tpcw.Querier) error) error {
+	run := func(q *innodb.Session) error { return fn(q) }
 	if readOnly {
-		return s.DB.ReadTxn(func(tx heap.Txn) error {
-			return fn(dbQuerier{db: s.DB, tx: tx})
-		})
+		return s.DB.ReadTxn(run)
 	}
-	return s.DB.UpdateTxn(func(tx heap.Txn) error {
-		return fn(dbQuerier{db: s.DB, tx: tx})
-	})
+	return s.DB.UpdateTxn(run)
 }
 
 // InnoDBTierStore adapts the replicated InnoDB baseline (the Figure 5a/b
@@ -78,20 +62,9 @@ var _ tpcw.Store = InnoDBTierStore{}
 
 // Run implements tpcw.Store.
 func (s InnoDBTierStore) Run(readOnly bool, tables []string, fn func(tpcw.Querier) error) error {
-	wrap := func(q innodb.Querier) error {
-		return fn(querierAdapter{q})
-	}
+	run := func(q *innodb.Session) error { return fn(q) }
 	if readOnly {
-		return s.T.Read(wrap)
+		return s.T.Read(run)
 	}
-	return s.T.Update(tables, wrap)
-}
-
-type querierAdapter struct {
-	q innodb.Querier
-}
-
-// Exec implements tpcw.Querier.
-func (a querierAdapter) Exec(stmt string, params ...value.Value) (*exec.Result, error) {
-	return a.q.Exec(stmt, params...)
+	return s.T.Update(tables, run)
 }

@@ -4,6 +4,12 @@
 // synthetic disk (page-miss latency), a WAL fsync per commit, serializable
 // locking, and a binary log for statement-based replication.
 //
+// Every transaction, on a DB or through the tier, runs a callback over one
+// Session: its Exec charges ReadStmt per read statement and counts an
+// update transaction's statements for the UpdateStmts charged after its
+// commit. Replaying logged statements goes through exec.Replay, the same
+// function the persistence tier applies its query log with.
+//
 // It also implements the replicated-InnoDB tier used as the fail-over
 // baseline in Section 6.3: a conflict-aware scheduler keeps N active nodes
 // consistent by executing every update on all of them (write-all/read-one),
@@ -90,61 +96,85 @@ func (db *DB) Alive() bool { return db.alive.Load() }
 // Kill fail-stops the node.
 func (db *DB) Kill() { db.alive.Store(false) }
 
-// Exec runs one statement in the given transaction, resolving its text
-// through the shared statement cache.
-func (db *DB) Exec(tx heap.Txn, text string, params ...value.Value) (*exec.Result, error) {
-	p, err := exec.Cached(text)
+// Session is one transaction on a DB, handed to the callbacks of ReadTxn,
+// UpdateTxn and the tier's Read and Update.
+type Session struct {
+	db     *DB
+	tx     heap.Txn
+	n      int               // statements run, charged as UpdateStmts after commit
+	record bool              // keep the update statements in logged
+	logged []exec.LoggedStmt // the transaction's update statements, for replication
+}
+
+// Exec runs one statement in the session's transaction, resolving its text
+// through the shared statement cache. A read transaction charges ReadStmt
+// before each statement; an update transaction's statements are charged in
+// one piece after it commits.
+func (s *Session) Exec(stmt string, params ...value.Value) (*exec.Result, error) {
+	p, err := exec.Cached(stmt)
 	if err != nil {
 		return nil, err
 	}
-	if ct, ok := tx.(*countedTxn); ok {
-		// Update statements are charged at commit by UpdateTxn. The
-		// executor's cursors read the UpdateTx itself.
-		ct.n.n++
-		tx = ct.Txn
-	} else if tx.ReadOnly() {
-		db.Disk.ReadStmt()
+	if s.tx.ReadOnly() {
+		s.db.Disk.ReadStmt()
+	} else {
+		s.n++
 	}
-	return p.Exec(tx, params)
+	res, err := p.Exec(s.tx, params)
+	if err != nil {
+		return nil, err
+	}
+	if s.record && !p.ReadOnly() {
+		s.logged = append(s.logged, exec.LoggedStmt{Text: stmt, Params: params})
+	}
+	return res, nil
 }
+
+func (db *DB) errDown() error { return fmt.Errorf("innodb %s: node down", db.ID) }
 
 // ReadTxn runs fn in a read-only transaction over the latest state.
-func (db *DB) ReadTxn(fn func(tx heap.Txn) error) error {
+func (db *DB) ReadTxn(fn func(*Session) error) error {
 	if !db.Alive() {
-		return fmt.Errorf("innodb %s: node down", db.ID)
+		return db.errDown()
 	}
-	return fn(db.Eng.BeginRead(nil))
+	return fn(&Session{db: db, tx: db.Eng.BeginRead(nil)})
 }
 
-// UpdateTxn runs fn in an update transaction and commits (charging the
-// fsync cost).
-func (db *DB) UpdateTxn(fn func(tx heap.Txn) error) error {
+// UpdateTxn runs fn in an update transaction and commits it (the engine
+// charges the fsync), then charges the statements fn ran.
+func (db *DB) UpdateTxn(fn func(*Session) error) error {
+	_, err := db.update(fn, false)
+	return err
+}
+
+// update is UpdateTxn; with record set it also returns the committed
+// transaction's update statements.
+func (db *DB) update(fn func(*Session) error, record bool) ([]exec.LoggedStmt, error) {
 	if !db.Alive() {
-		return fmt.Errorf("innodb %s: node down", db.ID)
+		return nil, db.errDown()
 	}
 	tx := db.Eng.BeginUpdate()
-	stmts := &stmtCounter{}
-	if err := fn(&countedTxn{Txn: tx, n: stmts}); err != nil {
+	s := &Session{db: db, tx: tx, record: record}
+	if err := fn(s); err != nil {
 		_ = tx.Rollback()
-		return err
+		return nil, err
 	}
 	if _, err := tx.Commit(nil); err != nil {
-		return err
+		return nil, err
 	}
-	db.Disk.UpdateStmts(stmts.n)
-	return nil
+	db.Disk.UpdateStmts(s.n)
+	return s.logged, nil
 }
 
-// stmtCounter counts statements executed in an update transaction; the
-// count is charged to the node's CPU after commit.
-type stmtCounter struct{ n int }
-
-// countedTxn is a pass-through heap.Txn; DB.Exec cannot see transaction
-// boundaries, so the statement count lives here. Only the methods the
-// executor calls per statement bump the counter meaningfully; counting per
-// row operation would double-charge multi-row statements, so the count is
-// bumped by Exec below instead.
-type countedTxn struct {
-	heap.Txn
-	n *stmtCounter
+// replay runs a logged transaction's statements as one update transaction
+// and charges them like UpdateTxn does.
+func (db *DB) replay(stmts []exec.LoggedStmt) error {
+	if !db.Alive() {
+		return db.errDown()
+	}
+	if err := exec.Replay(db.Eng, stmts); err != nil {
+		return err
+	}
+	db.Disk.UpdateStmts(len(stmts))
+	return nil
 }

@@ -27,8 +27,8 @@ func seed(e *heap.Engine) error {
 func readKV(t *testing.T, db *DB, k int64) int64 {
 	t.Helper()
 	var out int64
-	err := db.ReadTxn(func(tx heap.Txn) error {
-		res, err := db.Exec(tx, `SELECT v FROM kv WHERE k = ?`, value.NewInt(k))
+	err := db.ReadTxn(func(q *Session) error {
+		res, err := q.Exec(`SELECT v FROM kv WHERE k = ?`, value.NewInt(k))
 		if err != nil {
 			return err
 		}
@@ -43,7 +43,7 @@ func readKV(t *testing.T, db *DB, k int64) int64 {
 	return out
 }
 
-func writeKV(t *testing.T, q Querier, k, v int64) {
+func writeKV(t *testing.T, q *Session, k, v int64) {
 	t.Helper()
 	if _, err := q.Exec(`UPDATE kv SET v = ? WHERE k = ?`, value.NewInt(v), value.NewInt(k)); err != nil {
 		t.Fatalf("write: %v", err)
@@ -55,8 +55,8 @@ func TestCommitChargesFsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = db.UpdateTxn(func(tx heap.Txn) error {
-		_, err := db.Exec(tx, `UPDATE kv SET v = 1 WHERE k = 1`)
+	err = db.UpdateTxn(func(q *Session) error {
+		_, err := q.Exec(`UPDATE kv SET v = 1 WHERE k = 1`)
 		return err
 	})
 	if err != nil {
@@ -80,7 +80,7 @@ func TestTierWriteAllKeepsActivesConsistent(t *testing.T) {
 	defer tier.Close()
 
 	for i := 1; i <= 30; i++ {
-		err := tier.Update([]string{"kv"}, func(q Querier) error {
+		err := tier.Update([]string{"kv"}, func(q *Session) error {
 			writeKV(t, q, int64(i%10+1), int64(i))
 			return nil
 		})
@@ -91,7 +91,7 @@ func TestTierWriteAllKeepsActivesConsistent(t *testing.T) {
 	// Reads round-robin over both actives; both must agree on every key.
 	values := map[int64][]int64{}
 	for i := 0; i < 20; i++ {
-		err := tier.Read(func(q Querier) error {
+		err := tier.Read(func(q *Session) error {
 			for k := int64(1); k <= 10; k++ {
 				res, err := q.Exec(`SELECT v FROM kv WHERE k = ?`, value.NewInt(k))
 				if err != nil {
@@ -126,7 +126,7 @@ func TestTierConflictAwareSerialization(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				err := tier.Update([]string{"kv"}, func(q Querier) error {
+				err := tier.Update([]string{"kv"}, func(q *Session) error {
 					res, err := q.Exec(`SELECT v FROM kv WHERE k = 1`)
 					if err != nil {
 						return err
@@ -145,7 +145,7 @@ func TestTierConflictAwareSerialization(t *testing.T) {
 	wg.Wait()
 	// Read-modify-write under the per-class lock: no lost updates.
 	var final int64
-	err = tier.Read(func(q Querier) error {
+	err = tier.Read(func(q *Session) error {
 		res, err := q.Exec(`SELECT v FROM kv WHERE k = 1`)
 		if err != nil {
 			return err
@@ -174,7 +174,7 @@ func TestTierFailoverReplaysBinlog(t *testing.T) {
 	}
 	defer tier.Close()
 	for i := 1; i <= 25; i++ {
-		err := tier.Update([]string{"kv"}, func(q Querier) error {
+		err := tier.Update([]string{"kv"}, func(q *Session) error {
 			writeKV(t, q, 5, int64(i))
 			return nil
 		})
@@ -200,7 +200,7 @@ func TestTierFailoverReplaysBinlog(t *testing.T) {
 	// The promoted spare serves consistent reads.
 	seen := map[int64]bool{}
 	for i := 0; i < 10; i++ {
-		err := tier.Read(func(q Querier) error {
+		err := tier.Read(func(q *Session) error {
 			res, err := q.Exec(`SELECT v FROM kv WHERE k = 5`)
 			if err != nil {
 				return err
@@ -231,7 +231,7 @@ func TestSpareRefreshTrimsReplayWork(t *testing.T) {
 	}
 	defer tier.Close()
 	for i := 1; i <= 10; i++ {
-		err := tier.Update([]string{"kv"}, func(q Querier) error {
+		err := tier.Update([]string{"kv"}, func(q *Session) error {
 			writeKV(t, q, 1, int64(i))
 			return nil
 		})
@@ -293,9 +293,9 @@ func TestStatementChargePlacement(t *testing.T) {
 	readKV(t, db, 1)
 	expect("read statement", stmt)
 
-	err = db.UpdateTxn(func(tx heap.Txn) error {
+	err = db.UpdateTxn(func(q *Session) error {
 		for k := int64(1); k <= 3; k++ {
-			if _, err := db.Exec(tx, `UPDATE kv SET v = 1 WHERE k = ?`, value.NewInt(k)); err != nil {
+			if _, err := q.Exec(`UPDATE kv SET v = 1 WHERE k = ?`, value.NewInt(k)); err != nil {
 				return err
 			}
 		}
@@ -310,8 +310,8 @@ func TestStatementChargePlacement(t *testing.T) {
 	expect("3-statement update", 3*upd)
 
 	errAbort := fmt.Errorf("abort")
-	err = db.UpdateTxn(func(tx heap.Txn) error {
-		if _, err := db.Exec(tx, `UPDATE kv SET v = 2 WHERE k = 1`); err != nil {
+	err = db.UpdateTxn(func(q *Session) error {
+		if _, err := q.Exec(`UPDATE kv SET v = 2 WHERE k = 1`); err != nil {
 			return err
 		}
 		return errAbort
@@ -320,4 +320,78 @@ func TestStatementChargePlacement(t *testing.T) {
 		t.Fatalf("err = %v, want the transaction's own", err)
 	}
 	expect("rolled-back update")
+
+	// The tier: the primary pays every statement of an update transaction
+	// (its reads too) once after commit, each other active pays the update
+	// statements replicated to it, a rolled-back update pays nothing, and
+	// fail-over pays one log read for the whole binlog suffix before each
+	// record's statements. No heartbeat fires: the test drives fail-over.
+	const replay = 5 * time.Millisecond
+	tier, err := NewTier(TierConfig{Actives: 2, WithSpare: true, Heartbeat: time.Hour, DDL: testDDL, Load: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier.Close()
+	byNode := map[string][]time.Duration{}
+	for _, db := range append(append([]*DB(nil), tier.actives...), tier.spare) {
+		db.Disk = simdisk.New(simdisk.CostModel{Stmt: stmt, UpdateStmt: upd, ReplayRead: replay}, 0,
+			simdisk.WithSleeper(func(d time.Duration) { byNode[db.ID] = append(byNode[db.ID], d) }))
+	}
+	expectTier := func(what string, want map[string][]time.Duration) {
+		t.Helper()
+		if fmt.Sprint(byNode) != fmt.Sprint(want) {
+			t.Fatalf("%s: charges %v, want %v", what, byNode, want)
+		}
+		byNode = map[string][]time.Duration{}
+	}
+
+	err = tier.Update([]string{"kv"}, func(q *Session) error {
+		if _, err := q.Exec(`SELECT v FROM kv WHERE k = 1`); err != nil {
+			return err
+		}
+		writeKV(t, q, 1, 10)
+		writeKV(t, q, 2, 20)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectTier("tier update", map[string][]time.Duration{
+		"inno-active0": {3 * upd}, "inno-active1": {2 * upd}})
+
+	err = tier.Update([]string{"kv"}, func(q *Session) error {
+		writeKV(t, q, 3, 30)
+		return errAbort
+	})
+	if err != errAbort {
+		t.Fatalf("err = %v, want the transaction's own", err)
+	}
+	expectTier("rolled-back tier update", map[string][]time.Duration{})
+
+	err = tier.Read(func(q *Session) error {
+		_, err := q.Exec(`SELECT v FROM kv WHERE k = 1`)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectTier("tier read", map[string][]time.Duration{"inno-active1": {stmt}})
+
+	err = tier.Update([]string{"kv"}, func(q *Session) error {
+		writeKV(t, q, 4, 40)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectTier("second tier update", map[string][]time.Duration{
+		"inno-active0": {upd}, "inno-active1": {upd}})
+
+	tier.KillActive(0)
+	tier.failover(0)
+	expectTier("fail-over replay", map[string][]time.Duration{
+		"inno-spare": {3 * replay, 2 * upd, upd}})
+	if got := readKV(t, tier.actives[1], 4); got != 40 {
+		t.Fatalf("promoted spare reads %d, want 40", got)
+	}
 }

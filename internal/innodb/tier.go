@@ -10,26 +10,10 @@ import (
 
 	"dmv/internal/exec"
 	"dmv/internal/heap"
-	"dmv/internal/value"
 )
 
 // ErrTierClosed reports use of a closed tier.
 var ErrTierClosed = errors.New("innodb: tier closed")
-
-// Querier executes statements inside a tier transaction.
-type Querier interface {
-	Exec(stmt string, params ...value.Value) (*exec.Result, error)
-}
-
-// binRec is one committed update transaction in the binary log.
-type binRec struct {
-	stmts []loggedStmt
-}
-
-type loggedStmt struct {
-	text   string
-	params []value.Value
-}
 
 // FailoverStages records the fail-over timing breakdown of the baseline
 // (compare Figure 6: the DB-update/replay stage dominates).
@@ -69,7 +53,7 @@ type Tier struct {
 	spare   *DB
 
 	binMu    sync.Mutex
-	binlog   []binRec
+	binlog   [][]exec.LoggedStmt // one committed update transaction each
 	sparePos int
 
 	lockMu     sync.Mutex
@@ -190,93 +174,42 @@ func (t *Tier) liveActives() []*DB {
 	return out
 }
 
-// recordingQuerier executes against one node while recording update
-// statements for statement-based replication to the other actives.
-type recordingQuerier struct {
-	db     *DB
-	tx     heap.Txn
-	logged []loggedStmt
-	nStmts int
-}
-
-// Exec implements Querier.
-func (q *recordingQuerier) Exec(stmt string, params ...value.Value) (*exec.Result, error) {
-	q.nStmts++
-	res, err := q.db.Exec(q.tx, stmt, params...)
-	if err != nil {
-		return nil, err
-	}
-	p, perr := exec.Cached(stmt)
-	if perr == nil && !p.ReadOnly() {
-		q.logged = append(q.logged, loggedStmt{text: stmt, params: params})
-	}
-	return res, nil
-}
-
 // Update runs fn as an update transaction. The conflict-aware scheduler
 // serializes conflicting classes (per-table locks); the transaction executes
 // on the first live active and its update statements replay synchronously on
 // the remaining actives (write-all), then land in the binlog.
-func (t *Tier) Update(tables []string, fn func(q Querier) error) error {
+func (t *Tier) Update(tables []string, fn func(*Session) error) error {
 	unlock := t.lockTables(tables)
 	defer unlock()
 	actives := t.liveActives()
 	if len(actives) == 0 {
 		return ErrNoActives
 	}
-	primary := actives[0]
-	tx := primary.Eng.BeginUpdate()
-	q := &recordingQuerier{db: primary, tx: tx}
-	if err := fn(q); err != nil {
-		_ = tx.Rollback()
+	logged, err := actives[0].update(fn, true)
+	if err != nil {
 		return err
 	}
-	if _, err := tx.Commit(nil); err != nil {
-		return err
-	}
-	primary.Disk.UpdateStmts(q.nStmts)
 	// Statement-based replication to the other actives.
 	for _, db := range actives[1:] {
-		err := db.UpdateTxn(func(tx heap.Txn) error {
-			for _, s := range q.logged {
-				if _, err := db.Exec(tx, s.text, s.params...); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil && db.Alive() {
+		if err := db.replay(logged); err != nil && db.Alive() {
 			return fmt.Errorf("replicate to %s: %w", db.ID, err)
 		}
 	}
-	if len(q.logged) > 0 {
+	if len(logged) > 0 {
 		t.binMu.Lock()
-		t.binlog = append(t.binlog, binRec{stmts: q.logged})
+		t.binlog = append(t.binlog, logged)
 		t.binMu.Unlock()
 	}
 	return nil
 }
 
-type plainQuerier struct {
-	db *DB
-	tx heap.Txn
-}
-
-// Exec implements Querier.
-func (q *plainQuerier) Exec(stmt string, params ...value.Value) (*exec.Result, error) {
-	return q.db.Exec(q.tx, stmt, params...)
-}
-
 // Read runs fn as a read-only transaction on one active (round-robin).
-func (t *Tier) Read(fn func(q Querier) error) error {
+func (t *Tier) Read(fn func(*Session) error) error {
 	actives := t.liveActives()
 	if len(actives) == 0 {
 		return ErrNoActives
 	}
-	db := actives[int(t.rrSeq.Add(1))%len(actives)]
-	return db.ReadTxn(func(tx heap.Txn) error {
-		return fn(&plainQuerier{db: db, tx: tx})
-	})
+	return actives[int(t.rrSeq.Add(1))%len(actives)].ReadTxn(fn)
 }
 
 // monitor detects failed actives and fails over onto the spare.
@@ -324,26 +257,16 @@ func (t *Tier) refreshSpare() {
 
 func (t *Tier) replayOnto(db *DB) (int, error) {
 	t.binMu.Lock()
-	recs := append([]binRec(nil), t.binlog[t.sparePos:]...)
+	recs := append([][]exec.LoggedStmt(nil), t.binlog[t.sparePos:]...)
 	t.binMu.Unlock()
 	nStmts := 0
 	for _, r := range recs {
-		nStmts += len(r.stmts)
+		nStmts += len(r)
 	}
 	// Reading the log back from disk is the dominant baseline cost.
-	if db.Disk != nil {
-		db.Disk.ReplayRead(nStmts)
-	}
+	db.Disk.ReplayRead(nStmts)
 	for _, r := range recs {
-		err := db.UpdateTxn(func(tx heap.Txn) error {
-			for _, s := range r.stmts {
-				if _, err := db.Exec(tx, s.text, s.params...); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
+		if err := db.replay(r); err != nil {
 			return nStmts, err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"dmv/internal/exec"
 	"dmv/internal/scheduler"
 	"dmv/internal/value"
 	"dmv/internal/vclock"
@@ -49,7 +50,7 @@ func DecodeRecord(buf []byte) (scheduler.CommitRecord, error) {
 	for i := range rec.Version {
 		rec.Version[i] = d.Uvarint()
 	}
-	rec.Stmts = make([]scheduler.LoggedStmt, d.Count())
+	rec.Stmts = make([]exec.LoggedStmt, d.Count())
 	for i := range rec.Stmts {
 		s := &rec.Stmts[i]
 		s.Text = d.String()

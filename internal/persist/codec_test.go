@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dmv/internal/exec"
 	"dmv/internal/scheduler"
 	"dmv/internal/value"
 	"dmv/internal/vclock"
@@ -13,7 +14,7 @@ import (
 // goldenRecord holds one param of every value kind.
 var goldenRecord = scheduler.CommitRecord{
 	Version: vclock.Vector{3, 0, 300},
-	Stmts: []scheduler.LoggedStmt{{
+	Stmts: []exec.LoggedStmt{{
 		Text:   "UPDATE t SET a=?,b=?,c=? WHERE d=?",
 		Params: []value.Value{value.NewInt(-300), value.NewFloat(12.5), value.NewString("héllo"), value.NewNull()},
 	}},
@@ -75,7 +76,7 @@ func TestDecodeRecordTruncated(t *testing.T) {
 func FuzzDecodeRecord(f *testing.F) {
 	f.Add(goldenBytes)
 	// A one-statement record with one Float param, cut inside the float.
-	f.Add(EncodeRecord(scheduler.CommitRecord{Stmts: []scheduler.LoggedStmt{{
+	f.Add(EncodeRecord(scheduler.CommitRecord{Stmts: []exec.LoggedStmt{{
 		Text: "x", Params: []value.Value{value.NewFloat(1.5)}}}})[:9])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"dmv/internal/exec"
 	"dmv/internal/heap"
 	"dmv/internal/innodb"
 	"dmv/internal/obs"
@@ -250,7 +251,7 @@ func RestoreBackend(id string, costs simdisk.CostModel, cacheCap int, ddl []stri
 // the persistence tier recovered).
 func ReplayInto(e *heap.Engine, recs []scheduler.CommitRecord) error {
 	for i, rec := range recs {
-		if err := applyOne(e, rec); err != nil {
+		if err := exec.Replay(e, rec.Stmts); err != nil {
 			return fmt.Errorf("persist: replay record %d: %w", i, err)
 		}
 	}

@@ -331,7 +331,7 @@ func (t *Tier) applier() {
 				rec := t.log[idx-t.base]
 				t.mu.Unlock()
 				b.applyMu.Lock()
-				err := applyOne(b.Eng, rec)
+				err := exec.Replay(b.Eng, rec.Stmts)
 				b.applyMu.Unlock()
 				if err != nil {
 					// Quarantine: freeze the applied mark so the log keeps
@@ -386,25 +386,6 @@ func (t *Tier) maybeCheckpoint() {
 	}
 }
 
-// applyOne executes one commit record's statements on e as one update
-// transaction. The applier and Recover call it with the backend's applyMu
-// held; ReplayInto calls it on a node engine.
-func applyOne(e *heap.Engine, rec scheduler.CommitRecord) error {
-	tx := e.BeginUpdate()
-	for _, s := range rec.Stmts {
-		p, err := exec.Cached(s.Text)
-		if err == nil {
-			_, err = p.Exec(tx, s.Params)
-		}
-		if err != nil {
-			_ = tx.Rollback()
-			return err
-		}
-	}
-	_, err := tx.Commit(nil)
-	return err
-}
-
 // Recover brings a stale backend up to date by replaying the missing suffix
 // of the query log, charging the backend's replay-read disk cost, and
 // clears its quarantine once it has fully caught up. Returns the number of
@@ -445,7 +426,7 @@ func (t *Tier) Recover(b *Backend) (int, error) {
 		rec := t.log[i-t.base]
 		t.mu.Unlock()
 		b.applyMu.Lock()
-		err := applyOne(b.Eng, rec)
+		err := exec.Replay(b.Eng, rec.Stmts)
 		b.applyMu.Unlock()
 		if err != nil {
 			t.errs.Inc()

@@ -1,8 +1,10 @@
 package persist
 
 import (
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"dmv/internal/exec"
 	"dmv/internal/heap"
@@ -25,12 +27,12 @@ func seed(e *heap.Engine) error {
 	return e.Load(tid, rows)
 }
 
-func rec(ver uint64, stmts ...scheduler.LoggedStmt) scheduler.CommitRecord {
+func rec(ver uint64, stmts ...exec.LoggedStmt) scheduler.CommitRecord {
 	return scheduler.CommitRecord{Version: vclock.Vector{ver}, Stmts: stmts}
 }
 
-func set(k, v int64) scheduler.LoggedStmt {
-	return scheduler.LoggedStmt{
+func set(k, v int64) exec.LoggedStmt {
+	return exec.LoggedStmt{
 		Text:   `UPDATE kv SET v = ? WHERE k = ?`,
 		Params: []value.Value{value.NewInt(v), value.NewInt(k)},
 	}
@@ -167,7 +169,7 @@ func TestApplyErrorQuarantinesBackend(t *testing.T) {
 	})
 	defer tier.Close()
 	tier.OnCommit(rec(1, set(1, 1)))
-	tier.OnCommit(rec(2, scheduler.LoggedStmt{
+	tier.OnCommit(rec(2, exec.LoggedStmt{
 		Text:   `INSERT INTO extra (k, v) VALUES (?, ?)`,
 		Params: []value.Value{value.NewInt(1), value.NewInt(1)},
 	}))
@@ -206,5 +208,50 @@ func TestApplyErrorQuarantinesBackend(t *testing.T) {
 	}
 	if got := narrow.Applied(); got != 1 {
 		t.Fatalf("applied mark moved to %d during failed recover, want 1", got)
+	}
+}
+
+// TestReplayChargePlacement pins the persistence tier's disk charges: the
+// applier charges a backend nothing per applied record, and Recover charges
+// one log read for the whole missing suffix before replaying it.
+func TestReplayChargePlacement(t *testing.T) {
+	const replay = 5 * time.Millisecond
+	var mu sync.Mutex
+	var charges []time.Duration
+	recorded := func(id string) *Backend {
+		b := newBackend(t, id)
+		b.Disk = simdisk.New(simdisk.CostModel{Stmt: time.Millisecond, UpdateStmt: 2 * time.Millisecond, ReplayRead: replay}, 0,
+			simdisk.WithSleeper(func(d time.Duration) {
+				mu.Lock()
+				charges = append(charges, d)
+				mu.Unlock()
+			}))
+		return b
+	}
+	expect := func(what string, want ...time.Duration) {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		if fmt.Sprint(charges) != fmt.Sprint(want) {
+			t.Fatalf("%s: charges %v, want %v", what, charges, want)
+		}
+		charges = nil
+	}
+
+	online := recorded("online")
+	tier := NewTier(Options{Backends: []*Backend{online}})
+	defer tier.Close()
+	tier.OnCommit(rec(1, set(1, 1), set(2, 2)))
+	tier.OnCommit(rec(2, set(3, 3)))
+	tier.Flush()
+	expect("applied records")
+
+	stale := recorded("stale")
+	if n, err := tier.Recover(stale); err != nil || n != 2 {
+		t.Fatalf("recover = %d, %v; want 2 records", n, err)
+	}
+	expect("recover", 3*replay)
+	if got := kvValue(t, stale, 3); got != 3 {
+		t.Fatalf("recovered value = %d, want 3", got)
 	}
 }

@@ -15,10 +15,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dmv/internal/exec"
 	"dmv/internal/obs"
 	"dmv/internal/obs/flight"
 	"dmv/internal/replica"
-	"dmv/internal/value"
 	"dmv/internal/vclock"
 )
 
@@ -47,16 +47,11 @@ type ConflictClass struct {
 	Tables []string
 }
 
-// LoggedStmt is one update statement captured for the persistence tier.
-type LoggedStmt struct {
-	Text   string
-	Params []value.Value
-}
-
-// CommitRecord is what the scheduler logs per committed update transaction.
+// CommitRecord is what the scheduler logs per committed update transaction:
+// its version and its update statements, in execution order.
 type CommitRecord struct {
 	Version vclock.Vector
-	Stmts   []LoggedStmt
+	Stmts   []exec.LoggedStmt
 }
 
 // Options configure a scheduler.

@@ -43,7 +43,7 @@ type Txn struct {
 	id       uint64
 	readOnly bool
 	version  vclock.Vector
-	logged   []LoggedStmt
+	logged   []exec.LoggedStmt // update statements, kept only for Options.OnCommit
 	done     bool
 	deadline time.Time // caller's give-up time (zero = unbounded)
 	release  func()    // admission slot release (nil without admission control)
@@ -62,8 +62,8 @@ func (t *Txn) Exec(stmt string, params ...value.Value) (*exec.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !t.readOnly && isUpdateStmt(stmt) {
-		t.logged = append(t.logged, LoggedStmt{Text: stmt, Params: params})
+	if !t.readOnly && t.sched.opts.OnCommit != nil && isUpdateStmt(stmt) {
+		t.logged = append(t.logged, exec.LoggedStmt{Text: stmt, Params: params})
 	}
 	return res, nil
 }

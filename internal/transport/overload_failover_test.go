@@ -24,7 +24,10 @@ import (
 //
 //   - zero acked-commit loss — every increment acknowledged to a caller is
 //     in the surviving master's state after fail-over, even though most
-//     arrivals were being shed or abandoned around it;
+//     arrivals were being shed or abandoned around it, and nothing beyond
+//     the increments whose commit came back uncertain (ErrCommitUncertain:
+//     the master may have applied them and shipped them on before the
+//     partition) is there either;
 //   - bounded queue memory — the admission queue depth never exceeds its
 //     configured cap while the stampede piles onto a dead master.
 func TestOverloadDuringPartitionedFailover(t *testing.T) {
@@ -110,10 +113,11 @@ func TestOverloadDuringPartitionedFailover(t *testing.T) {
 	}
 
 	var (
-		ackedN   atomic.Int64
-		shedSeen atomic.Int64
-		stop     = make(chan struct{})
-		wg       sync.WaitGroup
+		ackedN     atomic.Int64
+		uncertainN atomic.Int64
+		shedSeen   atomic.Int64
+		stop       = make(chan struct{})
+		wg         sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -129,6 +133,8 @@ func TestOverloadDuringPartitionedFailover(t *testing.T) {
 				switch {
 				case err == nil:
 					ackedN.Add(1)
+				case errors.Is(err, scheduler.ErrCommitUncertain):
+					uncertainN.Add(1)
 				case errors.Is(err, scheduler.ErrOverloaded):
 					shedSeen.Add(1)
 					// Honor the fast-reject hint, as a real client must: a
@@ -185,7 +191,7 @@ func TestOverloadDuringPartitionedFailover(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	acked := ackedN.Load()
+	acked, uncertain := ackedN.Load(), uncertainN.Load()
 
 	txID, err := newMaster.TxBegin(true, nil, 0, obs.TraceContext{})
 	if err != nil {
@@ -200,8 +206,9 @@ func TestOverloadDuringPartitionedFailover(t *testing.T) {
 	}
 	final := res.Rows[0][0].AsInt()
 
-	if final != acked {
-		t.Fatalf("acked-commit loss under overload: %d acknowledged, %d applied", acked, final)
+	t.Logf("%d acknowledged, %d uncertain, %d applied", acked, uncertain, final)
+	if final < acked || final > acked+uncertain {
+		t.Fatalf("acked-commit loss or phantom under overload: %d acknowledged, %d uncertain, %d applied", acked, uncertain, final)
 	}
 	if shedSeen.Load() == 0 {
 		t.Fatalf("admission never shed: %d workers against %d slots should overload", workers, slots)

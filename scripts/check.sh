@@ -28,6 +28,16 @@ if grep -n 'time\.Sleep' $(find internal/replica internal/innodb -name '*.go' ! 
 	exit 1
 fi
 
+echo "==> no heap.Txn decorators in production code"
+# An engine's sessions hold their heap.Txn as a field; a type that embeds
+# one wraps the storage transaction the executor reads through, and the
+# on-disk engine's statement counter was the last such wrapper. The
+# benchmark's probes, outside the module's production code, may.
+if grep -n -E '^[[:space:]]+heap\.Txn[[:space:]]*(//.*)?$' $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' ! -path './.bench_build/*'); then
+	echo "production code embeds heap.Txn (hold it as a field instead)" >&2
+	exit 1
+fi
+
 echo "==> gofmt"
 unformatted=$(gofmt -l .)
 [ -z "$unformatted" ] || { echo "gofmt -l lists unformatted files:" >&2; echo "$unformatted" >&2; exit 1; }
@@ -140,11 +150,12 @@ echo "==> allocation ceilings (no -race, no dmvdebug)"
 # instrument and seal-check, and allocate, so TestWireAllocs,
 # TestUpdateCommitAllocs, TestApplyUnchangedKeysAllocs, TestIndexEntryAllocs,
 # TestApplyWriteSetAllocs and TestPageBytes do not run under them and no
-# other leg runs them. TestValueLayout pins the 32-byte Value every stored
+# other leg runs them. TestUpdateTxnAllocs pins a scheduler update
+# transaction that no OnCommit subscriber logs. TestValueLayout pins the 32-byte Value every stored
 # column costs; TestPageBytes the 320 bytes a page of 8 rows costs beside
 # its rows.
-go test -count=1 -run 'TestWireAllocs|TestUpdateCommitAllocs|TestApplyUnchangedKeysAllocs|TestIndexEntryAllocs|TestApplyWriteSetAllocs|TestStatementAllocs|TestPointLookupAllocs|TestValueLayout|TestPageBytes' \
-	./internal/transport/ ./internal/heap/ ./internal/exec/ ./internal/value/ ./internal/page/
+go test -count=1 -run 'TestWireAllocs|TestUpdateCommitAllocs|TestApplyUnchangedKeysAllocs|TestIndexEntryAllocs|TestApplyWriteSetAllocs|TestStatementAllocs|TestPointLookupAllocs|TestValueLayout|TestPageBytes|TestUpdateTxnAllocs' \
+	./internal/transport/ ./internal/heap/ ./internal/exec/ ./internal/value/ ./internal/page/ ./internal/scheduler/
 
 echo "==> go test -race"
 go test -race -count=1 ./...
