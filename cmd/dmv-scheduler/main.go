@@ -40,6 +40,7 @@ import (
 	"dmv/internal/persist"
 	"dmv/internal/replica"
 	"dmv/internal/scheduler"
+	"dmv/internal/simdisk"
 	"dmv/internal/tpcw"
 	"dmv/internal/transport"
 	"dmv/internal/wal"
@@ -170,35 +171,34 @@ func run(args []string) error {
 
 	// Durable commit log: every committed update transaction is appended to
 	// the WAL (group-committed under -wal-flush=always) before the client
-	// sees the ack, so a scheduler crash loses no acknowledged commits —
-	// the recovered log seeds a fresh tier or replays onto rebuilt nodes.
+	// sees the ack, so the log keeps every acknowledged commit across a
+	// scheduler crash. A restart reopens the log and appends to it; the
+	// nodes are dmv-node processes, which load the initial image, so
+	// nothing is replayed into them.
 	var onCommit func(scheduler.CommitRecord)
 	if *walDir != "" {
 		policy, perr := wal.ParsePolicy(*walFlush)
 		if perr != nil {
 			return perr
 		}
-		rlog, lerr := persist.OpenLog(persist.DurableConfig{
+		tier, _, terr := persist.Open(persist.DurableConfig{
 			Dir:           *walDir,
 			Policy:        policy,
 			FlushInterval: *walEvery,
 			Obs:           reg,
 			Flight:        rec,
-		})
-		if lerr != nil {
-			return fmt.Errorf("wal: %w", lerr)
-		}
-		log.Printf("wal: %s recovered %d records (base %d, %d torn bytes truncated), policy %s",
-			*walDir, len(rlog.Records), rlog.Base, rlog.TruncatedBytes, policy)
-		tier := persist.NewTier(persist.Options{
-			Log:    rlog,
+		}, persist.Options{
 			Obs:    reg,
 			Flight: rec,
 			OnError: func(err error) {
 				log.Printf("wal: durability error: %v", err)
 			},
-		})
+		}, 0, simdisk.CostModel{}, nil, nil)
+		if terr != nil {
+			return fmt.Errorf("wal: %w", terr)
+		}
 		defer tier.Close()
+		log.Printf("wal: %s holds %d commits, policy %s", *walDir, tier.LogLen(), policy)
 		onCommit = tier.OnCommit
 	}
 	var scrubIDs []int

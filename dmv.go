@@ -122,11 +122,9 @@ type Config struct {
 
 // Cluster is an open DMV database cluster.
 type Cluster struct {
-	inner    *cluster.Cluster
-	tier     *persist.Tier
-	backs    []*persist.Backend
-	restored bool // nodes were rebuilt from the WAL during Open
-	closing  bool
+	inner   *cluster.Cluster
+	tier    *persist.Tier
+	closing bool
 }
 
 // Tx is a running transaction. Use Exec for statements without result rows
@@ -280,89 +278,26 @@ func Open(cfg Config) (*Cluster, error) {
 	}
 
 	// Optional persistence tier; a WAL directory makes it crash-durable and
-	// implies at least one backend.
+	// implies at least one backend. persist.Open rebuilds it from the
+	// directory after a crash, and every node loads through its loader: the
+	// recovered base state with the logged suffix replayed on it.
 	if cfg.WALDir != "" && cfg.PersistBackends <= 0 {
 		cfg.PersistBackends = 1
 	}
 	var onCommit func(scheduler.CommitRecord)
 	if cfg.PersistBackends > 0 {
-		backendCosts := simdisk.OnDisk(200*time.Microsecond, 200*time.Microsecond, 100*time.Microsecond)
-		var rlog *persist.RecoveredLog
-		if cfg.WALDir != "" {
-			policy, err := wal.ParsePolicy(cfg.WALFlushPolicy)
-			if err != nil {
-				return nil, err
-			}
-			rlog, err = persist.OpenLog(persist.DurableConfig{
-				Dir:           cfg.WALDir,
-				Policy:        policy,
-				FlushInterval: cfg.WALFlushInterval,
-			})
-			if err != nil {
-				return nil, err
-			}
+		policy, err := wal.ParsePolicy(cfg.WALFlushPolicy)
+		if err != nil {
+			return nil, err
 		}
-		for i := 0; i < cfg.PersistBackends; i++ {
-			id := fmt.Sprintf("disk%d", i)
-			var b *persist.Backend
-			var err error
-			if rlog != nil {
-				if cp := rlog.Checkpoint(id); cp != nil {
-					b, err = persist.RestoreBackend(id, backendCosts, 0, cfg.Schema, cp)
-				}
-			}
-			if b == nil && err == nil {
-				b, err = persist.NewBackend(id, backendCosts, 0, cfg.Schema, load)
-			}
-			if err != nil {
-				if rlog != nil {
-					rlog.WAL.Close()
-				}
-				return nil, err
-			}
-			c.backs = append(c.backs, b)
+		c.tier, load, err = persist.Open(
+			persist.DurableConfig{Dir: cfg.WALDir, Policy: policy, FlushInterval: cfg.WALFlushInterval},
+			persist.Options{CheckpointEvery: cfg.WALCheckpointEvery}, cfg.PersistBackends,
+			simdisk.OnDisk(200*time.Microsecond, 200*time.Microsecond, 100*time.Microsecond), cfg.Schema, load)
+		if err != nil {
+			return nil, err
 		}
-		c.tier = persist.NewTier(persist.Options{
-			Backends:        c.backs,
-			Log:             rlog,
-			CheckpointEvery: cfg.WALCheckpointEvery,
-		})
 		onCommit = c.tier.OnCommit
-
-		// Crash restart: rebuild every in-memory node from the recovered
-		// durable state instead of the pristine initial image. With no
-		// checkpoint the WAL holds all of history, so the initial load plus
-		// full replay reproduces it; past a checkpoint the min-applied
-		// backend's manifest is the state at the log base and replay covers
-		// the suffix. Every node executes the identical statement sequence,
-		// so versions tick identically across the cluster.
-		if rlog != nil && (rlog.Base > 0 || len(rlog.Records) > 0) {
-			c.restored = true
-			userLoad := load
-			records := rlog.Records
-			var baseCp *persist.BackendCheckpoint
-			if rlog.Base > 0 {
-				if _, id := rlog.MinApplied(); id != "" {
-					baseCp = rlog.Checkpoint(id)
-				}
-				if baseCp == nil || baseCp.Applied != rlog.Base {
-					c.tier.Close()
-					return nil, fmt.Errorf("dmv: wal base %d has no matching checkpoint manifest", rlog.Base)
-				}
-			}
-			load = func(e *heap.Engine) error {
-				if baseCp != nil {
-					if err := e.RestoreCheckpoint(baseCp.Checkpoint); err != nil {
-						return err
-					}
-				} else if userLoad != nil {
-					if err := userLoad(e); err != nil {
-						return err
-					}
-				}
-				return persist.ReplayInto(e, records)
-			}
-		}
 	}
 
 	mode := cluster.SpareHot
@@ -396,18 +331,6 @@ func Open(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c.inner = inner
-	// After a crash restart the nodes carry the replayed page versions, but
-	// the scheduler's merged frontier starts at zero — readers tagged with
-	// it would demand long-overwritten versions. Adopt the recovered
-	// frontier from any live node (replay ran identically on all of them).
-	if c.restored {
-		for _, id := range inner.NodeIDs() {
-			if n, ok := inner.Node(id); ok && n.Alive() {
-				inner.Scheduler().ReportVersion(n.Engine().AppliedVersions())
-				break
-			}
-		}
-	}
 	return c, nil
 }
 
@@ -580,9 +503,11 @@ func (c *Cluster) CheckpointPersistence() (int, error) {
 
 // PersistenceApplied returns per-backend applied-transaction counts.
 func (c *Cluster) PersistenceApplied() []int {
-	out := make([]int, len(c.backs))
-	for i, b := range c.backs {
-		out[i] = b.Applied()
+	out := []int{}
+	if c.tier != nil {
+		for _, b := range c.tier.Backends() {
+			out = append(out, b.Applied())
+		}
 	}
 	return out
 }

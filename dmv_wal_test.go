@@ -1,6 +1,8 @@
 package dmv_test
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"dmv"
@@ -122,4 +124,118 @@ func TestClusterRestartAfterCheckpoint(t *testing.T) {
 	if got := c2.Stats().PersistLogged; got != 45 {
 		t.Fatalf("restarted log len = %d, want 45 (global index survives truncation)", got)
 	}
+}
+
+// blobConfig is a durable cluster over dir with n persistence backends and
+// a kv table of wide values, so a few thousand inserts fill WAL segments.
+func blobConfig(dir string, n int) dmv.Config {
+	return dmv.Config{
+		Slaves:          1,
+		WALDir:          dir,
+		WALFlushPolicy:  "never",
+		PersistBackends: n,
+		Schema:          []string{`CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(2000))`},
+	}
+}
+
+func insertBlobs(t *testing.T, c *dmv.Cluster, from, n, size int) {
+	t.Helper()
+	v := strings.Repeat("x", size)
+	for k := from; k < from+n; k++ {
+		if err := c.Update([]string{"kv"}, func(tx *dmv.Tx) error {
+			_, err := tx.Exec(`INSERT INTO kv (k, v) VALUES (?, ?)`, k, v)
+			return err
+		}); err != nil {
+			t.Fatalf("insert %d: %v", k, err)
+		}
+	}
+}
+
+func checkpointAt(t *testing.T, c *dmv.Cluster, want int) {
+	t.Helper()
+	c.FlushPersistence()
+	cut, err := c.CheckpointPersistence()
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if cut != want {
+		t.Fatalf("cut = %d, want %d", cut, want)
+	}
+}
+
+func rowCount(t *testing.T, c *dmv.Cluster) int64 {
+	t.Helper()
+	var n int64
+	if err := c.Read([]string{"kv"}, func(tx *dmv.Tx) error {
+		rows, err := tx.Query(`SELECT COUNT(*) FROM kv`)
+		if err != nil {
+			return err
+		}
+		n = rows.Int(0, 0)
+		return nil
+	}); err != nil {
+		t.Fatalf("count: %v", err)
+	}
+	return n
+}
+
+// TestRestartAfterRemovingBackend: a backend dropped from the tier leaves
+// its manifest behind, and a later checkpoint of the remaining backend
+// frees the segments that manifest would need. The leftover manifest is
+// not a backend the tier builds, so it must not be the recovery base.
+func TestRestartAfterRemovingBackend(t *testing.T) {
+	dir := t.TempDir()
+	c, err := dmv.Open(blobConfig(dir, 2))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	insertBlobs(t, c, 0, 5, 10)
+	checkpointAt(t, c, 5)
+	c.Close()
+
+	c, err = dmv.Open(blobConfig(dir, 1))
+	if err != nil {
+		t.Fatalf("reopen with one backend: %v", err)
+	}
+	insertBlobs(t, c, 5, 1595, 1000)
+	checkpointAt(t, c, 1600)
+	c.Close()
+
+	c, err = dmv.Open(blobConfig(dir, 1))
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer c.Close()
+	if got := rowCount(t, c); got != 1600 {
+		t.Fatalf("restarted rows = %d, want 1600", got)
+	}
+	if got := c.Stats().PersistLogged; got != 1600 {
+		t.Fatalf("restarted log len = %d, want 1600", got)
+	}
+}
+
+// TestBackendAddedAfterCheckpoint: a backend added on a restart past a
+// checkpoint starts from the recovered base, applies the log with the
+// others and lets the next checkpoint move the cut.
+func TestBackendAddedAfterCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	c, err := dmv.Open(blobConfig(dir, 1))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	insertBlobs(t, c, 0, 5, 10)
+	checkpointAt(t, c, 5)
+	c.Close()
+
+	c, err = dmv.Open(blobConfig(dir, 2))
+	if err != nil {
+		t.Fatalf("reopen with two backends: %v", err)
+	}
+	defer c.Close()
+	insertBlobs(t, c, 5, 3, 10)
+	c.FlushPersistence()
+	if got := c.PersistenceApplied(); !slices.Equal(got, []int{8, 8}) {
+		t.Fatalf("applied = %v, want [8 8]", got)
+	}
+	checkpointAt(t, c, 8)
 }

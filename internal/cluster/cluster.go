@@ -261,6 +261,14 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c.Plane = p
+	// A loaded image may already hold committed versions (a whole-tier
+	// restart replays the durable log into every node). Every scheduler,
+	// standbys included, starts at the masters' frontier, or a reader it
+	// tags would ask for versions the nodes have overwritten.
+	for _, n := range m.Masters {
+		v := n.(*replica.Node).Engine().AppliedVersions()
+		p.eachSched(func(s *scheduler.Scheduler) { s.ReportVersion(v) })
+	}
 	for _, id := range c.NodeIDs() {
 		n, _ := c.Node(id)
 		c.registerLagGauges(id, n.Engine().TableNames())

@@ -9,11 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"dmv/internal/exec"
 	"dmv/internal/heap"
 	"dmv/internal/obs"
 	"dmv/internal/replica"
 	"dmv/internal/scheduler"
 	"dmv/internal/value"
+	"dmv/internal/vclock"
 )
 
 var testDDL = []string{
@@ -97,6 +99,34 @@ func TestAssembleWantsOneMasterPerClass(t *testing.T) {
 	for _, m := range [][]replica.Peer{nil, {n}, {n, n, n}} {
 		if _, err := Assemble(Config{Classes: classes, SchemaDDL: testDDL}, Members{Masters: m}, nil, nil); err == nil {
 			t.Errorf("Assemble with %d masters for 2 classes succeeded", len(m))
+		}
+	}
+}
+
+// TestLoadedFrontierSeedsEveryScheduler: an image that already holds a
+// committed update (a whole-tier restart replays its durable log into every
+// node) is the frontier of every scheduler, the standbys' included, or a
+// standby taking over would tag readers with versions the nodes have
+// overwritten.
+func TestLoadedFrontierSeedsEveryScheduler(t *testing.T) {
+	load := testLoad(10)
+	c := newTestCluster(t, Config{Slaves: 1, PeerSchedulers: 1, Load: func(e *heap.Engine) error {
+		if err := load(e); err != nil {
+			return err
+		}
+		return exec.Replay(e, []exec.LoggedStmt{{Text: `UPDATE account SET a_balance = 7 WHERE a_id = 1`}})
+	}})
+	master, _ := c.Node(c.MasterID(0))
+	applied := master.Engine().AppliedVersions()
+	if applied.Equal(vclock.New(len(applied))) {
+		t.Fatalf("master applied %v after a committed update in Load", applied)
+	}
+	if len(c.scheds) != 2 {
+		t.Fatalf("%d schedulers, want a primary and one standby", len(c.scheds))
+	}
+	for i, s := range c.scheds {
+		if got := s.Latest(); !got.DominatesOrEqual(applied) {
+			t.Errorf("scheduler %d latest %v does not cover the loaded frontier %v", i, got, applied)
 		}
 	}
 }

@@ -14,6 +14,9 @@ import (
 
 	"dmv/internal/exec"
 	"dmv/internal/faultdisk"
+	"dmv/internal/heap"
+	"dmv/internal/scheduler"
+	"dmv/internal/simdisk"
 	"dmv/internal/wal"
 )
 
@@ -21,7 +24,13 @@ import (
 // state fingerprint that two runs of the same seed must reproduce exactly.
 func kvDigest(t *testing.T, b *Backend) string {
 	t.Helper()
-	tx := b.Eng.BeginRead(nil)
+	return engineDigest(t, b.Eng)
+}
+
+// engineDigest is kvDigest over any engine holding the kv table.
+func engineDigest(t *testing.T, e *heap.Engine) string {
+	t.Helper()
+	tx := e.BeginRead(nil)
 	res, err := exec.Run(tx, `SELECT k, v FROM kv`)
 	if err != nil {
 		t.Fatalf("dump: %v", err)
@@ -111,6 +120,87 @@ func TestSeededCrashDeterminism(t *testing.T) {
 	}
 }
 
+// TestWholeTierRestartUnderFaultdisk crashes a two-backend tier on a seeded
+// faultdisk, past a checkpoint and with a volatile suffix on lying fsyncs,
+// and restarts it through Open: every acknowledged commit comes back, and a
+// node engine built by Open's loader and each backend hold the same state,
+// that of the recovered prefix of the commits.
+func TestWholeTierRestartUnderFaultdisk(t *testing.T) {
+	for _, diskSeed := range []int64{1, 42, 7777} {
+		dir := t.TempDir()
+		disk := faultdisk.New(diskSeed)
+		rng := rand.New(rand.NewSource(diskSeed))
+		cfg := DurableConfig{Dir: dir, FS: disk, Policy: wal.SyncAlways}
+		open := func() (*Tier, func(*heap.Engine) error) {
+			t.Helper()
+			tier, load, err := Open(cfg, Options{}, 2, simdisk.CostModel{}, testDDL, seed)
+			if err != nil {
+				t.Fatalf("seed %d: open: %v", diskSeed, err)
+			}
+			return tier, load
+		}
+		var all []scheduler.CommitRecord
+		commit := func(tier *Tier, n int) {
+			for i := 0; i < n; i++ {
+				r := rec(uint64(len(all)+1), set(int64(rng.Intn(10)+1), int64(rng.Intn(1000))))
+				all = append(all, r)
+				tier.OnCommit(r)
+			}
+		}
+
+		tier, _ := open()
+		commit(tier, 20)
+		tier.Flush()
+		if _, err := tier.Checkpoint(); err != nil {
+			t.Fatalf("seed %d: checkpoint: %v", diskSeed, err)
+		}
+		commit(tier, 15)
+		acked := len(all)
+		disk.LoseSyncs(true)
+		commit(tier, 5+rng.Intn(10))
+		if err := disk.Crash(); err != nil {
+			t.Fatalf("seed %d: crash: %v", diskSeed, err)
+		}
+		tier.Close()
+
+		disk.PowerOn()
+		tier, load := open()
+		tier.Flush()
+		n := tier.LogLen()
+		if n < acked || n > len(all) {
+			t.Fatalf("seed %d: recovered %d records, want %d..%d", diskSeed, n, acked, len(all))
+		}
+		ref := newBackend(t, "ref")
+		for _, r := range all[:n] {
+			if err := exec.Replay(ref.Eng, r.Stmts); err != nil {
+				t.Fatalf("seed %d: reference replay: %v", diskSeed, err)
+			}
+		}
+		want := kvDigest(t, ref)
+		node := heap.NewEngine(heap.Options{})
+		for _, ddl := range testDDL {
+			if err := exec.ExecDDL(node, ddl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := load(node); err != nil {
+			t.Fatalf("seed %d: node load: %v", diskSeed, err)
+		}
+		if got := engineDigest(t, node); got != want {
+			t.Errorf("seed %d: node built by the loader diverges from the %d recovered commits", diskSeed, n)
+		}
+		for _, b := range tier.Backends() {
+			if got := b.Applied(); got != n {
+				t.Errorf("seed %d: backend %s applied %d, want %d", diskSeed, b.ID, got, n)
+			}
+			if got := kvDigest(t, b); got != want {
+				t.Errorf("seed %d: backend %s diverges from the %d recovered commits", diskSeed, b.ID, n)
+			}
+		}
+		tier.Close()
+	}
+}
+
 func TestMidLogCorruptionDetected(t *testing.T) {
 	dir := t.TempDir()
 	disk := faultdisk.New(9)
@@ -197,11 +287,11 @@ func TestLogTruncationBoundsMemory(t *testing.T) {
 	if log2.Base != 30 || len(log2.Records) != 10 {
 		t.Fatalf("recovered base=%d n=%d, want 30/10", log2.Base, len(log2.Records))
 	}
-	cp := log2.Checkpoint("d0")
+	cp := log2.checkpoint("d0")
 	if cp == nil || cp.Applied != 30 {
 		t.Fatalf("manifest = %+v, want Applied 30", cp)
 	}
-	restored, err := RestoreBackend("d0", b.Disk.Model(), 0, testDDL, cp)
+	restored, err := restoreBackend("d0", b.Disk.Model(), 0, testDDL, cp)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}

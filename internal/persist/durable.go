@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -71,7 +72,7 @@ func decodeManifest(b []byte) (*BackendCheckpoint, error) {
 	return &BackendCheckpoint{Applied: int(applied), Checkpoint: cp}, nil
 }
 
-// DurableConfig configures OpenLog.
+// DurableConfig configures OpenLog and Open.
 type DurableConfig struct {
 	// Dir is the tier directory (segments + checkpoint manifests).
 	Dir string
@@ -109,24 +110,15 @@ type RecoveredLog struct {
 	checkpoints map[string]*BackendCheckpoint
 }
 
-// Checkpoint returns the recovered manifest for a backend ID, or nil.
-func (r *RecoveredLog) Checkpoint(id string) *BackendCheckpoint {
-	return r.checkpoints[id]
-}
-
-// MinApplied returns the smallest Applied mark among recovered manifests
-// and the ID holding it, or (Base, "") when there are none.
-func (r *RecoveredLog) MinApplied() (int, string) {
-	min, minID := -1, ""
-	for id, cp := range r.checkpoints {
-		if min < 0 || cp.Applied < min {
-			min, minID = cp.Applied, id
-		}
+// checkpoint returns a backend's recovered manifest if the log covers its
+// Applied mark, else nil: a manifest below the base was left by a backend
+// that missed a later truncation, and one past the end holds records the
+// log lost.
+func (r *RecoveredLog) checkpoint(id string) *BackendCheckpoint {
+	if cp := r.checkpoints[id]; cp != nil && cp.Applied >= r.Base && cp.Applied <= r.Base+len(r.Records) {
+		return cp
 	}
-	if min < 0 {
-		return r.Base, ""
-	}
-	return min, minID
+	return nil
 }
 
 // OpenLog opens (or creates) the durable query log in cfg.Dir: recovers
@@ -205,7 +197,13 @@ func (r *RecoveredLog) loadCheckpoints(cfg DurableConfig) error {
 	// Drop the prefix every manifest covers: a backend restored from its
 	// checkpoint replays only from its Applied mark, so records below the
 	// minimum mark are dead weight in memory.
-	if cut, _ := r.MinApplied(); cut > r.Base {
+	cut := -1
+	for _, cp := range r.checkpoints {
+		if cut < 0 || cp.Applied < cut {
+			cut = cp.Applied
+		}
+	}
+	if cut > r.Base {
 		if cut > r.Base+len(r.Records) {
 			return fmt.Errorf("persist: checkpoint applied mark %d beyond log end %d (missing WAL segments)", cut, r.Base+len(r.Records))
 		}
@@ -229,31 +227,98 @@ func readAll(fs wal.FS, path string) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RestoreBackend rebuilds an on-disk backend from a recovered checkpoint
-// manifest: schema only (no initial load — the checkpoint IS the data),
-// then the checkpoint image, with the applied mark set so Recover replays
-// exactly the uncovered suffix.
-func RestoreBackend(id string, costs simdisk.CostModel, cacheCap int, ddl []string, cp *BackendCheckpoint) (*Backend, error) {
-	db, err := innodb.Open(id, innodb.Config{Costs: costs, CacheCapacity: cacheCap}, ddl, nil)
+// Open builds the persistence tier of backends disk0..disk<n-1> and the
+// loader of a node engine that matches it. With an empty cfg.Dir the tier
+// is memory-only and the loader runs load. Otherwise a whole-tier restart
+// resumes from the durable log in cfg.Dir: the base is the lowest Applied
+// mark among these backends' manifests, or the start of history (load)
+// without one. Each backend restores its own manifest, or else the base;
+// the loader gives a node the base state and replays the log suffix.
+// Open sets opts.Backends and opts.Log.
+func Open(cfg DurableConfig, opts Options, n int, costs simdisk.CostModel, ddl []string, load func(*heap.Engine) error) (*Tier, func(*heap.Engine) error, error) {
+	rlog := &RecoveredLog{}
+	if cfg.Dir != "" {
+		var err error
+		if rlog, err = OpenLog(cfg); err != nil {
+			return nil, nil, err
+		}
+		opts.Log = rlog
+	}
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("disk%d", i)
+	}
+	base, err := rlog.rebase(ids)
+	for _, id := range ids {
+		if err != nil {
+			break
+		}
+		var b *Backend
+		if cp := cmp.Or(rlog.checkpoint(id), base); cp != nil {
+			b, err = restoreBackend(id, costs, 0, ddl, cp)
+		} else {
+			b, err = NewBackend(id, costs, 0, ddl, load)
+		}
+		opts.Backends = append(opts.Backends, b)
+	}
+	if err != nil {
+		if opts.Log != nil {
+			opts.Log.WAL.Close()
+		}
+		return nil, nil, err
+	}
+	records, from, baseLoad := rlog.Records, rlog.Base, stateOf(base, load)
+	return NewTier(opts), func(e *heap.Engine) error {
+		if baseLoad != nil {
+			if err := baseLoad(e); err != nil {
+				return err
+			}
+		}
+		for i, rec := range records {
+			if err := exec.Replay(e, rec.Stmts); err != nil {
+				return fmt.Errorf("persist: replay record %d: %w", from+i, err)
+			}
+		}
+		return nil
+	}, nil
+}
+
+// rebase cuts the records to begin at the recovery base of backends ids,
+// the manifest among theirs with the lowest Applied mark, and returns it;
+// nil is the start of history, which the log must then still hold.
+func (r *RecoveredLog) rebase(ids []string) (*BackendCheckpoint, error) {
+	var base *BackendCheckpoint
+	for _, id := range ids {
+		if cp := r.checkpoint(id); cp != nil && (base == nil || cp.Applied < base.Applied) {
+			base = cp
+		}
+	}
+	switch {
+	case base != nil:
+		r.Records = r.Records[base.Applied-r.Base:]
+		r.Base = base.Applied
+	case r.Base > 0:
+		return nil, fmt.Errorf("persist: log base %d has no checkpoint manifest", r.Base)
+	}
+	return base, nil
+}
+
+// stateOf returns the loader of cp's engine state, or load for a nil cp
+// (the start of history).
+func stateOf(cp *BackendCheckpoint, load func(*heap.Engine) error) func(*heap.Engine) error {
+	if cp == nil {
+		return load
+	}
+	return func(e *heap.Engine) error { return e.RestoreCheckpoint(cp.Checkpoint) }
+}
+
+// restoreBackend builds an on-disk backend at a checkpoint manifest: the
+// schema, the checkpoint image and the applied mark the applier resumes
+// from.
+func restoreBackend(id string, costs simdisk.CostModel, cacheCap int, ddl []string, cp *BackendCheckpoint) (*Backend, error) {
+	db, err := innodb.Open(id, innodb.Config{Costs: costs, CacheCapacity: cacheCap}, ddl, stateOf(cp, nil))
 	if err != nil {
 		return nil, err
 	}
-	if cp.Checkpoint != nil {
-		if err := db.Eng.RestoreCheckpoint(cp.Checkpoint); err != nil {
-			return nil, fmt.Errorf("backend %s restore: %w", id, err)
-		}
-	}
 	return &Backend{ID: id, Eng: db.Eng, Disk: db.Disk, applied: cp.Applied}, nil
-}
-
-// ReplayInto executes the statements of recs, in order, against a node
-// engine (crash-restart of the in-memory cluster replays the same records
-// the persistence tier recovered).
-func ReplayInto(e *heap.Engine, recs []scheduler.CommitRecord) error {
-	for i, rec := range recs {
-		if err := exec.Replay(e, rec.Stmts); err != nil {
-			return fmt.Errorf("persist: replay record %d: %w", i, err)
-		}
-	}
-	return nil
 }

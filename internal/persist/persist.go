@@ -11,6 +11,10 @@
 // an acknowledged transaction survives a process crash. Checkpoint() cuts
 // per-backend engine checkpoints and truncates both the WAL segments and
 // the in-memory log prefix they make redundant, bounding disk and memory.
+// Open is the one whole-tier restart path: it opens the log, picks the
+// recovery base (the lowest checkpoint among the backends it builds),
+// builds every backend from its own checkpoint or the base, and returns the
+// loader that brings a node engine to the same state by replaying the log.
 //
 // Log positions are global record indexes that survive truncation: the
 // in-memory slice t.log holds records [t.base, t.base+len(t.log)), and a
@@ -39,8 +43,8 @@ import (
 var ErrClosed = errors.New("persist: tier closed")
 
 // ErrLogTruncated reports a Recover target whose applied mark lies below
-// the truncated log prefix: replay alone cannot rebuild it — restore the
-// backend from a checkpoint manifest (RestoreBackend) first.
+// the truncated log prefix: replay alone cannot rebuild it — Open rebuilds
+// such a backend from the recovery base.
 var ErrLogTruncated = errors.New("persist: backend predates the truncated log prefix")
 
 // Backend is one on-disk database: an engine whose options charge the
@@ -103,6 +107,8 @@ type Tier struct {
 // Options configure a tier.
 type Options struct {
 	// Backends are the on-disk databases (the paper uses "a few, e.g. two").
+	// Each has applied at least up to Log's base, as Open builds them:
+	// replay cannot reach a backend below it.
 	Backends []*Backend
 	// Log, if non-nil, makes the tier crash-durable: recovered records seed
 	// the in-memory log (at the recovered base offset) and OnCommit appends
@@ -121,8 +127,8 @@ type Options struct {
 	// quarantine gauges.
 	Obs *obs.Registry
 	// Flight, if non-nil, receives a backend-quarantine anomaly trigger
-	// whenever an apply error (or a base mismatch at construction) freezes
-	// a backend, enqueueing a cluster-wide flight dump.
+	// whenever an apply error freezes a backend, enqueueing a cluster-wide
+	// flight dump.
 	Flight *flight.Recorder
 }
 
@@ -159,20 +165,6 @@ func NewTier(opts Options) *Tier {
 		}
 	}
 	t.cond = sync.NewCond(&t.mu)
-	// A backend whose applied mark predates the recovered base cannot be
-	// caught up by replay; quarantine it immediately so the applier does
-	// not index below the log.
-	for _, b := range t.backs {
-		b.mu.Lock()
-		if b.applied < t.base {
-			b.quarantined = true
-			if t.onError != nil {
-				t.onError(fmt.Errorf("persist: backend %s applied %d < log base %d: %w", b.ID, b.applied, t.base, ErrLogTruncated))
-			}
-			t.flight.Trigger(flight.CauseQuarantine, b.ID, fmt.Sprintf("applied %d below recovered log base %d", b.applied, t.base))
-		}
-		b.mu.Unlock()
-	}
 	go t.applier()
 	return t
 }
@@ -252,6 +244,9 @@ func (t *Tier) LogLen() int {
 	defer t.mu.Unlock()
 	return t.base + len(t.log)
 }
+
+// Backends returns the tier's on-disk databases.
+func (t *Tier) Backends() []*Backend { return t.backs }
 
 // Base returns the global index of the first in-memory log record.
 func (t *Tier) Base() int {
@@ -390,8 +385,7 @@ func (t *Tier) maybeCheckpoint() {
 // of the query log, charging the backend's replay-read disk cost, and
 // clears its quarantine once it has fully caught up. Returns the number of
 // transactions replayed. A backend whose applied mark predates the log
-// base gets ErrLogTruncated: rebuild it from a checkpoint manifest
-// (RestoreBackend) before replaying.
+// base gets ErrLogTruncated: Open rebuilds it from the recovery base.
 func (t *Tier) Recover(b *Backend) (int, error) {
 	t.mu.Lock()
 	base := t.base

@@ -90,11 +90,13 @@ echo "==> storage-fault crash-recovery leg (WAL, faultdisk, persistence tier)"
 # Fixed-seed crash/recovery scenarios: a torn tail from a seeded faultdisk
 # crash must never lose an acknowledged commit, two runs of one seed must
 # recover byte-identical state, and mid-log corruption must be refused
-# rather than silently truncated.
+# rather than silently truncated. A whole tier restarts through
+# persist.Open: on the faultdisk past a checkpoint, after a backend is
+# removed, and with a backend added.
 go test -race -count=1 ./internal/wal/ ./internal/faultdisk/
 go test -race -count=1 \
-	-run 'TestCrashRecoveryNoAckedCommitLoss|TestSeededCrashDeterminism|TestMidLogCorruptionDetected|TestApplyErrorQuarantinesBackend|TestLogTruncationBoundsMemory|TestConcurrentTierOps' \
-	./internal/persist/
+	-run 'TestCrashRecoveryNoAckedCommitLoss|TestSeededCrashDeterminism|TestMidLogCorruptionDetected|TestApplyErrorQuarantinesBackend|TestLogTruncationBoundsMemory|TestConcurrentTierOps|TestWholeTierRestartUnderFaultdisk|TestRestartAfterRemovingBackend|TestBackendAddedAfterCheckpoint' \
+	./internal/persist/ .
 
 echo "==> flight-recorder leg (anomaly-triggered cluster dump + dmv-doctor post-mortem)"
 # The seeded partitioned-master chaos run must emit a cluster-wide flight
