@@ -1,6 +1,7 @@
 package dmv_test
 
 import (
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -212,6 +213,60 @@ func TestRestartAfterRemovingBackend(t *testing.T) {
 	if got := c.Stats().PersistLogged; got != 1600 {
 		t.Fatalf("restarted log len = %d, want 1600", got)
 	}
+}
+
+// TestCheckpointRemovesDepartedManifests runs TestRestartAfterRemovingBackend's
+// scenario: after a backend leaves the tier, the next checkpoint deletes its
+// manifest, so the directory holds only the live backend's, and a restart
+// still recovers every row.
+func TestCheckpointRemovesDepartedManifests(t *testing.T) {
+	dir := t.TempDir()
+	c, err := dmv.Open(blobConfig(dir, 2))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	insertBlobs(t, c, 0, 5, 10)
+	checkpointAt(t, c, 5)
+	c.Close()
+	if got := manifests(t, dir); !slices.Equal(got, []string{"ckpt-disk0.ckpt", "ckpt-disk1.ckpt"}) {
+		t.Fatalf("manifests with two backends = %v", got)
+	}
+
+	c, err = dmv.Open(blobConfig(dir, 1))
+	if err != nil {
+		t.Fatalf("reopen with one backend: %v", err)
+	}
+	insertBlobs(t, c, 5, 1595, 1000)
+	checkpointAt(t, c, 1600)
+	c.Close()
+	if got := manifests(t, dir); !slices.Equal(got, []string{"ckpt-disk0.ckpt"}) {
+		t.Fatalf("manifests after the one-backend checkpoint = %v, want only disk0's", got)
+	}
+
+	c, err = dmv.Open(blobConfig(dir, 1))
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer c.Close()
+	if got := rowCount(t, c); got != 1600 {
+		t.Fatalf("restarted rows = %d, want 1600", got)
+	}
+}
+
+// manifests lists the checkpoint manifests in dir, sorted.
+func manifests(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), "ckpt-") {
+			out = append(out, e.Name())
+		}
+	}
+	return out
 }
 
 // TestBackendAddedAfterCheckpoint: a backend added on a restart past a

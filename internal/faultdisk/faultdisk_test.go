@@ -192,3 +192,47 @@ func TestCountsSeeWritesAndSyncs(t *testing.T) {
 		t.Fatalf("counts = %d writes / %d syncs, want both > 0", writes, syncs)
 	}
 }
+
+// TestRollSyncsClosedSegment acknowledges a record that a segment roll
+// closed: with 32-byte segments, A fills the first segment and B rolls to a
+// second. WaitDurable on both returns only once both are on disk, so after
+// a crash the log opens with A and B. A roll that closed the old segment
+// unsynced left A in the page cache and the crash tore it.
+func TestRollSyncsClosedSegment(t *testing.T) {
+	dir := t.TempDir()
+	d := New(99)
+	w, _, err := wal.Open(wal.Options{Dir: dir, FS: d, SegmentBytes: 32})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	var seqs []uint64
+	for _, p := range []string{"record-A-payload", "record-B-payload"} {
+		seq, err := w.Append([]byte(p))
+		if err != nil {
+			t.Fatalf("append %s: %v", p, err)
+		}
+		seqs = append(seqs, seq)
+	}
+	if n := w.Segments(); n != 2 {
+		t.Fatalf("%d segments after two appends, want 2 (B rolls)", n)
+	}
+	for i := len(seqs) - 1; i >= 0; i-- {
+		if err := w.WaitDurable(seqs[i]); err != nil {
+			t.Fatalf("wait durable %d: %v", seqs[i], err)
+		}
+	}
+	if err := d.Crash(); err != nil {
+		t.Fatalf("crash: %v", err)
+	}
+	_ = w.Close()
+
+	d.PowerOn()
+	w2, rec, err := wal.Open(wal.Options{Dir: dir, FS: d, SegmentBytes: 32})
+	if err != nil {
+		t.Fatalf("reopen after crash: %v", err)
+	}
+	defer w2.Close()
+	if len(rec.Records) != 2 || string(rec.Records[0]) != "record-A-payload" || string(rec.Records[1]) != "record-B-payload" {
+		t.Fatalf("recovered %q, want A and B", rec.Records)
+	}
+}

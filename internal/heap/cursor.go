@@ -8,8 +8,11 @@ import (
 )
 
 // minRowID sorts before every row id, so ikey{key, minRowID} is where the
-// entries with key >= key begin.
-const minRowID page.RowID = -1 << 62
+// entries with key >= key begin; maxRowID sorts after every row id.
+const (
+	minRowID page.RowID = -1 << 62
+	maxRowID page.RowID = 1<<63 - 1
+)
 
 // Chunk sizes of an index cursor: the first chunk is small because most
 // walks are point probes (LookupEq, a unique-key fetch, a join probe) that
@@ -38,12 +41,14 @@ const (
 // reader).
 type IndexCursor struct {
 	ix     *Index
+	width  int    // the index's key width
 	v      uint64 // the version entries are read at
 	buf    []ikey // the current chunk, delivered from pos on
 	pos    int
-	size   int  // the size the current chunk was read at
-	more   bool // the index may hold entries past buf
-	resume ikey // the next chunk starts past this entry
+	size   int       // the size the current chunk was read at
+	more   bool      // the index may hold entries past buf
+	resume ikey      // the next chunk starts past this entry
+	pad    value.Row // a probe shorter than the key, padded (see start)
 	err    error
 
 	// An UpdateTx's own pending entries, sorted: adds are merged into the
@@ -53,9 +58,10 @@ type IndexCursor struct {
 
 	// via is a Txn of another type (one that embeds a ReadTx or an UpdateTx
 	// to time or count its calls); its chunks are read through its
-	// IndexScan, one call per chunk.
+	// IndexScan, one call per chunk, the first from from.
 	via        Txn
 	table, idx int
+	from       value.Row
 }
 
 // Seek positions c before the first entry of index idx of table with key
@@ -63,7 +69,7 @@ type IndexCursor struct {
 // sees the entries visible at its version, an UpdateTx the latest ones
 // merged with its own uncommitted entries.
 func (c *IndexCursor) Seek(tx Txn, table, idx int, from value.Row) error {
-	c.reset(from)
+	c.reset()
 	switch tx := tx.(type) {
 	case *ReadTx:
 		ix, err := tx.e.index(table, idx)
@@ -71,27 +77,53 @@ func (c *IndexCursor) Seek(tx Txn, table, idx int, from value.Row) error {
 			return err
 		}
 		c.ix, c.v = ix, tx.verFor(table)
+		c.start(from)
 	case *UpdateTx:
 		ix, err := tx.e.index(table, idx)
 		if err != nil {
 			return err
 		}
 		c.ix, c.v = ix, VersionLatest
+		c.start(from)
 		tx.overlay(c, ix)
 	default:
-		c.via, c.table, c.idx = tx, table, idx
+		c.via, c.table, c.idx, c.from = tx, table, idx, from
 	}
 	c.more = true
 	c.fill()
 	return c.err
 }
 
-// reset ends c's last walk and places its start at from.
-func (c *IndexCursor) reset(from value.Row) {
-	c.ix, c.via, c.err = nil, nil, nil
+// reset ends c's last walk.
+func (c *IndexCursor) reset() {
+	c.ix, c.via, c.from, c.err = nil, nil, nil, nil
 	c.buf, c.pos, c.size, c.more = c.buf[:0], 0, 0, false
-	c.resume = ikey{key: from, rid: minRowID}
 	c.adds, c.dels, c.ai, c.di = c.adds[:0], c.dels[:0], 0, 0
+}
+
+// start places the walk of c.ix before its first entry whose key is at or
+// past from, as CompareRows orders keys against from. A from shorter than
+// the key is padded with NULLs, which sort first, under minRowID; a longer
+// one is cut to the key's width under maxRowID, past every entry that
+// equals its head, which CompareRows puts before the longer from. An empty
+// from needs no copy: it starts at the index's own NULLs. Another pad is
+// the cursor's and outlives the seek, so a cursor reused for probes
+// allocates it once.
+func (c *IndexCursor) start(from value.Row) {
+	w := c.ix.width
+	c.width = w
+	switch {
+	case len(from) == w:
+		c.resume = entry(w, from, minRowID)
+	case len(from) == 0:
+		c.resume = entry(w, c.ix.nulls, minRowID)
+	case len(from) > w:
+		c.resume = entry(w, from[:w], maxRowID)
+	default:
+		c.pad = slices.Grow(c.pad[:0], w)[:w]
+		clear(c.pad[copy(c.pad, from):])
+		c.resume = entry(w, c.pad, minRowID)
+	}
 }
 
 // Next returns the next entry. The key belongs to the engine and must not
@@ -103,10 +135,10 @@ func (c *IndexCursor) Next() (key value.Row, rid page.RowID, ok bool) {
 			c.fill()
 		}
 		done := c.pos == len(c.buf)
-		if c.ai < len(c.adds) && (done || cmpIKey(c.adds[c.ai], c.buf[c.pos]) < 0) {
+		if c.ai < len(c.adds) && (done || compareKeys(c.width, c.adds[c.ai], c.buf[c.pos]) < 0) {
 			a := c.adds[c.ai]
 			c.ai++
-			return a.key, a.rid, true
+			return a.row(c.width), a.rid, true
 		}
 		if done {
 			return nil, 0, false
@@ -116,8 +148,9 @@ func (c *IndexCursor) Next() (key value.Row, rid page.RowID, ok bool) {
 		if c.deleted(k) {
 			continue
 		}
-		value.CheckSealed(k.key)
-		return k.key, k.rid, true
+		key = k.row(c.width)
+		value.CheckSealed(key)
+		return key, k.rid, true
 	}
 }
 
@@ -128,7 +161,7 @@ func (c *IndexCursor) Err() error { return c.err }
 // entries arrive in order, so dels is walked once.
 func (c *IndexCursor) deleted(k ikey) bool {
 	for ; c.di < len(c.dels); c.di++ {
-		if d := cmpIKey(c.dels[c.di], k); d >= 0 {
+		if d := compareKeys(c.width, c.dels[c.di], k); d >= 0 {
 			return d == 0
 		}
 	}
@@ -161,7 +194,7 @@ func (c *IndexCursor) fill() {
 		c.ix.tree.Ascend(c.resume, func(k ikey, l lives) bool {
 			if resumed {
 				resumed = false
-				if cmpIKey(k, c.resume) == 0 {
+				if compareKeys(c.width, k, c.resume) == 0 {
 					return true
 				}
 			}
@@ -175,30 +208,40 @@ func (c *IndexCursor) fill() {
 	c.more = c.err == nil && len(c.buf) == c.size
 }
 
-// fillVia reads the next chunk through c.via's IndexScan, which starts at
-// c.resume's key: a later chunk skips the entries up to c.resume. The
+// fillVia reads the next chunk through c.via's IndexScan: the first from
+// c.from, a later one from c.resume's key, skipping the entries up to
+// c.resume. The width is the length of the keys the scan hands out. The
 // closure captures copies, not c, so a cursor on its caller's stack stays
 // there.
 func (c *IndexCursor) fillVia(skip bool) {
-	buf, size, resume := c.buf, c.size, c.resume
-	c.err = c.via.IndexScan(c.table, c.idx, resume.key, func(key value.Row, rid page.RowID) bool {
-		k := ikey{key: key, rid: rid}
-		if skip && cmpIKey(k, resume) <= 0 {
+	buf, size, resume, w, from := c.buf, c.size, c.resume, c.width, c.from
+	if skip {
+		from = resume.row(w)
+	}
+	c.err = c.via.IndexScan(c.table, c.idx, from, func(key value.Row, rid page.RowID) bool {
+		w = len(key)
+		k := entry(w, key, rid)
+		if skip && compareKeys(w, k, resume) <= 0 {
 			return true
 		}
 		skip = false
 		buf = append(buf, k)
 		return len(buf) < size
 	})
-	c.buf = buf
+	c.buf, c.width = buf, w
 }
 
 // overlay loads into c the transaction's pending entries of ix at or past
 // c's start, sorted.
 func (tx *UpdateTx) overlay(c *IndexCursor, ix *Index) {
+	w := ix.width
+	cmp := func(a, b ikey) int { return compareKeys(w, a, b) }
 	for _, op := range tx.ovl {
-		k := ikey{key: op.key, rid: op.rid}
-		if op.ix != ix || cmpIKey(k, c.resume) < 0 {
+		if op.ix != ix {
+			continue
+		}
+		k := ix.entry(op.key, op.rid)
+		if cmp(k, c.resume) < 0 {
 			continue
 		}
 		if op.add {
@@ -207,8 +250,8 @@ func (tx *UpdateTx) overlay(c *IndexCursor, ix *Index) {
 			c.dels = append(c.dels, k)
 		}
 	}
-	slices.SortFunc(c.adds, cmpIKey)
-	slices.SortFunc(c.dels, cmpIKey)
+	slices.SortFunc(c.adds, cmp)
+	slices.SortFunc(c.dels, cmp)
 }
 
 // TableCursor walks the rows of one table a page at a time, in ascending

@@ -11,7 +11,7 @@ import (
 )
 
 // TestIndexWalkComparesOnSeekPath counts the key comparisons of a range
-// walk through a tree that compares via a counting wrapper around cmpIKey:
+// walk through a tree that compares via a counting wrapper around compareKeys:
 // each chunk descends the tree once to its resume key and walks on without
 // comparing, so 1 000 entries cost a few seek paths, not a comparison or
 // more per entry.
@@ -20,7 +20,7 @@ func TestIndexWalkComparesOnSeekPath(t *testing.T) {
 	cmps := 0
 	ix.tree = rbtree.New[ikey, lives](func(a, b ikey) int {
 		cmps++
-		return cmpIKey(a, b)
+		return compareKeys(ix.width, a, b)
 	})
 	for i := 0; i < 2000; i++ {
 		if err := ix.addUnchecked(value.Row{value.NewInt(int64(i))}, page.RowID(i), 1); err != nil {

@@ -3,6 +3,7 @@ package heap
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"dmv/internal/page"
 	"dmv/internal/rbtree"
@@ -10,14 +11,32 @@ import (
 )
 
 // ikey orders index entries by key columns, then row id, making every tree
-// node unique per (key, row) pair.
+// node unique per (key, row) pair. The key is p and the index's width: p
+// points at the key's first value, inside the row a page publishes or
+// inside keyOf's copy, and a stored key has exactly width values (see
+// row). So an entry's key costs 16 bytes, not a 24-byte slice header and a
+// row id.
 type ikey struct {
-	key value.Row
+	p   *value.Value
 	rid page.RowID
 }
 
-func cmpIKey(a, b ikey) int {
-	if c := value.CompareRows(a.key, b.key); c != 0 {
+// entry returns the ikey of key and rid in an index of width values. A key
+// of another width would have the tree read past it, so it is refused.
+func entry(width int, key value.Row, rid page.RowID) ikey {
+	if len(key) != width {
+		panic(fmt.Sprintf("heap: index key has %d columns, want %d", len(key), width))
+	}
+	return ikey{p: unsafe.SliceData(key), rid: rid}
+}
+
+// row rebuilds k's key of width values: a capped window, so an append to
+// it cannot reach the row the key lies in.
+func (k ikey) row(width int) value.Row { return unsafe.Slice(k.p, width) }
+
+// compareKeys orders two ikeys of an index of width values.
+func compareKeys(width int, a, b ikey) int {
+	if c := value.CompareRows(a.row(width), b.row(width)); c != 0 {
 		return c
 	}
 	switch {
@@ -40,10 +59,10 @@ func (s span) covers(v uint64) bool { return s.add <= v && (s.del == 0 || v < s.
 
 // lives holds the spans of one (key, rid) pair in the order they were
 // opened. The first sits inline, so a pair that lives once, as nearly every
-// pair does, costs its tree node alone; each later life (a row whose key
+// pair does, costs its tree slot alone; each later life (a row whose key
 // changes away and back, or a span an install adds) hangs off next. A
-// stored lives holds at least one span. At 24 bytes it keeps a tree node
-// in the 80-byte size class.
+// stored lives holds at least one span. At 24 bytes it makes a tree slot 48
+// bytes: 16 of ikey, 24 of lives and 8 of links.
 type lives struct {
 	s    span
 	next *lives
@@ -116,11 +135,14 @@ func (l *lives) retain(keep func(*span) bool) bool {
 // index scans at any version (the paper keeps no old page versions); spans
 // no reader can see any more are dropped only by gc.
 //
-// A stored entry is one tree node: its key is a window onto the row the
-// page publishes (see keyOf) and its first span sits in the node's value.
+// A stored entry is one 48-byte slot in the tree's chunks: its key points
+// into the row the page publishes (see keyOf), the index's width long, and
+// its first span sits in the slot's value.
 type Index struct {
 	def   IndexDef
-	winAt int // the first key column if the columns are consecutive, else -1
+	width int       // len(def.Cols): the length of every stored key
+	nulls value.Row // width NULLs: where a walk from the first entry starts
+	winAt int       // the first key column if the columns are consecutive, else -1
 	mu    sync.RWMutex
 	tree  *rbtree.Tree[ikey, lives] // guarded by mu
 }
@@ -136,14 +158,20 @@ func newIndex(def IndexDef) *Index {
 			}
 		}
 	}
-	return &Index{def: def, winAt: winAt, tree: rbtree.New[ikey, lives](cmpIKey)}
+	w := len(def.Cols)
+	cmp := func(a, b ikey) int { return compareKeys(w, a, b) }
+	return &Index{def: def, width: w, nulls: make(value.Row, w), winAt: winAt, tree: rbtree.New[ikey, lives](cmp)}
 }
+
+// entry returns the ikey of key, a key of ix, and rid.
+func (ix *Index) entry(key value.Row, rid page.RowID) ikey { return entry(ix.width, key, rid) }
 
 // keyOf extracts the index key columns from a full row. When the columns
 // are consecutive and ascending, the key is the capped window
 // row[c:c+n:c+n] onto the row itself and costs nothing: a row the engine
-// publishes is never written again (DESIGN.md §8), so the tree keeps the
-// window as its key, and the cap keeps an append to the key off the row.
+// publishes is never written again (DESIGN.md §8), so the tree keeps a
+// pointer to the window's first value as its key, and the cap keeps an
+// append to the key off the row.
 // Any other index, or a row too short for the window, gets a copy. The
 // callers that store a key pass a published row: the row a page holds or
 // is about to hold.
@@ -188,8 +216,8 @@ func (ix *Index) add(key value.Row, rid page.RowID, ver uint64) error {
 	defer ix.mu.Unlock()
 	if ix.def.Unique {
 		dup := false
-		ix.tree.Ascend(ikey{key: key, rid: minRowID}, func(k ikey, l lives) bool {
-			if value.CompareRows(k.key, key) != 0 {
+		ix.tree.Ascend(ix.entry(key, minRowID), func(k ikey, l lives) bool {
+			if value.CompareRows(k.row(ix.width), key) != 0 {
 				return false
 			}
 			if k.rid != rid && l.visible(VersionLatest) {
@@ -223,7 +251,7 @@ func (ix *Index) addUnchecked(key value.Row, rid page.RowID, ver uint64) error {
 // tree descent finds the pair and stores its spans; a new pair keeps key
 // as the node's key.
 func (ix *Index) addLocked(key value.Row, rid page.RowID, ver uint64) {
-	ix.tree.Upsert(ikey{key: key, rid: rid}, func(l lives, found bool) lives {
+	ix.tree.Upsert(ix.entry(key, rid), func(l lives, found bool) lives {
 		if !found {
 			value.Seal(key) // the tree now holds key; a cursor hands it out as is
 			return lives{s: span{add: ver}}
@@ -241,7 +269,7 @@ func (ix *Index) addLocked(key value.Row, rid page.RowID, ver uint64) {
 func (ix *Index) del(key value.Row, rid page.RowID, ver uint64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if s := ix.tree.Ref(ikey{key: key, rid: rid}).open(); s != nil {
+	if s := ix.tree.Ref(ix.entry(key, rid)).open(); s != nil {
 		s.del = ver
 	}
 }
@@ -324,11 +352,11 @@ func (ix *Index) reconcile(old, img page.Rows, prev, v uint64) {
 	defer ix.mu.Unlock()
 	old.All(func(rid page.RowID, row value.Row) {
 		if want, kept := img.Get(rid); !kept || ix.keyChanged(row, want) {
-			ix.closeLocked(ikey{key: ix.keyOf(row), rid: rid}, v)
+			ix.closeLocked(ix.entry(ix.keyOf(row), rid), v)
 		}
 	})
 	img.All(func(rid page.RowID, row value.Row) {
-		ix.openLocked(ikey{key: ix.keyOf(row), rid: rid}, prev, v)
+		ix.openLocked(ix.entry(ix.keyOf(row), rid), prev, v)
 	})
 }
 
@@ -361,6 +389,6 @@ func (ix *Index) openLocked(k ikey, prev, v uint64) {
 		l.push(span{add: prev, del: next})
 		return
 	}
-	value.Seal(k.key)
+	value.Seal(k.row(ix.width))
 	ix.tree.Put(k, lives{s: span{add: prev, del: next}})
 }

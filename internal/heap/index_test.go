@@ -30,8 +30,9 @@ func scanFixture(t *testing.T, n int) *Index {
 
 // seekIndex positions c on ix at version v, as Seek does for a ReadTx.
 func seekIndex(c *IndexCursor, ix *Index, v uint64, from value.Row) {
-	c.reset(from)
+	c.reset()
 	c.ix, c.v, c.more = ix, v, true
+	c.start(from)
 	c.fill()
 }
 

@@ -125,7 +125,7 @@ func (m refIndex) match(t *testing.T, ix *Index, maxV uint64, what string) {
 	t.Helper()
 	got := make(map[refPair][]span)
 	ix.tree.AscendAll(func(k ikey, l lives) bool {
-		p := refPair{fmt.Sprint(k.key), k.rid}
+		p := refPair{fmt.Sprint(k.row(ix.width)), k.rid}
 		got[p] = l.spans()
 		for v := uint64(0); v <= maxV; v++ {
 			if l.visible(v) != m.visible(p, v) {

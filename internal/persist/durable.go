@@ -180,10 +180,10 @@ func (r *RecoveredLog) loadCheckpoints(cfg DurableConfig) error {
 		return fmt.Errorf("persist: scan %s: %w", cfg.Dir, err)
 	}
 	for _, name := range names {
-		if !strings.HasPrefix(name, "ckpt-") || !strings.HasSuffix(name, ckptSuffix) {
+		id, ok := manifestID(name)
+		if !ok {
 			continue
 		}
-		id := strings.TrimSuffix(strings.TrimPrefix(name, "ckpt-"), ckptSuffix)
 		blob, rerr := readAll(fs, filepath.Join(cfg.Dir, name))
 		if rerr != nil {
 			return fmt.Errorf("persist: read checkpoint %s: %w", name, rerr)
@@ -211,6 +211,18 @@ func (r *RecoveredLog) loadCheckpoints(cfg DurableConfig) error {
 		r.Base = cut
 	}
 	return nil
+}
+
+// manifestName is the file name of backend id's checkpoint manifest.
+func manifestName(id string) string { return "ckpt-" + id + ckptSuffix }
+
+// manifestID returns the backend id whose manifest file name is name, and
+// false for a file that is not a manifest.
+func manifestID(name string) (string, bool) {
+	if !strings.HasPrefix(name, "ckpt-") || !strings.HasSuffix(name, ckptSuffix) {
+		return "", false
+	}
+	return strings.TrimSuffix(strings.TrimPrefix(name, "ckpt-"), ckptSuffix), true
 }
 
 // readAll reads a whole file through the FS layer.

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"dmv/internal/exec"
@@ -473,7 +474,7 @@ func (t *Tier) Checkpoint() (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("persist: encode checkpoint %s: %w", b.ID, err)
 		}
-		path := filepath.Join(t.dir, "ckpt-"+b.ID+ckptSuffix)
+		path := filepath.Join(t.dir, manifestName(b.ID))
 		if err := wal.WriteFileDurable(t.fs, path, blob); err != nil {
 			return 0, fmt.Errorf("persist: write checkpoint %s: %w", b.ID, err)
 		}
@@ -482,6 +483,9 @@ func (t *Tier) Checkpoint() (int, error) {
 		}
 	}
 	if err := t.wal.TruncateTo(uint64(cut)); err != nil {
+		return 0, err
+	}
+	if err := t.removeDepartedManifests(); err != nil {
 		return 0, err
 	}
 	t.mu.Lock()
@@ -494,6 +498,27 @@ func (t *Tier) Checkpoint() (int, error) {
 	t.mu.Unlock()
 	t.truncations.Inc()
 	return cut, nil
+}
+
+// removeDepartedManifests deletes the manifest of every backend that is no
+// longer in the tier. It gets no later manifest, so Open would decode the
+// stale one at every start; a backend of that id added back starts from the
+// recovery base instead.
+func (t *Tier) removeDepartedManifests() error {
+	names, err := t.fs.ReadDir(t.dir)
+	if err != nil {
+		return fmt.Errorf("persist: scan %s: %w", t.dir, err)
+	}
+	for _, name := range names {
+		id, ok := manifestID(name)
+		if !ok || slices.ContainsFunc(t.backs, func(b *Backend) bool { return b.ID == id }) {
+			continue
+		}
+		if err := t.fs.Remove(filepath.Join(t.dir, name)); err != nil {
+			return fmt.Errorf("persist: remove checkpoint %s: %w", name, err)
+		}
+	}
+	return nil
 }
 
 // NewBackend builds an on-disk backend with the given cost model and cache

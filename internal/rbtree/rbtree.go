@@ -5,29 +5,70 @@
 // RB-tree indexes of the MySQL HEAP tables the paper builds on (the paper
 // attributes master saturation under the ordering mix partly to RB-tree
 // rebalancing on index inserts).
+//
+// The nodes live in chunks, not one heap object each: a node is named by its
+// uint32 slot, children link by slot, and slot 0 is nil. A chunk never
+// moves once made. The first chunks double from 8 slots, so a small tree
+// pays for what it holds, and every later one holds chunkSlots, so a large
+// tree allocates once per chunkSlots nodes. A deleted node's slot is
+// zeroed, so it pins nothing, and goes on a free list that the next insert
+// takes from.
 package rbtree
+
+import "math/bits"
 
 // Comparator orders keys: negative if a<b, zero if equal, positive if a>b.
 type Comparator[K any] func(a, b K) int
 
+// Chunk sizes: chunk c < growChunks holds firstChunk<<c slots, 8 to 256,
+// and every later one chunkSlots. The allocator puts an 8-byte header
+// before a pointerful object of over 512 bytes, so a chunk of 256 of the
+// storage engine's 48-byte index nodes rounds up past a tenth of waste,
+// while 341 of them and the header fill a 16 KiB size class to within 8
+// bytes.
 const (
-	red   = true
-	black = false
+	firstShift  = 3
+	firstChunk  = 1 << firstShift
+	growChunks  = 6
+	growthSlots = firstChunk<<growChunks - firstChunk
+	chunkSlots  = 341
 )
+
+// A link names a node by its slot, 0 for nil, and carries in its top bit,
+// redBit, the color of the node it names: the red links of the LLRB
+// algorithm. So a color test reads the link, not the node, and a nil link
+// is black.
+const redBit = 1 << 31
+
+func isRed(x uint32) bool { return x&redBit != 0 }
 
 type node[K any, V any] struct {
 	key         K
 	val         V
-	left, right *node[K, V]
-	color       bool
+	left, right uint32 // links to the children; left links the free list once freed
+}
+
+// flip flips the colors of the node h links to, whose node is n, and of its
+// children, and returns h's new link.
+func (n *node[K, V]) flip(h uint32) uint32 {
+	if n.left != 0 {
+		n.left ^= redBit
+	}
+	if n.right != 0 {
+		n.right ^= redBit
+	}
+	return h ^ redBit
 }
 
 // Tree is a mutable ordered map. It is not safe for concurrent use; callers
 // synchronize externally (the storage engine wraps each index in a latch).
 type Tree[K any, V any] struct {
-	root *node[K, V]
-	cmp  Comparator[K]
-	size int
+	chunks [][]node[K, V]
+	root   uint32
+	used   uint32 // slots 1..used have been handed out
+	free   uint32 // the first free slot, or 0
+	cmp    Comparator[K]
+	size   int
 }
 
 // New returns an empty tree ordered by cmp.
@@ -38,21 +79,67 @@ func New[K any, V any](cmp Comparator[K]) *Tree[K, V] {
 // Len returns the number of keys.
 func (t *Tree[K, V]) Len() int { return t.size }
 
+// locate returns the chunk and the offset in it of the slot link x names
+// (x names one).
+func locate(x uint32) (c int, off uint32) {
+	p := x&^redBit - 1
+	if p >= growthSlots {
+		p -= growthSlots
+		return growChunks + int(p/chunkSlots), p % chunkSlots
+	}
+	j := p + firstChunk
+	c = bits.Len32(j) - firstShift - 1
+	return c, j - firstChunk<<c
+}
+
+// at returns the node link x names (x names one).
+func (t *Tree[K, V]) at(x uint32) *node[K, V] {
+	c, off := locate(x)
+	return &t.chunks[c][off]
+}
+
+// alloc hands out a zeroed slot: the first free one, or the next unused
+// one, making its chunk if it has none.
+func (t *Tree[K, V]) alloc() uint32 {
+	if i := t.free; i != 0 {
+		n := t.at(i)
+		t.free, n.left = n.left, 0
+		return i
+	}
+	t.used++
+	if c, _ := locate(t.used); c == len(t.chunks) {
+		size := chunkSlots
+		if c < growChunks {
+			size = firstChunk << c
+		}
+		t.chunks = append(t.chunks, make([]node[K, V], size))
+	}
+	return t.used
+}
+
+// release zeroes the slot link x names, so it keeps no key or value alive,
+// and puts it on the free list.
+func (t *Tree[K, V]) release(x uint32) {
+	*t.at(x) = node[K, V]{left: t.free}
+	t.free = x &^ redBit
+}
+
 // Ref returns a pointer to the value stored at key, or nil if key is
 // absent. The pointer lets the caller change the value in place; it is
 // valid until the next Put, Upsert or Delete, which may move values between
 // nodes.
 func (t *Tree[K, V]) Ref(key K) *V {
 	x := t.root
-	for x != nil {
-		c := t.cmp(key, x.key)
+	for x != 0 {
+		n := t.at(x)
+		c := t.cmp(key, n.key)
 		switch {
 		case c < 0:
-			x = x.left
+			x = n.left
 		case c > 0:
-			x = x.right
+			x = n.right
 		default:
-			return &x.val
+			return &n.val
 		}
 	}
 	return nil
@@ -65,26 +152,29 @@ func (t *Tree[K, V]) Put(key K, val V) { t.Upsert(key, func(V, bool) V { return 
 // already stored (found true), or the zero value when key is absent, in
 // which case key is inserted. A present key keeps its stored key value.
 func (t *Tree[K, V]) Upsert(key K, fn func(old V, found bool) V) {
-	t.root = t.upsert(t.root, key, fn)
-	t.root.color = black
+	t.root = t.upsert(t.root, key, fn) &^ redBit
 }
 
-func (t *Tree[K, V]) upsert(h *node[K, V], key K, fn func(V, bool) V) *node[K, V] {
-	if h == nil {
+func (t *Tree[K, V]) upsert(h uint32, key K, fn func(V, bool) V) uint32 {
+	if h == 0 {
 		t.size++
 		var zero V
-		return &node[K, V]{key: key, val: fn(zero, false), color: red}
+		h = t.alloc()
+		n := t.at(h)
+		n.key, n.val = key, fn(zero, false)
+		return h | redBit
 	}
-	c := t.cmp(key, h.key)
+	n := t.at(h)
+	c := t.cmp(key, n.key)
 	switch {
 	case c < 0:
-		h.left = t.upsert(h.left, key, fn)
+		n.left = t.upsert(n.left, key, fn)
 	case c > 0:
-		h.right = t.upsert(h.right, key, fn)
+		n.right = t.upsert(n.right, key, fn)
 	default:
-		h.val = fn(h.val, true)
+		n.val = fn(n.val, true)
 	}
-	return fix(h)
+	return t.fix(h)
 }
 
 // Delete removes key if present and reports whether it was found.
@@ -92,60 +182,65 @@ func (t *Tree[K, V]) Delete(key K) bool {
 	if t.Ref(key) == nil {
 		return false
 	}
-	if !isRed(t.root.left) && !isRed(t.root.right) {
-		t.root.color = red
+	if r := t.at(t.root); !isRed(r.left) && !isRed(r.right) {
+		t.root |= redBit
 	}
-	t.root = t.del(t.root, key)
-	if t.root != nil {
-		t.root.color = black
-	}
+	t.root = t.del(t.root, key) &^ redBit
 	t.size--
 	return true
 }
 
-func (t *Tree[K, V]) del(h *node[K, V], key K) *node[K, V] {
-	if t.cmp(key, h.key) < 0 {
-		if !isRed(h.left) && h.left != nil && !isRed(h.left.left) {
-			h = moveRedLeft(h)
+func (t *Tree[K, V]) del(h uint32, key K) uint32 {
+	n := t.at(h)
+	if t.cmp(key, n.key) < 0 {
+		if !isRed(n.left) && n.left != 0 && !isRed(t.at(n.left).left) {
+			h = t.moveRedLeft(h)
+			n = t.at(h)
 		}
-		h.left = t.del(h.left, key)
+		n.left = t.del(n.left, key)
 	} else {
-		if isRed(h.left) {
-			h = rotateRight(h)
+		if isRed(n.left) {
+			h = t.rotateRight(h)
+			n = t.at(h)
 		}
-		if t.cmp(key, h.key) == 0 && h.right == nil {
-			return nil
+		if t.cmp(key, n.key) == 0 && n.right == 0 {
+			t.release(h)
+			return 0
 		}
-		if !isRed(h.right) && h.right != nil && !isRed(h.right.left) {
-			h = moveRedRight(h)
+		if !isRed(n.right) && n.right != 0 && !isRed(t.at(n.right).left) {
+			h = t.moveRedRight(h)
+			n = t.at(h)
 		}
-		if t.cmp(key, h.key) == 0 {
-			m := min(h.right)
-			h.key, h.val = m.key, m.val
-			h.right = deleteMin(h.right)
+		if t.cmp(key, n.key) == 0 {
+			m := t.at(t.min(n.right))
+			n.key, n.val = m.key, m.val
+			n.right = t.deleteMin(n.right)
 		} else {
-			h.right = t.del(h.right, key)
+			n.right = t.del(n.right, key)
 		}
 	}
-	return fix(h)
+	return t.fix(h)
 }
 
-func min[K any, V any](h *node[K, V]) *node[K, V] {
-	for h.left != nil {
-		h = h.left
+func (t *Tree[K, V]) min(h uint32) uint32 {
+	for n := t.at(h); n.left != 0; n = t.at(h) {
+		h = n.left
 	}
 	return h
 }
 
-func deleteMin[K any, V any](h *node[K, V]) *node[K, V] {
-	if h.left == nil {
-		return nil
+func (t *Tree[K, V]) deleteMin(h uint32) uint32 {
+	n := t.at(h)
+	if n.left == 0 {
+		t.release(h)
+		return 0
 	}
-	if !isRed(h.left) && !isRed(h.left.left) {
-		h = moveRedLeft(h)
+	if !isRed(n.left) && !isRed(t.at(n.left).left) {
+		h = t.moveRedLeft(h)
+		n = t.at(h)
 	}
-	h.left = deleteMin(h.left)
-	return fix(h)
+	n.left = t.deleteMin(n.left)
+	return t.fix(h)
 }
 
 // Ascend calls fn for each key/value with key >= from in ascending order,
@@ -162,82 +257,73 @@ func (t *Tree[K, V]) AscendAll(fn func(K, V) bool) {
 // ascend compares from only on the seek path: every key in the right
 // subtree of a node at or past from is past it too, so that subtree is
 // walked with no start key.
-func (t *Tree[K, V]) ascend(h *node[K, V], from *K, fn func(K, V) bool) bool {
-	if h == nil {
-		return true
-	}
-	if from == nil || t.cmp(*from, h.key) <= 0 {
-		if !t.ascend(h.left, from, fn) {
+func (t *Tree[K, V]) ascend(h uint32, from *K, fn func(K, V) bool) bool {
+	for h != 0 {
+		n := t.at(h)
+		if from != nil && t.cmp(*from, n.key) > 0 {
+			h = n.right
+			continue
+		}
+		if !t.ascend(n.left, from, fn) || !fn(n.key, n.val) {
 			return false
 		}
-		if !fn(h.key, h.val) {
-			return false
-		}
-		return t.ascend(h.right, nil, fn)
+		h, from = n.right, nil
 	}
-	return t.ascend(h.right, from, fn)
+	return true
 }
 
-// internal balancing helpers (Sedgewick LLRB).
+// internal balancing helpers (Sedgewick LLRB). Each takes and returns the
+// link to a subtree's root, whose color the link carries.
 
-func isRed[K any, V any](h *node[K, V]) bool { return h != nil && h.color == red }
-
-func rotateLeft[K any, V any](h *node[K, V]) *node[K, V] {
-	x := h.right
-	h.right = x.left
-	x.left = h
-	x.color = h.color
-	h.color = red
-	return x
+func (t *Tree[K, V]) rotateLeft(h uint32) uint32 {
+	n := t.at(h)
+	x := n.right
+	xn := t.at(x)
+	n.right = xn.left
+	xn.left = h | redBit
+	return x&^redBit | h&redBit
 }
 
-func rotateRight[K any, V any](h *node[K, V]) *node[K, V] {
-	x := h.left
-	h.left = x.right
-	x.right = h
-	x.color = h.color
-	h.color = red
-	return x
+func (t *Tree[K, V]) rotateRight(h uint32) uint32 {
+	n := t.at(h)
+	x := n.left
+	xn := t.at(x)
+	n.left = xn.right
+	xn.right = h | redBit
+	return x&^redBit | h&redBit
 }
 
-func flipColors[K any, V any](h *node[K, V]) {
-	h.color = !h.color
-	if h.left != nil {
-		h.left.color = !h.left.color
-	}
-	if h.right != nil {
-		h.right.color = !h.right.color
-	}
-}
-
-func moveRedLeft[K any, V any](h *node[K, V]) *node[K, V] {
-	flipColors(h)
-	if h.right != nil && isRed(h.right.left) {
-		h.right = rotateRight(h.right)
-		h = rotateLeft(h)
-		flipColors(h)
+func (t *Tree[K, V]) moveRedLeft(h uint32) uint32 {
+	h = t.at(h).flip(h)
+	if n := t.at(h); n.right != 0 && isRed(t.at(n.right).left) {
+		n.right = t.rotateRight(n.right)
+		h = t.rotateLeft(h)
+		h = t.at(h).flip(h)
 	}
 	return h
 }
 
-func moveRedRight[K any, V any](h *node[K, V]) *node[K, V] {
-	flipColors(h)
-	if h.left != nil && isRed(h.left.left) {
-		h = rotateRight(h)
-		flipColors(h)
+func (t *Tree[K, V]) moveRedRight(h uint32) uint32 {
+	h = t.at(h).flip(h)
+	if n := t.at(h); n.left != 0 && isRed(t.at(n.left).left) {
+		h = t.rotateRight(h)
+		h = t.at(h).flip(h)
 	}
 	return h
 }
 
-func fix[K any, V any](h *node[K, V]) *node[K, V] {
-	if isRed(h.right) && !isRed(h.left) {
-		h = rotateLeft(h)
+func (t *Tree[K, V]) fix(h uint32) uint32 {
+	n := t.at(h)
+	if isRed(n.right) && !isRed(n.left) {
+		h = t.rotateLeft(h)
+		n = t.at(h)
 	}
-	if isRed(h.left) && isRed(h.left.left) {
-		h = rotateRight(h)
+	if isRed(n.left) && isRed(t.at(n.left).left) {
+		h = t.rotateRight(h)
+		n = t.at(h)
 	}
-	if isRed(h.left) && isRed(h.right) {
-		flipColors(h)
+	if isRed(n.left) && isRed(n.right) {
+		h = n.flip(h)
 	}
 	return h
 }

@@ -102,20 +102,21 @@ func TestMatchesReferenceMap(t *testing.T) {
 // no two reds in a row, and one black height on every root-to-leaf path.
 func checkLLRB(t *testing.T, tr *Tree[int, int]) {
 	t.Helper()
-	var walk func(h *node[int, int]) int
-	walk = func(h *node[int, int]) int {
-		if h == nil {
+	var walk func(h uint32) int
+	walk = func(h uint32) int {
+		if h == 0 {
 			return 1
 		}
-		if isRed(h.right) {
-			t.Fatalf("red right link at %d", h.key)
+		n := tr.at(h)
+		if isRed(n.right) {
+			t.Fatalf("red right link at %d", n.key)
 		}
-		if isRed(h) && isRed(h.left) {
-			t.Fatalf("two reds in a row at %d", h.key)
+		if isRed(h) && isRed(n.left) {
+			t.Fatalf("two reds in a row at %d", n.key)
 		}
-		l, r := walk(h.left), walk(h.right)
+		l, r := walk(n.left), walk(n.right)
 		if l != r {
-			t.Fatalf("black height %d left vs %d right at %d", l, r, h.key)
+			t.Fatalf("black height %d left vs %d right at %d", l, r, n.key)
 		}
 		if !isRed(h) {
 			l++

@@ -554,8 +554,10 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	return seq, nil
 }
 
-// rollLocked finalizes the active segment and starts the next one.
-// Callers hold w.mu.
+// rollLocked finalizes the active segment and starts the next one. Unless
+// the policy is SyncNever, the old segment is fsynced first and synced
+// covers it: the next leader fsyncs only the new segment, yet sets synced
+// to every record appended. Callers hold w.mu.
 func (w *WAL) rollLocked() error {
 	// Wait out an in-flight leader fsync: it holds the old handle.
 	for w.syncing {
@@ -563,6 +565,17 @@ func (w *WAL) rollLocked() error {
 		if w.err != nil {
 			return w.err
 		}
+	}
+	if w.policy != SyncNever && w.synced < w.next {
+		start := time.Now()
+		err := w.f.Sync()
+		w.metFsyncUS.Observe(time.Since(start).Microseconds())
+		if err != nil {
+			w.setFatalLocked(fmt.Errorf("wal: fsync before roll: %w", err))
+			w.cond.Broadcast()
+			return w.err
+		}
+		w.synced = w.next
 	}
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("wal: close segment: %w", err)
