@@ -101,14 +101,6 @@ func run() error {
 		ID: *id, Engine: eng, Disk: disk, CheckpointDir: *ckptDir, Obs: reg,
 		AckTimeout: *ackTimeout, Flight: rec, DefaultDeadline: *deadlineD,
 	})
-	if reg != nil {
-		// The scheduler derives per-table version lag from the ObsSnapshot
-		// RPC; the local backlog gauge gives this node's /metrics the same
-		// staleness signal without a scheduler round trip.
-		reg.GaugeFunc(obs.Labeled(obs.ReplicaApplyBacklog, "node", *id), func() float64 {
-			return float64(eng.PendingMods())
-		})
-	}
 	if *checkpoint > 0 {
 		cp := node.StartCheckpointer(*checkpoint)
 		defer cp.Stop()

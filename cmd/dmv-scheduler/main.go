@@ -79,7 +79,7 @@ func run(args []string) error {
 		items      = fs.Int("items", 1000, "TPC-W items (must match the nodes)")
 		customers  = fs.Int("customers", 500, "TPC-W customers (must match the nodes)")
 		metrics    = fs.String("metrics-addr", "", "serve /metrics, /trace, /stitch, /timeline, /cluster on this address (empty = off)")
-		scrape     = fs.Duration("scrape", 500*time.Millisecond, "node ObsSnapshot scrape period for /cluster")
+		scrape     = fs.Duration("scrape", 500*time.Millisecond, "cluster-view scrape period for /cluster")
 		rpcTimeout = fs.Duration("rpc-timeout", transport.DefaultCallTimeout, "per-RPC deadline for peer calls")
 		pingTO     = fs.Duration("ping-timeout", transport.DefaultPingTimeout, "heartbeat probe deadline")
 		rpcRetries = fs.Int("rpc-retries", 0, "extra attempts for idempotent peer calls (0 = transport default, <0 = off)")
@@ -245,11 +245,9 @@ func run(args []string) error {
 	defer plane.Close()
 	log.Printf("tier up: master=%s slaves=%v spares=%v", plane.MasterID(0), plane.Scheduler().Slaves(), plane.Scheduler().Spares())
 
-	// Aggregation plane: scrape every node's registry over the ObsSnapshot
-	// RPC and merge into one labeled cluster snapshot served at /cluster.
-	// The scheduler's merged version vector floors the commit frontier, so
-	// a freshly acknowledged commit shows as lag even before any node
-	// reports the new version back.
+	// Aggregation plane: the control plane builds the cluster view (every
+	// node's registry over the ObsSnapshot RPC plus this daemon's own) on
+	// each scrape tick, and /cluster serves the latest one.
 	if reg != nil {
 		stopScrape := make(chan struct{})
 		defer close(stopScrape)
@@ -261,19 +259,7 @@ func run(args []string) error {
 				case <-stopScrape:
 					return
 				case <-ticker.C:
-					var nss []obs.NodeSnapshot
-					for _, n := range all {
-						ns, err := n.ObsSnapshot()
-						if err != nil {
-							continue // dead or unreachable; the snapshot just omits it
-						}
-						nss = append(nss, ns)
-					}
-					cs := obs.MergeSnapshots(nss, plane.Scheduler().Latest())
-					for i := range cs.Nodes {
-						cs.Nodes[i].Health = plane.Health(cs.Nodes[i].Node)
-					}
-					agg.Update(cs)
+					agg.Update(plane.ClusterSnapshot())
 				}
 			}
 		}()

@@ -4,10 +4,15 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 	"time"
 
+	"dmv/internal/cluster"
+	"dmv/internal/heap"
 	"dmv/internal/obs"
+	"dmv/internal/scheduler"
+	"dmv/internal/value"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata golden files")
@@ -75,5 +80,57 @@ func TestRenderGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("render differs from golden (rerun with -update if intended):\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestRenderInProcessTier renders the view a running tier builds: with
+// admission on, a sweep done and a slave killed, the frame shows the
+// admission and scrub lines, the scheduler's counters and the dead node.
+func TestRenderInProcessTier(t *testing.T) {
+	c, err := cluster.New(cluster.Config{
+		Slaves:        2,
+		SchemaDDL:     []string{`CREATE TABLE acct (id INT PRIMARY KEY, bal INT)`},
+		Admission:     scheduler.AdmissionOptions{Slots: 4},
+		ScrubInterval: time.Hour, // the test runs the one sweep itself
+		Obs:           obs.New(),
+		Load: func(e *heap.Engine) error {
+			tid, _ := e.TableID("acct")
+			return e.Load(tid, []value.Row{{value.NewInt(1), value.NewInt(0)}})
+		},
+	})
+	if err != nil {
+		t.Fatalf("cluster: %v", err)
+	}
+	t.Cleanup(c.Close)
+	for i := 0; i < 3; i++ {
+		if err := c.Run(scheduler.TxnSpec{Tables: []string{"acct"}}, func(tx *scheduler.Txn) error {
+			_, err := tx.Exec(`UPDATE acct SET bal = bal + 1 WHERE id = 1`)
+			return err
+		}); err != nil {
+			t.Fatalf("update %d: %v", i, err)
+		}
+		if err := c.Run(scheduler.TxnSpec{ReadOnly: true}, func(tx *scheduler.Txn) error {
+			_, err := tx.QueryInt(`SELECT bal FROM acct WHERE id = 1`)
+			return err
+		}); err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+	}
+	c.Sweep()
+	if err := c.Kill("slave1"); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+
+	var prev *admitFrame
+	frame := render(c.ClusterSnapshot(), &prev)
+	for _, want := range []string{
+		`(?m)^admission  ADMIT `,
+		`(?m)^scrub      SWEEPS 1 `,
+		`(?m)^  ` + obs.SchedPrefix + `\S+ +[1-9]`,
+		`(?m)^slave1 +down `,
+	} {
+		if !regexp.MustCompile(want).MatchString(frame) {
+			t.Errorf("frame does not match %s:\n%s", want, frame)
+		}
 	}
 }

@@ -2,12 +2,12 @@
 // Peer-driven control plane shared by every deployment: heartbeat failure
 // detection, master election, the three-stage fail-over pipeline (recovery
 // -> data migration -> cache warm-up), reintegration, the scrub loop,
-// peer-scheduler take-over and spare-backup upkeep (page-id-transfer
-// warm-up, stale-spare refresh, overload-driven spare activation). Assemble
-// is the one way a tier is put together, in process or over TCP. Cluster is
-// the in-process tier, adding what only a process that owns its nodes can
-// do: node construction and initial load, kill/restart, periodic fuzzy
-// checkpoints, index-history GC and buffer-cache gauges.
+// peer-scheduler take-over, spare-backup upkeep (page-id-transfer
+// warm-up, stale-spare refresh, overload-driven spare activation) and the
+// cluster view (/cluster). Assemble is the one way a tier is put together,
+// in process or over TCP. Cluster is the in-process tier, adding what only
+// a process that owns its nodes can do: node construction and initial
+// load, kill/restart, periodic fuzzy checkpoints and index-history GC.
 package cluster
 
 import (
@@ -23,7 +23,6 @@ import (
 	"dmv/internal/replica"
 	"dmv/internal/scheduler"
 	"dmv/internal/simdisk"
-	"dmv/internal/vclock"
 )
 
 // Errors surfaced by cluster operations.
@@ -109,14 +108,10 @@ type Config struct {
 	// IndexGCPeriod runs versioned-index garbage collection on every node
 	// at this period, at the scheduler's reader low-water mark (0 = off).
 	IndexGCPeriod time.Duration
-	// OverloadThreshold activates a spare backup as an additional read
-	// replica when the mean in-flight reads per slave stays above this
-	// value (the paper keeps spares "for overflow in case of failures or
-	// potentially overload of active replicas"). 0 disables this signal;
-	// a saturated admission queue activates a spare regardless.
-	OverloadThreshold float64
-	// OverloadWindow is how long the overload must persist before a spare
-	// is activated (default 250ms).
+	// OverloadWindow is how long the admission queue must stay saturated
+	// before a spare backup is activated as an additional read replica
+	// (default 250ms; the paper keeps spares "for overflow in case of
+	// failures or potentially overload of active replicas").
 	OverloadWindow time.Duration
 	// ScrubInterval runs the anti-entropy scrubber on this period (0 = off):
 	// every table's digest is cross-checked against its class master at a
@@ -129,8 +124,8 @@ type Config struct {
 	// Admission configures the primary scheduler Assemble builds (Slots == 0
 	// disables its bounded admission queue). Under overload the queue sheds
 	// work at begin with ErrOverloaded instead of letting latency collapse,
-	// and its pressure signal feeds spare activation alongside
-	// OverloadThreshold.
+	// and a queue that stays saturated for OverloadWindow activates a spare
+	// (the tier's one overload signal; off with admission off).
 	Admission scheduler.AdmissionOptions
 	// DefaultDeadline is applied by every node to transactions that carry
 	// no caller deadline (0 = unbounded). Expired sessions abandon queued
@@ -152,8 +147,8 @@ type Config struct {
 	// Obs, when set, receives every cluster metric, transaction trace span,
 	// and lifecycle event: it is threaded into the schedulers, replicas, and
 	// engines, the fail-over pipeline records its stage durations on the
-	// registry's timeline, and the node buffer caches are exported as
-	// gauges. Nil disables metrics (the event timeline still works).
+	// registry's timeline, and ClusterSnapshot adds it to the cluster view.
+	// Nil disables metrics (the event timeline still works).
 	Obs *obs.Registry
 	// Flight, when set, is the cluster's flight recorder: the failure
 	// detector records health transitions into it and fail-over start /
@@ -271,7 +266,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	for _, id := range c.NodeIDs() {
 		n, _ := c.Node(id)
-		c.registerLagGauges(id, n.Engine().TableNames())
 		c.startCheckpointer(n)
 	}
 
@@ -359,74 +353,6 @@ func (c *Cluster) buildNode(cfg Config, id string, prev *replica.Node) (*replica
 		DefaultDeadline: cfg.DefaultDeadline,
 		Obs:             cfg.Obs,
 	}), nil
-}
-
-// registerLagGauges exports the node's DMV staleness against the cluster
-// commit frontier: one version-lag gauge per table (frontier minus the
-// version the table's pages have actually applied) and one backlog gauge
-// counting buffered, not-yet-applied modifications. Both resolve the node
-// by id and read its live engine state at snapshot time, so they follow a
-// restarted node's new engine, and a scrape after reads forced lazy
-// application reports zero without any bookkeeping in the apply path.
-func (c *Cluster) registerLagGauges(id string, tables []string) {
-	reg := c.cfg.Obs
-	if reg == nil {
-		return
-	}
-	engine := func() *heap.Engine {
-		n, _ := c.Node(id)
-		return n.Engine()
-	}
-	for ti, name := range tables {
-		ti := ti
-		reg.GaugeFunc(obs.Labeled(obs.ReplicaVersionLag, "node", id, "table", name), func() float64 {
-			frontier := c.frontier()
-			applied := engine().AppliedVersions()
-			if ti >= len(frontier) || ti >= len(applied) || frontier[ti] <= applied[ti] {
-				return 0
-			}
-			return float64(frontier[ti] - applied[ti])
-		})
-	}
-	reg.GaugeFunc(obs.Labeled(obs.ReplicaApplyBacklog, "node", id), func() float64 {
-		return float64(engine().PendingMods())
-	})
-}
-
-// frontier is the cluster commit frontier: the primary scheduler's merged
-// version vector, which covers every acknowledged commit.
-func (c *Cluster) frontier() vclock.Vector { return c.Scheduler().Latest() }
-
-// ClusterSnapshot builds the aggregation-plane view of the in-process
-// cluster: the commit frontier, every node's per-table version lag and
-// apply backlog, and the metric/trace state. In-process nodes share one
-// registry, so the merged snapshot is taken once — summing per-node
-// snapshots (the multiprocess path in obs.MergeSnapshots) would multiply
-// every counter by the node count.
-func (c *Cluster) ClusterSnapshot() obs.ClusterSnapshot {
-	frontier := c.frontier()
-	cs := obs.ClusterSnapshot{TakenUnix: time.Now().Unix(), Frontier: frontier}
-	for _, id := range c.NodeIDs() {
-		n, _ := c.Node(id)
-		nl := obs.NodeLag{Node: id, Role: "down", Health: c.Health(id), StartUnix: n.StartTime().Unix()}
-		if r, err := n.Role(); err == nil {
-			nl.Role = r.String()
-			applied := n.Engine().AppliedVersions()
-			nl.Lag = make([]uint64, len(frontier))
-			for t := range nl.Lag {
-				if t < len(applied) && frontier[t] > applied[t] {
-					nl.Lag[t] = frontier[t] - applied[t]
-				}
-			}
-			nl.PendingMods = n.Engine().PendingMods()
-		}
-		cs.Nodes = append(cs.Nodes, nl)
-	}
-	if reg := c.cfg.Obs; reg != nil {
-		cs.Merged = reg.Snapshot()
-		cs.Spans = reg.Tracer().Dump()
-	}
-	return cs
 }
 
 // Node returns the named node (tests, fault injection).

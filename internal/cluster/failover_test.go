@@ -221,12 +221,12 @@ func TestKillSchedulerWithoutPeerFails(t *testing.T) {
 
 func TestOverloadActivatesSpare(t *testing.T) {
 	c := newTestCluster(t, Config{
-		Slaves:            1,
-		Spares:            1,
-		MaxRetries:        20,
-		OverloadThreshold: 2,
-		OverloadWindow:    50 * time.Millisecond,
-		// Slow statements so in-flight reads pile up on the single slave.
+		Slaves:         1,
+		Spares:         1,
+		MaxRetries:     20,
+		Admission:      scheduler.AdmissionOptions{Slots: 1},
+		OverloadWindow: 50 * time.Millisecond,
+		// Slow statements so reads queue for the single admission slot.
 		Costs: simdisk.CostModel{Stmt: 5 * time.Millisecond, UpdateStmt: 5 * time.Millisecond, CPUs: 1},
 	})
 	stop := make(chan struct{})

@@ -112,8 +112,8 @@ func TestStitchedTraceAcrossCluster(t *testing.T) {
 }
 
 // TestClusterLagGauges drives updates with no reads so mods stay buffered
-// on the slaves, asserts the /cluster snapshot and the labeled lag gauges
-// report the staleness, then scans until lazy application drains it all.
+// on the slaves, asserts the /cluster snapshot reports the staleness, then
+// scans until lazy application drains it all.
 func TestClusterLagGauges(t *testing.T) {
 	reg := obs.New()
 	c := newTestCluster(t, Config{Slaves: 2, MaxRetries: 30, Obs: reg})
@@ -130,20 +130,6 @@ func TestClusterLagGauges(t *testing.T) {
 	}
 	if len(cs.Frontier) == 0 || cs.Frontier[0] == 0 {
 		t.Fatalf("frontier = %v, want the committed versions", cs.Frontier)
-	}
-	// The same staleness surfaces on the labeled gauges of /metrics.
-	snap := reg.Snapshot()
-	gaugeLag := 0.0
-	for _, id := range []string{"slave0", "slave1"} {
-		gaugeLag += snap.Gauges[obs.Labeled(obs.ReplicaVersionLag, "node", id, "table", "account")]
-		gaugeLag += snap.Gauges[obs.Labeled(obs.ReplicaVersionLag, "node", id, "table", "audit")]
-	}
-	if gaugeLag == 0 {
-		t.Fatalf("labeled lag gauges all zero: %v", snap.Gauges)
-	}
-	if snap.Gauges[obs.Labeled(obs.ReplicaApplyBacklog, "node", "slave0")]+
-		snap.Gauges[obs.Labeled(obs.ReplicaApplyBacklog, "node", "slave1")] == 0 {
-		t.Fatal("apply-backlog gauges all zero while mods are buffered")
 	}
 
 	deadline := time.Now().Add(2 * time.Second)
@@ -163,7 +149,7 @@ func TestClusterLagGauges(t *testing.T) {
 
 // TestLagConvergesAfterFailover kills the master mid-stream, lets the
 // fail-over pipeline elect and migrate, then asserts the survivors'
-// version-lag gauges converge back to zero once reads drain the buffers.
+// version lag converges back to zero once reads drain the buffers.
 func TestLagConvergesAfterFailover(t *testing.T) {
 	reg := obs.New()
 	c := newTestCluster(t, Config{Slaves: 2, MaxRetries: 30, Obs: reg})

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -373,6 +374,59 @@ func (p *Plane) Health(id string) string {
 		return healthName(m.state)
 	}
 	return healthy
+}
+
+// obsSource is a member that serves its share of the cluster view:
+// *replica.Node in process, *transport.RemoteNode over the ObsSnapshot RPC.
+type obsSource interface {
+	ObsSnapshot() (obs.NodeSnapshot, error)
+}
+
+// ClusterSnapshot builds the tier's aggregation view (/cluster) the same
+// way in process and over TCP: every member's ObsSnapshot and the plane's
+// own registry (scheduler, admission, scrub, WAL, persist and transport
+// client metrics), merged by obs.MergeSnapshots over the primary
+// scheduler's version vector, with the detector's health verdicts. A member
+// the detector has declared dead is not asked, so a scrape never waits out
+// a dead node's retries; it and any member whose snapshot fails are listed
+// down.
+func (p *Plane) ClusterSnapshot() obs.ClusterSnapshot {
+	type entry struct {
+		peer   replica.Peer
+		health string
+	}
+	p.mu.Lock()
+	entries := make([]entry, 0, len(p.order))
+	for _, id := range p.order {
+		m := p.members[id]
+		entries = append(entries, entry{m.peer, healthName(m.state)})
+	}
+	p.mu.Unlock()
+
+	nss := make([]obs.NodeSnapshot, 0, len(entries)+1)
+	var down []obs.NodeLag
+	health := make(map[string]string, len(entries))
+	for _, e := range entries {
+		id := e.peer.ID()
+		health[id] = e.health
+		if src, ok := e.peer.(obsSource); ok && e.health != healthDead {
+			if ns, err := src.ObsSnapshot(); err == nil {
+				nss = append(nss, ns)
+				continue
+			}
+		}
+		down = append(down, obs.NodeLag{Node: id, Role: "down"})
+	}
+	if reg := p.cfg.Obs; reg != nil {
+		nss = append(nss, obs.NodeSnapshot{Registry: reg.ID(), Snap: reg.Snapshot(), Spans: reg.Tracer().Dump()})
+	}
+	cs := obs.MergeSnapshots(nss, p.Scheduler().Latest())
+	cs.Nodes = append(cs.Nodes, down...)
+	sort.Slice(cs.Nodes, func(i, j int) bool { return cs.Nodes[i].Node < cs.Nodes[j].Node })
+	for i := range cs.Nodes {
+		cs.Nodes[i].Health = health[cs.Nodes[i].Node]
+	}
+	return cs
 }
 
 // MasterID returns the current master of conflict class ci.

@@ -8,19 +8,20 @@ import (
 
 // Spare upkeep (Section 4.5): the periodic jobs that keep spare backups
 // ready to serve — page-id warm-up of their buffer caches, refresh of stale
-// spares, and activation of a spare when the active slaves are overloaded.
+// spares, and activation of a spare when the admission queue stays
+// saturated.
 // They reach spares only through replica.Peer, so the deployed tier runs
 // them exactly as the in-process one does.
 
-// startSpareUpkeep launches the spare jobs the configuration asks for.
-// The overload job needs no switch of its own: with a spare to activate it
-// watches both of its signals, and each is off unless configured.
+// startSpareUpkeep launches the spare jobs the configuration asks for. The
+// overload job runs only with an admission queue to watch and a spare to
+// activate.
 func (p *Plane) startSpareUpkeep() {
 	p.every(p.cfg.PageIDTransfer, p.shipPageIDs)
 	if p.cfg.SpareMode == SpareStale {
 		p.every(p.cfg.StaleRefresh, p.refreshStaleSpares)
 	}
-	if len(p.usableSpares()) > 0 {
+	if p.cfg.Admission.Slots > 0 && len(p.usableSpares()) > 0 {
 		p.every(p.overloadJob())
 	}
 }
@@ -65,8 +66,7 @@ func (p *Plane) refreshStaleSpares() {
 }
 
 // overloadJob returns the overload check and its period. The primary
-// scheduler is hot while the mean in-flight reads per slave exceed
-// cfg.OverloadThreshold or its admission queue is saturated; a spare is
+// scheduler is hot while its admission queue is saturated; a spare is
 // activated once per episode that stays hot for cfg.OverloadWindow.
 func (p *Plane) overloadJob() (time.Duration, func()) {
 	window := p.cfg.OverloadWindow
@@ -74,14 +74,7 @@ func (p *Plane) overloadJob() (time.Duration, func()) {
 	var over time.Duration
 	return tick, func() {
 		sched := p.Scheduler()
-		hot := p.cfg.OverloadThreshold > 0 && sched.AvgOutstanding() > p.cfg.OverloadThreshold
-		// A saturated admission queue is the earlier signal: it fills
-		// before latency shows in AvgOutstanding, so spares come up while
-		// the queue is still absorbing the burst.
-		if sched.AdmissionPressure() >= 1 {
-			hot = true
-		}
-		if !hot {
+		if sched.AdmissionPressure() < 1 {
 			over = 0
 			return
 		}

@@ -325,9 +325,9 @@ func (e *Engine) MaxVersions() vclock.Vector {
 // materialized into the page slots: the table's max version, lowered to
 // just below the earliest buffered-but-unapplied modification on any of
 // its pages. The gap between the cluster commit frontier and this vector
-// is the replica's staleness (dmv_replica_version_lag); eager write-set
-// propagation keeps MaxVersions at the frontier, so lag must be measured
-// against applied state, not received state.
+// is the replica's staleness (its version lag in the cluster view); eager
+// write-set propagation keeps MaxVersions at the frontier, so lag must be
+// measured against applied state, not received state.
 func (e *Engine) AppliedVersions() vclock.Vector {
 	tables := e.allTables()
 	v := vclock.New(len(tables))

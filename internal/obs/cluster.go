@@ -12,6 +12,7 @@ import (
 // version state needed to compute staleness against the cluster frontier.
 // It is what the ObsSnapshot RPC ships from replica to scheduler.
 type NodeSnapshot struct {
+	Registry    uint64 // the ID of the registry Snap and Spans come from
 	Node        string
 	Role        string
 	StartUnix   int64
@@ -25,14 +26,14 @@ type NodeSnapshot struct {
 // NodeLag is one node's staleness entry inside a ClusterSnapshot.
 type NodeLag struct {
 	Node        string
-	Role        string
+	Role        string // "down" when the node did not answer
 	StartUnix   int64
 	Lag         []uint64 // per-table: frontier version minus applied version
 	PendingMods int
 	// Health is the failure detector's current verdict for the node
 	// ("healthy", "suspect", or "dead"); empty when no detector runs.
-	// Filled in by the aggregating side, not by MergeSnapshots: suspicion
-	// state lives in the scheduler/cluster monitor, not on the node.
+	// Filled in by the control plane, not by MergeSnapshots: suspicion
+	// state lives in the plane's detector, not on the node.
 	Health string
 }
 
@@ -43,16 +44,18 @@ type ClusterSnapshot struct {
 	Frontier  []uint64 // elementwise max of every node's MaxVer (and the scheduler's own view)
 	Nodes     []NodeLag
 	Merged    Snapshot
-	Spans     []Span // concatenated trace rings of every node, for stitching
+	Spans     []Span // concatenated trace rings of every registry, for stitching
 }
 
-// MergeSnapshots folds per-node snapshots into one cluster view. The
-// frontier is the elementwise max over every node's MaxVer and the given
-// floor (the scheduler's merged version vector); each node's lag is
-// frontier minus its Applied vector, clamped at zero. Counters and
-// histogram buckets sum; gauges sum too, which is correct for the
-// per-process registries of the multiprocess deployment (each daemon owns
-// its metrics exclusively).
+// MergeSnapshots folds snapshots into one cluster view. The frontier is the
+// elementwise max over every node's MaxVer and the given floor (the
+// scheduler's merged version vector); each node's lag is frontier minus its
+// Applied vector, clamped at zero. A snapshot with no Node (a scheduler's
+// own registry) adds its metrics and spans but no node row. Counters,
+// gauges and histogram buckets sum over registries, and each registry
+// counts once: members that share one (the in-process tier's nodes and
+// plane) carry the same Registry id, and only the first of them adds its
+// metrics and spans. Registry 0 names no registry and always adds.
 func MergeSnapshots(nodes []NodeSnapshot, floor []uint64) ClusterSnapshot {
 	cs := ClusterSnapshot{
 		TakenUnix: time.Now().Unix(),
@@ -73,24 +76,31 @@ func MergeSnapshots(nodes []NodeSnapshot, floor []uint64) ClusterSnapshot {
 			}
 		}
 	}
+	merged := make(map[uint64]bool, len(nodes))
 	for _, ns := range nodes {
-		lag := make([]uint64, len(cs.Frontier))
-		for i := range cs.Frontier {
-			applied := uint64(0)
-			if i < len(ns.Applied) {
-				applied = ns.Applied[i]
+		if ns.Node != "" {
+			lag := make([]uint64, len(cs.Frontier))
+			for i := range cs.Frontier {
+				applied := uint64(0)
+				if i < len(ns.Applied) {
+					applied = ns.Applied[i]
+				}
+				if cs.Frontier[i] > applied {
+					lag[i] = cs.Frontier[i] - applied
+				}
 			}
-			if cs.Frontier[i] > applied {
-				lag[i] = cs.Frontier[i] - applied
-			}
+			cs.Nodes = append(cs.Nodes, NodeLag{
+				Node:        ns.Node,
+				Role:        ns.Role,
+				StartUnix:   ns.StartUnix,
+				Lag:         lag,
+				PendingMods: ns.PendingMods,
+			})
 		}
-		cs.Nodes = append(cs.Nodes, NodeLag{
-			Node:        ns.Node,
-			Role:        ns.Role,
-			StartUnix:   ns.StartUnix,
-			Lag:         lag,
-			PendingMods: ns.PendingMods,
-		})
+		if ns.Registry != 0 && merged[ns.Registry] {
+			continue
+		}
+		merged[ns.Registry] = true
 		for n, v := range ns.Snap.Counters {
 			cs.Merged.Counters[n] += v
 		}

@@ -43,15 +43,13 @@ const (
 
 	// --- replica (one DMV node) ---------------------------------------------
 
-	NodeReadTxns        = "dmv_node_read_txns_total"      // read transactions executed across nodes
-	NodeUpdateTxns      = "dmv_node_update_txns_total"    // update transactions executed across nodes
-	NodeWriteSetsIn     = "dmv_node_writesets_in_total"   // write-sets received from a master
-	NodeWriteSetBytes   = "dmv_node_writeset_bytes_total" // estimated bytes of write-sets received
-	NodeRole            = "dmv_node_role"                 // labeled gauge: 0 slave, 1 master, 2 joining, 3 spare
-	NodeStartTime       = "dmv_node_start_time_seconds"   // labeled gauge: unix start time of the node process
-	BuildInfo           = "dmv_build_info"                // labeled info gauge (go runtime version), value always 1
-	ReplicaVersionLag   = "dmv_replica_version_lag"       // labeled gauge: commit frontier minus applied version, per node x table
-	ReplicaApplyBacklog = "dmv_replica_apply_backlog"     // labeled gauge: buffered (unapplied) row mods per node
+	NodeReadTxns      = "dmv_node_read_txns_total"      // read transactions executed across nodes
+	NodeUpdateTxns    = "dmv_node_update_txns_total"    // update transactions executed across nodes
+	NodeWriteSetsIn   = "dmv_node_writesets_in_total"   // write-sets received from a master
+	NodeWriteSetBytes = "dmv_node_writeset_bytes_total" // estimated bytes of write-sets received
+	NodeRole          = "dmv_node_role"                 // labeled gauge: 0 slave, 1 master, 2 joining, 3 spare
+	NodeStartTime     = "dmv_node_start_time_seconds"   // labeled gauge: unix start time of the node process
+	BuildInfo         = "dmv_build_info"                // labeled info gauge (go runtime version), value always 1
 
 	// --- heap (page-based storage engine) -----------------------------------
 

@@ -19,6 +19,7 @@
 package obs
 
 import (
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -88,6 +89,10 @@ func (g *Gauge) Load() int64 {
 // callers resolve names once at construction and then record through
 // atomics only.
 type Registry struct {
+	// id names the registry in cluster views, so a merge that receives one
+	// registry through several members counts it once.
+	id uint64
+
 	mu       sync.Mutex
 	counters map[string]*Counter         // guarded by mu
 	gauges   map[string]*Gauge           // guarded by mu
@@ -98,11 +103,12 @@ type Registry struct {
 	timeline *Timeline
 }
 
-// New returns an empty registry with a tracer of DefaultTraceCap spans and
-// a fresh timeline. Ring evictions in both are counted under
-// dmv_obs_ring_dropped_total, labeled by ring.
+// New returns an empty registry with a random id, a tracer of
+// DefaultTraceCap spans and a fresh timeline. Ring evictions in both are
+// counted under dmv_obs_ring_dropped_total, labeled by ring.
 func New() *Registry {
 	r := &Registry{
+		id:       rand.Uint64(),
 		counters: make(map[string]*Counter, 32),
 		gauges:   make(map[string]*Gauge, 8),
 		hists:    make(map[string]*Histogram, 16),
@@ -172,6 +178,14 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.funcs[name] = append(r.funcs[name], fn)
+}
+
+// ID returns the registry's random id (0 for a nil registry).
+func (r *Registry) ID() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.id
 }
 
 // Tracer returns the registry's span tracer (nil on a nil registry).

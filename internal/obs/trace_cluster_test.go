@@ -139,8 +139,8 @@ func TestHistQuantileSummaryMerge(t *testing.T) {
 }
 
 func TestLabeled(t *testing.T) {
-	if got := Labeled(ReplicaVersionLag, "node", "slave0", "table", "item"); got !=
-		ReplicaVersionLag+`{node="slave0",table="item"}` {
+	if got := Labeled(RuntimeGoroutines, "node", "slave0", "table", "item"); got !=
+		RuntimeGoroutines+`{node="slave0",table="item"}` {
 		t.Fatalf("Labeled = %q", got)
 	}
 	if got := Labeled(NodeRole); got != NodeRole {
@@ -188,6 +188,35 @@ func TestMergeSnapshots(t *testing.T) {
 	}
 	if len(cs.Spans) != 2 {
 		t.Fatalf("spans = %d, want the two rings concatenated", len(cs.Spans))
+	}
+}
+
+// TestMergeSnapshotsCountsRegistryOnce: snapshots of one registry reached
+// through several members add its metrics and spans once, and a snapshot
+// with no node (a scheduler's own registry) adds its metrics but no row.
+func TestMergeSnapshotsCountsRegistryOnce(t *testing.T) {
+	shared, own := New(), New()
+	shared.Counter(NodeReadTxns).Add(5)
+	shared.Tracer().Begin("read").Finish("commit", "")
+	own.Counter(SchedReadTxns).Add(7)
+	if shared.ID() == own.ID() {
+		t.Fatal("two registries share one id")
+	}
+	node := func(id string) NodeSnapshot {
+		return NodeSnapshot{Registry: shared.ID(), Node: id, Role: "slave", Snap: shared.Snapshot(), Spans: shared.Tracer().Dump()}
+	}
+	cs := MergeSnapshots([]NodeSnapshot{node("b"), node("a"), {Registry: own.ID(), Snap: own.Snapshot()}}, nil)
+	if len(cs.Nodes) != 2 || cs.Nodes[0].Node != "a" || cs.Nodes[1].Node != "b" {
+		t.Fatalf("nodes = %+v, want rows a and b only", cs.Nodes)
+	}
+	if got := cs.Merged.Counters[NodeReadTxns]; got != 5 {
+		t.Errorf("shared registry's counter = %d, want 5, counted once", got)
+	}
+	if got := cs.Merged.Counters[SchedReadTxns]; got != 7 {
+		t.Errorf("nameless snapshot's counter = %d, want 7", got)
+	}
+	if len(cs.Spans) != 1 {
+		t.Errorf("spans = %d, want the shared ring once", len(cs.Spans))
 	}
 }
 

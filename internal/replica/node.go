@@ -884,6 +884,7 @@ func (n *Node) ObsSnapshot() (obs.NodeSnapshot, error) {
 	role := n.role
 	n.roleMu.RUnlock()
 	return obs.NodeSnapshot{
+		Registry:    n.reg.ID(),
 		Node:        n.id,
 		Role:        role.String(),
 		StartUnix:   n.started.Unix(),

@@ -258,8 +258,8 @@ func New(opts Options, numTables int, tableID func(string) (int, bool)) (*Schedu
 func (s *Scheduler) Admitter() *Admitter { return s.admit }
 
 // AdmissionPressure reports the admission queue's occupancy in [0, 1]
-// (0 when admission control is disabled). The control plane's overload job
-// feeds it into spare activation alongside AvgOutstanding.
+// (0 when admission control is disabled). It is the control plane's one
+// overload signal: a queue that stays saturated activates a spare.
 func (s *Scheduler) AdmissionPressure() float64 {
 	if s.admit == nil {
 		return 0
@@ -569,7 +569,7 @@ func (s *Scheduler) pickReader(v vclock.Vector) *replicaState {
 }
 
 // AvgOutstanding returns the mean number of in-flight read transactions per
-// active slave — the cluster's overload detector reads it.
+// active slave (tests check it drains to zero).
 func (s *Scheduler) AvgOutstanding() float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -78,8 +78,9 @@ go run ./cmd/dmv-vet -fmt "$vet_json"
 
 echo "==> obs race leg (obs unit suite + trace propagation + cluster aggregation)"
 go test -race -count=1 ./internal/obs/
-go test -race -count=1 -run 'TestTracePropagation' ./internal/transport/
+go test -race -count=1 -run 'TestTracePropagation|TestClusterViewMatchesInProcess' ./internal/transport/
 go test -race -count=1 -run 'TestObsMetricsEnabled|TestStitchedTraceAcrossCluster|TestClusterLagGauges|TestLagConvergesAfterFailover' ./internal/cluster/
+go test -race -count=1 -run 'TestRenderInProcessTier' ./cmd/dmv-top/
 
 echo "==> faultnet chaos leg (seeded partitions, RPC deadlines, gray-failure detection)"
 # Every scenario below runs on a fixed seed, so a failure here reproduces
