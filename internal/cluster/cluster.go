@@ -262,7 +262,9 @@ func New(cfg Config) (*Cluster, error) {
 	// tags would ask for versions the nodes have overwritten.
 	for _, n := range m.Masters {
 		v := n.(*replica.Node).Engine().AppliedVersions()
-		p.eachSched(func(s *scheduler.Scheduler) { s.ReportVersion(v) })
+		for _, s := range p.scheds {
+			s.ReportVersion(v)
+		}
 	}
 	for _, id := range c.NodeIDs() {
 		n, _ := c.Node(id)

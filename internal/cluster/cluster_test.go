@@ -356,6 +356,72 @@ func TestStaleReportSparesRestartedNode(t *testing.T) {
 	}
 }
 
+// TestRestartReplacesKilledIncarnation: a node restarted before any probe
+// has seen its death replaces the killed object in read placement at once.
+// Reads never reach the killed object, so none reports a failure, and the
+// rebuilt node serves its share of them.
+func TestRestartReplacesKilledIncarnation(t *testing.T) {
+	c := newTestCluster(t, Config{Slaves: 2, HeartbeatInterval: time.Hour})
+	if err := c.Kill("slave1"); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+	if err := c.Restart("slave1"); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	n, _ := c.Node("slave1")
+	placed := false
+	for _, p := range c.Scheduler().SlaveList() {
+		if p.ID() == "slave1" {
+			placed = p == replica.Peer(n)
+		}
+	}
+	if !placed {
+		t.Fatalf("read placement lacks the rebuilt slave1: %v", c.Scheduler().Slaves())
+	}
+	before := c.Scheduler().Stats().Failovers.Load()
+	onRebuilt := 0
+	for i := 0; i < 40; i++ {
+		err := c.Run(scheduler.TxnSpec{ReadOnly: true, Tables: []string{"account"}}, func(tx *scheduler.Txn) error {
+			if tx.Replica() == "slave1" {
+				onRebuilt++
+			}
+			_, err := tx.QueryInt(`SELECT a_balance FROM account WHERE a_id = ?`, value.NewInt(1))
+			return err
+		})
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+	}
+	if d := c.Scheduler().Stats().Failovers.Load() - before; d != 0 {
+		t.Fatalf("40 reads reported %d replica failures, want 0", d)
+	}
+	if onRebuilt == 0 {
+		t.Fatal("the rebuilt slave1 served none of 40 reads")
+	}
+}
+
+// TestDeathVerdictSparesRestartedNode: a death the detector decided for a
+// killed incarnation, applied only after Restart has replaced it, leaves
+// the rebuilt node healthy and in read placement.
+func TestDeathVerdictSparesRestartedNode(t *testing.T) {
+	c := newTestCluster(t, Config{Slaves: 2, HeartbeatInterval: time.Hour})
+	old, _ := c.Peer("slave1")
+	if err := c.Kill("slave1"); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+	death := c.note(old, 0, old.Ping())
+	if err := c.Restart("slave1"); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	c.applyHealth("slave1", death)
+	if h := c.Health("slave1"); h != healthy {
+		t.Fatalf("rebuilt slave1 is %s after its killed incarnation's death verdict, want healthy", h)
+	}
+	if got := c.Scheduler().Slaves(); len(got) != 2 {
+		t.Fatalf("slaves = %v, want slave0 and slave1", got)
+	}
+}
+
 // TestRestartBuildsLikeFirstIncarnation: New and Restart build nodes
 // through one path, so a first incarnation writes its checkpoints under
 // CheckpointDir, a restarted node keeps DefaultDeadline, and the cluster

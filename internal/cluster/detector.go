@@ -34,6 +34,14 @@ func healthName(state string) string {
 // lock and applied outside it.
 type healthAction int
 
+// verdict is a transition decided for one incarnation of a member: it is
+// applied to that peer object only, never to a node Restart has since
+// built under the same id.
+type verdict struct {
+	peer replica.Peer
+	act  healthAction
+}
+
 const (
 	actNone healthAction = iota
 	actSuspect
@@ -167,17 +175,31 @@ func (p *Plane) probeAll() {
 	}
 }
 
-// note feeds one probe outcome for peer n to its member's state machine.
-// An outcome for an incarnation Restart has since replaced under the same
-// id is dropped: the old node's death must not kill the new one.
-func (p *Plane) note(n replica.Peer, rtt time.Duration, err error) healthAction {
+// note feeds one probe outcome for peer n to its member's state machine and
+// returns the verdict. An outcome for an incarnation Restart has since
+// replaced under the same id is dropped: the old node's death must not
+// kill the new one. A suspicion or a cleared suspicion is recorded here,
+// under the plane lock, so the flight recorder and the health gauge see
+// transitions in the order they are decided (confirmDead records a death
+// the same way); a suspicion also quarantines the node here.
+func (p *Plane) note(n replica.Peer, rtt time.Duration, err error) verdict {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	m := p.members[n.ID()]
 	if m == nil || m.peer != n {
-		return actNone
+		return verdict{}
 	}
-	return m.observe(rtt, err, p.cfg.SuspectAfter, p.cfg.DeadAfter)
+	v := verdict{n, m.observe(rtt, err, p.cfg.SuspectAfter, p.cfg.DeadAfter)}
+	switch v.act {
+	case actSuspect:
+		p.recordHealth(n.ID(), healthy, healthSuspect)
+		p.cfg.Flight.Trigger(flight.CauseSuspicion, n.ID(), "probe misses reached SuspectAfter")
+		m.suspected = true
+		p.placeLocked()
+	case actClear:
+		p.recordHealth(n.ID(), healthSuspect, healthy)
+	}
+	return v
 }
 
 // pingBounded probes a peer with the PingTimeout deadline so a stalled
@@ -224,47 +246,51 @@ func (p *Plane) ReportSuspect(id string) {
 	}
 }
 
-// applyHealth runs the side effects of a detector transition with no
-// plane lock held.
-func (p *Plane) applyHealth(id string, act healthAction) {
-	switch act {
+// applyHealth runs the side effects of verdict v on member id, v's node,
+// with no plane lock held. Timeline events fire here, outside the lock,
+// because their hooks are caller code.
+func (p *Plane) applyHealth(id string, v verdict) {
+	switch v.act {
 	case actSuspect:
 		p.metSuspicions.Inc()
-		p.setHealthGauge(id, healthSuspect)
-		p.quarantine(id, func(m *member) { m.suspected = true })
 		p.emit(Event{Kind: EventNodeSuspect, Node: id})
-		p.cfg.Flight.RecordHealth(id, healthy, healthSuspect)
-		p.cfg.Flight.Trigger(flight.CauseSuspicion, id, "probe misses reached SuspectAfter")
 	case actClear:
 		p.metFalseSuspicions.Inc()
-		p.setHealthGauge(id, "")
 		p.emit(Event{Kind: EventNodeCleared, Node: id})
-		p.cfg.Flight.RecordHealth(id, healthSuspect, healthy)
 		// While suspect the node may have missed write-sets (a master
 		// abandons acks at the deadline); close the gap with the
 		// incremental page-delta path — no full state transfer — and only
 		// then drop the detector's quarantine, whether or not it
 		// succeeded, unless the node fell under suspicion again meanwhile.
 		// A scrub quarantine on the node stands regardless.
-		p.mu.Lock()
-		var n replica.Peer
-		if m := p.members[id]; m != nil && p.usable(m) {
-			n = m.peer
-		}
-		p.mu.Unlock()
 		go func() {
-			if n != nil {
-				_, _ = p.migrate(n)
+			if p.holds(v.peer) {
+				_, _ = p.migrate(v.peer)
 			}
 			p.quarantine(id, func(m *member) {
-				if m.state == "" {
+				if m.peer == v.peer && m.state == "" {
 					m.suspected = false
 				}
 			})
 		}()
 	case actDead:
-		p.confirmDead(id)
+		p.confirmDead(v.peer)
 	}
+}
+
+// holds reports whether n is still its member's incarnation and usable.
+func (p *Plane) holds(n replica.Peer) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	m := p.members[n.ID()]
+	return m != nil && m.peer == n && p.usable(m)
+}
+
+// recordHealth records a detector transition in the flight recorder and the
+// health gauge. Callers hold p.mu; both take only obs-band locks.
+func (p *Plane) recordHealth(id, from, to string) {
+	p.cfg.Flight.RecordHealth(id, from, to)
+	p.setHealthGauge(id, to)
 }
 
 // setHealthGauge exports the node's suspicion state as a labeled gauge.

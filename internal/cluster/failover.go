@@ -8,34 +8,35 @@ import (
 	"dmv/internal/obs/flight"
 	"dmv/internal/page"
 	"dmv/internal/replica"
-	"dmv/internal/scheduler"
 )
 
 // deadPublished, when set, runs in confirmDead right after a node's dead
 // state becomes visible, so a test can park fail-over there.
 var deadPublished atomic.Pointer[func(id string)]
 
-// confirmDead declares a node dead and reconfigures around it. It is
-// idempotent and serialized per node via the dead state. A node that may
-// still be running when declared dead (a gray failure; without local
-// liveness knowledge that is every node) is fenced: excluded from every
-// topology computation and, best-effort, stripped of its subscribers and
-// master role so it cannot keep mutating acknowledged state. A fenced node
-// never rejoins on its own: reintegration requires killing it and running
-// Restart.
-func (p *Plane) confirmDead(id string) {
+// confirmDead declares peer n dead and reconfigures around it. It is
+// idempotent and serialized per node via the dead state, and a no-op once
+// Restart has replaced n under its id: a verdict on one incarnation never
+// kills the next. A node that may still be running when declared dead (a
+// gray failure; without local liveness knowledge that is every node) is
+// fenced: excluded from every topology computation and, best-effort,
+// stripped of its subscribers and master role so it cannot keep mutating
+// acknowledged state. A fenced node never rejoins on its own:
+// reintegration requires killing it and running Restart.
+func (p *Plane) confirmDead(n replica.Peer) {
+	id := n.ID()
 	p.mu.Lock()
 	m := p.members[id]
-	if m == nil || m.state == healthDead {
+	if m == nil || m.peer != n || m.state == healthDead {
 		p.mu.Unlock()
 		return
 	}
 	// The fail-over dump is enqueued, after the health transition it
 	// shows, before "dead" becomes visible: whoever reads the dead state
 	// (Health, a post-mortem closing the recorder) finds the dump pending.
-	// The recorder takes only its own innermost lock. A master's fail-over
-	// reconfigures the whole class, so its trigger names no node.
-	p.cfg.Flight.RecordHealth(id, healthName(m.state), healthDead)
+	// A master's fail-over reconfigures the whole class, so its trigger
+	// names no node.
+	p.recordHealth(id, healthName(m.state), healthDead)
 	if m.classID >= 0 {
 		p.cfg.Flight.Trigger(flight.CauseFailover, "", fmt.Sprintf("master fail-over, class %d", m.classID))
 	} else {
@@ -43,33 +44,35 @@ func (p *Plane) confirmDead(id string) {
 	}
 	m.state = healthDead
 	m.fenced = p.usable(m)
-	gray, peer, classID, isSpare := m.fenced, m.peer, m.classID, m.isSpare
+	p.placeLocked()
+	gray, classID, isSpare := m.fenced, m.classID, m.isSpare
 	p.mu.Unlock()
 	if hook := deadPublished.Load(); hook != nil {
 		(*hook)(id)
 	}
 
-	p.setHealthGauge(id, healthDead)
 	p.emit(Event{Kind: EventNodeFailed, Node: id})
 	if gray {
 		// The fence proper is the fenced flag; the node-side cleanup runs
 		// asynchronously because a stalled node may sit on these calls.
 		go func() {
-			_ = p.rewire(peer, nil)
-			_ = peer.Demote(replica.RoleSpare)
+			_ = p.rewire(n, nil)
+			_ = n.Demote(replica.RoleSpare)
 		}()
 	}
 
-	if classID >= 0 {
+	switch {
+	case classID >= 0:
 		p.masterFailover(id, classID)
-		return
-	}
-	if isSpare {
-		p.eachSched(func(s *scheduler.Scheduler) { s.Remove(id) })
+	case isSpare:
 		p.rewireSubscribers()
-		return
+	default:
+		// A slave: its read capacity is replaced by a spare.
+		rec := p.tl.Start(EventRecoveryDone, id)
+		p.rewireSubscribers()
+		rec.End("")
+		p.activateSpare()
 	}
-	p.slaveFailover(id)
 }
 
 // masterFailover handles the most complex case (Section 4.2): roll the tier
@@ -101,6 +104,7 @@ func (p *Plane) masterFailover(failed string, classID int) {
 	}
 	p.mu.Lock()
 	p.members[newMaster.ID()].classID = classID
+	p.placeLocked()
 	p.mu.Unlock()
 	p.rewireSubscribers()
 	p.emit(Event{Kind: EventMasterElected, Node: newMaster.ID(), Duration: rec.Elapsed()})
@@ -108,15 +112,6 @@ func (p *Plane) masterFailover(failed string, classID int) {
 
 	// Stage 2 — Data migration: activate a spare to replace the promoted
 	// slave's read capacity.
-	p.activateSpare()
-}
-
-// slaveFailover removes the failed slave and activates a spare in its place.
-func (p *Plane) slaveFailover(failed string) {
-	rec := p.tl.Start(EventRecoveryDone, failed)
-	p.eachSched(func(s *scheduler.Scheduler) { s.Remove(failed) })
-	p.rewireSubscribers()
-	rec.End("")
 	p.activateSpare()
 }
 
@@ -147,12 +142,8 @@ func (p *Plane) activateSpare() {
 
 	p.mu.Lock()
 	p.members[spare.ID()].isSpare = false
+	p.placeLocked()
 	p.mu.Unlock()
-	p.eachSched(func(s *scheduler.Scheduler) {
-		if !s.PromoteSpare(spare.ID()) {
-			s.AddSlave(spare)
-		}
-	})
 	p.rewireSubscribers()
 	p.emit(Event{Kind: EventMigrationDone, Node: spare.ID(), Duration: migDur})
 	act.End("")
@@ -269,17 +260,23 @@ func (c *Cluster) Restart(id string) error {
 	if err != nil {
 		return fmt.Errorf("restart %s: %w", id, err)
 	}
-	// The fresh member (healthy, not a spare, no master role) already
-	// receives the replication stream while reintegrate runs; it joins read
-	// placement only once it is current.
-	c.setMember(n, &member{peer: n, classID: -1})
+	// The fresh member (healthy, not a spare, no master role) replaces the
+	// killed incarnation, in read placement too, at once. It receives the
+	// replication stream while reintegrate runs and joins read placement
+	// only once that succeeds.
+	c.setMember(n, &member{peer: n, classID: -1, rejoining: true})
 	c.startCheckpointer(n)
 	c.setHealthGauge(id, "")
 
 	if err := c.reintegrate(n); err != nil {
 		return err
 	}
-	c.eachSched(func(s *scheduler.Scheduler) { s.AddSlave(n) })
+	c.mu.Lock()
+	if m := c.members[id]; m.peer == n {
+		m.rejoining = false
+		c.placeLocked()
+	}
+	c.mu.Unlock()
 	restart.End("")
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dmv/internal/obs/flight"
+	"dmv/internal/replica"
 )
 
 // TestDeadNodeFailoverDumpEnqueued parks confirmDead right after a node's
@@ -68,5 +69,30 @@ func TestDeadNodeFailoverDumpEnqueued(t *testing.T) {
 			}
 			t.Fatalf("dump lacks %s: healthy -> dead", victim)
 		})
+	}
+}
+
+// TestSuspicionRecordedBeforeDeath: the flight recorder holds a node's
+// transitions in the order the detector decided them, even when a
+// suspicion's side effects run after a later verdict has confirmed the
+// node dead.
+func TestSuspicionRecordedBeforeDeath(t *testing.T) {
+	rec := flight.New(flight.Options{Node: "sched"})
+	defer rec.Close()
+	c := newTestCluster(t, Config{Slaves: 2, HeartbeatInterval: time.Hour, Flight: rec})
+	n, _ := c.Peer("slave1")
+	c.note(n, 0, replica.ErrPeerTimeout)
+	suspicion := c.note(n, 0, replica.ErrPeerTimeout)
+	c.applyHealth("slave1", c.note(n, 0, replica.ErrNodeDown))
+	c.applyHealth("slave1", suspicion)
+
+	var chain []string
+	for _, e := range rec.Entries() {
+		if e.Kind == flight.KindHealth && e.Health.Node == "slave1" {
+			chain = append(chain, e.Health.From+"->"+e.Health.To)
+		}
+	}
+	if want := []string{"healthy->suspect", "suspect->dead"}; len(chain) != 2 || chain[0] != want[0] || chain[1] != want[1] {
+		t.Fatalf("slave1's recorded transitions = %v, want %v", chain, want)
 	}
 }

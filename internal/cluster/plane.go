@@ -74,11 +74,15 @@ type member struct {
 	// failure): it is excluded from every topology computation even though
 	// it may still answer.
 	fenced bool
+	// rejoining marks a node Restart rebuilt and has not yet reintegrated:
+	// it receives the replication stream but stays out of read placement.
+	rejoining bool
 	// Read quarantine has two inputs, each written by one path:
 	// suspected by the detector (set on suspicion, dropped once a cleared
 	// suspect has been caught up) and diverged by the sweep (the tables
 	// whose digest differed from the master's, dropped as each is shown
-	// equal again). Plane.quarantine pushes their OR to every scheduler.
+	// equal again). Plane.placeLocked quarantines a member while either
+	// holds.
 	suspected bool
 	diverged  map[int]bool
 	nodeHealth
@@ -169,24 +173,25 @@ func Assemble(cfg Config, m Members, rewire func(master replica.Peer, subs []rep
 			return nil, fmt.Errorf("cluster: promote %s: %w", n.ID(), err)
 		}
 		p.setMember(n, &member{peer: n, classID: ci})
-		p.eachSched(func(s *scheduler.Scheduler) { s.SetMaster(ci, n) })
+		for _, s := range p.scheds {
+			s.SetMaster(ci, n)
+		}
 	}
 	for _, n := range m.Slaves {
 		p.setMember(n, &member{peer: n, classID: -1})
-		p.eachSched(func(s *scheduler.Scheduler) { s.AddSlave(n) })
 	}
 	for _, n := range m.Spares {
 		if err := n.Demote(replica.RoleSpare); err != nil {
 			return nil, fmt.Errorf("cluster: spare %s: %w", n.ID(), err)
 		}
 		p.setMember(n, &member{peer: n, classID: -1, isSpare: true})
-		p.eachSched(func(s *scheduler.Scheduler) { s.AddSpare(n) })
 	}
 	return p, nil
 }
 
 // setMember installs (or, for a restarted node, replaces) a member with
-// fresh detector state.
+// fresh detector state, and with it the read placement: a replaced
+// incarnation leaves it at once.
 func (p *Plane) setMember(n replica.Peer, m *member) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -194,6 +199,37 @@ func (p *Plane) setMember(n replica.Peer, m *member) {
 		p.order = append(p.order, n.ID())
 	}
 	p.members[n.ID()] = m
+	p.placeLocked()
+}
+
+// placeLocked derives every scheduler's read placement from the member
+// record and installs it. The slaves and spares are the members that are
+// neither dead (fenced ones included), a class master nor rejoining; one is
+// quarantined while the detector suspects it or the sweep found it
+// diverged. Assemble's alive input plays no part: a killed node serves
+// reads until the detector confirms its death. Callers hold p.mu and call
+// it wherever a member changes, so the schedulers see every change, in the
+// order it was made, and keep no membership of their own.
+func (p *Plane) placeLocked() {
+	var slaves, spares []replica.Peer
+	quarantined := make(map[string]bool)
+	for _, id := range p.order {
+		m := p.members[id]
+		if m.state == healthDead || m.classID >= 0 || m.rejoining {
+			continue
+		}
+		if m.isSpare {
+			spares = append(spares, m.peer)
+		} else {
+			slaves = append(slaves, m.peer)
+		}
+		if m.suspected || len(m.diverged) > 0 {
+			quarantined[id] = true
+		}
+	}
+	for _, s := range p.scheds {
+		s.SetReplicas(slaves, spares, quarantined)
+	}
 }
 
 // registerEventMetrics counts every lifecycle event on the timeline and
@@ -323,28 +359,15 @@ func (p *Plane) Scheduler() *scheduler.Scheduler {
 	return p.scheds[p.primary.Load()]
 }
 
-// eachSched applies a topology mutation to every peer scheduler so a
-// standby can take over with a current view.
-func (p *Plane) eachSched(fn func(*scheduler.Scheduler)) {
-	for _, s := range p.scheds {
-		fn(s)
-	}
-}
-
-// quarantine applies update to one of the member's read-quarantine inputs
-// and pushes the result, suspected or diverged, to every scheduler. It is
-// the only writer of the schedulers' quarantine flags; holding the plane
-// lock across the push keeps concurrent updates from landing out of order.
+// quarantine applies update to one of the member's read-quarantine inputs,
+// suspected or diverged, and places the tier again.
 func (p *Plane) quarantine(id string, update func(*member)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	m := p.members[id]
-	if m == nil {
-		return
+	if m := p.members[id]; m != nil {
+		update(m)
+		p.placeLocked()
 	}
-	update(m)
-	q := m.suspected || len(m.diverged) > 0
-	p.eachSched(func(s *scheduler.Scheduler) { s.SetQuarantined(id, q) })
 }
 
 // Peer returns the named member.
@@ -444,8 +467,5 @@ func (p *Plane) Events() []Event { return p.tl.Events() }
 // OnEvent installs a hook invoked for every event (harness timelines, the
 // daemon's log lines).
 func (p *Plane) OnEvent(fn func(Event)) { p.tl.OnEvent(fn) }
-
-// Timeline exposes the lifecycle event timeline (never nil).
-func (p *Plane) Timeline() *obs.Timeline { return p.tl }
 
 func (p *Plane) emit(ev Event) { p.tl.Record(ev) }

@@ -85,11 +85,6 @@ type RunConfig struct {
 	// Window is the timeline bucket width (default Duration/40, min 50ms).
 	Window time.Duration
 	Seed   int64
-	// ThinkTime between interactions (0 = closed loop at full speed).
-	ThinkTime time.Duration
-	// OnTick, if non-nil, is invoked once per client iteration (fault
-	// injection scripting hooks poll elapsed time from it).
-	OnTick func(elapsed time.Duration)
 	// Clock paces the warmup and measurement phases (nil = RealClock).
 	// Injecting a test clock keeps harness pacing out of the chaos
 	// schedule's entropy (see the detrand analyzer).
@@ -144,7 +139,6 @@ func Run(cfg RunConfig) *RunResult {
 		tl           *Timeline
 		measureStart time.Time
 	)
-	start := time.Now()
 	var wg sync.WaitGroup
 	measuring := atomic.Bool{}
 	for c := 0; c < cfg.Clients; c++ {
@@ -157,9 +151,6 @@ func Run(cfg RunConfig) *RunResult {
 				case <-stop:
 					return
 				default:
-				}
-				if cfg.OnTick != nil {
-					cfg.OnTick(time.Since(start))
 				}
 				it := cfg.Mix.Pick(sess.R)
 				t0 := time.Now()
@@ -191,13 +182,6 @@ func Run(cfg RunConfig) *RunResult {
 						samples = append(samples, lat)
 					}
 					samplesMu.Unlock()
-				}
-				if cfg.ThinkTime > 0 {
-					select {
-					case <-stop:
-						return
-					case <-time.After(cfg.ThinkTime):
-					}
 				}
 			}
 		}(c)
@@ -278,13 +262,6 @@ func AsciiChart(title string, series []Point, height int) string {
 		b.WriteString(fmt.Sprintf("          0s%sto %.1fs\n", strings.Repeat(" ", max(0, cols-12)), series[cols-1].T))
 	}
 	return b.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // RecoveryTime scans a timeline after a fault at tFault and returns how long

@@ -314,9 +314,6 @@ func (n *Node) Engine() *heap.Engine { return n.eng }
 // Disk exposes the buffer-cache simulator (may be nil).
 func (n *Node) Disk() *simdisk.Disk { return n.disk }
 
-// StartTime reports when the node was constructed (identity metrics).
-func (n *Node) StartTime() time.Time { return n.started }
-
 // Alive reports liveness (tests).
 func (n *Node) Alive() bool { return n.alive.Load() }
 

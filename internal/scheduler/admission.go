@@ -404,10 +404,3 @@ func (a *Admitter) pressureLocked() float64 {
 	}
 	return max
 }
-
-// Shedding reports whether CoDel shed mode is currently active.
-func (a *Admitter) Shedding() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.codel.Shedding()
-}

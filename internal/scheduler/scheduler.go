@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -252,11 +253,6 @@ func New(opts Options, numTables int, tableID func(string) (int, bool)) (*Schedu
 	return s, nil
 }
 
-// Admitter returns the admission queue, or nil when admission control is
-// disabled (tests and the overload experiments reach the CoDel state
-// through it).
-func (s *Scheduler) Admitter() *Admitter { return s.admit }
-
 // AdmissionPressure reports the admission queue's occupancy in [0, 1]
 // (0 when admission control is disabled). It is the control plane's one
 // overload signal: a queue that stays saturated activates a spare.
@@ -288,7 +284,8 @@ func (s *Scheduler) SetVersionFanout(fn func(vclock.Vector)) { s.fanout = fn }
 
 // --- topology management (driven by the cluster layer) ----------------------
 
-// SetMaster installs the master peer for conflict class ci.
+// SetMaster installs the master peer for conflict class ci. A master serves
+// no scheduled reads, so p leaves the read placement.
 func (s *Scheduler) SetMaster(ci int, p replica.Peer) {
 	if ci < 0 || ci >= len(s.classes) {
 		return
@@ -297,6 +294,11 @@ func (s *Scheduler) SetMaster(ci int, p replica.Peer) {
 	cs.mu.Lock()
 	cs.master = p
 	cs.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	isP := func(r *replicaState) bool { return r.peer == p }
+	s.slaves = slices.DeleteFunc(s.slaves, isP)
+	s.spares = slices.DeleteFunc(s.spares, isP)
 }
 
 // Master returns the current master of class ci.
@@ -333,65 +335,43 @@ func (s *Scheduler) AddSlave(p replica.Peer) {
 	s.slaves = append(s.slaves, &replicaState{peer: p})
 }
 
-// AddSpare registers a spare backup (receives the replication stream and,
-// optionally, a trickle of warm-up reads).
-func (s *Scheduler) AddSpare(p replica.Peer) {
+// SetReplicas installs the read placement: the active slaves, the spare
+// backups (they receive the replication stream and, optionally, a trickle
+// of warm-up reads) and the ids under quarantine, which read placement
+// skips unless every slave is quarantined, so availability degrades
+// gracefully rather than to zero on a false mass-suspicion. A peer object
+// already placed keeps its replica state (outstanding readers, version
+// pin), whichever set it moves to; a new object starts fresh, even under
+// a placed id. A class master is never placed.
+func (s *Scheduler) SetReplicas(slaves, spares []replica.Peer, quarantined map[string]bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, r := range s.spares {
-		if r.peer.ID() == p.ID() {
-			return
+	keep := make(map[replica.Peer]*replicaState, len(s.slaves)+len(s.spares))
+	for _, set := range [][]*replicaState{s.slaves, s.spares} {
+		for _, r := range set {
+			keep[r.peer] = r
 		}
 	}
-	s.spares = append(s.spares, &replicaState{peer: p})
-}
-
-// Remove drops a replica (slave or spare) from the tables; outstanding
-// transactions on it fail fast with node-down errors and are retried.
-func (s *Scheduler) Remove(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	filter := func(in []*replicaState) []*replicaState {
-		out := in[:0]
-		for _, r := range in {
-			if r.peer.ID() != id {
-				out = append(out, r)
+	masters := make(map[replica.Peer]bool, len(s.classes))
+	for ci := range s.classes {
+		masters[s.Master(ci)] = true
+	}
+	place := func(peers []replica.Peer) []*replicaState {
+		out := make([]*replicaState, 0, len(peers))
+		for _, p := range peers {
+			if masters[p] {
+				continue
 			}
+			r := keep[p]
+			if r == nil {
+				r = &replicaState{peer: p}
+			}
+			r.quarantined.Store(quarantined[p.ID()])
+			out = append(out, r)
 		}
 		return out
 	}
-	s.slaves = filter(s.slaves)
-	s.spares = filter(s.spares)
-}
-
-// PromoteSpare moves a spare into the active slave set (fail-over).
-func (s *Scheduler) PromoteSpare(id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, r := range s.spares {
-		if r.peer.ID() == id {
-			s.spares = append(s.spares[:i], s.spares[i+1:]...)
-			s.slaves = append(s.slaves, r)
-			return true
-		}
-	}
-	return false
-}
-
-// SetQuarantined marks or clears suspicion on a replica (slave or spare).
-// A quarantined replica is skipped by read placement unless every replica
-// is quarantined — availability degrades gracefully rather than to zero on
-// a false mass-suspicion.
-func (s *Scheduler) SetQuarantined(id string, q bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, set := range [][]*replicaState{s.slaves, s.spares} {
-		for _, r := range set {
-			if r.peer.ID() == id {
-				r.quarantined.Store(q)
-			}
-		}
-	}
+	s.slaves, s.spares = place(slaves), place(spares)
 }
 
 // Quarantined returns the ids currently under suspicion.
@@ -710,9 +690,6 @@ func (s *Scheduler) FailoverMaster(ci int, candidates, rollbackOnly []replica.Pe
 		}
 	}
 	for _, g := range group {
-		if newMaster != nil {
-			g.Remove(newMaster.ID()) // masters do not serve scheduled reads
-		}
 		g.SetMaster(ci, newMaster)
 	}
 	return newMaster, err

@@ -195,7 +195,7 @@ func TestRetryOnNodeDownThenRemove(t *testing.T) {
 	if seen == 0 {
 		t.Fatal("dead replica never reported")
 	}
-	s.Remove("dead")
+	s.SetReplicas([]replica.Peer{live}, nil, nil)
 	if got := s.Slaves(); len(got) != 1 || got[0] != "live" {
 		t.Fatalf("slaves = %v", got)
 	}
@@ -205,8 +205,7 @@ func TestSpareWarmupShare(t *testing.T) {
 	s := newSched(t, Options{VersionAffinity: true, WarmupShare: 0.5, Seed: 1})
 	slave := &fakePeer{id: "slave"}
 	spare := &fakePeer{id: "spare"}
-	s.AddSlave(slave)
-	s.AddSpare(spare)
+	s.SetReplicas([]replica.Peer{slave}, []replica.Peer{spare}, nil)
 	for i := 0; i < 200; i++ {
 		if err := s.Run(TxnSpec{ReadOnly: true}, func(*Txn) error { return nil }); err != nil {
 			t.Fatalf("read: %v", err)
@@ -218,17 +217,37 @@ func TestSpareWarmupShare(t *testing.T) {
 	}
 }
 
+// TestPromoteSpare: a peer SetReplicas moves from the spares to the slaves
+// keeps its replica state (outstanding readers, version pin); a new object
+// under the same id starts fresh; a class master is never placed.
 func TestPromoteSpare(t *testing.T) {
 	s := newSched(t, Options{})
-	s.AddSpare(&fakePeer{id: "sp"})
-	if !s.PromoteSpare("sp") {
-		t.Fatal("promote failed")
-	}
+	sp := &fakePeer{id: "sp"}
+	pin := vclock.Vector{4, 0, 0, 0}
+	s.SetReplicas(nil, []replica.Peer{sp}, nil)
+	s.spares[0].outstanding.Add(1)
+	s.spares[0].setVer(pin)
+	s.SetReplicas([]replica.Peer{sp}, nil, nil)
 	if len(s.Spares()) != 0 || len(s.Slaves()) != 1 {
 		t.Fatalf("spares=%v slaves=%v", s.Spares(), s.Slaves())
 	}
-	if s.PromoteSpare("sp") {
-		t.Fatal("double promote succeeded")
+	if r := s.slaves[0]; r.outstanding.Load() != 1 || !r.atVer(pin) {
+		t.Fatalf("promoted spare has %d outstanding, pinned %v: want 1 at %v", r.outstanding.Load(), r.lastVer, pin)
+	}
+
+	s.SetReplicas([]replica.Peer{&fakePeer{id: "sp"}}, nil, map[string]bool{"sp": true})
+	if r := s.slaves[0]; r.peer == sp || r.outstanding.Load() != 0 || r.atVer(pin) {
+		t.Fatal("a replacement under the same id inherited the old object's replica state")
+	}
+	if q := s.Quarantined(); len(q) != 1 || q[0] != "sp" {
+		t.Fatalf("quarantined = %v, want [sp]", q)
+	}
+
+	m := s.SlaveList()[0]
+	s.SetMaster(0, m)
+	s.SetReplicas([]replica.Peer{m}, nil, nil)
+	if len(s.Slaves()) != 0 {
+		t.Fatalf("class master placed as a slave: %v", s.Slaves())
 	}
 }
 

@@ -92,7 +92,7 @@ func TestReadBeginOnDeadSlave(t *testing.T) {
 	sched, err := scheduler.New(scheduler.Options{
 		Seed:          1,
 		MaxRetries:    2,
-		OnPeerFailure: func(id string) { sched.Remove(id) },
+		OnPeerFailure: func(string) { sched.SetReplicas([]replica.Peer{live}, nil, nil) },
 		// One slot: a read that leaked its slot would starve the next one
 		// into its deadline.
 		Admission: scheduler.AdmissionOptions{Slots: 1},

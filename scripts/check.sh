@@ -96,7 +96,7 @@ go test -tags dmvdebug -race -count=10 \
 	-run 'TestTimedOutCallKeepsConnection|TestLateRepliesNeverCross' \
 	./internal/transport/
 go test -tags dmvdebug -race -count=1 \
-	-run 'TestSuspectQuarantineAndClear|TestGrayMasterFailover|TestFailStopStillFast|TestOverloadActivatesSpare|TestPageIDWarmupLoopShipsPages' \
+	-run 'TestSuspectQuarantineAndClear|TestGrayMasterFailover|TestFailStopStillFast|TestOverloadActivatesSpare|TestPageIDWarmupLoopShipsPages|TestRestartReplacesKilledIncarnation|TestDeathVerdictSparesRestartedNode|TestSuspicionRecordedBeforeDeath' \
 	./internal/cluster/
 
 echo "==> storage-fault crash-recovery leg (WAL, faultdisk, persistence tier)"
