@@ -267,7 +267,7 @@ func (p *Plane) applyHealth(id string, v verdict) {
 			if p.holds(v.peer) {
 				_, _ = p.migrate(v.peer)
 			}
-			p.quarantine(id, func(m *member) {
+			p.changeMember(id, func(m *member) {
 				if m.peer == v.peer && m.state == "" {
 					m.suspected = false
 				}

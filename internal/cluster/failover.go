@@ -14,6 +14,10 @@ import (
 // state becomes visible, so a test can park fail-over there.
 var deadPublished atomic.Pointer[func(id string)]
 
+// masterPublished, when set, runs in masterFailover once the elected master
+// is published and the commit fence released, so a test can park there.
+var masterPublished atomic.Pointer[func(id string)]
+
 // confirmDead declares peer n dead and reconfigures around it. It is
 // idempotent and serialized per node via the dead state, and a no-op once
 // Restart has replaced n under its id: a verdict on one incarnation never
@@ -80,6 +84,8 @@ func (p *Plane) confirmDead(n replica.Peer) {
 // from the slaves, and backfill read capacity from a spare.
 func (p *Plane) masterFailover(failed string, classID int) {
 	rec := p.tl.Start(EventRecoveryDone, failed)
+	// The other classes' masters stop shipping to the failed one.
+	p.rewireSubscribers()
 
 	// Stage 1 — Recovery: every survivor discards partially propagated
 	// pre-commits beyond the last acknowledged version; only plain slaves
@@ -97,22 +103,37 @@ func (p *Plane) masterFailover(failed string, classID int) {
 		}
 	}
 	p.mu.Unlock()
-	newMaster, err := p.Scheduler().FailoverMaster(classID, slaves, others, p.scheds)
+	newMaster, err := p.Scheduler().FailoverMaster(classID, slaves, others, p.scheds, p.publishMaster)
 	if err != nil {
 		rec.End(err.Error())
 		return
 	}
-	p.mu.Lock()
-	p.members[newMaster.ID()].classID = classID
-	p.placeLocked()
-	p.mu.Unlock()
-	p.rewireSubscribers()
+	if hook := masterPublished.Load(); hook != nil {
+		(*hook)(newMaster.ID())
+	}
 	p.emit(Event{Kind: EventMasterElected, Node: newMaster.ID(), Duration: rec.Elapsed()})
 	rec.End("")
 
 	// Stage 2 — Data migration: activate a spare to replace the promoted
 	// slave's read capacity.
 	p.activateSpare()
+}
+
+// publishMaster is FailoverMaster's last step, run under the commit fence:
+// subscribe, then publish. The winner n gets its subscriber set, derived
+// from the member record, before the record names it master of class ci
+// and placement hands it to the schedulers, so every commit it acknowledges
+// reaches the survivors. A winner whose rewire fails is not published.
+func (p *Plane) publishMaster(ci int, n replica.Peer) error {
+	p.mu.Lock()
+	subs := p.subscribersLocked(n)
+	p.mu.Unlock()
+	if err := p.rewire(n, subs); err != nil {
+		p.emit(Event{Kind: EventRewireFailed, Node: n.ID(), Detail: err.Error()})
+		return fmt.Errorf("failover: subscribe %s: %w", n.ID(), err)
+	}
+	p.changeMember(n.ID(), func(m *member) { m.classID = ci })
+	return nil
 }
 
 // activateSpare integrates one spare backup into the active slave set: data
@@ -140,10 +161,7 @@ func (p *Plane) activateSpare() {
 	migDur := mig.Elapsed()
 	_ = spare.Demote(replica.RoleSlave)
 
-	p.mu.Lock()
-	p.members[spare.ID()].isSpare = false
-	p.placeLocked()
-	p.mu.Unlock()
+	p.changeMember(spare.ID(), func(m *member) { m.isSpare = false })
 	p.rewireSubscribers()
 	p.emit(Event{Kind: EventMigrationDone, Node: spare.ID(), Duration: migDur})
 	act.End("")
@@ -158,8 +176,8 @@ func (p *Plane) reintegrate(n replica.Peer) error {
 		return err
 	}
 	// Subscribe to every master so new write-sets are buffered.
-	p.setJoining(n.ID(), true)
-	defer p.setJoining(n.ID(), false)
+	p.changeMember(n.ID(), func(m *member) { m.joining = true })
+	defer p.changeMember(n.ID(), func(m *member) { m.joining = false })
 	p.rewireSubscribers()
 
 	pages, err := p.migrate(n)
@@ -171,12 +189,6 @@ func (p *Plane) reintegrate(n replica.Peer) error {
 	}
 	join.End(fmt.Sprintf("%d pages", pages))
 	return nil
-}
-
-func (p *Plane) setJoining(id string, joining bool) {
-	p.mu.Lock()
-	p.members[id].joining = joining
-	p.mu.Unlock()
 }
 
 // migrate brings n's pages up to a support slave's versions with one
@@ -255,6 +267,14 @@ func (c *Cluster) Restart(id string) error {
 	if old.Alive() {
 		return fmt.Errorf("cluster: node %s still alive", id)
 	}
+	// A killed master the detector has not yet confirmed dead still holds
+	// its class: confirming its death first runs the fail-over.
+	c.mu.Lock()
+	master := c.members[id].classID >= 0
+	c.mu.Unlock()
+	if master {
+		c.confirmDead(old)
+	}
 	restart := c.tl.Start(EventNodeRestarted, id)
 	n, err := c.buildNode(c.cfg, id, old)
 	if err != nil {
@@ -271,12 +291,11 @@ func (c *Cluster) Restart(id string) error {
 	if err := c.reintegrate(n); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	if m := c.members[id]; m.peer == n {
-		m.rejoining = false
-		c.placeLocked()
-	}
-	c.mu.Unlock()
+	c.changeMember(id, func(m *member) {
+		if m.peer == n {
+			m.rejoining = false
+		}
+	})
 	restart.End("")
 	return nil
 }

@@ -269,3 +269,77 @@ func TestOverloadActivatesSpare(t *testing.T) {
 		t.Fatalf("no overload event: %v", c.Events())
 	}
 }
+
+// TestNewMasterSubscribedBeforePublished parks master fail-over right
+// after the elected master is published and the commit fence released,
+// and commits a deposit there: every surviving slave must hold it, so the
+// new master had its subscribers before any scheduler could send it a
+// commit.
+func TestNewMasterSubscribedBeforePublished(t *testing.T) {
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	hook := func(string) {
+		close(parked)
+		<-release
+	}
+	masterPublished.Store(&hook)
+	defer masterPublished.Store(nil)
+
+	c := newTestCluster(t, Config{Slaves: 3, MaxRetries: 30})
+	free := sync.OnceFunc(func() { close(release) })
+	defer free()
+	const before = 5
+	for i := 1; i <= before; i++ {
+		if err := deposit(t, c, 1, 1, int64(i)); err != nil {
+			t.Fatalf("deposit: %v", err)
+		}
+	}
+	if err := c.Kill("master0"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no master elected")
+	}
+	if err := deposit(t, c, 1, 1, before+1); err != nil {
+		t.Fatalf("deposit on the new master: %v", err)
+	}
+	free()
+
+	newMaster := c.MasterID(0)
+	for _, id := range []string{"slave0", "slave1", "slave2"} {
+		if id == newMaster {
+			continue
+		}
+		n, _ := c.Node(id)
+		tx, err := n.TxBegin(true, nil, 0, obs.TraceContext{})
+		if err != nil {
+			t.Fatalf("%s: begin: %v", id, err)
+		}
+		res, err := n.TxExec(tx, `SELECT COUNT(*) FROM audit`, nil)
+		if err != nil {
+			t.Fatalf("%s: count: %v", id, err)
+		}
+		_, _ = n.TxCommit(tx)
+		if got := res.Rows[0][0].Int(); got != before+1 {
+			t.Errorf("%s holds %d audit rows, want the %d acked deposits", id, got, before+1)
+		}
+	}
+}
+
+// TestRestartUnconfirmedMaster: a killed master restarted before the
+// detector has confirmed its death has its death confirmed by Restart, so
+// the class fails over and the next deposit commits.
+func TestRestartUnconfirmedMaster(t *testing.T) {
+	c := newTestCluster(t, Config{Slaves: 2, HeartbeatInterval: time.Hour})
+	if err := c.Kill("master0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Restart("master0"); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if err := deposit(t, c, 1, 1, 1); err != nil {
+		t.Fatalf("deposit after restarting the killed master: %v", err)
+	}
+}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -20,7 +21,7 @@ import (
 // schedulers, membership, the suspicion-ladder failure detector
 // (detector.go), the fail-over pipeline (failover.go), spare upkeep
 // (spare.go), the anti-entropy sweep (scrub.go), read quarantine, which the
-// detector and the sweep feed (Plane.quarantine), and peer-scheduler
+// detector and the sweep feed (Plane.changeMember), and peer-scheduler
 // take-over. Assemble is its one constructor: cluster.New, cmd/dmv-scheduler
 // and every remote test tier put a tier together through it. It sees its
 // members only as replica.Peer, so the same type runs over in-process
@@ -43,6 +44,9 @@ type Plane struct {
 	mu      sync.Mutex
 	members map[string]*member // guarded by mu
 	order   []string           // guarded by mu
+	// installed is the set rewire last installed on each master, kept only
+	// by dmvdebug builds (checkSubscribedLocked).
+	installed map[replica.Peer][]replica.Peer // guarded by mu
 
 	// tl is the lifecycle event timeline (cfg.Obs's timeline when a
 	// registry is configured, a private one otherwise). Never nil.
@@ -121,14 +125,23 @@ func Assemble(cfg Config, m Members, rewire func(master replica.Peer, subs []rep
 	registerEventMetrics(cfg.Obs, tl)
 	p := &Plane{
 		cfg:                cfg,
-		rewire:             rewire,
 		alive:              alive,
 		members:            make(map[string]*member, 16),
+		installed:          make(map[replica.Peer][]replica.Peer),
 		tl:                 tl,
 		metSuspicions:      cfg.Obs.Counter(obs.ClusterSuspicions),
 		metFalseSuspicions: cfg.Obs.Counter(obs.ClusterFalseSuspicions),
 		scrubMet:           newScrubMetrics(cfg.Obs),
 		stop:               make(chan struct{}),
+	}
+	p.rewire = func(master replica.Peer, subs []replica.Peer) error {
+		err := rewire(master, subs)
+		if debugBuild && err == nil {
+			p.mu.Lock()
+			p.installed[master] = subs
+			p.mu.Unlock()
+		}
+		return err
 	}
 	for si := 0; si <= cfg.PeerSchedulers; si++ {
 		opts := scheduler.Options{
@@ -173,9 +186,6 @@ func Assemble(cfg Config, m Members, rewire func(master replica.Peer, subs []rep
 			return nil, fmt.Errorf("cluster: promote %s: %w", n.ID(), err)
 		}
 		p.setMember(n, &member{peer: n, classID: ci})
-		for _, s := range p.scheds {
-			s.SetMaster(ci, n)
-		}
 	}
 	for _, n := range m.Slaves {
 		p.setMember(n, &member{peer: n, classID: -1})
@@ -202,25 +212,32 @@ func (p *Plane) setMember(n replica.Peer, m *member) {
 	p.placeLocked()
 }
 
-// placeLocked derives every scheduler's read placement from the member
-// record and installs it. The slaves and spares are the members that are
-// neither dead (fenced ones included), a class master nor rejoining; one is
-// quarantined while the detector suspects it or the sweep found it
-// diverged. Assemble's alive input plays no part: a killed node serves
-// reads until the detector confirms its death. Callers hold p.mu and call
-// it wherever a member changes, so the schedulers see every change, in the
-// order it was made, and keep no membership of their own.
+// placeLocked derives every scheduler's class masters and read placement
+// from the member record and installs them. A class's master is its one
+// member that is not dead and holds the class; the slaves and spares are
+// the members that are neither dead (fenced ones included), a class
+// master nor rejoining, and one is quarantined while the detector
+// suspects it or the sweep found it diverged. Assemble's alive input plays
+// no part: a killed node keeps its role until the detector confirms its
+// death. Callers hold p.mu and call it wherever a member changes, so the
+// schedulers see every change, in the order it was made, and keep no
+// membership of their own. It is the one place a master is published, so
+// a new master is subscribed first (publishMaster).
 func (p *Plane) placeLocked() {
+	masters := make([]replica.Peer, p.scheds[0].NumClasses())
 	var slaves, spares []replica.Peer
 	quarantined := make(map[string]bool)
 	for _, id := range p.order {
 		m := p.members[id]
-		if m.state == healthDead || m.classID >= 0 || m.rejoining {
+		switch {
+		case m.state == healthDead || m.rejoining:
 			continue
-		}
-		if m.isSpare {
+		case m.classID >= 0:
+			masters[m.classID] = m.peer
+			continue
+		case m.isSpare:
 			spares = append(spares, m.peer)
-		} else {
+		default:
 			slaves = append(slaves, m.peer)
 		}
 		if m.suspected || len(m.diverged) > 0 {
@@ -228,7 +245,30 @@ func (p *Plane) placeLocked() {
 		}
 	}
 	for _, s := range p.scheds {
+		for ci, m := range masters {
+			s.SetMaster(ci, m)
+		}
 		s.SetReplicas(slaves, spares, quarantined)
+	}
+	if debugBuild {
+		p.checkSubscribedLocked(masters)
+	}
+}
+
+// checkSubscribedLocked panics if the subscriber set rewire last installed
+// on a master placement publishes lacks a usable placed slave or hot spare
+// (a killed node awaiting its death verdict is placed but unsubscribed).
+// It checks from Start's rewire on.
+func (p *Plane) checkSubscribedLocked(masters []replica.Peer) {
+	for _, master := range masters {
+		for _, id := range p.order {
+			m := p.members[id]
+			hot := !m.isSpare || p.cfg.SpareMode == SpareHot
+			if master != nil && len(p.installed) > 0 && m.classID < 0 && !m.rejoining && hot && p.usable(m) &&
+				!slices.Contains(p.installed[master], m.peer) {
+				panic(fmt.Sprintf("cluster: master %s published without subscriber %s", master.ID(), id))
+			}
+		}
 	}
 }
 
@@ -298,36 +338,38 @@ func (p *Plane) usable(m *member) bool {
 	return !m.fenced && (p.alive == nil || p.alive(m.peer))
 }
 
-// rewireSubscribers points every master's replication stream at every other
-// live, subscribed node. Stale spares are intentionally left out.
+// rewireSubscribers points every master's replication stream at its
+// subscribers (subscribersLocked).
 func (p *Plane) rewireSubscribers() {
 	p.mu.Lock()
-	var masters, receivers []replica.Peer
+	var masters []replica.Peer
+	var subs [][]replica.Peer
 	for _, id := range p.order {
-		m := p.members[id]
-		if !p.usable(m) {
-			continue
-		}
-		if m.classID >= 0 {
+		if m := p.members[id]; m.classID >= 0 && p.usable(m) {
 			masters = append(masters, m.peer)
+			subs = append(subs, p.subscribersLocked(m.peer))
 		}
-		if m.isSpare && p.cfg.SpareMode == SpareStale && !m.joining {
-			continue
-		}
-		receivers = append(receivers, m.peer)
 	}
 	p.mu.Unlock()
-	for _, m := range masters {
-		subs := make([]replica.Peer, 0, len(receivers))
-		for _, r := range receivers {
-			if r.ID() != m.ID() {
-				subs = append(subs, r)
-			}
-		}
-		if err := p.rewire(m, subs); err != nil {
+	for i, m := range masters {
+		if err := p.rewire(m, subs[i]); err != nil {
 			p.emit(Event{Kind: EventRewireFailed, Node: m.ID(), Detail: err.Error()})
 		}
 	}
+}
+
+// subscribersLocked derives master's subscriber set from the member
+// record: every other usable member. Stale spares are intentionally left
+// out unless reintegrating. Callers hold p.mu.
+func (p *Plane) subscribersLocked(master replica.Peer) []replica.Peer {
+	var subs []replica.Peer
+	for _, id := range p.order {
+		m := p.members[id]
+		if m.peer != master && p.usable(m) && !(m.isSpare && p.cfg.SpareMode == SpareStale && !m.joining) {
+			subs = append(subs, m.peer)
+		}
+	}
+	return subs
 }
 
 // KillScheduler fails the primary scheduler and promotes the next peer: the
@@ -359,9 +401,9 @@ func (p *Plane) Scheduler() *scheduler.Scheduler {
 	return p.scheds[p.primary.Load()]
 }
 
-// quarantine applies update to one of the member's read-quarantine inputs,
-// suspected or diverged, and places the tier again.
-func (p *Plane) quarantine(id string, update func(*member)) {
+// changeMember applies update to member id, if any, and places the tier
+// again.
+func (p *Plane) changeMember(id string, update func(*member)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if m := p.members[id]; m != nil {

@@ -112,7 +112,7 @@ func (p *Plane) Sweep() ScrubReport {
 	// A node an earlier sweep left quarantined (its repair or verification
 	// failed) is released once its diverged tables match again.
 	for node, ts := range rep.matched {
-		p.quarantine(node, func(m *member) {
+		p.changeMember(node, func(m *member) {
 			for _, t := range ts {
 				delete(m.diverged, t)
 			}
@@ -127,7 +127,7 @@ func (p *Plane) Sweep() ScrubReport {
 	for _, node := range nodes {
 		mms := rep.Diverged[node]
 		p.scrubMet.divergences.Add(int64(len(mms)))
-		p.quarantine(node, func(m *member) {
+		p.changeMember(node, func(m *member) {
 			if m.diverged == nil {
 				m.diverged = make(map[int]bool, len(mms))
 			}
@@ -143,7 +143,7 @@ func (p *Plane) Sweep() ScrubReport {
 		pages, err := repairAndVerify(sched, peerByID(peers, node), mms)
 		took := time.Since(repairStart)
 		if err == nil {
-			p.quarantine(node, func(m *member) {
+			p.changeMember(node, func(m *member) {
 				for _, mm := range mms {
 					delete(m.diverged, mm.Table)
 				}

@@ -149,10 +149,11 @@ type Scheduler struct {
 	// commitFence orders update-commit acknowledgments against master
 	// fail-over rollback. A commit holds it shared across [master
 	// TxCommit; merged.Report]; FailoverMaster holds it exclusive across
-	// [read Latest; DiscardAbove; ResetVersion; elect; Promote]. Without
-	// the fence a commit can broadcast its write-set, have the rollback
-	// discard it from every replica, and still acknowledge success to the
-	// client — a lost update.
+	// [read Latest; DiscardAbove; ResetVersion; elect; Promote; subscribe;
+	// publish]. Without the fence a commit can broadcast its write-set,
+	// have the rollback discard it from every replica, and still
+	// acknowledge success to the client — a lost update; and a commit on a
+	// new master published before it is subscribed reaches no replica.
 	commitFence sync.RWMutex
 
 	// fanout forwards committed version vectors to peer schedulers so a
@@ -628,24 +629,21 @@ func (s *Scheduler) reportFailure(id string) {
 // fail-over rollback of Section 4.2 for conflict class ci: under the fence
 // it reads the rollback point, has every survivor discard above it, resets
 // the merged vector, elects the candidate with the highest produced
-// version, promotes it and installs it as the class master. The control
-// plane (cluster.Plane) calls it for in-process and remote tiers alike.
+// version, promotes it and hands it to publish: the control plane's step
+// (cluster.Plane) that subscribes the winner and only then installs it as
+// class master on every scheduler. A winner publish refuses is not installed.
 //
 // candidates may win the election; rollbackOnly peers (spares, other
 // classes' masters) are rolled back but never elected. group lists every
-// scheduler sharing this topology, s included, and nil means s alone: all
-// are fenced, reset and given the new master, so a standby that takes over
-// later cannot resurrect discarded versions. The slice order is the lock
-// order; every caller must pass the same one.
+// scheduler sharing this topology, s included: all are fenced and reset,
+// so a standby that takes over later cannot resurrect discarded versions.
+// The slice order is the lock order; every caller must pass the same one.
 //
 // Survivors that fail their discard are skipped (they are reconciled by
 // reintegration when they return); a candidate that cannot be probed for
 // its versions simply cannot win the election. With no electable candidate
 // the class is left masterless and ErrNoReplicas returned.
-func (s *Scheduler) FailoverMaster(ci int, candidates, rollbackOnly []replica.Peer, group []*Scheduler) (replica.Peer, error) {
-	if len(group) == 0 {
-		group = []*Scheduler{s}
-	}
+func (s *Scheduler) FailoverMaster(ci int, candidates, rollbackOnly []replica.Peer, group []*Scheduler, publish func(ci int, master replica.Peer) error) (replica.Peer, error) {
 	// The fence makes the rollback atomic against in-flight commits: a
 	// commit either reports its version before the fence closes (so the
 	// rollback point covers it and its write-sets survive the discard) or
@@ -682,15 +680,14 @@ func (s *Scheduler) FailoverMaster(ci int, candidates, rollbackOnly []replica.Pe
 	for _, g := range group {
 		g.ResetVersion(lastSeen)
 	}
-	err := ErrNoReplicas
-	if newMaster != nil {
-		if err = newMaster.Promote(s.ClassTables(ci)); err != nil {
-			err = fmt.Errorf("failover: promote %s: %w", newMaster.ID(), err)
-			newMaster = nil
-		}
+	if newMaster == nil {
+		return nil, ErrNoReplicas
 	}
-	for _, g := range group {
-		g.SetMaster(ci, newMaster)
+	if err := newMaster.Promote(s.ClassTables(ci)); err != nil {
+		return nil, fmt.Errorf("failover: promote %s: %w", newMaster.ID(), err)
 	}
-	return newMaster, err
+	if err := publish(ci, newMaster); err != nil {
+		return nil, err
+	}
+	return newMaster, nil
 }
