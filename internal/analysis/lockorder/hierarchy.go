@@ -60,6 +60,10 @@ var DefaultConfig = &Config{
 		"dmv/internal/cluster.Plane.scrubMu":  levelCluster - 1,
 		"dmv/internal/cluster.Plane.mu":       levelCluster,
 		"dmv/internal/cluster.Cluster.nodeMu": levelCluster,
+		// The plane's action queue is a leaf: failure reports enqueue from
+		// under scheduler, replica and page locks and the commit fence, and
+		// nothing is called under it but a wake-up send that never blocks.
+		"dmv/internal/cluster.actionQueue.mu": levelObs - 1,
 
 		// persistence tier. OnCommit appends to the WAL under Tier.mu, so
 		// Tier.mu sits outside WAL.mu; the applier takes Backend.applyMu

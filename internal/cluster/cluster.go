@@ -1,13 +1,8 @@
-// Package cluster orchestrates a DMV in-memory database tier. Plane is the
-// Peer-driven control plane shared by every deployment: heartbeat failure
-// detection, master election, the three-stage fail-over pipeline (recovery
-// -> data migration -> cache warm-up), reintegration, the scrub loop,
-// peer-scheduler take-over, spare-backup upkeep (page-id-transfer
-// warm-up, stale-spare refresh, overload-driven spare activation) and the
-// cluster view (/cluster). Assemble is the one way a tier is put together,
-// in process or over TCP. Cluster is the in-process tier, adding what only
-// a process that owns its nodes can do: node construction and initial
-// load, kill/restart, periodic fuzzy checkpoints and index-history GC.
+// Package cluster orchestrates a DMV database tier. Plane is the control
+// plane every deployment shares, and Assemble is the one way a tier is put
+// together, in process or over TCP. Cluster is the in-process tier, adding
+// what only a process that owns its nodes can do: node construction and
+// initial load, kill/restart, periodic fuzzy checkpoints and index GC.
 package cluster
 
 import (
@@ -63,32 +58,27 @@ type Config struct {
 	// SchemaDDL creates the schema on every node.
 	SchemaDDL []string
 	// Load populates one engine with the initial database image. It must be
-	// deterministic: every node loads an identical image, modelling the
-	// shared on-disk database every node mmaps at startup.
+	// deterministic: every node loads an identical image.
 	Load func(e *heap.Engine) error
 	// EngineOptions builds per-node engine options. May be nil.
 	EngineOptions func(nodeID string) heap.Options
-	// Costs is each node's simulated hardware, one simdisk per node: its
-	// CPU (Stmt, UpdateStmt, CPUs) and its buffer cache's page-fault cost.
-	// The zero model with CachePages 0 gives nodes no simdisk at all.
+	// Costs is each node's simulated hardware (its own simdisk): CPU and
+	// page-fault cost. The zero model with CachePages 0 gives no simdisk.
 	Costs simdisk.CostModel
 	// CachePages is each node's buffer-cache capacity in pages (0 = every
-	// page resident). The node's engine reports its page accesses to it.
+	// page resident).
 	CachePages int
 	// HeartbeatInterval is the failure-detection probe period (default
 	// 10ms; detection latency is about two intervals).
 	HeartbeatInterval time.Duration
-	// PingTimeout bounds each heartbeat probe so a gray-failed node (alive
-	// but unresponsive) cannot stall the monitor. Default 4x the heartbeat
-	// interval.
+	// PingTimeout bounds each probe so a gray-failed node cannot stall the
+	// plane. Default 4x the heartbeat interval.
 	PingTimeout time.Duration
 	// SuspectAfter is the consecutive-miss count at which a node is
-	// suspected and quarantined out of read placement (default 2). A miss
-	// is a probe deadline or an RTT far outside the node's accrual band.
+	// suspected and quarantined out of read placement (default 2).
 	SuspectAfter int
 	// DeadAfter is the consecutive-miss count at which a suspect is
-	// declared dead and fail-over starts (default 4, always > SuspectAfter).
-	// Hard probe errors (fail-stop) skip the ladder and kill immediately.
+	// declared dead (default 4, always > SuspectAfter).
 	DeadAfter int
 	// AckTimeout bounds each master's wait for a subscriber's write-set
 	// acknowledgment (see replica.Options.AckTimeout). Zero waits forever.
@@ -102,59 +92,46 @@ type Config struct {
 	// first scheme). 0 disables.
 	WarmupShare float64
 	// PageIDTransfer enables the second warm-up scheme: an active slave
-	// ships all its resident page ids to the spares on this period (0 =
-	// off).
+	// ships its resident page ids to the spares on this period (0 = off).
 	PageIDTransfer time.Duration
 	// IndexGCPeriod runs versioned-index garbage collection on every node
 	// at this period, at the scheduler's reader low-water mark (0 = off).
 	IndexGCPeriod time.Duration
 	// OverloadWindow is how long the admission queue must stay saturated
-	// before a spare backup is activated as an additional read replica
-	// (default 250ms; the paper keeps spares "for overflow in case of
-	// failures or potentially overload of active replicas").
+	// before a spare is activated as an additional read replica (default
+	// 250ms).
 	OverloadWindow time.Duration
-	// ScrubInterval runs the anti-entropy scrubber on this period (0 = off):
-	// every table's digest is cross-checked against its class master at a
-	// common pinned frontier, diverged nodes are quarantined out of read
-	// placement, repaired via changed-page shipping, and reintegrated
-	// (DESIGN.md §15).
+	// ScrubInterval runs the anti-entropy sweep (scrub.go) on this period
+	// (0 = off).
 	ScrubInterval time.Duration
 	// ScrubTables restricts the sweep to these table ids (nil = all).
 	ScrubTables []int
-	// Admission configures the primary scheduler Assemble builds (Slots == 0
-	// disables its bounded admission queue). Under overload the queue sheds
-	// work at begin with ErrOverloaded instead of letting latency collapse,
-	// and a queue that stays saturated for OverloadWindow activates a spare
-	// (the tier's one overload signal; off with admission off).
+	// Admission configures the primary scheduler's bounded admission queue
+	// (Slots == 0: none). It sheds work at begin with ErrOverloaded, and a
+	// queue saturated for OverloadWindow activates a spare.
 	Admission scheduler.AdmissionOptions
 	// DefaultDeadline is applied by every node to transactions that carry
-	// no caller deadline (0 = unbounded). Expired sessions abandon queued
-	// statements and commit entry, never a commit already in flight.
+	// no caller deadline (0 = unbounded).
 	DefaultDeadline time.Duration
 	// VersionAffinity enables same-version scheduling (default on; the
 	// ablation turns it off).
 	NoVersionAffinity bool
 	// MaxRetries bounds scheduler retries.
 	MaxRetries int
-	// PeerSchedulers adds this many standby peer schedulers (Section 4.1:
-	// the scheduler state is only the current version vector, so peers can
-	// take over almost instantly). Fail the primary with KillScheduler.
+	// PeerSchedulers adds this many standby peer schedulers (Section 4.1).
+	// Fail the primary with KillScheduler.
 	PeerSchedulers int
 	// OnCommit receives committed update transactions (persistence tier).
 	OnCommit func(scheduler.CommitRecord)
 	// Seed seeds scheduler randomness.
 	Seed int64
-	// Obs, when set, receives every cluster metric, transaction trace span,
-	// and lifecycle event: it is threaded into the schedulers, replicas, and
-	// engines, the fail-over pipeline records its stage durations on the
-	// registry's timeline, and ClusterSnapshot adds it to the cluster view.
-	// Nil disables metrics (the event timeline still works).
+	// Obs, when set, receives every cluster metric, trace span and
+	// lifecycle event, and ClusterSnapshot adds it to the cluster view. Nil
+	// disables metrics (the event timeline still works).
 	Obs *obs.Registry
-	// Flight, when set, is the cluster's flight recorder: the failure
-	// detector records health transitions into it and fail-over start /
-	// suspicion escalation fire anomaly dumps. One recorder serves the
-	// whole in-process cluster (the multiprocess deployment runs one per
-	// daemon instead).
+	// Flight, when set, is the plane's flight recorder: it holds the
+	// detector's health transitions, and fail-over start and suspicion fire
+	// its anomaly dumps.
 	Flight *flight.Recorder
 }
 
@@ -182,9 +159,7 @@ const (
 	EventRewireFailed EventKind = "rewire-failed"
 )
 
-// Event is one reconfiguration event with its duration where applicable.
-// It aliases the obs timeline event so the cluster's log and the
-// observability subsystem share one storage and one schema.
+// Event is one reconfiguration event, the obs timeline's own type.
 type Event = obs.Event
 
 // withDefaults fills the detector and spare defaults New and Assemble share.
@@ -219,9 +194,8 @@ type Cluster struct {
 	cps    map[string]*replica.Checkpointer // guarded by nodeMu
 }
 
-// New builds and starts a cluster: a master per conflict class plus
-// cfg.Slaves slaves plus cfg.Spares spares, all loaded with the same initial
-// image, put together by Assemble.
+// New builds and starts a cluster: a master per conflict class, cfg.Slaves
+// slaves and cfg.Spares spares, all loaded with the same initial image.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	c := &Cluster{cps: make(map[string]*replica.Checkpointer, 8)}
@@ -290,12 +264,10 @@ func (c *Cluster) startCheckpointer(n *replica.Node) {
 }
 
 // buildNode constructs and loads one node. A first incarnation (prev nil)
-// loads cfg.Load's image and gets a simdisk of cfg.Costs and
-// cfg.CachePages; a restart restores prev's last checkpoint (the initial
-// image when it never took one) onto prev's simdisk, whose buffer cache the
-// reboot empties. Either way the buffer cache observes the engine's page
-// accesses. It runs before the plane exists, so it takes the configuration
-// explicitly.
+// loads cfg.Load's image onto a new simdisk; a restart restores prev's last
+// checkpoint (else the initial image) onto prev's simdisk, whose buffer
+// cache the reboot empties. It runs before the plane exists, so it takes
+// the configuration explicitly.
 func (c *Cluster) buildNode(cfg Config, id string, prev *replica.Node) (*replica.Node, error) {
 	var opts heap.Options
 	if cfg.EngineOptions != nil {
@@ -344,12 +316,13 @@ func (c *Cluster) buildNode(cfg Config, id string, prev *replica.Node) (*replica
 	if prev != nil && disk != nil {
 		disk.Drop()
 	}
+	// The failure hooks are closures: c.Plane is set after the first nodes.
 	return replica.NewNode(replica.Options{
 		ID:              id,
 		Engine:          eng,
 		Disk:            disk,
-		OnPeerFailure:   func(peer string) { go c.ReportFailure(peer) },
-		OnPeerSuspect:   func(peer string) { go c.ReportSuspect(peer) },
+		OnPeerFailure:   func(peer string) { c.ReportFailure(peer) },
+		OnPeerSuspect:   func(peer string) { c.ReportSuspect(peer) },
 		AckTimeout:      cfg.AckTimeout,
 		CheckpointDir:   cfg.CheckpointDir,
 		DefaultDeadline: cfg.DefaultDeadline,
@@ -360,10 +333,8 @@ func (c *Cluster) buildNode(cfg Config, id string, prev *replica.Node) (*replica
 // Node returns the named node (tests, fault injection).
 func (c *Cluster) Node(id string) (*replica.Node, bool) {
 	p, ok := c.Peer(id)
-	if !ok {
-		return nil, false
-	}
-	return p.(*replica.Node), true
+	n, _ := p.(*replica.Node)
+	return n, ok
 }
 
 // collectIndexes garbage-collects every live node's index history below the

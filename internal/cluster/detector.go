@@ -12,17 +12,15 @@ import (
 	"dmv/internal/replica"
 )
 
-// Node health states tracked by the suspicion detector. The zero value
-// (healthy) is the empty string so fresh members need no initialization;
-// healthName gives it its one external spelling, healthy.
+// Node health states tracked by the suspicion detector. Healthy is the
+// zero value, spelled healthy outside (healthName).
 const (
 	healthSuspect = "suspect"
 	healthDead    = "dead"
 	healthy       = "healthy"
 )
 
-// healthName is the external spelling of a health state (flight records,
-// cluster snapshots).
+// healthName is the external spelling of a health state.
 func healthName(state string) string {
 	if state == "" {
 		return healthy
@@ -30,13 +28,11 @@ func healthName(state string) string {
 	return state
 }
 
-// healthAction is a detector state transition computed under the plane
-// lock and applied outside it.
+// healthAction is a detector state transition.
 type healthAction int
 
-// verdict is a transition decided for one incarnation of a member: it is
-// applied to that peer object only, never to a node Restart has since
-// built under the same id.
+// verdict is a transition decided for one incarnation of a member, never
+// applied to a node Restart has since built under the same id.
 type verdict struct {
 	peer replica.Peer
 	act  healthAction
@@ -63,10 +59,7 @@ const (
 //
 //	healthy --suspectAfter misses--> suspect --deadAfter misses--> dead
 //
-// A miss is a probe that hit its deadline, or one whose RTT fell far
-// outside the node's EWMA band (a gray slowdown). The state becomes dead
-// only when the plane confirms an actDead verdict (confirmDead), which is
-// also what records the true prior state.
+// The state becomes dead only when confirmDead acts on an actDead verdict.
 type nodeHealth struct {
 	state      string  // "" healthy, healthSuspect, healthDead
 	misses     int     // consecutive missed or badly-late probes
@@ -79,52 +72,25 @@ type nodeHealth struct {
 // transition it causes. A nil err is an answer after rtt; ErrPeerTimeout is
 // a deadline miss; any other error means the node itself answered that it
 // is down (fail-stop), which skips the ladder so crash detection keeps its
-// two-interval latency.
+// two-interval latency. An answer far outside the RTT band is a soft miss:
+// it can raise suspicion but never kills on its own. A normal answer resets
+// the ladder and clears a standing suspicion.
 func (h *nodeHealth) observe(rtt time.Duration, err error, suspectAfter, deadAfter int) healthAction {
 	switch {
 	case h.state == healthDead:
 		return actNone
-	case err == nil:
-		return h.success(rtt, suspectAfter)
-	case errors.Is(err, replica.ErrPeerTimeout):
-		return h.miss(suspectAfter, deadAfter)
-	default:
-		return actDead
-	}
-}
-
-// success folds an answered probe into the RTT accrual state. An RTT far
-// outside the band counts as a soft miss (it can raise suspicion but never
-// kills on its own); a normal RTT resets the ladder and clears a standing
-// suspicion.
-func (h *nodeHealth) success(rtt time.Duration, suspectAfter int) healthAction {
-	x := float64(rtt.Microseconds())
-	slow := h.rttSamples >= rttWarmup &&
-		x > h.rttMean+rttDeviations*math.Sqrt(h.rttVar)+rttFloorUS
-	d := x - h.rttMean
-	h.rttMean += rttAlpha * d
-	h.rttVar = (1 - rttAlpha) * (h.rttVar + rttAlpha*d*d)
-	h.rttSamples++
-	if slow {
-		h.misses++
-		if h.misses >= suspectAfter && h.state == "" {
-			h.state = healthSuspect
-			return actSuspect
+	case err == nil && !h.slow(rtt):
+		h.misses = 0
+		if h.state == healthSuspect {
+			h.state = ""
+			return actClear
 		}
 		return actNone
+	case err != nil && !errors.Is(err, replica.ErrPeerTimeout):
+		return actDead
 	}
-	h.misses = 0
-	if h.state == healthSuspect {
-		h.state = ""
-		return actClear
-	}
-	return actNone
-}
-
-// miss records one missed probe (deadline hit) and walks the ladder.
-func (h *nodeHealth) miss(suspectAfter, deadAfter int) healthAction {
 	h.misses++
-	if h.misses >= deadAfter {
+	if err != nil && h.misses >= deadAfter {
 		return actDead
 	}
 	if h.misses >= suspectAfter && h.state == "" {
@@ -134,15 +100,23 @@ func (h *nodeHealth) miss(suspectAfter, deadAfter int) healthAction {
 	return actNone
 }
 
-// probeAll runs one round of the suspicion-based failure detector, once
-// per heartbeat: probe every member not yet dead concurrently outside the
-// plane lock (one black-holed node costs the round a single PingTimeout,
-// not one per node), classify under the lock, act outside it again.
-// Suspects are quarantined out of the version-aware read placement but
-// stay in the replication topology; a recovered suspect is cleared (a
-// false suspicion), caught up with an incremental page-delta migration
-// rather than a full state transfer, and then drops the detector's
-// quarantine.
+// slow folds an answered probe's RTT into the accrual band and reports
+// whether it fell far outside it.
+func (h *nodeHealth) slow(rtt time.Duration) bool {
+	x := float64(rtt.Microseconds())
+	slow := h.rttSamples >= rttWarmup &&
+		x > h.rttMean+rttDeviations*math.Sqrt(h.rttVar)+rttFloorUS
+	d := x - h.rttMean
+	h.rttMean += rttAlpha * d
+	h.rttVar = (1 - rttAlpha) * (h.rttVar + rttAlpha*d*d)
+	h.rttSamples++
+	return slow
+}
+
+// probeAll runs one round of the failure detector, once per heartbeat: it
+// probes every member not yet dead concurrently, outside the plane lock
+// (one black-holed node costs the round one PingTimeout), then enqueues the
+// round's outcomes for the worker to note and act on.
 func (p *Plane) probeAll() {
 	type probe struct {
 		n   replica.Peer
@@ -170,18 +144,18 @@ func (p *Plane) probeAll() {
 	}
 	wg.Wait()
 
-	for _, t := range targets {
-		p.applyHealth(t.n.ID(), p.note(t.n, t.rtt, t.err))
-	}
+	p.enqueue(func() {
+		for _, t := range targets {
+			p.applyHealth(t.n.ID(), p.note(t.n, t.rtt, t.err))
+		}
+	})
 }
 
 // note feeds one probe outcome for peer n to its member's state machine and
 // returns the verdict. An outcome for an incarnation Restart has since
-// replaced under the same id is dropped: the old node's death must not
-// kill the new one. A suspicion or a cleared suspicion is recorded here,
-// under the plane lock, so the flight recorder and the health gauge see
-// transitions in the order they are decided (confirmDead records a death
-// the same way); a suspicion also quarantines the node here.
+// replaced is dropped. A suspicion (which also quarantines the node) or a
+// clear is recorded here, under the plane lock, as confirmDead records a
+// death, so the flight ring holds transitions in decision order.
 func (p *Plane) note(n replica.Peer, rtt time.Duration, err error) verdict {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -203,52 +177,59 @@ func (p *Plane) note(n replica.Peer, rtt time.Duration, err error) verdict {
 }
 
 // pingBounded probes a peer with the PingTimeout deadline so a stalled
-// (gray) node cannot wedge the caller. The probe goroutine blocks until the
-// peer unstalls or dies — bounded by the number of outstanding probes and
-// released on heal, the standard cost of bounding an uncancellable call.
+// (gray) node cannot wedge the caller.
 func (p *Plane) pingBounded(n replica.Peer) error {
-	done := make(chan error, 1)
-	go func() { done <- n.Ping() }()
 	t := time.NewTimer(p.cfg.PingTimeout)
 	defer t.Stop()
 	select {
-	case err := <-done:
+	case err := <-bounded(n.Ping):
 		return err
 	case <-t.C:
 		return fmt.Errorf("%w: ping %s after %v", replica.ErrPeerTimeout, n.ID(), p.cfg.PingTimeout)
 	}
 }
 
-// ReportFailure is the entry point for failure reports from the scheduler
-// and replica layers (a call to the node failed). The report is confirmed
-// with a bounded probe: a healthy answer dismisses it, a hard error
-// (fail-stop) kills the node immediately, and a probe deadline is gray
-// evidence that feeds the suspicion ladder rather than triggering an
-// instant fail-over.
+// bounded starts fn, a call to a member that may be stalled, on a goroutine
+// of its own and returns where its result lands: the plane's one way to
+// call a member it waits on at most a deadline (pingBounded) or not at all
+// (a fenced node's clean-up). A blocked call finishes when the peer
+// unstalls or dies, the cost of bounding an uncancellable call.
+func bounded(fn func() error) <-chan error {
+	done := make(chan error, 1)
+	go func() { done <- fn() }()
+	return done
+}
+
+// ReportFailure is the scheduler and replica layers' report that a call to
+// member id failed. It only enqueues, so any lock may be held, and adds
+// nothing while a report about id is pending. The worker confirms it with a
+// bounded probe: an answer dismisses it, a hard error kills the node, and a
+// deadline is one miss on the suspicion ladder.
 func (p *Plane) ReportFailure(id string) {
-	n, ok := p.Peer(id)
-	if !ok || p.Health(id) == healthDead {
-		return
-	}
-	// Confirm outside the lock (a scheduler may report a transient error;
-	// the probe may block up to the deadline).
-	if err := p.pingBounded(n); err != nil {
-		p.applyHealth(id, p.note(n, 0, err))
-	}
+	p.q.push(action{report: id, run: func() error {
+		if n, ok := p.Peer(id); ok && p.Health(id) != healthDead {
+			if err := p.pingBounded(n); err != nil {
+				p.applyHealth(id, p.note(n, 0, err))
+			}
+		}
+		return nil
+	}})
 }
 
-// ReportSuspect is the replica-layer evidence path: a master abandoned a
-// subscriber's write-set ack at its deadline. That is one miss worth of
-// suspicion, never an instant death from a single report.
+// ReportSuspect is the replica layer's report that a master abandoned
+// member id's write-set ack at its deadline: one miss on the ladder. It only
+// enqueues, and each report counts.
 func (p *Plane) ReportSuspect(id string) {
-	if n, ok := p.Peer(id); ok {
-		p.applyHealth(id, p.note(n, 0, replica.ErrPeerTimeout))
-	}
+	p.enqueue(func() {
+		if n, ok := p.Peer(id); ok {
+			p.applyHealth(id, p.note(n, 0, replica.ErrPeerTimeout))
+		}
+	})
 }
 
-// applyHealth runs the side effects of verdict v on member id, v's node,
-// with no plane lock held. Timeline events fire here, outside the lock,
-// because their hooks are caller code.
+// applyHealth runs the side effects of verdict v on member id, on the
+// worker right after note decided v, with no plane lock held (timeline
+// hooks are caller code).
 func (p *Plane) applyHealth(id string, v verdict) {
 	switch v.act {
 	case actSuspect:
@@ -257,22 +238,17 @@ func (p *Plane) applyHealth(id string, v verdict) {
 	case actClear:
 		p.metFalseSuspicions.Inc()
 		p.emit(Event{Kind: EventNodeCleared, Node: id})
-		// While suspect the node may have missed write-sets (a master
-		// abandons acks at the deadline); close the gap with the
-		// incremental page-delta path — no full state transfer — and only
-		// then drop the detector's quarantine, whether or not it
-		// succeeded, unless the node fell under suspicion again meanwhile.
-		// A scrub quarantine on the node stands regardless.
-		go func() {
-			if p.holds(v.peer) {
-				_, _ = p.migrate(v.peer)
+		// While suspect the node may have missed write-sets: close the
+		// gap with a page delta, then drop the detector's quarantine
+		// (whether or not that succeeded) unless the node is suspect again.
+		if p.holds(v.peer) {
+			_, _ = p.migrate(v.peer)
+		}
+		p.changeMember(id, func(m *member) {
+			if m.peer == v.peer && m.state == "" {
+				m.suspected = false
 			}
-			p.changeMember(id, func(m *member) {
-				if m.peer == v.peer && m.state == "" {
-					m.suspected = false
-				}
-			})
-		}()
+		})
 	case actDead:
 		p.confirmDead(v.peer)
 	}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"dmv/internal/heap"
+	"dmv/internal/obs"
 	"dmv/internal/obs/flight"
 	"dmv/internal/page"
 	"dmv/internal/replica"
@@ -19,14 +20,10 @@ var deadPublished atomic.Pointer[func(id string)]
 var masterPublished atomic.Pointer[func(id string)]
 
 // confirmDead declares peer n dead and reconfigures around it. It is
-// idempotent and serialized per node via the dead state, and a no-op once
-// Restart has replaced n under its id: a verdict on one incarnation never
-// kills the next. A node that may still be running when declared dead (a
-// gray failure; without local liveness knowledge that is every node) is
-// fenced: excluded from every topology computation and, best-effort,
-// stripped of its subscribers and master role so it cannot keep mutating
-// acknowledged state. A fenced node never rejoins on its own:
-// reintegration requires killing it and running Restart.
+// idempotent, and a no-op once Restart has replaced n under its id. A node
+// that may still be running (a gray failure) is fenced: excluded from every
+// topology computation and, best-effort, stripped of its subscribers and
+// master role. It rejoins only through Kill and Restart (DESIGN.md §10).
 func (p *Plane) confirmDead(n replica.Peer) {
 	id := n.ID()
 	p.mu.Lock()
@@ -35,11 +32,9 @@ func (p *Plane) confirmDead(n replica.Peer) {
 		p.mu.Unlock()
 		return
 	}
-	// The fail-over dump is enqueued, after the health transition it
-	// shows, before "dead" becomes visible: whoever reads the dead state
-	// (Health, a post-mortem closing the recorder) finds the dump pending.
-	// A master's fail-over reconfigures the whole class, so its trigger
-	// names no node.
+	// The fail-over dump is enqueued before "dead" becomes visible, so
+	// whoever reads the dead state finds it pending. A master's trigger
+	// names no node: its fail-over reconfigures the whole class.
 	p.recordHealth(id, healthName(m.state), healthDead)
 	if m.classID >= 0 {
 		p.cfg.Flight.Trigger(flight.CauseFailover, "", fmt.Sprintf("master fail-over, class %d", m.classID))
@@ -57,23 +52,22 @@ func (p *Plane) confirmDead(n replica.Peer) {
 
 	p.emit(Event{Kind: EventNodeFailed, Node: id})
 	if gray {
-		// The fence proper is the fenced flag; the node-side cleanup runs
-		// asynchronously because a stalled node may sit on these calls.
-		go func() {
+		// The fence proper is the fenced flag. The node-side cleanup is
+		// not waited for: the fail-over must not queue behind a gray node.
+		bounded(func() error {
 			_ = p.rewire(n, nil)
-			_ = n.Demote(replica.RoleSpare)
-		}()
+			return n.Demote(replica.RoleSpare)
+		})
 	}
 
+	// Every surviving master stops shipping to the dead node.
+	rec := p.tl.Start(EventRecoveryDone, id)
+	p.rewireSubscribers()
 	switch {
 	case classID >= 0:
-		p.masterFailover(id, classID)
-	case isSpare:
-		p.rewireSubscribers()
-	default:
+		p.masterFailover(rec, classID)
+	case !isSpare:
 		// A slave: its read capacity is replaced by a spare.
-		rec := p.tl.Start(EventRecoveryDone, id)
-		p.rewireSubscribers()
 		rec.End("")
 		p.activateSpare()
 	}
@@ -82,15 +76,9 @@ func (p *Plane) confirmDead(n replica.Peer) {
 // masterFailover handles the most complex case (Section 4.2): roll the tier
 // back to the last version the scheduler acknowledged, elect a new master
 // from the slaves, and backfill read capacity from a spare.
-func (p *Plane) masterFailover(failed string, classID int) {
-	rec := p.tl.Start(EventRecoveryDone, failed)
-	// The other classes' masters stop shipping to the failed one.
-	p.rewireSubscribers()
-
-	// Stage 1 — Recovery: every survivor discards partially propagated
-	// pre-commits beyond the last acknowledged version; only plain slaves
-	// stand for election (spares and other classes' masters are rolled back
-	// but keep their roles).
+func (p *Plane) masterFailover(rec *obs.Stage, classID int) {
+	// Stage 1 — Recovery: every survivor discards pre-commits beyond the
+	// last acknowledged version; only plain slaves stand for election.
 	p.mu.Lock()
 	var slaves, others []replica.Peer
 	for _, id := range p.order {
@@ -114,15 +102,13 @@ func (p *Plane) masterFailover(failed string, classID int) {
 	p.emit(Event{Kind: EventMasterElected, Node: newMaster.ID(), Duration: rec.Elapsed()})
 	rec.End("")
 
-	// Stage 2 — Data migration: activate a spare to replace the promoted
-	// slave's read capacity.
+	// Stage 2 — Data migration: a spare replaces the promoted slave.
 	p.activateSpare()
 }
 
 // publishMaster is FailoverMaster's last step, run under the commit fence:
-// subscribe, then publish. The winner n gets its subscriber set, derived
-// from the member record, before the record names it master of class ci
-// and placement hands it to the schedulers, so every commit it acknowledges
+// the winner n gets its subscriber set before the record names it master of
+// class ci and placement publishes it, so every commit it acknowledges
 // reaches the survivors. A winner whose rewire fails is not published.
 func (p *Plane) publishMaster(ci int, n replica.Peer) error {
 	p.mu.Lock()
@@ -136,9 +122,8 @@ func (p *Plane) publishMaster(ci int, n replica.Peer) error {
 	return nil
 }
 
-// activateSpare integrates one spare backup into the active slave set: data
-// migration first (instant for hot spares, a page-delta transfer for stale
-// ones), then the spare serves reads while its buffer cache warms up.
+// activateSpare turns one spare into a slave: data migration first (none
+// for a hot spare), then it serves reads while its buffer cache warms up.
 func (p *Plane) activateSpare() {
 	spares := p.usableSpares()
 	if len(spares) == 0 {
@@ -154,10 +139,8 @@ func (p *Plane) activateSpare() {
 			return
 		}
 	}
-	// Hot spares are already up to date (subscribed to the replication
-	// stream); buffered modifications materialize lazily as readers arrive,
-	// so activation is immediate — eagerly materializing here would fault
-	// the spare's whole cold cache in before it serves a single read.
+	// A hot spare is already up to date; its buffered modifications
+	// materialize lazily as readers arrive, so activation is immediate.
 	migDur := mig.Elapsed()
 	_ = spare.Demote(replica.RoleSlave)
 
@@ -192,11 +175,9 @@ func (p *Plane) reintegrate(n replica.Peer) error {
 }
 
 // migrate brings n's pages up to a support slave's versions with one
-// changed-page delta (heap.ChangedPages, shipped by shipPages as in scrub
-// repair) and reports how many pages it shipped. On its own it
-// refreshes a node without subscribing it: a stale spare goes right back to
-// being stale (the paper's periodically-updated backup), a cleared suspect
-// closes the gap its abandoned acks left.
+// changed-page delta and reports how many pages it shipped. On its own it
+// refreshes a node without subscribing it (a stale spare, a cleared
+// suspect).
 func (p *Plane) migrate(n replica.Peer) (int, error) {
 	support := p.pickSupportSlave(n.ID())
 	if support == nil {
@@ -214,10 +195,8 @@ func (p *Plane) migrate(n replica.Peer) (int, error) {
 }
 
 // shipPages brings n's copies of the given pages up to donor's current
-// images: one PageImages call per table, then one InstallDelta for them
-// all. It is the plane's one page-shipping step; its callers choose the
-// pages (migrate by version, scrub repair by digest) and any join bracket
-// around it. It reports how many pages it installed.
+// images (one PageImages call per table, one InstallDelta) and reports how
+// many pages it installed. It is the plane's one page-shipping step.
 func shipPages(n, donor replica.Peer, sets []heap.PageSet) (int, error) {
 	var delta []page.Image
 	for _, s := range sets {
@@ -233,11 +212,9 @@ func shipPages(n, donor replica.Peer, sets []heap.PageSet) (int, error) {
 	return len(delta), nil
 }
 
-// pickSupportSlave chooses a migration donor: a healthy, promptly-answering
-// slave, or a master as fallback. Probes are bounded so a gray donor
-// candidate cannot stall the reconfiguration that is trying to route
-// around it, and suspects are skipped — a donor behind on write-sets
-// would ship a stale delta.
+// pickSupportSlave chooses a migration donor: a healthy slave that answers
+// a bounded probe, or a master as fallback. Suspects are skipped: a donor
+// behind on write-sets would ship a stale delta.
 func (p *Plane) pickSupportSlave(exclude string) replica.Peer {
 	sched := p.Scheduler()
 	donors := sched.SlaveList()
@@ -256,10 +233,14 @@ func (p *Plane) pickSupportSlave(exclude string) replica.Peer {
 }
 
 // Restart simulates a failed machine rebooting: a fresh node object is
-// built, its state restored from the last fuzzy checkpoint found on local
-// stable storage (or the initial image if none), and the node reintegrated
-// into the workload as a slave.
+// built from the last fuzzy checkpoint on local stable storage (or the
+// initial image) and reintegrated as a slave. It runs as one action on the
+// plane's worker, after every action decided before it, and waits for it.
 func (c *Cluster) Restart(id string) error {
+	return c.do(func() error { return c.restart(id) })
+}
+
+func (c *Cluster) restart(id string) error {
 	old, ok := c.Node(id)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, id)
@@ -267,8 +248,8 @@ func (c *Cluster) Restart(id string) error {
 	if old.Alive() {
 		return fmt.Errorf("cluster: node %s still alive", id)
 	}
-	// A killed master the detector has not yet confirmed dead still holds
-	// its class: confirming its death first runs the fail-over.
+	// A killed master not yet confirmed dead still holds its class:
+	// confirming its death runs the fail-over ahead of the rebuild.
 	c.mu.Lock()
 	master := c.members[id].classID >= 0
 	c.mu.Unlock()
@@ -280,10 +261,8 @@ func (c *Cluster) Restart(id string) error {
 	if err != nil {
 		return fmt.Errorf("restart %s: %w", id, err)
 	}
-	// The fresh member (healthy, not a spare, no master role) replaces the
-	// killed incarnation, in read placement too, at once. It receives the
-	// replication stream while reintegrate runs and joins read placement
-	// only once that succeeds.
+	// The fresh member replaces the killed incarnation at once. It receives
+	// the replication stream and joins read placement once it reintegrates.
 	c.setMember(n, &member{peer: n, classID: -1, rejoining: true})
 	c.startCheckpointer(n)
 	c.setHealthGauge(id, "")

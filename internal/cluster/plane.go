@@ -18,16 +18,11 @@ import (
 )
 
 // Plane is the control plane of one DMV tier: the primary and standby
-// schedulers, membership, the suspicion-ladder failure detector
-// (detector.go), the fail-over pipeline (failover.go), spare upkeep
-// (spare.go), the anti-entropy sweep (scrub.go), read quarantine, which the
-// detector and the sweep feed (Plane.changeMember), and peer-scheduler
-// take-over. Assemble is its one constructor: cluster.New, cmd/dmv-scheduler
-// and every remote test tier put a tier together through it. It sees its
-// members only as replica.Peer, so the same type runs over in-process
-// *replica.Node values and over *transport.RemoteNode clients. The two
-// things that genuinely differ between those deployments are Assemble's
-// rewire and alive inputs.
+// schedulers, membership, the failure detector (detector.go), the fail-over
+// pipeline (failover.go), spare upkeep (spare.go), the anti-entropy sweep
+// (scrub.go), read quarantine and peer-scheduler take-over. It sees its
+// members only as replica.Peer, so the same type runs in process and over
+// TCP; only Assemble's rewire and alive inputs differ between the two.
 type Plane struct {
 	cfg     Config
 	scheds  []*scheduler.Scheduler
@@ -35,32 +30,26 @@ type Plane struct {
 
 	// rewire installs subs as master's replication subscriber set.
 	rewire func(master replica.Peer, subs []replica.Peer) error
-	// alive is the constructor's local liveness knowledge: the in-process
-	// cluster knows a killed node is gone before any probe misses and drops
-	// it from topology at once. Nil means none — a remote member counts as
-	// running until the detector fences it.
+	// alive is the constructor's local liveness knowledge (nil: none, so a
+	// remote member counts as running until the detector fences it).
 	alive func(replica.Peer) bool
 
 	mu      sync.Mutex
 	members map[string]*member // guarded by mu
 	order   []string           // guarded by mu
-	// installed is the set rewire last installed on each master, kept only
-	// by dmvdebug builds (checkSubscribedLocked).
+	// installed is the set rewire last installed on each master (dmvdebug).
 	installed map[replica.Peer][]replica.Peer // guarded by mu
 
-	// tl is the lifecycle event timeline (cfg.Obs's timeline when a
-	// registry is configured, a private one otherwise). Never nil.
-	tl *obs.Timeline
+	tl *obs.Timeline // cfg.Obs's timeline, else a private one
 
 	// Suspicion-detector counters (nil-safe when no registry is set).
 	metSuspicions      *obs.Counter
 	metFalseSuspicions *obs.Counter
 
-	// scrubMu serializes anti-entropy sweeps (scrub.go): a slow repair
-	// must not overlap the next tick or a test's direct Sweep.
-	scrubMu  sync.Mutex
+	scrubMu  sync.Mutex // serializes anti-entropy sweeps (scrub.go)
 	scrubMet scrubMetrics
 
+	q    actionQueue // the plane's side effects, in decision order (actions.go)
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
@@ -74,19 +63,15 @@ type member struct {
 	// joining marks a node inside reintegrate: it receives the replication
 	// stream (buffering it) even if it is a stale spare.
 	joining bool
-	// fenced marks a node declared dead while possibly still running (gray
-	// failure): it is excluded from every topology computation even though
-	// it may still answer.
+	// fenced marks a node declared dead while possibly still running: it
+	// is excluded from every topology computation.
 	fenced bool
 	// rejoining marks a node Restart rebuilt and has not yet reintegrated:
 	// it receives the replication stream but stays out of read placement.
 	rejoining bool
-	// Read quarantine has two inputs, each written by one path:
-	// suspected by the detector (set on suspicion, dropped once a cleared
-	// suspect has been caught up) and diverged by the sweep (the tables
-	// whose digest differed from the master's, dropped as each is shown
-	// equal again). Plane.placeLocked quarantines a member while either
-	// holds.
+	// Read quarantine has two inputs, each written by one path: suspected
+	// by the detector and diverged by the sweep (the tables whose digest
+	// differed from the master's). placeLocked quarantines while either holds.
 	suspected bool
 	diverged  map[int]bool
 	nodeHealth
@@ -100,11 +85,9 @@ type Members struct {
 
 // Assemble puts a tier together and returns its plane, stopped: add any
 // further jobs, then Start it. It builds the primary scheduler and
-// cfg.PeerSchedulers standbys over the tables cfg.SchemaDDL creates (only
-// the primary admits, with cfg.Admission; every committed version fans out
-// to the others), builds the plane over them, and adds m by role. rewire
-// installs a master's replication subscriber set; alive is the caller's
-// local liveness knowledge, nil for none.
+// cfg.PeerSchedulers standbys over the tables cfg.SchemaDDL creates, the
+// plane over them, and adds m by role. rewire installs a master's
+// replication subscriber set; alive is the caller's liveness knowledge.
 func Assemble(cfg Config, m Members, rewire func(master replica.Peer, subs []replica.Peer) error, alive func(replica.Peer) bool) (*Plane, error) {
 	cfg = cfg.withDefaults()
 	if len(m.Masters) != max(len(cfg.Classes), 1) {
@@ -132,6 +115,7 @@ func Assemble(cfg Config, m Members, rewire func(master replica.Peer, subs []rep
 		metSuspicions:      cfg.Obs.Counter(obs.ClusterSuspicions),
 		metFalseSuspicions: cfg.Obs.Counter(obs.ClusterFalseSuspicions),
 		scrubMet:           newScrubMetrics(cfg.Obs),
+		q:                  actionQueue{reporting: make(map[string]bool), wake: make(chan struct{}, 1)},
 		stop:               make(chan struct{}),
 	}
 	p.rewire = func(master replica.Peer, subs []replica.Peer) error {
@@ -150,7 +134,7 @@ func Assemble(cfg Config, m Members, rewire func(master replica.Peer, subs []rep
 			MaxRetries:      cfg.MaxRetries,
 			WarmupShare:     cfg.WarmupShare,
 			OnCommit:        cfg.OnCommit,
-			OnPeerFailure:   func(id string) { go p.ReportFailure(id) },
+			OnPeerFailure:   p.ReportFailure,
 			Seed:            cfg.Seed + int64(si),
 			Obs:             cfg.Obs,
 			Flight:          cfg.Flight,
@@ -199,9 +183,8 @@ func Assemble(cfg Config, m Members, rewire func(master replica.Peer, subs []rep
 	return p, nil
 }
 
-// setMember installs (or, for a restarted node, replaces) a member with
-// fresh detector state, and with it the read placement: a replaced
-// incarnation leaves it at once.
+// setMember installs, or for a restarted node replaces, a member with fresh
+// detector state, and places the tier again.
 func (p *Plane) setMember(n replica.Peer, m *member) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -213,16 +196,11 @@ func (p *Plane) setMember(n replica.Peer, m *member) {
 }
 
 // placeLocked derives every scheduler's class masters and read placement
-// from the member record and installs them. A class's master is its one
-// member that is not dead and holds the class; the slaves and spares are
-// the members that are neither dead (fenced ones included), a class
-// master nor rejoining, and one is quarantined while the detector
-// suspects it or the sweep found it diverged. Assemble's alive input plays
-// no part: a killed node keeps its role until the detector confirms its
-// death. Callers hold p.mu and call it wherever a member changes, so the
-// schedulers see every change, in the order it was made, and keep no
-// membership of their own. It is the one place a master is published, so
-// a new master is subscribed first (publishMaster).
+// from the member record and installs them (DESIGN.md §10, "Membership and
+// placement"). Callers hold p.mu and call it wherever a member changes, so
+// the schedulers see every change in the order it was made. It is the one
+// place a master is published, so a new master is subscribed first
+// (publishMaster).
 func (p *Plane) placeLocked() {
 	masters := make([]replica.Peer, p.scheds[0].NumClasses())
 	var slaves, spares []replica.Peer
@@ -255,10 +233,9 @@ func (p *Plane) placeLocked() {
 	}
 }
 
-// checkSubscribedLocked panics if the subscriber set rewire last installed
-// on a master placement publishes lacks a usable placed slave or hot spare
-// (a killed node awaiting its death verdict is placed but unsubscribed).
-// It checks from Start's rewire on.
+// checkSubscribedLocked panics, from Start's rewire on, if the set rewire
+// last installed on a master placement publishes lacks a usable placed
+// slave or hot spare.
 func (p *Plane) checkSubscribedLocked(masters []replica.Peer) {
 	for _, master := range masters {
 		for _, id := range p.order {
@@ -288,11 +265,12 @@ func registerEventMetrics(reg *obs.Registry, tl *obs.Timeline) {
 	})
 }
 
-// Start wires every master's subscriber set and launches the periodic
-// jobs: the failure detector, and, as configured, the scrub sweep and the
-// spare upkeep (spare.go).
+// Start wires every master's subscriber set and launches the worker and
+// the periodic jobs: the detector, the sweep and the spare upkeep.
 func (p *Plane) Start() {
 	p.rewireSubscribers()
+	p.wg.Add(1)
+	go p.work()
 	p.every(p.cfg.HeartbeatInterval, p.probeAll)
 	p.every(p.cfg.ScrubInterval, func() { p.Sweep() })
 	p.startSpareUpkeep()
@@ -320,13 +298,15 @@ func (p *Plane) every(period time.Duration, fn func()) {
 	}()
 }
 
-// Close stops the background loops and waits for them.
+// Close stops the worker and the periodic jobs and waits for them. Queued
+// actions do not run: a Restart waiting on one returns ErrClosed.
 func (p *Plane) Close() {
 	select {
 	case <-p.stop:
 		return // already closed
 	default:
 	}
+	p.q.close()
 	close(p.stop)
 	p.wg.Wait()
 }
@@ -359,8 +339,7 @@ func (p *Plane) rewireSubscribers() {
 }
 
 // subscribersLocked derives master's subscriber set from the member
-// record: every other usable member. Stale spares are intentionally left
-// out unless reintegrating. Callers hold p.mu.
+// record: every other usable member but a stale spare outside reintegrate.
 func (p *Plane) subscribersLocked(master replica.Peer) []replica.Peer {
 	var subs []replica.Peer
 	for _, id := range p.order {
@@ -372,10 +351,9 @@ func (p *Plane) subscribersLocked(master replica.Peer) []replica.Peer {
 	return subs
 }
 
-// KillScheduler fails the primary scheduler and promotes the next peer: the
-// new primary runs the Section 4.1 take-over (masters abort transactions
-// orphaned by the failed scheduler and report their highest versions).
-// Returns the index of the new primary, or an error when no peer remains.
+// KillScheduler fails the primary scheduler and promotes the next peer,
+// which runs the Section 4.1 take-over. It returns the new primary's index,
+// or an error when no peer remains.
 func (p *Plane) KillScheduler() (int, error) {
 	cur := int(p.primary.Load())
 	next := cur + 1
@@ -449,32 +427,26 @@ type obsSource interface {
 
 // ClusterSnapshot builds the tier's aggregation view (/cluster) the same
 // way in process and over TCP: every member's ObsSnapshot and the plane's
-// own registry (scheduler, admission, scrub, WAL, persist and transport
-// client metrics), merged by obs.MergeSnapshots over the primary
-// scheduler's version vector, with the detector's health verdicts. A member
-// the detector has declared dead is not asked, so a scrape never waits out
-// a dead node's retries; it and any member whose snapshot fails are listed
-// down.
+// own registry, merged over the primary scheduler's version vector, with
+// the detector's health verdicts. A member declared dead is not asked, so a
+// scrape never waits out its retries; it and any member whose snapshot
+// fails are listed down.
 func (p *Plane) ClusterSnapshot() obs.ClusterSnapshot {
-	type entry struct {
-		peer   replica.Peer
-		health string
-	}
 	p.mu.Lock()
-	entries := make([]entry, 0, len(p.order))
+	peers := make([]replica.Peer, 0, len(p.order))
+	health := make(map[string]string, len(p.order))
 	for _, id := range p.order {
 		m := p.members[id]
-		entries = append(entries, entry{m.peer, healthName(m.state)})
+		peers = append(peers, m.peer)
+		health[id] = healthName(m.state)
 	}
 	p.mu.Unlock()
 
-	nss := make([]obs.NodeSnapshot, 0, len(entries)+1)
+	nss := make([]obs.NodeSnapshot, 0, len(peers)+1)
 	var down []obs.NodeLag
-	health := make(map[string]string, len(entries))
-	for _, e := range entries {
-		id := e.peer.ID()
-		health[id] = e.health
-		if src, ok := e.peer.(obsSource); ok && e.health != healthDead {
+	for _, n := range peers {
+		id := n.ID()
+		if src, ok := n.(obsSource); ok && health[id] != healthDead {
 			if ns, err := src.ObsSnapshot(); err == nil {
 				nss = append(nss, ns)
 				continue
@@ -506,8 +478,8 @@ func (p *Plane) MasterID(ci int) string {
 // Events returns a copy of the reconfiguration event log.
 func (p *Plane) Events() []Event { return p.tl.Events() }
 
-// OnEvent installs a hook invoked for every event (harness timelines, the
-// daemon's log lines).
+// OnEvent installs a hook invoked for every event, mostly on the plane's
+// worker, so a hook must not wait on a plane action such as Restart.
 func (p *Plane) OnEvent(fn func(Event)) { p.tl.OnEvent(fn) }
 
 func (p *Plane) emit(ev Event) { p.tl.Record(ev) }

@@ -85,11 +85,15 @@ func corruptArchive(t *testing.T, n *replica.Node) {
 	}
 }
 
-// suspect walks slave0 up the detector's ladder without a probe.
+// suspect walks slave0 up the detector's ladder without a probe. Reports
+// only enqueue, so it waits for the worker to have run them.
 func suspect(t *testing.T, p *Plane) {
 	t.Helper()
 	for i := 0; i < p.cfg.SuspectAfter; i++ {
 		p.ReportSuspect("slave0")
+	}
+	if err := p.do(func() error { return nil }); err != nil {
+		t.Fatal(err)
 	}
 	if h := p.Health("slave0"); h != healthSuspect {
 		t.Fatalf("slave0 is %s, want suspect", h)

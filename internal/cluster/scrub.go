@@ -1,14 +1,9 @@
-// Anti-entropy sweep (DESIGN.md §15). The plane drives it because it alone
-// knows the topology (which node masters each conflict class, which slaves
-// and spares serve reads) and owns read quarantine. Per table it pins a
-// common frontier at or below every participant's applied version, fetches
-// Merkle roots over the deadline-bounded Digest RPC, and on a root mismatch
-// drills down to the diverging page set. The class master is the digest
-// ground truth (it executed every update locally; a master that corrupts its
-// own state is outside this defense, see the DESIGN.md caveat), so a peer
-// whose root differs is quarantined out of read placement, repaired with the
-// master's current pages through the plane's one page-shipping step, and
-// released once a re-check shows it equal to the master.
+// Anti-entropy sweep (DESIGN.md §15). Per table it pins a common frontier
+// at or below every participant's applied version, compares Merkle roots
+// with the class master's (the ground truth) and drills down to the
+// diverging pages. A diverged peer is quarantined out of read placement,
+// repaired with the master's pages and released once a re-check shows it
+// equal to the master.
 package cluster
 
 import (
@@ -80,13 +75,11 @@ func newScrubMetrics(reg *obs.Registry) scrubMetrics {
 	}
 }
 
-// Sweep runs one full anti-entropy pass over the primary scheduler's
-// topology: digest every table (cfg.ScrubTables, or all) on every slave,
-// and on hot spares, against its class master; release nodes whose
-// diverged tables now match; quarantine, repair and verify new
-// divergences. It never fails a node: a peer that cannot be digested
-// (down, joining, deadline) is skipped, as its health is the detector's.
-// Sweeps are serialized, so a slow repair never overlaps the next tick.
+// Sweep runs one anti-entropy pass: digest every table (cfg.ScrubTables,
+// or all) on every slave and hot spare against its class master, release
+// nodes whose diverged tables now match, and quarantine, repair and verify
+// new divergences. A peer that cannot be digested is skipped: its health is
+// the detector's. Sweeps are serialized.
 func (p *Plane) Sweep() ScrubReport {
 	p.scrubMu.Lock()
 	defer p.scrubMu.Unlock()
@@ -191,12 +184,12 @@ func checkTable(sched *scheduler.Scheduler, t int, peers []replica.Peer, rep *Sc
 		return
 	}
 	for attempt := 0; ; attempt++ {
-		conflict, err := compareOnce(t, master, audit, rep)
-		if err == nil && !conflict {
+		err := compareOnce(t, master, audit, rep)
+		if err == nil {
 			rep.TablesChecked++
 			return
 		}
-		if conflict {
+		if errors.Is(err, page.ErrVersionConflict) {
 			rep.Conflicts++
 		}
 		if attempt >= scrubFrontierRetries {
@@ -207,29 +200,26 @@ func checkTable(sched *scheduler.Scheduler, t int, peers []replica.Peer, rep *Sc
 }
 
 // compareOnce pins one frontier and compares roots; on mismatch it drills
-// down to the page set. It returns conflict=true when any digest lost the
-// race to a newer commit (the caller retries with a fresh frontier), having
-// recorded nothing for that attempt.
-func compareOnce(t int, master replica.Peer, audit []replica.Peer, rep *ScrubReport) (conflict bool, err error) {
+// down to the page set. It fails with page.ErrVersionConflict when any
+// digest lost the race to a newer commit (the caller retries with a fresh
+// frontier), having recorded nothing for that attempt.
+func compareOnce(t int, master replica.Peer, audit []replica.Peer, rep *ScrubReport) error {
 	// The frontier must sit at or below every participant's applied
 	// version or the pinned-version scan has nothing to read.
 	frontier, live, err := scrubFrontier(t, master, audit)
 	if err != nil {
-		return false, err
+		return err
 	}
 	mRoot, err := master.Digest(t, frontier, false)
-	if errors.Is(err, page.ErrVersionConflict) {
-		return true, nil
-	}
 	if err != nil {
-		return false, err
+		return err
 	}
 	var matched []string
 	diverged := make(map[string]ScrubMismatch)
 	for _, peer := range live {
 		pRoot, err := peer.Digest(t, frontier, false)
 		if errors.Is(err, page.ErrVersionConflict) {
-			return true, nil
+			return err
 		}
 		if err != nil {
 			continue // peer unreachable/joining: its health is the detector's job
@@ -240,15 +230,12 @@ func compareOnce(t int, master replica.Peer, audit []replica.Peer, rep *ScrubRep
 		}
 		// Drill down: re-fetch both sides with leaves and diff.
 		mFull, err := master.Digest(t, frontier, true)
-		if errors.Is(err, page.ErrVersionConflict) {
-			return true, nil
-		}
 		if err != nil {
-			return false, err
+			return err
 		}
 		pFull, err := peer.Digest(t, frontier, true)
 		if errors.Is(err, page.ErrVersionConflict) {
-			return true, nil
+			return err
 		}
 		if err != nil {
 			continue
@@ -265,7 +252,7 @@ func compareOnce(t int, master replica.Peer, audit []replica.Peer, rep *ScrubRep
 	for id, mm := range diverged {
 		rep.Diverged[id] = append(rep.Diverged[id], mm)
 	}
-	return false, nil
+	return nil
 }
 
 // scrubFrontier picks the highest version every participant has applied for
@@ -292,13 +279,10 @@ func scrubFrontier(t int, master replica.Peer, audit []replica.Peer) (uint64, []
 }
 
 // repairAndVerify ships the class masters' current images of every
-// diverged page to the node (an image at the page's own version overwrites
-// it: divergence is "same version, different bytes"), then proves
-// convergence by re-running the per-table compare on the node alone at a
-// fresh frontier. The StartJoin/FinishJoin bracket makes the install safe
-// under live replication: write-sets arriving mid-repair buffer on the node
-// and drain through the versioned apply path afterwards, so nothing acked
-// is lost and nothing is applied twice.
+// diverged page to the node, then proves convergence by re-running the
+// per-table compare on the node alone at a fresh frontier. The
+// StartJoin/FinishJoin bracket buffers write-sets arriving mid-repair and
+// drains them through the versioned apply path afterwards.
 func repairAndVerify(sched *scheduler.Scheduler, peer replica.Peer, mms []ScrubMismatch) (pages int, err error) {
 	if err := peer.StartJoin(); err != nil {
 		return 0, fmt.Errorf("scrub repair %s: start join: %w", peer.ID(), err)

@@ -7,11 +7,8 @@ import (
 )
 
 // Spare upkeep (Section 4.5): the periodic jobs that keep spare backups
-// ready to serve — page-id warm-up of their buffer caches, refresh of stale
-// spares, and activation of a spare when the admission queue stays
-// saturated.
-// They reach spares only through replica.Peer, so the deployed tier runs
-// them exactly as the in-process one does.
+// ready to serve — page-id warm-up, refresh of stale spares, and activation
+// of a spare when the admission queue stays saturated.
 
 // startSpareUpkeep launches the spare jobs the configuration asks for. The
 // overload job runs only with an admission queue to watch and a spare to
@@ -83,8 +80,15 @@ func (p *Plane) overloadJob() (time.Duration, func()) {
 		}
 		over = 0
 		if len(sched.Spares()) > 0 {
-			p.emit(Event{Kind: EventOverload, Detail: "activating spare"})
-			p.activateSpare()
+			p.overloaded()
 		}
 	}
+}
+
+// overloaded is the overload job's decision: it enqueues a spare activation.
+func (p *Plane) overloaded() {
+	p.enqueue(func() {
+		p.emit(Event{Kind: EventOverload, Detail: "activating spare"})
+		p.activateSpare()
+	})
 }

@@ -60,6 +60,19 @@ if grep -n '\.SetMaster(' $(find . -name '*.go' ! -name '*_test.go' ! -path './b
 	exit 1
 fi
 
+echo "==> one plane worker"
+# Every side effect the control plane decides runs on its action queue's one
+# worker, in decision order (internal/cluster/actions.go). Production Go
+# under internal/cluster starts goroutines in four places only: the worker,
+# the periodic jobs, the probe fan-out and the bounded member call. A fifth
+# go statement runs a plane action off the queue.
+plane_go=$(cat $(find internal/cluster -name '*.go' ! -name '*_test.go') | grep -c -E '^[[:space:]]*go[[:space:]]+[A-Za-z_(]' || true)
+if [ "$plane_go" -gt 4 ]; then
+	grep -n -E '^[[:space:]]*go[[:space:]]+[A-Za-z_(]' $(find internal/cluster -name '*.go' ! -name '*_test.go') >&2
+	echo "production code under internal/cluster has $plane_go go statements, more than 4 (enqueue the action instead)" >&2
+	exit 1
+fi
+
 echo "==> gofmt"
 unformatted=$(gofmt -l .)
 [ -z "$unformatted" ] || { echo "gofmt -l lists unformatted files:" >&2; echo "$unformatted" >&2; exit 1; }
@@ -106,7 +119,7 @@ go test -tags dmvdebug -race -count=10 \
 	-run 'TestTimedOutCallKeepsConnection|TestLateRepliesNeverCross' \
 	./internal/transport/
 go test -tags dmvdebug -race -count=1 \
-	-run 'TestSuspectQuarantineAndClear|TestGrayMasterFailover|TestFailStopStillFast|TestOverloadActivatesSpare|TestPageIDWarmupLoopShipsPages|TestRestartReplacesKilledIncarnation|TestDeathVerdictSparesRestartedNode|TestSuspicionRecordedBeforeDeath|TestNewMasterSubscribedBeforePublished|TestRestartUnconfirmedMaster' \
+	-run 'TestSuspectQuarantineAndClear|TestGrayMasterFailover|TestFailStopStillFast|TestOverloadActivatesSpare|TestPageIDWarmupLoopShipsPages|TestRestartReplacesKilledIncarnation|TestDeathVerdictSparesRestartedNode|TestSuspicionRecordedBeforeDeath|TestNewMasterSubscribedBeforePublished|TestRestartUnconfirmedMaster|TestDecisionOrderIsTimelineOrder|TestOneSparePerActivation|TestReportStormIsOneConfirm|TestCloseLeavesNothingRunning' \
 	./internal/cluster/
 
 echo "==> storage-fault crash-recovery leg (WAL, faultdisk, persistence tier)"
