@@ -196,3 +196,34 @@ func TestLagConvergesAfterFailover(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterSnapshotCopiesSharedRegistryOnce: the five members of an
+// in-process tier and its plane share one registry, and a cluster view
+// copies it once, not once per member and once more for the plane. The
+// view must allocate less than two copies of the registry (a snapshot and
+// a trace dump each) would.
+func TestClusterSnapshotCopiesSharedRegistryOnce(t *testing.T) {
+	reg := obs.New()
+	// No detector traffic while allocations are counted.
+	c := newTestCluster(t, Config{Slaves: 4, MaxRetries: 30, Obs: reg, HeartbeatInterval: time.Hour})
+	for i := 1; i <= 5; i++ {
+		if err := deposit(t, c, 4, 1, int64(i)); err != nil {
+			t.Fatalf("deposit %d: %v", i, err)
+		}
+	}
+	if err := scanAll(t, c); err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	if n := len(c.ClusterSnapshot().Nodes); n != 5 {
+		t.Fatalf("view lists %d nodes, want 5", n)
+	}
+	one := testing.AllocsPerRun(20, func() {
+		_ = reg.Snapshot()
+		_ = reg.Tracer().Dump()
+	})
+	view := testing.AllocsPerRun(20, func() { _ = c.ClusterSnapshot() })
+	t.Logf("one registry copy: %.0f allocs; cluster view: %.0f allocs", one, view)
+	if view >= 2*one {
+		t.Fatalf("cluster view allocates %.0f times, want under two registry copies (%.0f)", view, 2*one)
+	}
+}

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -425,12 +425,36 @@ type obsSource interface {
 	ObsSnapshot() (obs.NodeSnapshot, error)
 }
 
+// localObsSource is an in-process member (*replica.Node), whose registry
+// may be shared with other members and the plane: it copies a registry
+// only if taken does not hold its ID yet.
+type localObsSource interface {
+	ObsSnapshotOnce(taken map[uint64]bool) (obs.NodeSnapshot, error)
+}
+
+// memberObs takes member n's share of the cluster view, copying an
+// in-process member's registry only if taken does not hold it; ok is false
+// when n serves no share or its snapshot fails.
+func memberObs(n replica.Peer, taken map[uint64]bool) (ns obs.NodeSnapshot, ok bool) {
+	var err error
+	switch src := n.(type) {
+	case localObsSource:
+		ns, err = src.ObsSnapshotOnce(taken)
+	case obsSource:
+		ns, err = src.ObsSnapshot()
+	default:
+		return ns, false
+	}
+	return ns, err == nil
+}
+
 // ClusterSnapshot builds the tier's aggregation view (/cluster) the same
 // way in process and over TCP: every member's ObsSnapshot and the plane's
 // own registry, merged over the primary scheduler's version vector, with
 // the detector's health verdicts. A member declared dead is not asked, so a
 // scrape never waits out its retries; it and any member whose snapshot
-// fails are listed down.
+// fails are listed down. In process, each registry the members and the
+// plane share is copied once: the merge counts only its first copy.
 func (p *Plane) ClusterSnapshot() obs.ClusterSnapshot {
 	p.mu.Lock()
 	peers := make([]replica.Peer, 0, len(p.order))
@@ -444,22 +468,23 @@ func (p *Plane) ClusterSnapshot() obs.ClusterSnapshot {
 
 	nss := make([]obs.NodeSnapshot, 0, len(peers)+1)
 	var down []obs.NodeLag
+	taken := make(map[uint64]bool, 1) // the registries copied in process
 	for _, n := range peers {
 		id := n.ID()
-		if src, ok := n.(obsSource); ok && health[id] != healthDead {
-			if ns, err := src.ObsSnapshot(); err == nil {
+		if health[id] != healthDead {
+			if ns, ok := memberObs(n, taken); ok {
 				nss = append(nss, ns)
 				continue
 			}
 		}
 		down = append(down, obs.NodeLag{Node: id, Role: "down"})
 	}
-	if reg := p.cfg.Obs; reg != nil {
+	if reg := p.cfg.Obs; reg != nil && !taken[reg.ID()] {
 		nss = append(nss, obs.NodeSnapshot{Registry: reg.ID(), Snap: reg.Snapshot(), Spans: reg.Tracer().Dump()})
 	}
 	cs := obs.MergeSnapshots(nss, p.Scheduler().Latest())
 	cs.Nodes = append(cs.Nodes, down...)
-	sort.Slice(cs.Nodes, func(i, j int) bool { return cs.Nodes[i].Node < cs.Nodes[j].Node })
+	slices.SortFunc(cs.Nodes, func(a, b obs.NodeLag) int { return strings.Compare(a.Node, b.Node) })
 	for i := range cs.Nodes {
 		cs.Nodes[i].Health = health[cs.Nodes[i].Node]
 	}

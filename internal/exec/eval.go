@@ -7,8 +7,10 @@
 // slab, and grouping folds rows as the join produces them, into slabs of
 // group columns and aggregate states. A result's rows are capped windows
 // onto one slab, so a statement allocates a fixed number of times plus the
-// slabs' growth, however many rows it returns. It is deliberately a
-// straightforward executor — the paper's contribution is in the
+// slabs' growth, however many rows it returns. Names resolve only while
+// planning: a plan binds every column reference to its offset in the
+// joined row and every aggregate call to its ordinal, and evaluation
+// indexes the row. It is deliberately a straightforward executor — the paper's contribution is in the
 // replication layer, not the optimizer — but it runs every TPC-W
 // interaction, including the BestSellers and NewProducts joins.
 package exec
@@ -17,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"unicode"
 	"unicode/utf8"
 
@@ -34,22 +35,77 @@ var (
 	ErrParamCount = errors.New("exec: missing statement parameter")
 )
 
-// env is the evaluation environment for one (joined) row.
+// env is the evaluation environment for one (joined) row. It holds no
+// names: a plan binds every column reference to a row offset and every
+// aggregate call to its ordinal (plan.bind).
 type env struct {
-	cols   map[string]int // qualified and unqualified column name -> offset
 	row    value.Row
 	params []value.Value
-	aggs   *aggValues // set in aggregate context
-	tx     heap.Txn   // for uncorrelated subqueries
-	subs   *subCache  // per-statement subquery result cache
+	aggs   []value.Value // a group's aggregate values, by plan.calls ordinal; nil outside aggregation
+	tx     heap.Txn      // for uncorrelated subqueries
+	subs   *subCache     // per-statement subquery result cache
 }
 
-// aggValues are one group's aggregate values, by their calls' ordinals in
-// calls (plan.calls).
-type aggValues struct {
-	calls []*sql.Call
-	vals  []value.Value
-}
+// expr is an expression bound to a plan: a sql.Expr whose column references
+// are offsets in the joined row and whose aggregate calls are ordinals in
+// plan.calls. A plan builds its own trees (binder.bind) and never writes the
+// statement's AST, which every engine's plan of a Prepared shares. The
+// nodes are plain data, so two plans of one statement compare equal.
+type expr interface{ bound() }
+
+type (
+	// litExpr is a literal value.
+	litExpr struct{ v value.Value }
+	// paramExpr is the n-th positional parameter.
+	paramExpr struct{ n int }
+	// colExpr reads the joined row at off; ref is the reference it binds.
+	colExpr struct {
+		off int
+		ref *sql.ColRef
+	}
+	// unknownColExpr is a reference that names no column in scope:
+	// evaluating it fails with ErrUnknownColumn.
+	unknownColExpr struct{ ref *sql.ColRef }
+	// aggExpr is a group's value of call, plan.calls[i]; i is -1 for a call
+	// the plan does not aggregate, which fails when evaluated.
+	aggExpr struct {
+		i    int
+		call *sql.Call
+	}
+	unaryExpr struct {
+		op string
+		x  expr
+	}
+	binaryExpr struct {
+		op   string
+		l, r expr
+	}
+	isNullExpr struct {
+		x   expr
+		not bool
+	}
+	// inListExpr is x IN (list...) or, with sub set, x IN (SELECT ...).
+	inListExpr struct {
+		x    expr
+		list []expr
+		sub  *sql.Subquery
+	}
+	betweenExpr struct{ x, lo, hi expr }
+	// subqueryExpr is a scalar subquery, planned when it runs (env.subquery).
+	subqueryExpr struct{ sq *sql.Subquery }
+)
+
+func (*litExpr) bound()        {}
+func (*paramExpr) bound()      {}
+func (*colExpr) bound()        {}
+func (*unknownColExpr) bound() {}
+func (*aggExpr) bound()        {}
+func (*unaryExpr) bound()      {}
+func (*binaryExpr) bound()     {}
+func (*isNullExpr) bound()     {}
+func (*inListExpr) bound()     {}
+func (*betweenExpr) bound()    {}
+func (*subqueryExpr) bound()   {}
 
 // subCache memoizes uncorrelated subquery results for one statement
 // execution (a scalar subquery in WHERE would otherwise re-run per row).
@@ -72,7 +128,7 @@ func (e *env) subquery(sq *sql.Subquery) (*Result, error) {
 	p, err := planSelect(e.tx.Engine(), sq.Sel)
 	var r *Result
 	if err == nil {
-		r, err = runSelect(e.tx, p, sq.Sel, e.params)
+		r, err = runSelect(e.tx, p, e.params)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("subquery: %w", err)
@@ -84,17 +140,6 @@ func (e *env) subquery(sq *sql.Subquery) (*Result, error) {
 		e.subs.m[sq] = r
 	}
 	return r, nil
-}
-
-// colOffset resolves a column reference to its offset in the joined row,
-// given the qualified and unqualified name -> offset map.
-func colOffset(cols map[string]int, r *sql.ColRef) (int, bool) {
-	if r.Table != "" {
-		off, ok := cols[strings.ToLower(r.Table+"."+r.Col)]
-		return off, ok
-	}
-	off, ok := cols[strings.ToLower(r.Col)]
-	return off, ok
 }
 
 func truthy(v value.Value) bool {
@@ -110,30 +155,28 @@ func truthy(v value.Value) bool {
 	}
 }
 
-func eval(x sql.Expr, e *env) (value.Value, error) {
+func eval(x expr, e *env) (value.Value, error) {
 	switch t := x.(type) {
-	case *sql.Lit:
-		return t.V, nil
-	case *sql.Param:
-		if t.N >= len(e.params) {
-			return value.Value{}, fmt.Errorf("%w: ?%d of %d bound", ErrParamCount, t.N+1, len(e.params))
-		}
-		return e.params[t.N], nil
-	case *sql.ColRef:
-		off, ok := colOffset(e.cols, t)
-		if !ok {
-			return value.Value{}, fmt.Errorf("%w: %s", ErrUnknownColumn, refName(t))
-		}
-		if off >= len(e.row) {
+	case *colExpr:
+		if t.off >= len(e.row) {
 			return value.NewNull(), nil
 		}
-		return e.row[off], nil
-	case *sql.Unary:
-		v, err := eval(t.X, e)
+		return e.row[t.off], nil
+	case *litExpr:
+		return t.v, nil
+	case *paramExpr:
+		if t.n >= len(e.params) {
+			return value.Value{}, fmt.Errorf("%w: ?%d of %d bound", ErrParamCount, t.n+1, len(e.params))
+		}
+		return e.params[t.n], nil
+	case *unknownColExpr:
+		return value.Value{}, fmt.Errorf("%w: %s", ErrUnknownColumn, refName(t.ref))
+	case *unaryExpr:
+		v, err := eval(t.x, e)
 		if err != nil {
 			return value.Value{}, err
 		}
-		switch t.Op {
+		switch t.op {
 		case "NOT":
 			return boolVal(!truthy(v)), nil
 		case "-":
@@ -142,26 +185,26 @@ func eval(x sql.Expr, e *env) (value.Value, error) {
 			}
 			return value.NewInt(-v.AsInt()), nil
 		}
-		return value.Value{}, fmt.Errorf("exec: bad unary op %q", t.Op)
-	case *sql.Binary:
+		return value.Value{}, fmt.Errorf("exec: bad unary op %q", t.op)
+	case *binaryExpr:
 		return evalBinary(t, e)
-	case *sql.IsNull:
-		v, err := eval(t.X, e)
+	case *isNullExpr:
+		v, err := eval(t.x, e)
 		if err != nil {
 			return value.Value{}, err
 		}
 		res := v.IsNull()
-		if t.Not {
+		if t.not {
 			res = !res
 		}
 		return boolVal(res), nil
-	case *sql.InList:
-		v, err := eval(t.X, e)
+	case *inListExpr:
+		v, err := eval(t.x, e)
 		if err != nil {
 			return value.Value{}, err
 		}
-		if t.Sub != nil {
-			res, err := e.subquery(t.Sub)
+		if t.sub != nil {
+			res, err := e.subquery(t.sub)
 			if err != nil {
 				return value.Value{}, err
 			}
@@ -172,7 +215,7 @@ func eval(x sql.Expr, e *env) (value.Value, error) {
 			}
 			return boolVal(false), nil
 		}
-		for _, le := range t.List {
+		for _, le := range t.list {
 			lv, err := eval(le, e)
 			if err != nil {
 				return value.Value{}, err
@@ -182,22 +225,22 @@ func eval(x sql.Expr, e *env) (value.Value, error) {
 			}
 		}
 		return boolVal(false), nil
-	case *sql.Between:
-		v, err := eval(t.X, e)
+	case *betweenExpr:
+		v, err := eval(t.x, e)
 		if err != nil {
 			return value.Value{}, err
 		}
-		lo, err := eval(t.Lo, e)
+		lo, err := eval(t.lo, e)
 		if err != nil {
 			return value.Value{}, err
 		}
-		hi, err := eval(t.Hi, e)
+		hi, err := eval(t.hi, e)
 		if err != nil {
 			return value.Value{}, err
 		}
 		return boolVal(value.Compare(v, lo) >= 0 && value.Compare(v, hi) <= 0), nil
-	case *sql.Subquery:
-		res, err := e.subquery(t)
+	case *subqueryExpr:
+		res, err := e.subquery(t.sq)
 		if err != nil {
 			return value.Value{}, err
 		}
@@ -205,59 +248,55 @@ func eval(x sql.Expr, e *env) (value.Value, error) {
 			return value.NewNull(), nil
 		}
 		return res.Rows[0][0], nil
-	case *sql.Call:
-		if a := e.aggs; a != nil {
-			for i, c := range a.calls {
-				if c == t {
-					return a.vals[i], nil
-				}
-			}
+	case *aggExpr:
+		if t.i >= 0 && t.i < len(e.aggs) {
+			return e.aggs[t.i], nil
 		}
-		return value.Value{}, fmt.Errorf("exec: aggregate %s outside aggregation context", t.Fn)
+		return value.Value{}, fmt.Errorf("exec: aggregate %s outside aggregation context", t.call.Fn)
 	default:
 		return value.Value{}, fmt.Errorf("exec: unsupported expression %T", x)
 	}
 }
 
-func evalBinary(b *sql.Binary, e *env) (value.Value, error) {
+func evalBinary(b *binaryExpr, e *env) (value.Value, error) {
 	// Short-circuit logical operators.
-	switch b.Op {
+	switch b.op {
 	case "AND":
-		l, err := eval(b.L, e)
+		l, err := eval(b.l, e)
 		if err != nil {
 			return value.Value{}, err
 		}
 		if !truthy(l) {
 			return boolVal(false), nil
 		}
-		r, err := eval(b.R, e)
+		r, err := eval(b.r, e)
 		if err != nil {
 			return value.Value{}, err
 		}
 		return boolVal(truthy(r)), nil
 	case "OR":
-		l, err := eval(b.L, e)
+		l, err := eval(b.l, e)
 		if err != nil {
 			return value.Value{}, err
 		}
 		if truthy(l) {
 			return boolVal(true), nil
 		}
-		r, err := eval(b.R, e)
+		r, err := eval(b.r, e)
 		if err != nil {
 			return value.Value{}, err
 		}
 		return boolVal(truthy(r)), nil
 	}
-	l, err := eval(b.L, e)
+	l, err := eval(b.l, e)
 	if err != nil {
 		return value.Value{}, err
 	}
-	r, err := eval(b.R, e)
+	r, err := eval(b.r, e)
 	if err != nil {
 		return value.Value{}, err
 	}
-	switch b.Op {
+	switch b.op {
 	case "=":
 		return boolVal(!l.IsNull() && !r.IsNull() && value.Equal(l, r)), nil
 	case "<>":
@@ -273,9 +312,9 @@ func evalBinary(b *sql.Binary, e *env) (value.Value, error) {
 	case "LIKE":
 		return boolVal(likeMatch(l.AsString(), r.AsString())), nil
 	case "+", "-", "*", "/":
-		return arith(b.Op, l, r)
+		return arith(b.op, l, r)
 	}
-	return value.Value{}, fmt.Errorf("exec: bad binary op %q", b.Op)
+	return value.Value{}, fmt.Errorf("exec: bad binary op %q", b.op)
 }
 
 // cmpNonNull orders l and r; comparisons involving NULL are pushed to an

@@ -13,12 +13,19 @@ func evalConst(t *testing.T, expr string, params ...value.Value) value.Value {
 	if err != nil {
 		t.Fatalf("parse %q: %v", expr, err)
 	}
-	e := &env{cols: map[string]int{}, params: params}
-	v, err := eval(stmt.(*sql.Select).Exprs[0].Expr, e)
+	e := &env{params: params}
+	v, err := eval(bindFirst(stmt, nil), e)
 	if err != nil {
 		t.Fatalf("eval %q: %v", expr, err)
 	}
 	return v
+}
+
+// bindFirst binds a SELECT's first output expression with the columns cols
+// in scope.
+func bindFirst(stmt sql.Statement, cols map[string]int) expr {
+	b := &binder{cols: cols}
+	return b.bind(stmt.(*sql.Select).Exprs[0].Expr, nil)
 }
 
 func TestArithmetic(t *testing.T) {
@@ -182,8 +189,8 @@ func TestParams(t *testing.T) {
 	}
 	// Missing parameter is an error, not a silent NULL.
 	stmt, _ := sql.Parse(`SELECT ?`)
-	e := &env{cols: map[string]int{}}
-	if _, err := eval(stmt.(*sql.Select).Exprs[0].Expr, e); err == nil {
+	e := &env{}
+	if _, err := eval(bindFirst(stmt, nil), e); err == nil {
 		t.Error("missing param did not error")
 	}
 }
@@ -199,8 +206,8 @@ func TestStringComparison(t *testing.T) {
 
 func TestUnknownColumnError(t *testing.T) {
 	stmt, _ := sql.Parse(`SELECT nope`)
-	e := &env{cols: map[string]int{"real": 0}, row: value.Row{value.NewInt(1)}}
-	if _, err := eval(stmt.(*sql.Select).Exprs[0].Expr, e); err == nil {
+	e := &env{row: value.Row{value.NewInt(1)}}
+	if _, err := eval(bindFirst(stmt, map[string]int{"real": 0}), e); err == nil {
 		t.Error("unknown column did not error")
 	}
 }

@@ -122,13 +122,13 @@ func (p *Prepared) Exec(tx heap.Txn, params []value.Value) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch s := p.stmt.(type) {
+	switch p.stmt.(type) {
 	case *sql.Select:
-		return runSelect(tx, pl, s, params)
+		return runSelect(tx, pl, params)
 	case *sql.Insert:
-		return runInsert(tx, pl, s, params)
+		return runInsert(tx, pl, params)
 	case *sql.Update:
-		return runUpdate(tx, pl, s, params)
+		return runUpdate(tx, pl, params)
 	default:
 		return runDelete(tx, pl, params)
 	}
@@ -341,9 +341,9 @@ func (s *scanPath) next() (rid page.RowID, row value.Row, ok bool, err error) {
 // runSelect runs a SELECT. The join streams (joinWalk): each row it keeps
 // goes straight to the aggregation, or is evaluated into the statement's
 // output slab (keptRows). The result is made from the one or the other.
-func runSelect(tx heap.Txn, p *plan, sel *sql.Select, params []value.Value) (*Result, error) {
-	w := newJoinWalk(tx, p, sel, params)
-	offset, limit, err := rowBounds(sel, &w.top)
+func runSelect(tx heap.Txn, p *plan, params []value.Value) (*Result, error) {
+	w := newJoinWalk(tx, p, params)
+	offset, limit, err := rowBounds(p, &w.top)
 	if err != nil {
 		return nil, err
 	}
@@ -356,9 +356,9 @@ func runSelect(tx heap.Txn, p *plan, sel *sql.Select, params []value.Value) (*Re
 		return nil, err
 	}
 	if w.agg != nil {
-		return outputGroups(p, sel, &w.top, w.agg.results(), offset, limit)
+		return outputGroups(p, &w.top, w.agg.results(), offset, limit)
 	}
-	return w.kept.result(p, sel, offset, limit), nil
+	return w.kept.result(p, offset, limit), nil
 }
 
 // keptRows is the output of a query without aggregation, built as its join
@@ -371,7 +371,7 @@ type keptRows struct {
 
 // add evaluates the row in e into the slab if the query's HAVING holds for
 // it: its SELECT list, then its ORDER BY keys.
-func (k *keptRows) add(p *plan, sel *sql.Select, e *env) error {
+func (k *keptRows) add(p *plan, e *env) error {
 	if p.having != nil {
 		v, err := eval(p.having, e)
 		if err != nil || !truthy(v) {
@@ -381,11 +381,11 @@ func (k *keptRows) add(p *plan, sel *sql.Select, e *env) error {
 	at, stride := len(k.slab), p.width+len(p.orderBy)
 	k.slab = grow(k.slab, stride)
 	row := k.slab[at:]
-	if err := project(p, sel, e, row[:p.width]); err != nil {
+	if err := project(p, e, row[:p.width]); err != nil {
 		return err
 	}
 	for j, o := range p.orderBy {
-		v, err := eval(o.Expr, e)
+		v, err := eval(o.x, e)
 		if err != nil {
 			return err
 		}
@@ -398,7 +398,7 @@ func (k *keptRows) add(p *plan, sel *sql.Select, e *env) error {
 // result sorts the kept rows by their keys, drops duplicates for DISTINCT
 // and applies OFFSET and LIMIT. The slab no longer grows, so the rows it
 // hands out are capped windows onto it.
-func (k *keptRows) result(p *plan, sel *sql.Select, offset, limit int) *Result {
+func (k *keptRows) result(p *plan, offset, limit int) *Result {
 	w, stride := p.width, p.width+len(p.orderBy)
 	rows := make([]value.Row, k.n)
 	for i := range rows {
@@ -412,7 +412,7 @@ func (k *keptRows) result(p *plan, sel *sql.Select, offset, limit int) *Result {
 	for i, r := range rows {
 		rows[i] = r[:w:w]
 	}
-	if sel.Distinct {
+	if p.distinct {
 		rows = distinct(rows)
 	}
 	return &Result{Cols: p.cols[:len(p.cols):len(p.cols)], Rows: bounds(rows, offset, limit)}
@@ -423,7 +423,7 @@ func (k *keptRows) result(p *plan, sel *sql.Select, offset, limit int) *Result {
 // groups they keep (of every group, for DISTINCT, which must see them all).
 // The sort moves group ordinals; one slab holds every group's keys, and
 // then the joined row a group is evaluated in.
-func outputGroups(p *plan, sel *sql.Select, top *env, g *groupRows, offset, limit int) (*Result, error) {
+func outputGroups(p *plan, top *env, g *groupRows, offset, limit int) (*Result, error) {
 	nk := len(p.orderBy)
 	keys := make([]value.Value, g.n*nk+p.b.width)
 	e := *top
@@ -441,7 +441,7 @@ func outputGroups(p *plan, sel *sql.Select, top *env, g *groupRows, offset, limi
 			}
 		}
 		for j, o := range p.orderBy {
-			v, err := eval(o.Expr, &e)
+			v, err := eval(o.x, &e)
 			if err != nil {
 				return nil, err
 			}
@@ -454,7 +454,7 @@ func outputGroups(p *plan, sel *sql.Select, top *env, g *groupRows, offset, limi
 			return compareKeys(p.orderBy, keys[a*nk:a*nk+nk], keys[b*nk:b*nk+nk])
 		})
 	}
-	if !sel.Distinct {
+	if !p.distinct {
 		kept = bounds(kept, offset, limit)
 	}
 	w := p.width
@@ -463,21 +463,21 @@ func outputGroups(p *plan, sel *sql.Select, top *env, g *groupRows, offset, limi
 	for i, grp := range kept {
 		g.load(p, grp, &e)
 		rows[i] = slab[i*w : i*w+w : i*w+w]
-		if err := project(p, sel, &e, rows[i]); err != nil {
+		if err := project(p, &e, rows[i]); err != nil {
 			return nil, err
 		}
 	}
-	if sel.Distinct {
+	if p.distinct {
 		rows = bounds(distinct(rows), offset, limit)
 	}
 	return &Result{Cols: p.cols[:len(p.cols):len(p.cols)], Rows: rows}, nil
 }
 
 // compareKeys orders two rows' ORDER BY keys.
-func compareKeys(orderBy []sql.OrderItem, a, b value.Row) int {
+func compareKeys(orderBy []orderKey, a, b value.Row) int {
 	for j, o := range orderBy {
 		if c := value.Compare(a[j], b[j]); c != 0 {
-			if o.Desc {
+			if o.desc {
 				return -c
 			}
 			return c
@@ -513,22 +513,22 @@ func bounds[T any](s []T, offset, limit int) []T {
 // rowBounds evaluates OFFSET and LIMIT once, before the join runs; limit
 // is -1 without a LIMIT clause. Either may be a parameter a client bound,
 // so a negative count is an error.
-func rowBounds(sel *sql.Select, e *env) (offset, limit int, err error) {
+func rowBounds(p *plan, e *env) (offset, limit int, err error) {
 	limit = -1
-	if sel.Offset != nil {
-		if offset, err = rowCount("OFFSET", sel.Offset, e); err != nil {
+	if p.offset != nil {
+		if offset, err = rowCount("OFFSET", p.offset, e); err != nil {
 			return 0, 0, err
 		}
 	}
-	if sel.Limit != nil {
-		if limit, err = rowCount("LIMIT", sel.Limit, e); err != nil {
+	if p.limit != nil {
+		if limit, err = rowCount("LIMIT", p.limit, e); err != nil {
 			return 0, 0, err
 		}
 	}
 	return offset, limit, nil
 }
 
-func rowCount(clause string, x sql.Expr, e *env) (int, error) {
+func rowCount(clause string, x expr, e *env) (int, error) {
 	v, err := eval(x, e)
 	if err != nil {
 		return 0, err
@@ -551,7 +551,6 @@ func rowCount(clause string, x sql.Expr, e *env) (int, error) {
 type joinWalk struct {
 	tx     heap.Txn
 	p      *plan
-	sel    *sql.Select
 	top    env         // no row: binds level 0's probe expressions
 	subs   subCache    // the statement's subquery results, shared by every env
 	buf    value.Row   // the joined row; nil for a single table
@@ -567,9 +566,9 @@ type walkLevel struct {
 	matched bool     // a row met the ON residuals (LEFT JOIN null extension)
 }
 
-func newJoinWalk(tx heap.Txn, p *plan, sel *sql.Select, params []value.Value) *joinWalk {
-	w := &joinWalk{tx: tx, p: p, sel: sel, levels: make([]walkLevel, len(p.b.tabs))}
-	w.top = env{cols: p.b.cols, params: params, tx: tx, subs: &w.subs}
+func newJoinWalk(tx heap.Txn, p *plan, params []value.Value) *joinWalk {
+	w := &joinWalk{tx: tx, p: p, levels: make([]walkLevel, len(p.b.tabs))}
+	w.top = env{params: params, tx: tx, subs: &w.subs}
 	if len(p.b.tabs) > 1 {
 		w.buf = make(value.Row, p.b.width)
 	}
@@ -661,7 +660,7 @@ func (w *joinWalk) keep(e *env) error {
 	if w.agg != nil {
 		return w.agg.add(e)
 	}
-	return w.kept.add(w.p, w.sel, e)
+	return w.kept.add(w.p, e)
 }
 
 // aggregator folds the rows the join keeps into their groups as they
@@ -711,7 +710,7 @@ func (a *aggregator) add(e *env) error {
 			st.count++
 			continue
 		}
-		v, err := eval(call.Args[0], e)
+		v, err := eval(call.arg, e)
 		if err != nil {
 			return err
 		}
@@ -806,7 +805,6 @@ func (a *aggregator) results() *groupRows {
 type groupRows struct {
 	n            int
 	firsts, aggs []value.Value
-	cur          aggValues // the group load loaded last
 }
 
 // load makes group i the group e evaluates: its first row's columns go
@@ -816,8 +814,7 @@ func (g *groupRows) load(p *plan, i int, e *env) {
 	for j, off := range p.groupCols {
 		e.row[off] = g.firsts[i*nf+j]
 	}
-	g.cur = aggValues{calls: p.calls, vals: g.aggs[i*nc : i*nc+nc]}
-	e.aggs = &g.cur
+	e.aggs = g.aggs[i*nc : i*nc+nc]
 }
 
 // result is the value of aggregate fn over what st folded.
@@ -855,15 +852,15 @@ func (st *aggState) result(fn string) value.Value {
 // project evaluates the SELECT list for the row in e into row, which has
 // the plan's width and arrives zeroed: * copies the joined row, and leaves
 // nulls past a short row's end.
-func project(p *plan, sel *sql.Select, e *env, row value.Row) error {
+func project(p *plan, e *env, row value.Row) error {
 	i := 0
-	for _, se := range sel.Exprs {
-		if se.Star {
+	for _, x := range p.exprs {
+		if x == nil {
 			copy(row[i:i+p.b.width], e.row)
 			i += p.b.width
 			continue
 		}
-		v, err := eval(se.Expr, e)
+		v, err := eval(x, e)
 		if err != nil {
 			return err
 		}
@@ -877,12 +874,11 @@ func project(p *plan, sel *sql.Select, e *env, row value.Row) error {
 
 // runInsert inserts the VALUES rows. Each row is built at the table's width
 // and handed to Insert, which coerces it in place and publishes it.
-func runInsert(tx heap.Txn, p *plan, ins *sql.Insert, params []value.Value) (*Result, error) {
+func runInsert(tx heap.Txn, p *plan, params []value.Value) (*Result, error) {
 	tid := p.b.tabs[0].tid
-	// No columns are in scope (a nil cols map finds none, as an empty one
-	// would) and there is no subquery cache: e stays on the stack.
+	// No row and no subquery cache: e stays on the stack.
 	e := env{params: params, tx: tx}
-	for _, exprRow := range ins.Rows {
+	for _, exprRow := range p.values {
 		row := make(value.Row, p.b.width)
 		for i, ex := range exprRow {
 			v, err := eval(ex, &e)
@@ -895,11 +891,11 @@ func runInsert(tx heap.Txn, p *plan, ins *sql.Insert, params []value.Value) (*Re
 			return nil, err
 		}
 	}
-	return &Result{Affected: len(ins.Rows)}, nil
+	return &Result{Affected: len(p.values)}, nil
 }
 
 // passes reports whether every predicate holds for the row in rowEnv.
-func passes(rowEnv *env, preds []sql.Expr) (bool, error) {
+func passes(rowEnv *env, preds []expr) (bool, error) {
 	for _, r := range preds {
 		v, err := eval(r, rowEnv)
 		if err != nil {
@@ -924,7 +920,7 @@ type target struct {
 // each as a private copy, so UPDATE writes into it and hands it to Update.
 func targetRows(tx heap.Txn, p *plan, params []value.Value, subs *subCache) ([]target, error) {
 	b, lv := p.b, &p.levels[0]
-	e := env{cols: b.cols, params: params, tx: tx, subs: subs}
+	e := env{params: params, tx: tx, subs: subs}
 	var s scanPath
 	if err := s.open(tx, b.tabs[0].tid, &lv.path, &e); err != nil {
 		return nil, err
@@ -949,7 +945,7 @@ func targetRows(tx heap.Txn, p *plan, params []value.Value, subs *subCache) ([]t
 // Update: one private copy per target row, the one Fetch made. A read-only
 // transaction's Fetch returns stored rows, so it is refused before any row
 // is written.
-func runUpdate(tx heap.Txn, p *plan, up *sql.Update, params []value.Value) (*Result, error) {
+func runUpdate(tx heap.Txn, p *plan, params []value.Value) (*Result, error) {
 	if tx.ReadOnly() {
 		return nil, heap.ErrReadOnly
 	}
@@ -964,10 +960,10 @@ func runUpdate(tx heap.Txn, p *plan, up *sql.Update, params []value.Value) (*Res
 	var scratch [8]value.Value
 	vals := scratch[:0]
 	for _, tg := range targets {
-		e := env{cols: p.b.cols, row: tg.row, params: params, tx: tx, subs: &subs}
+		e := env{row: tg.row, params: params, tx: tx, subs: &subs}
 		vals = vals[:0]
-		for _, s := range up.Sets {
-			v, err := eval(s.Expr, &e)
+		for _, x := range p.sets {
+			v, err := eval(x, &e)
 			if err != nil {
 				return nil, err
 			}

@@ -68,3 +68,62 @@ func Explain(e *heap.Engine, text string) (string, error) {
 	}
 	return out.String(), nil
 }
+
+// ColumnBindings plans text on e as Exec does (the plan cached on the
+// statement's shared Prepared) and reports how the plan bound the column
+// references of every expression it evaluates: how many read a joined-row
+// offset, and the names of those that name no column in scope and fail
+// when evaluated. A subquery binds through its own plan when it runs and is
+// not visited. Diagnostics, like Explain.
+func ColumnBindings(e *heap.Engine, text string) (bound int, unknown []string, err error) {
+	prep, err := Cached(text)
+	if err != nil {
+		return 0, nil, err
+	}
+	p, err := prep.planFor(e)
+	if err != nil {
+		return 0, nil, err
+	}
+	var visit func(xs ...expr)
+	visit = func(xs ...expr) {
+		for _, x := range xs {
+			switch t := x.(type) {
+			case *colExpr:
+				bound++
+			case *unknownColExpr:
+				unknown = append(unknown, refName(t.ref))
+			case *unaryExpr:
+				visit(t.x)
+			case *binaryExpr:
+				visit(t.l, t.r)
+			case *isNullExpr:
+				visit(t.x)
+			case *inListExpr:
+				visit(t.x)
+				visit(t.list...)
+			case *betweenExpr:
+				visit(t.x, t.lo, t.hi)
+			}
+		}
+	}
+	for _, lv := range p.levels {
+		visit(lv.path.eq...)
+		visit(lv.path.lo, lv.path.hi)
+		visit(lv.residualOn...)
+		visit(lv.residualWhere...)
+	}
+	visit(p.exprs...)
+	for _, o := range p.orderBy {
+		visit(o.x)
+	}
+	visit(p.groupBy...)
+	visit(p.having, p.limit, p.offset)
+	for _, c := range p.calls {
+		visit(c.arg)
+	}
+	visit(p.sets...)
+	for _, row := range p.values {
+		visit(row...)
+	}
+	return bound, unknown, nil
+}

@@ -25,8 +25,8 @@ import (
 // aggregation, outputGroups for the groups of one with it.
 func materialized(tx heap.Txn, p *plan, sel *sql.Select, params []value.Value) (*Result, error) {
 	b := p.b
-	top := &env{cols: b.cols, params: params, tx: tx, subs: &subCache{}}
-	offset, limit, err := rowBounds(sel, top)
+	top := &env{params: params, tx: tx, subs: &subCache{}}
+	offset, limit, err := rowBounds(p, top)
 	if err != nil {
 		return nil, err
 	}
@@ -88,17 +88,17 @@ func materialized(tx heap.Txn, p *plan, sel *sql.Select, params []value.Value) (
 		if err != nil {
 			return nil, err
 		}
-		return outputGroups(p, sel, top, groups, offset, limit)
+		return outputGroups(p, top, groups, offset, limit)
 	}
 	var kept keptRows
 	for _, row := range joined {
 		e := *top
 		e.row = row
-		if err := kept.add(p, sel, &e); err != nil {
+		if err := kept.add(p, &e); err != nil {
 			return nil, err
 		}
 	}
-	return kept.result(p, sel, offset, limit), nil
+	return kept.result(p, offset, limit), nil
 }
 
 // groupAll groups a finished join in first-seen order and computes each
@@ -147,7 +147,7 @@ func groupAll(p *plan, top *env, joined []value.Row) (*groupRows, error) {
 	return g, nil
 }
 
-func aggregateOver(c *sql.Call, rows []value.Row, top *env) (value.Value, error) {
+func aggregateOver(c aggCall, rows []value.Row, top *env) (value.Value, error) {
 	if c.Star {
 		return value.NewInt(int64(len(rows))), nil
 	}
@@ -156,7 +156,7 @@ func aggregateOver(c *sql.Call, rows []value.Row, top *env) (value.Value, error)
 	for _, row := range rows {
 		e := *top
 		e.row = row
-		v, err := eval(c.Args[0], &e)
+		v, err := eval(c.arg, &e)
 		if err != nil {
 			return value.Value{}, err
 		}

@@ -88,30 +88,97 @@ func (b *binder) colOrdinalOf(r *sql.ColRef, tabIdx int) int {
 	return off - tb.base
 }
 
+// colOffset resolves a column reference to its offset in the joined row,
+// given the qualified and unqualified name -> offset map. Only planning
+// resolves names: a plan holds offsets (bind).
+func colOffset(cols map[string]int, r *sql.ColRef) (int, bool) {
+	if r.Table != "" {
+		off, ok := cols[strings.ToLower(r.Table+"."+r.Col)]
+		return off, ok
+	}
+	off, ok := cols[strings.ToLower(r.Col)]
+	return off, ok
+}
+
+// bind builds the plan's form of x: each column reference becomes its
+// offset in the joined row b lays out, or, if it names no column, a node
+// that fails when evaluated; each aggregate call becomes its ordinal in
+// calls. It shares no node with x but the references and calls the nodes
+// name, and writes nothing into x. A nil x binds to nil.
+func (b *binder) bind(x sql.Expr, calls []*sql.Call) expr {
+	sub := func(x sql.Expr) expr { return b.bind(x, calls) }
+	switch t := x.(type) {
+	case *sql.ColRef:
+		if off, ok := colOffset(b.cols, t); ok {
+			return &colExpr{off: off, ref: t}
+		}
+		return &unknownColExpr{ref: t}
+	case *sql.Lit:
+		return &litExpr{v: t.V}
+	case *sql.Param:
+		return &paramExpr{n: t.N}
+	case *sql.Call:
+		return &aggExpr{i: slices.Index(calls, t), call: t}
+	case *sql.Unary:
+		return &unaryExpr{op: t.Op, x: sub(t.X)}
+	case *sql.Binary:
+		return &binaryExpr{op: t.Op, l: sub(t.L), r: sub(t.R)}
+	case *sql.IsNull:
+		return &isNullExpr{x: sub(t.X), not: t.Not}
+	case *sql.InList:
+		out := &inListExpr{x: sub(t.X), sub: t.Sub}
+		for _, e := range t.List {
+			out.list = append(out.list, sub(e))
+		}
+		return out
+	case *sql.Between:
+		return &betweenExpr{x: sub(t.X), lo: sub(t.Lo), hi: sub(t.Hi)}
+	case *sql.Subquery:
+		return &subqueryExpr{sq: t}
+	}
+	return nil
+}
+
+// bindAll binds each of xs.
+func (b *binder) bindAll(xs []sql.Expr, calls []*sql.Call) []expr {
+	if xs == nil {
+		return nil
+	}
+	out := make([]expr, len(xs))
+	for i, x := range xs {
+		out[i] = b.bind(x, calls)
+	}
+	return out
+}
+
 // --- the plan ---------------------------------------------------------------
 
 // plan is how one statement runs: the plan of a SELECT, or of the
-// single-table WHERE clause an UPDATE or DELETE targets rows with. runSelect
-// executes it, targetRows probes with it and Explain renders it, so the
-// three cannot disagree. A Prepared caches it, so goroutines and engines
-// share it and nothing writes it once stored (binder.cols included). It
-// holds ordinals and definitions, never engine pointers, and the statement's
-// own AST nodes, since accessPath.consumed is keyed by node identity.
+// single-table WHERE clause an UPDATE or DELETE targets rows with, with the
+// expressions the statement evaluates bound to row offsets (binder.bind).
+// runSelect executes it, targetRows probes with it and Explain renders it,
+// so the three cannot disagree. A Prepared caches it, so goroutines and
+// engines share it and nothing writes it once stored. It holds ordinals and
+// definitions, never engine pointers. Execution reads no names: the
+// binder's name map serves planning only.
 type plan struct {
 	fp     uint64 // the engine schema fingerprint the plan was built under
 	b      *binder
 	levels []joinLevel // one per FROM table, in join order
 
-	orderBy []sql.OrderItem // aliases substituted; nil when the index order already satisfies it
-	groupBy []sql.Expr      // aliases substituted
-	having  sql.Expr        // aliases substituted
-	hasAgg  bool
+	exprs         []expr     // SELECT list; nil stands for a *
+	orderBy       []orderKey // aliases substituted; nil when the index order already satisfies it
+	groupBy       []expr     // aliases substituted
+	having        expr       // aliases substituted
+	limit, offset expr       // nil when the clause is absent
+	distinct      bool
+	hasAgg        bool
 	// The aggregate calls of the SELECT list, HAVING and ORDER BY, each
 	// once: a group's aggregate values are indexed by their ordinals here.
-	calls []*sql.Call
+	calls []aggCall
 	// The joined-row offsets the SELECT list, HAVING and ORDER BY read
 	// (every column under *), each once: a group keeps these of its first
-	// row.
+	// row, at the same offsets, so one bound tree reads both.
 	groupCols []int
 
 	cols  []string // SELECT: output column names
@@ -119,6 +186,20 @@ type plan struct {
 	// UPDATE: the column ordinal each SET assigns; INSERT: the ordinal
 	// each VALUES position fills.
 	assign []int
+	sets   []expr   // UPDATE: each SET's value, over the target row
+	values [][]expr // INSERT: the VALUES rows, with no column in scope
+}
+
+// orderKey is one ORDER BY key.
+type orderKey struct {
+	x    expr
+	desc bool
+}
+
+// aggCall is one aggregate call of a plan with its argument bound.
+type aggCall struct {
+	*sql.Call
+	arg expr // Args[0]; nil for COUNT(*)
 }
 
 // joinLevel is the plan for one table of the join pipeline.
@@ -127,7 +208,7 @@ type joinLevel struct {
 	// Conjuncts that become fully bound at this level and that the path
 	// did not consume, split by origin: ON residuals decide matching; WHERE
 	// residuals filter every emitted row, null-extended ones included.
-	residualOn, residualWhere []sql.Expr
+	residualOn, residualWhere []expr
 }
 
 // planSelect plans a SELECT: binding, the level at which each conjunct
@@ -198,37 +279,40 @@ func planSelect(e *heap.Engine, sel *sql.Select) (*plan, error) {
 				continue
 			}
 			if c.fromOn {
-				lv.residualOn = append(lv.residualOn, c.e)
+				lv.residualOn = append(lv.residualOn, b.bind(c.e, nil))
 			} else {
-				lv.residualWhere = append(lv.residualWhere, c.e)
+				lv.residualWhere = append(lv.residualWhere, b.bind(c.e, nil))
 			}
 		}
 	}
 
+	var orderBy []sql.OrderItem
 	if len(sel.OrderBy) > 0 {
-		p.orderBy = make([]sql.OrderItem, len(sel.OrderBy))
+		orderBy = make([]sql.OrderItem, len(sel.OrderBy))
 		for i, o := range sel.OrderBy {
-			p.orderBy[i] = sql.OrderItem{Expr: substituteAliases(o.Expr, b, sel), Desc: o.Desc}
+			orderBy[i] = sql.OrderItem{Expr: substituteAliases(o.Expr, b, sel), Desc: o.Desc}
 		}
 	}
+	var groupBy []sql.Expr
 	if len(sel.GroupBy) > 0 {
-		p.groupBy = make([]sql.Expr, len(sel.GroupBy))
+		groupBy = make([]sql.Expr, len(sel.GroupBy))
 		for i, g := range sel.GroupBy {
-			p.groupBy[i] = substituteAliases(g, b, sel)
+			groupBy[i] = substituteAliases(g, b, sel)
 		}
 	}
+	var having sql.Expr
 	if sel.Having != nil {
-		p.having = substituteAliases(sel.Having, b, sel)
+		having = substituteAliases(sel.Having, b, sel)
 	}
 
 	// A single-table index scan emits rows in key order; when the ORDER BY
 	// is exactly the index key columns following the equality prefix (all
 	// ascending), the sort is already satisfied.
-	if len(b.tabs) == 1 && orderSatisfiedByIndex(b, p.levels[0].path, p.orderBy) {
-		p.orderBy = nil
+	if len(b.tabs) == 1 && orderSatisfiedByIndex(b, p.levels[0].path, orderBy) {
+		orderBy = nil
 	}
 
-	p.hasAgg = len(p.groupBy) > 0 || (p.having != nil && sql.IsAggregate(p.having))
+	p.hasAgg = len(groupBy) > 0 || (having != nil && sql.IsAggregate(having))
 	for i, se := range sel.Exprs {
 		if se.Star {
 			for _, tb := range b.tabs {
@@ -253,20 +337,48 @@ func planSelect(e *heap.Engine, sel *sql.Select) (*plan, error) {
 		p.cols = append(p.cols, name)
 		p.width++
 	}
+	var calls []*sql.Call
 	if p.hasAgg {
-		p.planGroups(sel)
+		calls = p.planGroups(sel, orderBy, having)
 	}
+
+	// Bind what the rows are evaluated with, now that the calls are known.
+	p.calls = make([]aggCall, len(calls))
+	for i, c := range calls {
+		p.calls[i].Call = c
+		if !c.Star && len(c.Args) > 0 {
+			p.calls[i].arg = b.bind(c.Args[0], nil)
+		}
+	}
+	p.exprs = make([]expr, len(sel.Exprs))
+	for i, se := range sel.Exprs {
+		if !se.Star {
+			p.exprs[i] = b.bind(se.Expr, calls)
+		}
+	}
+	if orderBy != nil {
+		p.orderBy = make([]orderKey, len(orderBy))
+		for i, o := range orderBy {
+			p.orderBy[i] = orderKey{x: b.bind(o.Expr, calls), desc: o.Desc}
+		}
+	}
+	p.groupBy = b.bindAll(groupBy, calls)
+	p.having = b.bind(having, calls)
+	p.limit, p.offset = b.bind(sel.Limit, nil), b.bind(sel.Offset, nil)
+	p.distinct = sel.Distinct
 	return p, nil
 }
 
 // planGroups finds what an aggregate query keeps of each group: its
-// aggregate calls, and the columns of its first row the output reads.
-func (p *plan) planGroups(sel *sql.Select) {
+// aggregate calls, which it returns, and the columns of its first row the
+// output reads. orderBy and having are the plan's, aliases substituted.
+func (p *plan) planGroups(sel *sql.Select, orderBy []sql.OrderItem, having sql.Expr) []*sql.Call {
 	col := func(off int) {
 		if !slices.Contains(p.groupCols, off) {
 			p.groupCols = append(p.groupCols, off)
 		}
 	}
+	var calls []*sql.Call
 	var refs []*sql.ColRef
 	for _, se := range sel.Exprs {
 		if se.Star {
@@ -275,17 +387,17 @@ func (p *plan) planGroups(sel *sql.Select) {
 			}
 			continue
 		}
-		collectAggs(se.Expr, &p.calls)
+		collectAggs(se.Expr, &calls)
 		colRefsIn(se.Expr, &refs)
 	}
-	if p.having != nil {
-		collectAggs(p.having, &p.calls)
-		colRefsIn(p.having, &refs)
+	if having != nil {
+		collectAggs(having, &calls)
+		colRefsIn(having, &refs)
 	}
 	for _, o := range sel.OrderBy {
-		collectAggs(o.Expr, &p.calls)
+		collectAggs(o.Expr, &calls)
 	}
-	for _, o := range p.orderBy {
+	for _, o := range orderBy {
 		colRefsIn(o.Expr, &refs)
 	}
 	for _, r := range refs {
@@ -294,6 +406,7 @@ func (p *plan) planGroups(sel *sql.Select) {
 			col(off)
 		}
 	}
+	return calls
 }
 
 // planStmt plans a SELECT, or an UPDATE's or DELETE's WHERE clause as a
@@ -310,10 +423,12 @@ func planStmt(e *heap.Engine, stmt sql.Statement) (*plan, error) {
 			return nil, err
 		}
 		p.assign = make([]int, len(s.Sets))
+		p.sets = make([]expr, len(s.Sets))
 		for i, set := range s.Sets {
 			if p.assign[i] = p.b.tabs[0].def.ColIndex(set.Col); p.assign[i] < 0 {
 				return nil, fmt.Errorf("exec: %w: %s.%s", ErrUnknownColumn, s.Table, set.Col)
 			}
+			p.sets[i] = p.b.bind(set.Expr, nil)
 		}
 		return p, nil
 	case *sql.Delete:
@@ -324,8 +439,8 @@ func planStmt(e *heap.Engine, stmt sql.Statement) (*plan, error) {
 }
 
 // planInsert resolves the ordinal of each column an INSERT names (every
-// column, in table order, when it names none) and checks that each VALUES
-// row has one value per column.
+// column, in table order, when it names none), checks that each VALUES row
+// has one value per column and binds the values, with no column in scope.
 func planInsert(e *heap.Engine, ins *sql.Insert) (*plan, error) {
 	b, err := bindTables(e, []sql.TableRef{{Table: ins.Table}})
 	if err != nil {
@@ -345,10 +460,13 @@ func planInsert(e *heap.Engine, ins *sql.Insert) (*plan, error) {
 		}
 		p.assign = append(p.assign, ord)
 	}
-	for _, exprRow := range ins.Rows {
+	var none binder
+	p.values = make([][]expr, len(ins.Rows))
+	for i, exprRow := range ins.Rows {
 		if len(exprRow) != len(p.assign) {
 			return nil, fmt.Errorf("exec: INSERT %s: %d values for %d columns", ins.Table, len(exprRow), len(p.assign))
 		}
+		p.values[i] = none.bindAll(exprRow, nil)
 	}
 	return p, nil
 }
@@ -396,17 +514,20 @@ func substituteAliases(x sql.Expr, b *binder, sel *sql.Select) sql.Expr {
 // --- access-path selection --------------------------------------------------
 
 type accessPath struct {
-	idx      int           // index ordinal, or -1 for full scan
-	ix       heap.IndexDef // the index's definition when idx >= 0
-	eq       []sql.Expr    // probe expressions for the index prefix columns
-	lo, hi   sql.Expr      // optional range bounds on the next index column
-	loInc    bool
-	hiInc    bool
+	idx    int           // index ordinal, or -1 for full scan
+	ix     heap.IndexDef // the index's definition when idx >= 0
+	eq     []expr        // probe expressions for the index prefix columns
+	lo, hi expr          // optional range bounds on the next index column
+	loInc  bool
+	hiInc  bool
+	// The conjuncts the probes stand for, by AST node: the planner leaves
+	// them out of the residuals.
 	consumed map[sql.Expr]struct{}
 }
 
 // choosePath inspects the conjuncts usable at this join level and picks the
 // index with the longest equality prefix (plus at most one range column).
+// Its probe expressions are bound; they read only outer levels' columns.
 func choosePath(e *heap.Engine, b *binder, tabIdx int, conjuncts []sql.Expr, maxOuter int) (accessPath, error) {
 	type colPreds struct {
 		eq     sql.Expr
@@ -503,14 +624,14 @@ func choosePath(e *heap.Engine, b *binder, tabIdx int, conjuncts []sql.Expr, max
 		for _, col := range ix.Cols {
 			p, ok := preds[col]
 			if ok && p.eq != nil {
-				path.eq = append(path.eq, p.eq)
+				path.eq = append(path.eq, b.bind(p.eq, nil))
 				path.consumed[p.eqSrc] = struct{}{}
 				score += 2
 				continue
 			}
 			if ok && (p.lo != nil || p.hi != nil) {
-				path.lo, path.loInc = p.lo, p.loInc
-				path.hi, path.hiInc = p.hi, p.hiInc
+				path.lo, path.loInc = b.bind(p.lo, nil), p.loInc
+				path.hi, path.hiInc = b.bind(p.hi, nil), p.hiInc
 				if p.loSrc != nil {
 					path.consumed[p.loSrc] = struct{}{}
 				}

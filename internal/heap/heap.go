@@ -373,12 +373,13 @@ func (e *Engine) index(table, idx int) (*Index, error) {
 	return t.index(idx)
 }
 
+// allTables returns the tables, a capped window onto e.tables: tables are
+// only ever appended, so the window's entries never change and an append
+// to it copies.
 func (e *Engine) allTables() []*Table {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make([]*Table, len(e.tables))
-	copy(out, e.tables)
-	return out
+	return e.tables[:len(e.tables):len(e.tables)]
 }
 
 func (e *Engine) nextTxID() uint64 {

@@ -1,8 +1,9 @@
 package obs
 
 import (
+	"maps"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -56,15 +57,16 @@ type ClusterSnapshot struct {
 // counts once: members that share one (the in-process tier's nodes and
 // plane) carry the same Registry id, and only the first of them adds its
 // metrics and spans. Registry 0 names no registry and always adds.
+//
+// The first registry's snapshot becomes the merged one as it is, maps and
+// spans shared with the input, and is copied only when a second registry
+// adds to it: an in-process tier's view copies no metric. Neither the
+// input nor the result is written once merged.
 func MergeSnapshots(nodes []NodeSnapshot, floor []uint64) ClusterSnapshot {
 	cs := ClusterSnapshot{
 		TakenUnix: time.Now().Unix(),
 		Frontier:  append([]uint64(nil), floor...),
-		Merged: Snapshot{
-			Counters:   map[string]int64{},
-			Gauges:     map[string]float64{},
-			Histograms: map[string]HistSnapshot{},
-		},
+		Nodes:     make([]NodeLag, 0, len(nodes)),
 	}
 	for _, ns := range nodes {
 		for i, v := range ns.MaxVer {
@@ -76,10 +78,12 @@ func MergeSnapshots(nodes []NodeSnapshot, floor []uint64) ClusterSnapshot {
 			}
 		}
 	}
-	merged := make(map[uint64]bool, len(nodes))
+	lags := make([]uint64, len(nodes)*len(cs.Frontier)) // every node row's Lag
+	var seen []uint64                                   // the registries counted
 	for _, ns := range nodes {
 		if ns.Node != "" {
-			lag := make([]uint64, len(cs.Frontier))
+			lag := lags[:len(cs.Frontier):len(cs.Frontier)]
+			lags = lags[len(cs.Frontier):]
 			for i := range cs.Frontier {
 				applied := uint64(0)
 				if i < len(ns.Applied) {
@@ -97,23 +101,51 @@ func MergeSnapshots(nodes []NodeSnapshot, floor []uint64) ClusterSnapshot {
 				PendingMods: ns.PendingMods,
 			})
 		}
-		if ns.Registry != 0 && merged[ns.Registry] {
+		if ns.Registry != 0 && slices.Contains(seen, ns.Registry) {
 			continue
 		}
-		merged[ns.Registry] = true
-		for n, v := range ns.Snap.Counters {
-			cs.Merged.Counters[n] += v
+		seen = append(seen, ns.Registry)
+		if len(seen) == 1 {
+			cs.Merged, cs.Spans = ns.Snap, slices.Clip(ns.Spans)
+			continue
 		}
-		for n, v := range ns.Snap.Gauges {
-			cs.Merged.Gauges[n] += v
+		if len(seen) == 2 {
+			cs.Merged = cs.Merged.clone() // the first snapshot's maps stay unwritten
 		}
-		for n, h := range ns.Snap.Histograms {
-			cs.Merged.Histograms[n] = cs.Merged.Histograms[n].Merge(h)
-		}
+		cs.Merged.add(ns.Snap)
 		cs.Spans = append(cs.Spans, ns.Spans...)
 	}
-	sort.Slice(cs.Nodes, func(i, j int) bool { return cs.Nodes[i].Node < cs.Nodes[j].Node })
+	if cs.Merged.Counters == nil || cs.Merged.Gauges == nil || cs.Merged.Histograms == nil {
+		cs.Merged = cs.Merged.clone()
+	}
+	slices.SortFunc(cs.Nodes, func(a, b NodeLag) int { return strings.Compare(a.Node, b.Node) })
 	return cs
+}
+
+// clone copies s into maps a merge may write (nil maps become empty ones).
+func (s Snapshot) clone() Snapshot {
+	out := Snapshot{
+		Counters:   make(map[string]int64, len(s.Counters)),
+		Gauges:     make(map[string]float64, len(s.Gauges)),
+		Histograms: make(map[string]HistSnapshot, len(s.Histograms)),
+	}
+	maps.Copy(out.Counters, s.Counters)
+	maps.Copy(out.Gauges, s.Gauges)
+	maps.Copy(out.Histograms, s.Histograms)
+	return out
+}
+
+// add sums o's counters, gauges and histogram buckets into s's maps.
+func (s Snapshot) add(o Snapshot) {
+	for n, v := range o.Counters {
+		s.Counters[n] += v
+	}
+	for n, v := range o.Gauges {
+		s.Gauges[n] += v
+	}
+	for n, h := range o.Histograms {
+		s.Histograms[n] = s.Histograms[n].Merge(h)
+	}
 }
 
 // Aggregator caches the latest cluster snapshot between scrape rounds so

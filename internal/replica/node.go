@@ -873,14 +873,23 @@ func (n *Node) PageImages(table int, pages []page.ID) ([]page.Image, error) {
 // plane: identity, DMV version state (applied vs. received frontiers,
 // buffered-mod backlog), the full metric snapshot, and the trace ring for
 // cluster-wide stitching. Served over transport as the ObsSnapshot RPC.
-func (n *Node) ObsSnapshot() (obs.NodeSnapshot, error) {
+func (n *Node) ObsSnapshot() (obs.NodeSnapshot, error) { return n.ObsSnapshotOnce(nil) }
+
+// ObsSnapshotOnce is ObsSnapshot for an in-process reader that gathers
+// several nodes: when taken holds the ID of the node's registry, it leaves
+// the registry's metrics and spans out, and otherwise adds the ID to taken
+// (a nil taken holds nothing and is not written). The members of an
+// in-process tier share one registry, so the plane copies it once per view
+// rather than once per member (Plane.ClusterSnapshot). A node without a
+// registry (ID 0) always contributes, as obs.MergeSnapshots counts it.
+func (n *Node) ObsSnapshotOnce(taken map[uint64]bool) (obs.NodeSnapshot, error) {
 	if err := n.check(); err != nil {
 		return obs.NodeSnapshot{}, err
 	}
 	n.roleMu.RLock()
 	role := n.role
 	n.roleMu.RUnlock()
-	return obs.NodeSnapshot{
+	ns := obs.NodeSnapshot{
 		Registry:    n.reg.ID(),
 		Node:        n.id,
 		Role:        role.String(),
@@ -888,9 +897,14 @@ func (n *Node) ObsSnapshot() (obs.NodeSnapshot, error) {
 		Applied:     n.eng.AppliedVersions(),
 		MaxVer:      n.eng.MaxVersions(),
 		PendingMods: n.eng.PendingMods(),
-		Snap:        n.reg.Snapshot(),
-		Spans:       n.reg.Tracer().Dump(),
-	}, nil
+	}
+	if id := ns.Registry; id == 0 || !taken[id] {
+		ns.Snap, ns.Spans = n.reg.Snapshot(), n.reg.Tracer().Dump()
+		if id != 0 && taken != nil {
+			taken[id] = true
+		}
+	}
+	return ns, nil
 }
 
 // FlightDump freezes the node's flight-recorder ring for a cluster-wide

@@ -73,6 +73,23 @@ if [ "$plane_go" -gt 4 ]; then
 	exit 1
 fi
 
+echo "==> column names resolve only at planning"
+# A plan binds every column reference to its offset in the joined row
+# (binder.bind in internal/exec/plan.go), so eval indexes the row and
+# resolves no name per row. Only the planner calls colOffset, the name
+# lookup, and the evaluation environment (env in internal/exec/eval.go)
+# has no map-typed field to look a name up in.
+if grep -n 'colOffset(' $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' ! -path './.bench_build/*') | grep -v '^./internal/exec/plan.go:'; then
+	echo "production code above resolves a column name outside the planner (bind it in internal/exec/plan.go)" >&2
+	exit 1
+fi
+env_struct=$(sed -n '/^type env struct {/,/^}/p' internal/exec/eval.go)
+[ -n "$env_struct" ] || { echo "internal/exec/eval.go no longer declares env; update this step" >&2; exit 1; }
+if echo "$env_struct" | grep -n 'map\['; then
+	echo "internal/exec/eval.go: env has a map-typed field above (the plan binds names; eval reads offsets)" >&2
+	exit 1
+fi
+
 echo "==> gofmt"
 unformatted=$(gofmt -l .)
 [ -z "$unformatted" ] || { echo "gofmt -l lists unformatted files:" >&2; echo "$unformatted" >&2; exit 1; }
