@@ -243,7 +243,7 @@ func run(args []string) error {
 	})
 	plane.Start()
 	defer plane.Close()
-	log.Printf("tier up: master=%s slaves=%v spares=%v", plane.MasterID(0), plane.Scheduler().Slaves(), plane.Scheduler().Spares())
+	log.Printf("tier up: master=%s slaves=%v spares=%v", plane.MasterID(0), plane.Scheduler().Slaves(), plane.Spares())
 
 	// Aggregation plane: the control plane builds the cluster view (every
 	// node's registry over the ObsSnapshot RPC plus this daemon's own) on

@@ -442,7 +442,7 @@ func (c *Cluster) Master() string { return c.inner.MasterID(0) }
 func (c *Cluster) Slaves() []string { return c.inner.Scheduler().Slaves() }
 
 // Spares returns the ids of the spare backups.
-func (c *Cluster) Spares() []string { return c.inner.Scheduler().Spares() }
+func (c *Cluster) Spares() []string { return c.inner.Spares() }
 
 // Kill fail-stops a node; the cluster detects the failure via heartbeats and
 // reconfigures automatically.

@@ -407,3 +407,31 @@ func TestPersistenceSurvivesMasterFailover(t *testing.T) {
 		}
 	}
 }
+
+// TestPublicAPIStaleSpares: a stale spare serves no read, even with every
+// read offered to the spares, and the cluster still lists it as a spare.
+func TestPublicAPIStaleSpares(t *testing.T) {
+	c := openTestCluster(t, dmv.Config{Slaves: 1, Spares: 1, StaleSpares: true, WarmupShare: 1})
+	err := c.Update([]string{"kv"}, func(tx *dmv.Tx) error {
+		_, err := tx.Exec(`UPDATE kv SET v = v + 11 WHERE k = 1`)
+		return err
+	})
+	if err != nil {
+		t.Fatalf("update: %v", err)
+	}
+	for i := 0; i < 20; i++ {
+		err := c.Read([]string{"kv"}, func(tx *dmv.Tx) error {
+			rows, err := tx.Query(`SELECT v FROM kv WHERE k = 1`)
+			if err == nil && rows.Int(0, 0) != 11 {
+				err = fmt.Errorf("read %d = %d, want 11", i, rows.Int(0, 0))
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+	}
+	if got := fmt.Sprint(c.Slaves(), c.Spares()); got != "[slave0] [spare0]" {
+		t.Fatalf("slaves, spares = %s, want [slave0] [spare0]", got)
+	}
+}

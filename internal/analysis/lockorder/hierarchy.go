@@ -83,7 +83,6 @@ var DefaultConfig = &Config{
 		"dmv/internal/scheduler.Scheduler.commitFence": levelFence,
 		"dmv/internal/scheduler.Scheduler.mu":          levelScheduler,
 		"dmv/internal/scheduler.classState.mu":         levelScheduler + 1,
-		"dmv/internal/scheduler.replicaState.verMu":    levelScheduler + 2,
 		"dmv/internal/scheduler.Scheduler.rngMu":       levelScheduler + 3,
 		// Admission queue: entered before any routing state on the begin
 		// path and never held across a replica call; waiter wakeups, gauge

@@ -256,10 +256,7 @@ func (p *Plane) applyHealth(id string, v verdict) {
 
 // holds reports whether n is still its member's incarnation and usable.
 func (p *Plane) holds(n replica.Peer) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	m := p.members[n.ID()]
-	return m != nil && m.peer == n && p.usable(m)
+	return len(p.peers(func(m *member) bool { return m.peer == n && p.usable(m) })) > 0
 }
 
 // recordHealth records a detector transition in the flight recorder and the

@@ -20,10 +20,11 @@ var deadPublished atomic.Pointer[func(id string)]
 var masterPublished atomic.Pointer[func(id string)]
 
 // confirmDead declares peer n dead and reconfigures around it. It is
-// idempotent, and a no-op once Restart has replaced n under its id. A node
-// that may still be running (a gray failure) is fenced: excluded from every
-// topology computation and, best-effort, stripped of its subscribers and
-// master role. It rejoins only through Kill and Restart (DESIGN.md §10).
+// idempotent, and a no-op once Restart has replaced n under its id. A dead
+// member is out of every topology computation; one that may still be
+// running (a gray failure) is also, best-effort, stripped of its
+// subscribers and master role. It rejoins only through Kill and Restart
+// (DESIGN.md §10).
 func (p *Plane) confirmDead(n replica.Peer) {
 	id := n.ID()
 	p.mu.Lock()
@@ -41,10 +42,10 @@ func (p *Plane) confirmDead(n replica.Peer) {
 	} else {
 		p.cfg.Flight.Trigger(flight.CauseFailover, id, "node confirmed dead, reconfiguring")
 	}
+	gray := p.usable(m)
 	m.state = healthDead
-	m.fenced = p.usable(m)
 	p.placeLocked()
-	gray, classID, isSpare := m.fenced, m.classID, m.isSpare
+	classID, spare := m.classID, m.spare
 	p.mu.Unlock()
 	if hook := deadPublished.Load(); hook != nil {
 		(*hook)(id)
@@ -52,7 +53,7 @@ func (p *Plane) confirmDead(n replica.Peer) {
 
 	p.emit(Event{Kind: EventNodeFailed, Node: id})
 	if gray {
-		// The fence proper is the fenced flag. The node-side cleanup is
+		// The fence proper is the dead state. The node-side cleanup is
 		// not waited for: the fail-over must not queue behind a gray node.
 		bounded(func() error {
 			_ = p.rewire(n, nil)
@@ -66,7 +67,7 @@ func (p *Plane) confirmDead(n replica.Peer) {
 	switch {
 	case classID >= 0:
 		p.masterFailover(rec, classID)
-	case !isSpare:
+	case !spare:
 		// A slave: its read capacity is replaced by a spare.
 		rec.End("")
 		p.activateSpare()
@@ -79,18 +80,8 @@ func (p *Plane) confirmDead(n replica.Peer) {
 func (p *Plane) masterFailover(rec *obs.Stage, classID int) {
 	// Stage 1 — Recovery: every survivor discards pre-commits beyond the
 	// last acknowledged version; only plain slaves stand for election.
-	p.mu.Lock()
-	var slaves, others []replica.Peer
-	for _, id := range p.order {
-		switch m := p.members[id]; {
-		case !p.usable(m):
-		case m.classID < 0 && !m.isSpare:
-			slaves = append(slaves, m.peer)
-		default:
-			others = append(others, m.peer)
-		}
-	}
-	p.mu.Unlock()
+	slaves := p.peers(func(m *member) bool { return p.usable(m) && m.classID < 0 && !m.spare })
+	others := p.peers(func(m *member) bool { return p.usable(m) && (m.classID >= 0 || m.spare) })
 	newMaster, err := p.Scheduler().FailoverMaster(classID, slaves, others, p.scheds, p.publishMaster)
 	if err != nil {
 		rec.End(err.Error())
@@ -111,11 +102,7 @@ func (p *Plane) masterFailover(rec *obs.Stage, classID int) {
 // class ci and placement publishes it, so every commit it acknowledges
 // reaches the survivors. A winner whose rewire fails is not published.
 func (p *Plane) publishMaster(ci int, n replica.Peer) error {
-	p.mu.Lock()
-	subs := p.subscribersLocked(n)
-	p.mu.Unlock()
-	if err := p.rewire(n, subs); err != nil {
-		p.emit(Event{Kind: EventRewireFailed, Node: n.ID(), Detail: err.Error()})
+	if err := p.subscribe(n); err != nil {
 		return fmt.Errorf("failover: subscribe %s: %w", n.ID(), err)
 	}
 	p.changeMember(n.ID(), func(m *member) { m.classID = ci })
@@ -133,8 +120,11 @@ func (p *Plane) activateSpare() {
 
 	act := p.tl.Start(EventSpareActivated, spare.ID())
 	mig := p.tl.Start(EventMigrationDone, spare.ID())
-	if p.cfg.SpareMode == SpareStale {
+	if p.staleSpares() {
 		if err := p.reintegrate(spare); err != nil {
+			// A stale spare whose join failed is a stale spare again.
+			p.changeMember(spare.ID(), func(m *member) { m.joining = false })
+			p.rewireSubscribers()
 			mig.End("failed: " + err.Error())
 			return
 		}
@@ -144,7 +134,7 @@ func (p *Plane) activateSpare() {
 	migDur := mig.Elapsed()
 	_ = spare.Demote(replica.RoleSlave)
 
-	p.changeMember(spare.ID(), func(m *member) { m.isSpare = false })
+	p.changeMember(spare.ID(), func(m *member) { m.spare, m.joining = false, false })
 	p.rewireSubscribers()
 	p.emit(Event{Kind: EventMigrationDone, Node: spare.ID(), Duration: migDur})
 	act.End("")
@@ -152,7 +142,8 @@ func (p *Plane) activateSpare() {
 
 // reintegrate runs the data-migration protocol of Section 4.4 on a stale or
 // recovered member: subscribe (buffering), fetch the page delta from a
-// support slave, install it, then drain the buffer.
+// support slave, install it, then drain the buffer. The member stays
+// joining, out of read placement, until its caller ends the stage.
 func (p *Plane) reintegrate(n replica.Peer) error {
 	join := p.tl.Start(EventReintegrated, n.ID())
 	if err := n.StartJoin(); err != nil {
@@ -160,7 +151,6 @@ func (p *Plane) reintegrate(n replica.Peer) error {
 	}
 	// Subscribe to every master so new write-sets are buffered.
 	p.changeMember(n.ID(), func(m *member) { m.joining = true })
-	defer p.changeMember(n.ID(), func(m *member) { m.joining = false })
 	p.rewireSubscribers()
 
 	pages, err := p.migrate(n)
@@ -212,20 +202,20 @@ func shipPages(n, donor replica.Peer, sets []heap.PageSet) (int, error) {
 	return len(delta), nil
 }
 
-// pickSupportSlave chooses a migration donor: a healthy slave that answers
-// a bounded probe, or a master as fallback. Suspects are skipped: a donor
-// behind on write-sets would ship a stale delta.
+// pickSupportSlave chooses a migration donor that answers a bounded probe:
+// a healthy slave out of read quarantine, else a healthy class master (it
+// has the full state too). Never a quarantined member: a suspect may be
+// behind on write-sets and a diverged one holds wrong pages, so either
+// would ship a wrong delta into the joiner.
 func (p *Plane) pickSupportSlave(exclude string) replica.Peer {
-	sched := p.Scheduler()
-	donors := sched.SlaveList()
-	// Fall back to a master (it has the full state too).
-	for ci := 0; ci < sched.NumClasses(); ci++ {
-		if m := sched.Master(ci); m != nil {
-			donors = append(donors, m)
-		}
-	}
-	for _, d := range donors {
-		if d.ID() != exclude && p.Health(d.ID()) == healthy && p.pingBounded(d) == nil {
+	ok := func(m *member) bool { return m.state == "" && m.peer.ID() != exclude }
+	slaves := p.peers(func(m *member) bool {
+		_, placed := p.duty(m)
+		return ok(m) && placed && !m.spare && !m.quarantined()
+	})
+	masters := p.peers(func(m *member) bool { return ok(m) && m.classID >= 0 })
+	for _, d := range append(slaves, masters...) {
+		if p.pingBounded(d) == nil {
 			return d
 		}
 	}
@@ -250,10 +240,7 @@ func (c *Cluster) restart(id string) error {
 	}
 	// A killed master not yet confirmed dead still holds its class:
 	// confirming its death runs the fail-over ahead of the rebuild.
-	c.mu.Lock()
-	master := c.members[id].classID >= 0
-	c.mu.Unlock()
-	if master {
+	if len(c.peers(func(m *member) bool { return m.peer == old && m.classID >= 0 })) > 0 {
 		c.confirmDead(old)
 	}
 	restart := c.tl.Start(EventNodeRestarted, id)
@@ -263,7 +250,7 @@ func (c *Cluster) restart(id string) error {
 	}
 	// The fresh member replaces the killed incarnation at once. It receives
 	// the replication stream and joins read placement once it reintegrates.
-	c.setMember(n, &member{peer: n, classID: -1, rejoining: true})
+	c.setMember(n, &member{peer: n, classID: -1, joining: true})
 	c.startCheckpointer(n)
 	c.setHealthGauge(id, "")
 
@@ -272,7 +259,7 @@ func (c *Cluster) restart(id string) error {
 	}
 	c.changeMember(id, func(m *member) {
 		if m.peer == n {
-			m.rejoining = false
+			m.joining = false
 		}
 	})
 	restart.End("")

@@ -54,28 +54,47 @@ type Plane struct {
 	wg   sync.WaitGroup
 }
 
-// member is one node of the tier. Plane.mu protects every field (the
-// guardedfield annotation cannot name a lock on another struct).
+// member is one node of the tier: its role (classID, spare) and lifecycle
+// stage (joining, nodeHealth.state), all duty reads. Plane.mu protects every
+// field (the guardedfield annotation cannot name a lock on another struct).
 type member struct {
 	peer    replica.Peer
-	isSpare bool
-	classID int // >= 0 when master of that class
-	// joining marks a node inside reintegrate: it receives the replication
-	// stream (buffering it) even if it is a stale spare.
+	classID int  // >= 0 when master of that class
+	spare   bool // a spare backup, hot or stale (staleSpares), until activated
+	// joining marks a node inside reintegrate, or one Restart rebuilt until
+	// its reintegration succeeds: it receives the replication stream
+	// (buffering it) and stays out of read placement.
 	joining bool
-	// fenced marks a node declared dead while possibly still running: it
-	// is excluded from every topology computation.
-	fenced bool
-	// rejoining marks a node Restart rebuilt and has not yet reintegrated:
-	// it receives the replication stream but stays out of read placement.
-	rejoining bool
 	// Read quarantine has two inputs, each written by one path: suspected
 	// by the detector and diverged by the sweep (the tables whose digest
-	// differed from the master's). placeLocked quarantines while either holds.
+	// differed from the master's). Placement quarantines while either holds.
 	suspected bool
 	diverged  map[int]bool
 	nodeHealth
 }
+
+// quarantined reports whether read placement passes m over.
+func (m *member) quarantined() bool { return m.suspected || len(m.diverged) > 0 }
+
+// duty is the member table (DESIGN.md §10): whether m receives every other
+// master's replication stream and whether placement puts it in a read set
+// (the spare set for a spare). A joining member and a class master receive
+// but serve no read; a dead member and a stale spare do neither. Callers
+// hold p.mu.
+func (p *Plane) duty(m *member) (receives, placed bool) {
+	switch {
+	case m.state == healthDead:
+		return false, false
+	case m.joining || m.classID >= 0:
+		return true, false
+	}
+	stale := m.spare && p.staleSpares()
+	return !stale, !stale
+}
+
+// staleSpares reports whether spares are stale, refreshed only by migrate:
+// the one reader of cfg.SpareMode besides withDefaults.
+func (p *Plane) staleSpares() bool { return p.cfg.SpareMode == SpareStale }
 
 // Members are a tier's nodes by role. Masters[i] masters cfg.Classes[i], or
 // the one class when cfg.Classes is empty.
@@ -178,7 +197,7 @@ func Assemble(cfg Config, m Members, rewire func(master replica.Peer, subs []rep
 		if err := n.Demote(replica.RoleSpare); err != nil {
 			return nil, fmt.Errorf("cluster: spare %s: %w", n.ID(), err)
 		}
-		p.setMember(n, &member{peer: n, classID: -1, isSpare: true})
+		p.setMember(n, &member{peer: n, classID: -1, spare: true})
 	}
 	return p, nil
 }
@@ -196,29 +215,29 @@ func (p *Plane) setMember(n replica.Peer, m *member) {
 }
 
 // placeLocked derives every scheduler's class masters and read placement
-// from the member record and installs them (DESIGN.md §10, "Membership and
-// placement"). Callers hold p.mu and call it wherever a member changes, so
-// the schedulers see every change in the order it was made. It is the one
-// place a master is published, so a new master is subscribed first
-// (publishMaster).
+// from the member table (duty) and installs them (DESIGN.md §10,
+// "Membership and placement"). Callers hold p.mu and call it wherever a
+// member changes, so the schedulers see every change in the order it was
+// made. It is the one place a master is published, so a new master is
+// subscribed first (publishMaster).
 func (p *Plane) placeLocked() {
 	masters := make([]replica.Peer, p.scheds[0].NumClasses())
+	for ci := range masters {
+		masters[ci] = p.masterLocked(ci)
+	}
 	var slaves, spares []replica.Peer
 	quarantined := make(map[string]bool)
 	for _, id := range p.order {
 		m := p.members[id]
-		switch {
-		case m.state == healthDead || m.rejoining:
+		switch _, placed := p.duty(m); {
+		case !placed:
 			continue
-		case m.classID >= 0:
-			masters[m.classID] = m.peer
-			continue
-		case m.isSpare:
+		case m.spare:
 			spares = append(spares, m.peer)
 		default:
 			slaves = append(slaves, m.peer)
 		}
-		if m.suspected || len(m.diverged) > 0 {
+		if m.quarantined() {
 			quarantined[id] = true
 		}
 	}
@@ -229,24 +248,51 @@ func (p *Plane) placeLocked() {
 		s.SetReplicas(slaves, spares, quarantined)
 	}
 	if debugBuild {
-		p.checkSubscribedLocked(masters)
+		p.checkPlacedLocked(masters, slices.Concat(slaves, spares))
 	}
 }
 
-// checkSubscribedLocked panics, from Start's rewire on, if the set rewire
-// last installed on a master placement publishes lacks a usable placed
-// slave or hot spare.
-func (p *Plane) checkSubscribedLocked(masters []replica.Peer) {
-	for _, master := range masters {
-		for _, id := range p.order {
-			m := p.members[id]
-			hot := !m.isSpare || p.cfg.SpareMode == SpareHot
-			if master != nil && len(p.installed) > 0 && m.classID < 0 && !m.rejoining && hot && p.usable(m) &&
-				!slices.Contains(p.installed[master], m.peer) {
-				panic(fmt.Sprintf("cluster: master %s published without subscriber %s", master.ID(), id))
+// checkPlacedLocked panics when placement installs, as a read replica, a
+// member that is joining or that duty does not subscribe, and, from Start's
+// rewire on, when the set rewire last installed on a master placement
+// publishes lacks a running read replica.
+func (p *Plane) checkPlacedLocked(masters, placed []replica.Peer) {
+	for _, r := range placed {
+		m := p.members[r.ID()]
+		if receives, _ := p.duty(m); !receives || m.joining {
+			panic(fmt.Sprintf("cluster: %s placed for reads while joining or unsubscribed", r.ID()))
+		}
+		for _, master := range masters {
+			if master != nil && len(p.installed) > 0 && p.usable(m) && !slices.Contains(p.installed[master], r) {
+				panic(fmt.Sprintf("cluster: master %s published without subscriber %s", master.ID(), r.ID()))
 			}
 		}
 	}
+}
+
+// masterLocked returns class ci's master: its one member that holds the
+// class and is not dead (nil: none). Callers hold p.mu.
+func (p *Plane) masterLocked(ci int) replica.Peer {
+	for _, id := range p.order {
+		if m := p.members[id]; m.classID == ci && ci >= 0 && m.state != healthDead {
+			return m.peer
+		}
+	}
+	return nil
+}
+
+// peers lists, in member order, the members keep selects; keep runs under
+// p.mu.
+func (p *Plane) peers(keep func(*member) bool) []replica.Peer {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var out []replica.Peer
+	for _, id := range p.order {
+		if m := p.members[id]; keep(m) {
+			out = append(out, m.peer)
+		}
+	}
+	return out
 }
 
 // registerEventMetrics counts every lifecycle event on the timeline and
@@ -311,40 +357,40 @@ func (p *Plane) Close() {
 	p.wg.Wait()
 }
 
-// usable reports whether the member may participate in topology: not
-// fenced and, as far as the constructor can tell, running. Callers hold
-// p.mu.
+// usable reports whether the member may participate in topology: not dead
+// and, as far as the constructor can tell, running. Callers hold p.mu.
 func (p *Plane) usable(m *member) bool {
-	return !m.fenced && (p.alive == nil || p.alive(m.peer))
+	return m.state != healthDead && (p.alive == nil || p.alive(m.peer))
 }
 
 // rewireSubscribers points every master's replication stream at its
-// subscribers (subscribersLocked).
+// subscribers.
 func (p *Plane) rewireSubscribers() {
-	p.mu.Lock()
-	var masters []replica.Peer
-	var subs [][]replica.Peer
-	for _, id := range p.order {
-		if m := p.members[id]; m.classID >= 0 && p.usable(m) {
-			masters = append(masters, m.peer)
-			subs = append(subs, p.subscribersLocked(m.peer))
-		}
-	}
-	p.mu.Unlock()
-	for i, m := range masters {
-		if err := p.rewire(m, subs[i]); err != nil {
-			p.emit(Event{Kind: EventRewireFailed, Node: m.ID(), Detail: err.Error()})
-		}
+	for _, m := range p.peers(func(m *member) bool { return m.classID >= 0 && p.usable(m) }) {
+		_ = p.subscribe(m)
 	}
 }
 
-// subscribersLocked derives master's subscriber set from the member
-// record: every other usable member but a stale spare outside reintegrate.
+// subscribe installs master n's subscriber set (subscribersLocked) with
+// rewire, and emits rewire-failed when that fails.
+func (p *Plane) subscribe(n replica.Peer) error {
+	p.mu.Lock()
+	subs := p.subscribersLocked(n)
+	p.mu.Unlock()
+	err := p.rewire(n, subs)
+	if err != nil {
+		p.emit(Event{Kind: EventRewireFailed, Node: n.ID(), Detail: err.Error()})
+	}
+	return err
+}
+
+// subscribersLocked derives master's subscriber set from the member table:
+// every other running member duty says receives the stream.
 func (p *Plane) subscribersLocked(master replica.Peer) []replica.Peer {
 	var subs []replica.Peer
 	for _, id := range p.order {
 		m := p.members[id]
-		if m.peer != master && p.usable(m) && !(m.isSpare && p.cfg.SpareMode == SpareStale && !m.joining) {
+		if receives, _ := p.duty(m); receives && m.peer != master && p.usable(m) {
 			subs = append(subs, m.peer)
 		}
 	}
@@ -493,11 +539,22 @@ func (p *Plane) ClusterSnapshot() obs.ClusterSnapshot {
 
 // MasterID returns the current master of conflict class ci.
 func (p *Plane) MasterID(ci int) string {
-	m := p.Scheduler().Master(ci)
-	if m == nil {
-		return ""
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if m := p.masterLocked(ci); m != nil {
+		return m.ID()
 	}
-	return m.ID()
+	return ""
+}
+
+// Spares lists the spares neither activated nor dead, hot or stale. A stale
+// spare is in no scheduler's read set, so this, not a scheduler, is the
+// tier's list of spares.
+func (p *Plane) Spares() (ids []string) {
+	for _, n := range p.peers(func(m *member) bool { return m.spare && m.state != healthDead }) {
+		ids = append(ids, n.ID())
+	}
+	return ids
 }
 
 // Events returns a copy of the reconfiguration event log.

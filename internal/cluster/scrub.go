@@ -18,7 +18,6 @@ import (
 	"dmv/internal/obs/flight"
 	"dmv/internal/page"
 	"dmv/internal/replica"
-	"dmv/internal/scheduler"
 	"dmv/internal/scrub"
 )
 
@@ -76,7 +75,7 @@ func newScrubMetrics(reg *obs.Registry) scrubMetrics {
 }
 
 // Sweep runs one anti-entropy pass: digest every table (cfg.ScrubTables,
-// or all) on every slave and hot spare against its class master, release
+// or all) on every member placed for reads against its class master, release
 // nodes whose diverged tables now match, and quarantine, repair and verify
 // new divergences. A peer that cannot be digested is skipped: its health is
 // the detector's. Sweeps are serialized.
@@ -84,22 +83,18 @@ func (p *Plane) Sweep() ScrubReport {
 	p.scrubMu.Lock()
 	defer p.scrubMu.Unlock()
 	start := time.Now()
-	sched := p.Scheduler()
 	rep := newScrubReport()
 
 	tables := p.cfg.ScrubTables
 	if len(tables) == 0 {
-		tables = make([]int, len(sched.Latest()))
+		tables = make([]int, len(p.Scheduler().Latest()))
 		for i := range tables {
 			tables[i] = i
 		}
 	}
-	peers := sched.SlaveList()
-	if p.cfg.SpareMode == SpareHot {
-		peers = append(peers, sched.SpareList()...)
-	}
+	peers := p.peers(func(m *member) bool { _, placed := p.duty(m); return placed })
 	for _, t := range tables {
-		checkTable(sched, t, peers, &rep)
+		p.checkTable(t, peers, &rep)
 	}
 
 	// A node an earlier sweep left quarantined (its repair or verification
@@ -133,7 +128,8 @@ func (p *Plane) Sweep() ScrubReport {
 		p.emit(Event{Kind: EventScrubDiverged, Node: node, Detail: detail})
 
 		repairStart := time.Now()
-		pages, err := repairAndVerify(sched, peerByID(peers, node), mms)
+		peer := peers[slices.IndexFunc(peers, func(n replica.Peer) bool { return n.ID() == node })]
+		pages, err := p.repairAndVerify(peer, mms)
 		took := time.Since(repairStart)
 		if err == nil {
 			p.changeMember(node, func(m *member) {
@@ -168,18 +164,13 @@ func (p *Plane) Sweep() ScrubReport {
 // invalidates the pinned frontier (page.ErrVersionConflict); the check
 // restarts with a fresher frontier up to scrubFrontierRetries times, then
 // counts the table skipped.
-func checkTable(sched *scheduler.Scheduler, t int, peers []replica.Peer, rep *ScrubReport) {
-	master := masterOf(sched, t)
+func (p *Plane) checkTable(t int, peers []replica.Peer, rep *ScrubReport) {
+	master := p.masterOf(t)
 	if master == nil {
 		rep.Skipped++
 		return
 	}
-	audit := make([]replica.Peer, 0, len(peers))
-	for _, peer := range peers {
-		if peer.ID() != master.ID() {
-			audit = append(audit, peer)
-		}
-	}
+	audit := slices.DeleteFunc(slices.Clone(peers), func(n replica.Peer) bool { return n.ID() == master.ID() })
 	if len(audit) == 0 {
 		return
 	}
@@ -283,12 +274,12 @@ func scrubFrontier(t int, master replica.Peer, audit []replica.Peer) (uint64, []
 // per-table compare on the node alone at a fresh frontier. The
 // StartJoin/FinishJoin bracket buffers write-sets arriving mid-repair and
 // drains them through the versioned apply path afterwards.
-func repairAndVerify(sched *scheduler.Scheduler, peer replica.Peer, mms []ScrubMismatch) (pages int, err error) {
+func (p *Plane) repairAndVerify(peer replica.Peer, mms []ScrubMismatch) (pages int, err error) {
 	if err := peer.StartJoin(); err != nil {
 		return 0, fmt.Errorf("scrub repair %s: start join: %w", peer.ID(), err)
 	}
 	for _, mm := range mms {
-		master := masterOf(sched, mm.Table)
+		master := p.masterOf(mm.Table)
 		if master == nil {
 			err = fmt.Errorf("scrub repair %s: table %d has no master", peer.ID(), mm.Table)
 			break
@@ -311,7 +302,7 @@ func repairAndVerify(sched *scheduler.Scheduler, peer replica.Peer, mms []ScrubM
 	}
 	for _, mm := range mms {
 		rep := newScrubReport()
-		checkTable(sched, mm.Table, []replica.Peer{peer}, &rep)
+		p.checkTable(mm.Table, []replica.Peer{peer}, &rep)
 		if !slices.Contains(rep.matched[peer.ID()], mm.Table) {
 			return pages, fmt.Errorf("scrub verify: %s table %d not shown equal to its master", peer.ID(), mm.Table)
 		}
@@ -319,24 +310,20 @@ func repairAndVerify(sched *scheduler.Scheduler, peer replica.Peer, mms []ScrubM
 	return pages, nil
 }
 
-// masterOf returns the master of table t's conflict class (class 0 for a
-// table outside every configured class).
-func masterOf(sched *scheduler.Scheduler, t int) replica.Peer {
-	for ci := 0; ci < sched.NumClasses(); ci++ {
-		if slices.Contains(sched.ClassTables(ci), t) {
-			return sched.Master(ci)
+// masterOf returns the master the member record names for table t's
+// conflict class (class 0 for a table outside every configured class).
+func (p *Plane) masterOf(t int) replica.Peer {
+	sched := p.Scheduler()
+	ci := 0
+	for c := range sched.NumClasses() {
+		if slices.Contains(sched.ClassTables(c), t) {
+			ci = c
+			break
 		}
 	}
-	return sched.Master(0)
-}
-
-func peerByID(peers []replica.Peer, id string) replica.Peer {
-	for _, peer := range peers {
-		if peer.ID() == id {
-			return peer
-		}
-	}
-	return nil
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.masterLocked(ci)
 }
 
 func totalPages(mms []ScrubMismatch) int {

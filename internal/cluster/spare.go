@@ -15,8 +15,14 @@ import (
 // activate.
 func (p *Plane) startSpareUpkeep() {
 	p.every(p.cfg.PageIDTransfer, p.shipPageIDs)
-	if p.cfg.SpareMode == SpareStale {
-		p.every(p.cfg.StaleRefresh, p.refreshStaleSpares)
+	if p.staleSpares() {
+		// The paper's periodically-updated backup: every stale spare is
+		// brought up to a support slave's pages without subscribing it.
+		p.every(p.cfg.StaleRefresh, func() {
+			for _, sp := range p.usableSpares() {
+				_, _ = p.migrate(sp)
+			}
+		})
 	}
 	if p.cfg.Admission.Slots > 0 && len(p.usableSpares()) > 0 {
 		p.every(p.overloadJob())
@@ -25,23 +31,15 @@ func (p *Plane) startSpareUpkeep() {
 
 // usableSpares lists the spare members that may be refreshed or activated.
 func (p *Plane) usableSpares() []replica.Peer {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var spares []replica.Peer
-	for _, id := range p.order {
-		if m := p.members[id]; m.isSpare && p.usable(m) {
-			spares = append(spares, m.peer)
-		}
-	}
-	return spares
+	return p.peers(func(m *member) bool { return m.spare && p.usable(m) })
 }
 
 // shipPageIDs is the paper's second warm-up scheme: an active slave's
 // resident page ids go to every spare, which faults those pages into its
 // buffer cache.
 func (p *Plane) shipPageIDs() {
-	sched := p.Scheduler()
-	slaves, spares := sched.SlaveList(), sched.SpareList()
+	slaves := p.peers(func(m *member) bool { _, placed := p.duty(m); return placed && !m.spare })
+	spares := p.usableSpares()
 	if len(slaves) == 0 || len(spares) == 0 {
 		return
 	}
@@ -54,14 +52,6 @@ func (p *Plane) shipPageIDs() {
 	}
 }
 
-// refreshStaleSpares brings every stale spare up to a support slave's
-// pages without subscribing it (the paper's periodically-updated backup).
-func (p *Plane) refreshStaleSpares() {
-	for _, sp := range p.usableSpares() {
-		_, _ = p.migrate(sp)
-	}
-}
-
 // overloadJob returns the overload check and its period. The primary
 // scheduler is hot while its admission queue is saturated; a spare is
 // activated once per episode that stays hot for cfg.OverloadWindow.
@@ -70,8 +60,7 @@ func (p *Plane) overloadJob() (time.Duration, func()) {
 	tick := max(window/5, 10*time.Millisecond)
 	var over time.Duration
 	return tick, func() {
-		sched := p.Scheduler()
-		if sched.AdmissionPressure() < 1 {
+		if p.Scheduler().AdmissionPressure() < 1 {
 			over = 0
 			return
 		}
@@ -79,7 +68,7 @@ func (p *Plane) overloadJob() (time.Duration, func()) {
 			return
 		}
 		over = 0
-		if len(sched.Spares()) > 0 {
+		if len(p.usableSpares()) > 0 {
 			p.overloaded()
 		}
 	}

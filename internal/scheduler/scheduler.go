@@ -114,21 +114,17 @@ type replicaState struct {
 	// suspicion clears.
 	quarantined atomic.Bool
 
-	verMu   sync.Mutex
-	lastVer vclock.Vector // guarded by verMu
+	// lastVer is the version the replica's readers were last pinned to.
+	// pickReader writes and reads it under Scheduler.mu held exclusive and
+	// LowWater reads it under Scheduler.mu held shared, so Scheduler.mu
+	// guards it (the guardedfield annotation cannot name a lock on another
+	// struct).
+	lastVer vclock.Vector
 }
 
-func (r *replicaState) setVer(v vclock.Vector) {
-	r.verMu.Lock()
-	r.lastVer = v
-	r.verMu.Unlock()
-}
+func (r *replicaState) setVer(v vclock.Vector) { r.lastVer = v }
 
-func (r *replicaState) atVer(v vclock.Vector) bool {
-	r.verMu.Lock()
-	defer r.verMu.Unlock()
-	return r.lastVer != nil && r.lastVer.Equal(v)
-}
+func (r *replicaState) atVer(v vclock.Vector) bool { return r.lastVer != nil && r.lastVer.Equal(v) }
 
 type classState struct {
 	name     string
@@ -412,17 +408,6 @@ func (s *Scheduler) Spares() []string {
 	return out
 }
 
-// SpareList returns the spare peers (spare upkeep uses it).
-func (s *Scheduler) SpareList() []replica.Peer {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]replica.Peer, len(s.spares))
-	for i, r := range s.spares {
-		out[i] = r.peer
-	}
-	return out
-}
-
 // SlaveList returns the active slave peers.
 func (s *Scheduler) SlaveList() []replica.Peer {
 	s.mu.RLock()
@@ -578,11 +563,9 @@ func (s *Scheduler) LowWater() vclock.Vector {
 			if r.outstanding.Load() == 0 {
 				continue
 			}
-			r.verMu.Lock()
 			if r.lastVer != nil {
 				lw = lw.MinInto(r.lastVer)
 			}
-			r.verMu.Unlock()
 		}
 	}
 	return lw

@@ -73,6 +73,23 @@ if [ "$plane_go" -gt 4 ]; then
 	exit 1
 fi
 
+echo "==> the plane decides from its record"
+# Every plane choice (migration donor, sweep set, spare upkeep, class
+# masters) reads the member record under Plane.mu; the schedulers' read
+# sets are only derived from it (placeLocked), never read back. The spare
+# mode is read in one predicate, staleSpares, besides withDefaults.
+plane_src=$(find internal/cluster -name '*.go' ! -name '*_test.go')
+if grep -n -E '\.(SlaveList|SpareList|Spares|Master)\(' $plane_src; then
+	echo "production code under internal/cluster reads placement back from a scheduler (read the member record instead)" >&2
+	exit 1
+fi
+if awk 'FNR == 1 { fn = "" } /^func / { fn = $0 }
+	/\.SpareMode/ && !/^[[:space:]]*\/\// && fn !~ /\) (withDefaults|staleSpares)\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+	END { exit !bad }' $plane_src; then
+	echo "production code under internal/cluster reads cfg.SpareMode outside staleSpares and withDefaults" >&2
+	exit 1
+fi
+
 echo "==> column names resolve only at planning"
 # A plan binds every column reference to its offset in the joined row
 # (binder.bind in internal/exec/plan.go), so eval indexes the row and
@@ -136,7 +153,7 @@ go test -tags dmvdebug -race -count=10 \
 	-run 'TestTimedOutCallKeepsConnection|TestLateRepliesNeverCross' \
 	./internal/transport/
 go test -tags dmvdebug -race -count=1 \
-	-run 'TestSuspectQuarantineAndClear|TestGrayMasterFailover|TestFailStopStillFast|TestOverloadActivatesSpare|TestPageIDWarmupLoopShipsPages|TestRestartReplacesKilledIncarnation|TestDeathVerdictSparesRestartedNode|TestSuspicionRecordedBeforeDeath|TestNewMasterSubscribedBeforePublished|TestRestartUnconfirmedMaster|TestDecisionOrderIsTimelineOrder|TestOneSparePerActivation|TestReportStormIsOneConfirm|TestCloseLeavesNothingRunning' \
+	-run 'TestSuspectQuarantineAndClear|TestGrayMasterFailover|TestFailStopStillFast|TestOverloadActivatesSpare|TestPageIDWarmupLoopShipsPages|TestRestartReplacesKilledIncarnation|TestDeathVerdictSparesRestartedNode|TestSuspicionRecordedBeforeDeath|TestNewMasterSubscribedBeforePublished|TestRestartUnconfirmedMaster|TestDecisionOrderIsTimelineOrder|TestOneSparePerActivation|TestReportStormIsOneConfirm|TestCloseLeavesNothingRunning|TestStaleSpareServesNoRead|TestDivergedSlaveIsNoDonor|TestFailedActivationLeavesStaleSpare' \
 	./internal/cluster/
 
 echo "==> storage-fault crash-recovery leg (WAL, faultdisk, persistence tier)"
